@@ -39,15 +39,11 @@ from .graph import (
     laplacian,
     quadratic_form,
     structural_balance,
-    validate_graph,
 )
 from .matalg import (
     Definiteness,
     NullSpaceBasis,
     classify_definiteness,
-    matrix_abs,
-    matrix_exp_neg,
-    matrix_sign,
     null_space,
     projector,
 )
@@ -55,7 +51,6 @@ from .sim import (
     ConvergenceMonitor,
     Trajectory,
     monitor_convergence,
-    run_time_scaled_scenario,
     simulate_exact,
     simulate_rk4,
 )
@@ -108,9 +103,6 @@ __all__ = [
     "is_connected",
     "laplacian",
     "load_config",
-    "matrix_abs",
-    "matrix_exp_neg",
-    "matrix_sign",
     "monitor_convergence",
     "mu_m_plus_1",
     "null_intersection",
@@ -118,14 +110,12 @@ __all__ = [
     "predict_steady_state",
     "projector",
     "quadratic_form",
-    "run_time_scaled_scenario",
     "scenarios",
     "simulate_exact",
     "simulate_rk4",
     "simultaneous_structural_balance",
     "state_transition",
     "structural_balance",
-    "validate_graph",
     "validate_schedule",
     "verify_necessary_condition",
     "write_config",

@@ -78,9 +78,9 @@ def null_intersection(
     for L in laplacians:
         if L.order != order:
             raise DimensionMismatchError("Laplacians differ in order")
-        lam_min = float(np.linalg.eigvalsh(L.matrix)[0])
-        if lam_min < -eig_tol * max(1.0, L.spectral_norm()):
-            raise NotPSDError(f"summand has eigenvalue {lam_min:.3e} < 0")
+        lam = np.linalg.eigvalsh(L.matrix)
+        if lam[0] < -eig_tol * max(1.0, abs(lam[0]), abs(lam[-1])):
+            raise NotPSDError(f"summand has eigenvalue {lam[0]:.3e} < 0")
         total += L.matrix
     return null_space(total, eig_tol)
 

@@ -3,14 +3,15 @@
 A scenario file fully describes one experiment: state dimension, agent count,
 graph catalog, switching schedule, initial condition, solver settings,
 tolerances, and the windowing rule used by certification.  Node ids are
-1-based in files and 0-based in memory; this module is the only place that
-translates between the two.
+1-based in files and errors, 0-based in memory.  Every number read must be
+finite, and every tolerance positive.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -121,10 +122,20 @@ def _as_int(value, where: str) -> int:
 def _as_num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigValidationError(f"{where} must be a number, got {value!r}", field=where)
+    if not math.isfinite(value):
+        raise ConfigValidationError(f"{where} must be finite, got {value!r}", field=where)
     return float(value)
 
 
-def _parse_graph(entry: Mapping, n: int, d: int) -> tuple[str, MatrixWeightedGraph]:
+def _as_tol(raw: Mapping, key: str, default: float) -> float:
+    where = f"tolerances.{key}"
+    value = _as_num(raw.get(key, default), where)
+    if not value > 0:
+        raise ConfigValidationError(f"{where} must be > 0, got {value!r}", field=where)
+    return value
+
+
+def _parse_graph(entry: Mapping, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
     gid = _need(entry, "id", "graphs[]")
     if not isinstance(gid, str) or not gid:
         raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
@@ -146,23 +157,16 @@ def _parse_graph(entry: Mapping, n: int, d: int) -> tuple[str, MatrixWeightedGra
                 f"graph {gid!r}: edge ({i},{j}) weight has shape {W.shape}, expected ({d},{d})",
                 field="weight",
             )
+        if not np.isfinite(W).all():
+            raise ConfigValidationError(f"graph {gid!r}: edge ({i},{j}) weight is not finite", field="weight")
         key = (min(i, j) - 1, max(i, j) - 1)
         if key in weights:
             raise ConfigValidationError(f"graph {gid!r}: duplicate edge ({i},{j})", field="edges")
         weights[key] = W
     try:
-        return gid, MatrixWeightedGraph(n, d, weights, label=gid)
+        return gid, MatrixWeightedGraph(n, d, weights, label=gid, eig_tol=eig_tol)
     except ConsensusToolError as exc:
-        # library messages use 0-based node ids; files (and so this error) are 1-based
-        i, j = getattr(exc, "i", None), getattr(exc, "j", None)
-        msg = str(exc)
-        at = ""
-        if isinstance(i, int) and isinstance(j, int):
-            at = f" at edge ({i + 1},{j + 1})"
-            msg = msg.replace(f"({i},{j})", f"({i + 1},{j + 1})").replace(
-                f"({i}, {j})", f"({i + 1},{j + 1})"
-            )
-        raise ConfigValidationError(f"graph {gid!r}{at}: {msg}", field="graphs") from exc
+        raise ConfigValidationError(f"graph {gid!r}: {exc.describe(1)}", field="graphs") from exc
 
 
 def _parse_schedule(raw: Mapping, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSchedule:
@@ -247,12 +251,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if n < 2:
         raise ConfigValidationError(f"num_agents must be >= 2, got {n}", field="num_agents")
 
+    traw = raw.get("tolerances", {})
+    tol = Tolerances(**{f.name: _as_tol(traw, f.name, f.default) for f in fields(Tolerances)})
+
     graph_entries = _need(raw, "graphs", "scenario")
     if not isinstance(graph_entries, list) or not graph_entries:
         raise ConfigValidationError("graphs must be a nonempty list", field="graphs")
     graphs: dict[str, MatrixWeightedGraph] = {}
     for entry in graph_entries:
-        gid, g = _parse_graph(entry, n, d)
+        gid, g = _parse_graph(entry, n, d, tol.eig_tol)
         if gid in graphs:
             raise ConfigValidationError(f"duplicate graph id {gid!r}", field="graphs")
         graphs[gid] = g
@@ -266,6 +273,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
             f"initial_state has {x0.size} entries, expected n*d = {n * d}",
             field="initial_state",
         )
+    if not np.isfinite(x0).all():
+        raise ConfigValidationError("initial_state must be finite", field="initial_state")
 
     sraw = raw.get("solver", {})
     method = sraw.get("method", "exact")
@@ -281,14 +290,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         horizon=(
             _as_num(sraw["horizon"], "solver.horizon") if "horizon" in sraw else None
         ),
-    )
-
-    traw = raw.get("tolerances", {})
-    tol = Tolerances(
-        eig_tol=_as_num(traw.get("eig_tol", 1e-9), "tolerances.eig_tol"),
-        ns_eq_tol=_as_num(traw.get("ns_eq_tol", 1e-8), "tolerances.ns_eq_tol"),
-        cluster_tol=_as_num(traw.get("cluster_tol", 1e-6), "tolerances.cluster_tol"),
-        conv_tol=_as_num(traw.get("conv_tol", 1e-6), "tolerances.conv_tol"),
     )
 
     default_windows = "period" if schedule.mode == "periodic" else "whole"

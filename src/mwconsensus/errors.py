@@ -2,9 +2,9 @@
 
 Every error raised by library code derives from :class:`ConsensusToolError`,
 so callers (and the CLI) can catch one base class.  Errors that point at a
-specific edge or schedule entry carry the offending indices as attributes;
-indices are 0-based internally, and the config layer translates them back to
-the 1-based ids used in scenario files.
+specific edge or schedule entry carry the offending 0-based indices as
+attributes.  :meth:`ConsensusToolError.describe` renders a message with its
+edge in a chosen base; scenario files and the CLI show it 1-based.
 """
 
 from __future__ import annotations
@@ -13,30 +13,42 @@ from __future__ import annotations
 class ConsensusToolError(Exception):
     """Base class for all package-specific errors."""
 
+    def describe(self, base: int = 0) -> str:
+        """The message with any node ids counted from ``base`` (0 or 1)."""
+        return str(self)
+
+
+class EdgeError(ConsensusToolError):
+    """An error about the edge ``{i, j}`` (0-based), or about no edge when unset.
+
+    ``problem`` completes the sentence "edge (i,j) ...".
+    """
+
+    def __init__(self, problem: str, i: int | None = None, j: int | None = None):
+        self.problem = problem
+        self.i = i
+        self.j = j
+        super().__init__(self.describe(0))
+
+    def describe(self, base: int = 0) -> str:
+        if self.i is None or self.j is None:
+            return self.problem
+        return f"edge ({self.i + base},{self.j + base}) {self.problem}"
+
 
 class NonSymmetricError(ConsensusToolError):
-    """A matrix expected to be symmetric is not, beyond tolerance."""
+    """A matrix expected to be finite and symmetric is not, beyond tolerance."""
 
 
-class IndefiniteWeightError(ConsensusToolError):
+class IndefiniteWeightError(EdgeError):
     """An edge weight has both significantly positive and negative eigenvalues."""
 
-    def __init__(self, message: str, i: int | None = None, j: int | None = None):
-        super().__init__(message)
-        self.i = i
-        self.j = j
 
-
-class ZeroWeightError(ConsensusToolError):
+class ZeroWeightError(EdgeError):
     """An edge carries a numerically zero weight matrix."""
 
-    def __init__(self, message: str, i: int | None = None, j: int | None = None):
-        super().__init__(message)
-        self.i = i
-        self.j = j
 
-
-class SelfLoopError(ConsensusToolError):
+class SelfLoopError(EdgeError):
     """An edge connects a node to itself."""
 
 
@@ -64,13 +76,8 @@ class EmptyWindowError(ConsensusToolError):
     """A window selects no schedule segments."""
 
 
-class SignInconsistentEdgeError(ConsensusToolError):
+class SignInconsistentEdgeError(EdgeError):
     """An edge appears with opposite weight signs inside one averaging window."""
-
-    def __init__(self, message: str, i: int | None = None, j: int | None = None):
-        super().__init__(message)
-        self.i = i
-        self.j = j
 
 
 class WindowsNotContiguousError(ConsensusToolError):

@@ -20,7 +20,7 @@ from .errors import (
     SelfLoopError,
     ZeroWeightError,
 )
-from .matalg import Definiteness, check_symmetric, classify_definiteness, matrix_abs
+from .matalg import Definiteness, check_symmetric, classify_definiteness
 
 EdgeKey = tuple[int, int]
 
@@ -71,7 +71,7 @@ class MatrixWeightedGraph:
         edges: dict[EdgeKey, EdgeWeight] = {}
         for (a, b), W in weights.items():
             if a == b:
-                raise SelfLoopError(f"self loop on node {a}")
+                raise SelfLoopError("is a self loop", a, b)
             i, j = (a, b) if a < b else (b, a)
             if not (0 <= i and j < n):
                 raise DimensionMismatchError(f"edge ({a},{b}) outside node range 0..{n - 1}")
@@ -84,9 +84,9 @@ class MatrixWeightedGraph:
                 )
             cls = classify_definiteness(M, eig_tol)
             if cls is Definiteness.INDEFINITE:
-                raise IndefiniteWeightError(f"edge ({i},{j}) weight is indefinite", i, j)
+                raise IndefiniteWeightError("weight is indefinite", i, j)
             if cls is Definiteness.ZERO:
-                raise ZeroWeightError(f"edge ({i},{j}) weight is numerically zero", i, j)
+                raise ZeroWeightError("weight is numerically zero", i, j)
             M.setflags(write=False)
             edges[(i, j)] = EdgeWeight(i, j, M, cls)
         self._edges = dict(sorted(edges.items()))
@@ -128,24 +128,6 @@ class MatrixWeightedGraph:
         return f"MatrixWeightedGraph(n={self.n}, d={self.d}, edges={len(self._edges)}{tag})"
 
 
-def validate_graph(g: MatrixWeightedGraph) -> dict[EdgeKey, Definiteness]:
-    """Re-check every edge weight and report definiteness per edge.
-
-    Construction already enforces the same rules; this re-derives the classes
-    from the stored weights so external callers can audit a graph they were
-    handed.
-    """
-    report: dict[EdgeKey, Definiteness] = {}
-    for e in g.edges:
-        cls = classify_definiteness(e.weight, g.eig_tol)
-        if cls is Definiteness.INDEFINITE:
-            raise IndefiniteWeightError(f"edge {e.key} weight is indefinite", *e.key)
-        if cls is Definiteness.ZERO:
-            raise ZeroWeightError(f"edge {e.key} weight is numerically zero", *e.key)
-        report[e.key] = cls
-    return report
-
-
 @dataclass(frozen=True)
 class BlockLaplacian:
     """Symmetric PSD block Laplacian of a matrix-weighted graph.
@@ -175,13 +157,14 @@ def laplacian(g: MatrixWeightedGraph) -> BlockLaplacian:
     """Block Laplacian L = D - A with D_i = sum over neighbors of |A_ij|.
 
     Off-diagonal block (i, j) is ``-A_ij``; the diagonal aggregates absolute
-    weights, so L is symmetric PSD whatever the edge signs.
+    weights ``|A_ij| = sign(A_ij) A_ij`` from each edge's cached class, so L is
+    symmetric PSD whatever the edge signs.
     """
     n, d = g.n, g.d
     L = np.zeros((n * d, n * d))
     for e in g.edges:
         i, j, W = e.i, e.j, e.weight
-        aW = matrix_abs(W, g.eig_tol)
+        aW = e.sign * W
         L[i * d : (i + 1) * d, i * d : (i + 1) * d] += aW
         L[j * d : (j + 1) * d, j * d : (j + 1) * d] += aW
         L[i * d : (i + 1) * d, j * d : (j + 1) * d] -= W

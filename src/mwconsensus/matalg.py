@@ -1,17 +1,17 @@
 """Dense symmetric-matrix primitives underlying the whole package.
 
-Definiteness classification, matrix sign and absolute value, null spaces,
-orthogonal projectors and the negative matrix exponential all reduce to a
-single backend: ``numpy.linalg.eigh`` on validated symmetric input.  Keeping
-one eigendecomposition route means every tolerance decision lives here.
+Definiteness classification, PSD eigendecompositions, null spaces and
+orthogonal projectors all reduce to ``numpy.linalg.eigvalsh``/``eigh`` on
+validated finite symmetric input, so every tolerance decision lives here.
 
 Tolerance conventions
 ---------------------
 * ``SYM_TOL``: max allowed entrywise asymmetry ``|M[p,q] - M[q,p]|``.
 * ``EIG_TOL``: relative eigenvalue threshold.  Classification treats
   ``|lam| <= max(EIG_TOL * max|lam|, EIG_FLOOR)`` as zero; ties at the
-  threshold count as zero.  Null-space extraction keeps eigenvectors with
-  ``lam <= EIG_TOL * max(1, lam_max)``.
+  threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
+  space keeps eigenvectors with ``lam <= thr``, where
+  ``thr = EIG_TOL * max(1, lam_max)``.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ class Definiteness(Enum):
     INDEFINITE = "indefinite"
 
     @property
-    def is_sign_definite(self) -> bool:
-        """True when the matrix is comparable to zero (everything but INDEFINITE)."""
-        return self is not Definiteness.INDEFINITE
-
-    @property
     def is_definite(self) -> bool:
         return self in (Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE)
 
@@ -61,17 +56,20 @@ class Definiteness(Enum):
 
 
 def check_symmetric(matrix, sym_tol: float = SYM_TOL) -> np.ndarray:
-    """Validate that ``matrix`` is a square symmetric float array and return it.
+    """Validate that ``matrix`` is a finite square symmetric float array and return it.
 
-    Raises NonSymmetricError when any entry differs from its transpose partner
-    by more than ``sym_tol``, and DimensionMismatchError-style ValueError for
-    non-square input.
+    Raises NonSymmetricError for non-square input, for a NaN or infinite
+    entry, and when any entry differs from its transpose partner by more than
+    ``sym_tol``.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonSymmetricError(f"expected a square matrix, got shape {M.shape}")
     skew = np.abs(M - M.T).max(initial=0.0)
-    if skew > sym_tol:
+    # a NaN or infinite entry makes skew NaN or inf, so finite input pays nothing extra
+    if not skew <= sym_tol:
+        if not np.isfinite(M).all():
+            raise NonSymmetricError("matrix has a NaN or infinite entry")
         raise NonSymmetricError(
             f"matrix is not symmetric: max |M - M^T| = {skew:.3e} > {sym_tol:.1e}"
         )
@@ -99,29 +97,6 @@ def classify_definiteness(
     if pos.any():
         return Definiteness.POSITIVE_DEFINITE if pos.all() else Definiteness.POSITIVE_SEMIDEFINITE
     return Definiteness.NEGATIVE_DEFINITE if neg.all() else Definiteness.NEGATIVE_SEMIDEFINITE
-
-
-def matrix_sign(matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> int:
-    """Scalar sign of a sign-definite symmetric matrix (+1, -1, or 0).
-
-    Raises IndefiniteWeightError for indefinite input.
-    """
-    cls = classify_definiteness(matrix, eig_tol, sym_tol)
-    if not cls.is_sign_definite:
-        raise IndefiniteWeightError("matrix is indefinite; sign undefined")
-    return cls.sign
-
-
-def matrix_abs(matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> np.ndarray:
-    """Absolute value ``sign(M) * M`` of a sign-definite symmetric matrix.
-
-    The result is always positive semidefinite.  For the zero class this is
-    the zero matrix.  Indefinite input is rejected: its entrywise-signed
-    "absolute value" would not be PSD, so no such matrix participates in a
-    valid network.
-    """
-    M = check_symmetric(matrix, sym_tol)
-    return float(matrix_sign(M, eig_tol, sym_tol)) * M
 
 
 @dataclass(frozen=True)
@@ -160,12 +135,13 @@ def projector(basis: NullSpaceBasis) -> np.ndarray:
     return V @ V.T
 
 
-def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition of a symmetric PSD matrix with negatives clipped to 0.
 
-    Returns ``(lam, V)`` with ``matrix == V diag(lam) V.T`` up to roundoff and
-    ``lam >= 0`` exactly.  Raises NotPSDError when an eigenvalue is below
-    ``-eig_tol * max(1, lam_max)``.
+    Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
+    roundoff, ``lam >= 0`` exactly, and the zero threshold
+    ``thr = eig_tol * max(1, lam_max)``.  Raises NotPSDError when an
+    eigenvalue is below ``-thr``.
     """
     M = check_symmetric(matrix)
     lam, V = np.linalg.eigh(M)
@@ -175,7 +151,7 @@ def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise NotPSDError(
             f"matrix is not PSD: min eigenvalue {float(lam[0]):.3e} < {-thr:.3e}"
         )
-    return np.clip(lam, 0.0, None), V
+    return np.clip(lam, 0.0, None), V, thr
 
 
 def null_space(matrix, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
@@ -183,27 +159,7 @@ def null_space(matrix, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
 
     Keeps the eigenvectors whose eigenvalues fall at or below
     ``eig_tol * max(1, lam_max)``; the absolute floor of 1 makes the threshold
-    meaningful for near-zero matrices.
+    meaningful for near-zero matrices.  Clipping leaves that test unchanged.
     """
-    M = check_symmetric(matrix)
-    lam, V = np.linalg.eigh(M)
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    thr = eig_tol * max(1.0, lam_max)
-    if lam.size and float(lam[0]) < -thr:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {float(lam[0]):.3e} < {-thr:.3e}"
-        )
-    keep = lam <= thr
-    return NullSpaceBasis(ambient_dim=M.shape[0], vectors=V[:, keep], tol_used=thr)
-
-
-def matrix_exp_neg(matrix, tau: float, eig_tol: float = EIG_TOL) -> np.ndarray:
-    """``exp(-tau * M)`` for symmetric PSD ``M`` and ``tau >= 0``.
-
-    Computed spectrally with eigenvalues clipped at zero, which guarantees a
-    spectral norm of at most 1 for the result.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    lam, V = psd_eigh(matrix, eig_tol)
-    return (V * np.exp(-tau * lam)) @ V.T
+    lam, V, thr = psd_eigh(matrix, eig_tol)
+    return NullSpaceBasis(ambient_dim=V.shape[0], vectors=V[:, lam <= thr], tol_used=thr)

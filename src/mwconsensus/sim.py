@@ -23,8 +23,6 @@ from .errors import (
     HorizonError,
     ScheduleExhaustedError,
 )
-from .graph import MatrixWeightedGraph, laplacian
-from .matalg import matrix_exp_neg, null_space, projector
 from .switching import SwitchingSchedule
 
 _DEDUP_TOL = 1e-12
@@ -187,35 +185,6 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
         n=s.n,
         d=s.d,
     )
-
-
-def run_time_scaled_scenario(
-    kind: str, base_graph: MatrixWeightedGraph, intervals: int, x0
-) -> tuple[Trajectory, np.ndarray]:
-    """Run a unit-dwell schedule whose coupling gain changes every interval.
-
-    ``kind = "inverse_square_decay"`` scales interval k by 1/k^2; the total
-    applied dose converges, so the state tends to
-    ``exp(-(sum_k 1/k^2) L) x0`` rather than a null-space projection.
-    ``kind = "linear_ramp"`` scales interval k by k; the dose diverges and the
-    state tends to the null-space projection of x0.  Returns the trajectory
-    and the predicted limit for the simulated number of intervals.
-    """
-    catalog = {"base": base_graph}
-    s = SwitchingSchedule.generated(
-        catalog, kind, {"graph": "base", "intervals": intervals}, alpha=1.0
-    )
-    x = np.asarray(x0, dtype=float).ravel()
-    traj = simulate_exact(s, x, horizon=float(intervals), sample_dt=float(intervals))
-    L = laplacian(base_graph).matrix
-    if kind == "inverse_square_decay":
-        dose = float(sum(1.0 / k**2 for k in range(1, intervals + 1)))
-        predicted = matrix_exp_neg(L, dose) @ x
-    elif kind == "linear_ramp":
-        predicted = projector(null_space(L)) @ x
-    else:
-        raise KeyError(f"unknown scenario kind {kind!r}")
-    return traj, predicted
 
 
 @dataclass(frozen=True)

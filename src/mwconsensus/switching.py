@@ -75,10 +75,11 @@ class Window:
 class SwitchingSchedule:
     """A validated switching signal over a shared-format graph catalog.
 
-    Catalog graphs must agree on ``(n, d)``.  Every segment must reference a
-    catalog graph and dwell at least ``alpha``.  Periodic schedules keep their
-    generating pattern and expand lazily; generated schedules expand from a
-    named rule at construction time.
+    Catalog graphs must agree on ``(n, d)`` and on the ``eig_tol`` that
+    classified their edges.  Every segment must reference a catalog graph and
+    dwell at least ``alpha``.  Segments are expanded at construction time;
+    periodic schedules also keep their generating pattern, generated
+    schedules their named rule.
     """
 
     def __init__(
@@ -97,9 +98,9 @@ class SwitchingSchedule:
             raise EmptyScheduleError("schedule has no segments")
         if not alpha > 0:
             raise DwellTooShortError(f"alpha must be positive, got {alpha}")
-        dims = {(g.n, g.d) for g in catalog.values()}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"catalog graphs disagree on (n, d): {sorted(dims)}")
+        formats = {(g.n, g.d, g.eig_tol) for g in catalog.values()}
+        if len(formats) != 1:
+            raise DimensionMismatchError(f"catalog graphs disagree on (n, d, eig_tol): {sorted(formats)}")
         self.catalog = dict(catalog)
         self.alpha = float(alpha)
         self.mode = mode
@@ -115,7 +116,7 @@ class SwitchingSchedule:
                     f"segment {k} dwells {seg.dwell} < alpha = {self.alpha}", segment=k
                 )
         self._segments = segs
-        (self.n, self.d) = next(iter(dims))
+        (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._laplacians: dict[str, BlockLaplacian] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -200,40 +201,28 @@ class SwitchingSchedule:
     def eig_of(self, graph_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Cached PSD eigendecomposition of the unscaled catalog Laplacian."""
         if graph_id not in self._eigs:
-            self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id).matrix)
+            self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id).matrix)[:2]
         return self._eigs[graph_id]
 
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """Outcome of :func:`validate_schedule`: hard checks passed, assumptions flagged."""
+    """Outcome of :func:`validate_schedule`: the soft hypotheses, flagged."""
 
-    num_segments: int
-    total_duration: float
-    min_dwell_ok: bool
     finite_recurring_catalog: bool
-    finite_dwell_set: bool
     distinct_dwells: tuple[float, ...]
     notes: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.min_dwell_ok
-
 
 def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
-    """Check the dwell floor and report on the recurring-catalog / finite-dwell hypotheses.
+    """Report on the recurring-catalog hypothesis and the set of dwells.
 
     Hard violations (empty schedule, dwell below alpha, mixed catalog formats)
-    already raise at construction; this re-verifies dwells and classifies the
-    softer hypotheses that the long-run convergence statements rely on.
+    raise at construction, so a schedule always has its minimum dwell and a
+    finite dwell set; this classifies the softer hypotheses that the long-run
+    convergence statements rely on.
     """
     notes: list[str] = []
-    for k, seg in enumerate(s.segments()):
-        if seg.dwell + 1e-12 < s.alpha:
-            raise DwellTooShortError(
-                f"segment {k} dwells {seg.dwell} < alpha = {s.alpha}", segment=k
-            )
     used = {seg.graph_id for seg in s.segments()}
     unused = sorted(set(s.catalog) - used)
     uniform_scale = all(seg.scale == 1.0 for seg in s.segments())
@@ -252,11 +241,7 @@ def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
     dwells = tuple(sorted({seg.dwell for seg in s.segments()}))
     notes.append(f"{len(dwells)} distinct dwell value(s)")
     return ScheduleReport(
-        num_segments=s.num_segments,
-        total_duration=s.total_duration,
-        min_dwell_ok=True,
         finite_recurring_catalog=recurring,
-        finite_dwell_set=True,
         distinct_dwells=dwells,
         notes=tuple(notes),
     )
@@ -286,7 +271,8 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     Each edge accumulates ``scale_k * dwell_k * A_ij`` over the segments where
     it is present, divided by the window duration.  An edge that appears with
     both signs inside the window is rejected (its average could cancel); an
-    edge whose average classifies as numerically zero is dropped.
+    edge whose average classifies as numerically zero is dropped.  Averages
+    are classified with the catalog's ``eig_tol``.
     """
     segs = _check_window(s, w)
     duration = float(sum(seg.dwell for seg in segs))
@@ -298,9 +284,7 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
             prev = signs.get(e.key)
             if prev is not None and prev != e.sign:
                 raise SignInconsistentEdgeError(
-                    f"edge {e.key} switches weight sign inside window "
-                    f"[{w.start}, {w.end})",
-                    *e.key,
+                    f"switches weight sign inside window [{w.start}, {w.end})", *e.key
                 )
             signs[e.key] = e.sign
             contrib = (seg.scale * seg.dwell) * e.weight
@@ -311,11 +295,11 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     weights: dict[EdgeKey, np.ndarray] = {}
     for key, total in acc.items():
         avg = total / duration
-        if classify_definiteness(avg) is Definiteness.ZERO:
+        if classify_definiteness(avg, s.eig_tol) is Definiteness.ZERO:
             continue
         weights[key] = avg
     g_avg = MatrixWeightedGraph(
-        s.n, s.d, weights, label=f"integral[{w.start}:{w.end}]"
+        s.n, s.d, weights, label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol
     )
     return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 

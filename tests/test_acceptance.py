@@ -20,9 +20,10 @@ from mwconsensus.analysis import (
     verify_necessary_condition,
 )
 from mwconsensus.graph import gauge_transform, laplacian, quadratic_form
-from mwconsensus.matalg import matrix_exp_neg, null_space, projector
-from mwconsensus.sim import run_time_scaled_scenario, simulate_exact, simulate_rk4
+from mwconsensus.matalg import null_space, projector
+from mwconsensus.sim import simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule, Window, state_transition
+from oracles import matrix_exp_neg, run_time_scaled_scenario
 from randgen import rand_catalog, rand_certified_schedule, rand_graph, stacked_null_projector
 
 from mwconsensus import Bipartition, scenarios

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mwconsensus import scenarios
-from mwconsensus.cli import main, write_trajectory_csv
+from mwconsensus.cli import cmd_analyze, main, write_trajectory_csv
 from mwconsensus.config import dump_config, load_config, write_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
 from mwconsensus.sim import simulate_exact
@@ -89,6 +89,42 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert "(1,2)" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d.update(initial_state=[float("nan"), 3.0]), "initial_state"),
+            (lambda d: d["graphs"][0]["edges"][0].update(weight=[[float("nan")]]), "weight"),
+            (lambda d: d["graphs"][0]["edges"][0].update(weight=[[float("inf")]]), "weight"),
+            (lambda d: d["schedule"].update(alpha=float("inf")), "schedule.alpha"),
+            (lambda d: d["schedule"]["segments"][0].update(dwell=float("nan")),
+             "schedule.segments.dwell"),
+            (lambda d: d["schedule"]["segments"][0].update(scale=float("inf")),
+             "schedule.segments.scale"),
+            (lambda d: d.update(solver={"sample_dt": float("nan")}), "solver.sample_dt"),
+            (lambda d: d.update(solver={"step_h": float("-inf")}), "solver.step_h"),
+            (lambda d: d.update(solver={"horizon": float("inf")}), "solver.horizon"),
+            (lambda d: d.update(tolerances={"eig_tol": float("nan")}), "tolerances.eig_tol"),
+        ],
+        ids=["x0", "weight-nan", "weight-inf", "alpha", "dwell", "scale", "sample_dt",
+             "step_h", "horizon", "eig_tol"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, mutate, field):
+        doc = minimal_config_dict()
+        mutate(doc)
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(write_json(tmp_path, doc))
+        assert exc.value.field == field
+        assert "finite" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["eig_tol", "ns_eq_tol", "cluster_tol", "conv_tol"])
+    @pytest.mark.parametrize("value", [-1, 0.0])
+    def test_tolerances_must_be_positive(self, tmp_path, key, value):
+        doc = minimal_config_dict()
+        doc["tolerances"] = {key: value}
+        with pytest.raises(ConfigValidationError, match="must be > 0") as exc:
+            load_config(write_json(tmp_path, doc))
+        assert exc.value.field == f"tolerances.{key}"
+
     def test_zero_edge_graph_is_valid(self, tmp_path):
         doc = minimal_config_dict()
         doc["graphs"][0]["edges"] = []
@@ -110,6 +146,13 @@ class TestRoundTrip:
         doc = dump_config(cfg)
         firsts = {(e["i"], e["j"]) for e in doc["graphs"][0]["edges"]}
         assert firsts == {(1, 2), (1, 3), (2, 3)}
+
+
+    @pytest.mark.parametrize("name", sorted(scenarios.BUILTIN_BUILDERS))
+    def test_builders_reproduce_shipped_files(self, name, tmp_path):
+        out = tmp_path / f"{name}.json"
+        write_config(scenarios.BUILTIN_BUILDERS[name](), out)
+        assert out.read_bytes() == scenarios.builtin_path(name).read_bytes()
 
 
 class TestWindowsSpec:
@@ -242,3 +285,42 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "sign" in err and "(1,2)" in err
+
+    @pytest.mark.parametrize(
+        "tolerances, cls", [({}, "positive_definite"), ({"eig_tol": 1e-3}, "positive_semidefinite")]
+    )
+    def test_check_classifies_edges_with_file_eig_tol(self, tmp_path, capsys, tolerances, cls):
+        doc = minimal_config_dict()
+        doc["dimension"] = 2
+        doc["initial_state"] = [0.0] * 4
+        doc["graphs"][0]["edges"][0]["weight"] = [[1.0, 0.0], [0.0, 1e-6]]
+        doc["tolerances"] = tolerances
+        assert main(["check", "--config", str(write_json(tmp_path, doc))]) == 0
+        assert f"graph g: 1 edge(s) valid: (1,2) {cls}\n" in capsys.readouterr().out
+
+    def test_edge_errors_name_the_one_based_edge_once(self, tmp_path, capsys):
+        indefinite = minimal_config_dict()
+        indefinite["dimension"] = 2
+        indefinite["initial_state"] = [0.0] * 4
+        indefinite["graphs"][0]["edges"][0]["weight"] = [[1.0, 0.0], [0.0, -1.0]]
+        conflict = minimal_config_dict()
+        conflict["graphs"].append({"id": "n", "edges": [{"i": 1, "j": 2, "weight": [[-1.0]]}]})
+        conflict["schedule"]["segments"].append({"graph": "n", "dwell": 1.0})
+        self_loop = minimal_config_dict()
+        self_loop["graphs"][0]["edges"][0]["i"] = 2
+        cases = [("check", indefinite, "(1,2)", ("(0,1)", "(0, 1)")),
+                 ("analyze", conflict, "(1,2)", ("(0,1)", "(0, 1)")),
+                 ("check", self_loop, "(2,2)", ("(1,1)", "node 1"))]
+        for command, doc, shown, hidden in cases:
+            rc = main([command, "--config", str(write_json(tmp_path, doc)),
+                       *(["--out", str(tmp_path / "r.json")] if command == "analyze" else [])])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.count(shown) == 1, err
+            assert not any(h in err for h in hidden), err
+
+    def test_analyze_refuses_to_write_non_finite_report(self, tmp_path):
+        cfg = load_config(write_json(tmp_path, minimal_config_dict()))
+        cfg.initial_state = np.array([np.nan, 3.0])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cmd_analyze(cfg, "nan.json", str(tmp_path / "r.json"))

@@ -21,11 +21,15 @@ from mwconsensus.graph import (
     quadratic_form,
     structural_balance,
     two_color_signs,
-    validate_graph,
 )
-from mwconsensus.matalg import Definiteness, matrix_abs
+from mwconsensus.matalg import Definiteness
 
+from oracles import laplacian_oracle, matrix_abs
 from randgen import rand_graph, rand_pair_signs, rand_sign_definite
+
+
+def edge_classes(g):
+    return {e.key: e.definiteness for e in g.edges}
 
 
 def toy_graph(n=3, d=2, sign=(1, 1, 1)):
@@ -40,14 +44,14 @@ def toy_graph(n=3, d=2, sign=(1, 1, 1)):
 
 class TestConstruction:
     def test_validate_reports_classes(self, cluster_cfg):
-        report = validate_graph(cluster_cfg.graphs["G1"])
+        report = edge_classes(cluster_cfg.graphs["G1"])
         assert set(report) == {(0, 1), (0, 2), (1, 2)}
         assert all(cls is Definiteness.POSITIVE_DEFINITE for cls in report.values())
-        report3 = validate_graph(cluster_cfg.graphs["G3"])
+        report3 = edge_classes(cluster_cfg.graphs["G3"])
         assert all(cls is Definiteness.POSITIVE_SEMIDEFINITE for cls in report3.values())
 
     def test_variant_third_network_classes(self, bipartite_cfg):
-        report = validate_graph(bipartite_cfg.graphs["G3"])
+        report = edge_classes(bipartite_cfg.graphs["G3"])
         assert report[(2, 3)] is Definiteness.NEGATIVE_DEFINITE
         assert report[(1, 4)] is Definiteness.NEGATIVE_SEMIDEFINITE
         assert report[(3, 4)] is Definiteness.POSITIVE_DEFINITE
@@ -111,6 +115,15 @@ class TestLaplacian:
             assert np.abs(L - L.T).max() < 1e-12
             lam = np.linalg.eigvalsh(L)
             assert lam.min() >= -1e-9 * max(1.0, lam.max())
+
+    def test_matches_eigvalsh_classified_oracle(self, rng, cluster_cfg, bipartite_cfg):
+        # reading the cached edge class must give bit-for-bit the Laplacian of
+        # re-classifying every weight with eigvalsh
+        graphs = [*cluster_cfg.graphs.values(), *bipartite_cfg.graphs.values()]
+        for _ in range(25):
+            graphs.append(rand_graph(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4))))
+        for g in graphs:
+            assert np.array_equal(laplacian(g).matrix, laplacian_oracle(g))
 
     def test_quadratic_form_matches_edge_sum(self, rng):
         # x^T L x must equal sum over edges of (x_i - sgn(A) x_j)^T |A| (x_i - sgn(A) x_j)

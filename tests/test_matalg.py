@@ -9,14 +9,14 @@ from mwconsensus.errors import IndefiniteWeightError, NonSymmetricError, NotPSDE
 from mwconsensus.matalg import (
     Definiteness,
     NullSpaceBasis,
+    check_symmetric,
     classify_definiteness,
-    matrix_abs,
-    matrix_exp_neg,
-    matrix_sign,
     null_space,
     projector,
     psd_eigh,
 )
+
+from oracles import matrix_abs, matrix_exp_neg
 
 D = Definiteness
 
@@ -88,6 +88,15 @@ class TestClassify:
         with pytest.raises(NonSymmetricError):
             classify_definiteness(np.ones((2, 3)))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entry(self, bad, at):
+        M = np.eye(2)
+        M[at] = M[at[::-1]] = bad
+        with pytest.raises(NonSymmetricError, match="NaN or infinite"):
+            check_symmetric(M)
+
     @given(sym_matrices())
     @settings(deadline=None)
     def test_classification_is_exhaustive(self, M):
@@ -96,13 +105,13 @@ class TestClassify:
 
 class TestSignAndAbs:
     def test_sign_values(self):
-        assert matrix_sign(np.diag([2.0, 1.0])) == 1
-        assert matrix_sign(np.diag([-2.0, -1.0])) == -1
-        assert matrix_sign(np.zeros((2, 2))) == 0
+        assert classify_definiteness(np.diag([2.0, 1.0])).sign == 1
+        assert classify_definiteness(np.diag([-2.0, -1.0])).sign == -1
+        assert classify_definiteness(np.zeros((2, 2))).sign == 0
 
     def test_indefinite_raises(self):
         with pytest.raises(IndefiniteWeightError):
-            matrix_sign(np.diag([1.0, -1.0]))
+            classify_definiteness(np.diag([1.0, -1.0])).sign
         with pytest.raises(IndefiniteWeightError):
             matrix_abs(np.diag([1.0, -1.0]))
 
@@ -112,7 +121,7 @@ class TestSignAndAbs:
         sign, P = case
         M = sign * P
         A = matrix_abs(M)
-        assert np.allclose(A, matrix_sign(M) * M)
+        assert np.allclose(A, classify_definiteness(M).sign * M)
         assert np.linalg.eigvalsh(A).min() >= -1e-9 * max(1.0, np.abs(A).max())
         assert np.allclose(A, P, atol=1e-12)
 
@@ -227,7 +236,7 @@ class TestPsdEigh:
     def test_reconstructs_and_clips(self, rng):
         A = rng.normal(size=(5, 5))
         M = A @ A.T
-        lam, V = psd_eigh(M)
+        lam, V, _ = psd_eigh(M)
         assert lam.min() >= 0.0
         assert np.abs((V * lam) @ V.T - M).max() < 1e-10 * max(1.0, np.abs(M).max())
 

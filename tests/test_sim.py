@@ -9,15 +9,11 @@ from mwconsensus.errors import (
     ScheduleExhaustedError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
-from mwconsensus.matalg import matrix_exp_neg, null_space, projector
-from mwconsensus.sim import (
-    monitor_convergence,
-    run_time_scaled_scenario,
-    simulate_exact,
-    simulate_rk4,
-)
+from mwconsensus.matalg import null_space, projector
+from mwconsensus.sim import monitor_convergence, simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule
 
+from oracles import matrix_exp_neg, run_time_scaled_scenario
 from randgen import rand_catalog
 
 

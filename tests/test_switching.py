@@ -69,6 +69,10 @@ class TestScheduleConstruction:
         cat["odd"] = MatrixWeightedGraph(4, 1, {(0, 1): np.array([[1.0]])})
         with pytest.raises(DimensionMismatchError):
             SwitchingSchedule.explicit(cat, [Segment("a", 1.0)], alpha=1.0)
+        cat = small_catalog()
+        cat["loose"] = MatrixWeightedGraph(3, 1, {(0, 1): np.array([[1.0]])}, eig_tol=1e-3)
+        with pytest.raises(DimensionMismatchError, match="eig_tol"):
+            SwitchingSchedule.explicit(cat, [Segment("a", 1.0)], alpha=1.0)
 
     def test_nonpositive_segment_params_rejected(self):
         with pytest.raises(DwellTooShortError):
@@ -91,9 +95,7 @@ class TestScheduleConstruction:
 class TestValidateSchedule:
     def test_periodic_benchmark_satisfies_hypotheses(self, cluster_cfg):
         report = validate_schedule(cluster_cfg.schedule)
-        assert report.min_dwell_ok
         assert report.finite_recurring_catalog
-        assert report.finite_dwell_set
         assert report.distinct_dwells == (1.0, 2.0, 3.0)
 
     def test_scaled_generator_violates_recurrence(self):
@@ -103,7 +105,7 @@ class TestValidateSchedule:
         )
         report = validate_schedule(s)
         assert not report.finite_recurring_catalog
-        assert report.finite_dwell_set
+        assert report.distinct_dwells == (1.0,)
 
     def test_unused_catalog_graph_flagged(self):
         s = SwitchingSchedule.explicit(small_catalog(), [Segment("a", 1.0)], alpha=1.0)
@@ -157,6 +159,15 @@ class TestIntegralNetwork:
             integral_network(s, Window(0, 2))
         # a window covering only one sign is fine
         assert integral_network(s, Window(0, 1)).graph.has_edge(0, 1)
+
+    def test_averages_classified_with_catalog_eig_tol(self):
+        W = np.diag([1.0, 1e-6])
+        for eig_tol, cls in ((1e-9, "positive_definite"), (1e-3, "positive_semidefinite")):
+            g = MatrixWeightedGraph(2, 2, {(0, 1): W}, eig_tol=eig_tol)
+            s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 2.0, scale=0.5)], alpha=1.0)
+            avg = integral_network(s, Window(0, 1)).graph
+            assert avg.eig_tol == eig_tol
+            assert avg.edge(0, 1).definiteness.value == cls
 
     def test_tiny_scale_average_dropped(self):
         g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
