@@ -23,7 +23,7 @@ from .errors import (
     WindowsNotContiguousError,
 )
 from .graph import Bipartition, BlockLaplacian, has_positive_negative_spanning_tree
-from .matalg import NullSpaceBasis, null_space, projector
+from .matalg import ORTHO_TOL, NullSpaceBasis, null_space, projector
 from .switching import (
     IntegralNetwork,
     StateTransition,
@@ -257,7 +257,7 @@ def bipartite_steady_state(b: Bipartition, psi: np.ndarray, x0: np.ndarray) -> n
         psi = psi[:, None]
     d, r = psi.shape
     gram = psi.T @ psi
-    if np.abs(gram - np.eye(r)).max(initial=0.0) > 1e-10:
+    if np.abs(gram - np.eye(r)).max(initial=0.0) > ORTHO_TOL:
         raise NonOrthonormalPsiError("psi columns are not orthonormal")
     x0 = np.asarray(x0, dtype=float).ravel()
     n = b.n

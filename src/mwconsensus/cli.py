@@ -37,10 +37,8 @@ from .switching import validate_schedule
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write ``t, x_1_1, ..., x_n_d`` rows with 17 significant digits."""
     cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
-    lines = ["t," + ",".join(cols)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack((traj.times, traj.states)), fmt="%.17g", delimiter=",",
+               header="t," + ",".join(cols), comments="")
 
 
 def _fmt_block(x: np.ndarray) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -23,6 +24,7 @@ from .errors import (
     ConsensusToolError,
 )
 from .graph import MatrixWeightedGraph
+from .sim import _check_horizon
 from .switching import Segment, SwitchingSchedule, Window
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
@@ -47,7 +49,7 @@ class Tolerances:
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """In-memory form of a scenario file."""
+    """In-memory form of a scenario file; two are equal when their file forms are."""
 
     dimension: int
     num_agents: int
@@ -72,39 +74,12 @@ class ScenarioConfig:
             plen = len(self.schedule.pattern)
             return [Window(k * plen, (k + 1) * plen) for k in range(N // plen)]
         size = int(spec["segments"])
-        out = []
-        start = 0
-        while start < N:
-            out.append(Window(start, min(start + size, N)))
-            start += size
-        return out
+        return [Window(a, min(a + size, N)) for a in range(0, N, size)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioConfig):
             return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.num_agents == other.num_agents
-            and self.graphs == other.graphs
-            and _schedules_equal(self.schedule, other.schedule)
-            and np.array_equal(self.initial_state, other.initial_state)
-            and self.solver == other.solver
-            and self.tolerances == other.tolerances
-            and self.windows_spec == other.windows_spec
-        )
-
-
-def _schedules_equal(a: SwitchingSchedule, b: SwitchingSchedule) -> bool:
-    return (
-        a.mode == b.mode
-        and a.alpha == b.alpha
-        and a.pattern == b.pattern
-        and a.repetitions == b.repetitions
-        and a.generator == b.generator
-        and a.segments() == b.segments()
-        and set(a.catalog) == set(b.catalog)
-        and all(a.catalog[k] == b.catalog[k] for k in a.catalog)
-    )
+        return dump_config(self) == dump_config(other)
 
 
 def _need(raw: Mapping, key: str, where: str):
@@ -122,17 +97,28 @@ def _as_int(value, where: str) -> int:
 def _as_num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigValidationError(f"{where} must be a number, got {value!r}", field=where)
-    if not math.isfinite(value):
+    # an integer beyond the float range is no more usable than an infinity
+    if isinstance(value, int) and abs(value) > sys.float_info.max or not math.isfinite(value):
         raise ConfigValidationError(f"{where} must be finite, got {value!r}", field=where)
     return float(value)
 
 
-def _as_tol(raw: Mapping, key: str, default: float) -> float:
-    where = f"tolerances.{key}"
-    value = _as_num(raw.get(key, default), where)
-    if not value > 0:
-        raise ConfigValidationError(f"{where} must be > 0, got {value!r}", field=where)
-    return value
+def _as_positive(value, where: str) -> float:
+    x = _as_num(value, where)
+    if not x > 0:
+        raise ConfigValidationError(f"{where} must be > 0, got {x!r}", field=where)
+    return x
+
+
+def _as_array(value, where: str, field: str) -> np.ndarray:
+    """A finite float array; a non-numeric, ragged or oversized entry counts as not finite."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        a = np.array(np.nan)
+    if not np.isfinite(a).all():
+        raise ConfigValidationError(f"{where} must be an array of finite numbers", field=field)
+    return a
 
 
 def _parse_graph(entry: Mapping, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
@@ -151,14 +137,12 @@ def _parse_graph(entry: Mapping, n: int, d: int, eig_tol: float) -> tuple[str, M
             raise ConfigValidationError(
                 f"graph {gid!r}: edge ({i},{j}) outside node range 1..{n}", field="edges"
             )
-        W = np.asarray(w, dtype=float)
+        W = _as_array(w, f"graph {gid!r}: edge ({i},{j}) weight", "weight")
         if W.shape != (d, d):
             raise ConfigValidationError(
                 f"graph {gid!r}: edge ({i},{j}) weight has shape {W.shape}, expected ({d},{d})",
                 field="weight",
             )
-        if not np.isfinite(W).all():
-            raise ConfigValidationError(f"graph {gid!r}: edge ({i},{j}) weight is not finite", field="weight")
         key = (min(i, j) - 1, max(i, j) - 1)
         if key in weights:
             raise ConfigValidationError(f"graph {gid!r}: duplicate edge ({i},{j})", field="edges")
@@ -204,7 +188,7 @@ def _parse_schedule(raw: Mapping, graphs: dict[str, MatrixWeightedGraph]) -> Swi
         name = _need(gen, "name", "schedule.generator")
         params = _need(gen, "params", "schedule.generator")
         return SwitchingSchedule.generated(graphs, name, params, alpha)
-    except (ConsensusToolError, KeyError, ValueError) as exc:
+    except (ConsensusToolError, KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigValidationError):
             raise
         raise ConfigValidationError(f"schedule: {exc}", field="schedule") from exc
@@ -241,6 +225,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{path}: {exc.msg} (line {exc.lineno})", line=exc.lineno) from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ConfigValidationError("top level must be a JSON object")
 
@@ -252,7 +238,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigValidationError(f"num_agents must be >= 2, got {n}", field="num_agents")
 
     traw = raw.get("tolerances", {})
-    tol = Tolerances(**{f.name: _as_tol(traw, f.name, f.default) for f in fields(Tolerances)})
+    tol = Tolerances(
+        **{f.name: _as_positive(traw.get(f.name, f.default), f"tolerances.{f.name}")
+           for f in fields(Tolerances)}
+    )
 
     graph_entries = _need(raw, "graphs", "scenario")
     if not isinstance(graph_entries, list) or not graph_entries:
@@ -266,15 +255,12 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     schedule = _parse_schedule(_need(raw, "schedule", "scenario"), graphs)
 
-    x0_raw = _need(raw, "initial_state", "scenario")
-    x0 = np.asarray(x0_raw, dtype=float).ravel()
+    x0 = _as_array(_need(raw, "initial_state", "scenario"), "initial_state", "initial_state").ravel()
     if x0.size != n * d:
         raise ConfigValidationError(
             f"initial_state has {x0.size} entries, expected n*d = {n * d}",
             field="initial_state",
         )
-    if not np.isfinite(x0).all():
-        raise ConfigValidationError("initial_state must be finite", field="initial_state")
 
     sraw = raw.get("solver", {})
     method = sraw.get("method", "exact")
@@ -285,12 +271,17 @@ def load_config(path: str | Path) -> ScenarioConfig:
         )
     solver = SolverConfig(
         method=method,
-        sample_dt=_as_num(sraw.get("sample_dt", 1.0), "solver.sample_dt"),
-        step_h=_as_num(sraw.get("step_h", 1e-3), "solver.step_h"),
+        sample_dt=_as_positive(sraw.get("sample_dt", 1.0), "solver.sample_dt"),
+        step_h=_as_positive(sraw.get("step_h", 1e-3), "solver.step_h"),
         horizon=(
-            _as_num(sraw["horizon"], "solver.horizon") if "horizon" in sraw else None
+            _as_positive(sraw["horizon"], "solver.horizon") if "horizon" in sraw else None
         ),
     )
+    if solver.horizon is not None:
+        try:
+            _check_horizon(schedule, solver.horizon)
+        except ConsensusToolError as exc:
+            raise ConfigValidationError(f"solver.horizon: {exc}", field="solver.horizon") from exc
 
     default_windows = "period" if schedule.mode == "periodic" else "whole"
     windows_spec = _parse_windows(raw.get("windows", default_windows), schedule)
@@ -323,7 +314,8 @@ def dump_config(config: ScenarioConfig) -> dict:
         sched["pattern"] = [_seg_dict(seg) for seg in s.pattern]
         sched["repetitions"] = s.repetitions
     elif s.mode == "explicit":
-        sched["segments"] = [_seg_dict(seg) for seg in s.segments()]
+        rows = zip(s.graph.tolist(), s.dwell.tolist(), s.scale.tolist())
+        sched["segments"] = [_seg_dict(Segment(s.ids[g], w, c)) for g, w, c in rows]
     else:
         name, params = s.generator
         sched["generator"] = {"name": name, "params": params}

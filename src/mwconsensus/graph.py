@@ -20,7 +20,7 @@ from .errors import (
     SelfLoopError,
     ZeroWeightError,
 )
-from .matalg import Definiteness, check_symmetric, classify_definiteness
+from .matalg import Definiteness, classify_definiteness
 
 EdgeKey = tuple[int, int]
 
@@ -77,11 +77,12 @@ class MatrixWeightedGraph:
                 raise DimensionMismatchError(f"edge ({a},{b}) outside node range 0..{n - 1}")
             if (i, j) in edges:
                 raise DimensionMismatchError(f"duplicate edge ({i},{j})")
-            M = check_symmetric(W)
+            M = np.asarray(W, dtype=float)
             if M.shape != (d, d):
                 raise DimensionMismatchError(
                     f"edge ({i},{j}) weight has shape {M.shape}, expected ({d},{d})"
                 )
+            # classification checks symmetry and finiteness on the way
             cls = classify_definiteness(M, eig_tol)
             if cls is Definiteness.INDEFINITE:
                 raise IndefiniteWeightError("weight is indefinite", i, j)

@@ -2,9 +2,9 @@
 
 Two integration routes are provided on purpose:
 
-* :func:`simulate_exact` evaluates the piecewise flow spectrally, segment by
-  segment, reusing one eigendecomposition per catalog graph.  Within a
-  segment the dynamics are linear time-invariant, so this is exact up to
+* :func:`simulate_exact` evaluates the piecewise flow spectrally, one maximal
+  run of a single graph at a time, reusing one eigendecomposition per catalog
+  graph.  The flows of a run's segments commute, so this is exact up to
   roundoff.
 * :func:`simulate_rk4` integrates the same dynamics with a fixed-step
   classical Runge-Kutta scheme that never steps across a switching instant.
@@ -100,9 +100,10 @@ def simulate_exact(
 
     Samples the solution on the regular grid ``{0, sample_dt, 2 sample_dt, ...}``
     together with every switching instant and the horizon itself (duplicates
-    merged).  Within segment k the state evolves by
-    ``exp(-scale_k L_k (t - t_k))``, evaluated spectrally for all samples of
-    the segment at once.
+    merged).  A run of one graph ``L = V diag(lam) V^T`` maps its start state
+    ``x_r`` to ``V exp(-lam D(t)) V^T x_r`` for all of its samples at once,
+    where the dose ``D(t)`` accumulated since the run started is interpolated
+    in the prefix sum of ``scale * dwell``.
     """
     x = _validated_x0(s, x0)
     horizon = _check_horizon(s, horizon)
@@ -118,24 +119,24 @@ def simulate_exact(
     keep[1:] = np.diff(ts) > _DEDUP_TOL
     ts = ts[keep]
 
+    # segments [0, K) reach the horizon; the last one may be cut short by it
+    K = int(np.searchsorted(t_switch[1:], horizon - _EDGE_TOL)) + 1
+    cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
+    first, graphs, doses = s.runs(0, K)
     states = np.empty((ts.size, x.size))
     idx = 0
-    for k, seg in enumerate(s.segments()):
-        a, b = float(t_switch[k]), float(t_switch[k + 1])
-        last = b >= horizon - _EDGE_TOL
-        end = min(b, horizon)
-        hi = int(np.searchsorted(ts, end, side="right" if last else "left"))
-        lam, V = s.eig_of(seg.graph_id)
+    for k0, k1, g, dose in zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses):
+        # the last run takes every remaining sample, up to a horizon just past the end
+        hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
+        lam, V = s.eig_of(s.ids[g])
         if hi > idx:
-            taus = ts[idx:hi] - a
-            decay = np.exp(-np.outer(seg.scale * lam, taus))
+            D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
+            decay = np.exp(-np.outer(lam, D))
             states[idx:hi] = (V @ (decay * (V.T @ x)[:, None])).T
-            if taus[0] == 0.0:
-                states[idx] = x  # exact at the segment boundary
+            if ts[idx] == t_switch[k0]:
+                states[idx] = x  # exact at the run start
             idx = hi
-        x = V @ (np.exp(-seg.scale * lam * (end - a)) * (V.T @ x))
-        if last:
-            break
+        x = V @ (np.exp(-dose * lam) * (V.T @ x))
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
 
@@ -152,11 +153,11 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     if not step_h > 0:
         raise HorizonError(f"step_h must be positive, got {step_h}")
 
-    t_switch = s.switch_times()
+    t_switch = s.switch_times().tolist()
     chunks_t: list[np.ndarray] = [np.zeros(1)]
     chunks_x: list[np.ndarray] = [x[None, :].copy()]
-    for k, seg in enumerate(s.segments()):
-        a, b = float(t_switch[k]), float(t_switch[k + 1])
+    for k, (g, scale) in enumerate(zip(s.graph.tolist(), s.scale.tolist())):
+        a, b = t_switch[k], t_switch[k + 1]
         last = b >= horizon - _EDGE_TOL
         end = min(b, horizon)
         span = end - a
@@ -165,7 +166,7 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
             raise ValueError(
                 f"step_h = {step_h} does not divide segment {k} span {span}"
             )
-        L = seg.scale * s.laplacian_of(seg.graph_id).matrix
+        L = scale * s.laplacian_of(s.ids[g]).matrix
         out = np.empty((nst, x.size))
         h = span / nst
         for i in range(nst):

@@ -8,11 +8,12 @@ to the next (for example an inverse-square decay or a linear ramp).
 
 Window-level operators:
 
-* :func:`integral_network` - the time-averaged network over a span of
-  segments, with sign-consistency enforcement and dropping of edges whose
-  average vanishes numerically.
-* :func:`state_transition` - the product of segment flow maps
-  ``exp(-scale_k L_k dwell_k)``, latest segment leftmost.
+* :func:`integral_network` - the time-averaged network ``sum_g dose_g A_g / T``
+  over a span of segments, where ``dose_g`` sums ``scale * dwell`` over the
+  span's segments on graph ``g``, with sign-consistency enforcement and
+  dropping of edges whose average vanishes numerically.
+* :func:`state_transition` - the product of flow maps ``exp(-dose_r L_r)``
+  over maximal runs ``r`` of one graph (their flows commute), latest leftmost.
 * :func:`simultaneous_structural_balance` - one bipartition that balances
   every graph in a collection at once.
 """
@@ -44,17 +45,11 @@ from .matalg import Definiteness, classify_definiteness, psd_eigh
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule entry: graph ``graph_id`` active for ``dwell``, weights scaled."""
+    """Plain input record: graph ``graph_id`` active for ``dwell``, weights scaled."""
 
     graph_id: str
     dwell: float
     scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.dwell > 0:
-            raise DwellTooShortError(f"segment dwell must be positive, got {self.dwell}")
-        if not self.scale > 0:
-            raise ValueError(f"segment scale must be positive, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -68,24 +63,35 @@ class Window:
         if self.start < 0 or self.end <= self.start:
             raise EmptyWindowError(f"invalid window [{self.start}, {self.end})")
 
-    def __len__(self) -> int:
-        return self.end - self.start
+
+def _segment_arrays(catalog: Mapping[str, object], segments: Sequence[Segment]) -> tuple[list, list, list]:
+    """Graph positions, dwells and scales of ``segments``; an unknown graph id becomes -1."""
+    pos = {gid: k for k, gid in enumerate(catalog)}
+    graph = [pos.get(seg.graph_id, -1) for seg in segments]
+    return graph, [seg.dwell for seg in segments], [seg.scale for seg in segments]
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
 
 
 class SwitchingSchedule:
     """A validated switching signal over a shared-format graph catalog.
 
     Catalog graphs must agree on ``(n, d)`` and on the ``eig_tol`` that
-    classified their edges.  Every segment must reference a catalog graph and
-    dwell at least ``alpha``.  Segments are expanded at construction time;
-    periodic schedules also keep their generating pattern, generated
-    schedules their named rule.
+    classified their edges; ``ids`` lists them in catalog order.  The segments
+    are three read-only arrays: ``graph`` (a position in ``ids``), ``dwell``
+    (at least ``alpha``) and ``scale`` (positive).  Periodic schedules also
+    keep their generating pattern, generated schedules their named rule.
     """
 
     def __init__(
         self,
         catalog: Mapping[str, MatrixWeightedGraph],
-        segments: Sequence[Segment],
+        graph,
+        dwell,
+        scale,
         alpha: float,
         mode: str = "explicit",
         pattern: Sequence[Segment] | None = None,
@@ -94,28 +100,35 @@ class SwitchingSchedule:
     ):
         if not catalog:
             raise EmptyScheduleError("graph catalog is empty")
-        if not segments:
-            raise EmptyScheduleError("schedule has no segments")
-        if not alpha > 0:
-            raise DwellTooShortError(f"alpha must be positive, got {alpha}")
         formats = {(g.n, g.d, g.eig_tol) for g in catalog.values()}
         if len(formats) != 1:
             raise DimensionMismatchError(f"catalog graphs disagree on (n, d, eig_tol): {sorted(formats)}")
+        if not alpha > 0:
+            raise DwellTooShortError(f"alpha must be positive, got {alpha}")
+        self.graph, self.dwell, self.scale = g, w, c = (
+            np.array(graph, dtype=np.intp), np.array(dwell, dtype=float), np.array(scale, dtype=float)
+        )
+        if g.ndim != 1 or not g.shape == w.shape == c.shape:
+            raise DimensionMismatchError(f"graph, dwell, scale shapes differ: {g.shape}, {w.shape}, {c.shape}")
+        if not g.size:
+            raise EmptyScheduleError("schedule has no segments")
         self.catalog = dict(catalog)
+        self.ids = tuple(self.catalog)
         self.alpha = float(alpha)
+        if (k := _first_false((g >= 0) & (g < len(self.ids)))) is not None:
+            raise KeyError(f"segment {k} references no graph of the catalog")
+        if (k := _first_false(w > 0)) is not None:
+            raise DwellTooShortError(f"segment {k} dwell must be positive, got {w[k]}", segment=k)
+        if (k := _first_false(c > 0)) is not None:
+            raise ValueError(f"segment {k} scale must be positive, got {c[k]}")
+        if (k := _first_false(w + 1e-12 >= self.alpha)) is not None:
+            raise DwellTooShortError(f"segment {k} dwells {w[k]} < alpha = {self.alpha}", segment=k)
+        for a in (g, w, c):
+            a.setflags(write=False)
         self.mode = mode
         self.pattern = tuple(pattern) if pattern is not None else None
         self.repetitions = repetitions
         self.generator = generator
-        segs = tuple(segments)
-        for k, seg in enumerate(segs):
-            if seg.graph_id not in self.catalog:
-                raise KeyError(f"segment {k} references unknown graph {seg.graph_id!r}")
-            if seg.dwell + 1e-12 < self.alpha:
-                raise DwellTooShortError(
-                    f"segment {k} dwells {seg.dwell} < alpha = {self.alpha}", segment=k
-                )
-        self._segments = segs
         (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._laplacians: dict[str, BlockLaplacian] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -129,7 +142,7 @@ class SwitchingSchedule:
         segments: Sequence[Segment],
         alpha: float,
     ) -> "SwitchingSchedule":
-        return cls(catalog, segments, alpha, mode="explicit")
+        return cls(catalog, *_segment_arrays(catalog, segments), alpha, mode="explicit")
 
     @classmethod
     def periodic(
@@ -141,9 +154,9 @@ class SwitchingSchedule:
     ) -> "SwitchingSchedule":
         if repetitions < 1:
             raise EmptyScheduleError(f"repetitions must be >= 1, got {repetitions}")
-        segs = tuple(pattern) * repetitions
+        arrays = [np.tile(a, repetitions) for a in _segment_arrays(catalog, pattern)]
         return cls(
-            catalog, segs, alpha, mode="periodic", pattern=pattern, repetitions=repetitions
+            catalog, *arrays, alpha, mode="periodic", pattern=pattern, repetitions=repetitions
         )
 
     @classmethod
@@ -164,34 +177,39 @@ class SwitchingSchedule:
         K = int(params["intervals"])
         if K < 1:
             raise EmptyScheduleError(f"generator needs intervals >= 1, got {K}")
+        k = np.arange(1, K + 1)
         if name == "inverse_square_decay":
-            scales = [1.0 / k**2 for k in range(1, K + 1)]
+            scales = 1 / (k * k)
         elif name == "linear_ramp":
-            scales = [float(k) for k in range(1, K + 1)]
+            scales = k.astype(float)
         else:
             raise KeyError(f"unknown schedule generator {name!r}")
-        segs = tuple(Segment(gid, 1.0, s) for s in scales)
+        g = list(catalog).index(gid) if gid in catalog else -1
         return cls(
-            catalog, segs, alpha, mode="generated", generator=(name, dict(params))
+            catalog, np.full(K, g), np.ones(K), scales, alpha,
+            mode="generated", generator=(name, dict(params)),
         )
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def num_segments(self) -> int:
-        return len(self._segments)
-
-    def segments(self) -> tuple[Segment, ...]:
-        return self._segments
+        return self.graph.size
 
     def switch_times(self) -> np.ndarray:
         """Instants t_0 = 0 < t_1 < ... < t_K (length num_segments + 1)."""
-        dwells = np.array([s.dwell for s in self._segments])
-        return np.concatenate(([0.0], np.cumsum(dwells)))
+        return np.concatenate(([0.0], np.cumsum(self.dwell)))
 
     @property
     def total_duration(self) -> float:
-        return float(sum(s.dwell for s in self._segments))
+        return float(self.switch_times()[-1])
+
+    def runs(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Maximal runs of one graph in segments ``[start, end)``: first segments, graphs, doses."""
+        g = self.graph[start:end]
+        first = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        dose = np.add.reduceat(self.scale[start:end] * self.dwell[start:end], first)
+        return start + first, g[first], dose
 
     def laplacian_of(self, graph_id: str) -> BlockLaplacian:
         if graph_id not in self._laplacians:
@@ -223,9 +241,8 @@ def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
     convergence statements rely on.
     """
     notes: list[str] = []
-    used = {seg.graph_id for seg in s.segments()}
-    unused = sorted(set(s.catalog) - used)
-    uniform_scale = all(seg.scale == 1.0 for seg in s.segments())
+    unused = sorted(set(s.ids) - {s.ids[k] for k in np.unique(s.graph).tolist()})
+    uniform_scale = bool((s.scale == 1.0).all())
     recurring = uniform_scale and not unused
     if unused:
         notes.append(f"catalog graphs never scheduled: {', '.join(unused)}")
@@ -238,7 +255,7 @@ def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
         notes.append("every catalog graph recurs once per period")
     elif recurring:
         notes.append("recurrence verified within the finite schedule only")
-    dwells = tuple(sorted({seg.dwell for seg in s.segments()}))
+    dwells = tuple(np.unique(s.dwell).tolist())
     notes.append(f"{len(dwells)} distinct dwell value(s)")
     return ScheduleReport(
         finite_recurring_catalog=recurring,
@@ -247,12 +264,12 @@ def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
     )
 
 
-def _check_window(s: SwitchingSchedule, w: Window) -> tuple[Segment, ...]:
+def _check_window(s: SwitchingSchedule, w: Window) -> slice:
     if w.end > s.num_segments:
         raise EmptyWindowError(
             f"window [{w.start}, {w.end}) exceeds schedule length {s.num_segments}"
         )
-    return s.segments()[w.start : w.end]
+    return slice(w.start, w.end)
 
 
 @dataclass(frozen=True)
@@ -268,26 +285,29 @@ class IntegralNetwork:
 def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     """Average the active weights over a window of segments.
 
-    Each edge accumulates ``scale_k * dwell_k * A_ij`` over the segments where
-    it is present, divided by the window duration.  An edge that appears with
-    both signs inside the window is rejected (its average could cancel); an
-    edge whose average classifies as numerically zero is dropped.  Averages
-    are classified with the catalog's ``eig_tol``.
+    Each edge accumulates ``dose_g * A_ij`` over the window's graphs ``g`` in
+    order of first appearance, divided by the window duration.  An edge that
+    appears with both signs inside the window is rejected (its average could
+    cancel); an edge whose average classifies as numerically zero is dropped.
+    Averages are classified with the catalog's ``eig_tol``.
     """
-    segs = _check_window(s, w)
-    duration = float(sum(seg.dwell for seg in segs))
+    span = _check_window(s, w)
+    g = s.graph[span]
+    # summed left to right, as a difference of prefix sums would round differently
+    duration = float(np.cumsum(s.dwell[span])[-1])
+    dose = np.bincount(g, weights=s.scale[span] * s.dwell[span])
+    present, first = np.unique(g, return_index=True)
     acc: dict[EdgeKey, np.ndarray] = {}
     signs: dict[EdgeKey, int] = {}
-    for seg in segs:
-        g = s.catalog[seg.graph_id]
-        for e in g.edges:
+    for k in present[np.argsort(first)].tolist():
+        for e in s.catalog[s.ids[k]].edges:
             prev = signs.get(e.key)
             if prev is not None and prev != e.sign:
                 raise SignInconsistentEdgeError(
                     f"switches weight sign inside window [{w.start}, {w.end})", *e.key
                 )
             signs[e.key] = e.sign
-            contrib = (seg.scale * seg.dwell) * e.weight
+            contrib = dose[k] * e.weight
             if e.key in acc:
                 acc[e.key] = acc[e.key] + contrib
             else:
@@ -317,17 +337,17 @@ class StateTransition:
 
 
 def state_transition(s: SwitchingSchedule, w: Window) -> StateTransition:
-    """Product ``exp(-scale L dwell)`` over the window's segments, newest first.
+    """Product ``exp(-dose_r L_r)`` over the window's runs of one graph, newest first.
 
     Catalog Laplacians are eigendecomposed once and reused; each factor is a
     spectral exponential, so the product has spectral norm at most 1.
     """
-    segs = _check_window(s, w)
+    _check_window(s, w)
     Phi = np.eye(s.n * s.d)
-    for seg in segs:
-        lam, V = s.eig_of(seg.graph_id)
-        factor = (V * np.exp(-seg.scale * seg.dwell * lam)) @ V.T
-        Phi = factor @ Phi
+    _, graphs, doses = s.runs(w.start, w.end)
+    for k, dose in zip(graphs.tolist(), doses.tolist()):
+        lam, V = s.eig_of(s.ids[k])
+        Phi = ((V * np.exp(-dose * lam)) @ V.T) @ Phi
     return StateTransition(window=w, matrix=Phi)
 
 

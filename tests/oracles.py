@@ -5,24 +5,45 @@ the class cached on its edge, ``laplacian_oracle`` assembles a Laplacian
 through it, ``matrix_exp_neg`` exponentiates one matrix spectrally, and
 ``run_time_scaled_scenario`` predicts the limit of a generated schedule in
 closed form.
+
+The ``*_per_segment`` window operators and integrator walk a schedule one
+segment at a time and, for the integral network, one edge at a time, where
+the package works from per-graph doses and merged runs of one graph.
+``write_trajectory_csv_rows`` formats a trajectory row by row.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from mwconsensus.graph import MatrixWeightedGraph, laplacian
+from mwconsensus.errors import EmptyWindowError, HorizonError, SignInconsistentEdgeError
+from mwconsensus.graph import EdgeKey, MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import (
     EIG_TOL,
     SYM_TOL,
+    Definiteness,
     check_symmetric,
     classify_definiteness,
     null_space,
     projector,
     psd_eigh,
 )
-from mwconsensus.sim import Trajectory, simulate_exact
-from mwconsensus.switching import SwitchingSchedule
+from mwconsensus.sim import (
+    _DEDUP_TOL,
+    _EDGE_TOL,
+    Trajectory,
+    _check_horizon,
+    _validated_x0,
+    simulate_exact,
+)
+from mwconsensus.switching import (
+    IntegralNetwork,
+    Segment,
+    SwitchingSchedule,
+    Window,
+)
 
 
 def matrix_abs(matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> np.ndarray:
@@ -75,3 +96,109 @@ def run_time_scaled_scenario(
     else:
         predicted = projector(null_space(L)) @ x
     return traj, predicted
+
+
+def segments(s: SwitchingSchedule) -> list[Segment]:
+    """The schedule as one ``Segment`` record per entry."""
+    return [
+        Segment(s.ids[g], dwell, scale)
+        for g, dwell, scale in zip(s.graph.tolist(), s.dwell.tolist(), s.scale.tolist())
+    ]
+
+
+def _window_segments(s: SwitchingSchedule, w: Window) -> list[Segment]:
+    if w.end > s.num_segments:
+        raise EmptyWindowError(
+            f"window [{w.start}, {w.end}) exceeds schedule length {s.num_segments}"
+        )
+    return segments(s)[w.start : w.end]
+
+
+def integral_network_per_segment(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
+    """Accumulate ``scale_k * dwell_k * A_ij`` edge by edge, segment by segment."""
+    segs = _window_segments(s, w)
+    duration = float(sum(seg.dwell for seg in segs))
+    acc: dict[EdgeKey, np.ndarray] = {}
+    signs: dict[EdgeKey, int] = {}
+    for seg in segs:
+        g = s.catalog[seg.graph_id]
+        for e in g.edges:
+            prev = signs.get(e.key)
+            if prev is not None and prev != e.sign:
+                raise SignInconsistentEdgeError(
+                    f"switches weight sign inside window [{w.start}, {w.end})", *e.key
+                )
+            signs[e.key] = e.sign
+            contrib = (seg.scale * seg.dwell) * e.weight
+            if e.key in acc:
+                acc[e.key] = acc[e.key] + contrib
+            else:
+                acc[e.key] = contrib
+    weights: dict[EdgeKey, np.ndarray] = {}
+    for key, total in acc.items():
+        avg = total / duration
+        if classify_definiteness(avg, s.eig_tol) is Definiteness.ZERO:
+            continue
+        weights[key] = avg
+    g_avg = MatrixWeightedGraph(
+        s.n, s.d, weights, label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol
+    )
+    return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
+
+
+def state_transition_per_segment(s: SwitchingSchedule, w: Window) -> np.ndarray:
+    """Product of one factor ``exp(-scale L dwell)`` per segment, newest first."""
+    Phi = np.eye(s.n * s.d)
+    for seg in _window_segments(s, w):
+        lam, V = s.eig_of(seg.graph_id)
+        factor = (V * np.exp(-seg.scale * seg.dwell * lam)) @ V.T
+        Phi = factor @ Phi
+    return Phi
+
+
+def simulate_exact_per_segment(
+    s: SwitchingSchedule, x0, horizon: float, sample_dt: float
+) -> Trajectory:
+    """Exact integration restarted at every segment from the propagated state."""
+    x = _validated_x0(s, x0)
+    horizon = _check_horizon(s, horizon)
+    if not sample_dt > 0:
+        raise HorizonError(f"sample_dt must be positive, got {sample_dt}")
+
+    n_grid = int(np.floor(horizon / sample_dt + 1e-9))
+    grid = np.arange(n_grid + 1) * sample_dt
+    t_switch = s.switch_times()
+    inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
+    ts = np.unique(np.concatenate([grid, inside, [horizon]]))
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:] = np.diff(ts) > _DEDUP_TOL
+    ts = ts[keep]
+
+    states = np.empty((ts.size, x.size))
+    idx = 0
+    for k, seg in enumerate(segments(s)):
+        a, b = float(t_switch[k]), float(t_switch[k + 1])
+        last = b >= horizon - _EDGE_TOL
+        end = min(b, horizon)
+        hi = int(np.searchsorted(ts, end, side="right" if last else "left"))
+        lam, V = s.eig_of(seg.graph_id)
+        if hi > idx:
+            taus = ts[idx:hi] - a
+            decay = np.exp(-np.outer(seg.scale * lam, taus))
+            states[idx:hi] = (V @ (decay * (V.T @ x)[:, None])).T
+            if taus[0] == 0.0:
+                states[idx] = x
+            idx = hi
+        x = V @ (np.exp(-seg.scale * lam * (end - a)) * (V.T @ x))
+        if last:
+            break
+    return Trajectory(times=ts, states=states, n=s.n, d=s.d)
+
+
+def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
+    """``t, x_1_1, ..., x_n_d`` rows, each value formatted on its own with ``.17g``."""
+    cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
+    lines = ["t," + ",".join(cols)]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -63,6 +63,44 @@ def rand_catalog(
     }
 
 
+def rand_run_schedule(
+    rng: np.random.Generator,
+) -> tuple[SwitchingSchedule, np.ndarray, float, float]:
+    """A schedule with repeated graphs and varied gains, plus a simulation setup.
+
+    Consecutive segments repeat one graph of 2 to 5 in runs of 1 to 4, most scales are
+    not 1, dwells vary, the horizon falls strictly inside a segment and the
+    sample step divides no dwell.  Returns ``(schedule, x0, horizon, sample_dt)``.
+    """
+    n = int(rng.integers(2, 6))
+    d = int(rng.integers(1, 4))
+    catalog = rand_catalog(rng, n, d, int(rng.integers(2, 6)))
+    ids = sorted(catalog)
+    segs = []
+    for _ in range(int(rng.integers(2, 7))):
+        gid = ids[int(rng.integers(0, len(ids)))]
+        for _ in range(int(rng.integers(1, 5))):
+            scale = 1.0 if rng.uniform() < 0.3 else float(rng.uniform(0.2, 3.0))
+            segs.append(Segment(gid, float(rng.choice((0.5, 0.75, 1.0, 1.3))), scale))
+    s = SwitchingSchedule.explicit(catalog, segs, alpha=0.5)
+    t = s.switch_times()
+    k = int(rng.integers(0, s.num_segments))
+    horizon = float(t[k] + rng.uniform(0.1, 0.9) * (t[k + 1] - t[k]))
+    sample_dt = float(rng.uniform(0.07, 0.6))
+    x0 = rng.normal(size=n * d) * 10.0 ** rng.uniform(-2, 2)
+    return s, x0, horizon, sample_dt
+
+
+def rand_windows(rng: np.random.Generator, num_segments: int) -> list[Window]:
+    """Contiguous windows of 1 to 6 segments tiling the whole schedule."""
+    out, start = [], 0
+    while start < num_segments:
+        end = min(start + int(rng.integers(1, 7)), num_segments)
+        out.append(Window(start, end))
+        start = end
+    return out
+
+
 def rand_certified_schedule(
     rng: np.random.Generator, max_attempts: int = 200
 ) -> tuple[SwitchingSchedule, list[Window], object]:

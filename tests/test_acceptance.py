@@ -167,7 +167,7 @@ def test_c05_bipartite_variant_certified_and_exact(bipartite_cfg):
 def test_c06_decaying_gain_stalls_short_of_projection():
     cfg = scenarios.load_builtin("time_scaled_decay")
     graph = next(iter(cfg.graphs.values()))
-    intervals = len(cfg.schedule.segments())
+    intervals = cfg.schedule.num_segments
     assert intervals == 100_000
     traj, _ = run_time_scaled_scenario(
         "inverse_square_decay", graph, intervals, cfg.initial_state
@@ -186,7 +186,7 @@ def test_c06_decaying_gain_stalls_short_of_projection():
 def test_c07_ramped_gain_reaches_projection():
     cfg = scenarios.load_builtin("time_scaled_growth")
     graph = next(iter(cfg.graphs.values()))
-    intervals = len(cfg.schedule.segments())
+    intervals = cfg.schedule.num_segments
     assert intervals == 100
     traj, predicted = run_time_scaled_scenario(
         "linear_ramp", graph, intervals, cfg.initial_state

@@ -9,8 +9,10 @@ from mwconsensus import scenarios
 from mwconsensus.cli import cmd_analyze, main, write_trajectory_csv
 from mwconsensus.config import dump_config, load_config, write_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
-from mwconsensus.sim import simulate_exact
+from mwconsensus.sim import Trajectory, simulate_exact
 from mwconsensus.switching import Window
+
+from oracles import write_trajectory_csv_rows
 
 
 def minimal_config_dict():
@@ -104,9 +106,17 @@ class TestLoad:
             (lambda d: d.update(solver={"step_h": float("-inf")}), "solver.step_h"),
             (lambda d: d.update(solver={"horizon": float("inf")}), "solver.horizon"),
             (lambda d: d.update(tolerances={"eig_tol": float("nan")}), "tolerances.eig_tol"),
+            (lambda d: d.update(initial_state=[1.0, "a"]), "initial_state"),
+            (lambda d: d.update(initial_state=[[1.0], [2.0, 3.0]]), "initial_state"),
+            (lambda d: d["graphs"][0]["edges"][0].update(weight=[["a"]]), "weight"),
+            (lambda d: d["schedule"].update(alpha=10**400), "schedule.alpha"),
+            (lambda d: d["schedule"]["segments"][0].update(dwell=10**400),
+             "schedule.segments.dwell"),
+            (lambda d: d.update(tolerances={"eig_tol": 10**400}), "tolerances.eig_tol"),
         ],
         ids=["x0", "weight-nan", "weight-inf", "alpha", "dwell", "scale", "sample_dt",
-             "step_h", "horizon", "eig_tol"],
+             "step_h", "horizon", "eig_tol", "x0-string", "x0-ragged", "weight-string",
+             "alpha-huge-int", "dwell-huge-int", "eig_tol-huge-int"],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, mutate, field):
         doc = minimal_config_dict()
@@ -115,6 +125,32 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert exc.value.field == field
         assert "finite" in str(exc.value)
+
+    def test_integer_literal_past_digit_limit_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(minimal_config_dict()).replace('"alpha": 1.0', '"alpha": ' + "9" * 5000))
+        with pytest.raises(ConfigParseError, match="digits"):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "solver, needle",
+        [
+            ({"sample_dt": -1}, "must be > 0"),
+            ({"step_h": -1}, "must be > 0"),
+            ({"horizon": -5}, "must be > 0"),
+            ({"horizon": 1e9}, "exceeds schedule duration"),
+        ],
+        ids=["sample_dt", "step_h", "horizon-negative", "horizon-past-end"],
+    )
+    def test_solver_numbers_checked_at_load(self, tmp_path, capsys, solver, needle):
+        doc = minimal_config_dict()
+        doc["solver"] = solver
+        path = write_json(tmp_path, doc)
+        with pytest.raises(ConfigValidationError, match=needle) as exc:
+            load_config(path)
+        assert exc.value.field == "solver." + next(iter(solver))
+        assert main(["check", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("key", ["eig_tol", "ns_eq_tol", "cluster_tol", "conv_tol"])
     @pytest.mark.parametrize("value", [-1, 0.0])
@@ -186,6 +222,18 @@ class TestTrajectoryCsv:
         row0 = np.array([float(v) for v in lines[1].split(",")])
         assert row0[0] == 0.0
         assert np.array_equal(row0[1:], cluster_cfg.initial_state)
+
+
+    def test_savetxt_writer_matches_row_formatter(self, tmp_path):
+        times = np.array([0.0, 0.1, 1e-300, 2.0 / 3.0])
+        states = np.array([[-0.0, 1e-300, -1.5e300, 0.1], [1.0, -0.0, 3.0, np.pi],
+                           [2.0**-1074, -1e-300, 123456789.0, 1.0 / 3.0],
+                           [0.0, 7.0, -2.5, 1e16]])
+        traj = Trajectory(times=times, states=states, n=2, d=2)
+        write_trajectory_csv(traj, tmp_path / "new.csv")
+        write_trajectory_csv_rows(traj, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert b",-0," in (tmp_path / "new.csv").read_bytes()
 
 
 class TestCli:

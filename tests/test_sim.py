@@ -13,8 +13,11 @@ from mwconsensus.matalg import null_space, projector
 from mwconsensus.sim import monitor_convergence, simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule
 
-from oracles import matrix_exp_neg, run_time_scaled_scenario
-from randgen import rand_catalog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import matrix_exp_neg, run_time_scaled_scenario, simulate_exact_per_segment
+from randgen import rand_catalog, rand_run_schedule
 
 
 def two_node_schedule(dwell=2.0, w=1.0):
@@ -178,6 +181,39 @@ class TestMonitor:
         traj = simulate_exact(cluster_cfg.schedule, cluster_cfg.initial_state, 6.0, 1.0)
         with pytest.raises(DimensionMismatchError):
             monitor_convergence(traj, np.ones(5))
+
+
+class TestRunsAgainstOracle:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_matches_per_segment_oracle(self, seed):
+        s, x0, horizon, sample_dt = rand_run_schedule(np.random.default_rng(seed))
+        traj = simulate_exact(s, x0, horizon, sample_dt)
+        ref = simulate_exact_per_segment(s, x0, horizon, sample_dt)
+        assert np.array_equal(traj.times, ref.times)
+        assert traj.times[-1] == horizon
+        tol = 1e-10 * max(1.0, float(np.abs(x0).max()))
+        assert np.abs(traj.states - ref.states).max() <= tol
+
+    def test_horizon_just_past_the_end_repeats_the_final_state(self):
+        # within the 1e-9 horizon tolerance but not merged with the end instant
+        s = SwitchingSchedule.explicit(two_node_schedule().catalog, [Segment("g", 1.0)] * 2, 1.0)
+        traj = simulate_exact(s, [1.0, 3.0], 2.0 + 5e-10, 0.5)
+        assert traj.times[-2:].tolist() == [2.0, 2.0 + 5e-10]
+        assert np.array_equal(traj.states[-1], traj.states[-2])
+
+    def test_merged_run_equals_one_exponential(self, rng):
+        # three segments on one graph act as exp(-(sum of doses) L)
+        g = MatrixWeightedGraph(3, 1, {(0, 1): np.array([[1.0]]), (1, 2): np.array([[0.5]])})
+        segs = [Segment("g", 1.0, 2.0), Segment("g", 0.5, 0.25), Segment("g", 2.0, 1.0)]
+        s = SwitchingSchedule.explicit({"g": g}, segs, alpha=0.5)
+        x0 = rng.normal(size=3)
+        traj = simulate_exact(s, x0, 3.5, 0.4)
+        assert np.array_equal(traj.states[0], x0)  # exact at the run start
+        L = laplacian(g).matrix
+        # inside the second and third segments, and at the end
+        for t, dose in ((1.2, 2.05), (2.8, 3.425), (3.5, 4.125)):
+            assert np.abs(traj.state_at(t) - matrix_exp_neg(L, dose) @ x0).max() < 1e-12
 
 
 class TestRandomSchedules:

@@ -22,7 +22,11 @@ from mwconsensus.switching import (
     validate_schedule,
 )
 
-from randgen import rand_catalog, stacked_null_projector
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import integral_network_per_segment, state_transition_per_segment
+from randgen import rand_catalog, rand_run_schedule, rand_windows, stacked_null_projector
 
 
 def small_catalog():
@@ -45,7 +49,8 @@ class TestScheduleConstruction:
             small_catalog(), [Segment("a", 1.0), Segment("b", 1.0)], 3, alpha=1.0
         )
         assert s.num_segments == 6
-        assert [seg.graph_id for seg in s.segments()] == ["a", "b"] * 3
+        assert s.ids == ("a", "b")
+        assert s.graph.tolist() == [0, 1] * 3
 
     def test_dwell_below_alpha_rejected(self):
         with pytest.raises(DwellTooShortError) as exc:
@@ -75,19 +80,30 @@ class TestScheduleConstruction:
             SwitchingSchedule.explicit(cat, [Segment("a", 1.0)], alpha=1.0)
 
     def test_nonpositive_segment_params_rejected(self):
-        with pytest.raises(DwellTooShortError):
-            Segment("a", 0.0)
-        with pytest.raises(ValueError):
-            Segment("a", 1.0, scale=0.0)
+        cat = small_catalog()
+        with pytest.raises(DwellTooShortError) as exc:
+            SwitchingSchedule.explicit(cat, [Segment("a", 1.0), Segment("b", 0.0)], alpha=0.5)
+        assert exc.value.segment == 1
+        with pytest.raises(ValueError, match="segment 1 scale"):
+            SwitchingSchedule.periodic(
+                cat, [Segment("a", 1.0), Segment("b", 1.0, scale=0.0)], 2, alpha=0.5
+            )
+        with pytest.raises(ValueError, match="scale"):
+            SwitchingSchedule(cat, [0], [1.0], [float("nan")], alpha=0.5)
+        with pytest.raises(KeyError):
+            SwitchingSchedule(cat, [2], [1.0], [1.0], alpha=0.5)
+        with pytest.raises(DimensionMismatchError):
+            SwitchingSchedule(cat, [0, 1], [1.0], [1.0], alpha=0.5)
 
     def test_generated_inverse_square_and_ramp(self):
         cat = {"base": MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})}
         s = SwitchingSchedule.generated(
             cat, "inverse_square_decay", {"graph": "base", "intervals": 4}
         )
-        assert [seg.scale for seg in s.segments()] == [1.0, 0.25, 1.0 / 9.0, 0.0625]
+        assert s.scale.tolist() == [1.0, 0.25, 1.0 / 9.0, 0.0625]
+        assert s.scale.tolist() == [1.0 / k**2 for k in range(1, 5)]
         s2 = SwitchingSchedule.generated(cat, "linear_ramp", {"graph": "base", "intervals": 3})
-        assert [seg.scale for seg in s2.segments()] == [1.0, 2.0, 3.0]
+        assert s2.scale.tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(KeyError):
             SwitchingSchedule.generated(cat, "nope", {"graph": "base", "intervals": 3})
 
@@ -153,12 +169,15 @@ class TestIntegralNetwork:
         g_pos = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
         g_neg = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[-1.0]])})
         s = SwitchingSchedule.explicit(
-            {"p": g_pos, "n": g_neg}, [Segment("p", 1.0), Segment("n", 1.0)], alpha=1.0
+            {"p": g_pos, "n": g_neg},
+            [Segment("p", 1.0), Segment("p", 1.0), Segment("n", 1.0)],
+            alpha=1.0,
         )
-        with pytest.raises(SignInconsistentEdgeError):
-            integral_network(s, Window(0, 2))
-        # a window covering only one sign is fine
-        assert integral_network(s, Window(0, 1)).graph.has_edge(0, 1)
+        for build in (integral_network, integral_network_per_segment):
+            with pytest.raises(SignInconsistentEdgeError):
+                build(s, Window(1, 3))
+            # a window covering only one sign is fine
+            assert build(s, Window(0, 2)).graph.has_edge(0, 1)
 
     def test_averages_classified_with_catalog_eig_tol(self):
         W = np.diag([1.0, 1e-6])
@@ -172,10 +191,11 @@ class TestIntegralNetwork:
     def test_tiny_scale_average_dropped(self):
         g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
         s = SwitchingSchedule.explicit(
-            {"g": g}, [Segment("g", 1.0, scale=1e-15)], alpha=1.0
+            {"g": g}, [Segment("g", 1.0, scale=1e-15)] * 2, alpha=1.0
         )
-        net = integral_network(s, Window(0, 1))
-        assert net.graph.edges == ()
+        for build in (integral_network, integral_network_per_segment):
+            for w in (Window(0, 1), Window(0, 2)):
+                assert build(s, w).graph.edges == ()
 
     def test_window_bounds_checked(self):
         s = SwitchingSchedule.explicit(small_catalog(), [Segment("a", 1.0)], alpha=1.0)
@@ -219,6 +239,57 @@ class TestStateTransition:
         lam, V = np.linalg.eigh(laplacian(g).matrix)
         expected = (V * np.exp(-0.5 * 2.0 * lam)) @ V.T
         assert np.abs(Phi - expected).max() < 1e-14
+
+
+class TestDosesAndRunsAgainstOracle:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_window_operators_match_per_segment_oracle(self, seed):
+        # bit-equal where no graph repeats; otherwise only the summation order differs
+        rng = np.random.default_rng(seed)
+        s, *_ = rand_run_schedule(rng)
+        for w in rand_windows(rng, s.num_segments):
+            net = integral_network(s, w)
+            ref = integral_network_per_segment(s, w)
+            assert net.duration == ref.duration
+            assert net.graph.edge_keys == ref.graph.edge_keys
+            assert [e.definiteness for e in net.graph.edges] == [
+                e.definiteness for e in ref.graph.edges
+            ]
+            L, L_ref = net.laplacian.matrix, ref.laplacian.matrix
+            Phi, Phi_ref = state_transition(s, w).matrix, state_transition_per_segment(s, w)
+            if np.unique(s.graph[w.start : w.end]).size == w.end - w.start:
+                assert np.array_equal(L, L_ref)
+                assert np.array_equal(Phi, Phi_ref)
+            else:
+                assert np.abs(L - L_ref).max() <= 1e-12
+                assert np.abs(Phi - Phi_ref).max() <= 1e-12
+
+    def test_accumulates_in_order_of_first_appearance(self):
+        # (1 + u) + u rounds back to 1 while (u + u) + 1 does not, for u = 2**-53
+        one = {(0, 1): np.array([[1.0]])}
+        cat = {k: MatrixWeightedGraph(2, 1, one) for k in ("a", "b", "c")}
+        u = 2.0**-53
+        s = SwitchingSchedule.explicit(
+            cat, [Segment("c", 1.0), Segment("a", 1.0, u), Segment("b", 1.0, u)], alpha=1.0
+        )
+        w = Window(0, 3)
+        got = integral_network(s, w).graph.weight(0, 1)
+        assert np.array_equal(got, integral_network_per_segment(s, w).graph.weight(0, 1))
+        assert got[0, 0] == 1.0 / 3.0
+
+    def test_runs_merge_consecutive_segments_on_one_graph(self):
+        s = SwitchingSchedule.explicit(
+            small_catalog(),
+            [Segment("a", 1.0, 2.0), Segment("a", 3.0), Segment("b", 1.0), Segment("a", 1.0)],
+            alpha=1.0,
+        )
+        first, graph, dose = s.runs(0, 4)
+        assert first.tolist() == [0, 2, 3]
+        assert graph.tolist() == [0, 1, 0]
+        assert dose.tolist() == [5.0, 1.0, 1.0]
+        first, graph, dose = s.runs(1, 3)
+        assert (first.tolist(), graph.tolist(), dose.tolist()) == ([1, 2], [0, 1], [3.0, 1.0])
 
 
 class TestSimultaneousBalance:
