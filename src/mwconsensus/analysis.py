@@ -10,7 +10,8 @@ of each window's flow map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .switching import (
     StateTransition,
     SwitchingSchedule,
     Window,
+    _check_window,
     integral_network,
     simultaneous_structural_balance,
     state_transition,
@@ -177,6 +179,10 @@ class CertificationReport:
     ``pn_spanning_tree`` describe the window integral graphs and are
     informational (they upgrade the interpretation to bipartite consensus when
     present, but do not gate certification).
+
+    ``integral_networks`` and ``mu`` hold one entry per window.  Windows with
+    the same segment content share one integral graph and Laplacian; each
+    entry still carries its own ``window``.
     """
 
     windows: tuple[Window, ...]
@@ -205,6 +211,11 @@ def certify_cluster_consensus(
     the integral-network null space and the flow-map singular values are
     computed; certification requires all null spaces equal (as projectors)
     and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - q_margin``.
+
+    Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
+    bit have equal operators, so each distinct window is computed once and the
+    structural diagnostics range over distinct windows only.  Only windows
+    whose length another window shares are compared.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -216,26 +227,39 @@ def certify_cluster_consensus(
             raise WindowsNotContiguousError(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
-    nets = tuple(integral_network(s, w) for w in ws)
-    bases = [null_space(net.laplacian.matrix, eig_tol) for net in nets]
+    lengths = Counter(w.end - w.start for w in ws)
+    first: dict[object, int] = {}  # window content -> index of its first window
+    src: list[int] = []  # index of the first window with window k's content
+    nets: list[IntegralNetwork] = []
+    for k, w in enumerate(ws):
+        span = _check_window(s, w)
+        key = k  # a window whose length no other window has is unique; skip its bytes
+        if lengths[w.end - w.start] > 1:
+            key = (s.graph[span].tobytes(), s.dwell[span].tobytes(), s.scale[span].tobytes())
+        j = first.setdefault(key, k)
+        src.append(j)
+        nets.append(integral_network(s, w) if j == k else replace(nets[j], window=w))
+    distinct = list(first.values())
+    graphs = [nets[k].graph for k in distinct]
+    bases = [null_space(nets[k].laplacian.matrix, eig_tol) for k in distinct]
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
         max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
-    mus = tuple(mu_m_plus_1(state_transition(s, w), b.dim) for w, b in zip(ws, bases))
-    q = max(mus)
+    mu_of = {k: mu_m_plus_1(state_transition(s, ws[k]), b.dim) for k, b in zip(distinct, bases)}
+    q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - q_margin)
-    balance = simultaneous_structural_balance([net.graph for net in nets])
-    pn = all(has_positive_negative_spanning_tree(net.graph)[0] for net in nets)
+    balance = simultaneous_structural_balance(graphs)
+    pn = all(has_positive_negative_spanning_tree(g)[0] for g in graphs)
     return CertificationReport(
         windows=ws,
-        integral_networks=nets,
+        integral_networks=tuple(nets),
         window_nullspaces_equal=equal,
         max_projector_distance=max_dist,
         m=m,
-        mu=mus,
+        mu=tuple(mu_of[j] for j in src),
         q_estimate=float(q),
         certified=certified,
         basis=bases[0],

@@ -103,6 +103,12 @@ def _as_num(value, where: str) -> float:
     return float(value)
 
 
+def _as_object(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigValidationError(f"{where} must be an object, got {value!r}", field=where)
+    return value
+
+
 def _as_positive(value, where: str) -> float:
     x = _as_num(value, where)
     if not x > 0:
@@ -184,9 +190,20 @@ def _parse_schedule(raw: Mapping, graphs: dict[str, MatrixWeightedGraph]) -> Swi
         if stype == "explicit":
             segs = seg_list(_need(raw, "segments", "schedule"), "schedule.segments")
             return SwitchingSchedule.explicit(graphs, segs, alpha)
-        gen = _need(raw, "generator", "schedule")
+        gen = _as_object(_need(raw, "generator", "schedule"), "schedule.generator")
         name = _need(gen, "name", "schedule.generator")
-        params = _need(gen, "params", "schedule.generator")
+        where = "schedule.generator.params"
+        params = _as_object(_need(gen, "params", "schedule.generator"), where)
+        gid = _need(params, "graph", where)
+        if not isinstance(gid, str) or gid not in graphs:
+            raise ConfigValidationError(
+                f"{where}.graph must name a catalog graph, got {gid!r}", field=f"{where}.graph"
+            )
+        if _as_int(_need(params, "intervals", where), f"{where}.intervals") < 1:
+            raise ConfigValidationError(
+                f"{where}.intervals must be >= 1, got {params['intervals']}",
+                field=f"{where}.intervals",
+            )
         return SwitchingSchedule.generated(graphs, name, params, alpha)
     except (ConsensusToolError, KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigValidationError):

@@ -343,11 +343,12 @@ def state_transition(s: SwitchingSchedule, w: Window) -> StateTransition:
     spectral exponential, so the product has spectral norm at most 1.
     """
     _check_window(s, w)
-    Phi = np.eye(s.n * s.d)
+    Phi = None
     _, graphs, doses = s.runs(w.start, w.end)
     for k, dose in zip(graphs.tolist(), doses.tolist()):
         lam, V = s.eig_of(s.ids[k])
-        Phi = ((V * np.exp(-dose * lam)) @ V.T) @ Phi
+        factor = (V * np.exp(-dose * lam)) @ V.T
+        Phi = factor if Phi is None else factor @ Phi
     return StateTransition(window=w, matrix=Phi)
 
 

@@ -10,6 +10,9 @@ The ``*_per_segment`` window operators and integrator walk a schedule one
 segment at a time and, for the integral network, one edge at a time, where
 the package works from per-graph doses and merged runs of one graph.
 ``write_trajectory_csv_rows`` formats a trajectory row by row.
+
+``certify_per_window`` certifies every window from scratch, where the package
+computes each distinct window content once.
 """
 
 from __future__ import annotations
@@ -18,8 +21,24 @@ from pathlib import Path
 
 import numpy as np
 
-from mwconsensus.errors import EmptyWindowError, HorizonError, SignInconsistentEdgeError
-from mwconsensus.graph import EdgeKey, MatrixWeightedGraph, laplacian
+from mwconsensus.analysis import (
+    NS_EQ_TOL,
+    Q_MARGIN,
+    CertificationReport,
+    mu_m_plus_1,
+)
+from mwconsensus.errors import (
+    EmptyWindowError,
+    HorizonError,
+    SignInconsistentEdgeError,
+    WindowsNotContiguousError,
+)
+from mwconsensus.graph import (
+    EdgeKey,
+    MatrixWeightedGraph,
+    has_positive_negative_spanning_tree,
+    laplacian,
+)
 from mwconsensus.matalg import (
     EIG_TOL,
     SYM_TOL,
@@ -43,6 +62,9 @@ from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
     Window,
+    integral_network,
+    simultaneous_structural_balance,
+    state_transition,
 )
 
 
@@ -202,3 +224,49 @@ def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def certify_per_window(
+    s: SwitchingSchedule,
+    windows,
+    eig_tol: float = 1e-9,
+    ns_eq_tol: float = NS_EQ_TOL,
+    q_margin: float = Q_MARGIN,
+) -> CertificationReport:
+    """Integral network, null space and flow map of every window, computed afresh."""
+    if not windows:
+        raise WindowsNotContiguousError("no windows given")
+    ws = tuple(windows)
+    if ws[0].start != 0:
+        raise WindowsNotContiguousError(f"first window starts at {ws[0].start}, not 0")
+    for prev, nxt in zip(ws, ws[1:]):
+        if nxt.start != prev.end:
+            raise WindowsNotContiguousError(
+                f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
+            )
+    nets = tuple(integral_network(s, w) for w in ws)
+    bases = [null_space(net.laplacian.matrix, eig_tol) for net in nets]
+    projs = [projector(b) for b in bases]
+    max_dist = 0.0
+    for P in projs[1:]:
+        max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
+    equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
+    m = bases[0].dim
+    mus = tuple(mu_m_plus_1(state_transition(s, w), b.dim) for w, b in zip(ws, bases))
+    q = max(mus)
+    certified = bool(equal and q <= 1.0 - q_margin)
+    balance = simultaneous_structural_balance([net.graph for net in nets])
+    pn = all(has_positive_negative_spanning_tree(net.graph)[0] for net in nets)
+    return CertificationReport(
+        windows=ws,
+        integral_networks=nets,
+        window_nullspaces_equal=equal,
+        max_projector_distance=max_dist,
+        m=m,
+        mu=mus,
+        q_estimate=float(q),
+        certified=certified,
+        basis=bases[0],
+        balance=balance,
+        pn_spanning_tree=pn,
+    )

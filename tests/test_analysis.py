@@ -1,9 +1,14 @@
 """Tests for null-space prediction, classification, and certification."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwconsensus.analysis import (
+    CertificationReport,
     ConsensusKind,
     bipartite_steady_state,
     certify_cluster_consensus,
@@ -15,15 +20,24 @@ from mwconsensus.analysis import (
 )
 from mwconsensus.errors import (
     DimensionMismatchError,
+    EmptyWindowError,
     NonOrthonormalPsiError,
     NotPSDError,
+    SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
 from mwconsensus.graph import BlockLaplacian, MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import NullSpaceBasis, null_space, projector
-from mwconsensus.switching import StateTransition, Window, state_transition
+from mwconsensus.switching import (
+    Segment,
+    StateTransition,
+    SwitchingSchedule,
+    Window,
+    state_transition,
+)
 
-from randgen import rand_catalog, stacked_null_projector
+from oracles import certify_per_window
+from randgen import rand_catalog, rand_windows, stacked_null_projector
 
 
 def line_graph(weights_1d):
@@ -192,6 +206,172 @@ class TestCertification:
         report = certify_cluster_consensus(s, [Window(0, 1), Window(1, 2)])
         assert not report.window_nullspaces_equal
         assert not report.certified
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def assert_same_report(got: CertificationReport, want: CertificationReport) -> None:
+    """Every field bit-equal, each integral network down to its edge classes."""
+    for f in fields(CertificationReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "integral_networks":
+            assert len(a) == len(b)
+            for na, nb in zip(a, b):
+                assert na.window == nb.window
+                assert _bits(na.duration) == _bits(nb.duration)
+                assert _bits(na.laplacian.matrix) == _bits(nb.laplacian.matrix)
+                assert [(e.key, e.definiteness, _bits(e.weight)) for e in na.graph.edges] == [
+                    (e.key, e.definiteness, _bits(e.weight)) for e in nb.graph.edges
+                ]
+        elif f.name == "basis":
+            assert (a.ambient_dim, a.tol_used) == (b.ambient_dim, b.tol_used)
+            assert a.vectors.shape == b.vectors.shape and _bits(a.vectors) == _bits(b.vectors)
+        elif f.name in ("windows", "balance"):
+            assert a == b
+        else:
+            assert type(a) is type(b) and _bits(a) == _bits(b), f.name
+
+
+def assert_shares_only_equal_windows(s: SwitchingSchedule, report: CertificationReport) -> None:
+    """Two windows share one Laplacian exactly when their segment content is equal."""
+    def content(w):
+        return tuple(a[w.start : w.end].tobytes() for a in (s.graph, s.dwell, s.scale))
+
+    nets = report.integral_networks
+    for a in nets:
+        for b in nets:
+            same = content(a.window) == content(b.window)
+            assert (a.laplacian is b.laplacian) == same
+            assert (a.graph is b.graph) == same
+
+
+def _block_schedule(rng):
+    """Explicit schedule of blocks that repeat a base block or change one dwell or scale.
+
+    A changed dwell or scale moves by a visible amount or by one ulp; some
+    blocks have a different length.  Returns the schedule and one window per block.
+    """
+    n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    catalog = rand_catalog(rng, n, d, int(rng.integers(1, 4)))
+    ids = sorted(catalog)
+
+    def block(length):
+        return [
+            Segment(
+                ids[int(rng.integers(0, len(ids)))],
+                float(rng.choice((0.5, 1.0, 1.5))),
+                1.0 if rng.uniform() < 0.4 else float(rng.uniform(0.2, 3.0)),
+            )
+            for _ in range(length)
+        ]
+
+    base = block(int(rng.integers(1, 4)))
+    blocks = []
+    for _ in range(int(rng.integers(2, 7))):
+        u, k = rng.uniform(), int(rng.integers(0, len(base)))
+        blk = list(base)
+        if u < 0.2:
+            dw = blk[k].dwell
+            blk[k] = replace(blk[k], dwell=dw + 0.25 if rng.uniform() < 0.5 else np.nextafter(dw, 2.0))
+        elif u < 0.4:
+            sc = blk[k].scale
+            blk[k] = replace(blk[k], scale=2.0 * sc if rng.uniform() < 0.5 else np.nextafter(sc, 4.0))
+        elif u < 0.5:
+            blk = block(int(rng.integers(1, 5)))
+        blocks.append(blk)
+    s = SwitchingSchedule.explicit(catalog, [seg for blk in blocks for seg in blk], alpha=0.5)
+    windows, start = [], 0
+    for blk in blocks:
+        windows.append(Window(start, start + len(blk)))
+        start += len(blk)
+    return s, windows
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts the ``tobytes`` calls made on it and on its slices."""
+
+    calls = 0
+
+    def tobytes(self, *args, **kwargs):
+        type(self).calls += 1
+        return super().tobytes(*args, **kwargs)
+
+
+def _count_keys(s: SwitchingSchedule, windows) -> int:
+    """Certify with counting segment arrays; returns how many slices were turned into bytes."""
+    arrays = (s.graph, s.dwell, s.scale)
+    _CountingArray.calls = 0
+    s.graph, s.dwell, s.scale = (a.view(_CountingArray) for a in arrays)
+    try:
+        report = certify_cluster_consensus(s, windows)
+    finally:
+        s.graph, s.dwell, s.scale = arrays
+    assert_same_report(report, certify_per_window(s, windows))
+    return _CountingArray.calls
+
+
+class TestMemoisedCertificationAgainstOracle:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_periodic_schedules_match_per_window_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        catalog = rand_catalog(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), 3)
+        ids = sorted(catalog)
+        pattern = [
+            Segment(ids[int(rng.integers(0, 3))], float(rng.choice((0.5, 1.0, 1.5))),
+                    float(rng.choice((1.0, 0.3, 2.5))))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        s = SwitchingSchedule.periodic(catalog, pattern, int(rng.integers(1, 6)), alpha=0.5)
+        plen = len(pattern)
+        per_period = [Window(k, k + plen) for k in range(0, s.num_segments, plen)]
+        for windows in (per_period, rand_windows(rng, s.num_segments)):
+            report = certify_cluster_consensus(s, windows)
+            assert_same_report(report, certify_per_window(s, windows))
+            assert_shares_only_equal_windows(s, report)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_near_repeated_windows_match_per_window_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        s, windows = _block_schedule(rng)
+        report = certify_cluster_consensus(s, windows)
+        assert_same_report(report, certify_per_window(s, windows))
+        assert_shares_only_equal_windows(s, report)
+
+    def test_window_past_end_raises_though_prefix_repeats(self):
+        g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
+        s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0)] * 5, alpha=1.0)
+        # [4, 6) slices to one segment equal to [0, 1); both lengths occur twice
+        windows = [Window(0, 1), Window(1, 2), Window(2, 4), Window(4, 6)]
+        for certify in (certify_cluster_consensus, certify_per_window):
+            with pytest.raises(EmptyWindowError, match=r"window \[4, 6\) exceeds"):
+                certify(s, windows)
+
+    def test_sign_conflict_in_repeated_window_names_first_span(self):
+        cat = {
+            "pos": MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])}),
+            "neg": MatrixWeightedGraph(2, 1, {(0, 1): np.array([[-1.0]])}),
+        }
+        s = SwitchingSchedule.periodic(cat, [Segment("pos", 1.0), Segment("neg", 1.0)], 3, alpha=1.0)
+        windows = [Window(0, 1), Window(1, 3), Window(3, 5), Window(5, 6)]
+        messages = []
+        for certify in (certify_cluster_consensus, certify_per_window):
+            with pytest.raises(SignInconsistentEdgeError) as info:
+                certify(s, windows)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "window [1, 3)" in messages[0]
+
+    def test_unique_lengths_build_no_key(self, cluster_cfg):
+        s = cluster_cfg.schedule
+        N = s.num_segments
+        assert _count_keys(s, [Window(0, N)]) == 0
+        assert _count_keys(s, [Window(0, 1), Window(1, 3), Window(3, N)]) == 0
+        # control: a shared length keys each of its windows once per array
+        assert _count_keys(s, [Window(0, 3), Window(3, 6), Window(6, N)]) == 6
 
 
 class TestBipartiteSteadyState:

@@ -161,6 +161,56 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert exc.value.field == f"tolerances.{key}"
 
+    @staticmethod
+    def generated_config_dict():
+        doc = minimal_config_dict()
+        doc["schedule"] = {
+            "type": "generated",
+            "generator": {"name": "linear_ramp", "params": {"graph": "g", "intervals": 3}},
+        }
+        return doc
+
+    def test_generated_schedule_loads(self, tmp_path):
+        cfg = load_config(write_json(tmp_path, self.generated_config_dict()))
+        assert cfg.schedule.num_segments == 3
+        assert cfg.schedule.scale.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "mutate, field, needle",
+        [
+            (lambda g: g["params"].update(intervals=2.9), "params.intervals", "must be an integer"),
+            (lambda g: g["params"].update(intervals="7"), "params.intervals", "must be an integer"),
+            (lambda g: g["params"].update(intervals=True), "params.intervals", "must be an integer"),
+            (lambda g: g["params"].update(intervals=0), "params.intervals", "must be >= 1"),
+            (lambda g: g["params"].update(intervals=-3), "params.intervals", "must be >= 1"),
+            (lambda g: g.update(params=[1, 2]), "params", "must be an object"),
+            (lambda g: g.update(params="x"), "params", "must be an object"),
+            (lambda g: g["params"].update(graph=5), "params.graph", "must name a catalog graph"),
+            (lambda g: g["params"].update(graph="zz"), "params.graph", "must name a catalog graph"),
+            (lambda g: g["params"].pop("intervals"), "params", "missing required key 'intervals'"),
+            (lambda g: g["params"].pop("graph"), "params", "missing required key 'graph'"),
+        ],
+        ids=["intervals-float", "intervals-string", "intervals-bool", "intervals-zero",
+             "intervals-negative", "params-list", "params-string", "graph-number",
+             "graph-unknown", "intervals-missing", "graph-missing"],
+    )
+    def test_generator_params_checked_at_load(self, tmp_path, capsys, mutate, field, needle):
+        doc = self.generated_config_dict()
+        mutate(doc["schedule"]["generator"])
+        path = write_json(tmp_path, doc)
+        with pytest.raises(ConfigValidationError, match=needle) as exc:
+            load_config(path)
+        assert "schedule.generator." + field in str(exc.value)
+        assert main(["check", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_generator_must_be_an_object(self, tmp_path):
+        doc = self.generated_config_dict()
+        doc["schedule"]["generator"] = "linear_ramp"
+        with pytest.raises(ConfigValidationError, match="must be an object") as exc:
+            load_config(write_json(tmp_path, doc))
+        assert exc.value.field == "schedule.generator"
+
     def test_zero_edge_graph_is_valid(self, tmp_path):
         doc = minimal_config_dict()
         doc["graphs"][0]["edges"] = []
