@@ -30,7 +30,6 @@ from .config import (
 )
 from .graph import (
     Bipartition,
-    BlockLaplacian,
     EdgeWeight,
     MatrixWeightedGraph,
     gauge_transform,
@@ -58,7 +57,6 @@ from .switching import (
     IntegralNetwork,
     ScheduleReport,
     Segment,
-    StateTransition,
     SwitchingSchedule,
     Window,
     integral_network,
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bipartition",
-    "BlockLaplacian",
     "CertificationReport",
     "ConsensusKind",
     "ConsensusPrediction",
@@ -86,7 +83,6 @@ __all__ = [
     "ScheduleReport",
     "Segment",
     "SolverConfig",
-    "StateTransition",
     "SwitchingSchedule",
     "Tolerances",
     "Trajectory",

@@ -20,14 +20,12 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NonOrthonormalPsiError,
-    NotPSDError,
     WindowsNotContiguousError,
 )
-from .graph import Bipartition, BlockLaplacian, has_positive_negative_spanning_tree
-from .matalg import ORTHO_TOL, NullSpaceBasis, null_space, projector
+from .graph import Bipartition, has_positive_negative_spanning_tree
+from .matalg import EIG_TOL, ORTHO_TOL, NullSpaceBasis, null_space, projector, psd_eigh
 from .switching import (
     IntegralNetwork,
-    StateTransition,
     SwitchingSchedule,
     Window,
     _check_window,
@@ -39,6 +37,7 @@ from .switching import (
 NS_EQ_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 Q_MARGIN = 1e-6
+NECESSARY_TOL = 1e-6
 
 
 class ConsensusKind(Enum):
@@ -54,7 +53,6 @@ class ConsensusKind(Enum):
 class ConsensusPrediction:
     """Predicted limit ``x* = sum_i (eta_i . x0) eta_i`` and its agreement pattern."""
 
-    basis: NullSpaceBasis
     steady_state: np.ndarray = field(repr=False)
     kind: ConsensusKind
     clusters: tuple[tuple[int, ...], ...]
@@ -65,25 +63,24 @@ class ConsensusPrediction:
 
 
 def null_intersection(
-    laplacians: Sequence[BlockLaplacian], eig_tol: float = 1e-9
+    laplacians: Sequence[np.ndarray], eig_tol: float = EIG_TOL
 ) -> NullSpaceBasis:
     """Orthonormal basis of the intersection of the Laplacians' null spaces.
 
     For PSD matrices the intersection of null spaces equals the null space of
     the sum, so one eigendecomposition of ``sum L_i`` suffices.  Each summand
-    is checked to be PSD first (the identity fails for sign-indefinite input).
+    is checked to be PSD first by :func:`psd_eigh` (the identity fails for
+    sign-indefinite input).
     """
     if not laplacians:
         raise DimensionMismatchError("need at least one Laplacian")
-    order = laplacians[0].order
+    order = laplacians[0].shape[0]
     total = np.zeros((order, order))
     for L in laplacians:
-        if L.order != order:
+        if L.shape != (order, order):
             raise DimensionMismatchError("Laplacians differ in order")
-        lam = np.linalg.eigvalsh(L.matrix)
-        if lam[0] < -eig_tol * max(1.0, abs(lam[0]), abs(lam[-1])):
-            raise NotPSDError(f"summand has eigenvalue {lam[0]:.3e} < 0")
-        total += L.matrix
+        psd_eigh(L, eig_tol)
+        total += L
     return null_space(total, eig_tol)
 
 
@@ -126,15 +123,12 @@ def predict_steady_state(
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != n * d:
         raise DimensionMismatchError(f"state length {x0.size} != n*d = {n * d}")
-    if basis.ambient_dim != n * d:
-        raise DimensionMismatchError(
-            f"basis ambient dim {basis.ambient_dim} != n*d = {n * d}"
-        )
     V = basis.vectors
+    if V.shape[0] != n * d:
+        raise DimensionMismatchError(f"basis ambient dim {V.shape[0]} != n*d = {n * d}")
     x_star = V @ (V.T @ x0)
     if basis.dim == 0:
         return ConsensusPrediction(
-            basis=basis,
             steady_state=x_star,
             kind=ConsensusKind.ASYMPTOTIC_STABILITY,
             clusters=(tuple(range(n)),),
@@ -151,10 +145,10 @@ def predict_steady_state(
         kind = ConsensusKind.BIPARTITE_CONSENSUS if mirrored else ConsensusKind.CLUSTER_CONSENSUS
     else:
         kind = ConsensusKind.CLUSTER_CONSENSUS
-    return ConsensusPrediction(basis=basis, steady_state=x_star, kind=kind, clusters=clusters)
+    return ConsensusPrediction(steady_state=x_star, kind=kind, clusters=clusters)
 
 
-def mu_m_plus_1(phi: StateTransition, m: int) -> float:
+def mu_m_plus_1(Phi: np.ndarray, m: int) -> float:
     """(m+1)-th largest eigenvalue of ``Phi^T Phi`` (squared singular value).
 
     ``m`` is the dimension of the subspace the flow map preserves; the
@@ -163,9 +157,9 @@ def mu_m_plus_1(phi: StateTransition, m: int) -> float:
     """
     if m < 0:
         raise IndexError(f"m must be >= 0, got {m}")
-    if m >= phi.order:
-        raise IndexError(f"mu_{m + 1} undefined: order is {phi.order}")
-    sv = np.linalg.svd(phi.matrix, compute_uv=False)
+    if m >= Phi.shape[0]:
+        raise IndexError(f"mu_{m + 1} undefined: order is {Phi.shape[0]}")
+    sv = np.linalg.svd(Phi, compute_uv=False)
     return float(sv[m] ** 2)
 
 
@@ -173,12 +167,13 @@ def mu_m_plus_1(phi: StateTransition, m: int) -> float:
 class CertificationReport:
     """Everything :func:`certify_cluster_consensus` established about a schedule.
 
-    ``certified`` means: window null spaces all agree (projector distance at
-    most ``ns_eq_tol``) and every window's flow map contracts the complement
-    with ``mu <= q_estimate <= 1 - q_margin``.  ``balance`` and
-    ``pn_spanning_tree`` describe the window integral graphs and are
-    informational (they upgrade the interpretation to bipartite consensus when
-    present, but do not gate certification).
+    ``certified`` means: window null spaces, taken with the schedule's
+    ``eig_tol``, all agree (projector distance at most ``ns_eq_tol``) and
+    every window's flow map contracts the complement with
+    ``mu <= q_estimate <= 1 - Q_MARGIN``.  ``basis`` is the first window's
+    null space.  ``balance`` and ``pn_spanning_tree`` describe the window
+    integral graphs and are informational (they upgrade the interpretation to
+    bipartite consensus when present, but do not gate certification).
 
     ``integral_networks`` and ``mu`` hold one entry per window.  Windows with
     the same segment content share one integral graph and Laplacian; each
@@ -199,18 +194,15 @@ class CertificationReport:
 
 
 def certify_cluster_consensus(
-    s: SwitchingSchedule,
-    windows: Sequence[Window],
-    eig_tol: float = 1e-9,
-    ns_eq_tol: float = NS_EQ_TOL,
-    q_margin: float = Q_MARGIN,
+    s: SwitchingSchedule, windows: Sequence[Window], *, ns_eq_tol: float = NS_EQ_TOL
 ) -> CertificationReport:
     """Certify geometric convergence to the common null space over the given windows.
 
     The windows must tile the schedule prefix contiguously.  For each window
-    the integral-network null space and the flow-map singular values are
+    the integral-network null space (with ``s.eig_tol``, the tolerance that
+    classified the window averages) and the flow-map singular values are
     computed; certification requires all null spaces equal (as projectors)
-    and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - q_margin``.
+    and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window is computed once and the
@@ -241,7 +233,7 @@ def certify_cluster_consensus(
         nets.append(integral_network(s, w) if j == k else replace(nets[j], window=w))
     distinct = list(first.values())
     graphs = [nets[k].graph for k in distinct]
-    bases = [null_space(nets[k].laplacian.matrix, eig_tol) for k in distinct]
+    bases = [null_space(nets[k].laplacian, s.eig_tol) for k in distinct]
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
@@ -250,7 +242,7 @@ def certify_cluster_consensus(
     m = bases[0].dim
     mu_of = {k: mu_m_plus_1(state_transition(s, ws[k]), b.dim) for k, b in zip(distinct, bases)}
     q = max(mu_of.values())
-    certified = bool(equal and q <= 1.0 - q_margin)
+    certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance(graphs)
     pn = all(has_positive_negative_spanning_tree(g)[0] for g in graphs)
     return CertificationReport(
@@ -294,20 +286,20 @@ def bipartite_steady_state(b: Bipartition, psi: np.ndarray, x0: np.ndarray) -> n
     return (sigma[:, None] * common[None, :]).ravel()
 
 
-def verify_necessary_condition(
-    x_star: np.ndarray, laplacians: Sequence[BlockLaplacian], tol: float = 1e-6
-) -> bool:
+def verify_necessary_condition(x_star: np.ndarray, laplacians: Sequence[np.ndarray]) -> bool:
     """Check that x* is annihilated by every Laplacian in the collection.
 
-    Uses the scale-aware criterion ``||L x*|| <= tol * (1 + ||L||) * ||x*||``
-    so the answer does not depend on the overall magnitude of either factor.
+    Uses the scale-aware criterion
+    ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||`` so the answer does
+    not depend on the overall magnitude of either factor.
     """
     v = np.asarray(x_star, dtype=float).ravel()
     nv = float(np.linalg.norm(v))
     for L in laplacians:
-        if v.size != L.order:
-            raise DimensionMismatchError(f"state length {v.size} != order {L.order}")
-        bound = tol * (1.0 + L.spectral_norm()) * nv
-        if float(np.linalg.norm(L.matrix @ v)) > bound:
+        if v.size != L.shape[0]:
+            raise DimensionMismatchError(f"state length {v.size} != order {L.shape[0]}")
+        lam = np.linalg.eigvalsh(L)
+        bound = NECESSARY_TOL * (1.0 + float(max(abs(lam[0]), abs(lam[-1])))) * nv
+        if float(np.linalg.norm(L @ v)) > bound:
             return False
     return True

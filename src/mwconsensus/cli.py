@@ -102,9 +102,7 @@ def cmd_simulate(cfg: ScenarioConfig, path: str, out: str | None,
 def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     tol = cfg.tolerances
     windows = cfg.windows()
-    report = certify_cluster_consensus(
-        cfg.schedule, windows, eig_tol=tol.eig_tol, ns_eq_tol=tol.ns_eq_tol
-    )
+    report = certify_cluster_consensus(cfg.schedule, windows, ns_eq_tol=tol.ns_eq_tol)
     pred = predict_steady_state(
         report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension, tol.cluster_tol
     )

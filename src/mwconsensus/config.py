@@ -18,13 +18,15 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .analysis import CLUSTER_TOL, NS_EQ_TOL
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
     ConsensusToolError,
 )
 from .graph import MatrixWeightedGraph
-from .sim import _check_horizon
+from .matalg import EIG_TOL
+from .sim import CONV_TOL, _check_horizon
 from .switching import Segment, SwitchingSchedule, Window
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
@@ -41,10 +43,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Tolerances:
-    eig_tol: float = 1e-9
-    ns_eq_tol: float = 1e-8
-    cluster_tol: float = 1e-6
-    conv_tol: float = 1e-6
+    eig_tol: float = EIG_TOL
+    ns_eq_tol: float = NS_EQ_TOL
+    cluster_tol: float = CLUSTER_TOL
+    conv_tol: float = CONV_TOL
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ from .errors import (
     SelfLoopError,
     ZeroWeightError,
 )
-from .matalg import Definiteness, classify_definiteness
+from .matalg import EIG_TOL, Definiteness, classify_definiteness
 
 EdgeKey = tuple[int, int]
 
@@ -58,7 +58,7 @@ class MatrixWeightedGraph:
         d: int,
         weights: Mapping[EdgeKey, "np.ndarray"],
         label: str = "",
-        eig_tol: float = 1e-9,
+        eig_tol: float = EIG_TOL,
     ):
         if n < 2:
             raise DimensionMismatchError(f"need at least 2 nodes, got n={n}")
@@ -129,33 +129,8 @@ class MatrixWeightedGraph:
         return f"MatrixWeightedGraph(n={self.n}, d={self.d}, edges={len(self._edges)}{tag})"
 
 
-@dataclass(frozen=True)
-class BlockLaplacian:
-    """Symmetric PSD block Laplacian of a matrix-weighted graph.
-
-    ``matrix`` is the dense ``(n*d, n*d)`` array; ``block(i, j)`` views the
-    ``d x d`` block for the node pair ``(i, j)``.
-    """
-
-    n: int
-    d: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return self.n * self.d
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.d
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
-
-    def spectral_norm(self) -> float:
-        lam = np.linalg.eigvalsh(self.matrix)
-        return float(max(abs(lam[0]), abs(lam[-1])))
-
-
-def laplacian(g: MatrixWeightedGraph) -> BlockLaplacian:
-    """Block Laplacian L = D - A with D_i = sum over neighbors of |A_ij|.
+def laplacian(g: MatrixWeightedGraph) -> np.ndarray:
+    """Dense ``(n*d, n*d)`` block Laplacian L = D - A, D_i = sum over neighbors of |A_ij|.
 
     Off-diagonal block (i, j) is ``-A_ij``; the diagonal aggregates absolute
     weights ``|A_ij| = sign(A_ij) A_ij`` from each edge's cached class, so L is
@@ -170,15 +145,15 @@ def laplacian(g: MatrixWeightedGraph) -> BlockLaplacian:
         L[j * d : (j + 1) * d, j * d : (j + 1) * d] += aW
         L[i * d : (i + 1) * d, j * d : (j + 1) * d] -= W
         L[j * d : (j + 1) * d, i * d : (i + 1) * d] -= W
-    return BlockLaplacian(n=n, d=d, matrix=L)
+    return L
 
 
-def quadratic_form(L: BlockLaplacian, x: np.ndarray) -> float:
-    """x^T L x; nonnegative for every stacked state x."""
+def quadratic_form(L: np.ndarray, x: np.ndarray) -> float:
+    """x^T L x; nonnegative for every stacked state x and block Laplacian L."""
     x = np.asarray(x, dtype=float).ravel()
-    if x.size != L.order:
-        raise DimensionMismatchError(f"state length {x.size} != n*d = {L.order}")
-    return float(x @ L.matrix @ x)
+    if x.size != L.shape[0]:
+        raise DimensionMismatchError(f"state length {x.size} != n*d = {L.shape[0]}")
+    return float(x @ L @ x)
 
 
 def _adjacency_sets(n: int, keys: Iterable[EdgeKey]) -> list[set[int]]:

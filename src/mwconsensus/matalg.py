@@ -103,21 +103,19 @@ def classify_definiteness(
 class NullSpaceBasis:
     """Orthonormal basis of a symmetric PSD matrix's (numerical) null space.
 
-    ``vectors`` has shape ``(ambient_dim, dim)`` with orthonormal columns;
-    ``dim == 0`` gives a ``(ambient_dim, 0)`` array.  ``tol_used`` records the
-    absolute eigenvalue threshold that separated "zero" from "positive".
+    ``vectors`` has shape ``(order, dim)`` with orthonormal columns, where
+    ``order`` is the matrix's; ``dim == 0`` gives an ``(order, 0)`` array.
+    ``tol_used`` records the absolute eigenvalue threshold that separated
+    "zero" from "positive".
     """
 
-    ambient_dim: int
     vectors: np.ndarray = field(repr=False)
     tol_used: float
 
     def __post_init__(self):
         V = np.asarray(self.vectors, dtype=float)
-        if V.ndim != 2 or V.shape[0] != self.ambient_dim:
-            raise NonSymmetricError(
-                f"basis array shape {V.shape} does not match ambient dim {self.ambient_dim}"
-            )
+        if V.ndim != 2:
+            raise NonSymmetricError(f"basis array must be 2-D, got shape {V.shape}")
         gram = V.T @ V
         err = np.abs(gram - np.eye(V.shape[1])).max(initial=0.0)
         if err > ORTHO_TOL:
@@ -160,6 +158,9 @@ def null_space(matrix, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
     Keeps the eigenvectors whose eigenvalues fall at or below
     ``eig_tol * max(1, lam_max)``; the absolute floor of 1 makes the threshold
     meaningful for near-zero matrices.  Clipping leaves that test unchanged.
+    Raises NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below
+    minus that threshold.  Certification passes the schedule's ``eig_tol``,
+    the one that classified its catalog edges and window averages.
     """
     lam, V, thr = psd_eigh(matrix, eig_tol)
-    return NullSpaceBasis(ambient_dim=V.shape[0], vectors=V[:, lam <= thr], tol_used=thr)
+    return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)

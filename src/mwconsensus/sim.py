@@ -27,6 +27,7 @@ from .switching import SwitchingSchedule
 
 _DEDUP_TOL = 1e-12
 _EDGE_TOL = 1e-9
+CONV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
             raise ValueError(
                 f"step_h = {step_h} does not divide segment {k} span {span}"
             )
-        L = scale * s.laplacian_of(s.ids[g]).matrix
+        L = scale * s.laplacian_of(s.ids[g])
         out = np.empty((nst, x.size))
         h = span / nst
         for i in range(nst):
@@ -207,7 +208,7 @@ class ConvergenceMonitor:
 
 
 def monitor_convergence(
-    traj: Trajectory, reference, conv_tol: float = 1e-6
+    traj: Trajectory, reference, conv_tol: float = CONV_TOL
 ) -> ConvergenceMonitor:
     """Track ||x(t) - reference||^2 along a trajectory.
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .graph import (
     Bipartition,
-    BlockLaplacian,
     EdgeKey,
     MatrixWeightedGraph,
     laplacian,
@@ -130,7 +129,7 @@ class SwitchingSchedule:
         self.repetitions = repetitions
         self.generator = generator
         (self.n, self.d, self.eig_tol) = next(iter(formats))
-        self._laplacians: dict[str, BlockLaplacian] = {}
+        self._laplacians: dict[str, np.ndarray] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- constructors -------------------------------------------------------
@@ -171,12 +170,16 @@ class SwitchingSchedule:
 
         ``inverse_square_decay``: interval k (1-based) runs the base graph
         scaled by 1/k^2.  ``linear_ramp``: interval k scaled by k.  Both take
-        params ``graph`` (catalog id) and ``intervals`` (count K).
+        params ``graph`` (catalog id) and ``intervals`` (count K, an integer
+        >= 1); neither is coerced.
         """
-        gid = str(params["graph"])
-        K = int(params["intervals"])
-        if K < 1:
-            raise EmptyScheduleError(f"generator needs intervals >= 1, got {K}")
+        gid, K = params["graph"], params["intervals"]
+        if not isinstance(gid, str) or gid not in catalog:
+            raise KeyError(f"generator param 'graph' names no catalog graph: {gid!r}")
+        if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
+            raise EmptyScheduleError(
+                f"generator param 'intervals' must be an integer >= 1, got {K!r}"
+            )
         k = np.arange(1, K + 1)
         if name == "inverse_square_decay":
             scales = 1 / (k * k)
@@ -184,9 +187,8 @@ class SwitchingSchedule:
             scales = k.astype(float)
         else:
             raise KeyError(f"unknown schedule generator {name!r}")
-        g = list(catalog).index(gid) if gid in catalog else -1
         return cls(
-            catalog, np.full(K, g), np.ones(K), scales, alpha,
+            catalog, np.full(K, list(catalog).index(gid)), np.ones(K), scales, alpha,
             mode="generated", generator=(name, dict(params)),
         )
 
@@ -211,7 +213,7 @@ class SwitchingSchedule:
         dose = np.add.reduceat(self.scale[start:end] * self.dwell[start:end], first)
         return start + first, g[first], dose
 
-    def laplacian_of(self, graph_id: str) -> BlockLaplacian:
+    def laplacian_of(self, graph_id: str) -> np.ndarray:
         if graph_id not in self._laplacians:
             self._laplacians[graph_id] = laplacian(self.catalog[graph_id])
         return self._laplacians[graph_id]
@@ -219,7 +221,7 @@ class SwitchingSchedule:
     def eig_of(self, graph_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Cached PSD eigendecomposition of the unscaled catalog Laplacian."""
         if graph_id not in self._eigs:
-            self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id).matrix)[:2]
+            self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id))[:2]
         return self._eigs[graph_id]
 
 
@@ -279,7 +281,7 @@ class IntegralNetwork:
     window: Window
     duration: float
     graph: MatrixWeightedGraph
-    laplacian: BlockLaplacian
+    laplacian: np.ndarray = field(repr=False)
 
 
 def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
@@ -324,20 +326,8 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 
 
-@dataclass(frozen=True)
-class StateTransition:
-    """Flow map of the switched system across a window (latest segment leftmost)."""
-
-    window: Window
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
-
-
-def state_transition(s: SwitchingSchedule, w: Window) -> StateTransition:
-    """Product ``exp(-dose_r L_r)`` over the window's runs of one graph, newest first.
+def state_transition(s: SwitchingSchedule, w: Window) -> np.ndarray:
+    """Window flow map ``Phi``: ``exp(-dose_r L_r)`` over runs of one graph, newest leftmost.
 
     Catalog Laplacians are eigendecomposed once and reused; each factor is a
     spectral exponential, so the product has spectral norm at most 1.
@@ -349,7 +339,7 @@ def state_transition(s: SwitchingSchedule, w: Window) -> StateTransition:
         lam, V = s.eig_of(s.ids[k])
         factor = (V * np.exp(-dose * lam)) @ V.T
         Phi = factor if Phi is None else factor @ Phi
-    return StateTransition(window=w, matrix=Phi)
+    return Phi
 
 
 def simultaneous_structural_balance(

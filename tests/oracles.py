@@ -111,7 +111,7 @@ def run_time_scaled_scenario(
     )
     x = np.asarray(x0, dtype=float).ravel()
     traj = simulate_exact(s, x, horizon=float(intervals), sample_dt=float(intervals))
-    L = laplacian(base_graph).matrix
+    L = laplacian(base_graph)
     if kind == "inverse_square_decay":
         dose = float(sum(1.0 / k**2 for k in range(1, intervals + 1)))
         predicted = matrix_exp_neg(L, dose) @ x
@@ -227,11 +227,7 @@ def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
 
 
 def certify_per_window(
-    s: SwitchingSchedule,
-    windows,
-    eig_tol: float = 1e-9,
-    ns_eq_tol: float = NS_EQ_TOL,
-    q_margin: float = Q_MARGIN,
+    s: SwitchingSchedule, windows, *, ns_eq_tol: float = NS_EQ_TOL
 ) -> CertificationReport:
     """Integral network, null space and flow map of every window, computed afresh."""
     if not windows:
@@ -245,7 +241,7 @@ def certify_per_window(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
     nets = tuple(integral_network(s, w) for w in ws)
-    bases = [null_space(net.laplacian.matrix, eig_tol) for net in nets]
+    bases = [null_space(net.laplacian, s.eig_tol) for net in nets]
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
@@ -254,7 +250,7 @@ def certify_per_window(
     m = bases[0].dim
     mus = tuple(mu_m_plus_1(state_transition(s, w), b.dim) for w, b in zip(ws, bases))
     q = max(mus)
-    certified = bool(equal and q <= 1.0 - q_margin)
+    certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance([net.graph for net in nets])
     pn = all(has_positive_negative_spanning_tree(net.graph)[0] for net in nets)
     return CertificationReport(

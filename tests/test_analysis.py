@@ -26,11 +26,10 @@ from mwconsensus.errors import (
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
-from mwconsensus.graph import BlockLaplacian, MatrixWeightedGraph, laplacian
+from mwconsensus.graph import MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import NullSpaceBasis, null_space, projector
 from mwconsensus.switching import (
     Segment,
-    StateTransition,
     SwitchingSchedule,
     Window,
     state_transition,
@@ -61,17 +60,17 @@ class TestNullIntersection:
             laps = [laplacian(g) for g in cat.values()]
             basis = null_intersection(laps)
             P = projector(basis)
-            P_oracle = stacked_null_projector([L.matrix for L in laps])
+            P_oracle = stacked_null_projector(laps)
             assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
     def test_rejects_non_psd_summand(self):
-        bad = BlockLaplacian(n=2, d=1, matrix=np.diag([1.0, -1.0]))
+        bad = np.diag([1.0, -1.0])
         with pytest.raises(NotPSDError):
             null_intersection([bad])
 
     def test_rejects_mixed_orders(self):
-        a = BlockLaplacian(n=2, d=1, matrix=np.zeros((2, 2)))
-        b = BlockLaplacian(n=3, d=1, matrix=np.zeros((3, 3)))
+        a = np.zeros((2, 2))
+        b = np.zeros((3, 3))
         with pytest.raises(DimensionMismatchError):
             null_intersection([a, b])
 
@@ -98,14 +97,14 @@ class TestPrediction:
         assert np.allclose(again.steady_state, pred.steady_state, atol=1e-12)
 
     def test_empty_basis_is_asymptotic_stability(self):
-        basis = NullSpaceBasis(ambient_dim=4, vectors=np.zeros((4, 0)), tol_used=1e-9)
+        basis = NullSpaceBasis(vectors=np.zeros((4, 0)), tol_used=1e-9)
         pred = predict_steady_state(basis, np.ones(4), 2, 2)
         assert pred.kind is ConsensusKind.ASYMPTOTIC_STABILITY
         assert np.array_equal(pred.steady_state, np.zeros(4))
 
     def test_connected_positive_graph_gives_consensus(self):
         g = line_graph([1.0, 2.0, 1.5])
-        basis = null_space(laplacian(g).matrix)
+        basis = null_space(laplacian(g))
         pred = predict_steady_state(basis, np.array([1.0, 2.0, 3.0, 4.0]), 4, 1)
         assert pred.kind is ConsensusKind.CONSENSUS
         assert pred.clusters == ((0, 1, 2, 3),)
@@ -116,7 +115,7 @@ class TestPrediction:
         g = MatrixWeightedGraph(
             4, 1, {(0, 1): np.array([[1.0]]), (2, 3): np.array([[1.0]])}
         )
-        basis = null_space(laplacian(g).matrix)
+        basis = null_space(laplacian(g))
         mirrored = predict_steady_state(basis, np.array([0.9, 1.1, -0.9, -1.1]), 4, 1)
         assert mirrored.kind is ConsensusKind.BIPARTITE_CONSENSUS
         generic = predict_steady_state(basis, np.array([0.9, 1.1, 2.0, 4.0]), 4, 1)
@@ -124,7 +123,7 @@ class TestPrediction:
         assert generic.num_clusters == 2
 
     def test_dimension_checks(self):
-        basis = NullSpaceBasis(ambient_dim=4, vectors=np.zeros((4, 0)), tol_used=1e-9)
+        basis = NullSpaceBasis(vectors=np.zeros((4, 0)), tol_used=1e-9)
         with pytest.raises(DimensionMismatchError):
             predict_steady_state(basis, np.ones(3), 2, 2)
         with pytest.raises(DimensionMismatchError):
@@ -143,7 +142,7 @@ class TestGroupClusters:
 
 class TestMu:
     def test_identity_flow_map(self):
-        phi = StateTransition(window=Window(0, 1), matrix=np.eye(4))
+        phi = np.eye(4)
         assert mu_m_plus_1(phi, 0) == pytest.approx(1.0)
         assert mu_m_plus_1(phi, 3) == pytest.approx(1.0)
 
@@ -153,7 +152,7 @@ class TestMu:
         assert all(a >= b - 1e-15 for a, b in zip(mus, mus[1:]))
 
     def test_out_of_range(self):
-        phi = StateTransition(window=Window(0, 1), matrix=np.eye(3))
+        phi = np.eye(3)
         with pytest.raises(IndexError):
             mu_m_plus_1(phi, 3)
         with pytest.raises(IndexError):
@@ -207,6 +206,19 @@ class TestCertification:
         assert not report.window_nullspaces_equal
         assert not report.certified
 
+    def test_null_spaces_use_catalog_eig_tol(self):
+        # L has eigenvalues 0, 0, 2e-6, 2: the 2e-6 mode is null at eig_tol 1e-3
+        W = np.diag([1.0, 1e-6])
+        for eig_tol, m in ((1e-9, 2), (1e-3, 3)):
+            g = MatrixWeightedGraph(2, 2, {(0, 1): W}, eig_tol=eig_tol)
+            s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0)], alpha=1.0)
+            assert certify_cluster_consensus(s, [Window(0, 1)]).m == m
+            assert certify_per_window(s, [Window(0, 1)]).m == m
+
+    def test_tolerance_after_windows_is_keyword_only(self, cluster_cfg):
+        with pytest.raises(TypeError):
+            certify_cluster_consensus(cluster_cfg.schedule, cluster_cfg.windows(), 1e-3)
+
 
 def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
@@ -221,12 +233,12 @@ def assert_same_report(got: CertificationReport, want: CertificationReport) -> N
             for na, nb in zip(a, b):
                 assert na.window == nb.window
                 assert _bits(na.duration) == _bits(nb.duration)
-                assert _bits(na.laplacian.matrix) == _bits(nb.laplacian.matrix)
+                assert _bits(na.laplacian) == _bits(nb.laplacian)
                 assert [(e.key, e.definiteness, _bits(e.weight)) for e in na.graph.edges] == [
                     (e.key, e.definiteness, _bits(e.weight)) for e in nb.graph.edges
                 ]
         elif f.name == "basis":
-            assert (a.ambient_dim, a.tol_used) == (b.ambient_dim, b.tol_used)
+            assert a.tol_used == b.tol_used
             assert a.vectors.shape == b.vectors.shape and _bits(a.vectors) == _bits(b.vectors)
         elif f.name in ("windows", "balance"):
             assert a == b
@@ -380,7 +392,7 @@ class TestBipartiteSteadyState:
 
         s = bipartite_cfg.schedule
         net = integral_network(s, Window(0, 3))
-        basis = null_space(net.laplacian.matrix)
+        basis = null_space(net.laplacian)
         x0 = bipartite_cfg.initial_state
         b = simultaneous_structural_balance(list(s.catalog.values()))
         closed = bipartite_steady_state(b, np.eye(3), x0)

@@ -174,7 +174,7 @@ class TestNullSpace:
 
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(NotPSDError):
-            NullSpaceBasis(ambient_dim=2, vectors=np.array([[1.0], [1.0]]), tol_used=1e-9)
+            NullSpaceBasis(vectors=np.array([[1.0], [1.0]]), tol_used=1e-9)
 
 
 class TestProjector:
@@ -184,7 +184,7 @@ class TestProjector:
         k = min(k, d)
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        B = NullSpaceBasis(ambient_dim=d, vectors=Q[:, :k], tol_used=1e-9)
+        B = NullSpaceBasis(vectors=Q[:, :k], tol_used=1e-9)
         P = projector(B)
         assert np.allclose(P @ P, P, atol=1e-12)
         assert np.allclose(P, P.T, atol=1e-15)

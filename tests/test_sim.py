@@ -38,7 +38,7 @@ class TestSimulateExact:
         s = two_node_schedule(dwell=3.0, w=0.7)
         x0 = rng.normal(size=2)
         traj = simulate_exact(s, x0, 3.0, 0.5)
-        L = laplacian(s.catalog["g"]).matrix
+        L = laplacian(s.catalog["g"])
         for t, x in zip(traj.times, traj.states):
             expected = matrix_exp_neg(L, t) @ x0
             assert np.abs(x - expected).max() < 1e-13
@@ -88,7 +88,7 @@ class TestSimulateRK4:
     def test_fourth_order_convergence(self):
         s = two_node_schedule(dwell=1.0)
         x0 = np.array([1.0, -1.0])
-        L = laplacian(s.catalog["g"]).matrix
+        L = laplacian(s.catalog["g"])
         exact = matrix_exp_neg(L, 1.0) @ x0
         errs = []
         for h in (0.1, 0.05, 0.025):
@@ -123,7 +123,7 @@ class TestTimeScaledScenarios:
         traj, predicted = run_time_scaled_scenario("inverse_square_decay", base, 50, x0)
         assert np.abs(traj.final_state - predicted).max() < 1e-10
         # the decayed limit is NOT the null-space projection
-        L = laplacian(base).matrix
+        L = laplacian(base)
         proj = projector(null_space(L)) @ x0
         assert np.abs(predicted - proj).max() > 1e-3
 
@@ -133,7 +133,7 @@ class TestTimeScaledScenarios:
         base = random_connected_pd_graph(3, 2, seed=7)
         x0 = rng.normal(size=6)
         traj, predicted = run_time_scaled_scenario("linear_ramp", base, 60, x0)
-        L = laplacian(base).matrix
+        L = laplacian(base)
         assert np.allclose(predicted, projector(null_space(L)) @ x0)
         assert np.abs(traj.final_state - predicted).max() < 1e-9
 
@@ -210,7 +210,7 @@ class TestRunsAgainstOracle:
         x0 = rng.normal(size=3)
         traj = simulate_exact(s, x0, 3.5, 0.4)
         assert np.array_equal(traj.states[0], x0)  # exact at the run start
-        L = laplacian(g).matrix
+        L = laplacian(g)
         # inside the second and third segments, and at the end
         for t, dose in ((1.2, 2.05), (2.8, 3.425), (3.5, 4.125)):
             assert np.abs(traj.state_at(t) - matrix_exp_neg(L, dose) @ x0).max() < 1e-12

@@ -104,8 +104,28 @@ class TestScheduleConstruction:
         assert s.scale.tolist() == [1.0 / k**2 for k in range(1, 5)]
         s2 = SwitchingSchedule.generated(cat, "linear_ramp", {"graph": "base", "intervals": 3})
         assert s2.scale.tolist() == [1.0, 2.0, 3.0]
+        # a numpy integer is an integer
+        params = {"graph": "base", "intervals": np.int64(2)}
+        assert SwitchingSchedule.generated(cat, "linear_ramp", params).num_segments == 2
         with pytest.raises(KeyError):
             SwitchingSchedule.generated(cat, "nope", {"graph": "base", "intervals": 3})
+
+    @pytest.mark.parametrize(
+        "params, error, param",
+        [
+            ({"graph": "base", "intervals": 2.9}, EmptyScheduleError, "intervals"),
+            ({"graph": "base", "intervals": "7"}, EmptyScheduleError, "intervals"),
+            ({"graph": "base", "intervals": True}, EmptyScheduleError, "intervals"),
+            ({"graph": "base", "intervals": 0}, EmptyScheduleError, "intervals"),
+            ({"graph": "other", "intervals": 3}, KeyError, "graph"),
+        ],
+        ids=["float", "string", "bool", "zero", "unknown-graph"],
+    )
+    def test_generator_params_not_coerced(self, params, error, param):
+        cat = {"base": MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})}
+        for name in ("inverse_square_decay", "linear_ramp"):
+            with pytest.raises(error, match=f"param '{param}'"):
+                SwitchingSchedule.generated(cat, name, params)
 
 
 class TestValidateSchedule:
@@ -150,18 +170,18 @@ class TestIntegralNetwork:
         s = cluster_cfg.schedule
         net = integral_network(s, Window(0, 3))
         expected = (
-            2.0 * s.laplacian_of("G1").matrix
-            + 3.0 * s.laplacian_of("G2").matrix
-            + 1.0 * s.laplacian_of("G3").matrix
+            2.0 * s.laplacian_of("G1")
+            + 3.0 * s.laplacian_of("G2")
+            + 1.0 * s.laplacian_of("G3")
         ) / 6.0
-        assert np.abs(net.laplacian.matrix - expected).max() < 1e-12
+        assert np.abs(net.laplacian - expected).max() < 1e-12
 
     def test_window_nullspace_equals_intersection(self, cluster_cfg):
         s = cluster_cfg.schedule
         net = integral_network(s, Window(0, 3))
-        P = projector(null_space(net.laplacian.matrix))
+        P = projector(null_space(net.laplacian))
         P_oracle = stacked_null_projector(
-            [s.laplacian_of(g).matrix for g in ("G1", "G2", "G3")]
+            [s.laplacian_of(g) for g in ("G1", "G2", "G3")]
         )
         assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
@@ -208,35 +228,35 @@ class TestIntegralNetwork:
 class TestStateTransition:
     def test_composition_over_subwindows(self, cluster_cfg):
         s = cluster_cfg.schedule
-        whole = state_transition(s, Window(0, 6)).matrix
-        first = state_transition(s, Window(0, 3)).matrix
-        second = state_transition(s, Window(3, 6)).matrix
+        whole = state_transition(s, Window(0, 6))
+        first = state_transition(s, Window(0, 3))
+        second = state_transition(s, Window(3, 6))
         assert np.abs(second @ first - whole).max() < 1e-12
 
     def test_norm_at_most_one(self, cluster_cfg, rng):
         s = cluster_cfg.schedule
-        Phi = state_transition(s, Window(0, 3)).matrix
+        Phi = state_transition(s, Window(0, 3))
         assert np.linalg.svd(Phi, compute_uv=False).max() <= 1.0 + 1e-10
         for _ in range(5):
             cat = rand_catalog(rng, 4, 2, 2)
             sched = SwitchingSchedule.explicit(
                 cat, [Segment(g, 1.0) for g in sorted(cat)], alpha=1.0
             )
-            M = state_transition(sched, Window(0, 2)).matrix
+            M = state_transition(sched, Window(0, 2))
             assert np.linalg.svd(M, compute_uv=False).max() <= 1.0 + 1e-10
 
     def test_fixes_common_nullspace(self, cluster_cfg):
         s = cluster_cfg.schedule
         net = integral_network(s, Window(0, 3))
-        basis = null_space(net.laplacian.matrix)
-        Phi = state_transition(s, Window(0, 3)).matrix
+        basis = null_space(net.laplacian)
+        Phi = state_transition(s, Window(0, 3))
         assert np.abs(Phi @ basis.vectors - basis.vectors).max() < 1e-12
 
     def test_single_segment_matches_exponential(self):
         g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 2.0, scale=0.5)], alpha=1.0)
-        Phi = state_transition(s, Window(0, 1)).matrix
-        lam, V = np.linalg.eigh(laplacian(g).matrix)
+        Phi = state_transition(s, Window(0, 1))
+        lam, V = np.linalg.eigh(laplacian(g))
         expected = (V * np.exp(-0.5 * 2.0 * lam)) @ V.T
         assert np.abs(Phi - expected).max() < 1e-14
 
@@ -256,8 +276,8 @@ class TestDosesAndRunsAgainstOracle:
             assert [e.definiteness for e in net.graph.edges] == [
                 e.definiteness for e in ref.graph.edges
             ]
-            L, L_ref = net.laplacian.matrix, ref.laplacian.matrix
-            Phi, Phi_ref = state_transition(s, w).matrix, state_transition_per_segment(s, w)
+            L, L_ref = net.laplacian, ref.laplacian
+            Phi, Phi_ref = state_transition(s, w), state_transition_per_segment(s, w)
             if np.unique(s.graph[w.start : w.end]).size == w.end - w.start:
                 assert np.array_equal(L, L_ref)
                 assert np.array_equal(Phi, Phi_ref)
