@@ -24,9 +24,7 @@ from .config import (
     ScenarioConfig,
     SolverConfig,
     Tolerances,
-    dump_config,
     load_config,
-    write_config,
 )
 from .graph import (
     Bipartition,
@@ -90,7 +88,6 @@ __all__ = [
     "bipartite_steady_state",
     "certify_cluster_consensus",
     "classify_definiteness",
-    "dump_config",
     "errors",
     "gauge_transform",
     "group_clusters",
@@ -114,5 +111,4 @@ __all__ = [
     "structural_balance",
     "validate_schedule",
     "verify_necessary_condition",
-    "write_config",
 ]

@@ -1,4 +1,4 @@
-"""Scenario files: JSON schema, validation, and round-trip serialization.
+"""Scenario files: JSON schema and validation.
 
 A scenario file fully describes one experiment: state dimension, agent count,
 graph catalog, switching schedule, initial condition, solver settings,
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -51,7 +51,7 @@ class Tolerances:
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """In-memory form of a scenario file; two are equal when their file forms are."""
+    """In-memory form of a scenario file."""
 
     dimension: int
     num_agents: int
@@ -78,11 +78,6 @@ class ScenarioConfig:
         size = int(spec["segments"])
         return [Window(a, min(a + size, N)) for a in range(0, N, size)]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        return dump_config(self) == dump_config(other)
-
 
 def _need(raw: Mapping, key: str, where: str):
     if key not in raw:
@@ -105,9 +100,11 @@ def _as_num(value, where: str) -> float:
     return float(value)
 
 
-def _as_object(value, where: str) -> Mapping:
+def _as_object(value, where: str, field: str | None = None) -> Mapping:
     if not isinstance(value, Mapping):
-        raise ConfigValidationError(f"{where} must be an object, got {value!r}", field=where)
+        raise ConfigValidationError(
+            f"{where} must be an object, got {value!r}", field=field or where
+        )
     return value
 
 
@@ -129,7 +126,8 @@ def _as_array(value, where: str, field: str) -> np.ndarray:
     return a
 
 
-def _parse_graph(entry: Mapping, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
+def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
+    entry = _as_object(entry, "graphs[]")
     gid = _need(entry, "id", "graphs[]")
     if not isinstance(gid, str) or not gid:
         raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
@@ -138,6 +136,7 @@ def _parse_graph(entry: Mapping, n: int, d: int, eig_tol: float) -> tuple[str, M
         raise ConfigValidationError(f"graph {gid!r}: edges must be a list", field="edges")
     weights = {}
     for e in edges:
+        e = _as_object(e, f"graph {gid!r}: edges[]", "edges")
         i = _as_int(_need(e, "i", f"graph {gid!r} edge"), "edge i")
         j = _as_int(_need(e, "j", f"graph {gid!r} edge"), "edge j")
         w = _need(e, "weight", f"graph {gid!r} edge ({i},{j})")
@@ -161,7 +160,8 @@ def _parse_graph(entry: Mapping, n: int, d: int, eig_tol: float) -> tuple[str, M
         raise ConfigValidationError(f"graph {gid!r}: {exc.describe(1)}", field="graphs") from exc
 
 
-def _parse_schedule(raw: Mapping, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSchedule:
+def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSchedule:
+    raw = _as_object(raw, "schedule")
     stype = _need(raw, "type", "schedule")
     if stype not in _SCHEDULE_TYPES:
         raise ConfigValidationError(
@@ -174,8 +174,9 @@ def _parse_schedule(raw: Mapping, graphs: dict[str, MatrixWeightedGraph]) -> Swi
             raise ConfigValidationError(f"{where} must be a nonempty list", field=where)
         out = []
         for e in entries:
+            e = _as_object(e, f"{where}[]", where)
             gid = _need(e, "graph", where)
-            if gid not in graphs:
+            if not isinstance(gid, str) or gid not in graphs:
                 raise ConfigValidationError(
                     f"{where} references unknown graph {gid!r}", field=where
                 )
@@ -256,7 +257,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if n < 2:
         raise ConfigValidationError(f"num_agents must be >= 2, got {n}", field="num_agents")
 
-    traw = raw.get("tolerances", {})
+    traw = _as_object(raw.get("tolerances", {}), "tolerances")
     tol = Tolerances(
         **{f.name: _as_positive(traw.get(f.name, f.default), f"tolerances.{f.name}")
            for f in fields(Tolerances)}
@@ -281,7 +282,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
             field="initial_state",
         )
 
-    sraw = raw.get("solver", {})
+    sraw = _as_object(raw.get("solver", {}), "solver")
     method = sraw.get("method", "exact")
     if method not in _SOLVER_METHODS:
         raise ConfigValidationError(
@@ -315,49 +316,3 @@ def load_config(path: str | Path) -> ScenarioConfig:
         tolerances=tol,
         windows_spec=windows_spec,
     )
-
-
-def dump_config(config: ScenarioConfig) -> dict:
-    """Plain-JSON form of a scenario, inverse of :func:`load_config`."""
-    graphs = []
-    for gid in sorted(config.graphs):
-        g = config.graphs[gid]
-        edges = [
-            {"i": e.i + 1, "j": e.j + 1, "weight": e.weight.tolist()} for e in g.edges
-        ]
-        graphs.append({"id": gid, "edges": edges})
-
-    s = config.schedule
-    sched: dict[str, Any] = {"type": s.mode, "alpha": s.alpha}
-    if s.mode == "periodic":
-        sched["pattern"] = [_seg_dict(seg) for seg in s.pattern]
-        sched["repetitions"] = s.repetitions
-    elif s.mode == "explicit":
-        rows = zip(s.graph.tolist(), s.dwell.tolist(), s.scale.tolist())
-        sched["segments"] = [_seg_dict(Segment(s.ids[g], w, c)) for g, w, c in rows]
-    else:
-        name, params = s.generator
-        sched["generator"] = {"name": name, "params": params}
-
-    solver = {k: v for k, v in asdict(config.solver).items() if v is not None}
-    return {
-        "dimension": config.dimension,
-        "num_agents": config.num_agents,
-        "graphs": graphs,
-        "schedule": sched,
-        "initial_state": config.initial_state.tolist(),
-        "solver": solver,
-        "tolerances": asdict(config.tolerances),
-        "windows": config.windows_spec,
-    }
-
-
-def _seg_dict(seg: Segment) -> dict:
-    out = {"graph": seg.graph_id, "dwell": seg.dwell}
-    if seg.scale != 1.0:
-        out["scale"] = seg.scale
-    return out
-
-
-def write_config(config: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dump_config(config), indent=2, sort_keys=True) + "\n")

@@ -48,8 +48,8 @@ class MatrixWeightedGraph:
 
     Construction validates every weight: symmetric within tolerance, the right
     shape, classified as PD/PSD/ND/NSD (indefinite and numerically-zero
-    weights are rejected, as are self loops).  Instances are treated as
-    immutable after construction.
+    weights are rejected, as are self loops).  Each weight is copied and
+    frozen, so a graph does not change after construction.
     """
 
     def __init__(
@@ -77,7 +77,7 @@ class MatrixWeightedGraph:
                 raise DimensionMismatchError(f"edge ({a},{b}) outside node range 0..{n - 1}")
             if (i, j) in edges:
                 raise DimensionMismatchError(f"duplicate edge ({i},{j})")
-            M = np.asarray(W, dtype=float)
+            M = np.array(W, dtype=float)
             if M.shape != (d, d):
                 raise DimensionMismatchError(
                     f"edge ({i},{j}) weight has shape {M.shape}, expected ({d},{d})"

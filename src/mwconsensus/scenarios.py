@@ -1,4 +1,4 @@
-"""Bundled demonstration scenarios and their builders.
+"""Bundled demonstration scenarios: locate and load the shipped files.
 
 The package ships five ready-to-run scenario files under ``data/``:
 
@@ -9,17 +9,21 @@ The package ships five ready-to-run scenario files under ``data/``:
   flipped in sign on a cut; the schedule is simultaneously structurally
   balanced, its integral graph has a definite-edge spanning tree, and the
   agents split into two sign-mirrored camps.
-* ``integral_static`` - a single static network equal to the one-period time
-  average of ``cluster_switching``; it reaches the same limit.
+* ``integral_static`` - a single static network ``Gavg`` equal to the
+  integral network of ``cluster_switching`` over its first period (segments
+  0..2); it reaches the same limit.
 * ``time_scaled_decay`` - unit-dwell schedule on one random connected graph
   with coupling gain 1/k^2 on interval k; the total dose converges, so the
-  state stops short of the null-space projection.
-* ``time_scaled_growth`` - gain k on interval k; the dose diverges and the
-  projection limit is reached.
+  state stops short of the null-space projection.  The graph ``base`` has
+  four agents (d = 2) joined by a random spanning path plus one random edge,
+  each weight ``R R^T + 0.3 I`` with ``R`` standard normal, so every edge is
+  positive definite; it was drawn from ``numpy.random.default_rng(1)`` and
+  the initial state uniformly on [0, 1) from ``default_rng(1001)``.
+* ``time_scaled_growth`` - gain k on interval k over the same ``base``
+  graph; the dose diverges and the projection limit is reached.
 
-Builders construct these configurations programmatically;
-``scripts/regen_fixtures.py`` freezes them to JSON.  Tests and the CLI load
-the frozen files, so the JSON is the source of truth for expected numbers.
+The JSON files are the scenarios: the CLI, the tests and the expected numbers
+all read them.
 """
 
 from __future__ import annotations
@@ -27,11 +31,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .config import ScenarioConfig, SolverConfig, Tolerances, load_config
-from .graph import MatrixWeightedGraph
-from .switching import Segment, SwitchingSchedule, Window, integral_network
+from .config import ScenarioConfig, load_config
 
 BUILTIN_NAMES = (
     "cluster_switching",
@@ -51,171 +51,3 @@ def builtin_path(name: str) -> Path:
 
 def load_builtin(name: str) -> ScenarioConfig:
     return load_config(builtin_path(name))
-
-
-# -- seven-agent switching benchmark ----------------------------------------
-
-_A_PAIR_A = [[2, -1, -1], [-1, 3, -1], [-1, -1, 2]]
-_A_PAIR_B = [[1, 1, 0], [1, 2, 0], [0, 0, 3]]
-_A_PAIR_C = [[3, 1, -1], [1, 2, -1], [-1, -1, 2]]
-
-_X0_7 = [
-    [0.3922, 0.6555, 0.1712],
-    [0.7060, 0.0318, 0.5762],
-    [0.2688, 0.1592, 0.3266],
-    [0.6787, 0.7577, 0.7431],
-    [0.3830, 0.6112, 0.1212],
-    [0.3555, 0.9712, 0.8060],
-    [0.1318, 0.7762, 0.3688],
-]
-
-
-def _seven_agent_graphs(bipartite: bool) -> dict[str, MatrixWeightedGraph]:
-    n, d = 7, 3
-    g1 = {(0, 1): _A_PAIR_A, (0, 2): _A_PAIR_B, (1, 2): _A_PAIR_C}
-    g2 = {(3, 5): _A_PAIR_B, (4, 6): _A_PAIR_A}
-    if bipartite:
-        g3 = {
-            (2, 3): (-np.asarray([[4, 0, -2], [0, 2, 1], [-2, 1, 2]], float)),
-            (1, 4): (-np.asarray([[4, 2, 0], [2, 2, 1], [0, 1, 1]], float)),
-            (3, 4): [[4, 2, 0], [2, 5, 3], [0, 3, 3]],
-        }
-    else:
-        g3 = {
-            (2, 3): [[4, 0, -2], [0, 1, 1], [-2, 1, 2]],
-            (1, 4): [[4, 2, 0], [2, 2, 1], [0, 1, 1]],
-            (3, 4): [[4, 2, 0], [2, 4, 3], [0, 3, 3]],
-        }
-    return {
-        "G1": MatrixWeightedGraph(n, d, {k: np.asarray(v, float) for k, v in g1.items()}, label="G1"),
-        "G2": MatrixWeightedGraph(n, d, {k: np.asarray(v, float) for k, v in g2.items()}, label="G2"),
-        "G3": MatrixWeightedGraph(n, d, {k: np.asarray(v, float) for k, v in g3.items()}, label="G3"),
-    }
-
-
-def _seven_agent_schedule(graphs: dict[str, MatrixWeightedGraph], repetitions: int) -> SwitchingSchedule:
-    pattern = [Segment("G1", 2.0), Segment("G2", 3.0), Segment("G3", 1.0)]
-    return SwitchingSchedule.periodic(graphs, pattern, repetitions, alpha=1.0)
-
-
-def cluster_switching_config(repetitions: int = 100) -> ScenarioConfig:
-    """Seven agents, three networks, 6-unit period, cluster consensus limit."""
-    graphs = _seven_agent_graphs(bipartite=False)
-    schedule = _seven_agent_schedule(graphs, repetitions)
-    return ScenarioConfig(
-        dimension=3,
-        num_agents=7,
-        graphs=graphs,
-        schedule=schedule,
-        initial_state=np.asarray(_X0_7, float).ravel(),
-        solver=SolverConfig(method="exact", sample_dt=1.0, horizon=6.0 * repetitions),
-        tolerances=Tolerances(),
-        windows_spec="period",
-    )
-
-
-def bipartite_switching_config(repetitions: int = 100) -> ScenarioConfig:
-    """Sign-flipped variant: simultaneously balanced, bipartite consensus limit."""
-    graphs = _seven_agent_graphs(bipartite=True)
-    schedule = _seven_agent_schedule(graphs, repetitions)
-    return ScenarioConfig(
-        dimension=3,
-        num_agents=7,
-        graphs=graphs,
-        schedule=schedule,
-        initial_state=np.asarray(_X0_7, float).ravel(),
-        solver=SolverConfig(method="exact", sample_dt=1.0, horizon=6.0 * repetitions),
-        tolerances=Tolerances(),
-        windows_spec="period",
-    )
-
-
-def integral_static_config(horizon: float = 600.0) -> ScenarioConfig:
-    """Static network equal to one period's time average of cluster_switching."""
-    base = cluster_switching_config(repetitions=1)
-    net = integral_network(base.schedule, Window(0, 3))
-    g = MatrixWeightedGraph(
-        7, 3, {e.key: e.weight for e in net.graph.edges}, label="Gavg"
-    )
-    graphs = {"Gavg": g}
-    schedule = SwitchingSchedule.explicit(
-        graphs, [Segment("Gavg", float(horizon))], alpha=1.0
-    )
-    return ScenarioConfig(
-        dimension=3,
-        num_agents=7,
-        graphs=graphs,
-        schedule=schedule,
-        initial_state=np.asarray(_X0_7, float).ravel(),
-        solver=SolverConfig(method="exact", sample_dt=1.0, horizon=float(horizon)),
-        tolerances=Tolerances(),
-        windows_spec="whole",
-    )
-
-
-# -- time-scaled scenarios ---------------------------------------------------
-
-def random_connected_pd_graph(
-    n: int, d: int, seed: int, extra_edges: int = 1
-) -> MatrixWeightedGraph:
-    """Random connected graph with positive-definite weights R R^T + 0.3 I.
-
-    A random spanning path guarantees connectivity; ``extra_edges`` further
-    random edges are added on top.  Deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    keys: set[tuple[int, int]] = set()
-    order = rng.permutation(n)
-    for a, b in zip(order[:-1], order[1:]):
-        keys.add((min(int(a), int(b)), max(int(a), int(b))))
-    while len(keys) < n - 1 + extra_edges:
-        a, b = (int(v) for v in rng.integers(0, n, size=2))
-        if a != b:
-            keys.add((min(a, b), max(a, b)))
-    weights = {}
-    for key in sorted(keys):
-        R = rng.normal(size=(d, d))
-        weights[key] = R @ R.T + 0.3 * np.eye(d)
-    return MatrixWeightedGraph(n, d, weights, label=f"rand{seed}")
-
-
-def _time_scaled_config(kind: str, intervals: int, seed: int = 1) -> ScenarioConfig:
-    n, d = 4, 2
-    base = random_connected_pd_graph(n, d, seed=seed)
-    rng = np.random.default_rng(seed + 1000)
-    x0 = rng.uniform(0.0, 1.0, size=n * d)
-    graphs = {"base": base}
-    schedule = SwitchingSchedule.generated(
-        graphs, kind, {"graph": "base", "intervals": intervals}, alpha=1.0
-    )
-    return ScenarioConfig(
-        dimension=d,
-        num_agents=n,
-        graphs=graphs,
-        schedule=schedule,
-        initial_state=x0,
-        solver=SolverConfig(
-            method="exact", sample_dt=float(intervals), horizon=float(intervals)
-        ),
-        tolerances=Tolerances(),
-        windows_spec="whole",
-    )
-
-
-def time_scaled_decay_config(intervals: int = 100000) -> ScenarioConfig:
-    """Unit dwells with gain 1/k^2: finite total dose, limit short of projection."""
-    return _time_scaled_config("inverse_square_decay", intervals)
-
-
-def time_scaled_growth_config(intervals: int = 100) -> ScenarioConfig:
-    """Unit dwells with gain k: diverging dose, null-space projection limit."""
-    return _time_scaled_config("linear_ramp", intervals)
-
-
-BUILTIN_BUILDERS = {
-    "cluster_switching": cluster_switching_config,
-    "bipartite_switching": bipartite_switching_config,
-    "integral_static": integral_static_config,
-    "time_scaled_decay": time_scaled_decay_config,
-    "time_scaled_growth": time_scaled_growth_config,
-}

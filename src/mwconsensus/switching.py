@@ -82,7 +82,7 @@ class SwitchingSchedule:
     classified their edges; ``ids`` lists them in catalog order.  The segments
     are three read-only arrays: ``graph`` (a position in ``ids``), ``dwell``
     (at least ``alpha``) and ``scale`` (positive).  Periodic schedules also
-    keep their generating pattern, generated schedules their named rule.
+    keep their generating pattern.
     """
 
     def __init__(
@@ -94,8 +94,6 @@ class SwitchingSchedule:
         alpha: float,
         mode: str = "explicit",
         pattern: Sequence[Segment] | None = None,
-        repetitions: int | None = None,
-        generator: tuple[str, dict] | None = None,
     ):
         if not catalog:
             raise EmptyScheduleError("graph catalog is empty")
@@ -126,8 +124,6 @@ class SwitchingSchedule:
             a.setflags(write=False)
         self.mode = mode
         self.pattern = tuple(pattern) if pattern is not None else None
-        self.repetitions = repetitions
-        self.generator = generator
         (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._laplacians: dict[str, np.ndarray] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -154,9 +150,7 @@ class SwitchingSchedule:
         if repetitions < 1:
             raise EmptyScheduleError(f"repetitions must be >= 1, got {repetitions}")
         arrays = [np.tile(a, repetitions) for a in _segment_arrays(catalog, pattern)]
-        return cls(
-            catalog, *arrays, alpha, mode="periodic", pattern=pattern, repetitions=repetitions
-        )
+        return cls(catalog, *arrays, alpha, mode="periodic", pattern=pattern)
 
     @classmethod
     def generated(
@@ -187,10 +181,8 @@ class SwitchingSchedule:
             scales = k.astype(float)
         else:
             raise KeyError(f"unknown schedule generator {name!r}")
-        return cls(
-            catalog, np.full(K, list(catalog).index(gid)), np.ones(K), scales, alpha,
-            mode="generated", generator=(name, dict(params)),
-        )
+        graph = np.full(K, list(catalog).index(gid))
+        return cls(catalog, graph, np.ones(K), scales, alpha, mode="generated")
 
     # -- basic accessors ----------------------------------------------------
 

@@ -53,6 +53,30 @@ def rand_graph(
     return MatrixWeightedGraph(n, d, weights)
 
 
+def random_connected_pd_graph(
+    n: int, d: int, seed: int, extra_edges: int = 1
+) -> MatrixWeightedGraph:
+    """Random connected graph with positive-definite weights R R^T + 0.3 I.
+
+    A random spanning path guarantees connectivity; ``extra_edges`` further
+    random edges are added on top.  Deterministic for a fixed seed.
+    """
+    rng = np.random.default_rng(seed)
+    keys: set[tuple[int, int]] = set()
+    order = rng.permutation(n)
+    for a, b in zip(order[:-1], order[1:]):
+        keys.add((min(int(a), int(b)), max(int(a), int(b))))
+    while len(keys) < n - 1 + extra_edges:
+        a, b = (int(v) for v in rng.integers(0, n, size=2))
+        if a != b:
+            keys.add((min(a, b), max(a, b)))
+    weights = {}
+    for key in sorted(keys):
+        R = rng.normal(size=(d, d))
+        weights[key] = R @ R.T + 0.3 * np.eye(d)
+    return MatrixWeightedGraph(n, d, weights, label=f"rand{seed}")
+
+
 def rand_catalog(
     rng: np.random.Generator, n: int, d: int, count: int
 ) -> dict[str, MatrixWeightedGraph]:

@@ -7,12 +7,15 @@ import pytest
 
 from mwconsensus import scenarios
 from mwconsensus.cli import cmd_analyze, main, write_trajectory_csv
-from mwconsensus.config import dump_config, load_config, write_config
+from mwconsensus.config import load_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
 from mwconsensus.sim import Trajectory, simulate_exact
-from mwconsensus.switching import Window
+from mwconsensus.graph import is_connected
+from mwconsensus.matalg import Definiteness
+from mwconsensus.switching import Window, integral_network
 
 from oracles import write_trajectory_csv_rows
+from randgen import random_connected_pd_graph
 
 
 def minimal_config_dict():
@@ -211,6 +214,32 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert exc.value.field == "schedule.generator"
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d.update(graphs=[5]), "graphs[]"),
+            (lambda d: d["graphs"][0]["edges"].__setitem__(0, 5), "edges"),
+            (lambda d: d.update(schedule=5), "schedule"),
+            (lambda d: d["schedule"]["pattern"].__setitem__(0, 5), "schedule.pattern"),
+            (lambda d: d.update(solver=5), "solver"),
+            (lambda d: d.update(tolerances=[]), "tolerances"),
+            (lambda d: d["schedule"]["pattern"][0].update(graph=[1]), "schedule.pattern"),
+        ],
+        ids=["graph-entry", "edge-entry", "schedule", "pattern-entry", "solver",
+             "tolerances", "pattern-graph-list"],
+    )
+    def test_wrong_container_types_name_the_field(self, tmp_path, capsys, mutate, field):
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        mutate(doc)
+        path = write_json(tmp_path, doc)
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert exc.value.field == field
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
     def test_zero_edge_graph_is_valid(self, tmp_path):
         doc = minimal_config_dict()
         doc["graphs"][0]["edges"] = []
@@ -218,27 +247,22 @@ class TestLoad:
         assert cfg.graphs["g"].edges == ()
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
-    def test_load_write_load_is_identity(self, name, tmp_path):
+class TestBundledScenarios:
+    """Facts about the shipped scenario files, which are the scenarios' one source."""
+
+    def test_integral_static_is_first_period_average(self, cluster_cfg, integral_cfg):
+        net = integral_network(cluster_cfg.schedule, Window(0, 3))
+        assert integral_cfg.graphs["Gavg"] == net.graph
+
+    @pytest.mark.parametrize("name", ["time_scaled_decay", "time_scaled_growth"])
+    def test_time_scaled_base_is_connected_and_positive_definite(self, name):
         cfg = scenarios.load_builtin(name)
-        out = tmp_path / "copy.json"
-        write_config(cfg, out)
-        again = load_config(out)
-        assert again == cfg
-
-    def test_dump_uses_one_based_ids(self):
-        cfg = scenarios.load_builtin("cluster_switching")
-        doc = dump_config(cfg)
-        firsts = {(e["i"], e["j"]) for e in doc["graphs"][0]["edges"]}
-        assert firsts == {(1, 2), (1, 3), (2, 3)}
-
-
-    @pytest.mark.parametrize("name", sorted(scenarios.BUILTIN_BUILDERS))
-    def test_builders_reproduce_shipped_files(self, name, tmp_path):
-        out = tmp_path / f"{name}.json"
-        write_config(scenarios.BUILTIN_BUILDERS[name](), out)
-        assert out.read_bytes() == scenarios.builtin_path(name).read_bytes()
+        base = cfg.graphs["base"]
+        assert is_connected(base)
+        assert all(e.definiteness is Definiteness.POSITIVE_DEFINITE for e in base.edges)
+        assert base == random_connected_pd_graph(4, 2, seed=1)
+        x0 = np.random.default_rng(1001).uniform(0.0, 1.0, size=8)
+        assert np.array_equal(cfg.initial_state, x0)
 
 
 class TestWindowsSpec:

@@ -87,6 +87,24 @@ class TestConstruction:
         assert np.array_equal(g.weight(1, 0), g.weight(0, 1))
         assert g.neighbors(0) == (1, 2)
 
+    def test_caller_weight_stays_writeable(self):
+        W = np.eye(2)
+        g = MatrixWeightedGraph(2, 2, {(0, 1): W})
+        assert W.flags.writeable
+        W[:] = -np.eye(2)
+        assert np.array_equal(g.edges[0].weight, np.eye(2))
+
+    def test_write_through_base_array_changes_nothing(self):
+        B = np.stack([np.eye(2), 2 * np.eye(2)])
+        g = MatrixWeightedGraph(3, 2, {(0, 1): B[0], (1, 2): B[1]})
+        L = laplacian(g)
+        B[0] = -np.eye(2)
+        e = g.edges[0]
+        assert np.array_equal(e.weight, np.eye(2))
+        assert e.definiteness is Definiteness.POSITIVE_DEFINITE
+        assert np.array_equal(laplacian(g), L)
+        assert np.linalg.eigvalsh(laplacian(g)).min() > -1e-12
+
     def test_empty_graph_is_valid(self):
         g = MatrixWeightedGraph(3, 2, {})
         assert g.edges == ()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import matrix_exp_neg, run_time_scaled_scenario, simulate_exact_per_segment
-from randgen import rand_catalog, rand_run_schedule
+from randgen import rand_catalog, rand_run_schedule, random_connected_pd_graph
 
 
 def two_node_schedule(dwell=2.0, w=1.0):
@@ -116,8 +116,6 @@ class TestSimulateRK4:
 
 class TestTimeScaledScenarios:
     def test_decay_matches_truncated_dose(self, rng):
-        from mwconsensus.scenarios import random_connected_pd_graph
-
         base = random_connected_pd_graph(3, 2, seed=7)
         x0 = rng.normal(size=6)
         traj, predicted = run_time_scaled_scenario("inverse_square_decay", base, 50, x0)
@@ -128,8 +126,6 @@ class TestTimeScaledScenarios:
         assert np.abs(predicted - proj).max() > 1e-3
 
     def test_ramp_reaches_projection(self, rng):
-        from mwconsensus.scenarios import random_connected_pd_graph
-
         base = random_connected_pd_graph(3, 2, seed=7)
         x0 = rng.normal(size=6)
         traj, predicted = run_time_scaled_scenario("linear_ramp", base, 60, x0)
@@ -138,8 +134,6 @@ class TestTimeScaledScenarios:
         assert np.abs(traj.final_state - predicted).max() < 1e-9
 
     def test_unknown_kind_rejected(self, rng):
-        from mwconsensus.scenarios import random_connected_pd_graph
-
         base = random_connected_pd_graph(3, 2, seed=7)
         with pytest.raises(KeyError):
             run_time_scaled_scenario("nope", base, 5, np.ones(6))
