@@ -20,7 +20,6 @@ from mwconsensus.cli import main as mwc
 
 def run_one(name: str, outdir: Path) -> int:
     cfg_path = scenarios.builtin_path(name)
-    cfg = scenarios.load_builtin(name)
     print(f"=== {name} ===")
     rc = mwc(["check", "--config", str(cfg_path)])
     if rc == 0:

@@ -28,19 +28,14 @@ from .config import (
 )
 from .graph import (
     Bipartition,
-    EdgeWeight,
     MatrixWeightedGraph,
-    gauge_transform,
     has_positive_negative_spanning_tree,
-    is_connected,
     laplacian,
-    quadratic_form,
-    structural_balance,
 )
 from .matalg import (
     Definiteness,
     NullSpaceBasis,
-    classify_definiteness,
+    classify_stack,
     null_space,
     projector,
 )
@@ -73,7 +68,6 @@ __all__ = [
     "ConsensusPrediction",
     "ConvergenceMonitor",
     "Definiteness",
-    "EdgeWeight",
     "IntegralNetwork",
     "MatrixWeightedGraph",
     "NullSpaceBasis",
@@ -87,13 +81,11 @@ __all__ = [
     "Window",
     "bipartite_steady_state",
     "certify_cluster_consensus",
-    "classify_definiteness",
+    "classify_stack",
     "errors",
-    "gauge_transform",
     "group_clusters",
     "has_positive_negative_spanning_tree",
     "integral_network",
-    "is_connected",
     "laplacian",
     "load_config",
     "monitor_convergence",
@@ -102,13 +94,11 @@ __all__ = [
     "null_space",
     "predict_steady_state",
     "projector",
-    "quadratic_form",
     "scenarios",
     "simulate_exact",
     "simulate_rk4",
     "simultaneous_structural_balance",
     "state_transition",
-    "structural_balance",
     "validate_schedule",
     "verify_necessary_condition",
 ]

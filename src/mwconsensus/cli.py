@@ -53,9 +53,11 @@ def cmd_check(cfg: ScenarioConfig, path: str) -> int:
     print(f"scenario: {path}")
     print(f"agents: {cfg.num_agents}, state dimension: {cfg.dimension}")
     for gid in sorted(cfg.graphs):
-        edges = cfg.graphs[gid].edges
-        classes = ", ".join(f"({e.i + 1},{e.j + 1}) {e.definiteness.value}" for e in edges)
-        print(f"graph {gid}: {len(edges)} edge(s) valid: {classes}")
+        g = cfg.graphs[gid]
+        classes = ", ".join(
+            f"({i + 1},{j + 1}) {c.value}" for (i, j), c in zip(g.keys.tolist(), g.classes)
+        )
+        print(f"graph {gid}: {len(g.keys)} edge(s) valid: {classes}")
     sched = cfg.schedule
     sr = validate_schedule(sched)
     print(
@@ -124,8 +126,8 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
                 "duration": net.duration,
                 "mu": mu,
                 "integral_edges": [
-                    {"i": e.i + 1, "j": e.j + 1, "class": e.definiteness.value}
-                    for e in net.graph.edges
+                    {"i": i + 1, "j": j + 1, "class": c.value}
+                    for (i, j), c in zip(net.graph.keys.tolist(), net.graph.classes)
                 ],
             }
             for net, mu in zip(report.integral_networks, report.mu)
@@ -188,9 +190,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.config, args.out, args.horizon, args.sample_dt)
         return cmd_analyze(cfg, args.config, args.out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConsensusToolError as exc:
         print(f"error: {exc.describe(1)}", file=sys.stderr)
         return 1

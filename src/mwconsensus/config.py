@@ -236,11 +236,17 @@ def _parse_windows(spec, schedule: SwitchingSchedule):
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario file.
 
-    Raises ConfigParseError (with a line number) for malformed JSON and
+    Raises ConfigParseError (naming the path) for a file that cannot be read
+    or decoded and (with a line number) for malformed JSON, and
     ConfigValidationError (naming the offending field) for schema problems,
     including weight-matrix violations surfaced by graph construction.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigParseError(f"{path}: cannot read the file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not a text file: {exc.reason} at byte {exc.start}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

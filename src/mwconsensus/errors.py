@@ -36,8 +36,22 @@ class EdgeError(ConsensusToolError):
         return f"edge ({self.i + base},{self.j + base}) {self.problem}"
 
 
-class NonSymmetricError(ConsensusToolError):
-    """A matrix expected to be finite and symmetric is not, beyond tolerance."""
+class NonSymmetricError(EdgeError):
+    """A matrix expected to be finite and symmetric is not, beyond tolerance.
+
+    ``problem`` completes "matrix ..." or, for an edge weight, "edge (i,j)
+    weight ...".  ``index`` is the matrix's position when a stack was checked.
+    """
+
+    def __init__(self, problem: str, i: int | None = None, j: int | None = None,
+                 index: int | None = None):
+        self.index = index
+        super().__init__(problem, i, j)
+
+    def describe(self, base: int = 0) -> str:
+        if self.i is None or self.j is None:
+            return f"matrix {self.problem}"
+        return f"edge ({self.i + base},{self.j + base}) weight {self.problem}"
 
 
 class IndefiniteWeightError(EdgeError):

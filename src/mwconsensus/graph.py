@@ -1,15 +1,18 @@
-"""Matrix-weighted graphs, block Laplacians, balance and gauge operations.
+"""Matrix-weighted graphs, block Laplacians and structural balance.
 
 A graph on ``n`` nodes (ids 0..n-1 internally) assigns each undirected edge a
-symmetric sign-definite ``d x d`` weight matrix.  The sign pattern of the
-weights drives structural-balance analysis; the weight magnitudes drive the
-block Laplacian ``L = D - A`` with ``D_i = sum_j |A_ij|``.
+symmetric sign-definite ``d x d`` weight matrix.  The edges are held as
+aligned read-only arrays in sorted key order: ``keys`` ``(E, 2)`` with
+``i < j``, ``weights`` ``(E, d, d)``, ``classes`` (one :class:`Definiteness`
+per edge) and ``signs`` ``(E,)``.  The sign pattern of the weights drives
+structural-balance analysis; the weight magnitudes drive the block Laplacian
+``L = D - A`` with ``D_i = sum_j |A_ij|``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -17,39 +20,23 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndefiniteWeightError,
+    NonSymmetricError,
     SelfLoopError,
     ZeroWeightError,
 )
-from .matalg import EIG_TOL, Definiteness, classify_definiteness
+from .matalg import EIG_TOL, Definiteness, classify_stack
 
 EdgeKey = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class EdgeWeight:
-    """One undirected edge ``{i, j}`` (i < j) with its weight and cached class."""
-
-    i: int
-    j: int
-    weight: np.ndarray = field(repr=False)
-    definiteness: Definiteness
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.i, self.j)
-
-    @property
-    def sign(self) -> int:
-        return self.definiteness.sign
 
 
 class MatrixWeightedGraph:
     """Undirected graph whose edges carry symmetric sign-definite matrix weights.
 
-    Construction validates every weight: symmetric within tolerance, the right
-    shape, classified as PD/PSD/ND/NSD (indefinite and numerically-zero
-    weights are rejected, as are self loops).  Each weight is copied and
-    frozen, so a graph does not change after construction.
+    Construction validates every weight: the right shape, finite and
+    symmetric within tolerance, and classified as PD/PSD/ND/NSD by one stacked
+    call (indefinite and numerically-zero weights are rejected, as are self
+    loops).  The weights are copied into the graph's own frozen arrays, so a
+    graph does not change after construction.
     """
 
     def __init__(
@@ -64,55 +51,53 @@ class MatrixWeightedGraph:
             raise DimensionMismatchError(f"need at least 2 nodes, got n={n}")
         if d < 1:
             raise DimensionMismatchError(f"state dimension must be >= 1, got d={d}")
+        given = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
+        if (k := _first_false(given[:, 0] != given[:, 1])) is not None:
+            raise SelfLoopError("is a self loop", *given[k].tolist())
+        if (k := _first_false(((given >= 0) & (given < n)).all(axis=1))) is not None:
+            a, b = given[k].tolist()
+            raise DimensionMismatchError(f"edge ({a},{b}) outside node range 0..{n - 1}")
+        unsorted = np.sort(given, axis=1)
+        order = np.lexsort(unsorted.T[::-1])
+        keys = unsorted[order]
+        if (k := _first_false((keys[1:] != keys[:-1]).any(axis=1))) is not None:
+            raise DimensionMismatchError("duplicate edge ({},{})".format(*keys[k].tolist()))
+        for (i, j), W in zip(unsorted.tolist(), weights.values()):
+            if np.shape(W) != (d, d):
+                raise DimensionMismatchError(
+                    f"edge ({i},{j}) weight has shape {np.shape(W)}, expected ({d},{d})"
+                )
+        # a fresh array: the caller's weights are neither aliased nor frozen
+        W = np.asarray(list(weights.values()), dtype=float).reshape(-1, d, d)[order]
+        try:
+            classes = classify_stack(W, eig_tol)
+        except NonSymmetricError as exc:
+            raise NonSymmetricError(exc.problem, *keys[exc.index].tolist()) from None
+        self._hold(n, d, keys, W, classes, label, eig_tol)
+
+    @classmethod
+    def _from_arrays(cls, n, d, keys, weights, classes, label, eig_tol) -> "MatrixWeightedGraph":
+        """A graph on sorted unique ``keys`` whose ``weights`` are already classified."""
+        g = cls.__new__(cls)
+        g._hold(n, d, keys, weights, classes, label, eig_tol)
+        return g
+
+    def _hold(self, n, d, keys, weights, classes, label, eig_tol) -> None:
+        D = Definiteness
+        pos = (classes == D.POSITIVE_DEFINITE) | (classes == D.POSITIVE_SEMIDEFINITE)
+        neg = (classes == D.NEGATIVE_DEFINITE) | (classes == D.NEGATIVE_SEMIDEFINITE)
+        if (k := _first_false(pos | neg)) is not None:
+            if classes[k] is D.INDEFINITE:
+                raise IndefiniteWeightError("weight is indefinite", *keys[k].tolist())
+            raise ZeroWeightError("weight is numerically zero", *keys[k].tolist())
         self.n = int(n)
         self.d = int(d)
         self.label = label
         self.eig_tol = float(eig_tol)
-        edges: dict[EdgeKey, EdgeWeight] = {}
-        for (a, b), W in weights.items():
-            if a == b:
-                raise SelfLoopError("is a self loop", a, b)
-            i, j = (a, b) if a < b else (b, a)
-            if not (0 <= i and j < n):
-                raise DimensionMismatchError(f"edge ({a},{b}) outside node range 0..{n - 1}")
-            if (i, j) in edges:
-                raise DimensionMismatchError(f"duplicate edge ({i},{j})")
-            M = np.array(W, dtype=float)
-            if M.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"edge ({i},{j}) weight has shape {M.shape}, expected ({d},{d})"
-                )
-            # classification checks symmetry and finiteness on the way
-            cls = classify_definiteness(M, eig_tol)
-            if cls is Definiteness.INDEFINITE:
-                raise IndefiniteWeightError("weight is indefinite", i, j)
-            if cls is Definiteness.ZERO:
-                raise ZeroWeightError("weight is numerically zero", i, j)
-            M.setflags(write=False)
-            edges[(i, j)] = EdgeWeight(i, j, M, cls)
-        self._edges = dict(sorted(edges.items()))
-
-    @property
-    def edges(self) -> tuple[EdgeWeight, ...]:
-        return tuple(self._edges.values())
-
-    @property
-    def edge_keys(self) -> tuple[EdgeKey, ...]:
-        return tuple(self._edges.keys())
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._edges
-
-    def edge(self, i: int, j: int) -> EdgeWeight:
-        return self._edges[(min(i, j), max(i, j))]
-
-    def weight(self, i: int, j: int) -> np.ndarray:
-        """A_ij, the weight on edge {i, j} (symmetric, so order-free)."""
-        return self.edge(i, j).weight
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [j for (a, b) in self._edges for j in ((b,) if a == i else (a,) if b == i else ())]
-        return tuple(sorted(out))
+        self.keys, self.weights, self.classes = keys, weights, classes
+        self.signs = pos.astype(np.intp) - neg
+        for a in (self.keys, self.weights, self.classes, self.signs):
+            a.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixWeightedGraph):
@@ -120,40 +105,37 @@ class MatrixWeightedGraph:
         return (
             self.n == other.n
             and self.d == other.d
-            and self.edge_keys == other.edge_keys
-            and all(np.array_equal(e.weight, other._edges[k].weight) for k, e in self._edges.items())
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.weights, other.weights)
         )
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
-        return f"MatrixWeightedGraph(n={self.n}, d={self.d}, edges={len(self._edges)}{tag})"
+        return f"MatrixWeightedGraph(n={self.n}, d={self.d}, edges={len(self.keys)}{tag})"
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
 
 
 def laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     """Dense ``(n*d, n*d)`` block Laplacian L = D - A, D_i = sum over neighbors of |A_ij|.
 
     Off-diagonal block (i, j) is ``-A_ij``; the diagonal aggregates absolute
-    weights ``|A_ij| = sign(A_ij) A_ij`` from each edge's cached class, so L is
-    symmetric PSD whatever the edge signs.
+    weights ``|A_ij| = sign(A_ij) A_ij`` from each edge's class, so L is
+    symmetric PSD whatever the edge signs.  Each node's diagonal block sums
+    its edges in key order.
     """
     n, d = g.n, g.d
-    L = np.zeros((n * d, n * d))
-    for e in g.edges:
-        i, j, W = e.i, e.j, e.weight
-        aW = e.sign * W
-        L[i * d : (i + 1) * d, i * d : (i + 1) * d] += aW
-        L[j * d : (j + 1) * d, j * d : (j + 1) * d] += aW
-        L[i * d : (i + 1) * d, j * d : (j + 1) * d] -= W
-        L[j * d : (j + 1) * d, i * d : (i + 1) * d] -= W
-    return L
-
-
-def quadratic_form(L: np.ndarray, x: np.ndarray) -> float:
-    """x^T L x; nonnegative for every stacked state x and block Laplacian L."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != L.shape[0]:
-        raise DimensionMismatchError(f"state length {x.size} != n*d = {L.shape[0]}")
-    return float(x @ L @ x)
+    L = np.zeros((n, d, n, d))
+    i, j = g.keys.T
+    ends = g.keys.ravel()  # i_0, j_0, i_1, j_1, ...
+    absW = g.signs[:, None, None] * g.weights
+    np.add.at(L, (ends, slice(None), ends, slice(None)), np.repeat(absW, 2, axis=0))
+    L[i, :, j, :] -= g.weights
+    L[j, :, i, :] -= g.weights
+    return L.reshape(n * d, n * d)
 
 
 def _adjacency_sets(n: int, keys: Iterable[EdgeKey]) -> list[set[int]]:
@@ -162,20 +144,6 @@ def _adjacency_sets(n: int, keys: Iterable[EdgeKey]) -> list[set[int]]:
         adj[i].add(j)
         adj[j].add(i)
     return adj
-
-
-def is_connected(g: MatrixWeightedGraph) -> bool:
-    """Connectivity of the underlying (unsigned) skeleton."""
-    adj = _adjacency_sets(g.n, g.edge_keys)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
 
 
 def has_positive_negative_spanning_tree(
@@ -187,8 +155,10 @@ def has_positive_negative_spanning_tree(
     positive or negative definite count.  Returns ``(found, witness_edges)``
     where the witness is a BFS tree (n-1 edges) when one exists.
     """
-    definite = [e.key for e in g.edges if e.definiteness.is_definite]
-    adj = _adjacency_sets(g.n, definite)
+    definite = (g.classes == Definiteness.POSITIVE_DEFINITE) | (
+        g.classes == Definiteness.NEGATIVE_DEFINITE
+    )
+    adj = _adjacency_sets(g.n, g.keys[definite].tolist())
     parent: dict[int, int] = {0: -1}
     queue = deque([0])
     tree: list[EdgeKey] = []
@@ -206,11 +176,7 @@ def has_positive_negative_spanning_tree(
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Signed 2-coloring of the node set: sigma_i in {+1, -1}.
-
-    ``signature_matrix(d)`` returns the block-diagonal gauge matrix
-    ``C = diag(sigma_1 I_d, ..., sigma_n I_d)`` with ``C = C^T = C^{-1}``.
-    """
+    """Signed 2-coloring of the node set: sigma_i in {+1, -1}."""
 
     sigma: tuple[int, ...]
 
@@ -229,9 +195,6 @@ class Bipartition:
     @property
     def negative_set(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.sigma) if s == -1)
-
-    def signature_matrix(self, d: int) -> np.ndarray:
-        return np.kron(np.diag(np.asarray(self.sigma, dtype=float)), np.eye(d))
 
 
 def two_color_signs(n: int, signs: Mapping[EdgeKey, int]) -> Bipartition | None:
@@ -261,27 +224,3 @@ def two_color_signs(n: int, signs: Mapping[EdgeKey, int]) -> Bipartition | None:
                 elif sigma[v] != want:
                     return None
     return Bipartition(sigma=tuple(sigma))
-
-
-def structural_balance(g: MatrixWeightedGraph) -> Bipartition | None:
-    """Bipartition making positive edges intra-cluster and negative ones inter-cluster.
-
-    Returns None when the signed skeleton is unbalanced.
-    """
-    return two_color_signs(g.n, {e.key: e.sign for e in g.edges})
-
-
-def gauge_transform(g: MatrixWeightedGraph, b: Bipartition) -> MatrixWeightedGraph:
-    """Flip weight signs by the gauge: A_ij -> sigma_i sigma_j A_ij.
-
-    For a balanced graph with its own balance bipartition this makes every
-    weight positive semidefinite.  The Laplacian transforms by conjugation:
-    L(gauged) = C L(g) C with C the signature matrix.
-    """
-    if b.n != g.n:
-        raise DimensionMismatchError(f"bipartition covers {b.n} nodes, graph has {g.n}")
-    weights = {
-        e.key: float(b.sigma[e.i] * b.sigma[e.j]) * e.weight for e in g.edges
-    }
-    label = f"{g.label}~gauged" if g.label else "gauged"
-    return MatrixWeightedGraph(g.n, g.d, weights, label=label, eig_tol=g.eig_tol)

@@ -1,8 +1,9 @@
 """Dense symmetric-matrix primitives underlying the whole package.
 
-Definiteness classification, PSD eigendecompositions, null spaces and
-orthogonal projectors all reduce to ``numpy.linalg.eigvalsh``/``eigh`` on
-validated finite symmetric input, so every tolerance decision lives here.
+Definiteness classification of a whole stack of weights at once, PSD
+eigendecompositions, null spaces and orthogonal projectors all reduce to
+``numpy.linalg.eigvalsh``/``eigh`` on validated finite symmetric input, so
+every tolerance decision lives here.
 
 Tolerance conventions
 ---------------------
@@ -56,47 +57,65 @@ class Definiteness(Enum):
 
 
 def check_symmetric(matrix, sym_tol: float = SYM_TOL) -> np.ndarray:
-    """Validate that ``matrix`` is a finite square symmetric float array and return it.
+    """Validate a finite square symmetric float matrix, or a ``(k, d, d)`` stack of them.
 
-    Raises NonSymmetricError for non-square input, for a NaN or infinite
-    entry, and when any entry differs from its transpose partner by more than
-    ``sym_tol``.
+    Returns the input as a float array.  Raises NonSymmetricError for
+    non-square input, for a NaN or infinite entry, and when any entry differs
+    from its transpose partner by more than ``sym_tol``; in a stack the first
+    offending matrix raises, with its position as the error's ``index``.
     """
     M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSymmetricError(f"expected a square matrix, got shape {M.shape}")
-    skew = np.abs(M - M.T).max(initial=0.0)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise NonSymmetricError(f"must be square, got shape {M.shape}")
+    S = M.reshape(-1, *M.shape[-2:])
+    skew = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     # a NaN or infinite entry makes skew NaN or inf, so finite input pays nothing extra
-    if not skew <= sym_tol:
-        if not np.isfinite(M).all():
-            raise NonSymmetricError("matrix has a NaN or infinite entry")
+    bad = np.flatnonzero(~(skew <= sym_tol))
+    if bad.size:
+        k = int(bad[0])
+        index = k if M.ndim == 3 else None
+        if not np.isfinite(S[k]).all():
+            raise NonSymmetricError("has a NaN or infinite entry", index=index)
         raise NonSymmetricError(
-            f"matrix is not symmetric: max |M - M^T| = {skew:.3e} > {sym_tol:.1e}"
+            f"is not symmetric: max |M - M^T| = {skew[k]:.3e} > {sym_tol:.1e}", index=index
         )
     return M
 
 
-def classify_definiteness(
-    matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL
-) -> Definiteness:
-    """Classify a symmetric matrix by the signs of its eigenvalues.
+# code = [some eigenvalue positive] + 2 [some negative] + 4 [none zero]; code 4 cannot occur
+_CLASS_OF_CODE = np.array(
+    [
+        Definiteness.ZERO,
+        Definiteness.POSITIVE_SEMIDEFINITE,
+        Definiteness.NEGATIVE_SEMIDEFINITE,
+        Definiteness.INDEFINITE,
+        Definiteness.ZERO,
+        Definiteness.POSITIVE_DEFINITE,
+        Definiteness.NEGATIVE_DEFINITE,
+        Definiteness.INDEFINITE,
+    ],
+    dtype=object,
+)
 
-    Eigenvalues within ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are
-    treated as zero; ties at the threshold count as zero, biasing borderline
-    matrices toward the semidefinite classes rather than the definite ones.
+
+def classify_stack(stack, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> np.ndarray:
+    """Classify each matrix of a ``(k, d, d)`` stack by the signs of its eigenvalues.
+
+    Returns a length-``k`` object array of :class:`Definiteness`.  The whole
+    stack is checked by :func:`check_symmetric` and decomposed by one
+    ``eigvalsh`` call.  Eigenvalues within ``max(eig_tol * max|lam|,
+    EIG_FLOOR)`` of zero are treated as zero; ties at the threshold count as
+    zero, biasing borderline matrices toward the semidefinite classes rather
+    than the definite ones.
     """
-    M = check_symmetric(matrix, sym_tol)
+    M = check_symmetric(stack, sym_tol)
+    if M.ndim != 3:
+        raise NonSymmetricError(f"must be a stack of matrices, got shape {M.shape}")
     lam = np.linalg.eigvalsh(M)
-    thr = max(eig_tol * float(np.abs(lam).max(initial=0.0)), EIG_FLOOR)
-    neg = lam < -thr
-    pos = lam > thr
-    if not neg.any() and not pos.any():
-        return Definiteness.ZERO
-    if neg.any() and pos.any():
-        return Definiteness.INDEFINITE
-    if pos.any():
-        return Definiteness.POSITIVE_DEFINITE if pos.all() else Definiteness.POSITIVE_SEMIDEFINITE
-    return Definiteness.NEGATIVE_DEFINITE if neg.all() else Definiteness.NEGATIVE_SEMIDEFINITE
+    thr = np.maximum(eig_tol * np.abs(lam).max(axis=1, initial=0.0), EIG_FLOOR)[:, None]
+    pos = (lam > thr).sum(axis=1)
+    neg = (lam < -thr).sum(axis=1)
+    return _CLASS_OF_CODE[(pos > 0) + 2 * (neg > 0) + 4 * (pos + neg == M.shape[-1])]
 
 
 @dataclass(frozen=True)
@@ -115,7 +134,7 @@ class NullSpaceBasis:
     def __post_init__(self):
         V = np.asarray(self.vectors, dtype=float)
         if V.ndim != 2:
-            raise NonSymmetricError(f"basis array must be 2-D, got shape {V.shape}")
+            raise NonSymmetricError(f"must be 2-D to hold a basis, got shape {V.shape}")
         gram = V.T @ V
         err = np.abs(gram - np.eye(V.shape[1])).max(initial=0.0)
         if err > ORTHO_TOL:

@@ -32,14 +32,8 @@ from .errors import (
     EmptyWindowError,
     SignInconsistentEdgeError,
 )
-from .graph import (
-    Bipartition,
-    EdgeKey,
-    MatrixWeightedGraph,
-    laplacian,
-    two_color_signs,
-)
-from .matalg import Definiteness, classify_definiteness, psd_eigh
+from .graph import Bipartition, MatrixWeightedGraph, _first_false, laplacian, two_color_signs
+from .matalg import Definiteness, classify_stack, psd_eigh
 
 
 @dataclass(frozen=True)
@@ -68,11 +62,6 @@ def _segment_arrays(catalog: Mapping[str, object], segments: Sequence[Segment]) 
     pos = {gid: k for k, gid in enumerate(catalog)}
     graph = [pos.get(seg.graph_id, -1) for seg in segments]
     return graph, [seg.dwell for seg in segments], [seg.scale for seg in segments]
-
-
-def _first_false(ok: np.ndarray) -> int | None:
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else None
 
 
 class SwitchingSchedule:
@@ -266,6 +255,22 @@ def _check_window(s: SwitchingSchedule, w: Window) -> slice:
     return slice(w.start, w.end)
 
 
+def _edge_union(graphs: Sequence[MatrixWeightedGraph]):
+    """The graphs' edges one after another, matched to the sorted union of their keys.
+
+    Returns ``(keys, signs, first, inv, clash)``: the concatenated keys and
+    signs, the position of each union key's first entry, each entry's
+    position in the union, and the entries whose sign differs from their
+    key's first entry.
+    """
+    keys = np.concatenate([g.keys for g in graphs])
+    signs = np.concatenate([g.signs for g in graphs])
+    _, first, inv = np.unique(
+        keys[:, 0] * graphs[0].n + keys[:, 1], return_index=True, return_inverse=True
+    )
+    return keys, signs, first, inv, np.flatnonzero(signs != signs[first][inv])
+
+
 @dataclass(frozen=True)
 class IntegralNetwork:
     """Time-averaged network over a window: graph, its Laplacian, and the span."""
@@ -290,30 +295,26 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     # summed left to right, as a difference of prefix sums would round differently
     duration = float(np.cumsum(s.dwell[span])[-1])
     dose = np.bincount(g, weights=s.scale[span] * s.dwell[span])
-    present, first = np.unique(g, return_index=True)
-    acc: dict[EdgeKey, np.ndarray] = {}
-    signs: dict[EdgeKey, int] = {}
-    for k in present[np.argsort(first)].tolist():
-        for e in s.catalog[s.ids[k]].edges:
-            prev = signs.get(e.key)
-            if prev is not None and prev != e.sign:
-                raise SignInconsistentEdgeError(
-                    f"switches weight sign inside window [{w.start}, {w.end})", *e.key
-                )
-            signs[e.key] = e.sign
-            contrib = dose[k] * e.weight
-            if e.key in acc:
-                acc[e.key] = acc[e.key] + contrib
-            else:
-                acc[e.key] = contrib
-    weights: dict[EdgeKey, np.ndarray] = {}
-    for key, total in acc.items():
-        avg = total / duration
-        if classify_definiteness(avg, s.eig_tol) is Definiteness.ZERO:
-            continue
-        weights[key] = avg
-    g_avg = MatrixWeightedGraph(
-        s.n, s.d, weights, label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol
+    present, first_seen = np.unique(g, return_index=True)
+    order = present[np.argsort(first_seen)].tolist()
+    graphs = [s.catalog[s.ids[k]] for k in order]
+    keys, _, first, inv, clash = _edge_union(graphs)
+    if clash.size:
+        raise SignInconsistentEdgeError(
+            f"switches weight sign inside window [{w.start}, {w.end})", *keys[clash[0]].tolist()
+        )
+    contrib = np.concatenate([dose[k] * gk.weights for k, gk in zip(order, graphs)])
+    # a key's first contribution is taken as it is and the later ones added in turn
+    total = contrib[first]
+    later = np.ones(len(inv), dtype=bool)
+    later[first] = False
+    np.add.at(total, inv[later], contrib[later])
+    avg = total / duration
+    classes = classify_stack(avg, s.eig_tol)
+    keep = classes != Definiteness.ZERO
+    g_avg = MatrixWeightedGraph._from_arrays(
+        s.n, s.d, keys[first][keep], avg[keep], classes[keep],
+        label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol,
     )
     return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 
@@ -348,13 +349,8 @@ def simultaneous_structural_balance(
     dims = {(g.n, g.d) for g in graphs}
     if len(dims) != 1:
         raise DimensionMismatchError(f"graphs disagree on (n, d): {sorted(dims)}")
-    n = graphs[0].n
-    union: dict[EdgeKey, int] = {}
-    for g in graphs:
-        for e in g.edges:
-            prev = union.get(e.key)
-            if prev is None:
-                union[e.key] = e.sign
-            elif prev != e.sign:
-                return None
-    return two_color_signs(n, union)
+    keys, signs, first, _, clash = _edge_union(graphs)
+    if clash.size:
+        return None
+    union = dict(zip(map(tuple, keys[first].tolist()), signs[first].tolist()))
+    return two_color_signs(graphs[0].n, union)

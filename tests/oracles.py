@@ -1,10 +1,16 @@
 """Slow reference paths kept as oracles for the fast code they were replaced by.
 
-``matrix_abs`` re-classifies a weight with ``eigvalsh`` instead of reading
-the class cached on its edge, ``laplacian_oracle`` assembles a Laplacian
-through it, ``matrix_exp_neg`` exponentiates one matrix spectrally, and
+``classify_definiteness`` classifies one matrix with its own ``eigvalsh``
+call, where the package classifies a whole stack at once.  ``matrix_abs``
+re-classifies a weight through it instead of reading the class held for its
+edge, ``laplacian_oracle`` assembles a Laplacian edge by edge through it,
+``matrix_exp_neg`` exponentiates one matrix spectrally, and
 ``run_time_scaled_scenario`` predicts the limit of a generated schedule in
 closed form.
+
+``weight_of``, ``quadratic_form``, ``is_connected``, ``structural_balance``,
+``signature_matrix`` and ``gauge_transform`` look up and state graph facts
+that the tests check; the package itself does not need them.
 
 The ``*_per_segment`` window operators and integrator walk a schedule one
 segment at a time and, for the integral network, one edge at a time, where
@@ -28,23 +34,26 @@ from mwconsensus.analysis import (
     mu_m_plus_1,
 )
 from mwconsensus.errors import (
+    DimensionMismatchError,
     EmptyWindowError,
     HorizonError,
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
 from mwconsensus.graph import (
+    Bipartition,
     EdgeKey,
     MatrixWeightedGraph,
     has_positive_negative_spanning_tree,
     laplacian,
+    two_color_signs,
 )
 from mwconsensus.matalg import (
+    EIG_FLOOR,
     EIG_TOL,
     SYM_TOL,
     Definiteness,
     check_symmetric,
-    classify_definiteness,
     null_space,
     projector,
     psd_eigh,
@@ -68,6 +77,30 @@ from mwconsensus.switching import (
 )
 
 
+def classify_definiteness(
+    matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL
+) -> Definiteness:
+    """Classify one symmetric matrix by the signs of its eigenvalues.
+
+    Eigenvalues within ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are
+    treated as zero; ties at the threshold count as zero.
+    """
+    M = check_symmetric(matrix, sym_tol)
+    if M.ndim != 2:
+        raise ValueError(f"expected one matrix, got shape {M.shape}")
+    lam = np.linalg.eigvalsh(M)
+    thr = max(eig_tol * float(np.abs(lam).max(initial=0.0)), EIG_FLOOR)
+    neg = lam < -thr
+    pos = lam > thr
+    if not neg.any() and not pos.any():
+        return Definiteness.ZERO
+    if neg.any() and pos.any():
+        return Definiteness.INDEFINITE
+    if pos.any():
+        return Definiteness.POSITIVE_DEFINITE if pos.all() else Definiteness.POSITIVE_SEMIDEFINITE
+    return Definiteness.NEGATIVE_DEFINITE if neg.all() else Definiteness.NEGATIVE_SEMIDEFINITE
+
+
 def matrix_abs(matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> np.ndarray:
     """``sign(M) * M`` with the sign classified afresh; raises on indefinite input."""
     M = check_symmetric(matrix, sym_tol)
@@ -78,14 +111,71 @@ def laplacian_oracle(g: MatrixWeightedGraph) -> np.ndarray:
     """Block Laplacian ``D - A`` with every ``|A_ij|`` from :func:`matrix_abs`."""
     n, d = g.n, g.d
     L = np.zeros((n * d, n * d))
-    for e in g.edges:
-        i, j, W = e.i, e.j, e.weight
+    for (i, j), W in zip(g.keys.tolist(), g.weights):
         aW = matrix_abs(W, g.eig_tol)
         L[i * d : (i + 1) * d, i * d : (i + 1) * d] += aW
         L[j * d : (j + 1) * d, j * d : (j + 1) * d] += aW
         L[i * d : (i + 1) * d, j * d : (j + 1) * d] -= W
         L[j * d : (j + 1) * d, i * d : (i + 1) * d] -= W
     return L
+
+
+def weight_of(g: MatrixWeightedGraph, i: int, j: int) -> np.ndarray:
+    """A_ij, the weight on edge {i, j} (symmetric, so order-free)."""
+    (k,) = np.flatnonzero((g.keys == (min(i, j), max(i, j))).all(axis=1))
+    return g.weights[k]
+
+
+def quadratic_form(L: np.ndarray, x: np.ndarray) -> float:
+    """x^T L x; nonnegative for every stacked state x and block Laplacian L."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != L.shape[0]:
+        raise DimensionMismatchError(f"state length {x.size} != n*d = {L.shape[0]}")
+    return float(x @ L @ x)
+
+
+def is_connected(g: MatrixWeightedGraph) -> bool:
+    """Connectivity of the underlying (unsigned) skeleton."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for i, j in g.keys.tolist():
+        adj[i].add(j)
+        adj[j].add(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in adj[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    return len(seen) == g.n
+
+
+def structural_balance(g: MatrixWeightedGraph) -> Bipartition | None:
+    """Bipartition making positive edges intra-cluster and negative ones inter-cluster.
+
+    Returns None when the signed skeleton is unbalanced.
+    """
+    return two_color_signs(g.n, dict(zip(map(tuple, g.keys.tolist()), g.signs.tolist())))
+
+
+def signature_matrix(b: Bipartition, d: int) -> np.ndarray:
+    """Gauge matrix ``C = diag(sigma_1 I_d, ..., sigma_n I_d)``, with ``C = C^T = C^{-1}``."""
+    return np.kron(np.diag(np.asarray(b.sigma, dtype=float)), np.eye(d))
+
+
+def gauge_transform(g: MatrixWeightedGraph, b: Bipartition) -> MatrixWeightedGraph:
+    """Flip weight signs by the gauge: A_ij -> sigma_i sigma_j A_ij.
+
+    For a balanced graph with its own balance bipartition this makes every
+    weight positive semidefinite.  The Laplacian transforms by conjugation:
+    L(gauged) = C L(g) C with C the signature matrix.
+    """
+    if b.n != g.n:
+        raise DimensionMismatchError(f"bipartition covers {b.n} nodes, graph has {g.n}")
+    weights = {
+        (i, j): float(b.sigma[i] * b.sigma[j]) * W for (i, j), W in zip(g.keys.tolist(), g.weights)
+    }
+    label = f"{g.label}~gauged" if g.label else "gauged"
+    return MatrixWeightedGraph(g.n, g.d, weights, label=label, eig_tol=g.eig_tol)
 
 
 def matrix_exp_neg(matrix, tau: float, eig_tol: float = EIG_TOL) -> np.ndarray:
@@ -144,18 +234,18 @@ def integral_network_per_segment(s: SwitchingSchedule, w: Window) -> IntegralNet
     signs: dict[EdgeKey, int] = {}
     for seg in segs:
         g = s.catalog[seg.graph_id]
-        for e in g.edges:
-            prev = signs.get(e.key)
-            if prev is not None and prev != e.sign:
+        for key, sign, W in zip(map(tuple, g.keys.tolist()), g.signs.tolist(), g.weights):
+            prev = signs.get(key)
+            if prev is not None and prev != sign:
                 raise SignInconsistentEdgeError(
-                    f"switches weight sign inside window [{w.start}, {w.end})", *e.key
+                    f"switches weight sign inside window [{w.start}, {w.end})", *key
                 )
-            signs[e.key] = e.sign
-            contrib = (seg.scale * seg.dwell) * e.weight
-            if e.key in acc:
-                acc[e.key] = acc[e.key] + contrib
+            signs[key] = sign
+            contrib = (seg.scale * seg.dwell) * W
+            if key in acc:
+                acc[key] = acc[key] + contrib
             else:
-                acc[e.key] = contrib
+                acc[key] = contrib
     weights: dict[EdgeKey, np.ndarray] = {}
     for key, total in acc.items():
         avg = total / duration

@@ -20,11 +20,17 @@ from mwconsensus.analysis import (
     predict_steady_state,
     verify_necessary_condition,
 )
-from mwconsensus.graph import gauge_transform, laplacian, quadratic_form
+from mwconsensus.graph import laplacian
 from mwconsensus.matalg import null_space, projector
 from mwconsensus.sim import simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule, Window, state_transition
-from oracles import matrix_exp_neg, run_time_scaled_scenario
+from oracles import (
+    gauge_transform,
+    matrix_exp_neg,
+    quadratic_form,
+    run_time_scaled_scenario,
+    signature_matrix,
+)
 from randgen import rand_catalog, rand_certified_schedule, rand_graph, stacked_null_projector
 
 from mwconsensus import Bipartition, scenarios
@@ -259,7 +265,7 @@ def test_c10_structural_invariants_hold():
         assert abs(energy - float(x @ L @ x)) <= 1e-9 * scale * sq
 
         b = Bipartition(tuple(int(s) for s in rng.choice((-1, 1), size=n)))
-        C = b.signature_matrix(d)
+        C = signature_matrix(b, d)
         Lg = laplacian(gauge_transform(g, b))
         assert np.abs(Lg - C @ L @ C).max() <= 1e-12 * scale
 

@@ -10,11 +10,10 @@ from mwconsensus.cli import cmd_analyze, main, write_trajectory_csv
 from mwconsensus.config import load_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
 from mwconsensus.sim import Trajectory, simulate_exact
-from mwconsensus.graph import is_connected
 from mwconsensus.matalg import Definiteness
 from mwconsensus.switching import Window, integral_network
 
-from oracles import write_trajectory_csv_rows
+from oracles import is_connected, write_trajectory_csv_rows
 from randgen import random_connected_pd_graph
 
 
@@ -56,7 +55,7 @@ class TestLoad:
 
     def test_node_ids_one_based_in_files(self, tmp_path):
         cfg = load_config(write_json(tmp_path, minimal_config_dict()))
-        assert cfg.graphs["g"].edge_keys == ((0, 1),)
+        assert cfg.graphs["g"].keys.tolist() == [[0, 1]]
 
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -240,11 +239,39 @@ class TestLoad:
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
 
+    def test_asymmetric_weight_names_its_edge(self, tmp_path, capsys):
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        g1 = next(g for g in doc["graphs"] if g["id"] == "G1")
+        edge = next(e for e in g1["edges"] if (e["i"], e["j"]) == (1, 3))
+        edge["weight"][0][1] += 0.5
+        path = write_json(tmp_path, doc)
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert "graph 'G1': edge (1,3) weight is not symmetric" in str(exc.value)
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph 'G1': edge (1,3) weight is not symmetric: ")
+        assert err.count("(1,3)") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, kind):
+        if kind == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigParseError, match=str(path)):
+            load_config(path)
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_zero_edge_graph_is_valid(self, tmp_path):
         doc = minimal_config_dict()
         doc["graphs"][0]["edges"] = []
         cfg = load_config(write_json(tmp_path, doc))
-        assert cfg.graphs["g"].edges == ()
+        assert cfg.graphs["g"].keys.shape == (0, 2)
 
 
 class TestBundledScenarios:
@@ -259,7 +286,7 @@ class TestBundledScenarios:
         cfg = scenarios.load_builtin(name)
         base = cfg.graphs["base"]
         assert is_connected(base)
-        assert all(e.definiteness is Definiteness.POSITIVE_DEFINITE for e in base.edges)
+        assert all(c is Definiteness.POSITIVE_DEFINITE for c in base.classes)
         assert base == random_connected_pd_graph(4, 2, seed=1)
         x0 = np.random.default_rng(1001).uniform(0.0, 1.0, size=8)
         assert np.array_equal(cfg.initial_state, x0)

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from mwconsensus.errors import IndefiniteWeightError, NonSymmetricError, NotPSDError
 from mwconsensus.matalg import (
+    EIG_FLOOR,
+    EIG_TOL,
     Definiteness,
     NullSpaceBasis,
     check_symmetric,
-    classify_definiteness,
+    classify_stack,
     null_space,
     projector,
     psd_eigh,
 )
 
-from oracles import matrix_abs, matrix_exp_neg
+from oracles import classify_definiteness, matrix_abs, matrix_exp_neg
 
 D = Definiteness
 
@@ -24,6 +26,14 @@ D = Definiteness
 def rand_sym(rng, d, scale=1.0):
     A = rng.normal(size=(d, d)) * scale
     return A + A.T
+
+
+def classify_one(M):
+    """The class of ``M`` classified as a one-matrix stack; the oracle must agree."""
+    got = classify_stack(np.asarray(M, dtype=float)[None])
+    assert got.shape == (1,)
+    assert got[0] is classify_definiteness(M)
+    return got[0]
 
 
 @st.composite
@@ -48,7 +58,78 @@ def signed_psd(draw):
     return sign, (Q * lam) @ Q.T
 
 
+KINDS = ("pd", "psd", "nd", "nsd", "zero", "indefinite", "tie", "below_floor")
+
+
+def spectrum(kind, rng, d, eig_tol):
+    """Eigenvalues of the given kind; "tie" puts one exactly at the threshold."""
+    lam = rng.uniform(0.5, 2.0, size=d)
+    if kind in ("psd", "nsd") and d > 1:
+        lam[rng.integers(d)] = 0.0
+    if kind == "zero":
+        lam[:] = 0.0
+    if kind == "indefinite" and d > 1:
+        lam[0] = -lam[0]
+    if kind == "tie":
+        lam[0] = 1.0
+        lam[1:] = eig_tol * rng.choice((-1.0, 1.0), size=d - 1)
+    if kind == "below_floor":
+        lam = rng.uniform(-1.0, 1.0, size=d) * EIG_FLOOR * rng.choice((0.5, 10.0))
+    if kind in ("nd", "nsd"):
+        lam = -lam
+    return lam
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A (k, d, d) stack mixing every class, ties at the threshold and sub-floor spectra."""
+    d = draw(st.integers(1, 5))
+    eig_tol = draw(st.sampled_from((EIG_TOL, 1e-6, 1e-3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), max_size=12))
+    stack = np.zeros((len(kinds), d, d))
+    for k, kind in enumerate(kinds):
+        lam = spectrum(kind, rng, d, eig_tol) * rng.choice((1.0, 1e-3, 1e3))
+        if kind == "tie" or draw(st.booleans()):
+            stack[k] = np.diag(lam)  # a rotation would move a tie off the threshold
+        else:
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            M = (Q * lam) @ Q.T
+            stack[k] = 0.5 * (M + M.T)
+    return stack, eig_tol
+
+
+class TestClassifyStack:
+    @given(mixed_stacks())
+    @settings(deadline=None, max_examples=300)
+    def test_agrees_with_per_matrix_oracle(self, case):
+        stack, eig_tol = case
+        got = classify_stack(stack, eig_tol)
+        assert got.shape == (len(stack),)
+        assert list(got) == [classify_definiteness(M, eig_tol) for M in stack]
+
+    def test_empty_stack(self):
+        assert classify_stack(np.zeros((0, 3, 3))).shape == (0,)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0])
+    def test_error_names_first_offending_matrix(self, bad):
+        stack = np.stack([np.eye(2)] * 4)
+        stack[2, 0, 1] = stack[3, 0, 1] = bad
+        if not np.isfinite(bad):
+            stack[2, 1, 0] = bad
+        with pytest.raises(NonSymmetricError) as exc:
+            classify_stack(stack)
+        assert exc.value.index == 2 and exc.value.i is None
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(NonSymmetricError):
+            classify_stack(np.eye(2))
+
+
 class TestClassify:
+    """Each case classified as a one-matrix stack, and by the per-matrix oracle."""
+
     @pytest.mark.parametrize(
         "M, expected",
         [
@@ -61,30 +142,34 @@ class TestClassify:
         ],
     )
     def test_known_classes(self, M, expected):
-        assert classify_definiteness(np.asarray(M)) is expected
+        assert classify_one(M) is expected
 
     def test_near_zero_matrix_is_zero_class(self):
-        assert classify_definiteness(np.diag([1e-13, -1e-13])) is D.ZERO
+        assert classify_one(np.diag([1e-13, -1e-13])) is D.ZERO
 
     def test_tie_at_threshold_counts_as_zero(self):
         # threshold is exactly 1e-9 * max|lam| = 1e-9; the tied eigenvalue
         # must land in the zero bucket, giving PSD rather than PD
-        assert classify_definiteness(np.diag([1.0, 1e-9])) is D.POSITIVE_SEMIDEFINITE
-        assert classify_definiteness(np.diag([-1.0, -1e-9])) is D.NEGATIVE_SEMIDEFINITE
+        assert classify_one(np.diag([1.0, 1e-9])) is D.POSITIVE_SEMIDEFINITE
+        assert classify_one(np.diag([-1.0, -1e-9])) is D.NEGATIVE_SEMIDEFINITE
 
     def test_just_above_threshold_is_definite(self):
-        assert classify_definiteness(np.diag([1.0, 1e-8])) is D.POSITIVE_DEFINITE
+        assert classify_one(np.diag([1.0, 1e-8])) is D.POSITIVE_DEFINITE
 
     def test_rejects_asymmetry_beyond_tolerance(self):
         M = np.array([[1.0, 1e-10], [0.0, 1.0]])
+        with pytest.raises(NonSymmetricError, match="not symmetric"):
+            classify_stack(M[None])
         with pytest.raises(NonSymmetricError):
             classify_definiteness(M)
 
     def test_accepts_asymmetry_within_tolerance(self):
         M = np.array([[1.0, 1e-13], [0.0, 1.0]])
-        assert classify_definiteness(M) is D.POSITIVE_DEFINITE
+        assert classify_one(M) is D.POSITIVE_DEFINITE
 
     def test_rejects_non_square(self):
+        with pytest.raises(NonSymmetricError):
+            classify_stack(np.ones((1, 2, 3)))
         with pytest.raises(NonSymmetricError):
             classify_definiteness(np.ones((2, 3)))
 
@@ -96,11 +181,13 @@ class TestClassify:
         M[at] = M[at[::-1]] = bad
         with pytest.raises(NonSymmetricError, match="NaN or infinite"):
             check_symmetric(M)
+        with pytest.raises(NonSymmetricError, match="NaN or infinite"):
+            classify_stack(M[None])
 
     @given(sym_matrices())
     @settings(deadline=None)
     def test_classification_is_exhaustive(self, M):
-        assert classify_definiteness(M) in D
+        assert classify_one(M) in D
 
 
 class TestSignAndAbs:

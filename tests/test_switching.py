@@ -25,7 +25,7 @@ from mwconsensus.switching import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import integral_network_per_segment, state_transition_per_segment
+from oracles import integral_network_per_segment, state_transition_per_segment, weight_of
 from randgen import rand_catalog, rand_run_schedule, rand_windows, stacked_null_projector
 
 
@@ -154,7 +154,7 @@ class TestIntegralNetwork:
     def test_benchmark_period_edge_set(self, cluster_cfg):
         # union of the three networks over one period, 1-based pairs
         net = integral_network(cluster_cfg.schedule, Window(0, 3))
-        got = {(i + 1, j + 1) for (i, j) in net.graph.edge_keys}
+        got = {(i + 1, j + 1) for (i, j) in net.graph.keys.tolist()}
         assert got == {(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 7)}
         assert net.duration == 6.0
 
@@ -162,8 +162,8 @@ class TestIntegralNetwork:
         s = cluster_cfg.schedule
         net = integral_network(s, Window(0, 3))
         g1, g3 = s.catalog["G1"], s.catalog["G3"]
-        assert np.allclose(net.graph.weight(0, 1), (2.0 / 6.0) * g1.weight(0, 1))
-        assert np.allclose(net.graph.weight(2, 3), (1.0 / 6.0) * g3.weight(2, 3))
+        assert np.allclose(weight_of(net.graph, 0, 1), (2.0 / 6.0) * weight_of(g1, 0, 1))
+        assert np.allclose(weight_of(net.graph, 2, 3), (1.0 / 6.0) * weight_of(g3, 2, 3))
 
     def test_laplacian_additivity(self, cluster_cfg):
         # L of the average equals the dwell-weighted average of the L's
@@ -197,7 +197,24 @@ class TestIntegralNetwork:
             with pytest.raises(SignInconsistentEdgeError):
                 build(s, Window(1, 3))
             # a window covering only one sign is fine
-            assert build(s, Window(0, 2)).graph.has_edge(0, 1)
+            assert build(s, Window(0, 2)).graph.keys.tolist() == [[0, 1]]
+
+    def test_sign_conflict_names_first_clash_in_first_appearance_order(self):
+        # in catalog order a, b, c the first clash would be edge (2,3); the
+        # window meets c, a, b, so b's edge (0,1) clashes first
+        one = np.array([[1.0]])
+        cat = {
+            "a": MatrixWeightedGraph(4, 1, {(2, 3): one}),
+            "b": MatrixWeightedGraph(4, 1, {(0, 1): one, (2, 3): -one}),
+            "c": MatrixWeightedGraph(4, 1, {(0, 1): -one}),
+        }
+        s = SwitchingSchedule.explicit(
+            cat, [Segment(k, 1.0) for k in ("c", "a", "b", "c")], alpha=1.0
+        )
+        for build in (integral_network, integral_network_per_segment):
+            with pytest.raises(SignInconsistentEdgeError) as exc:
+                build(s, Window(0, 4))
+            assert (exc.value.i, exc.value.j) == (0, 1)
 
     def test_averages_classified_with_catalog_eig_tol(self):
         W = np.diag([1.0, 1e-6])
@@ -206,7 +223,7 @@ class TestIntegralNetwork:
             s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 2.0, scale=0.5)], alpha=1.0)
             avg = integral_network(s, Window(0, 1)).graph
             assert avg.eig_tol == eig_tol
-            assert avg.edge(0, 1).definiteness.value == cls
+            assert avg.keys.tolist() == [[0, 1]] and avg.classes[0].value == cls
 
     def test_tiny_scale_average_dropped(self):
         g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
@@ -215,7 +232,7 @@ class TestIntegralNetwork:
         )
         for build in (integral_network, integral_network_per_segment):
             for w in (Window(0, 1), Window(0, 2)):
-                assert build(s, w).graph.edges == ()
+                assert build(s, w).graph.keys.shape == (0, 2)
 
     def test_window_bounds_checked(self):
         s = SwitchingSchedule.explicit(small_catalog(), [Segment("a", 1.0)], alpha=1.0)
@@ -272,10 +289,8 @@ class TestDosesAndRunsAgainstOracle:
             net = integral_network(s, w)
             ref = integral_network_per_segment(s, w)
             assert net.duration == ref.duration
-            assert net.graph.edge_keys == ref.graph.edge_keys
-            assert [e.definiteness for e in net.graph.edges] == [
-                e.definiteness for e in ref.graph.edges
-            ]
+            assert np.array_equal(net.graph.keys, ref.graph.keys)
+            assert list(net.graph.classes) == list(ref.graph.classes)
             L, L_ref = net.laplacian, ref.laplacian
             Phi, Phi_ref = state_transition(s, w), state_transition_per_segment(s, w)
             if np.unique(s.graph[w.start : w.end]).size == w.end - w.start:
@@ -294,9 +309,19 @@ class TestDosesAndRunsAgainstOracle:
             cat, [Segment("c", 1.0), Segment("a", 1.0, u), Segment("b", 1.0, u)], alpha=1.0
         )
         w = Window(0, 3)
-        got = integral_network(s, w).graph.weight(0, 1)
-        assert np.array_equal(got, integral_network_per_segment(s, w).graph.weight(0, 1))
+        got = weight_of(integral_network(s, w).graph, 0, 1)
+        assert np.array_equal(got, weight_of(integral_network_per_segment(s, w).graph, 0, 1))
         assert got[0, 0] == 1.0 / 3.0
+
+    def test_signed_zeros_kept(self):
+        # a key's first contribution is taken as it is, not added to +0.0
+        W = np.array([[1.0, -0.0], [-0.0, 1.0]])
+        cat = {k: MatrixWeightedGraph(2, 2, {(0, 1): c * W}) for k, c in (("a", 1.0), ("b", 2.0))}
+        s = SwitchingSchedule.explicit(cat, [Segment("a", 1.0), Segment("b", 1.0)], alpha=1.0)
+        for w in (Window(0, 1), Window(0, 2)):
+            got = integral_network(s, w).graph.weights
+            assert got.tobytes() == integral_network_per_segment(s, w).graph.weights.tobytes()
+            assert np.signbit(got[0, 0, 1])
 
     def test_runs_merge_consecutive_segments_on_one_graph(self):
         s = SwitchingSchedule.explicit(
