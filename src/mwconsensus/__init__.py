@@ -12,7 +12,6 @@ from .analysis import (
     CertificationReport,
     ConsensusKind,
     ConsensusPrediction,
-    bipartite_steady_state,
     certify_cluster_consensus,
     group_clusters,
     mu_m_plus_1,
@@ -52,9 +51,9 @@ from .switching import (
     Segment,
     SwitchingSchedule,
     Window,
+    flow_core,
     integral_network,
     simultaneous_structural_balance,
-    state_transition,
     validate_schedule,
 )
 from . import errors, scenarios
@@ -79,10 +78,10 @@ __all__ = [
     "Tolerances",
     "Trajectory",
     "Window",
-    "bipartite_steady_state",
     "certify_cluster_consensus",
     "classify_stack",
     "errors",
+    "flow_core",
     "group_clusters",
     "has_positive_negative_spanning_tree",
     "integral_network",
@@ -98,7 +97,6 @@ __all__ = [
     "simulate_exact",
     "simulate_rk4",
     "simultaneous_structural_balance",
-    "state_transition",
     "validate_schedule",
     "verify_necessary_condition",
 ]

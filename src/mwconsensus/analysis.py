@@ -5,7 +5,7 @@ of the active Laplacians.  This module computes that space (via the window
 integral network), projects initial conditions onto it, classifies the
 resulting agreement pattern (full / bipartite / clustered / decay to zero),
 and certifies geometric convergence by bounding the relevant singular value
-of each window's flow map.
+of each window's flow map, taken in the catalog eigenbases.
 """
 
 from __future__ import annotations
@@ -19,19 +19,18 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NonOrthonormalPsiError,
     WindowsNotContiguousError,
 )
 from .graph import Bipartition, has_positive_negative_spanning_tree
-from .matalg import EIG_TOL, ORTHO_TOL, NullSpaceBasis, null_space, projector, psd_eigh
+from .matalg import EIG_TOL, NullSpaceBasis, null_space, projector, psd_eigh
 from .switching import (
     IntegralNetwork,
     SwitchingSchedule,
     Window,
     _check_window,
+    flow_core,
     integral_network,
     simultaneous_structural_balance,
-    state_transition,
 )
 
 NS_EQ_TOL = 1e-8
@@ -153,7 +152,8 @@ def mu_m_plus_1(Phi: np.ndarray, m: int) -> float:
 
     ``m`` is the dimension of the subspace the flow map preserves; the
     returned value bounds the squared contraction factor on its orthogonal
-    complement.
+    complement.  A flow core ``K`` with ``Phi = V K U^T``, ``V`` and ``U``
+    orthogonal, gives the same value.
     """
     if m < 0:
         raise IndexError(f"m must be >= 0, got {m}")
@@ -170,14 +170,16 @@ class CertificationReport:
     ``certified`` means: window null spaces, taken with the schedule's
     ``eig_tol``, all agree (projector distance at most ``ns_eq_tol``) and
     every window's flow map contracts the complement with
-    ``mu <= q_estimate <= 1 - Q_MARGIN``.  ``basis`` is the first window's
+    ``mu <= q_estimate <= 1 - Q_MARGIN``.  ``lam_max`` is each window's
+    largest integral-Laplacian eigenvalue, its spectral norm, from the same
+    eigendecomposition as its null space.  ``basis`` is the first window's
     null space.  ``balance`` and ``pn_spanning_tree`` describe the window
     integral graphs and are informational (they upgrade the interpretation to
     bipartite consensus when present, but do not gate certification).
 
-    ``integral_networks`` and ``mu`` hold one entry per window.  Windows with
-    the same segment content share one integral graph and Laplacian; each
-    entry still carries its own ``window``.
+    ``integral_networks``, ``mu`` and ``lam_max`` hold one entry per window.
+    Windows with the same segment content share one integral graph and
+    Laplacian; each entry still carries its own ``window``.
     """
 
     windows: tuple[Window, ...]
@@ -186,6 +188,7 @@ class CertificationReport:
     max_projector_distance: float
     m: int
     mu: tuple[float, ...]
+    lam_max: tuple[float, ...]
     q_estimate: float
     certified: bool
     basis: NullSpaceBasis = field(repr=False)
@@ -200,9 +203,9 @@ def certify_cluster_consensus(
 
     The windows must tile the schedule prefix contiguously.  For each window
     the integral-network null space (with ``s.eig_tol``, the tolerance that
-    classified the window averages) and the flow-map singular values are
-    computed; certification requires all null spaces equal (as projectors)
-    and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
+    classified the window averages) and the singular values of its
+    :func:`flow_core` are computed; certification requires all null spaces
+    equal (as projectors) and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window is computed once and the
@@ -233,14 +236,19 @@ def certify_cluster_consensus(
         nets.append(integral_network(s, w) if j == k else replace(nets[j], window=w))
     distinct = list(first.values())
     graphs = [nets[k].graph for k in distinct]
-    bases = [null_space(nets[k].laplacian, s.eig_tol) for k in distinct]
+    bases, lam_max_of = [], {}
+    # keep each window's null space and top eigenvalue, not all of its eigenvectors
+    for k in distinct:
+        lam, V, thr = psd_eigh(nets[k].laplacian, s.eig_tol)
+        bases.append(NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr))
+        lam_max_of[k] = float(lam[-1])
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
         max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
-    mu_of = {k: mu_m_plus_1(state_transition(s, ws[k]), b.dim) for k, b in zip(distinct, bases)}
+    mu_of = {k: mu_m_plus_1(flow_core(s, ws[k]), b.dim) for k, b in zip(distinct, bases)}
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance(graphs)
@@ -252,6 +260,7 @@ def certify_cluster_consensus(
         max_projector_distance=max_dist,
         m=m,
         mu=tuple(mu_of[j] for j in src),
+        lam_max=tuple(lam_max_of[j] for j in src),
         q_estimate=float(q),
         certified=certified,
         basis=bases[0],
@@ -260,46 +269,21 @@ def certify_cluster_consensus(
     )
 
 
-def bipartite_steady_state(b: Bipartition, psi: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Closed-form bipartite limit: gauge, average, project, gauge back.
-
-    ``psi`` is a ``(d, r)`` matrix with orthonormal columns spanning the
-    per-agent agreement subspace (identity for the full space).  The limit is
-    ``x*_i = sigma_i Psi Psi^T mean_j(sigma_j x0_j)``: every agent lands on a
-    common vector up to its partition sign.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 1:
-        psi = psi[:, None]
-    d, r = psi.shape
-    gram = psi.T @ psi
-    if np.abs(gram - np.eye(r)).max(initial=0.0) > ORTHO_TOL:
-        raise NonOrthonormalPsiError("psi columns are not orthonormal")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = b.n
-    if x0.size != n * d:
-        raise DimensionMismatchError(f"state length {x0.size} != n*d = {n * d}")
-    sigma = np.asarray(b.sigma, dtype=float)
-    gauged = x0.reshape(n, d) * sigma[:, None]
-    avg = gauged.mean(axis=0)
-    common = psi @ (psi.T @ avg)
-    return (sigma[:, None] * common[None, :]).ravel()
-
-
-def verify_necessary_condition(x_star: np.ndarray, laplacians: Sequence[np.ndarray]) -> bool:
+def verify_necessary_condition(
+    x_star: np.ndarray, laplacians: Sequence[np.ndarray], lam_max: Sequence[float]
+) -> bool:
     """Check that x* is annihilated by every Laplacian in the collection.
 
-    Uses the scale-aware criterion
-    ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||`` so the answer does
-    not depend on the overall magnitude of either factor.
+    ``lam_max`` holds each Laplacian's largest eigenvalue, its spectral norm
+    (the Laplacians are PSD), as certification already computed it.  Uses the
+    scale-aware criterion ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||``
+    so the answer does not depend on the overall magnitude of either factor.
     """
     v = np.asarray(x_star, dtype=float).ravel()
     nv = float(np.linalg.norm(v))
-    for L in laplacians:
+    for L, top in zip(laplacians, lam_max, strict=True):
         if v.size != L.shape[0]:
             raise DimensionMismatchError(f"state length {v.size} != order {L.shape[0]}")
-        lam = np.linalg.eigvalsh(L)
-        bound = NECESSARY_TOL * (1.0 + float(max(abs(lam[0]), abs(lam[-1])))) * nv
-        if float(np.linalg.norm(L @ v)) > bound:
+        if float(np.linalg.norm(L @ v)) > NECESSARY_TOL * (1.0 + top) * nv:
             return False
     return True

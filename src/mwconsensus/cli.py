@@ -108,9 +108,9 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     pred = predict_steady_state(
         report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension, tol.cluster_tol
     )
-    # windows with the same content share one Laplacian object; test each once
-    distinct = {id(net.laplacian): net.laplacian for net in report.integral_networks}
-    necessary_ok = verify_necessary_condition(pred.steady_state, list(distinct.values()))
+    necessary_ok = verify_necessary_condition(
+        pred.steady_state, [net.laplacian for net in report.integral_networks], report.lam_max
+    )
     balance = report.balance
     doc = {
         "certified": report.certified,

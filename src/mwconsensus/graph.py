@@ -24,7 +24,7 @@ from .errors import (
     SelfLoopError,
     ZeroWeightError,
 )
-from .matalg import EIG_TOL, Definiteness, classify_stack
+from .matalg import EIG_TOL, Definiteness, _classify_checked, check_symmetric
 
 EdgeKey = tuple[int, int]
 
@@ -35,8 +35,9 @@ class MatrixWeightedGraph:
     Construction validates every weight: the right shape, finite and
     symmetric within tolerance, and classified as PD/PSD/ND/NSD by one stacked
     call (indefinite and numerically-zero weights are rejected, as are self
-    loops).  The weights are copied into the graph's own frozen arrays, so a
-    graph does not change after construction.
+    loops).  The graph holds the symmetric part of each weight, in its own
+    frozen arrays, so a graph does not change after construction and its
+    Laplacian is exactly symmetric.
     """
 
     def __init__(
@@ -70,10 +71,11 @@ class MatrixWeightedGraph:
         # a fresh array: the caller's weights are neither aliased nor frozen
         W = np.asarray(list(weights.values()), dtype=float).reshape(-1, d, d)[order]
         try:
-            classes = classify_stack(W, eig_tol)
+            # the symmetric part: a node's Laplacian block would add up its edges' asymmetries
+            W = check_symmetric(W)
         except NonSymmetricError as exc:
             raise NonSymmetricError(exc.problem, *keys[exc.index].tolist()) from None
-        self._hold(n, d, keys, W, classes, label, eig_tol)
+        self._hold(n, d, keys, W, _classify_checked(W, eig_tol), label, eig_tol)
 
     @classmethod
     def _from_arrays(cls, n, d, keys, weights, classes, label, eig_tol) -> "MatrixWeightedGraph":

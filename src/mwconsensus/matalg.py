@@ -7,7 +7,8 @@ every tolerance decision lives here.
 
 Tolerance conventions
 ---------------------
-* ``SYM_TOL``: max allowed entrywise asymmetry ``|M[p,q] - M[q,p]|``.
+* ``SYM_TOL``: max allowed entrywise asymmetry ``|M[p,q] - M[q,p]|``; a
+  matrix within it is replaced by its symmetric part.
 * ``EIG_TOL``: relative eigenvalue threshold.  Classification treats
   ``|lam| <= max(EIG_TOL * max|lam|, EIG_FLOOR)`` as zero; ties at the
   threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
@@ -59,7 +60,10 @@ class Definiteness(Enum):
 def check_symmetric(matrix, sym_tol: float = SYM_TOL) -> np.ndarray:
     """Validate a finite square symmetric float matrix, or a ``(k, d, d)`` stack of them.
 
-    Returns the input as a float array.  Raises NonSymmetricError for
+    Returns the input as a float array, or its symmetric part
+    ``(M + M^T) / 2`` where transposed entries differ within ``sym_tol``:
+    equal entries are kept as they are, signed zeros too, and the halves are
+    added so that no entry overflows.  Raises NonSymmetricError for
     non-square input, for a NaN or infinite entry, and when any entry differs
     from its transpose partner by more than ``sym_tol``; in a stack the first
     offending matrix raises, with its position as the error's ``index``.
@@ -79,7 +83,10 @@ def check_symmetric(matrix, sym_tol: float = SYM_TOL) -> np.ndarray:
         raise NonSymmetricError(
             f"is not symmetric: max |M - M^T| = {skew[k]:.3e} > {sym_tol:.1e}", index=index
         )
-    return M
+    if not skew.any():
+        return M
+    T = S.swapaxes(1, 2)
+    return np.where(S == T, S, 0.5 * S + 0.5 * T).reshape(M.shape)
 
 
 # code = [some eigenvalue positive] + 2 [some negative] + 4 [none zero]; code 4 cannot occur
@@ -102,15 +109,20 @@ def classify_stack(stack, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) ->
     """Classify each matrix of a ``(k, d, d)`` stack by the signs of its eigenvalues.
 
     Returns a length-``k`` object array of :class:`Definiteness`.  The whole
-    stack is checked by :func:`check_symmetric` and decomposed by one
-    ``eigvalsh`` call.  Eigenvalues within ``max(eig_tol * max|lam|,
-    EIG_FLOOR)`` of zero are treated as zero; ties at the threshold count as
-    zero, biasing borderline matrices toward the semidefinite classes rather
-    than the definite ones.
+    stack is checked by :func:`check_symmetric` and its symmetric part
+    decomposed by one ``eigvalsh`` call.  Eigenvalues within
+    ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are treated as zero; ties
+    at the threshold count as zero, biasing borderline matrices toward the
+    semidefinite classes rather than the definite ones.
     """
     M = check_symmetric(stack, sym_tol)
     if M.ndim != 3:
         raise NonSymmetricError(f"must be a stack of matrices, got shape {M.shape}")
+    return _classify_checked(M, eig_tol)
+
+
+def _classify_checked(M: np.ndarray, eig_tol: float) -> np.ndarray:
+    """:func:`classify_stack` of a ``(k, d, d)`` stack that :func:`check_symmetric` returned."""
     lam = np.linalg.eigvalsh(M)
     thr = np.maximum(eig_tol * np.abs(lam).max(axis=1, initial=0.0), EIG_FLOOR)[:, None]
     pos = (lam > thr).sum(axis=1)

@@ -58,23 +58,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_at(self, t: float, tol: float = 1e-9) -> np.ndarray:
-        """State at the sample instant nearest to ``t`` (within ``tol``)."""
-        k = int(np.searchsorted(self.times, t))
-        best, err = None, np.inf
-        for c in (k - 1, k):
-            if 0 <= c < self.times.size and abs(self.times[c] - t) < err:
-                best, err = c, abs(self.times[c] - t)
-        if best is None or err > tol:
-            raise KeyError(f"no sample within {tol} of t = {t}")
-        return self.states[best]
-
-    def agent(self, i: int) -> np.ndarray:
-        """All samples of agent ``i``'s d-dimensional state, shape (S, d)."""
-        if not 0 <= i < self.n:
-            raise DimensionMismatchError(f"agent index {i} out of range 0..{self.n - 1}")
-        return self.states[:, i * self.d : (i + 1) * self.d]
-
 
 def _validated_x0(s: SwitchingSchedule, x0) -> np.ndarray:
     x = np.asarray(x0, dtype=float).ravel()

@@ -12,8 +12,11 @@ Window-level operators:
   over a span of segments, where ``dose_g`` sums ``scale * dwell`` over the
   span's segments on graph ``g``, with sign-consistency enforcement and
   dropping of edges whose average vanishes numerically.
-* :func:`state_transition` - the product of flow maps ``exp(-dose_r L_r)``
-  over maximal runs ``r`` of one graph (their flows commute), latest leftmost.
+* :func:`flow_core` - the window flow map ``Phi``, the product of
+  ``exp(-dose_r L_r)`` over maximal runs ``r`` of one graph (their flows
+  commute), latest leftmost, written in the catalog eigenbases: with
+  ``L_r = V_r diag(lam_r) V_r^T`` it is ``Phi = V_R K V_1^T`` and ``K`` has
+  the singular values of ``Phi``.
 * :func:`simultaneous_structural_balance` - one bipartition that balances
   every graph in a collection at once.
 """
@@ -116,6 +119,7 @@ class SwitchingSchedule:
         (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._laplacians: dict[str, np.ndarray] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._couplings: dict[tuple[str, str], np.ndarray] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -204,6 +208,14 @@ class SwitchingSchedule:
         if graph_id not in self._eigs:
             self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id))[:2]
         return self._eigs[graph_id]
+
+    def coupling_of(self, a: str, b: str) -> np.ndarray:
+        """Cached ``V_a^T V_b``: graph ``b``'s eigenbasis in graph ``a``'s coordinates."""
+        if (a, b) not in self._couplings:
+            C = self.eig_of(a)[1].T @ self.eig_of(b)[1]
+            C.setflags(write=False)  # shared by every window that crosses from b to a
+            self._couplings[a, b] = C
+        return self._couplings[a, b]
 
 
 @dataclass(frozen=True)
@@ -319,20 +331,24 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 
 
-def state_transition(s: SwitchingSchedule, w: Window) -> np.ndarray:
-    """Window flow map ``Phi``: ``exp(-dose_r L_r)`` over runs of one graph, newest leftmost.
+def flow_core(s: SwitchingSchedule, w: Window) -> np.ndarray:
+    """Window flow map in the catalog eigenbases: ``K = E_R C_{R,R-1} ... C_{2,1} E_1``.
 
-    Catalog Laplacians are eigendecomposed once and reused; each factor is a
-    spectral exponential, so the product has spectral norm at most 1.
+    Over the window's maximal runs ``r`` of one graph, ``E_r = diag(exp(-dose_r
+    lam_r))`` and ``C_{a,b} = V_a^T V_b`` (cached on the schedule), so the flow
+    map is ``Phi = V_R K V_1^T``.  The ``V`` are orthogonal, so ``K`` and
+    ``Phi`` share their singular values: a window of one run costs no matrix
+    product and one of two runs only two diagonal scalings.
     """
     _check_window(s, w)
-    Phi = None
     _, graphs, doses = s.runs(w.start, w.end)
-    for k, dose in zip(graphs.tolist(), doses.tolist()):
-        lam, V = s.eig_of(s.ids[k])
-        factor = (V * np.exp(-dose * lam)) @ V.T
-        Phi = factor if Phi is None else factor @ Phi
-    return Phi
+    ids, doses = [s.ids[k] for k in graphs.tolist()], doses.tolist()
+    K = np.exp(-doses[0] * s.eig_of(ids[0])[0])  # the diagonal of E_1
+    for prev, gid, dose in zip(ids, ids[1:], doses[1:]):
+        C = s.coupling_of(gid, prev)
+        K = C * K if K.ndim == 1 else C @ K
+        K *= np.exp(-dose * s.eig_of(gid)[0])[:, None]
+    return np.diag(K) if K.ndim == 1 else K
 
 
 def simultaneous_structural_balance(

@@ -10,12 +10,19 @@ closed form.
 
 ``weight_of``, ``quadratic_form``, ``is_connected``, ``structural_balance``,
 ``signature_matrix`` and ``gauge_transform`` look up and state graph facts
-that the tests check; the package itself does not need them.
+that the tests check; the package itself does not need them.  Nor does it
+need ``bipartite_steady_state`` (the paper's closed-form bipartite limit) or
+the trajectory lookups ``state_at`` and ``agent``.
 
 The ``*_per_segment`` window operators and integrator walk a schedule one
 segment at a time and, for the integral network, one edge at a time, where
 the package works from per-graph doses and merged runs of one graph.
-``write_trajectory_csv_rows`` formats a trajectory row by row.
+``state_transition`` forms the window flow map ``Phi`` explicitly, one
+matrix product per run, where the package works with its flow core in the
+catalog eigenbases.  ``verify_necessary_condition`` takes each Laplacian's
+norm from its own ``eigvalsh`` call, where the package reuses the largest
+eigenvalue that certification computed.  ``write_trajectory_csv_rows``
+formats a trajectory row by row.
 
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.
@@ -28,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from mwconsensus.analysis import (
+    NECESSARY_TOL,
     NS_EQ_TOL,
     Q_MARGIN,
     CertificationReport,
@@ -37,6 +45,7 @@ from mwconsensus.errors import (
     DimensionMismatchError,
     EmptyWindowError,
     HorizonError,
+    NonOrthonormalPsiError,
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
@@ -51,6 +60,7 @@ from mwconsensus.graph import (
 from mwconsensus.matalg import (
     EIG_FLOOR,
     EIG_TOL,
+    ORTHO_TOL,
     SYM_TOL,
     Definiteness,
     check_symmetric,
@@ -71,9 +81,10 @@ from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
     Window,
+    _check_window,
+    flow_core,
     integral_network,
     simultaneous_structural_balance,
-    state_transition,
 )
 
 
@@ -268,6 +279,18 @@ def state_transition_per_segment(s: SwitchingSchedule, w: Window) -> np.ndarray:
     return Phi
 
 
+def state_transition(s: SwitchingSchedule, w: Window) -> np.ndarray:
+    """Window flow map ``Phi``: ``exp(-dose_r L_r)`` over runs of one graph, newest leftmost."""
+    _check_window(s, w)
+    Phi = None
+    _, graphs, doses = s.runs(w.start, w.end)
+    for k, dose in zip(graphs.tolist(), doses.tolist()):
+        lam, V = s.eig_of(s.ids[k])
+        factor = (V * np.exp(-dose * lam)) @ V.T
+        Phi = factor if Phi is None else factor @ Phi
+    return Phi
+
+
 def simulate_exact_per_segment(
     s: SwitchingSchedule, x0, horizon: float, sample_dt: float
 ) -> Trajectory:
@@ -307,6 +330,25 @@ def simulate_exact_per_segment(
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
 
+def state_at(traj: Trajectory, t: float, tol: float = 1e-9) -> np.ndarray:
+    """State at the sample instant nearest to ``t`` (within ``tol``)."""
+    k = int(np.searchsorted(traj.times, t))
+    best, err = None, np.inf
+    for c in (k - 1, k):
+        if 0 <= c < traj.times.size and abs(traj.times[c] - t) < err:
+            best, err = c, abs(traj.times[c] - t)
+    if best is None or err > tol:
+        raise KeyError(f"no sample within {tol} of t = {t}")
+    return traj.states[best]
+
+
+def agent(traj: Trajectory, i: int) -> np.ndarray:
+    """All samples of agent ``i``'s d-dimensional state, shape (S, d)."""
+    if not 0 <= i < traj.n:
+        raise DimensionMismatchError(f"agent index {i} out of range 0..{traj.n - 1}")
+    return traj.states[:, i * traj.d : (i + 1) * traj.d]
+
+
 def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
     """``t, x_1_1, ..., x_n_d`` rows, each value formatted on its own with ``.17g``."""
     cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
@@ -319,7 +361,7 @@ def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
 def certify_per_window(
     s: SwitchingSchedule, windows, *, ns_eq_tol: float = NS_EQ_TOL
 ) -> CertificationReport:
-    """Integral network, null space and flow map of every window, computed afresh."""
+    """Integral network, null space and flow core of every window, computed afresh."""
     if not windows:
         raise WindowsNotContiguousError("no windows given")
     ws = tuple(windows)
@@ -332,13 +374,14 @@ def certify_per_window(
             )
     nets = tuple(integral_network(s, w) for w in ws)
     bases = [null_space(net.laplacian, s.eig_tol) for net in nets]
+    lam_max = tuple(float(psd_eigh(net.laplacian, s.eig_tol)[0][-1]) for net in nets)
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
         max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
-    mus = tuple(mu_m_plus_1(state_transition(s, w), b.dim) for w, b in zip(ws, bases))
+    mus = tuple(mu_m_plus_1(flow_core(s, w), b.dim) for w, b in zip(ws, bases))
     q = max(mus)
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance([net.graph for net in nets])
@@ -350,9 +393,50 @@ def certify_per_window(
         max_projector_distance=max_dist,
         m=m,
         mu=mus,
+        lam_max=lam_max,
         q_estimate=float(q),
         certified=certified,
         basis=bases[0],
         balance=balance,
         pn_spanning_tree=pn,
     )
+
+
+def verify_necessary_condition(x_star: np.ndarray, laplacians) -> bool:
+    """``||L x*|| <= NECESSARY_TOL (1 + ||L||) ||x*||`` for every L; ``||L||`` by ``eigvalsh``."""
+    v = np.asarray(x_star, dtype=float).ravel()
+    nv = float(np.linalg.norm(v))
+    for L in laplacians:
+        if v.size != L.shape[0]:
+            raise DimensionMismatchError(f"state length {v.size} != order {L.shape[0]}")
+        lam = np.linalg.eigvalsh(L)
+        bound = NECESSARY_TOL * (1.0 + float(max(abs(lam[0]), abs(lam[-1])))) * nv
+        if float(np.linalg.norm(L @ v)) > bound:
+            return False
+    return True
+
+
+def bipartite_steady_state(b: Bipartition, psi: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Closed-form bipartite limit: gauge, average, project, gauge back.
+
+    ``psi`` is a ``(d, r)`` matrix with orthonormal columns spanning the
+    per-agent agreement subspace (identity for the full space).  The limit is
+    ``x*_i = sigma_i Psi Psi^T mean_j(sigma_j x0_j)``: every agent lands on a
+    common vector up to its partition sign.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim == 1:
+        psi = psi[:, None]
+    d, r = psi.shape
+    gram = psi.T @ psi
+    if np.abs(gram - np.eye(r)).max(initial=0.0) > ORTHO_TOL:
+        raise NonOrthonormalPsiError("psi columns are not orthonormal")
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = b.n
+    if x0.size != n * d:
+        raise DimensionMismatchError(f"state length {x0.size} != n*d = {n * d}")
+    sigma = np.asarray(b.sigma, dtype=float)
+    gauged = x0.reshape(n, d) * sigma[:, None]
+    avg = gauged.mean(axis=0)
+    common = psi @ (psi.T @ avg)
+    return (sigma[:, None] * common[None, :]).ravel()

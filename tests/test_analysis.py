@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mwconsensus.analysis import (
     CertificationReport,
     ConsensusKind,
-    bipartite_steady_state,
     certify_cluster_consensus,
     group_clusters,
     mu_m_plus_1,
@@ -27,16 +26,17 @@ from mwconsensus.errors import (
     WindowsNotContiguousError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
-from mwconsensus.matalg import NullSpaceBasis, null_space, projector
+from mwconsensus.matalg import NullSpaceBasis, null_space, projector, psd_eigh
 from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
     Window,
-    state_transition,
 )
 
-from oracles import certify_per_window
-from randgen import rand_catalog, rand_windows, stacked_null_projector
+from mwconsensus import scenarios
+from oracles import bipartite_steady_state, certify_per_window, state_transition
+from oracles import verify_necessary_condition as verify_necessary_condition_oracle
+from randgen import rand_catalog, rand_certified_schedule, rand_windows, stacked_null_projector
 
 
 def line_graph(weights_1d):
@@ -430,15 +430,54 @@ class TestBipartiteSteadyState:
             bipartite_steady_state(b, np.eye(2), np.ones(6))
 
 
+def _lam_max(laps):
+    return [float(psd_eigh(L)[0][-1]) for L in laps]
+
+
 class TestNecessaryCondition:
     def test_benchmark_limit_annihilated(self, cluster_cfg):
         laps = [laplacian(g) for g in cluster_cfg.graphs.values()]
         basis = null_intersection(laps)
         x_star = projector(basis) @ cluster_cfg.initial_state
-        assert verify_necessary_condition(x_star, laps)
+        assert verify_necessary_condition(x_star, laps, _lam_max(laps))
         # scale invariance of the criterion
-        assert verify_necessary_condition(1e6 * x_star, laps)
+        assert verify_necessary_condition(1e6 * x_star, laps, _lam_max(laps))
 
     def test_generic_vector_fails(self, cluster_cfg, rng):
         laps = [laplacian(g) for g in cluster_cfg.graphs.values()]
-        assert not verify_necessary_condition(rng.normal(size=21), laps)
+        assert not verify_necessary_condition(rng.normal(size=21), laps, _lam_max(laps))
+
+
+def assert_verdicts_match_oracle(report, x0, n, d, rng):
+    """The verdict on certification's lam_max is the eigvalsh one, on both sides of the bound."""
+    laps = [net.laplacian for net in report.integral_networks]
+    norms = []
+    for L in laps:
+        lam = np.linalg.eigvalsh(L)
+        norms.append(max(abs(lam[0]), abs(lam[-1])))
+    assert np.allclose(report.lam_max, norms, rtol=1e-12, atol=1e-12)
+    x_star = predict_steady_state(report.basis, x0, n, d).steady_state
+    r = rng.normal(size=x_star.size)
+    verdicts = set()
+    for x in (x_star, r, *(x_star + 10.0**k * r for k in np.arange(-12.0, 0.25, 0.25))):
+        got = verify_necessary_condition(x, laps, report.lam_max)
+        assert got == verify_necessary_condition_oracle(x, laps)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+class TestNecessaryConditionWithCertifiedSpectra:
+    @pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+    def test_bundled_verdicts_match_eigvalsh(self, name, rng):
+        cfg = scenarios.load_builtin(name)
+        report = certify_cluster_consensus(cfg.schedule, cfg.windows())
+        assert_verdicts_match_oracle(report, cfg.initial_state, cfg.num_agents, cfg.dimension, rng)
+
+    def test_random_certified_verdicts_match_eigvalsh(self, rng):
+        # the 50 schedules of the acceptance test of contraction: the same seed, and one
+        # normal vector of length n d drawn after each schedule, as that test draws it
+        draws = np.random.default_rng(4004)
+        for _ in range(50):
+            s, _, report = rand_certified_schedule(draws)
+            x0 = draws.normal(size=s.n * s.d)
+            assert_verdicts_match_oracle(report, x0, s.n, s.d, rng)

@@ -253,6 +253,28 @@ class TestLoad:
         assert err.startswith("error: graph 'G1': edge (1,3) weight is not symmetric: ")
         assert err.count("(1,3)") == 1 and "Traceback" not in err
 
+    def test_asymmetry_within_tolerance_runs_every_command(self, tmp_path, capsys):
+        # node 1's Laplacian block adds three asymmetries of 0.9e-12 each, past SYM_TOL
+        W = [[2.0, 1.0 + 0.9e-12], [1.0, 2.0]]
+        doc = {
+            "dimension": 2,
+            "num_agents": 4,
+            "graphs": [{"id": "G", "edges": [{"i": 1, "j": j, "weight": W} for j in (2, 3, 4)]}],
+            "schedule": {
+                "type": "explicit", "alpha": 1.0, "segments": [{"graph": "G", "dwell": 2.0}]
+            },
+            "initial_state": [1.0, 3.0, 0.5, -1.0, 2.0, 0.0, -0.5, 1.5],
+        }
+        path = str(write_json(tmp_path, doc))
+        assert main(["check", "--config", path]) == 0
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
+        assert "error" not in capsys.readouterr().err
+        # past SYM_TOL a single weight is still rejected, its edge named
+        doc["graphs"][0]["edges"][1]["weight"] = [[2.0, 1.0 + 2e-12], [1.0, 2.0]]
+        with pytest.raises(ConfigValidationError, match=r"edge \(1,3\) weight is not symmetric"):
+            load_config(write_json(tmp_path, doc))
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
     def test_unreadable_file_is_a_parse_error(self, tmp_path, capsys, kind):
         if kind == "directory":

@@ -123,6 +123,26 @@ class TestConstruction:
         assert np.array_equal(laplacian(g), L)
         assert np.linalg.eigvalsh(laplacian(g)).min() > -1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_holds_symmetric_part_of_each_weight(self):
+        # three edges at node 0, each off by 0.9e-12: its Laplacian block would add them up
+        W = np.array([[2.0, 1.0 + 0.9e-12], [1.0, 2.0]])
+        g = MatrixWeightedGraph(4, 2, {(0, 1): W, (0, 2): W, (0, 3): W})
+        assert np.array_equal(g.weights, g.weights.swapaxes(1, 2))
+        assert g.weights[0, 0, 1] == 0.5 * W[0, 1] + 0.5 * W[1, 0]
+        assert np.array_equal(g.weights[:, 0, 0], [2.0, 2.0, 2.0])
+        L = laplacian(g)
+        assert np.array_equal(L, L.T)
+        # exactly symmetric weights are held bit for bit: signed zeros, subnormals, and
+        # entries near the float maximum, whose plain sum would overflow
+        big = np.finfo(float).max
+        exact = [
+            np.array([[1.0, -0.0, 0.0], [-0.0, 2.0, 5e-324], [0.0, 5e-324, 3.0]]),
+            np.array([[big / 2, big / 4, 0.0], [big / 4, big / 2, 0.0], [0.0, 0.0, big]]),
+        ]
+        g = MatrixWeightedGraph(3, 3, {(0, 1): exact[0], (1, 2): exact[1]})
+        assert g.weights.tobytes() == np.stack(exact).tobytes()
+
     def test_empty_graph_is_valid(self):
         g = MatrixWeightedGraph(3, 2, {})
         assert g.keys.shape == (0, 2) and g.weights.shape == (0, 2, 2)

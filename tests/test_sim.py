@@ -16,7 +16,13 @@ from mwconsensus.switching import Segment, SwitchingSchedule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_exp_neg, run_time_scaled_scenario, simulate_exact_per_segment
+from oracles import (
+    agent,
+    matrix_exp_neg,
+    run_time_scaled_scenario,
+    simulate_exact_per_segment,
+    state_at,
+)
 from randgen import rand_catalog, rand_run_schedule, random_connected_pd_graph
 
 
@@ -66,12 +72,12 @@ class TestSimulateExact:
 
     def test_trajectory_accessors(self, cluster_cfg):
         traj = simulate_exact(cluster_cfg.schedule, cluster_cfg.initial_state, 6.0, 1.0)
-        assert traj.agent(0).shape == (traj.num_samples, 3)
-        assert np.array_equal(traj.state_at(2.0), traj.states[2])
+        assert agent(traj, 0).shape == (traj.num_samples, 3)
+        assert np.array_equal(state_at(traj, 2.0), traj.states[2])
         with pytest.raises(KeyError):
-            traj.state_at(2.5)
+            state_at(traj, 2.5)
         with pytest.raises(DimensionMismatchError):
-            traj.agent(7)
+            agent(traj, 7)
 
 
 class TestSimulateRK4:
@@ -81,8 +87,8 @@ class TestSimulateRK4:
         rk = simulate_rk4(s, x0, 12.0, 1e-3)
         ex = simulate_exact(s, x0, 12.0, 1.0)
         for t in np.arange(1.0, 12.5, 1.0):
-            a = rk.state_at(t, tol=1e-9)
-            b = ex.state_at(t, tol=1e-9)
+            a = state_at(rk, t, tol=1e-9)
+            b = state_at(ex, t, tol=1e-9)
             assert np.abs(a - b).max() < 1e-9
 
     def test_fourth_order_convergence(self):
@@ -207,7 +213,7 @@ class TestRunsAgainstOracle:
         L = laplacian(g)
         # inside the second and third segments, and at the end
         for t, dose in ((1.2, 2.05), (2.8, 3.425), (3.5, 4.125)):
-            assert np.abs(traj.state_at(t) - matrix_exp_neg(L, dose) @ x0).max() < 1e-12
+            assert np.abs(state_at(traj, t) - matrix_exp_neg(L, dose) @ x0).max() < 1e-12
 
 
 class TestRandomSchedules:

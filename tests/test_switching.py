@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mwconsensus import scenarios
 from mwconsensus.errors import (
     DimensionMismatchError,
     DwellTooShortError,
@@ -16,16 +17,21 @@ from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
     Window,
+    flow_core,
     integral_network,
     simultaneous_structural_balance,
-    state_transition,
     validate_schedule,
 )
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import integral_network_per_segment, state_transition_per_segment, weight_of
+from oracles import (
+    integral_network_per_segment,
+    state_transition,
+    state_transition_per_segment,
+    weight_of,
+)
 from randgen import rand_catalog, rand_run_schedule, rand_windows, stacked_null_projector
 
 
@@ -276,6 +282,63 @@ class TestStateTransition:
         lam, V = np.linalg.eigh(laplacian(g))
         expected = (V * np.exp(-0.5 * 2.0 * lam)) @ V.T
         assert np.abs(Phi - expected).max() < 1e-14
+
+
+# Singular values are perfectly conditioned (Weyl): |sigma_i(A) - sigma_i(B)| <= ||A - B||_2.
+# Every factor has spectral norm at most 1, so one matrix product rounds to within about
+# N eps of the exact product (inner products of length N = n d), and the SVD returns the
+# singular values of a matrix within about N eps ||A|| (backward-stable bidiagonalization).
+# The explicit Phi takes R products V diag(e) V^T and R - 1 products between them; the flow
+# core takes R - 1 couplings V_a^T V_b and at most R - 2 products, its diagonal scalings
+# rounding entrywise only.  The computed V are orthogonal to within about N eps, which
+# enters once at each end of Phi = V_R K V_1^T.  With one SVD on each side that sums to
+# (2R - 1) + (2R - 3) + 2 + 2 = 4R <= 4 (R + 1) terms of N eps each.
+FLOW_CORE_C = 4
+
+
+def _flow_core_window(rng):
+    """One window over one run (of one or two segments), two runs, G1 G2 G1 or G1 G2 G2 G1."""
+    n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    catalog = rand_catalog(rng, n, d, 2)
+    a, b = sorted(catalog)
+    shape = [[a], [a, a], [a, b], [a, a, b], [a, b, a], [a, b, b, a]][int(rng.integers(0, 6))]
+    segs = [
+        Segment(gid, float(rng.choice((0.5, 1.0, 1.5))),
+                1.0 if rng.uniform() < 0.3 else float(10.0 ** rng.uniform(-1, 1)))
+        for gid in shape
+    ]
+    s = SwitchingSchedule.explicit(catalog, segs, alpha=0.5)
+    return s, Window(0, s.num_segments)
+
+
+class TestFlowCore:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200)
+    def test_singular_values_match_explicit_flow_map(self, seed):
+        s, w = _flow_core_window(np.random.default_rng(seed))
+        K, Phi = flow_core(s, w), state_transition(s, w)
+        R = s.runs(w.start, w.end)[1].size
+        N = s.n * s.d
+        gap = np.abs(np.linalg.svd(K, compute_uv=False) - np.linalg.svd(Phi, compute_uv=False))
+        assert gap.max() <= FLOW_CORE_C * (R + 1) * N * np.finfo(float).eps
+
+    def test_recovers_flow_map_in_the_end_eigenbases(self, cluster_cfg):
+        s = cluster_cfg.schedule
+        for w in (Window(0, 1), Window(0, 2), Window(0, 6)):
+            _, graphs, _ = s.runs(w.start, w.end)
+            V_first, V_last = (s.eig_of(s.ids[k])[1] for k in (graphs[0], graphs[-1]))
+            Phi = V_last @ flow_core(s, w) @ V_first.T
+            assert np.abs(Phi - state_transition(s, w)).max() < 1e-12
+
+    def test_couplings_are_cached_per_ordered_pair(self):
+        s = scenarios.load_builtin("cluster_switching").schedule  # no coupling held yet
+        flow_core(s, Window(0, 6))
+        pairs = {(s.ids[p], s.ids[q]) for p, q in zip(s.graph[1:6], s.graph[:5]) if p != q}
+        assert set(s._couplings) == pairs
+        held = dict(s._couplings)
+        flow_core(s, Window(6, 12))
+        assert s._couplings.keys() == held.keys()
+        assert all(s._couplings[k] is v for k, v in held.items())
 
 
 class TestDosesAndRunsAgainstOracle:
