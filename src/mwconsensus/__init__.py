@@ -39,9 +39,7 @@ from .matalg import (
     projector,
 )
 from .sim import (
-    ConvergenceMonitor,
     Trajectory,
-    monitor_convergence,
     simulate_exact,
     simulate_rk4,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "CertificationReport",
     "ConsensusKind",
     "ConsensusPrediction",
-    "ConvergenceMonitor",
     "Definiteness",
     "IntegralNetwork",
     "MatrixWeightedGraph",
@@ -87,7 +84,6 @@ __all__ = [
     "integral_network",
     "laplacian",
     "load_config",
-    "monitor_convergence",
     "mu_m_plus_1",
     "null_intersection",
     "null_space",

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NotPSDError,
     WindowsNotContiguousError,
 )
 from .graph import Bipartition, has_positive_negative_spanning_tree
@@ -182,7 +183,6 @@ class CertificationReport:
     Laplacian; each entry still carries its own ``window``.
     """
 
-    windows: tuple[Window, ...]
     integral_networks: tuple[IntegralNetwork, ...] = field(repr=False)
     window_nullspaces_equal: bool
     max_projector_distance: float
@@ -239,7 +239,12 @@ def certify_cluster_consensus(
     bases, lam_max_of = [], {}
     # keep each window's null space and top eigenvalue, not all of its eigenvectors
     for k in distinct:
-        lam, V, thr = psd_eigh(nets[k].laplacian, s.eig_tol)
+        try:
+            lam, V, thr = psd_eigh(nets[k].laplacian, s.eig_tol)
+        except NotPSDError as exc:
+            # a Laplacian is PSD by construction: a too small eig_tol exposes eigh's roundoff
+            w = ws[k]
+            raise NotPSDError(f"window [{w.start}, {w.end}): integral Laplacian {exc}") from None
         bases.append(NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr))
         lam_max_of[k] = float(lam[-1])
     projs = [projector(b) for b in bases]
@@ -252,9 +257,8 @@ def certify_cluster_consensus(
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance(graphs)
-    pn = all(has_positive_negative_spanning_tree(g)[0] for g in graphs)
+    pn = all(has_positive_negative_spanning_tree(g) for g in graphs)
     return CertificationReport(
-        windows=ws,
         integral_networks=tuple(nets),
         window_nullspaces_equal=equal,
         max_projector_distance=max_dist,

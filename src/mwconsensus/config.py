@@ -26,11 +26,12 @@ from .errors import (
 )
 from .graph import MatrixWeightedGraph
 from .matalg import EIG_TOL
-from .sim import CONV_TOL, _check_horizon
+from .sim import _check_horizon
 from .switching import Segment, SwitchingSchedule, Window
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
 _SOLVER_METHODS = ("exact", "rk4")
+CONV_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,25 @@ class SelfLoopError(EdgeError):
     """An edge connects a node to itself."""
 
 
+class WeightOverflowError(EdgeError):
+    """A weight, or the sum of a node's edge weights, exceeds the float range.
+
+    The error names the edge ``{i, j}`` or, for a sum, the 0-based ``node``;
+    ``index`` is the weight's position when a stack was classified.
+    """
+
+    def __init__(self, problem: str, i: int | None = None, j: int | None = None,
+                 index: int | None = None, node: int | None = None):
+        self.index = index
+        self.node = node
+        super().__init__(problem, i, j)
+
+    def describe(self, base: int = 0) -> str:
+        if self.node is not None:
+            return f"node {self.node + base} {self.problem}"
+        return super().describe(base)
+
+
 class NotPSDError(ConsensusToolError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
@@ -96,10 +115,6 @@ class SignInconsistentEdgeError(EdgeError):
 
 class WindowsNotContiguousError(ConsensusToolError):
     """Certification windows do not tile the schedule prefix back to back."""
-
-
-class NonOrthonormalPsiError(ConsensusToolError):
-    """The per-agent basis passed to the bipartite steady-state map is not orthonormal."""
 
 
 class ScheduleExhaustedError(ConsensusToolError):

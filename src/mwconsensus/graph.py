@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     IndefiniteWeightError,
     NonSymmetricError,
     SelfLoopError,
+    WeightOverflowError,
     ZeroWeightError,
 )
 from .matalg import EIG_TOL, Definiteness, _classify_checked, check_symmetric
@@ -35,7 +36,9 @@ class MatrixWeightedGraph:
     Construction validates every weight: the right shape, finite and
     symmetric within tolerance, and classified as PD/PSD/ND/NSD by one stacked
     call (indefinite and numerically-zero weights are rejected, as are self
-    loops).  The graph holds the symmetric part of each weight, in its own
+    loops).  A weight whose eigenvalues, or a node whose Laplacian block,
+    exceed the float range is rejected too, so every Laplacian entry is
+    finite.  The graph holds the symmetric part of each weight, in its own
     frozen arrays, so a graph does not change after construction and its
     Laplacian is exactly symmetric.
     """
@@ -73,9 +76,10 @@ class MatrixWeightedGraph:
         try:
             # the symmetric part: a node's Laplacian block would add up its edges' asymmetries
             W = check_symmetric(W)
-        except NonSymmetricError as exc:
-            raise NonSymmetricError(exc.problem, *keys[exc.index].tolist()) from None
-        self._hold(n, d, keys, W, _classify_checked(W, eig_tol), label, eig_tol)
+            classes = _classify_checked(W, eig_tol)
+        except (NonSymmetricError, WeightOverflowError) as exc:
+            raise type(exc)(exc.problem, *keys[exc.index].tolist()) from None
+        self._hold(n, d, keys, W, classes, label, eig_tol)
 
     @classmethod
     def _from_arrays(cls, n, d, keys, weights, classes, label, eig_tol) -> "MatrixWeightedGraph":
@@ -92,24 +96,20 @@ class MatrixWeightedGraph:
             if classes[k] is D.INDEFINITE:
                 raise IndefiniteWeightError("weight is indefinite", *keys[k].tolist())
             raise ZeroWeightError("weight is numerically zero", *keys[k].tolist())
+        signs = pos.astype(np.intp) - neg
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the node named
+            blocks = _node_blocks(n, keys, signs, weights)
+        if (k := _first_false(np.isfinite(blocks).all(axis=(1, 2)))) is not None:
+            raise WeightOverflowError(
+                "Laplacian block overflows: its edge weights sum past the float range", node=k
+            )
         self.n = int(n)
         self.d = int(d)
         self.label = label
         self.eig_tol = float(eig_tol)
-        self.keys, self.weights, self.classes = keys, weights, classes
-        self.signs = pos.astype(np.intp) - neg
+        self.keys, self.weights, self.classes, self.signs = keys, weights, classes, signs
         for a in (self.keys, self.weights, self.classes, self.signs):
             a.setflags(write=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixWeightedGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.d == other.d
-            and np.array_equal(self.keys, other.keys)
-            and np.array_equal(self.weights, other.weights)
-        )
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -119,6 +119,14 @@ class MatrixWeightedGraph:
 def _first_false(ok: np.ndarray) -> int | None:
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
+
+
+def _node_blocks(n: int, keys: np.ndarray, signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``(n, d, d)`` diagonal Laplacian blocks ``D_i``, each summing its edges in key order."""
+    blocks = np.zeros((n, *weights.shape[1:]))
+    ends = keys.ravel()  # i_0, j_0, i_1, j_1, ...
+    np.add.at(blocks, ends, np.repeat(signs[:, None, None] * weights, 2, axis=0))
+    return blocks
 
 
 def laplacian(g: MatrixWeightedGraph) -> np.ndarray:
@@ -131,49 +139,35 @@ def laplacian(g: MatrixWeightedGraph) -> np.ndarray:
     """
     n, d = g.n, g.d
     L = np.zeros((n, d, n, d))
+    nodes = np.arange(n)
+    L[nodes, :, nodes, :] = _node_blocks(n, g.keys, g.signs, g.weights)
     i, j = g.keys.T
-    ends = g.keys.ravel()  # i_0, j_0, i_1, j_1, ...
-    absW = g.signs[:, None, None] * g.weights
-    np.add.at(L, (ends, slice(None), ends, slice(None)), np.repeat(absW, 2, axis=0))
     L[i, :, j, :] -= g.weights
     L[j, :, i, :] -= g.weights
     return L.reshape(n * d, n * d)
 
 
-def _adjacency_sets(n: int, keys: Iterable[EdgeKey]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in keys:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def has_positive_negative_spanning_tree(
-    g: MatrixWeightedGraph,
-) -> tuple[bool, list[EdgeKey] | None]:
-    """Does the subgraph of strictly definite (PD/ND) edges span all nodes?
+def has_positive_negative_spanning_tree(g: MatrixWeightedGraph) -> bool:
+    """Does the subgraph of strictly definite (PD/ND) edges connect all nodes?
 
     Semidefinite-but-singular weights are excluded: only edges whose weight is
-    positive or negative definite count.  Returns ``(found, witness_edges)``
-    where the witness is a BFS tree (n-1 edges) when one exists.
+    positive or negative definite count.
     """
     definite = (g.classes == Definiteness.POSITIVE_DEFINITE) | (
         g.classes == Definiteness.NEGATIVE_DEFINITE
     )
-    adj = _adjacency_sets(g.n, g.keys[definite].tolist())
-    parent: dict[int, int] = {0: -1}
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.keys[definite].tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
     queue = deque([0])
-    tree: list[EdgeKey] = []
     while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if v not in parent:
-                parent[v] = u
-                tree.append((min(u, v), max(u, v)))
+        for v in adj[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
                 queue.append(v)
-    if len(parent) == g.n:
-        return True, sorted(tree)
-    return False, None
+    return len(seen) == g.n
 
 
 @dataclass(frozen=True)
@@ -185,10 +179,6 @@ class Bipartition:
     def __post_init__(self):
         if not self.sigma or any(s not in (-1, 1) for s in self.sigma):
             raise DimensionMismatchError("sigma entries must be +1 or -1")
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
 
     @property
     def positive_set(self) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import IndefiniteWeightError, NonSymmetricError, NotPSDError
+from .errors import NonSymmetricError, NotPSDError, WeightOverflowError
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-9
@@ -41,31 +41,16 @@ class Definiteness(Enum):
     ZERO = "zero"
     INDEFINITE = "indefinite"
 
-    @property
-    def is_definite(self) -> bool:
-        return self in (Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE)
 
-    @property
-    def sign(self) -> int:
-        """Scalar sign: +1 for PD/PSD, -1 for ND/NSD, 0 for ZERO."""
-        if self in (Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE):
-            return 1
-        if self in (Definiteness.NEGATIVE_DEFINITE, Definiteness.NEGATIVE_SEMIDEFINITE):
-            return -1
-        if self is Definiteness.ZERO:
-            return 0
-        raise IndefiniteWeightError("indefinite matrix has no scalar sign")
-
-
-def check_symmetric(matrix, sym_tol: float = SYM_TOL) -> np.ndarray:
+def check_symmetric(matrix) -> np.ndarray:
     """Validate a finite square symmetric float matrix, or a ``(k, d, d)`` stack of them.
 
     Returns the input as a float array, or its symmetric part
-    ``(M + M^T) / 2`` where transposed entries differ within ``sym_tol``:
+    ``(M + M^T) / 2`` where transposed entries differ within ``SYM_TOL``:
     equal entries are kept as they are, signed zeros too, and the halves are
     added so that no entry overflows.  Raises NonSymmetricError for
     non-square input, for a NaN or infinite entry, and when any entry differs
-    from its transpose partner by more than ``sym_tol``; in a stack the first
+    from its transpose partner by more than ``SYM_TOL``; in a stack the first
     offending matrix raises, with its position as the error's ``index``.
     """
     M = np.asarray(matrix, dtype=float)
@@ -74,14 +59,14 @@ def check_symmetric(matrix, sym_tol: float = SYM_TOL) -> np.ndarray:
     S = M.reshape(-1, *M.shape[-2:])
     skew = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     # a NaN or infinite entry makes skew NaN or inf, so finite input pays nothing extra
-    bad = np.flatnonzero(~(skew <= sym_tol))
+    bad = np.flatnonzero(~(skew <= SYM_TOL))
     if bad.size:
         k = int(bad[0])
         index = k if M.ndim == 3 else None
         if not np.isfinite(S[k]).all():
             raise NonSymmetricError("has a NaN or infinite entry", index=index)
         raise NonSymmetricError(
-            f"is not symmetric: max |M - M^T| = {skew[k]:.3e} > {sym_tol:.1e}", index=index
+            f"is not symmetric: max |M - M^T| = {skew[k]:.3e} > {SYM_TOL:.1e}", index=index
         )
     if not skew.any():
         return M
@@ -105,7 +90,7 @@ _CLASS_OF_CODE = np.array(
 )
 
 
-def classify_stack(stack, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> np.ndarray:
+def classify_stack(stack, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Classify each matrix of a ``(k, d, d)`` stack by the signs of its eigenvalues.
 
     Returns a length-``k`` object array of :class:`Definiteness`.  The whole
@@ -113,9 +98,11 @@ def classify_stack(stack, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) ->
     decomposed by one ``eigvalsh`` call.  Eigenvalues within
     ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are treated as zero; ties
     at the threshold count as zero, biasing borderline matrices toward the
-    semidefinite classes rather than the definite ones.
+    semidefinite classes rather than the definite ones.  A finite matrix with
+    an eigenvalue beyond the float range raises WeightOverflowError, with its
+    position as the error's ``index``.
     """
-    M = check_symmetric(stack, sym_tol)
+    M = check_symmetric(stack)
     if M.ndim != 3:
         raise NonSymmetricError(f"must be a stack of matrices, got shape {M.shape}")
     return _classify_checked(M, eig_tol)
@@ -124,6 +111,11 @@ def classify_stack(stack, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) ->
 def _classify_checked(M: np.ndarray, eig_tol: float) -> np.ndarray:
     """:func:`classify_stack` of a ``(k, d, d)`` stack that :func:`check_symmetric` returned."""
     lam = np.linalg.eigvalsh(M)
+    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
+    if bad.size:
+        raise WeightOverflowError(
+            "weight overflows: its eigenvalues exceed the float range", index=int(bad[0])
+        )
     thr = np.maximum(eig_tol * np.abs(lam).max(axis=1, initial=0.0), EIG_FLOOR)[:, None]
     pos = (lam > thr).sum(axis=1)
     neg = (lam < -thr).sum(axis=1)
@@ -178,7 +170,8 @@ def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, 
     thr = eig_tol * max(1.0, lam_max)
     if lam.size and float(lam[0]) < -thr:
         raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {float(lam[0]):.3e} < {-thr:.3e}"
+            f"matrix is not PSD at eig_tol = {eig_tol:g}: "
+            f"min eigenvalue {float(lam[0]):.3e} < {-thr:.3e}"
         )
     return np.clip(lam, 0.0, None), V, thr
 

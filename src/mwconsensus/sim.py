@@ -27,7 +27,6 @@ from .switching import SwitchingSchedule
 
 _DEDUP_TOL = 1e-12
 _EDGE_TOL = 1e-9
-CONV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -169,57 +168,4 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
         states=np.vstack(chunks_x),
         n=s.n,
         d=s.d,
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceMonitor:
-    """Deviation-energy trace of a trajectory against a reference state.
-
-    ``deviations[k] = ||x(t_k) - reference||^2``.  ``converged_at`` is the
-    first sample time at which the deviation energy falls to
-    ``(conv_tol * ||x(0)||)^2`` or below (None if never).  ``decay_rate`` is a
-    per-unit-time geometric rate fitted to the pre-convergence samples (None
-    when fewer than two are available).
-    """
-
-    times: np.ndarray = field(repr=False)
-    deviations: np.ndarray = field(repr=False)
-    threshold: float
-    converged_at: float | None
-    decay_rate: float | None
-
-
-def monitor_convergence(
-    traj: Trajectory, reference, conv_tol: float = CONV_TOL
-) -> ConvergenceMonitor:
-    """Track ||x(t) - reference||^2 along a trajectory.
-
-    The convergence threshold scales with the initial state magnitude, so the
-    verdict is invariant under rescaling the whole experiment.
-    """
-    ref = np.asarray(reference, dtype=float).ravel()
-    if ref.size != traj.states.shape[1]:
-        raise DimensionMismatchError(
-            f"reference length {ref.size} != state dimension {traj.states.shape[1]}"
-        )
-    diffs = traj.states - ref[None, :]
-    V = np.einsum("ij,ij->i", diffs, diffs)
-    x0_norm = float(np.linalg.norm(traj.states[0]))
-    thr = (conv_tol * x0_norm) ** 2
-    below = np.nonzero(V <= thr)[0]
-    converged_at = float(traj.times[below[0]]) if below.size else None
-    pre = np.nonzero(V > thr)[0]
-    rate = None
-    if pre.size >= 2:
-        t = traj.times[pre]
-        logv = np.log(V[pre])
-        slope = float(np.polyfit(t, logv, 1)[0])
-        rate = float(np.exp(slope))
-    return ConvergenceMonitor(
-        times=traj.times.copy(),
-        deviations=V,
-        threshold=thr,
-        converged_at=converged_at,
-        decay_rate=rate,
     )

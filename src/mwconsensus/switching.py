@@ -34,6 +34,7 @@ from .errors import (
     EmptyScheduleError,
     EmptyWindowError,
     SignInconsistentEdgeError,
+    WeightOverflowError,
 )
 from .graph import Bipartition, MatrixWeightedGraph, _first_false, laplacian, two_color_signs
 from .matalg import Definiteness, classify_stack, psd_eigh
@@ -223,7 +224,6 @@ class ScheduleReport:
     """Outcome of :func:`validate_schedule`: the soft hypotheses, flagged."""
 
     finite_recurring_catalog: bool
-    distinct_dwells: tuple[float, ...]
     notes: tuple[str, ...]
 
 
@@ -250,13 +250,8 @@ def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
         notes.append("every catalog graph recurs once per period")
     elif recurring:
         notes.append("recurrence verified within the finite schedule only")
-    dwells = tuple(np.unique(s.dwell).tolist())
-    notes.append(f"{len(dwells)} distinct dwell value(s)")
-    return ScheduleReport(
-        finite_recurring_catalog=recurring,
-        distinct_dwells=dwells,
-        notes=tuple(notes),
-    )
+    notes.append(f"{np.unique(s.dwell).size} distinct dwell value(s)")
+    return ScheduleReport(finite_recurring_catalog=recurring, notes=tuple(notes))
 
 
 def _check_window(s: SwitchingSchedule, w: Window) -> slice:
@@ -300,7 +295,9 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     order of first appearance, divided by the window duration.  An edge that
     appears with both signs inside the window is rejected (its average could
     cancel); an edge whose average classifies as numerically zero is dropped.
-    Averages are classified with the catalog's ``eig_tol``.
+    Averages are classified with the catalog's ``eig_tol``.  An average, or an
+    averaged Laplacian block, beyond the float range raises
+    WeightOverflowError naming the window.
     """
     span = _check_window(s, w)
     g = s.graph[span]
@@ -315,19 +312,28 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
         raise SignInconsistentEdgeError(
             f"switches weight sign inside window [{w.start}, {w.end})", *keys[clash[0]].tolist()
         )
-    contrib = np.concatenate([dose[k] * gk.weights for k, gk in zip(order, graphs)])
-    # a key's first contribution is taken as it is and the later ones added in turn
-    total = contrib[first]
-    later = np.ones(len(inv), dtype=bool)
-    later[first] = False
-    np.add.at(total, inv[later], contrib[later])
-    avg = total / duration
-    classes = classify_stack(avg, s.eig_tol)
-    keep = classes != Definiteness.ZERO
-    g_avg = MatrixWeightedGraph._from_arrays(
-        s.n, s.d, keys[first][keep], avg[keep], classes[keep],
-        label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the edge named
+        contrib = np.concatenate([dose[k] * gk.weights for k, gk in zip(order, graphs)])
+        # a key's first contribution is taken as it is and the later ones added in turn
+        total = contrib[first]
+        later = np.ones(len(inv), dtype=bool)
+        later[first] = False
+        np.add.at(total, inv[later], contrib[later])
+        avg = total / duration
+    where = f"in the average over window [{w.start}, {w.end})"
+    # the catalog weights are finite, so a non-finite average is a dosed sum that overflowed
+    if (k := _first_false(np.isfinite(avg).all(axis=(1, 2)))) is not None:
+        raise WeightOverflowError(f"weight overflows {where}", *keys[first][k].tolist())
+    try:
+        classes = classify_stack(avg, s.eig_tol)
+        keep = classes != Definiteness.ZERO
+        g_avg = MatrixWeightedGraph._from_arrays(
+            s.n, s.d, keys[first][keep], avg[keep], classes[keep],
+            label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol,
+        )
+    except WeightOverflowError as exc:
+        edge = () if exc.index is None else keys[first][exc.index].tolist()
+        raise WeightOverflowError(f"{exc.problem} {where}", *edge, node=exc.node) from None
     return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 
 

@@ -8,11 +8,12 @@ edge, ``laplacian_oracle`` assembles a Laplacian edge by edge through it,
 ``run_time_scaled_scenario`` predicts the limit of a generated schedule in
 closed form.
 
-``weight_of``, ``quadratic_form``, ``is_connected``, ``structural_balance``,
-``signature_matrix`` and ``gauge_transform`` look up and state graph facts
-that the tests check; the package itself does not need them.  Nor does it
-need ``bipartite_steady_state`` (the paper's closed-form bipartite limit) or
-the trajectory lookups ``state_at`` and ``agent``.
+``sign_of``, ``weight_of``, ``quadratic_form``, ``is_connected``,
+``structural_balance``, ``signature_matrix`` and ``gauge_transform`` look up
+and state class and graph facts that the tests check; the package itself does
+not need them.  Nor does it need ``bipartite_steady_state`` (the paper's
+closed-form bipartite limit, which raises ``NonOrthonormalPsiError``) or the
+trajectory lookups ``state_at`` and ``agent``.
 
 The ``*_per_segment`` window operators and integrator walk a schedule one
 segment at a time and, for the integral network, one edge at a time, where
@@ -43,9 +44,10 @@ from mwconsensus.analysis import (
 )
 from mwconsensus.errors import (
     DimensionMismatchError,
+    ConsensusToolError,
     EmptyWindowError,
     HorizonError,
-    NonOrthonormalPsiError,
+    IndefiniteWeightError,
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
@@ -61,7 +63,6 @@ from mwconsensus.matalg import (
     EIG_FLOOR,
     EIG_TOL,
     ORTHO_TOL,
-    SYM_TOL,
     Definiteness,
     check_symmetric,
     null_space,
@@ -88,15 +89,13 @@ from mwconsensus.switching import (
 )
 
 
-def classify_definiteness(
-    matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL
-) -> Definiteness:
+def classify_definiteness(matrix, eig_tol: float = EIG_TOL) -> Definiteness:
     """Classify one symmetric matrix by the signs of its eigenvalues.
 
     Eigenvalues within ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are
     treated as zero; ties at the threshold count as zero.
     """
-    M = check_symmetric(matrix, sym_tol)
+    M = check_symmetric(matrix)
     if M.ndim != 2:
         raise ValueError(f"expected one matrix, got shape {M.shape}")
     lam = np.linalg.eigvalsh(M)
@@ -112,10 +111,24 @@ def classify_definiteness(
     return Definiteness.NEGATIVE_DEFINITE if neg.all() else Definiteness.NEGATIVE_SEMIDEFINITE
 
 
-def matrix_abs(matrix, eig_tol: float = EIG_TOL, sym_tol: float = SYM_TOL) -> np.ndarray:
+def sign_of(c: Definiteness) -> int:
+    """Scalar sign of a class: +1 for PD/PSD, -1 for ND/NSD, 0 for ZERO.
+
+    Raises IndefiniteWeightError for INDEFINITE, which has no scalar sign.
+    """
+    if c in (Definiteness.POSITIVE_DEFINITE, Definiteness.POSITIVE_SEMIDEFINITE):
+        return 1
+    if c in (Definiteness.NEGATIVE_DEFINITE, Definiteness.NEGATIVE_SEMIDEFINITE):
+        return -1
+    if c is Definiteness.ZERO:
+        return 0
+    raise IndefiniteWeightError("indefinite matrix has no scalar sign")
+
+
+def matrix_abs(matrix, eig_tol: float = EIG_TOL) -> np.ndarray:
     """``sign(M) * M`` with the sign classified afresh; raises on indefinite input."""
-    M = check_symmetric(matrix, sym_tol)
-    return float(classify_definiteness(M, eig_tol, sym_tol).sign) * M
+    M = check_symmetric(matrix)
+    return float(sign_of(classify_definiteness(M, eig_tol))) * M
 
 
 def laplacian_oracle(g: MatrixWeightedGraph) -> np.ndarray:
@@ -180,8 +193,8 @@ def gauge_transform(g: MatrixWeightedGraph, b: Bipartition) -> MatrixWeightedGra
     weight positive semidefinite.  The Laplacian transforms by conjugation:
     L(gauged) = C L(g) C with C the signature matrix.
     """
-    if b.n != g.n:
-        raise DimensionMismatchError(f"bipartition covers {b.n} nodes, graph has {g.n}")
+    if len(b.sigma) != g.n:
+        raise DimensionMismatchError(f"bipartition covers {len(b.sigma)} nodes, graph has {g.n}")
     weights = {
         (i, j): float(b.sigma[i] * b.sigma[j]) * W for (i, j), W in zip(g.keys.tolist(), g.weights)
     }
@@ -385,9 +398,8 @@ def certify_per_window(
     q = max(mus)
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance([net.graph for net in nets])
-    pn = all(has_positive_negative_spanning_tree(net.graph)[0] for net in nets)
+    pn = all(has_positive_negative_spanning_tree(net.graph) for net in nets)
     return CertificationReport(
-        windows=ws,
         integral_networks=nets,
         window_nullspaces_equal=equal,
         max_projector_distance=max_dist,
@@ -416,6 +428,10 @@ def verify_necessary_condition(x_star: np.ndarray, laplacians) -> bool:
     return True
 
 
+class NonOrthonormalPsiError(ConsensusToolError):
+    """The per-agent basis passed to :func:`bipartite_steady_state` is not orthonormal."""
+
+
 def bipartite_steady_state(b: Bipartition, psi: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Closed-form bipartite limit: gauge, average, project, gauge back.
 
@@ -432,7 +448,7 @@ def bipartite_steady_state(b: Bipartition, psi: np.ndarray, x0: np.ndarray) -> n
     if np.abs(gram - np.eye(r)).max(initial=0.0) > ORTHO_TOL:
         raise NonOrthonormalPsiError("psi columns are not orthonormal")
     x0 = np.asarray(x0, dtype=float).ravel()
-    n = b.n
+    n = len(b.sigma)
     if x0.size != n * d:
         raise DimensionMismatchError(f"state length {x0.size} != n*d = {n * d}")
     sigma = np.asarray(b.sigma, dtype=float)

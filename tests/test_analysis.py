@@ -20,7 +20,6 @@ from mwconsensus.analysis import (
 from mwconsensus.errors import (
     DimensionMismatchError,
     EmptyWindowError,
-    NonOrthonormalPsiError,
     NotPSDError,
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
@@ -34,7 +33,12 @@ from mwconsensus.switching import (
 )
 
 from mwconsensus import scenarios
-from oracles import bipartite_steady_state, certify_per_window, state_transition
+from oracles import (
+    NonOrthonormalPsiError,
+    bipartite_steady_state,
+    certify_per_window,
+    state_transition,
+)
 from oracles import verify_necessary_condition as verify_necessary_condition_oracle
 from randgen import rand_catalog, rand_certified_schedule, rand_windows, stacked_null_projector
 

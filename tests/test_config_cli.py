@@ -1,6 +1,8 @@
 """Tests for scenario files and the command-line interface."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from mwconsensus.switching import Window, integral_network
 from oracles import is_connected, write_trajectory_csv_rows
 from randgen import random_connected_pd_graph
 
+MAX = sys.float_info.max
+
 
 def minimal_config_dict():
     return {
@@ -30,6 +34,19 @@ def minimal_config_dict():
             "segments": [{"graph": "g", "dwell": 2.0}],
         },
         "initial_state": [1.0, 3.0],
+    }
+
+
+def overflow_config(weights):
+    """A d = 2 scenario on graph ``G`` with the given 1-based edge weights, run for one unit."""
+    n = max(max(key) for key in weights)
+    edges = [{"i": i, "j": j, "weight": W} for (i, j), W in weights.items()]
+    return {
+        "dimension": 2,
+        "num_agents": n,
+        "graphs": [{"id": "G", "edges": edges}],
+        "schedule": {"type": "explicit", "segments": [{"graph": "G", "dwell": 1.0}]},
+        "initial_state": [float(k) for k in range(2 * n)],
     }
 
 
@@ -296,12 +313,18 @@ class TestLoad:
         assert cfg.graphs["g"].keys.shape == (0, 2)
 
 
+def assert_same_graph(a, b):
+    assert (a.n, a.d) == (b.n, b.d)
+    assert np.array_equal(a.keys, b.keys)
+    assert np.array_equal(a.weights, b.weights)
+
+
 class TestBundledScenarios:
     """Facts about the shipped scenario files, which are the scenarios' one source."""
 
     def test_integral_static_is_first_period_average(self, cluster_cfg, integral_cfg):
         net = integral_network(cluster_cfg.schedule, Window(0, 3))
-        assert integral_cfg.graphs["Gavg"] == net.graph
+        assert_same_graph(integral_cfg.graphs["Gavg"], net.graph)
 
     @pytest.mark.parametrize("name", ["time_scaled_decay", "time_scaled_growth"])
     def test_time_scaled_base_is_connected_and_positive_definite(self, name):
@@ -309,7 +332,7 @@ class TestBundledScenarios:
         base = cfg.graphs["base"]
         assert is_connected(base)
         assert all(c is Definiteness.POSITIVE_DEFINITE for c in base.classes)
-        assert base == random_connected_pd_graph(4, 2, seed=1)
+        assert_same_graph(base, random_connected_pd_graph(4, 2, seed=1))
         x0 = np.random.default_rng(1001).uniform(0.0, 1.0, size=8)
         assert np.array_equal(cfg.initial_state, x0)
 
@@ -489,6 +512,70 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.count(shown) == 1, err
             assert not any(h in err for h in hidden), err
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            # agent 1's Laplacian block sums three weights of half the float maximum
+            ({(1, j): [[MAX / 2, 0.0], [0.0, MAX / 2]] for j in (2, 3, 4)},
+             "graph 'G': node 1 Laplacian block overflows: its edge weights sum past the float range"),
+            # finite entries, but the larger eigenvalue is 1.5 times the float maximum
+            ({(1, 2): [[MAX, MAX / 2], [MAX / 2, MAX]]},
+             "graph 'G': edge (1,2) weight overflows: its eigenvalues exceed the float range"),
+        ],
+        ids=["node-block", "eigenvalue"],
+    )
+    def test_overflowing_weights_rejected_at_load(self, tmp_path, capsys, weights, message):
+        path = write_json(tmp_path, overflow_config(weights))
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+        for command in ("check", "analyze", "simulate"):
+            out = ["--out", str(tmp_path / "out")] if command != "check" else []
+            assert main([command, "--config", str(path), *out]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "weights, scale, message",
+        [
+            # an entry of 1e10 scaled by 1e300
+            ({(1, 2): (1e10 * np.eye(2)).tolist(), (2, 3): np.eye(2).tolist()}, 1e300,
+             "edge (1,2) weight overflows"),
+            # finite entries, eigenvalue 1.35 times the float maximum
+            ({(1, 2): [[1.0, 0.5], [0.5, 1.0]]}, 0.9 * MAX,
+             "edge (1,2) weight overflows: its eigenvalues exceed the float range"),
+            # three finite averages that node 1's Laplacian block sums
+            ({(1, j): np.eye(2).tolist() for j in (2, 3, 4)}, 0.4 * MAX,
+             "node 1 Laplacian block overflows: its edge weights sum past the float range"),
+        ],
+        ids=["entry", "eigenvalue", "node-block"],
+    )
+    def test_overflowing_window_average_names_the_window(self, tmp_path, capsys, weights, scale,
+                                                         message):
+        doc = overflow_config(weights)
+        doc["schedule"]["segments"][0]["scale"] = scale
+        path = str(write_json(tmp_path, doc))
+        assert main(["check", "--config", path]) == 0
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message} in the average over window [0, 1)\n"
+
+    @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching", "integral_static"])
+    def test_too_small_eig_tol_names_the_window_and_the_tolerance(self, tmp_path, capsys, name):
+        doc = json.loads(scenarios.builtin_path(name).read_text())
+        doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
+        path = str(write_json(tmp_path, doc))
+        assert main(["check", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        window = "[0, 3)" if name != "integral_static" else "[0, 1)"
+        assert re.fullmatch(
+            rf"error: window {re.escape(window)}: integral Laplacian matrix is not PSD at "
+            r"eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n", err
+        ), err
 
     def test_analyze_refuses_to_write_non_finite_report(self, tmp_path):
         cfg = load_config(write_json(tmp_path, minimal_config_dict()))

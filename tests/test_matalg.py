@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwconsensus.errors import IndefiniteWeightError, NonSymmetricError, NotPSDError
+from mwconsensus.graph import MatrixWeightedGraph
 from mwconsensus.matalg import (
     EIG_FLOOR,
     EIG_TOL,
@@ -18,7 +19,7 @@ from mwconsensus.matalg import (
     psd_eigh,
 )
 
-from oracles import classify_definiteness, matrix_abs, matrix_exp_neg
+from oracles import classify_definiteness, matrix_abs, matrix_exp_neg, sign_of
 
 D = Definiteness
 
@@ -192,13 +193,17 @@ class TestClassify:
 
 class TestSignAndAbs:
     def test_sign_values(self):
-        assert classify_definiteness(np.diag([2.0, 1.0])).sign == 1
-        assert classify_definiteness(np.diag([-2.0, -1.0])).sign == -1
-        assert classify_definiteness(np.zeros((2, 2))).sign == 0
+        weights = [np.diag(lam) for lam in ([2.0, 1.0], [1.0, 0.0], [-2.0, -1.0], [0.0, -1.0])]
+        g = MatrixWeightedGraph(5, 2, {(0, k + 1): W for k, W in enumerate(weights)})
+        assert g.classes.tolist() == [D.POSITIVE_DEFINITE, D.POSITIVE_SEMIDEFINITE,
+                                      D.NEGATIVE_DEFINITE, D.NEGATIVE_SEMIDEFINITE]
+        assert g.signs.tolist() == [1, 1, -1, -1]
+        assert [sign_of(c) for c in g.classes] == [1, 1, -1, -1]
+        assert sign_of(classify_definiteness(np.zeros((2, 2)))) == 0
 
     def test_indefinite_raises(self):
         with pytest.raises(IndefiniteWeightError):
-            classify_definiteness(np.diag([1.0, -1.0])).sign
+            sign_of(classify_definiteness(np.diag([1.0, -1.0])))
         with pytest.raises(IndefiniteWeightError):
             matrix_abs(np.diag([1.0, -1.0]))
 
@@ -208,7 +213,7 @@ class TestSignAndAbs:
         sign, P = case
         M = sign * P
         A = matrix_abs(M)
-        assert np.allclose(A, classify_definiteness(M).sign * M)
+        assert np.allclose(A, sign_of(classify_definiteness(M)) * M)
         assert np.linalg.eigvalsh(A).min() >= -1e-9 * max(1.0, np.abs(A).max())
         assert np.allclose(A, P, atol=1e-12)
 

@@ -1,4 +1,4 @@
-"""Tests for the exact and RK4 integrators and the convergence monitor."""
+"""Tests for the exact and RK4 integrators."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from mwconsensus.errors import (
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import null_space, projector
-from mwconsensus.sim import monitor_convergence, simulate_exact, simulate_rk4
+from mwconsensus.sim import simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule
 
 from hypothesis import given, settings
@@ -143,44 +143,6 @@ class TestTimeScaledScenarios:
         base = random_connected_pd_graph(3, 2, seed=7)
         with pytest.raises(KeyError):
             run_time_scaled_scenario("nope", base, 5, np.ones(6))
-
-
-class TestMonitor:
-    def test_benchmark_converges_to_prediction(self, cluster_cfg):
-        from mwconsensus.analysis import null_intersection
-
-        s = cluster_cfg.schedule
-        x0 = cluster_cfg.initial_state
-        laps = [s.laplacian_of(g) for g in s.catalog]
-        x_star = projector(null_intersection(laps)) @ x0
-        traj = simulate_exact(s, x0, 600.0, 1.0)
-        mon = monitor_convergence(traj, x_star)
-        assert mon.converged_at is not None
-        assert mon.converged_at <= 600.0
-        assert mon.decay_rate is not None and mon.decay_rate < 1.0
-
-    def test_threshold_scales_with_initial_norm(self, cluster_cfg):
-        s = cluster_cfg.schedule
-        x0 = cluster_cfg.initial_state
-        from mwconsensus.analysis import null_intersection
-
-        laps = [s.laplacian_of(g) for g in s.catalog]
-        P = projector(null_intersection(laps))
-        t1 = simulate_exact(s, x0, 120.0, 1.0)
-        t2 = simulate_exact(s, 10.0 * x0, 120.0, 1.0)
-        m1 = monitor_convergence(t1, P @ x0)
-        m2 = monitor_convergence(t2, P @ (10.0 * x0))
-        assert m1.converged_at == pytest.approx(m2.converged_at)
-
-    def test_wrong_reference_never_converges(self, cluster_cfg):
-        traj = simulate_exact(cluster_cfg.schedule, cluster_cfg.initial_state, 60.0, 1.0)
-        mon = monitor_convergence(traj, np.ones(21))
-        assert mon.converged_at is None
-
-    def test_dimension_check(self, cluster_cfg):
-        traj = simulate_exact(cluster_cfg.schedule, cluster_cfg.initial_state, 6.0, 1.0)
-        with pytest.raises(DimensionMismatchError):
-            monitor_convergence(traj, np.ones(5))
 
 
 class TestRunsAgainstOracle:
