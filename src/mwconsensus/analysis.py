@@ -10,8 +10,7 @@ of each window's flow map, taken in the catalog eigenbases.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .errors import (
     WindowsNotContiguousError,
 )
 from .graph import Bipartition, has_positive_negative_spanning_tree
-from .matalg import EIG_TOL, NullSpaceBasis, null_space, projector, psd_eigh
+from .matalg import EIG_TOL, NullSpaceBasis, check_symmetric, null_space, projector, psd_eigh
 from .switching import (
     IntegralNetwork,
     SwitchingSchedule,
@@ -69,8 +68,8 @@ def null_intersection(
 
     For PSD matrices the intersection of null spaces equals the null space of
     the sum, so one eigendecomposition of ``sum L_i`` suffices.  Each summand
-    is checked to be PSD first by :func:`psd_eigh` (the identity fails for
-    sign-indefinite input).
+    is checked to be symmetric by :func:`check_symmetric` and PSD by
+    :func:`psd_eigh` first (the identity fails for sign-indefinite input).
     """
     if not laplacians:
         raise DimensionMismatchError("need at least one Laplacian")
@@ -79,7 +78,7 @@ def null_intersection(
     for L in laplacians:
         if L.shape != (order, order):
             raise DimensionMismatchError("Laplacians differ in order")
-        psd_eigh(L, eig_tol)
+        psd_eigh(check_symmetric(L), eig_tol)
         total += L
     return null_space(total, eig_tol)
 
@@ -179,8 +178,8 @@ class CertificationReport:
     bipartite consensus when present, but do not gate certification).
 
     ``integral_networks``, ``mu`` and ``lam_max`` hold one entry per window.
-    Windows with the same segment content share one integral graph and
-    Laplacian; each entry still carries its own ``window``.
+    Windows with the same segment content share one :class:`IntegralNetwork`
+    object.
     """
 
     integral_networks: tuple[IntegralNetwork, ...] = field(repr=False)
@@ -208,9 +207,9 @@ def certify_cluster_consensus(
     equal (as projectors) and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
-    bit have equal operators, so each distinct window is computed once and the
-    structural diagnostics range over distinct windows only.  Only windows
-    whose length another window shares are compared.
+    bit have equal operators, so each distinct window is computed once, its
+    windows share one :class:`IntegralNetwork` object, and the structural
+    diagnostics range over distinct windows only.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -222,18 +221,14 @@ def certify_cluster_consensus(
             raise WindowsNotContiguousError(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
-    lengths = Counter(w.end - w.start for w in ws)
-    first: dict[object, int] = {}  # window content -> index of its first window
+    first: dict[tuple[bytes, ...], int] = {}  # window content -> index of its first window
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
     for k, w in enumerate(ws):
         span = _check_window(s, w)
-        key = k  # a window whose length no other window has is unique; skip its bytes
-        if lengths[w.end - w.start] > 1:
-            key = (s.graph[span].tobytes(), s.dwell[span].tobytes(), s.scale[span].tobytes())
-        j = first.setdefault(key, k)
+        j = first.setdefault(tuple(a[span].tobytes() for a in (s.graph, s.dwell, s.scale)), k)
         src.append(j)
-        nets.append(integral_network(s, w) if j == k else replace(nets[j], window=w))
+        nets.append(integral_network(s, w) if j == k else nets[j])
     distinct = list(first.values())
     graphs = [nets[k].graph for k in distinct]
     bases, lam_max_of = [], {}

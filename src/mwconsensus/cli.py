@@ -121,8 +121,8 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         "q_estimate": report.q_estimate,
         "windows": [
             {
-                "start": net.window.start,
-                "end": net.window.end,
+                "start": w.start,
+                "end": w.end,
                 "duration": net.duration,
                 "mu": mu,
                 "integral_edges": [
@@ -130,7 +130,7 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
                     for (i, j), c in zip(net.graph.keys.tolist(), net.graph.classes)
                 ],
             }
-            for net, mu in zip(report.integral_networks, report.mu)
+            for w, net, mu in zip(windows, report.integral_networks, report.mu)
         ],
         "basis": report.basis.vectors.T.tolist(),
         "steady_state": pred.steady_state.tolist(),

@@ -19,18 +19,24 @@ class ConsensusToolError(Exception):
 
 
 class EdgeError(ConsensusToolError):
-    """An error about the edge ``{i, j}`` (0-based), or about no edge when unset.
+    """An error about the edge ``{i, j}`` or the ``node`` (0-based), or about neither.
 
-    ``problem`` completes the sentence "edge (i,j) ...".
+    ``problem`` completes the sentence "edge (i,j) ..." or "node k ...".
+    ``index`` is the offending matrix's position when a stack was checked.
     """
 
-    def __init__(self, problem: str, i: int | None = None, j: int | None = None):
+    def __init__(self, problem: str, i: int | None = None, j: int | None = None,
+                 index: int | None = None, node: int | None = None):
         self.problem = problem
         self.i = i
         self.j = j
+        self.index = index
+        self.node = node
         super().__init__(self.describe(0))
 
     def describe(self, base: int = 0) -> str:
+        if self.node is not None:
+            return f"node {self.node + base} {self.problem}"
         if self.i is None or self.j is None:
             return self.problem
         return f"edge ({self.i + base},{self.j + base}) {self.problem}"
@@ -40,13 +46,8 @@ class NonSymmetricError(EdgeError):
     """A matrix expected to be finite and symmetric is not, beyond tolerance.
 
     ``problem`` completes "matrix ..." or, for an edge weight, "edge (i,j)
-    weight ...".  ``index`` is the matrix's position when a stack was checked.
+    weight ...".
     """
-
-    def __init__(self, problem: str, i: int | None = None, j: int | None = None,
-                 index: int | None = None):
-        self.index = index
-        super().__init__(problem, i, j)
 
     def describe(self, base: int = 0) -> str:
         if self.i is None or self.j is None:
@@ -69,20 +70,8 @@ class SelfLoopError(EdgeError):
 class WeightOverflowError(EdgeError):
     """A weight, or the sum of a node's edge weights, exceeds the float range.
 
-    The error names the edge ``{i, j}`` or, for a sum, the 0-based ``node``;
-    ``index`` is the weight's position when a stack was classified.
+    The error names the edge ``{i, j}`` or, for a sum, the ``node``.
     """
-
-    def __init__(self, problem: str, i: int | None = None, j: int | None = None,
-                 index: int | None = None, node: int | None = None):
-        self.index = index
-        self.node = node
-        super().__init__(problem, i, j)
-
-    def describe(self, base: int = 0) -> str:
-        if self.node is not None:
-            return f"node {self.node + base} {self.problem}"
-        return super().describe(base)
 
 
 class NotPSDError(ConsensusToolError):

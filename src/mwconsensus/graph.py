@@ -37,7 +37,8 @@ class MatrixWeightedGraph:
     symmetric within tolerance, and classified as PD/PSD/ND/NSD by one stacked
     call (indefinite and numerically-zero weights are rejected, as are self
     loops).  A weight whose eigenvalues, or a node whose Laplacian block,
-    exceed the float range is rejected too, so every Laplacian entry is
+    exceed the float range is rejected too, as is a block with an absolute
+    row sum above half of it, so every Laplacian entry and eigenvalue is
     finite.  The graph holds the symmetric part of each weight, in its own
     frozen arrays, so a graph does not change after construction and its
     Laplacian is exactly symmetric.
@@ -99,9 +100,17 @@ class MatrixWeightedGraph:
         signs = pos.astype(np.intp) - neg
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the node named
             blocks = _node_blocks(n, keys, signs, weights)
+            row_sum = np.abs(blocks).sum(axis=2).max(axis=1)
         if (k := _first_false(np.isfinite(blocks).all(axis=(1, 2)))) is not None:
             raise WeightOverflowError(
                 "Laplacian block overflows: its edge weights sum past the float range", node=k
+            )
+        # x^T (2D - L) x sums (x_i + s x_j)^T |A_ij| (x_i + s x_j) >= 0 over the edges,
+        # so lam_max(L) <= 2 max_i ||D_i||_inf
+        if (k := _first_false(row_sum <= np.finfo(float).max / 2)) is not None:
+            raise WeightOverflowError(
+                "Laplacian block too large: a row's absolute sum exceeds half the float range, "
+                "so the Laplacian's eigenvalues could overflow", node=k
             )
         self.n = int(n)
         self.d = int(d)
@@ -153,21 +162,9 @@ def has_positive_negative_spanning_tree(g: MatrixWeightedGraph) -> bool:
     Semidefinite-but-singular weights are excluded: only edges whose weight is
     positive or negative definite count.
     """
-    definite = (g.classes == Definiteness.POSITIVE_DEFINITE) | (
-        g.classes == Definiteness.NEGATIVE_DEFINITE
-    )
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.keys[definite].tolist():
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for v in adj[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    D = Definiteness
+    definite = (g.classes == D.POSITIVE_DEFINITE) | (g.classes == D.NEGATIVE_DEFINITE)
+    return max(signed_components(g.n, g.keys[definite], g.signs[definite])[0]) == 0
 
 
 @dataclass(frozen=True)
@@ -189,30 +186,35 @@ class Bipartition:
         return tuple(i for i, s in enumerate(self.sigma) if s == -1)
 
 
-def two_color_signs(n: int, signs: Mapping[EdgeKey, int]) -> Bipartition | None:
-    """2-color nodes so every +1 edge joins like colors and every -1 edge unlike.
+def signed_components(
+    n: int, keys: np.ndarray, signs: np.ndarray
+) -> tuple[list[int], Bipartition | None]:
+    """Each node's component root and a signed 2-coloring, from edge ``keys`` and ``signs``.
 
-    BFS per component, roots colored +1 in increasing node order, so the
-    result is deterministic.  Returns None when some cycle makes the coloring
-    impossible (an odd number of negative edges on it).
+    A breadth-first search from each component's smallest node, its root,
+    colors the root +1, the ends of a +1 edge alike and those of a -1 edge
+    unlike.  The coloring is None when some cycle has an odd number of -1
+    edges, and otherwise unique, whatever order neighbors are visited in.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (i, j), s in signs.items():
+    for (i, j), s in zip(keys.tolist(), signs.tolist()):
         adj[i].append((j, s))
         adj[j].append((i, s))
+    root = [-1] * n
     sigma = [0] * n
-    for root in range(n):
-        if sigma[root]:
+    balanced = True
+    for r in range(n):
+        if root[r] >= 0:
             continue
-        sigma[root] = 1
-        queue = deque([root])
+        root[r], sigma[r] = r, 1
+        queue = deque([r])
         while queue:
             u = queue.popleft()
-            for v, s in sorted(adj[u]):
+            for v, s in adj[u]:
                 want = sigma[u] * s
-                if sigma[v] == 0:
-                    sigma[v] = want
+                if root[v] < 0:
+                    root[v], sigma[v] = r, want
                     queue.append(v)
                 elif sigma[v] != want:
-                    return None
-    return Bipartition(sigma=tuple(sigma))
+                    balanced = False
+    return root, Bipartition(sigma=tuple(sigma)) if balanced else None

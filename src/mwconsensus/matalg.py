@@ -159,13 +159,13 @@ def projector(basis: NullSpaceBasis) -> np.ndarray:
 def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition of a symmetric PSD matrix with negatives clipped to 0.
 
+    Unchecked precondition: ``matrix`` is finite and exactly symmetric, as
+    :func:`check_symmetric` returns it and ``laplacian()`` builds it.
     Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
-    roundoff, ``lam >= 0`` exactly, and the zero threshold
-    ``thr = eig_tol * max(1, lam_max)``.  Raises NotPSDError when an
-    eigenvalue is below ``-thr``.
+    roundoff, ``lam >= 0`` exactly, and the zero threshold ``thr = eig_tol *
+    max(1, lam_max)``.  Raises NotPSDError when an eigenvalue is below ``-thr``.
     """
-    M = check_symmetric(matrix)
-    lam, V = np.linalg.eigh(M)
+    lam, V = np.linalg.eigh(matrix)
     lam_max = float(lam[-1]) if lam.size else 0.0
     thr = eig_tol * max(1.0, lam_max)
     if lam.size and float(lam[0]) < -thr:
@@ -179,12 +179,13 @@ def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, 
 def null_space(matrix, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
     """Numerical null space of a symmetric PSD matrix.
 
-    Keeps the eigenvectors whose eigenvalues fall at or below
-    ``eig_tol * max(1, lam_max)``; the absolute floor of 1 makes the threshold
-    meaningful for near-zero matrices.  Clipping leaves that test unchanged.
-    Raises NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below
-    minus that threshold.  Certification passes the schedule's ``eig_tol``,
-    the one that classified its catalog edges and window averages.
+    Keeps the eigenvectors of the :func:`check_symmetric` result whose
+    eigenvalues fall at or below ``eig_tol * max(1, lam_max)``; the floor of
+    1 makes the threshold meaningful for near-zero matrices.  Clipping leaves
+    that test unchanged.  Raises NotPSDError, through :func:`psd_eigh`, when an
+    eigenvalue is below minus that threshold.  Certification passes the
+    schedule's ``eig_tol``, the one that classified its catalog edges and
+    window averages.
     """
-    lam, V, thr = psd_eigh(matrix, eig_tol)
+    lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)

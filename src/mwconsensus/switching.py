@@ -36,7 +36,7 @@ from .errors import (
     SignInconsistentEdgeError,
     WeightOverflowError,
 )
-from .graph import Bipartition, MatrixWeightedGraph, _first_false, laplacian, two_color_signs
+from .graph import Bipartition, MatrixWeightedGraph, _first_false, laplacian, signed_components
 from .matalg import Definiteness, classify_stack, psd_eigh
 
 
@@ -75,7 +75,8 @@ class SwitchingSchedule:
     classified their edges; ``ids`` lists them in catalog order.  The segments
     are three read-only arrays: ``graph`` (a position in ``ids``), ``dwell``
     (at least ``alpha``) and ``scale`` (positive).  Periodic schedules also
-    keep their generating pattern.
+    keep their generating pattern.  The total dwell and the total dose
+    ``sum(scale * dwell)`` are finite.
     """
 
     def __init__(
@@ -113,7 +114,15 @@ class SwitchingSchedule:
             raise ValueError(f"segment {k} scale must be positive, got {c[k]}")
         if (k := _first_false(w + 1e-12 >= self.alpha)) is not None:
             raise DwellTooShortError(f"segment {k} dwells {w[k]} < alpha = {self.alpha}", segment=k)
-        for a in (g, w, c):
+        with np.errstate(over="ignore"):  # reported below, with the segment named
+            ends, doses = np.cumsum(w), np.cumsum(c * w)
+        # the terms are positive, so finite totals bound every partial dose of every window
+        if (k := _first_false(np.isfinite(ends) & np.isfinite(doses))) is not None:
+            raise ValueError(
+                f"segment {k} takes the total dwell or dose (scale * dwell) past the float range"
+            )
+        self._switch_times = np.concatenate(([0.0], ends))
+        for a in (g, w, c, self._switch_times):
             a.setflags(write=False)
         self.mode = mode
         self.pattern = tuple(pattern) if pattern is not None else None
@@ -185,8 +194,8 @@ class SwitchingSchedule:
         return self.graph.size
 
     def switch_times(self) -> np.ndarray:
-        """Instants t_0 = 0 < t_1 < ... < t_K (length num_segments + 1)."""
-        return np.concatenate(([0.0], np.cumsum(self.dwell)))
+        """Instants t_0 = 0 < t_1 < ... < t_K (length num_segments + 1), read-only."""
+        return self._switch_times
 
     @property
     def total_duration(self) -> float:
@@ -280,9 +289,8 @@ def _edge_union(graphs: Sequence[MatrixWeightedGraph]):
 
 @dataclass(frozen=True)
 class IntegralNetwork:
-    """Time-averaged network over a window: graph, its Laplacian, and the span."""
+    """Time-averaged network over a window: its duration, graph and Laplacian."""
 
-    window: Window
     duration: float
     graph: MatrixWeightedGraph
     laplacian: np.ndarray = field(repr=False)
@@ -334,7 +342,7 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     except WeightOverflowError as exc:
         edge = () if exc.index is None else keys[first][exc.index].tolist()
         raise WeightOverflowError(f"{exc.problem} {where}", *edge, node=exc.node) from None
-    return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
+    return IntegralNetwork(duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 
 
 def flow_core(s: SwitchingSchedule, w: Window) -> np.ndarray:
@@ -374,5 +382,4 @@ def simultaneous_structural_balance(
     keys, signs, first, _, clash = _edge_union(graphs)
     if clash.size:
         return None
-    union = dict(zip(map(tuple, keys[first].tolist()), signs[first].tolist()))
-    return two_color_signs(graphs[0].n, union)
+    return signed_components(graphs[0].n, keys[first], signs[first])[1]

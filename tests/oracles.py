@@ -13,7 +13,10 @@ closed form.
 and state class and graph facts that the tests check; the package itself does
 not need them.  Nor does it need ``bipartite_steady_state`` (the paper's
 closed-form bipartite limit, which raises ``NonOrthonormalPsiError``) or the
-trajectory lookups ``state_at`` and ``agent``.
+trajectory lookups ``state_at`` and ``agent``.  ``two_color_signs`` 2-colors a
+signed edge dict with its own breadth-first search, visiting neighbors in
+sorted order, where the package runs one traversal on edge arrays for both
+balance and spanning trees.
 
 The ``*_per_segment`` window operators and integrator walk a schedule one
 segment at a time and, for the integral network, one edge at a time, where
@@ -31,7 +34,9 @@ computes each distinct window content once.
 
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +62,6 @@ from mwconsensus.graph import (
     MatrixWeightedGraph,
     has_positive_negative_spanning_tree,
     laplacian,
-    two_color_signs,
 )
 from mwconsensus.matalg import (
     EIG_FLOOR,
@@ -173,6 +177,35 @@ def is_connected(g: MatrixWeightedGraph) -> bool:
     return len(seen) == g.n
 
 
+def two_color_signs(n: int, signs: Mapping[EdgeKey, int]) -> Bipartition | None:
+    """2-color nodes so every +1 edge joins like colors and every -1 edge unlike.
+
+    BFS per component, roots colored +1 in increasing node order, so the
+    result is deterministic.  Returns None when some cycle makes the coloring
+    impossible (an odd number of negative edges on it).
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (i, j), s in signs.items():
+        adj[i].append((j, s))
+        adj[j].append((i, s))
+    sigma = [0] * n
+    for root in range(n):
+        if sigma[root]:
+            continue
+        sigma[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, s in sorted(adj[u]):
+                want = sigma[u] * s
+                if sigma[v] == 0:
+                    sigma[v] = want
+                    queue.append(v)
+                elif sigma[v] != want:
+                    return None
+    return Bipartition(sigma=tuple(sigma))
+
+
 def structural_balance(g: MatrixWeightedGraph) -> Bipartition | None:
     """Bipartition making positive edges intra-cluster and negative ones inter-cluster.
 
@@ -206,7 +239,7 @@ def matrix_exp_neg(matrix, tau: float, eig_tol: float = EIG_TOL) -> np.ndarray:
     """``exp(-tau * M)`` for symmetric PSD ``M`` and ``tau >= 0``, spectrally."""
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    lam, V, _ = psd_eigh(matrix, eig_tol)
+    lam, V, _ = psd_eigh(check_symmetric(matrix), eig_tol)
     return (V * np.exp(-tau * lam)) @ V.T
 
 
@@ -279,7 +312,7 @@ def integral_network_per_segment(s: SwitchingSchedule, w: Window) -> IntegralNet
     g_avg = MatrixWeightedGraph(
         s.n, s.d, weights, label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol
     )
-    return IntegralNetwork(window=w, duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
+    return IntegralNetwork(duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
 
 
 def state_transition_per_segment(s: SwitchingSchedule, w: Window) -> np.ndarray:

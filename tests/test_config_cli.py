@@ -19,6 +19,8 @@ from oracles import is_connected, write_trajectory_csv_rows
 from randgen import random_connected_pd_graph
 
 MAX = sys.float_info.max
+TOO_LARGE = ("Laplacian block too large: a row's absolute sum exceeds half the float range, "
+             "so the Laplacian's eigenvalues could overflow")
 
 
 def minimal_config_dict():
@@ -48,6 +50,12 @@ def overflow_config(weights):
         "schedule": {"type": "explicit", "segments": [{"graph": "G", "dwell": 1.0}]},
         "initial_state": [float(k) for k in range(2 * n)],
     }
+
+
+def duplicate_first_edge(doc):
+    """Append graph 0's first edge again, with its ends swapped."""
+    e = doc["graphs"][0]["edges"][0]
+    doc["graphs"][0]["edges"].append({**e, "i": e["j"], "j": e["i"]})
 
 
 def write_json(tmp_path, doc, name="scenario.json"):
@@ -231,30 +239,57 @@ class TestLoad:
         assert exc.value.field == "schedule.generator"
 
     @pytest.mark.parametrize(
-        "mutate, field",
+        "mutate, field, shown",
         [
-            (lambda d: d.update(graphs=[5]), "graphs[]"),
-            (lambda d: d["graphs"][0]["edges"].__setitem__(0, 5), "edges"),
-            (lambda d: d.update(schedule=5), "schedule"),
-            (lambda d: d["schedule"]["pattern"].__setitem__(0, 5), "schedule.pattern"),
-            (lambda d: d.update(solver=5), "solver"),
-            (lambda d: d.update(tolerances=[]), "tolerances"),
-            (lambda d: d["schedule"]["pattern"][0].update(graph=[1]), "schedule.pattern"),
+            (lambda d: d.update(graphs=[5]), "graphs[]", "graphs[]"),
+            (lambda d: d["graphs"][0]["edges"].__setitem__(0, 5), "edges", "edges"),
+            (lambda d: d.update(schedule=5), "schedule", "schedule"),
+            (lambda d: d["schedule"]["pattern"].__setitem__(0, 5), "schedule.pattern",
+             "schedule.pattern"),
+            (lambda d: d.update(solver=5), "solver", "solver"),
+            (lambda d: d.update(tolerances=[]), "tolerances", "tolerances"),
+            (lambda d: d["schedule"]["pattern"][0].update(graph=[1]), "schedule.pattern",
+             "schedule.pattern"),
+            (lambda d: d.update(schedule={"type": "explicit",
+                                          "segments": [{"graph": "G1", "dwell": "1"}]}),
+             "schedule.segments.dwell", "schedule.segments.dwell must be a number"),
+            (lambda d: d["graphs"][0].update(id=5), "graphs[].id", "graph id"),
+            (lambda d: d["graphs"][0].update(edges={}), "edges", "edges must be a list"),
+            (lambda d: d["graphs"][0]["edges"][0].update(j=8), "edges",
+             "edge (1,8) outside node range 1..7"),
+            (lambda d: d["graphs"][0]["edges"][0].update(weight=np.eye(2).tolist()), "weight",
+             "weight has shape (2, 2), expected (3,3)"),
+            (duplicate_first_edge, "edges", "duplicate edge (2,1)"),
+            (lambda d: d.update(schedule={"type": "explicit", "segments": []}),
+             "schedule.segments", "schedule.segments must be a nonempty list"),
+            (lambda d: d["schedule"].update(alpha=2.0), "schedule", "< alpha = 2.0"),
+            (lambda d: d["schedule"].update(repetitions=0), "schedule", "repetitions must be >= 1"),
+            (lambda d: d.update(windows={"type": "sliding"}), "windows", "unknown windows spec"),
+            (lambda d: d.update(windows={"type": "uniform", "segments": 0}), "windows",
+             "windows.segments must be >= 1"),
+            (lambda d: d.update(windows="all"), "windows", "unknown windows spec 'all'"),
+            (lambda d: d.update(num_agents=1), "num_agents", "num_agents must be >= 2"),
+            (lambda d: d.update(graphs=[]), "graphs", "graphs must be a nonempty list"),
+            (lambda d: [1, 2], None, "top level must be a JSON object"),
         ],
         ids=["graph-entry", "edge-entry", "schedule", "pattern-entry", "solver",
-             "tolerances", "pattern-graph-list"],
+             "tolerances", "pattern-graph-list", "dwell-string", "graph-id-number",
+             "edges-object", "edge-out-of-range", "weight-shape", "edge-duplicate",
+             "segments-empty", "alpha-above-dwell", "repetitions-zero", "windows-sliding",
+             "windows-zero-segments", "windows-string", "one-agent", "graphs-empty",
+             "top-level-list"],
     )
-    def test_wrong_container_types_name_the_field(self, tmp_path, capsys, mutate, field):
+    def test_wrong_container_types_name_the_field(self, tmp_path, capsys, mutate, field, shown):
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
-        mutate(doc)
+        doc = mutate(doc) or doc  # a mutation may return a whole new document
         path = write_json(tmp_path, doc)
         with pytest.raises(ConfigValidationError) as exc:
             load_config(path)
         assert exc.value.field == field
         assert main(["check", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and field in err
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and shown in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_asymmetric_weight_names_its_edge(self, tmp_path, capsys):
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
@@ -522,9 +557,13 @@ class TestCli:
             # finite entries, but the larger eigenvalue is 1.5 times the float maximum
             ({(1, 2): [[MAX, MAX / 2], [MAX / 2, MAX]]},
              "graph 'G': edge (1,2) weight overflows: its eigenvalues exceed the float range"),
+            # finite weight, eigenvalues and blocks, but the Laplacian's largest eigenvalue
+            # is 1.8 times the float maximum
+            ({(1, 2): [[0.9 * MAX, 0.0], [0.0, 0.9 * MAX]]}, f"graph 'G': node 1 {TOO_LARGE}"),
         ],
-        ids=["node-block", "eigenvalue"],
+        ids=["node-block", "eigenvalue", "laplacian-eigenvalue"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_weights_rejected_at_load(self, tmp_path, capsys, weights, message):
         path = write_json(tmp_path, overflow_config(weights))
         with pytest.raises(ConfigValidationError) as exc:
@@ -547,8 +586,10 @@ class TestCli:
             # three finite averages that node 1's Laplacian block sums
             ({(1, j): np.eye(2).tolist() for j in (2, 3, 4)}, 0.4 * MAX,
              "node 1 Laplacian block overflows: its edge weights sum past the float range"),
+            # a finite average whose Laplacian's largest eigenvalue would be 1.2 times the maximum
+            ({(1, 2): np.eye(2).tolist()}, 0.6 * MAX, f"node 1 {TOO_LARGE}"),
         ],
-        ids=["entry", "eigenvalue", "node-block"],
+        ids=["entry", "eigenvalue", "node-block", "laplacian-eigenvalue"],
     )
     def test_overflowing_window_average_names_the_window(self, tmp_path, capsys, weights, scale,
                                                          message):
@@ -561,6 +602,48 @@ class TestCli:
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message} in the average over window [0, 1)\n"
+
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            # the dose scale * dwell of the one segment is 1e310
+            ([{"graph": "G", "dwell": 1e10, "scale": 1e300}], "segment 0"),
+            # each dwell is finite, their sum 2e308 is not
+            ([{"graph": "G", "dwell": 1e308}] * 2, "segment 1"),
+        ],
+        ids=["dose", "duration"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_total_dwell_or_dose_rejected_at_load(self, tmp_path, capsys, segments,
+                                                               message):
+        doc = overflow_config({(1, 2): np.eye(2).tolist(), (2, 3): (2 * np.eye(2)).tolist()})
+        doc["schedule"]["segments"] = segments
+        path = str(write_json(tmp_path, doc))
+        message = (f"schedule: {message} takes the total dwell or dose (scale * dwell) "
+                   "past the float range")
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert str(exc.value) == message and exc.value.field == "schedule"
+        for command, extra in (("check", []), ("analyze", ["--out", str(tmp_path / "r.json")]),
+                               ("simulate", ["--out", str(tmp_path / "t.csv"), "--sample-dt", "5e9"])):
+            assert main([command, "--config", path, *extra]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_simulate_rk4_records_every_step(self, tmp_path, capsys):
+        doc = json.loads(scenarios.builtin_path("integral_static").read_text())
+        doc["solver"]["method"] = "rk4"
+        path = str(write_json(tmp_path, doc))
+        out = tmp_path / "rk4.csv"
+        assert main(["simulate", "--config", path, "--out", str(out), "--horizon", "2"]) == 0
+        assert "simulated rk4 to t = 2 (2001 samples)" in capsys.readouterr().out
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        step_h = doc["solver"]["step_h"]
+        assert len(rows) == round(2 / step_h) + 1
+        assert np.allclose(rows[:, 0], step_h * np.arange(len(rows)), rtol=0, atol=1e-12)
+        cfg = load_config(path)
+        exact = simulate_exact(cfg.schedule, cfg.initial_state, 2.0, 1.0)
+        # acceptance criterion c09's tolerance
+        assert np.abs(rows[-1, 1:] - exact.final_state).max() < 1e-6
 
     @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching", "integral_static"])
     def test_too_small_eig_tol_names_the_window_and_the_tolerance(self, tmp_path, capsys, name):

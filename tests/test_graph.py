@@ -17,9 +17,10 @@ from mwconsensus.graph import (
     MatrixWeightedGraph,
     has_positive_negative_spanning_tree,
     laplacian,
-    two_color_signs,
+    signed_components,
 )
 from mwconsensus.matalg import Definiteness
+from mwconsensus.switching import simultaneous_structural_balance
 
 from oracles import (
     gauge_transform,
@@ -29,6 +30,7 @@ from oracles import (
     quadratic_form,
     signature_matrix,
     structural_balance,
+    two_color_signs,
     weight_of,
 )
 from randgen import rand_graph, rand_pair_signs, rand_sign_definite
@@ -133,15 +135,11 @@ class TestConstruction:
         assert np.array_equal(g.weights[:, 0, 0], [2.0, 2.0, 2.0])
         L = laplacian(g)
         assert np.array_equal(L, L.T)
-        # exactly symmetric weights are held bit for bit: signed zeros, subnormals, and
-        # entries near the float maximum, whose plain sum would overflow
-        big = np.finfo(float).max
-        exact = [
-            np.array([[1.0, -0.0, 0.0], [-0.0, 2.0, 5e-324], [0.0, 5e-324, 3.0]]),
-            np.array([[big / 2, big / 4, 0.0], [big / 4, big / 2, 0.0], [0.0, 0.0, big]]),
-        ]
-        g = MatrixWeightedGraph(3, 3, {(0, 1): exact[0], (1, 2): exact[1]})
-        assert g.weights.tobytes() == np.stack(exact).tobytes()
+        # exactly symmetric weights are held bit for bit: signed zeros and subnormals
+        # (near-max entries: test_matalg.py TestClassify::test_exact_entries_kept_bit_for_bit)
+        exact = np.array([[1.0, -0.0, 0.0], [-0.0, 2.0, 5e-324], [0.0, 5e-324, 3.0]])
+        g = MatrixWeightedGraph(3, 3, {(0, 1): exact, (1, 2): exact})
+        assert g.weights.tobytes() == np.stack([exact, exact]).tobytes()
 
     def test_empty_graph_is_valid(self):
         g = MatrixWeightedGraph(3, 2, {})
@@ -243,23 +241,56 @@ class TestPNSpanningTree:
         assert has_positive_negative_spanning_tree(g) is True
 
 
+def balance(g):
+    return simultaneous_structural_balance([g])
+
+
 class TestBalance:
     def test_all_positive_graph_is_trivially_balanced(self):
-        b = structural_balance(toy_graph(sign=(1, 1, 1)))
+        b = balance(toy_graph(sign=(1, 1, 1)))
         assert b is not None and b.sigma == (1, 1, 1)
 
     def test_unbalanced_triangle(self):
-        assert structural_balance(toy_graph(sign=(1, 1, -1))) is None
+        assert balance(toy_graph(sign=(1, 1, -1))) is None
 
     def test_balanced_split(self):
-        b = structural_balance(toy_graph(sign=(1, -1, -1)))
+        b = balance(toy_graph(sign=(1, -1, -1)))
         assert b is not None
         assert b.positive_set == (0, 1) and b.negative_set == (2,)
 
     def test_coloring_deterministic_per_component(self):
-        signs = {(0, 1): -1, (2, 3): -1}
-        b = two_color_signs(4, signs)
+        root, b = signed_components(4, np.array([[0, 1], [2, 3]]), np.array([-1, -1]))
+        assert root == [0, 0, 2, 2]
         assert b.sigma == (1, -1, 1, -1)
+
+    def test_unbalanced_cycle_still_gives_every_root(self):
+        # an odd cycle 0-1-2 of -1 edges, and node 3 on its own
+        keys = np.array([[0, 1], [1, 2], [0, 2]])
+        root, b = signed_components(4, keys, np.array([-1, -1, -1]))
+        assert root == [0, 0, 0, 3] and b is None
+
+    def test_matches_two_color_oracle_on_random_signed_graphs(self, rng):
+        seen = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+            keys = pairs[rng.uniform(size=len(pairs)) < rng.uniform(0.1, 0.7)]
+            if rng.uniform() < 0.5:  # signs from a node signature: balanced
+                sigma = rng.choice((-1, 1), size=n)
+                signs = sigma[keys[:, 0]] * sigma[keys[:, 1]]
+            else:
+                signs = rng.choice((-1, 1), size=len(keys))
+            root, b = signed_components(n, keys, signs)
+            want = two_color_signs(n, dict(zip(map(tuple, keys.tolist()), signs.tolist())))
+            assert b == want
+            # each node's root is the smallest node it reaches
+            reach = np.eye(n, dtype=bool)
+            reach[keys[:, 0], keys[:, 1]] = reach[keys[:, 1], keys[:, 0]] = True
+            for _ in range(n):
+                reach = (reach.astype(int) @ reach.astype(int)) > 0
+            assert root == reach.argmax(axis=1).tolist()
+            seen.add(b is None)
+        assert seen == {True, False}
 
     def test_signature_matrix_is_involutory(self):
         b = Bipartition(sigma=(1, -1, 1))

@@ -168,6 +168,22 @@ class TestClassify:
         M = np.array([[1.0, 1e-13], [0.0, 1.0]])
         assert classify_one(M) is D.POSITIVE_DEFINITE
 
+    @pytest.mark.filterwarnings("error")
+    def test_exact_entries_kept_bit_for_bit(self):
+        # signed zeros, subnormals, and entries near the float maximum, whose plain sum
+        # would overflow, kept as they are beside a matrix that is symmetrized
+        big = np.finfo(float).max
+        exact = np.stack([
+            np.array([[1.0, -0.0, 0.0], [-0.0, 2.0, 5e-324], [0.0, 5e-324, 3.0]]),
+            np.array([[big / 2, big / 4, 0.0], [big / 4, big / 2, 0.0], [0.0, 0.0, big]]),
+        ])
+        assert check_symmetric(exact).tobytes() == exact.tobytes()
+        near = np.eye(3)
+        near[0, 1] += 0.9e-12
+        held = check_symmetric(np.concatenate([exact, near[None]]))
+        assert held[:2].tobytes() == exact.tobytes()
+        assert np.array_equal(held[2], held[2].T)
+
     def test_rejects_non_square(self):
         with pytest.raises(NonSymmetricError):
             classify_stack(np.ones((1, 2, 3)))
@@ -254,6 +270,16 @@ class TestNullSpace:
     def test_eigenvalue_at_threshold_included(self):
         B = null_space(np.diag([1e-9, 1.0]))
         assert B.dim == 1
+
+    def test_public_callers_still_check_symmetry(self):
+        # psd_eigh trusts its input; null_space and null_intersection check their callers'
+        from mwconsensus.analysis import null_intersection
+
+        asym = np.array([[1.0, -1.0 + 1e-9], [-1.0, 1.0]])
+        with pytest.raises(NonSymmetricError, match="not symmetric"):
+            null_space(asym)
+        with pytest.raises(NonSymmetricError, match="not symmetric"):
+            null_intersection([np.eye(2), asym - np.eye(2)])
 
     def test_not_psd_raises(self):
         with pytest.raises(NotPSDError):
