@@ -30,6 +30,7 @@ from .analysis import (
 )
 from .config import ScenarioConfig, load_config
 from .errors import ConsensusToolError
+from .matalg import canonical_basis
 from .sim import Trajectory, simulate_exact, simulate_rk4
 from .switching import validate_schedule
 
@@ -132,7 +133,7 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
             }
             for w, net, mu in zip(windows, report.integral_networks, report.mu)
         ],
-        "basis": report.basis.vectors.T.tolist(),
+        "basis": canonical_basis(report.basis.vectors).T.tolist(),
         "steady_state": pred.steady_state.tolist(),
         "kind": pred.kind.value,
         "num_clusters": pred.num_clusters,

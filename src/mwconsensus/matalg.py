@@ -14,6 +14,8 @@ Tolerance conventions
   threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
   space keeps eigenvectors with ``lam <= thr``, where
   ``thr = EIG_TOL * max(1, lam_max)``.
+* ``PIVOT_TIE``: relative gap under which two row norms tie when
+  :func:`canonical_basis` picks a pivot row; the lower index wins.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ SYM_TOL = 1e-12
 EIG_TOL = 1e-9
 EIG_FLOOR = 1e-12
 ORTHO_TOL = 1e-10
+PIVOT_TIE = 1e-8
 
 
 class Definiteness(Enum):
@@ -154,6 +157,31 @@ def projector(basis: NullSpaceBasis) -> np.ndarray:
     """Orthogonal projector ``sum_i eta_i eta_i^T`` onto the spanned subspace."""
     V = basis.vectors
     return V @ V.T
+
+
+def canonical_basis(V: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of ``span(V)`` that depends on the span alone, not on ``V``.
+
+    Greedy row pivoting picks ``m`` rows ``piv``: each step takes the row of
+    largest residual norm, the lowest index among rows within ``PIVOT_TIE``
+    of it, and removes its direction from the other rows.  ``T = V
+    V[piv]^-1`` is then the unique basis equal to the identity on those rows,
+    and its columns are orthonormalised in order by QR with ``diag(R) > 0``.
+    A roundoff change of ``V`` that keeps its span within ``eps`` moves the
+    result by about ``eps`` times a condition number, where ``eigh``'s basis
+    of a repeated eigenvalue can turn by O(1).
+    """
+    R = np.array(V, dtype=float)
+    piv = []
+    for _ in range(R.shape[1]):
+        norms = np.sqrt(np.einsum("ij,ij->i", R, R))
+        k = int(np.argmax(norms >= (1.0 - PIVOT_TIE) * norms.max()))
+        piv.append(k)
+        q = R[k] / norms[k]
+        R -= np.outer(R @ q, q)
+    T = np.linalg.solve(V[piv].T, V.T).T
+    Q, upper = np.linalg.qr(T)
+    return Q * np.where(np.diag(upper) < 0, -1.0, 1.0)
 
 
 def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, float]:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwconsensus.errors import IndefiniteWeightError, NonSymmetricError, NotPSDError
-from mwconsensus.graph import MatrixWeightedGraph
+from mwconsensus.graph import MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import (
     EIG_FLOOR,
     EIG_TOL,
     Definiteness,
     NullSpaceBasis,
+    canonical_basis,
     check_symmetric,
     classify_stack,
     null_space,
@@ -20,6 +21,7 @@ from mwconsensus.matalg import (
 )
 
 from oracles import classify_definiteness, matrix_abs, matrix_exp_neg, sign_of
+from randgen import rand_graph
 
 D = Definiteness
 
@@ -293,6 +295,60 @@ class TestNullSpace:
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(NotPSDError):
             NullSpaceBasis(vectors=np.array([[1.0], [1.0]]), tol_used=1e-9)
+
+
+class TestCanonicalBasis:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_roundoff_perturbation_barely_moves_it(self, seed):
+        # a symmetric perturbation of relative size 1e-15 turns eigh's basis of a
+        # repeated zero eigenvalue by O(1); the canonical basis moves by roundoff
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        # structurally balanced signs, so the null space has dimension d or more
+        sigma = rng.choice((-1, 1), size=n)
+        signs = {(i, j): int(sigma[i] * sigma[j]) for i in range(n) for j in range(i + 1, n)}
+        g = rand_graph(rng, n, d, pair_signs=signs, edge_prob=float(rng.uniform(0.2, 0.9)))
+        L = laplacian(g)
+        E = rand_sym(rng, n * d)
+        E *= 1e-15 * np.linalg.norm(L, 2) / np.linalg.norm(E, 2)
+        V, W = null_space(L).vectors, null_space(L + E).vectors
+        assert V.shape == W.shape and V.shape[1] >= 1
+        Q = canonical_basis(V)
+        assert np.abs(Q.T @ Q - np.eye(V.shape[1])).max() < 1e-12
+        assert np.abs(Q @ Q.T - V @ V.T).max() < 1e-12
+        assert np.abs(canonical_basis(W) - Q).max() <= 1e-10
+        # any orthonormal basis of the span gives the same answer
+        turned = V @ np.linalg.qr(rng.normal(size=(V.shape[1],) * 2))[0]
+        assert np.abs(canonical_basis(turned) - Q).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (5, 3), (7, 2)])
+    def test_exact_tie_gives_the_consensus_basis(self, n, d, rng):
+        # every agent's rows have the same norm: the lowest index wins each tie
+        R = rng.normal(size=(n - 1, d, d))
+        g = MatrixWeightedGraph(n, d, {(i, i + 1): np.eye(d) + R[i] @ R[i].T for i in range(n - 1)})
+        V = null_space(laplacian(g)).vectors
+        want = np.kron(np.ones((n, 1)), np.eye(d)) / np.sqrt(n)
+        for turn in (np.eye(d), np.linalg.qr(rng.normal(size=(d, d)))[0]):
+            assert np.abs(canonical_basis(V @ turn) - want).max() < 1e-14
+
+    def test_near_tie_takes_the_lowest_index(self):
+        # rows 0 and 1 differ in norm by 1e-12 and in sign: the pivot row gets the + sign
+        for a, b in ((1.0, -(1.0 + 1e-12)), (1.0 + 1e-12, -1.0)):
+            v = np.array([[a], [b], [0.5]])
+            v /= np.linalg.norm(v)
+            Q = canonical_basis(-v)
+            assert Q[0, 0] > 0 and np.abs(Q - v).max() < 1e-15
+        # in two dimensions, a plane whose pivot rows tie within 1e-12
+        V = np.array([[1.0, 0.0], [0.0, 1.0], [-(1.0 + 1e-12), 0.0], [0.0, -1.0]]) / np.sqrt(2)
+        V = np.linalg.qr(V)[0]
+        for angle in (0.3, 2.0, -1.1):
+            c, s = np.cos(angle), np.sin(angle)
+            Q = canonical_basis(V @ np.array([[c, -s], [s, c]]))
+            assert np.abs(Q - np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]) / np.sqrt(2)).max() < 1e-11
+
+    def test_empty_span(self):
+        assert canonical_basis(np.zeros((4, 0))).shape == (4, 0)
 
 
 class TestProjector:
