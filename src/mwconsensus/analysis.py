@@ -21,7 +21,7 @@ from .errors import (
     NotPSDError,
     WindowsNotContiguousError,
 )
-from .graph import Bipartition, has_positive_negative_spanning_tree
+from .graph import Bipartition, has_positive_negative_spanning_tree, laplacian
 from .matalg import EIG_TOL, NullSpaceBasis, check_symmetric, null_space, projector, psd_eigh
 from .switching import (
     IntegralNetwork,
@@ -37,6 +37,7 @@ NS_EQ_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 Q_MARGIN = 1e-6
 NECESSARY_TOL = 1e-6
+CUT_GAP = 1e3
 
 
 class ConsensusKind(Enum):
@@ -170,14 +171,12 @@ class CertificationReport:
     ``certified`` means: window null spaces, taken with the schedule's
     ``eig_tol``, all agree (projector distance at most ``ns_eq_tol``) and
     every window's flow map contracts the complement with
-    ``mu <= q_estimate <= 1 - Q_MARGIN``.  ``lam_max`` is each window's
-    largest integral-Laplacian eigenvalue, its spectral norm, from the same
-    eigendecomposition as its null space.  ``basis`` is the first window's
+    ``mu <= q_estimate <= 1 - Q_MARGIN``.  ``basis`` is the first window's
     null space.  ``balance`` and ``pn_spanning_tree`` describe the window
     integral graphs and are informational (they upgrade the interpretation to
     bipartite consensus when present, but do not gate certification).
 
-    ``integral_networks``, ``mu`` and ``lam_max`` hold one entry per window.
+    ``integral_networks`` and ``mu`` hold one entry per window.
     Windows with the same segment content share one :class:`IntegralNetwork`
     object.
     """
@@ -187,12 +186,42 @@ class CertificationReport:
     max_projector_distance: float
     m: int
     mu: tuple[float, ...]
-    lam_max: tuple[float, ...]
     q_estimate: float
     certified: bool
     basis: NullSpaceBasis = field(repr=False)
     balance: Bipartition | None
     pn_spanning_tree: bool
+
+
+def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
+    """Null space of a window's integral Laplacian ``L_w``, solved inside a catalog null space.
+
+    ``L_w = sum_g dose_g L_g / T`` sums PSD terms, so ``x^T L_w x <= thr``
+    gives ``x^T L_g x <= cut_g = thr T / dose_g``.  Where the next eigenvalue
+    of ``L_g`` is at least ``CUT_GAP * cut_g``, such an ``x`` lies, up to
+    roundoff, in the span ``V0`` of the eigenvectors of ``L_g`` up to
+    ``cut_g``; a briefly dosed graph, whose cut falls inside its spectrum,
+    offers no span.  The smallest span offered, or the whole space, gives the
+    null space ``V0 null(V0^T L_w V0)`` at ``thr = eig_tol * max(1,
+    lam_bound)``, with the window graph's bound on the largest eigenvalue.
+    """
+    bound = net.graph.lam_bound
+    thr = s.eig_tol * max(1.0, bound)
+    doses = net.doses.tolist()
+    L = laplacian(net.graph)
+    V0 = np.eye(L.shape[0])
+    for k in np.flatnonzero(net.doses).tolist():
+        lam, V = s.eig_of(s.ids[k])
+        cut = thr * net.duration / doses[k]
+        c = int(np.searchsorted(lam, cut, side="right"))
+        if c < V0.shape[1] and lam[c] >= CUT_GAP * cut:
+            V0 = V[:, :c]
+    M = V0.T @ (L @ V0)
+    try:
+        mu, U, _ = psd_eigh(0.5 * (M + M.T), s.eig_tol, bound)
+    except NotPSDError as exc:
+        raise NotPSDError(f"integral Laplacian {exc}") from None
+    return NullSpaceBasis(vectors=V0 @ U[:, mu <= thr], tol_used=thr)
 
 
 def certify_cluster_consensus(
@@ -202,9 +231,10 @@ def certify_cluster_consensus(
 
     The windows must tile the schedule prefix contiguously.  For each window
     the integral-network null space (with ``s.eig_tol``, the tolerance that
-    classified the window averages) and the singular values of its
-    :func:`flow_core` are computed; certification requires all null spaces
-    equal (as projectors) and ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
+    classified the window averages, solved inside a catalog null space) and
+    the singular values of its :func:`flow_core` are computed; certification
+    requires all null spaces equal (as projectors) and
+    ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window is computed once, its
@@ -221,27 +251,31 @@ def certify_cluster_consensus(
             raise WindowsNotContiguousError(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
-    first: dict[tuple[bytes, ...], int] = {}  # window content -> index of its first window
+    # the length and the end segments key a window; windows that share a key are compared
+    # in full, and positive dwells and scales are equal exactly when their bits are
+    firsts: dict[tuple, list[tuple[int, list[np.ndarray]]]] = {}
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
     for k, w in enumerate(ws):
         span = _check_window(s, w)
-        j = first.setdefault(tuple(a[span].tobytes() for a in (s.graph, s.dwell, s.scale)), k)
+        parts = [a[span] for a in (s.graph, s.dwell, s.scale)]
+        key = (len(parts[0]), *(p[0] for p in parts), *(p[-1] for p in parts))
+        same = firsts.setdefault(key, [])
+        j = next((i for i, seen in same
+                  if all(p.tobytes() == q.tobytes() for p, q in zip(parts, seen))), k)
+        if j == k:
+            same.append((k, parts))
         src.append(j)
         nets.append(integral_network(s, w) if j == k else nets[j])
-    distinct = list(first.values())
+    distinct = sorted(set(src))
     graphs = [nets[k].graph for k in distinct]
-    bases, lam_max_of = [], {}
-    # keep each window's null space and top eigenvalue, not all of its eigenvectors
+    bases = []
     for k in distinct:
         try:
-            lam, V, thr = psd_eigh(nets[k].laplacian, s.eig_tol)
+            bases.append(_window_null_space(s, nets[k]))
         except NotPSDError as exc:
-            # a Laplacian is PSD by construction: a too small eig_tol exposes eigh's roundoff
             w = ws[k]
-            raise NotPSDError(f"window [{w.start}, {w.end}): integral Laplacian {exc}") from None
-        bases.append(NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr))
-        lam_max_of[k] = float(lam[-1])
+            raise NotPSDError(f"window [{w.start}, {w.end}): {exc}") from None
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
@@ -259,7 +293,6 @@ def certify_cluster_consensus(
         max_projector_distance=max_dist,
         m=m,
         mu=tuple(mu_of[j] for j in src),
-        lam_max=tuple(lam_max_of[j] for j in src),
         q_estimate=float(q),
         certified=certified,
         basis=bases[0],
@@ -269,20 +302,23 @@ def certify_cluster_consensus(
 
 
 def verify_necessary_condition(
-    x_star: np.ndarray, laplacians: Sequence[np.ndarray], lam_max: Sequence[float]
+    x_star: np.ndarray, s: SwitchingSchedule, windows: Sequence[Window]
 ) -> bool:
-    """Check that x* is annihilated by every Laplacian in the collection.
+    """Check that x* is annihilated by the catalog Laplacian of every graph the windows schedule.
 
-    ``lam_max`` holds each Laplacian's largest eigenvalue, its spectral norm
-    (the Laplacians are PSD), as certification already computed it.  Uses the
-    scale-aware criterion ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||``
-    so the answer does not depend on the overall magnitude of either factor.
+    This is the paper's necessary condition: a limit lies in the null space
+    of every switching Laplacian.  Uses the scale-aware criterion
+    ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||``, so the answer does
+    not depend on the overall magnitude of either factor; ``||L||`` is the
+    largest eigenvalue of the schedule's cached eigendecomposition.
     """
     v = np.asarray(x_star, dtype=float).ravel()
+    if v.size != s.n * s.d:
+        raise DimensionMismatchError(f"state length {v.size} != order {s.n * s.d}")
     nv = float(np.linalg.norm(v))
-    for L, top in zip(laplacians, lam_max, strict=True):
-        if v.size != L.shape[0]:
-            raise DimensionMismatchError(f"state length {v.size} != order {L.shape[0]}")
-        if float(np.linalg.norm(L @ v)) > NECESSARY_TOL * (1.0 + top) * nv:
+    spans = [s.graph[_check_window(s, w)] for w in windows]
+    for k in np.unique(np.concatenate([np.zeros(0, np.intp), *spans])).tolist():
+        top = float(s.eig_of(s.ids[k])[0][-1])
+        if float(np.linalg.norm(s.laplacian_of(s.ids[k]) @ v)) > NECESSARY_TOL * (1.0 + top) * nv:
             return False
     return True

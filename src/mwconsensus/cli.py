@@ -109,9 +109,7 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     pred = predict_steady_state(
         report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension, tol.cluster_tol
     )
-    necessary_ok = verify_necessary_condition(
-        pred.steady_state, [net.laplacian for net in report.integral_networks], report.lam_max
-    )
+    necessary_ok = verify_necessary_condition(pred.steady_state, cfg.schedule, windows)
     balance = report.balance
     doc = {
         "certified": report.certified,

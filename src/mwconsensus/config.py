@@ -209,7 +209,7 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
                 field=f"{where}.intervals",
             )
         return SwitchingSchedule.generated(graphs, name, params, alpha)
-    except (ConsensusToolError, KeyError, ValueError, OverflowError) as exc:
+    except ConsensusToolError as exc:
         if isinstance(exc, ConfigValidationError):
             raise
         raise ConfigValidationError(f"schedule: {exc}", field="schedule") from exc

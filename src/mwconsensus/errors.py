@@ -94,6 +94,10 @@ class EmptyScheduleError(ConsensusToolError):
     """A schedule contains no segments or an empty graph catalog."""
 
 
+class ScheduleError(ConsensusToolError):
+    """An unknown graph or generator, a non-positive scale, or totals or counts past range."""
+
+
 class EmptyWindowError(ConsensusToolError):
     """A window selects no schedule segments."""
 

@@ -41,7 +41,8 @@ class MatrixWeightedGraph:
     row sum above half of it, so every Laplacian entry and eigenvalue is
     finite.  The graph holds the symmetric part of each weight, in its own
     frozen arrays, so a graph does not change after construction and its
-    Laplacian is exactly symmetric.
+    Laplacian is exactly symmetric.  ``lam_bound = 2 max_i ||D_i||_inf``
+    bounds the Laplacian's largest eigenvalue.
     """
 
     def __init__(
@@ -116,6 +117,7 @@ class MatrixWeightedGraph:
         self.d = int(d)
         self.label = label
         self.eig_tol = float(eig_tol)
+        self.lam_bound = 2.0 * float(row_sum.max(initial=0.0))
         self.keys, self.weights, self.classes, self.signs = keys, weights, classes, signs
         for a in (self.keys, self.weights, self.classes, self.signs):
             a.setflags(write=False)

@@ -13,7 +13,7 @@ Tolerance conventions
   ``|lam| <= max(EIG_TOL * max|lam|, EIG_FLOOR)`` as zero; ties at the
   threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
   space keeps eigenvectors with ``lam <= thr``, where
-  ``thr = EIG_TOL * max(1, lam_max)``.
+  ``thr = EIG_TOL * max(1, lam_max)``, or a bound on ``lam_max`` in its place.
 * ``PIVOT_TIE``: relative gap under which two row norms tie when
   :func:`canonical_basis` picks a pivot row; the lower index wins.
 """
@@ -162,14 +162,11 @@ def projector(basis: NullSpaceBasis) -> np.ndarray:
 def canonical_basis(V: np.ndarray) -> np.ndarray:
     """The orthonormal basis of ``span(V)`` that depends on the span alone, not on ``V``.
 
-    Greedy row pivoting picks ``m`` rows ``piv``: each step takes the row of
-    largest residual norm, the lowest index among rows within ``PIVOT_TIE``
-    of it, and removes its direction from the other rows.  ``T = V
-    V[piv]^-1`` is then the unique basis equal to the identity on those rows,
-    and its columns are orthonormalised in order by QR with ``diag(R) > 0``.
-    A roundoff change of ``V`` that keeps its span within ``eps`` moves the
-    result by about ``eps`` times a condition number, where ``eigh``'s basis
-    of a repeated eigenvalue can turn by O(1).
+    Greedy row pivoting picks rows ``piv`` (largest residual norm, lowest
+    index within ``PIVOT_TIE`` of it); ``T = V V[piv]^-1`` is the basis equal
+    to the identity there, orthonormalised in order by QR with ``diag(R) >
+    0``.  Roundoff in ``V`` moves it by roundoff, where ``eigh``'s basis of a
+    repeated eigenvalue can turn by O(1).
     """
     R = np.array(V, dtype=float)
     piv = []
@@ -184,18 +181,23 @@ def canonical_basis(V: np.ndarray) -> np.ndarray:
     return Q * np.where(np.diag(upper) < 0, -1.0, 1.0)
 
 
-def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, float]:
+def psd_eigh(
+    matrix, eig_tol: float = EIG_TOL, lam_bound: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition of a symmetric PSD matrix with negatives clipped to 0.
 
     Unchecked precondition: ``matrix`` is finite and exactly symmetric, as
     :func:`check_symmetric` returns it and ``laplacian()`` builds it.
     Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
     roundoff, ``lam >= 0`` exactly, and the zero threshold ``thr = eig_tol *
-    max(1, lam_max)``.  Raises NotPSDError when an eigenvalue is below ``-thr``.
+    max(1, lam_bound)``, where ``lam_bound`` defaults to ``lam_max``: a
+    compression of a larger matrix passes that matrix's bound.  Raises
+    NotPSDError when an eigenvalue is below ``-thr``.
     """
     lam, V = np.linalg.eigh(matrix)
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    thr = eig_tol * max(1.0, lam_max)
+    if lam_bound is None:
+        lam_bound = float(lam[-1]) if lam.size else 0.0
+    thr = eig_tol * max(1.0, lam_bound)
     if lam.size and float(lam[0]) < -thr:
         raise NotPSDError(
             f"matrix is not PSD at eig_tol = {eig_tol:g}: "

@@ -114,12 +114,14 @@ def simulate_exact(
         lam, V = s.eig_of(s.ids[g])
         if hi > idx:
             D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
-            decay = np.exp(-np.outer(lam, D))
+            with np.errstate(over="ignore"):  # an overflowing dose decays to exp(-inf) = 0
+                decay = np.exp(-np.outer(lam, D))
             states[idx:hi] = (V @ (decay * (V.T @ x)[:, None])).T
             if ts[idx] == t_switch[k0]:
                 states[idx] = x  # exact at the run start
             idx = hi
-        x = V @ (np.exp(-dose * lam) * (V.T @ x))
+        with np.errstate(over="ignore"):
+            x = V @ (np.exp(-dose * lam) * (V.T @ x))
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
 

@@ -33,6 +33,8 @@ from .errors import (
     DwellTooShortError,
     EmptyScheduleError,
     EmptyWindowError,
+    NotPSDError,
+    ScheduleError,
     SignInconsistentEdgeError,
     WeightOverflowError,
 )
@@ -59,6 +61,12 @@ class Window:
     def __post_init__(self):
         if self.start < 0 or self.end <= self.start:
             raise EmptyWindowError(f"invalid window [{self.start}, {self.end})")
+
+
+def _check_count(count: int, what: str) -> None:
+    # numpy refuses an array of more bytes than intp holds; a dwell takes 8
+    if count > np.iinfo(np.intp).max // 8:
+        raise ScheduleError(f"{count} segments from {what} are more than an array can hold")
 
 
 def _segment_arrays(catalog: Mapping[str, object], segments: Sequence[Segment]) -> tuple[list, list, list]:
@@ -107,18 +115,18 @@ class SwitchingSchedule:
         self.ids = tuple(self.catalog)
         self.alpha = float(alpha)
         if (k := _first_false((g >= 0) & (g < len(self.ids)))) is not None:
-            raise KeyError(f"segment {k} references no graph of the catalog")
+            raise ScheduleError(f"segment {k} references no graph of the catalog")
         if (k := _first_false(w > 0)) is not None:
             raise DwellTooShortError(f"segment {k} dwell must be positive, got {w[k]}", segment=k)
         if (k := _first_false(c > 0)) is not None:
-            raise ValueError(f"segment {k} scale must be positive, got {c[k]}")
+            raise ScheduleError(f"segment {k} scale must be positive, got {c[k]}")
         if (k := _first_false(w + 1e-12 >= self.alpha)) is not None:
             raise DwellTooShortError(f"segment {k} dwells {w[k]} < alpha = {self.alpha}", segment=k)
         with np.errstate(over="ignore"):  # reported below, with the segment named
             ends, doses = np.cumsum(w), np.cumsum(c * w)
         # the terms are positive, so finite totals bound every partial dose of every window
         if (k := _first_false(np.isfinite(ends) & np.isfinite(doses))) is not None:
-            raise ValueError(
+            raise ScheduleError(
                 f"segment {k} takes the total dwell or dose (scale * dwell) past the float range"
             )
         self._switch_times = np.concatenate(([0.0], ends))
@@ -152,6 +160,7 @@ class SwitchingSchedule:
     ) -> "SwitchingSchedule":
         if repetitions < 1:
             raise EmptyScheduleError(f"repetitions must be >= 1, got {repetitions}")
+        _check_count(len(pattern) * repetitions, f"{repetitions} repetitions of the pattern")
         arrays = [np.tile(a, repetitions) for a in _segment_arrays(catalog, pattern)]
         return cls(catalog, *arrays, alpha, mode="periodic", pattern=pattern)
 
@@ -172,18 +181,19 @@ class SwitchingSchedule:
         """
         gid, K = params["graph"], params["intervals"]
         if not isinstance(gid, str) or gid not in catalog:
-            raise KeyError(f"generator param 'graph' names no catalog graph: {gid!r}")
+            raise ScheduleError(f"generator param 'graph' names no catalog graph: {gid!r}")
         if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
             raise EmptyScheduleError(
                 f"generator param 'intervals' must be an integer >= 1, got {K!r}"
             )
+        _check_count(K, f"generator param 'intervals' = {K}")
         k = np.arange(1, K + 1)
         if name == "inverse_square_decay":
             scales = 1 / (k * k)
         elif name == "linear_ramp":
             scales = k.astype(float)
         else:
-            raise KeyError(f"unknown schedule generator {name!r}")
+            raise ScheduleError(f"unknown schedule generator {name!r}")
         graph = np.full(K, list(catalog).index(gid))
         return cls(catalog, graph, np.ones(K), scales, alpha, mode="generated")
 
@@ -214,9 +224,12 @@ class SwitchingSchedule:
         return self._laplacians[graph_id]
 
     def eig_of(self, graph_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Cached PSD eigendecomposition of the unscaled catalog Laplacian."""
+        """Cached PSD eigendecomposition of the unscaled catalog Laplacian, at ``eig_tol``."""
         if graph_id not in self._eigs:
-            self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id))[:2]
+            try:
+                self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id), self.eig_tol)[:2]
+            except NotPSDError as exc:
+                raise NotPSDError(f"graph {graph_id!r}: Laplacian {exc}") from None
         return self._eigs[graph_id]
 
     def coupling_of(self, a: str, b: str) -> np.ndarray:
@@ -289,11 +302,16 @@ def _edge_union(graphs: Sequence[MatrixWeightedGraph]):
 
 @dataclass(frozen=True)
 class IntegralNetwork:
-    """Time-averaged network over a window: its duration, graph and Laplacian."""
+    """Time-averaged network over a window: its duration, graph and per-graph doses.
+
+    ``doses[k]`` sums ``scale * dwell`` over the window's segments on catalog
+    graph ``k``, so the graph's Laplacian is ``sum_k doses[k] L_k / duration``
+    less the edges whose average classified as zero.
+    """
 
     duration: float
     graph: MatrixWeightedGraph
-    laplacian: np.ndarray = field(repr=False)
+    doses: np.ndarray = field(repr=False)
 
 
 def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
@@ -311,7 +329,8 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     g = s.graph[span]
     # summed left to right, as a difference of prefix sums would round differently
     duration = float(np.cumsum(s.dwell[span])[-1])
-    dose = np.bincount(g, weights=s.scale[span] * s.dwell[span])
+    dose = np.bincount(g, weights=s.scale[span] * s.dwell[span], minlength=len(s.ids))
+    dose.setflags(write=False)  # shared by every window with this content
     present, first_seen = np.unique(g, return_index=True)
     order = present[np.argsort(first_seen)].tolist()
     graphs = [s.catalog[s.ids[k]] for k in order]
@@ -342,7 +361,7 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     except WeightOverflowError as exc:
         edge = () if exc.index is None else keys[first][exc.index].tolist()
         raise WeightOverflowError(f"{exc.problem} {where}", *edge, node=exc.node) from None
-    return IntegralNetwork(duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
+    return IntegralNetwork(duration=duration, graph=g_avg, doses=dose)
 
 
 def flow_core(s: SwitchingSchedule, w: Window) -> np.ndarray:

@@ -25,11 +25,13 @@ the package works from per-graph doses and merged runs of one graph.
 matrix product per run, where the package works with its flow core in the
 catalog eigenbases.  ``verify_necessary_condition`` takes each Laplacian's
 norm from its own ``eigvalsh`` call, where the package reuses the largest
-eigenvalue that certification computed.  ``write_trajectory_csv_rows``
+eigenvalue of each catalog graph's cached eigendecomposition.  ``write_trajectory_csv_rows``
 formats a trajectory row by row.
 
 ``certify_per_window`` certifies every window from scratch, where the package
-computes each distinct window content once.
+computes each distinct window content once.  ``window_null_space_eigh`` takes a
+window's null space from the full ``eigh`` of its integral Laplacian, where the
+package solves inside a catalog null space.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from mwconsensus.analysis import (
     NS_EQ_TOL,
     Q_MARGIN,
     CertificationReport,
+    _window_null_space,
     mu_m_plus_1,
 )
 from mwconsensus.errors import (
@@ -68,6 +71,7 @@ from mwconsensus.matalg import (
     EIG_TOL,
     ORTHO_TOL,
     Definiteness,
+    NullSpaceBasis,
     check_symmetric,
     null_space,
     projector,
@@ -287,9 +291,11 @@ def integral_network_per_segment(s: SwitchingSchedule, w: Window) -> IntegralNet
     """Accumulate ``scale_k * dwell_k * A_ij`` edge by edge, segment by segment."""
     segs = _window_segments(s, w)
     duration = float(sum(seg.dwell for seg in segs))
+    doses = np.zeros(len(s.ids))
     acc: dict[EdgeKey, np.ndarray] = {}
     signs: dict[EdgeKey, int] = {}
     for seg in segs:
+        doses[s.ids.index(seg.graph_id)] += seg.scale * seg.dwell
         g = s.catalog[seg.graph_id]
         for key, sign, W in zip(map(tuple, g.keys.tolist()), g.signs.tolist(), g.weights):
             prev = signs.get(key)
@@ -312,7 +318,7 @@ def integral_network_per_segment(s: SwitchingSchedule, w: Window) -> IntegralNet
     g_avg = MatrixWeightedGraph(
         s.n, s.d, weights, label=f"integral[{w.start}:{w.end}]", eig_tol=s.eig_tol
     )
-    return IntegralNetwork(duration=duration, graph=g_avg, laplacian=laplacian(g_avg))
+    return IntegralNetwork(duration=duration, graph=g_avg, doses=doses)
 
 
 def state_transition_per_segment(s: SwitchingSchedule, w: Window) -> np.ndarray:
@@ -407,7 +413,11 @@ def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
 def certify_per_window(
     s: SwitchingSchedule, windows, *, ns_eq_tol: float = NS_EQ_TOL
 ) -> CertificationReport:
-    """Integral network, null space and flow core of every window, computed afresh."""
+    """Integral network, null space and flow core of every window, computed afresh.
+
+    Each window's null space comes from the package's restricted solve, so
+    only the sharing of distinct window content differs from the package.
+    """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
     ws = tuple(windows)
@@ -419,8 +429,7 @@ def certify_per_window(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
     nets = tuple(integral_network(s, w) for w in ws)
-    bases = [null_space(net.laplacian, s.eig_tol) for net in nets]
-    lam_max = tuple(float(psd_eigh(net.laplacian, s.eig_tol)[0][-1]) for net in nets)
+    bases = [_window_null_space(s, net) for net in nets]
     projs = [projector(b) for b in bases]
     max_dist = 0.0
     for P in projs[1:]:
@@ -438,13 +447,18 @@ def certify_per_window(
         max_projector_distance=max_dist,
         m=m,
         mu=mus,
-        lam_max=lam_max,
         q_estimate=float(q),
         certified=certified,
         basis=bases[0],
         balance=balance,
         pn_spanning_tree=pn,
     )
+
+
+def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
+    """Null space of the integral Laplacian from its full ``eigh``, at the package's threshold."""
+    lam, V, thr = psd_eigh(laplacian(net.graph), s.eig_tol, net.graph.lam_bound)
+    return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
 
 
 def verify_necessary_condition(x_star: np.ndarray, laplacians) -> bool:

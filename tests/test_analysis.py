@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mwconsensus.analysis import (
     CertificationReport,
+    _window_null_space,
     ConsensusKind,
     certify_cluster_consensus,
     group_clusters,
@@ -30,6 +31,7 @@ from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
     Window,
+    integral_network,
 )
 
 from mwconsensus import scenarios
@@ -38,9 +40,17 @@ from oracles import (
     bipartite_steady_state,
     certify_per_window,
     state_transition,
+    window_null_space_eigh,
 )
 from oracles import verify_necessary_condition as verify_necessary_condition_oracle
-from randgen import rand_catalog, rand_certified_schedule, rand_windows, stacked_null_projector
+from randgen import (
+    rand_catalog,
+    rand_certified_schedule,
+    rand_graph,
+    rand_pair_signs,
+    rand_windows,
+    stacked_null_projector,
+)
 
 
 def line_graph(weights_1d):
@@ -236,7 +246,7 @@ def assert_same_report(got: CertificationReport, want: CertificationReport) -> N
             assert len(a) == len(b)
             for na, nb in zip(a, b):
                 assert _bits(na.duration) == _bits(nb.duration)
-                assert _bits(na.laplacian) == _bits(nb.laplacian)
+                assert _bits(na.doses) == _bits(nb.doses)
                 assert _bits(na.graph.keys) == _bits(nb.graph.keys)
                 assert list(na.graph.classes) == list(nb.graph.classes)
                 assert _bits(na.graph.weights) == _bits(nb.graph.weights)
@@ -261,7 +271,7 @@ def assert_shares_only_equal_windows(
         for wb, b in pairs:
             same = content(wa) == content(wb)
             assert (a is b) == same
-            assert (a.laplacian is b.laplacian) == same and (a.graph is b.graph) == same
+            assert (a.doses is b.doses) == same and (a.graph is b.graph) == same
 
 
 def _block_schedule(rng):
@@ -366,7 +376,7 @@ class TestBipartiteSteadyState:
 
         s = bipartite_cfg.schedule
         net = integral_network(s, Window(0, 3))
-        basis = null_space(net.laplacian)
+        basis = null_space(laplacian(net.graph))
         x0 = bipartite_cfg.initial_state
         b = simultaneous_structural_balance(list(s.catalog.values()))
         closed = bipartite_steady_state(b, np.eye(3), x0)
@@ -404,37 +414,46 @@ class TestBipartiteSteadyState:
             bipartite_steady_state(b, np.eye(2), np.ones(6))
 
 
-def _lam_max(laps):
-    return [float(psd_eigh(L)[0][-1]) for L in laps]
-
-
 class TestNecessaryCondition:
     def test_benchmark_limit_annihilated(self, cluster_cfg):
-        laps = [laplacian(g) for g in cluster_cfg.graphs.values()]
-        basis = null_intersection(laps)
+        s, windows = cluster_cfg.schedule, cluster_cfg.windows()
+        basis = null_intersection([laplacian(g) for g in cluster_cfg.graphs.values()])
         x_star = projector(basis) @ cluster_cfg.initial_state
-        assert verify_necessary_condition(x_star, laps, _lam_max(laps))
+        assert verify_necessary_condition(x_star, s, windows)
         # scale invariance of the criterion
-        assert verify_necessary_condition(1e6 * x_star, laps, _lam_max(laps))
+        assert verify_necessary_condition(1e6 * x_star, s, windows)
 
     def test_generic_vector_fails(self, cluster_cfg, rng):
-        laps = [laplacian(g) for g in cluster_cfg.graphs.values()]
-        assert not verify_necessary_condition(rng.normal(size=21), laps, _lam_max(laps))
+        s, windows = cluster_cfg.schedule, cluster_cfg.windows()
+        assert not verify_necessary_condition(rng.normal(size=21), s, windows)
+        with pytest.raises(DimensionMismatchError):
+            verify_necessary_condition(np.ones(20), s, windows)
+
+    def test_only_the_windowed_graphs_count(self):
+        # x agrees across the edge of "a" and not across the edge of "b"
+        one = np.array([[1.0]])
+        cat = {"a": MatrixWeightedGraph(3, 1, {(0, 1): one}),
+               "b": MatrixWeightedGraph(3, 1, {(1, 2): one})}
+        s = SwitchingSchedule.explicit(cat, [Segment("a", 1.0), Segment("b", 1.0)], alpha=1.0)
+        x = np.array([1.0, 1.0, 5.0])
+        assert verify_necessary_condition(x, s, [Window(0, 1)])
+        assert not verify_necessary_condition(x, s, [Window(0, 1), Window(1, 2)])
 
 
-def assert_verdicts_match_oracle(report, x0, n, d, rng):
-    """The verdict on certification's lam_max is the eigvalsh one, on both sides of the bound."""
-    laps = [net.laplacian for net in report.integral_networks]
+def assert_verdicts_match_oracle(s, windows, report, x0, rng):
+    """The verdict on the cached catalog spectra is the eigvalsh one, on both sides of the bound."""
+    ids = [s.ids[k] for k in np.unique(s.graph[: windows[-1].end]).tolist()]
+    laps = [laplacian(s.catalog[gid]) for gid in ids]
     norms = []
     for L in laps:
         lam = np.linalg.eigvalsh(L)
         norms.append(max(abs(lam[0]), abs(lam[-1])))
-    assert np.allclose(report.lam_max, norms, rtol=1e-12, atol=1e-12)
-    x_star = predict_steady_state(report.basis, x0, n, d).steady_state
+    assert np.allclose([s.eig_of(gid)[0][-1] for gid in ids], norms, rtol=1e-12, atol=1e-12)
+    x_star = predict_steady_state(report.basis, x0, s.n, s.d).steady_state
     r = rng.normal(size=x_star.size)
     verdicts = set()
     for x in (x_star, r, *(x_star + 10.0**k * r for k in np.arange(-12.0, 0.25, 0.25))):
-        got = verify_necessary_condition(x, laps, report.lam_max)
+        got = verify_necessary_condition(x, s, windows)
         assert got == verify_necessary_condition_oracle(x, laps)
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -445,13 +464,86 @@ class TestNecessaryConditionWithCertifiedSpectra:
     def test_bundled_verdicts_match_eigvalsh(self, name, rng):
         cfg = scenarios.load_builtin(name)
         report = certify_cluster_consensus(cfg.schedule, cfg.windows())
-        assert_verdicts_match_oracle(report, cfg.initial_state, cfg.num_agents, cfg.dimension, rng)
+        assert_verdicts_match_oracle(cfg.schedule, cfg.windows(), report, cfg.initial_state, rng)
 
     def test_random_certified_verdicts_match_eigvalsh(self, rng):
         # the 50 schedules of the acceptance test of contraction: the same seed, and one
         # normal vector of length n d drawn after each schedule, as that test draws it
         draws = np.random.default_rng(4004)
         for _ in range(50):
-            s, _, report = rand_certified_schedule(draws)
+            s, windows, report = rand_certified_schedule(draws)
             x0 = draws.normal(size=s.n * s.d)
-            assert_verdicts_match_oracle(report, x0, s.n, s.d, rng)
+            assert_verdicts_match_oracle(s, windows, report, x0, rng)
+
+
+def _projector_bound(L, basis):
+    """Davis-Kahan bound on the distance of two numerical null spaces of ``L``.
+
+    For the orthonormal ``X = basis.vectors`` with residual ``R = L X - X (X^T L X)``,
+    the true invariant subspace of the ``dim`` smallest eigenvalues lies within
+    ``||R|| / delta`` of ``span(X)``, where ``delta = lam_(dim+1) - tol_used``
+    separates it from the rest.  A backward-stable ``eigh`` lands within
+    ``N eps ||L|| / delta`` of it, and forming either projector costs ``N eps``;
+    each term has a factor 10 of slack.
+    """
+    X = basis.vectors
+    LX = L @ X
+    lam = np.linalg.eigvalsh(L)
+    roundoff = lam.size * np.finfo(float).eps
+    if basis.dim == lam.size:
+        return 10 * roundoff
+    residual = np.linalg.norm(LX - X @ (X.T @ LX), 2) if basis.dim else 0.0
+    return 10 * (roundoff + (residual + roundoff * lam[-1]) / (lam[basis.dim] - basis.tol_used))
+
+
+class TestWindowNullSpaceAgainstEigh:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=80)
+    def test_restricted_solve_matches_full_eigh_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        # sparse graphs are often disconnected; a scale of 1e-6 to 1e-11 doses a graph briefly
+        signs = rand_pair_signs(rng, n)
+        catalog = {
+            f"g{k}": rand_graph(rng, n, d, pair_signs=signs, edge_prob=float(rng.uniform(0.1, 0.8)))
+            for k in range(int(rng.integers(1, 4)))
+        }
+        ids = sorted(catalog)
+        segs = []
+        for _ in range(int(rng.integers(1, 8))):
+            low = rng.uniform() < 0.3
+            scale = 10.0 ** -rng.uniform(6, 11) if low else float(rng.uniform(0.2, 3.0))
+            segs.append(Segment(ids[int(rng.integers(len(ids)))],
+                                float(rng.choice((0.5, 1.0, 1.5))), scale))
+        s = SwitchingSchedule.explicit(catalog, segs, alpha=0.5)
+        for w in rand_windows(rng, s.num_segments):
+            net = integral_network(s, w)
+            got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+            assert got.dim == want.dim and got.tol_used == want.tol_used
+            dist = np.linalg.norm(projector(got) - projector(want), 2)
+            assert dist <= _projector_bound(laplacian(net.graph), got)
+
+    def test_low_dose_graph_alone_in_a_window(self):
+        # a window of one briefly dosed path graph: every eigenvalue of its average is
+        # below the threshold, though the catalog graph's are far above it
+        one = np.array([[1.0]])
+        g = MatrixWeightedGraph(3, 1, {(0, 1): one, (1, 2): one})
+        s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
+        net = integral_network(s, Window(0, 1))
+        assert _window_null_space(s, net).dim == window_null_space_eigh(s, net).dim == 3
+
+    def test_brief_graph_whose_bound_cuts_its_spectrum_offers_no_span(self):
+        # "brief" has the smaller count below its implied bound, thr T / dose = 1.0 (its
+        # eigenvalues are 0, 0.59, 2, 3.41), but the window's second null vector
+        # (eigenvalue 7e-10 < thr = 1e-9) lies in the null space of "wide"
+        one = np.array([[1.0]])
+        cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
+               "brief": MatrixWeightedGraph(4, 1, {(0, 1): one, (1, 2): one, (2, 3): one})}
+        s = SwitchingSchedule.explicit(
+            cat, [Segment("wide", 1.0), Segment("brief", 1.0, 2e-9)], alpha=1.0
+        )
+        net = integral_network(s, Window(0, 2))
+        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        assert got.dim == want.dim == 2
+        dist = np.linalg.norm(projector(got) - projector(want), 2)
+        assert dist <= _projector_bound(laplacian(net.graph), got)

@@ -238,6 +238,30 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert exc.value.field == "schedule.generator"
 
+    def test_unknown_generator_is_named(self, tmp_path, capsys):
+        doc = json.loads(scenarios.builtin_path("time_scaled_growth").read_text())
+        doc["schedule"]["generator"]["name"] = "cubic"
+        path = str(write_json(tmp_path, doc))
+        assert main(["check", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: schedule: unknown schedule generator 'cubic'\n"
+
+    @pytest.mark.parametrize("count", [2**62, 10**20])
+    def test_segment_count_past_array_range_names_the_schedule(self, tmp_path, capsys, count):
+        for name, where in (("cluster_switching", "repetitions"), ("time_scaled_growth", "intervals")):
+            doc = json.loads(scenarios.builtin_path(name).read_text())
+            sched = doc["schedule"]
+            (sched if where == "repetitions" else sched["generator"]["params"])[where] = count
+            path = str(write_json(tmp_path, doc))
+            with pytest.raises(ConfigValidationError) as exc:
+                load_config(path)
+            assert exc.value.field == "schedule"
+            assert str(exc.value).startswith("schedule: ")
+            assert str(exc.value).endswith("segments from " + (
+                f"{count} repetitions of the pattern" if where == "repetitions"
+                else f"generator param 'intervals' = {count}") + " are more than an array can hold")
+            assert main(["check", "--config", path]) == 1
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+
     @pytest.mark.parametrize(
         "mutate, field, shown",
         [
@@ -591,6 +615,8 @@ class TestCli:
         ],
         ids=["entry", "eigenvalue", "node-block", "laplacian-eigenvalue"],
     )
+    # simulate decays an overflowing dose times eigenvalue to exp(-inf) = 0 without a warning
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_window_average_names_the_window(self, tmp_path, capsys, weights, scale,
                                                          message):
         doc = overflow_config(weights)
@@ -647,18 +673,22 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching", "integral_static"])
     def test_too_small_eig_tol_names_the_window_and_the_tolerance(self, tmp_path, capsys, name):
+        # the roundoff of a catalog Laplacian's zero eigenvalues counts as negative at 1e-16
         doc = json.loads(scenarios.builtin_path(name).read_text())
         doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
         path = str(write_json(tmp_path, doc))
         assert main(["check", "--config", path]) == 0
         capsys.readouterr()
+        graph = "|".join(re.escape(g["id"]) for g in doc["graphs"])
+        culprit = (rf"graph '({graph})': Laplacian matrix is not PSD at "
+                   r"eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n")
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         window = "[0, 3)" if name != "integral_static" else "[0, 1)"
-        assert re.fullmatch(
-            rf"error: window {re.escape(window)}: integral Laplacian matrix is not PSD at "
-            r"eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n", err
-        ), err
+        assert re.fullmatch(rf"error: window {re.escape(window)}: {culprit}", err), err
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {culprit}", err), err
 
     def test_analyze_refuses_to_write_non_finite_report(self, tmp_path):
         cfg = load_config(write_json(tmp_path, minimal_config_dict()))

@@ -342,10 +342,10 @@ class TestCanonicalBasis:
         # in two dimensions, a plane whose pivot rows tie within 1e-12
         V = np.array([[1.0, 0.0], [0.0, 1.0], [-(1.0 + 1e-12), 0.0], [0.0, -1.0]]) / np.sqrt(2)
         V = np.linalg.qr(V)[0]
+        want = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]) / np.sqrt(2)
         for angle in (0.3, 2.0, -1.1):
             c, s = np.cos(angle), np.sin(angle)
-            Q = canonical_basis(V @ np.array([[c, -s], [s, c]]))
-            assert np.abs(Q - np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]) / np.sqrt(2)).max() < 1e-11
+            assert np.abs(canonical_basis(V @ np.array([[c, -s], [s, c]])) - want).max() < 1e-11
 
     def test_empty_span(self):
         assert canonical_basis(np.zeros((4, 0))).shape == (4, 0)

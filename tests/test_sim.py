@@ -6,6 +6,7 @@ import pytest
 from mwconsensus.errors import (
     DimensionMismatchError,
     HorizonError,
+    ScheduleError,
     ScheduleExhaustedError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
@@ -141,7 +142,7 @@ class TestTimeScaledScenarios:
 
     def test_unknown_kind_rejected(self, rng):
         base = random_connected_pd_graph(3, 2, seed=7)
-        with pytest.raises(KeyError):
+        with pytest.raises(ScheduleError, match="unknown schedule generator"):
             run_time_scaled_scenario("nope", base, 5, np.ones(6))
 
 
