@@ -302,10 +302,11 @@ def certify_cluster_consensus(
 
 
 def verify_necessary_condition(
-    x_star: np.ndarray, s: SwitchingSchedule, windows: Sequence[Window]
+    x_star: np.ndarray, s: SwitchingSchedule, nets: Sequence[IntegralNetwork]
 ) -> bool:
-    """Check that x* is annihilated by the catalog Laplacian of every graph the windows schedule.
+    """Check that x* is annihilated by the catalog Laplacian of every graph the windows dose.
 
+    ``nets`` are the windows' integral networks, as certification returns them.
     This is the paper's necessary condition: a limit lies in the null space
     of every switching Laplacian.  Uses the scale-aware criterion
     ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||``, so the answer does
@@ -316,8 +317,10 @@ def verify_necessary_condition(
     if v.size != s.n * s.d:
         raise DimensionMismatchError(f"state length {v.size} != order {s.n * s.d}")
     nv = float(np.linalg.norm(v))
-    spans = [s.graph[_check_window(s, w)] for w in windows]
-    for k in np.unique(np.concatenate([np.zeros(0, np.intp), *spans])).tolist():
+    used = np.zeros(len(s.ids), dtype=bool)
+    for doses in {id(net): net.doses for net in nets}.values():  # windows share networks
+        used |= doses > 0
+    for k in np.flatnonzero(used).tolist():
         top = float(s.eig_of(s.ids[k])[0][-1])
         if float(np.linalg.norm(s.laplacian_of(s.ids[k]) @ v)) > NECESSARY_TOL * (1.0 + top) * nv:
             return False

@@ -109,7 +109,9 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     pred = predict_steady_state(
         report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension, tol.cluster_tol
     )
-    necessary_ok = verify_necessary_condition(pred.steady_state, cfg.schedule, windows)
+    necessary_ok = verify_necessary_condition(
+        pred.steady_state, cfg.schedule, report.integral_networks
+    )
     balance = report.balance
     doc = {
         "certified": report.certified,

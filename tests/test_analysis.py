@@ -416,18 +416,20 @@ class TestBipartiteSteadyState:
 
 class TestNecessaryCondition:
     def test_benchmark_limit_annihilated(self, cluster_cfg):
-        s, windows = cluster_cfg.schedule, cluster_cfg.windows()
+        s = cluster_cfg.schedule
+        nets = certify_cluster_consensus(s, cluster_cfg.windows()).integral_networks
         basis = null_intersection([laplacian(g) for g in cluster_cfg.graphs.values()])
         x_star = projector(basis) @ cluster_cfg.initial_state
-        assert verify_necessary_condition(x_star, s, windows)
+        assert verify_necessary_condition(x_star, s, nets)
         # scale invariance of the criterion
-        assert verify_necessary_condition(1e6 * x_star, s, windows)
+        assert verify_necessary_condition(1e6 * x_star, s, nets)
 
     def test_generic_vector_fails(self, cluster_cfg, rng):
-        s, windows = cluster_cfg.schedule, cluster_cfg.windows()
-        assert not verify_necessary_condition(rng.normal(size=21), s, windows)
+        s = cluster_cfg.schedule
+        nets = [integral_network(s, w) for w in cluster_cfg.windows()]
+        assert not verify_necessary_condition(rng.normal(size=21), s, nets)
         with pytest.raises(DimensionMismatchError):
-            verify_necessary_condition(np.ones(20), s, windows)
+            verify_necessary_condition(np.ones(20), s, nets)
 
     def test_only_the_windowed_graphs_count(self):
         # x agrees across the edge of "a" and not across the edge of "b"
@@ -436,8 +438,9 @@ class TestNecessaryCondition:
                "b": MatrixWeightedGraph(3, 1, {(1, 2): one})}
         s = SwitchingSchedule.explicit(cat, [Segment("a", 1.0), Segment("b", 1.0)], alpha=1.0)
         x = np.array([1.0, 1.0, 5.0])
-        assert verify_necessary_condition(x, s, [Window(0, 1)])
-        assert not verify_necessary_condition(x, s, [Window(0, 1), Window(1, 2)])
+        first, second = integral_network(s, Window(0, 1)), integral_network(s, Window(1, 2))
+        assert verify_necessary_condition(x, s, [first, first])
+        assert not verify_necessary_condition(x, s, [first, second])
 
 
 def assert_verdicts_match_oracle(s, windows, report, x0, rng):
@@ -453,7 +456,7 @@ def assert_verdicts_match_oracle(s, windows, report, x0, rng):
     r = rng.normal(size=x_star.size)
     verdicts = set()
     for x in (x_star, r, *(x_star + 10.0**k * r for k in np.arange(-12.0, 0.25, 0.25))):
-        got = verify_necessary_condition(x, s, windows)
+        got = verify_necessary_condition(x, s, report.integral_networks)
         assert got == verify_necessary_condition_oracle(x, laps)
         verdicts.add(got)
     assert verdicts == {True, False}
