@@ -108,19 +108,19 @@ def simulate_exact(
     first, graphs, doses = s.runs(0, K)
     states = np.empty((ts.size, x.size))
     idx = 0
-    for k0, k1, g, dose in zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses):
-        # the last run takes every remaining sample, up to a horizon just past the end
-        hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
-        lam, V = s.eig_of(s.ids[g])
-        if hi > idx:
-            D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
-            with np.errstate(over="ignore"):  # an overflowing dose decays to exp(-inf) = 0
+    runs = zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses)
+    with np.errstate(over="ignore"):  # a dose times eigenvalue past the float range decays to 0
+        for k0, k1, g, dose in runs:
+            # the last run takes every remaining sample, up to a horizon just past the end
+            hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
+            lam, V = s.eig_of(s.ids[g])
+            if hi > idx:
+                D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
                 decay = np.exp(-np.outer(lam, D))
-            states[idx:hi] = (V @ (decay * (V.T @ x)[:, None])).T
-            if ts[idx] == t_switch[k0]:
-                states[idx] = x  # exact at the run start
-            idx = hi
-        with np.errstate(over="ignore"):
+                states[idx:hi] = (V @ (decay * (V.T @ x)[:, None])).T
+                if ts[idx] == t_switch[k0]:
+                    states[idx] = x  # exact at the run start
+                idx = hi
             x = V @ (np.exp(-dose * lam) * (V.T @ x))
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
