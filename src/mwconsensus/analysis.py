@@ -37,7 +37,7 @@ NS_EQ_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 Q_MARGIN = 1e-6
 NECESSARY_TOL = 1e-6
-CUT_GAP = 1e3
+CUT_GAP = 1e3  # a catalog span bounds a window null space only across a gap this wide
 
 
 class ConsensusKind(Enum):

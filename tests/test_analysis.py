@@ -26,7 +26,7 @@ from mwconsensus.errors import (
     WindowsNotContiguousError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
-from mwconsensus.matalg import NullSpaceBasis, null_space, projector, psd_eigh
+from mwconsensus.matalg import NullSpaceBasis, null_space, projector
 from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
