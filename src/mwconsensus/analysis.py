@@ -22,7 +22,14 @@ from .errors import (
     WindowsNotContiguousError,
 )
 from .graph import Bipartition, has_positive_negative_spanning_tree, laplacian
-from .matalg import EIG_TOL, NullSpaceBasis, check_symmetric, null_space, projector, psd_eigh
+from .matalg import (
+    EIG_TOL,
+    NullSpaceBasis,
+    check_symmetric,
+    null_space_of_sum,
+    projector,
+    psd_eigh,
+)
 from .switching import (
     IntegralNetwork,
     SwitchingSchedule,
@@ -37,7 +44,6 @@ NS_EQ_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 Q_MARGIN = 1e-6
 NECESSARY_TOL = 1e-6
-CUT_GAP = 1e3  # a catalog span bounds a window null space only across a gap this wide
 
 
 class ConsensusKind(Enum):
@@ -68,20 +74,24 @@ def null_intersection(
     """Orthonormal basis of the intersection of the Laplacians' null spaces.
 
     For PSD matrices the intersection of null spaces equals the null space of
-    the sum, so one eigendecomposition of ``sum L_i`` suffices.  Each summand
-    is checked to be symmetric by :func:`check_symmetric` and PSD by
-    :func:`psd_eigh` first (the identity fails for sign-indefinite input).
+    the sum, which :func:`null_space_of_sum` solves inside a summand's null
+    space where it can, at ``eig_tol * max(1, B)`` with ``B`` the sum's
+    largest absolute row sum.  Each summand is checked to be symmetric by
+    :func:`check_symmetric` and PSD by :func:`psd_eigh` first (the identity
+    fails for sign-indefinite input).
     """
     if not laplacians:
         raise DimensionMismatchError("need at least one Laplacian")
     order = laplacians[0].shape[0]
     total = np.zeros((order, order))
+    parts = []
     for L in laplacians:
         if L.shape != (order, order):
             raise DimensionMismatchError("Laplacians differ in order")
-        psd_eigh(check_symmetric(L), eig_tol)
+        L = check_symmetric(L)
+        parts.append((1.0, *psd_eigh(L, eig_tol)[:2]))
         total += L
-    return null_space(total, eig_tol)
+    return null_space_of_sum(total, parts, float(np.abs(total).sum(axis=1).max()), eig_tol)
 
 
 def group_clusters(x: np.ndarray, n: int, d: int, cluster_tol: float = CLUSTER_TOL) -> tuple[tuple[int, ...], ...]:
@@ -194,34 +204,18 @@ class CertificationReport:
 
 
 def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
-    """Null space of a window's integral Laplacian ``L_w``, solved inside a catalog null space.
+    """Null space of a window's integral Laplacian ``L_w = sum_g dose_g L_g / T``.
 
-    ``L_w = sum_g dose_g L_g / T`` sums PSD terms, so ``x^T L_w x <= thr``
-    gives ``x^T L_g x <= cut_g = thr T / dose_g``.  Where the next eigenvalue
-    of ``L_g`` is at least ``CUT_GAP * cut_g``, such an ``x`` lies, up to
-    roundoff, in the span ``V0`` of the eigenvectors of ``L_g`` up to
-    ``cut_g``; a briefly dosed graph, whose cut falls inside its spectrum,
-    offers no span.  The smallest span offered, or the whole space, gives the
-    null space ``V0 null(V0^T L_w V0)`` at ``thr = eig_tol * max(1,
-    lam_bound)``, with the window graph's bound on the largest eigenvalue.
+    :func:`null_space_of_sum` solves it inside a cached catalog
+    eigendecomposition where it can, at ``thr = eig_tol * max(1,
+    lam_bound)`` with the window graph's bound on the largest eigenvalue.
     """
-    bound = net.graph.lam_bound
-    thr = s.eig_tol * max(1.0, bound)
-    doses = net.doses.tolist()
-    L = laplacian(net.graph)
-    V0 = np.eye(L.shape[0])
-    for k in np.flatnonzero(net.doses).tolist():
-        lam, V = s.eig_of(s.ids[k])
-        cut = thr * net.duration / doses[k]
-        c = int(np.searchsorted(lam, cut, side="right"))
-        if c < V0.shape[1] and lam[c] >= CUT_GAP * cut:
-            V0 = V[:, :c]
-    M = V0.T @ (L @ V0)
+    parts = [(dose / net.duration, *s.eig_of(s.ids[k]))
+             for k, dose in enumerate(net.doses.tolist()) if dose]
     try:
-        mu, U, _ = psd_eigh(0.5 * (M + M.T), s.eig_tol, bound)
+        return null_space_of_sum(laplacian(net.graph), parts, net.graph.lam_bound, s.eig_tol)
     except NotPSDError as exc:
         raise NotPSDError(f"integral Laplacian {exc}") from None
-    return NullSpaceBasis(vectors=V0 @ U[:, mu <= thr], tol_used=thr)
 
 
 def certify_cluster_consensus(

@@ -14,6 +14,8 @@ Tolerance conventions
   threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
   space keeps eigenvectors with ``lam <= thr``, where
   ``thr = EIG_TOL * max(1, lam_max)``, or a bound on ``lam_max`` in its place.
+* ``CUT_GAP``: the spectral gap after a term's near-null span that
+  :func:`null_space_of_sum` asks for before it tries that span.
 * ``PIVOT_TIE``: relative gap under which two row norms tie when
   :func:`canonical_basis` picks a pivot row; the lower index wins.
 """
@@ -32,6 +34,7 @@ EIG_TOL = 1e-9
 EIG_FLOOR = 1e-12
 ORTHO_TOL = 1e-10
 PIVOT_TIE = 1e-8
+CUT_GAP = 1e3  # a term's span bounds a null space of a sum only across a gap this wide
 
 
 class Definiteness(Enum):
@@ -206,16 +209,62 @@ def psd_eigh(
     return np.clip(lam, 0.0, None), V, thr
 
 
-def null_space(matrix, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
+def null_space(
+    matrix, eig_tol: float = EIG_TOL, lam_bound: float | None = None
+) -> NullSpaceBasis:
     """Numerical null space of a symmetric PSD matrix.
 
     Keeps the eigenvectors of the :func:`check_symmetric` result whose
-    eigenvalues fall at or below ``eig_tol * max(1, lam_max)``; the floor of
-    1 makes the threshold meaningful for near-zero matrices.  Clipping leaves
-    that test unchanged.  Raises NotPSDError, through :func:`psd_eigh`, when an
-    eigenvalue is below minus that threshold.  Certification passes the
-    schedule's ``eig_tol``, the one that classified its catalog edges and
-    window averages.
+    eigenvalues fall at or below ``eig_tol * max(1, lam_bound)``, with
+    ``lam_bound`` as in :func:`psd_eigh`; the floor of 1 makes the threshold
+    meaningful for near-zero matrices.  Clipping leaves that test unchanged.
+    Raises NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below
+    minus that threshold.  Certification passes the schedule's ``eig_tol``,
+    the one that classified its catalog edges and window averages.
     """
-    lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol)
+    lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol, lam_bound)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
+
+
+def null_space_of_sum(total, parts, lam_bound: float, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
+    """Null space of ``total = sum_i w_i A_i``, a sum of PSD terms, at ``eig_tol * max(1, lam_bound)``.
+
+    ``total`` is symmetric, ``lam_bound`` bounds its largest eigenvalue, and
+    ``parts`` holds each positive weight ``w_i`` with the ascending
+    eigendecomposition ``(lam_i, V_i)`` of its term.  ``x^T total x <= thr``
+    gives ``x^T A_i x <= thr / w_i``.  The term with the fewest, ``c``,
+    eigenvalues up to that cut and the next, ``lam_i[c]``, at least
+    ``CUT_GAP`` times it offers the candidate ``V0 U``: ``V0`` its first
+    ``c`` eigenvectors and ``U`` those of ``V0^T total V0`` whose eigenvalues
+    ``mu`` are at most ``thr``.  The candidate is kept when
+
+    * no null vector is missed: with ``g = w_i lam_i[c]`` and ``a`` the next
+      ``mu``, a unit ``x = u + v`` orthogonal to it (``u`` in ``span(V0)``)
+      has ``x^T total x >= g |v|^2`` and ``sqrt(x^T total x) >= sqrt(a) |u| -
+      sqrt(lam_bound) |v|``, so at least ``g a / ((sqrt(g) +
+      sqrt(lam_bound))^2 + a)`` (``g`` when no ``mu`` exceeds ``thr``), which
+      must exceed ``thr``;
+    * and its residual ``||total V0 U - V0 U diag(mu)||_F`` is at most
+      ``order * eps * max(1, lam_bound)``, a full ``eigh``'s backward error.
+
+    Otherwise, and when no term offers ``V0``, :func:`null_space` decomposes
+    ``total`` in full.
+    """
+    thr = eig_tol * max(1.0, lam_bound)
+    best = None  # (c, V0, g) of the smallest span offered
+    for w, lam, V in parts:
+        c = int(np.searchsorted(lam, thr / w, side="right"))
+        if c < (best[0] if best else total.shape[0]) and lam[c] >= CUT_GAP * thr / w:
+            best = c, V[:, :c], w * float(lam[c])
+    if best is not None:
+        c, V0, g = best
+        LV = total @ V0
+        M = V0.T @ LV
+        mu, U, _ = psd_eigh(0.5 * (M + M.T), eig_tol, lam_bound)
+        k = int(np.count_nonzero(mu <= thr))
+        low = g if k == c else g * mu[k] / ((np.sqrt(g) + np.sqrt(lam_bound)) ** 2 + mu[k])
+        X = U[:, :k]
+        res = np.linalg.norm(LV @ X - V0 @ (X * mu[:k]))
+        if low > thr and res <= total.shape[0] * np.finfo(float).eps * max(1.0, lam_bound):
+            return NullSpaceBasis(vectors=V0 @ X, tol_used=thr)
+    return null_space(total, eig_tol, lam_bound)

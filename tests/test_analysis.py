@@ -77,6 +77,12 @@ class TestNullIntersection:
             P_oracle = stacked_null_projector(laps)
             assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
+    def test_threshold_scales_with_the_largest_absolute_row_sum(self):
+        # the sum [[3, -3], [-3, 3]] has row sums 6, twice its largest eigenvalue
+        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        basis = null_intersection([L, 2 * L], 1e-9)
+        assert basis.dim == 1 and basis.tol_used == 1e-9 * 6.0
+
     def test_rejects_non_psd_summand(self):
         bad = np.diag([1.0, -1.0])
         with pytest.raises(NotPSDError):
@@ -499,6 +505,15 @@ def _projector_bound(L, basis):
     return 10 * (roundoff + (residual + roundoff * lam[-1]) / (lam[basis.dim] - basis.tol_used))
 
 
+def assert_windows_match_eigh_oracle(s, rng):
+    for w in rand_windows(rng, s.num_segments):
+        net = integral_network(s, w)
+        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        assert got.dim == want.dim and got.tol_used == want.tol_used
+        dist = np.linalg.norm(projector(got) - projector(want), 2)
+        assert dist <= _projector_bound(laplacian(net.graph), got)
+
+
 class TestWindowNullSpaceAgainstEigh:
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=80)
@@ -518,13 +533,41 @@ class TestWindowNullSpaceAgainstEigh:
             scale = 10.0 ** -rng.uniform(6, 11) if low else float(rng.uniform(0.2, 3.0))
             segs.append(Segment(ids[int(rng.integers(len(ids)))],
                                 float(rng.choice((0.5, 1.0, 1.5))), scale))
-        s = SwitchingSchedule.explicit(catalog, segs, alpha=0.5)
-        for w in rand_windows(rng, s.num_segments):
-            net = integral_network(s, w)
-            got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
-            assert got.dim == want.dim and got.tol_used == want.tol_used
-            dist = np.linalg.norm(projector(got) - projector(want), 2)
-            assert dist <= _projector_bound(laplacian(net.graph), got)
+        assert_windows_match_eigh_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5), rng)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=80)
+    def test_near_aligned_rank_one_edges_of_very_different_weight(self, seed):
+        # a null vector of the window can lie at an angle of up to sqrt(cut / lam[c]) from
+        # a catalog null space; such windows fall back to the full solve
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        catalog = {}
+        for k in range(int(rng.integers(2, 4))):
+            edges = {}
+            for i in range(n - 1):
+                th = float(rng.choice([0.0, 10 ** -rng.uniform(2, 7)]))
+                v = np.array([-np.sin(th), np.cos(th)])
+                edges[(i, i + 1)] = 10 ** rng.uniform(-1, 4) * np.outer(v, v)
+            catalog[f"g{k}"] = MatrixWeightedGraph(n, 2, edges)
+        segs = [Segment(f"g{int(rng.integers(len(catalog)))}", float(rng.choice((0.5, 1.0))),
+                        float(rng.uniform(0.2, 3.0))) for _ in range(int(rng.integers(1, 8)))]
+        assert_windows_match_eigh_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5), rng)
+
+    @pytest.mark.parametrize("order", [("g", "h"), ("h", "g")])
+    def test_a_near_null_vector_outside_the_first_span_is_kept(self, order):
+        # the antisymmetric e1 vector spans null(L_g) but has quotient 1e-5 > thr = 1e-6 on
+        # L_w; the window's third null vector, along (cos 1e-4, sin 1e-4), has 1e-8
+        th = 1e-4
+        v = np.array([-np.sin(th), np.cos(th)])
+        graphs = {"g": MatrixWeightedGraph(2, 2, {(0, 1): np.diag([0.0, 1.0])}),
+                  "h": MatrixWeightedGraph(2, 2, {(0, 1): 1000 * np.outer(v, v)})}
+        s = SwitchingSchedule.explicit({k: graphs[k] for k in order},
+                                       [Segment("g", 1.0), Segment("h", 1.0)], alpha=1.0)
+        net = integral_network(s, Window(0, 2))
+        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        assert got.dim == want.dim == 3
+        assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12  # eps 1e3 / gap 1
 
     def test_low_dose_graph_alone_in_a_window(self):
         # a window of one briefly dosed path graph: every eigenvalue of its average is
