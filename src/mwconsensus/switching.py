@@ -224,12 +224,20 @@ class SwitchingSchedule:
         return self._laplacians[graph_id]
 
     def eig_of(self, graph_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Cached PSD eigendecomposition of the unscaled catalog Laplacian, at ``eig_tol``."""
+        """Cached PSD eigendecomposition of the unscaled catalog Laplacian, at ``eig_tol``.
+
+        Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of
+        zero are held as exact zeros, so no dose, however large, decays a
+        null-space component.
+        """
         if graph_id not in self._eigs:
             try:
-                self._eigs[graph_id] = psd_eigh(self.laplacian_of(graph_id), self.eig_tol)[:2]
+                lam, V, _ = psd_eigh(self.laplacian_of(graph_id), self.eig_tol)
             except NotPSDError as exc:
                 raise NotPSDError(f"graph {graph_id!r}: Laplacian {exc}") from None
+            if lam.size:
+                lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
+            self._eigs[graph_id] = lam, V
         return self._eigs[graph_id]
 
     def coupling_of(self, a: str, b: str) -> np.ndarray:

@@ -625,6 +625,12 @@ class TestCli:
         assert main(["check", "--config", path]) == 0
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
         capsys.readouterr()
+        # each graph is connected, so the state ends at the consensus projection of x0; eigh
+        # places the null vectors of the `entry` Laplacian (eigenvalues 1.5 and 2e10) within
+        # about eps * 2e10 / 1.5 = 3e-6 of their direction
+        x0 = np.array(doc["initial_state"]).reshape(-1, 2)
+        final = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)[-1, 1:]
+        assert np.allclose(final, np.tile(x0.mean(axis=0), len(x0)), rtol=0, atol=1e-4)
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message} in the average over window [0, 1)\n"
