@@ -78,10 +78,10 @@ class TestNullIntersection:
             assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
     def test_threshold_scales_with_the_largest_absolute_row_sum(self):
-        # the sum [[3, -3], [-3, 3]] has row sums 6, twice its largest eigenvalue
-        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        # the sum 3 L of this path Laplacian has largest eigenvalue 9 and row sum 12
+        L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         basis = null_intersection([L, 2 * L], 1e-9)
-        assert basis.dim == 1 and basis.tol_used == 1e-9 * 6.0
+        assert basis.dim == 1 and basis.tol_used == 1e-9 * 12.0
 
     def test_rejects_non_psd_summand(self):
         bad = np.diag([1.0, -1.0])
