@@ -31,7 +31,7 @@ formats a trajectory row by row.
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.  ``window_null_space_eigh`` takes a
 window's null space from the full ``eigh`` of its integral Laplacian, where the
-package solves inside a catalog null space.
+package solves inside a catalog null space where that provably loses nothing.
 """
 
 from __future__ import annotations
