@@ -35,11 +35,24 @@ from .sim import Trajectory, simulate_exact, simulate_rk4
 from .switching import validate_schedule
 
 
+_CSV_BLOCK_VALUES = 4096
+
+
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Write ``t, x_1_1, ..., x_n_d`` rows with 17 significant digits."""
+    """Write ``t, x_1_1, ..., x_n_d`` rows with 17 significant digits.
+
+    Rows are formatted a block of about ``_CSV_BLOCK_VALUES`` values at a time,
+    with one ``%`` per block, into the bytes ``np.savetxt`` writes with
+    ``fmt="%.17g"`` and ``delimiter=","``.
+    """
     cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
-    np.savetxt(path, np.column_stack((traj.times, traj.states)), fmt="%.17g", delimiter=",",
-               header="t," + ",".join(cols), comments="")
+    row_fmt = ",".join(["%.17g"] * (len(cols) + 1)) + "\n"
+    step = max(1, _CSV_BLOCK_VALUES // (len(cols) + 1))
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write("t," + ",".join(cols) + "\n")
+        for a in range(0, traj.num_samples, step):
+            block = np.column_stack((traj.times[a : a + step], traj.states[a : a + step]))
+            f.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _fmt_block(x: np.ndarray) -> str:

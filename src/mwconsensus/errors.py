@@ -115,7 +115,11 @@ class ScheduleExhaustedError(ConsensusToolError):
 
 
 class HorizonError(ConsensusToolError):
-    """Simulation horizon or sampling step is not strictly positive."""
+    """Simulation horizon or step is not strictly positive, or does not fit the run.
+
+    An RK4 ``step_h`` must divide every segment it integrates, and the samples
+    of an exact run must fit in the host's physical memory.
+    """
 
 
 class ConfigError(ConsensusToolError):

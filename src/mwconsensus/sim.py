@@ -14,6 +14,7 @@ Two integration routes are provided on purpose:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,14 @@ def _check_horizon(s: SwitchingSchedule, horizon: float) -> float:
     return float(horizon)
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory on this host, or inf where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
 def simulate_exact(
     s: SwitchingSchedule, x0, horizon: float, sample_dt: float
 ) -> Trajectory:
@@ -87,14 +96,24 @@ def simulate_exact(
     ``x_r`` to ``V exp(-lam D(t)) V^T x_r`` for all of its samples at once,
     where the dose ``D(t)`` accumulated since the run started is interpolated
     in the prefix sum of ``scale * dwell``.
+
+    A grid whose states would take more bytes than the host's physical
+    memory raises :class:`HorizonError` before anything is allocated.
     """
     x = _validated_x0(s, x0)
     horizon = _check_horizon(s, horizon)
     if not sample_dt > 0:
         raise HorizonError(f"sample_dt must be positive, got {sample_dt}")
 
-    n_grid = int(np.floor(horizon / sample_dt + 1e-9))
-    grid = np.arange(n_grid + 1) * sample_dt
+    samples = np.floor(horizon / sample_dt + 1e-9) + 1.0
+    size = samples * (x.size + 1) * 8.0  # bytes of the trajectory's times and states
+    memory = _physical_memory()
+    if size > memory:
+        raise HorizonError(
+            f"sample_dt = {sample_dt} gives {samples:.6g} samples over horizon {horizon}: "
+            f"{size:.3g} bytes, more than the host's {memory:.3g} bytes of physical memory"
+        )
+    grid = np.arange(int(samples)) * sample_dt
     t_switch = s.switch_times()
     inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
     ts = np.unique(np.concatenate([grid, inside, [horizon]]))
@@ -148,9 +167,7 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
         span = end - a
         nst = int(round(span / step_h))
         if nst < 1 or abs(nst * step_h - span) > 1e-9 * max(1.0, span):
-            raise ValueError(
-                f"step_h = {step_h} does not divide segment {k} span {span}"
-            )
+            raise HorizonError(f"step_h = {step_h} does not divide segment {k} span {span}")
         L = scale * s.laplacian_of(s.ids[g])
         out = np.empty((nst, x.size))
         h = span / nst

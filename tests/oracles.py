@@ -26,7 +26,10 @@ matrix product per run, where the package works with its flow core in the
 catalog eigenbases.  ``verify_necessary_condition`` takes each Laplacian's
 norm from its own ``eigvalsh`` call, where the package reuses the largest
 eigenvalue of each catalog graph's cached eigendecomposition.  ``write_trajectory_csv_rows``
-formats a trajectory row by row.
+formats a trajectory row by row, and ``write_trajectory_csv_savetxt`` writes it with
+``np.savetxt``, where the package formats a block of rows with one ``%``.
+``mu_m_plus_1_svd`` takes the singular values of the whole flow core, where the
+package drops the rows and columns too small to move them beyond roundoff.
 
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.  ``window_null_space_eigh`` takes a
@@ -408,6 +411,23 @@ def write_trajectory_csv_rows(traj: Trajectory, path) -> None:
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_trajectory_csv_savetxt(traj: Trajectory, path) -> None:
+    """``t, x_1_1, ..., x_n_d`` rows, written by ``np.savetxt`` with ``%.17g``."""
+    cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
+    np.savetxt(path, np.column_stack((traj.times, traj.states)), fmt="%.17g", delimiter=",",
+               header="t," + ",".join(cols), comments="")
+
+
+def mu_m_plus_1_svd(Phi: np.ndarray, m: int) -> float:
+    """``sigma_{m+1}(Phi)^2`` from the singular values of the whole of ``Phi``."""
+    if m < 0:
+        raise IndexError(f"m must be >= 0, got {m}")
+    if m >= Phi.shape[0]:
+        raise IndexError(f"mu_{m + 1} undefined: order is {Phi.shape[0]}")
+    sv = np.linalg.svd(Phi, compute_uv=False)
+    return float(sv[m] ** 2)
 
 
 def certify_per_window(

@@ -39,6 +39,7 @@ from oracles import (
     NonOrthonormalPsiError,
     bipartite_steady_state,
     certify_per_window,
+    mu_m_plus_1_svd,
     state_transition,
     window_null_space_eigh,
 )
@@ -177,6 +178,41 @@ class TestMu:
             mu_m_plus_1(phi, 3)
         with pytest.raises(IndexError):
             mu_m_plus_1(phi, -1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_trimmed_core_within_its_budget_of_the_full_svd(self, seed):
+        # K = E_R C ... C E_1 with orthogonal C and graded E = exp(-dose lam), doses up to 1e3
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(2, 41))
+
+        def graded():
+            lam = rng.uniform(0.0, 1.0, N) ** 3 * 10.0 ** rng.uniform(-2, 1)
+            lam[rng.uniform(size=N) < 0.2] = 0.0
+            return np.exp(-10.0 ** rng.uniform(-1, 3) * lam)
+
+        K = np.diag(graded())
+        for _ in range(int(rng.integers(1, 4))):
+            K = graded()[:, None] * (np.linalg.qr(rng.standard_normal((N, N)))[0] @ K)
+        u = np.finfo(float).eps
+        rows, cols = (K**2).sum(axis=1), (K**2).sum(axis=0)
+        s1 = np.sqrt(max(rows.max(), cols.max()))
+        for m in range(N):
+            lb = np.linalg.svd(K[:, np.argsort(cols, kind="stable")[N - m - 1:]],
+                               compute_uv=False)[-1]
+            beta = 2 * N * u * s1 * lb
+            mu, mu_svd = mu_m_plus_1(K, m), mu_m_plus_1_svd(K, m)
+            assert mu <= mu_svd + 2 * N * u
+            assert mu_svd - mu <= beta + 2 * N * u
+
+    def test_diagonal_core_is_exact(self):
+        # underflowing and exactly zero entries, whose squares tie at 0.0, and signs
+        v = np.array([0.5, -1e-300, 0.0, 1.0, 2.0**-1074, 1e-160, -0.25, 0.0, 1e-39, -0.0, 3e-20])
+        for perm in (np.arange(v.size), np.random.default_rng(3).permutation(v.size)):
+            K = np.diag(v[perm])
+            for m in range(v.size):
+                exact = float(np.sort(np.abs(v))[::-1][m] ** 2)
+                assert mu_m_plus_1(K, m) == mu_m_plus_1_svd(K, m) == exact
 
 
 class TestCertification:

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from mwconsensus import scenarios
-from mwconsensus.cli import cmd_analyze, main, write_trajectory_csv
+from mwconsensus.cli import _CSV_BLOCK_VALUES, cmd_analyze, main, write_trajectory_csv
 from mwconsensus.config import load_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
 from mwconsensus.sim import Trajectory, simulate_exact
 from mwconsensus.matalg import Definiteness
 from mwconsensus.switching import Window, integral_network
 
-from oracles import is_connected, write_trajectory_csv_rows
+from oracles import is_connected, write_trajectory_csv_rows, write_trajectory_csv_savetxt
 from randgen import random_connected_pd_graph
 
 MAX = sys.float_info.max
@@ -429,7 +429,7 @@ class TestTrajectoryCsv:
         assert np.array_equal(row0[1:], cluster_cfg.initial_state)
 
 
-    def test_savetxt_writer_matches_row_formatter(self, tmp_path):
+    def test_writer_matches_row_formatter(self, tmp_path):
         times = np.array([0.0, 0.1, 1e-300, 2.0 / 3.0])
         states = np.array([[-0.0, 1e-300, -1.5e300, 0.1], [1.0, -0.0, 3.0, np.pi],
                            [2.0**-1074, -1e-300, 123456789.0, 1.0 / 3.0],
@@ -439,6 +439,24 @@ class TestTrajectoryCsv:
         write_trajectory_csv_rows(traj, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert b",-0," in (tmp_path / "new.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (300, 20)], ids=["t-and-one", "narrow", "wide"])
+    def test_writer_matches_savetxt_across_block_edges(self, tmp_path, n, d):
+        per_block = max(1, _CSV_BLOCK_VALUES // (n * d + 1))
+        special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 2.0**-1074, 1.0, -7.0, 123456789.0,
+                   2.0**53, 1e16]
+        rng = np.random.default_rng(5)
+        for samples in sorted({1, per_block - 1, per_block, per_block + 1, 2 * per_block + 3} - {0}):
+            shape = (samples, n * d)
+            states = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            np.put(states, rng.permutation(states.size)[: len(special)], special)
+            times = np.arange(samples) / 3.0
+            traj = Trajectory(times=times, states=states, n=n, d=d)
+            write_trajectory_csv(traj, tmp_path / "new.csv")
+            write_trajectory_csv_savetxt(traj, tmp_path / "old.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes(), samples
+            assert new.count(b"\n") == samples + 1
 
 
 class TestCli:
@@ -503,6 +521,44 @@ class TestCli:
         )
         assert rc == 1
         assert "exceeds schedule duration" in capsys.readouterr().err
+
+    def test_simulate_rk4_step_not_dividing_a_segment_fails_in_one_line(self, tmp_path, capsys):
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        doc["solver"] = {"method": "rk4", "step_h": 0.3}
+        path = str(write_json(tmp_path, doc))
+        assert main(["check", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: step_h = 0.3 does not divide segment 0 span 2.0\n"
+
+    @pytest.mark.parametrize(
+        "memory, extra, message",
+        [
+            # 1e10 samples of the default sample_dt, 4e11 bytes
+            (2.0**34, [], "sample_dt = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
+                          "4e+11 bytes, more than the host's 1.72e+10 bytes of physical memory"),
+            # the host's own memory against 1e19 samples, 4e20 bytes
+            (None, ["--sample-dt", "1e-9"], "sample_dt = 1e-09 gives 1e+19 samples over horizon "
+                                            "10000000000.0: 4e+20 bytes, more than the host's "),
+        ],
+        ids=["1e10-samples", "host-memory"],
+    )
+    def test_simulate_rejects_more_samples_than_memory_holds(self, tmp_path, capsys, monkeypatch,
+                                                             memory, extra, message):
+        if memory is not None:
+            monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+        doc = minimal_config_dict()
+        doc["num_agents"] = 4
+        doc["graphs"][0]["edges"] = [{"i": i, "j": i + 1, "weight": [[1.0]]} for i in (1, 2, 3)]
+        doc["schedule"]["segments"] = [{"graph": "g", "dwell": 1e10}]
+        doc["initial_state"] = [1.0, 2.0, 3.0, 4.0]
+        path = str(write_json(tmp_path, doc))
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", path, "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_analyze_report_content_and_determinism(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

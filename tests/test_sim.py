@@ -112,7 +112,7 @@ class TestSimulateRK4:
 
     def test_step_must_divide_dwell(self):
         s = two_node_schedule(dwell=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(HorizonError, match=r"^step_h = 0\.3 does not divide segment 0 span 1\.0$"):
             simulate_rk4(s, np.ones(2), 1.0, 0.3)
 
     def test_records_every_step(self):
