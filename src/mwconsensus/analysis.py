@@ -174,10 +174,7 @@ def mu_m_plus_1(Phi: np.ndarray, m: int) -> float:
     SVD's own forward error on ``mu``: ``N`` is the order, ``s1`` the largest
     row or column norm and ``lb`` the smallest singular value of the ``m + 1``
     columns of largest norm.  A diagonal ``Phi`` keeps its ``m + 1`` largest
-    entries, so its ``mu`` is exact.  The whole ``Phi`` is decomposed, without
-    ``lb``, when even ``lb`` at its cap (the norm of the rows, or columns,
-    outside the ``m`` largest) would not trim enough to pay for the SVD that
-    finds it, counting an SVD as rows times columns times the smaller of the two.
+    entries, so its ``mu`` is exact.
     """
     if m < 0:
         raise IndexError(f"m must be >= 0, got {m}")
@@ -187,21 +184,12 @@ def mu_m_plus_1(Phi: np.ndarray, m: int) -> float:
     rows = np.einsum("ij,ij->i", Phi, Phi)
     cols = np.einsum("ij,ij->j", Phi, Phi)
     ro, co = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
-    rs, cs = np.cumsum(rows[ro]), np.cumsum(cols[co])  # ascending squared norms, summed
     free = order - m - 1  # how many rows, or columns, may go
-
-    def drops(budget: float) -> tuple[int, int]:
-        return tuple(min(int(np.searchsorted(a, budget, side="right")), free) for a in (rs, cs))
-
-    per_lb = order * np.finfo(float).eps * float(np.sqrt(max(rows[ro[-1]], cols[co[-1]])))
-    # keeping only the m largest rows (or columns) leaves rank m, so the rest's norm caps lb
-    r, c = (order - k for k in drops(per_lb * float(np.sqrt(min(rs[free], cs[free])))))
-    K = Phi
-    if r * c * min(r, c) + order * (m + 1) ** 2 < order**3:  # the trim can pay for lb's SVD
-        lb = float(np.linalg.svd(Phi[:, co[free:]], compute_uv=False)[-1])
-        dr, dc = drops(per_lb * lb)  # beta / 2
-        K = Phi[np.ix_(np.sort(ro[dr:]), np.sort(co[dc:]))]
-    sv = np.linalg.svd(K, compute_uv=False)
+    lb = np.linalg.svd(Phi[:, co[free:]], compute_uv=False)[-1]
+    half_beta = order * np.finfo(float).eps * np.sqrt(max(rows[ro[-1]], cols[co[-1]])) * lb
+    dr = min(np.count_nonzero(rows[ro].cumsum() <= half_beta), free)
+    dc = min(np.count_nonzero(cols[co].cumsum() <= half_beta), free)
+    sv = np.linalg.svd(Phi.take(np.sort(ro[dr:]), 0).take(np.sort(co[dc:]), 1), compute_uv=False)
     return float(sv[m] ** 2)
 
 

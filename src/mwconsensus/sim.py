@@ -85,6 +85,24 @@ def _physical_memory() -> float:
         return float("inf")
 
 
+def _check_memory(name: str, step: float, horizon: float, samples: float, width: int) -> None:
+    """Reject ``samples`` rows of ``width`` floats that outgrow physical memory.
+
+    The bound is the host's memory, not a container's or cgroup's limit, so a
+    run under it can still fail to allocate.
+    """
+    if not np.isfinite(samples):
+        raise HorizonError(f"{name} = {step} is too small for horizon {horizon}: "
+                           "the sample count overflows")
+    size = samples * width * 8.0
+    memory = _physical_memory()
+    if size > memory:
+        raise HorizonError(
+            f"{name} = {step} gives {samples:.6g} samples over horizon {horizon}: "
+            f"{size:.3g} bytes, more than the host's {memory:.3g} bytes of physical memory"
+        )
+
+
 def simulate_exact(
     s: SwitchingSchedule, x0, horizon: float, sample_dt: float
 ) -> Trajectory:
@@ -97,8 +115,10 @@ def simulate_exact(
     where the dose ``D(t)`` accumulated since the run started is interpolated
     in the prefix sum of ``scale * dwell``.
 
-    A grid whose states would take more bytes than the host's physical
-    memory raises :class:`HorizonError` before anything is allocated.
+    A grid that would not fit in the host's physical memory raises
+    :class:`HorizonError` before anything is allocated.  Each sample counts
+    ``4 n d + 4`` floats: its state, the three temporaries of a run's
+    evaluation, and the sample grid's four arrays of times.
     """
     x = _validated_x0(s, x0)
     horizon = _check_horizon(s, horizon)
@@ -106,16 +126,10 @@ def simulate_exact(
         raise HorizonError(f"sample_dt must be positive, got {sample_dt}")
 
     samples = np.floor(horizon / sample_dt + 1e-9) + 1.0
-    size = samples * (x.size + 1) * 8.0  # bytes of the trajectory's times and states
-    memory = _physical_memory()
-    if size > memory:
-        raise HorizonError(
-            f"sample_dt = {sample_dt} gives {samples:.6g} samples over horizon {horizon}: "
-            f"{size:.3g} bytes, more than the host's {memory:.3g} bytes of physical memory"
-        )
-    grid = np.arange(int(samples)) * sample_dt
     t_switch = s.switch_times()
     inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
+    _check_memory("sample_dt", sample_dt, horizon, samples + inside.size + 1, 4 * x.size + 4)
+    grid = np.arange(int(samples)) * sample_dt
     ts = np.unique(np.concatenate([grid, inside, [horizon]]))
     keep = np.ones(ts.size, dtype=bool)
     keep[1:] = np.diff(ts) > _DEDUP_TOL
@@ -150,12 +164,15 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     Steps never straddle a switching instant: each segment is integrated with
     its own whole number of steps, so ``step_h`` must divide every dwell (and
     the final partial dwell) within floating-point tolerance.  Every step
-    endpoint is recorded.
+    endpoint is recorded.  As in :func:`simulate_exact`, steps that would not
+    fit in physical memory raise :class:`HorizonError` up front; each counts
+    ``2 n d + 2`` floats, its state and time and their final copies.
     """
     x = _validated_x0(s, x0)
     horizon = _check_horizon(s, horizon)
     if not step_h > 0:
         raise HorizonError(f"step_h must be positive, got {step_h}")
+    _check_memory("step_h", step_h, horizon, horizon / step_h + 1.0, 2 * x.size + 2)
 
     t_switch = s.switch_times().tolist()
     chunks_t: list[np.ndarray] = [np.zeros(1)]

@@ -533,19 +533,28 @@ class TestCli:
         assert err == "error: step_h = 0.3 does not divide segment 0 span 2.0\n"
 
     @pytest.mark.parametrize(
-        "memory, extra, message",
+        "memory, solver, extra, message",
         [
-            # 1e10 samples of the default sample_dt, 4e11 bytes
-            (2.0**34, [], "sample_dt = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
-                          "4e+11 bytes, more than the host's 1.72e+10 bytes of physical memory"),
-            # the host's own memory against 1e19 samples, 4e20 bytes
-            (None, ["--sample-dt", "1e-9"], "sample_dt = 1e-09 gives 1e+19 samples over horizon "
-                                            "10000000000.0: 4e+20 bytes, more than the host's "),
+            # 1e10 samples of the default sample_dt, 20 floats each
+            (2.0**34, {}, [], "sample_dt = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
+                              "1.6e+12 bytes, more than the host's 1.72e+10 bytes of physical memory"),
+            # the host's own memory against 1e19 samples, 1.6e21 bytes
+            (None, {}, ["--sample-dt", "1e-9"], "sample_dt = 1e-09 gives 1e+19 samples over "
+                                                "horizon 10000000000.0: 1.6e+21 bytes, more than "
+                                                "the host's "),
+            # 1e10 RK4 steps, 10 floats each
+            (2.0**34, {"method": "rk4", "step_h": 1.0}, [],
+             "step_h = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
+             "8e+11 bytes, more than the host's 1.72e+10 bytes of physical memory"),
+            # horizon / sample_dt overflows, with memory the OS does not report
+            (float("inf"), {}, ["--sample-dt", "1e-320"],
+             "sample_dt = 1e-320 is too small for horizon 10000000000.0: "
+             "the sample count overflows"),
         ],
-        ids=["1e10-samples", "host-memory"],
+        ids=["1e10-samples", "host-memory", "1e10-rk4-steps", "overflowing-count"],
     )
     def test_simulate_rejects_more_samples_than_memory_holds(self, tmp_path, capsys, monkeypatch,
-                                                             memory, extra, message):
+                                                             memory, solver, extra, message):
         if memory is not None:
             monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
         doc = minimal_config_dict()
@@ -553,6 +562,7 @@ class TestCli:
         doc["graphs"][0]["edges"] = [{"i": i, "j": i + 1, "weight": [[1.0]]} for i in (1, 2, 3)]
         doc["schedule"]["segments"] = [{"graph": "g", "dwell": 1e10}]
         doc["initial_state"] = [1.0, 2.0, 3.0, 4.0]
+        doc["solver"] = solver
         path = str(write_json(tmp_path, doc))
         out = tmp_path / "x.csv"
         assert main(["simulate", "--config", path, "--out", str(out), *extra]) == 1
