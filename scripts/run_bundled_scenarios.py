@@ -3,23 +3,39 @@
 
 Writes one analysis report (JSON) and one trajectory (CSV) per scenario into
 the output directory, using the same code paths as the ``mwc`` command line.
+With ``--workload-seeds``, each benchmark workload of ``perfbench/gen.py`` is
+also generated at each seed, written under ``OUTDIR/workloads/``, and run the
+same way, as ``<workload>_seed<k>``; so one ``scripts/compare_outputs.py``
+call covers the bundled files and the workloads.
 
 Usage:
     python scripts/run_bundled_scenarios.py [--outdir runs] [--names a,b,...]
+                                            [--workload-seeds 1,2,3]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from pathlib import Path
 
 from mwconsensus import scenarios
 from mwconsensus.cli import main as mwc
 
+GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
-def run_one(name: str, outdir: Path) -> int:
-    cfg_path = scenarios.builtin_path(name)
+
+def load_gen():
+    """The benchmark's workload generator, imported from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up by name
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def run_one(name: str, cfg_path: Path, outdir: Path) -> int:
     print(f"=== {name} ===")
     rc = mwc(["check", "--config", str(cfg_path)])
     if rc == 0:
@@ -31,14 +47,15 @@ def run_one(name: str, outdir: Path) -> int:
             ]
         )
     if rc == 0:
-        args = [
-            "simulate",
-            "--config", str(cfg_path),
-            "--out", str(outdir / f"{name}_trajectory.csv"),
-        ]
-        # the long time-scaled runs sample only starts/ends of segments, so
-        # just reuse each scenario's own solver settings
-        rc = mwc(args)
+        # each scenario's own solver settings: the long time-scaled runs
+        # sample only the starts and ends of segments
+        rc = mwc(
+            [
+                "simulate",
+                "--config", str(cfg_path),
+                "--out", str(outdir / f"{name}_trajectory.csv"),
+            ]
+        )
     print()
     return rc
 
@@ -51,17 +68,33 @@ def main(argv: list[str] | None = None) -> int:
         default=",".join(scenarios.BUILTIN_NAMES),
         help="comma-separated subset of bundled scenario names",
     )
+    parser.add_argument(
+        "--workload-seeds",
+        default="",
+        help="comma-separated seeds at which to generate and run every benchmark workload",
+    )
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    failures = []
+    runs = []
     for name in args.names.split(","):
         name = name.strip()
         if name not in scenarios.BUILTIN_NAMES:
             print(f"unknown scenario {name!r}; bundled: {', '.join(scenarios.BUILTIN_NAMES)}")
             return 2
-        if run_one(name, args.outdir) != 0:
-            failures.append(name)
+        runs.append((name, scenarios.builtin_path(name)))
+    seeds = [int(k) for k in args.workload_seeds.split(",") if k.strip()]
+    if seeds:
+        gen = load_gen()
+        (args.outdir / "workloads").mkdir(exist_ok=True)
+        for workload, build in gen.BUILDERS.items():
+            for seed in seeds:
+                name = f"{workload}_seed{seed}"
+                path = args.outdir / "workloads" / f"{name}.json"
+                build(seed).write(path)
+                runs.append((name, path))
+
+    failures = [name for name, path in runs if run_one(name, path, args.outdir) != 0]
     if failures:
         print(f"failed: {', '.join(failures)}")
         return 1

@@ -21,11 +21,12 @@ from .errors import (
     NotPSDError,
     WindowsNotContiguousError,
 )
-from .graph import Bipartition, has_positive_negative_spanning_tree, laplacian
+from .graph import Bipartition, has_positive_negative_spanning_tree
 from .matalg import (
     EIG_TOL,
     NullSpaceBasis,
     check_symmetric,
+    null_space,
     null_space_of_sum,
     projector,
     psd_eigh,
@@ -74,24 +75,16 @@ def null_intersection(
     """Orthonormal basis of the intersection of the Laplacians' null spaces.
 
     For PSD matrices the intersection of null spaces equals the null space of
-    the sum, which :func:`null_space_of_sum` solves inside a summand's null
-    space where it can, at ``eig_tol * max(1, B)`` with ``B`` the sum's
-    largest absolute row sum.  Each summand is checked to be symmetric by
-    :func:`check_symmetric` and PSD by :func:`psd_eigh` first (the identity
-    fails for sign-indefinite input).
+    the sum, which :func:`null_space_of_sum` solves from the summands.  Each
+    summand is checked to be symmetric by :func:`check_symmetric` and PSD by
+    :func:`psd_eigh` first (the identity fails for sign-indefinite input).
     """
     if not laplacians:
         raise DimensionMismatchError("need at least one Laplacian")
-    order = laplacians[0].shape[0]
-    total = np.zeros((order, order))
-    parts = []
-    for L in laplacians:
-        if L.shape != (order, order):
-            raise DimensionMismatchError("Laplacians differ in order")
-        L = check_symmetric(L)
-        parts.append((1.0, *psd_eigh(L, eig_tol)[:2]))
-        total += L
-    return null_space_of_sum(total, parts, float(np.abs(total).sum(axis=1).max()), eig_tol)
+    if len({np.shape(L) for L in laplacians}) > 1:
+        raise DimensionMismatchError("Laplacians differ in order")
+    parts = [(1.0, L, *psd_eigh(L, eig_tol)[:2]) for L in map(check_symmetric, laplacians)]
+    return null_space_of_sum(parts, eig_tol)
 
 
 def group_clusters(x: np.ndarray, n: int, d: int, cluster_tol: float = CLUSTER_TOL) -> tuple[tuple[int, ...], ...]:
@@ -225,14 +218,15 @@ class CertificationReport:
 def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
     """Null space of a window's integral Laplacian ``L_w = sum_g dose_g L_g / T``.
 
-    :func:`null_space_of_sum` solves it inside a cached catalog
-    eigendecomposition where it can, at ``thr = eig_tol * max(1,
-    lam_bound)`` with the window graph's bound on the largest eigenvalue.
+    :func:`null_space_of_sum` solves it from the cached catalog Laplacians
+    and their eigendecompositions.
     """
-    parts = [(dose / net.duration, *s.eig_of(s.ids[k]))
-             for k, dose in enumerate(net.doses.tolist()) if dose]
+    parts = [(dose / net.duration, s.laplacian_of(g), *s.eig_of(g))
+             for g, dose in zip(s.ids, net.doses.tolist()) if dose]
+    if not parts:  # every scale * dwell underflowed, so L_w = 0
+        return null_space(np.zeros((s.n * s.d,) * 2), s.eig_tol)
     try:
-        return null_space_of_sum(laplacian(net.graph), parts, net.graph.lam_bound, s.eig_tol)
+        return null_space_of_sum(parts, s.eig_tol)
     except NotPSDError as exc:
         raise NotPSDError(f"integral Laplacian {exc}") from None
 
@@ -247,7 +241,8 @@ def certify_cluster_consensus(
     classified the window averages, solved inside a catalog null space) and
     the singular values of its :func:`flow_core` are computed; certification
     requires all null spaces equal (as projectors) and
-    ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.
+    ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.  A window whose null
+    space is the whole space has no complement to contract and records ``mu = 0``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window is computed once, its
@@ -295,7 +290,9 @@ def certify_cluster_consensus(
         max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
-    mu_of = {k: mu_m_plus_1(flow_core(s, ws[k]), b.dim) for k, b in zip(distinct, bases)}
+    # a window whose null space is the whole space contracts nothing, so vacuously
+    mu_of = {k: mu_m_plus_1(flow_core(s, ws[k]), b.dim) if b.dim < s.n * s.d else 0.0
+             for k, b in zip(distinct, bases)}
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance(graphs)

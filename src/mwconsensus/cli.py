@@ -31,7 +31,7 @@ from .analysis import (
 from .config import ScenarioConfig, load_config
 from .errors import ConsensusToolError
 from .matalg import canonical_basis
-from .sim import Trajectory, simulate_exact, simulate_rk4
+from .sim import Trajectory, check_run, simulate_exact, simulate_rk4
 from .switching import validate_schedule
 
 
@@ -64,6 +64,10 @@ def _clusters_1based(clusters) -> list[list[int]]:
 
 
 def cmd_check(cfg: ScenarioConfig, path: str) -> int:
+    solver = cfg.solver
+    # the run that simulate would make with the file's settings
+    check_run(cfg.schedule, cfg.horizon, solver.method,
+              solver.step_h if solver.method == "rk4" else solver.sample_dt)
     print(f"scenario: {path}")
     print(f"agents: {cfg.num_agents}, state dimension: {cfg.dimension}")
     for gid in sorted(cfg.graphs):

@@ -290,7 +290,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         )
 
     sraw = _as_object(raw.get("solver", {}), "solver")
-    method = sraw.get("method", "exact")
+    default = SolverConfig()
+    method = sraw.get("method", default.method)
     if method not in _SOLVER_METHODS:
         raise ConfigValidationError(
             f"solver.method must be one of {_SOLVER_METHODS}, got {method!r}",
@@ -298,8 +299,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         )
     solver = SolverConfig(
         method=method,
-        sample_dt=_as_positive(sraw.get("sample_dt", 1.0), "solver.sample_dt"),
-        step_h=_as_positive(sraw.get("step_h", 1e-3), "solver.step_h"),
+        sample_dt=_as_positive(sraw.get("sample_dt", default.sample_dt), "solver.sample_dt"),
+        step_h=_as_positive(sraw.get("step_h", default.step_h), "solver.step_h"),
         horizon=(
             _as_positive(sraw["horizon"], "solver.horizon") if "horizon" in sraw else None
         ),

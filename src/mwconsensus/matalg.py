@@ -226,45 +226,47 @@ def null_space(
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
 
 
-def null_space_of_sum(total, parts, lam_bound: float, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
-    """Null space of ``total = sum_i w_i A_i``, a sum of PSD terms, at ``eig_tol * max(1, lam_bound)``.
+def null_space_of_sum(parts, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
+    """Null space of ``L = sum_i w_i A_i``, a sum of PSD terms, from its terms.
 
-    ``total`` is symmetric, ``lam_bound`` bounds its largest eigenvalue, and
-    ``parts`` holds each positive weight ``w_i`` with the ascending
-    eigendecomposition ``(lam_i, V_i)`` of its term.  ``x^T total x <= thr``
-    gives ``x^T A_i x <= thr / w_i``.  The term with the fewest, ``c``,
-    eigenvalues up to that cut and the next, ``lam_i[c]``, at least
-    ``CUT_GAP`` times it offers the candidate ``V0 U``: ``V0`` its first
-    ``c`` eigenvectors and ``U`` those of ``V0^T total V0`` whose eigenvalues
-    ``mu`` are at most ``thr``.  The candidate is kept when
+    ``parts`` holds each positive weight ``w_i`` with its term ``A_i`` and
+    the term's ascending eigendecomposition ``(lam_i, V_i)``.  Zero means at
+    most ``thr = eig_tol * max(1, B)``, with ``B = sum_i w_i lam_i[-1] >=
+    lam_max(L)``, clamped at the float maximum.  ``x^T L x <= thr`` gives
+    ``x^T A_i x <= thr / w_i``.  The term with the fewest, ``c``, eigenvalues
+    up to that cut and the next, ``lam_i[c]``, at least ``CUT_GAP`` times it
+    offers the candidate ``V0 U``: ``V0`` its first ``c`` eigenvectors and
+    ``U`` those of ``V0^T L V0`` whose eigenvalues ``mu`` are at most
+    ``thr``.  The candidate is kept when
 
     * no null vector is missed: with ``g = w_i lam_i[c]`` and ``a`` the next
       ``mu``, a unit ``x = u + v`` orthogonal to it (``u`` in ``span(V0)``)
-      has ``x^T total x >= g |v|^2`` and ``sqrt(x^T total x) >= sqrt(a) |u| -
-      sqrt(lam_bound) |v|``, so at least ``g a / ((sqrt(g) +
-      sqrt(lam_bound))^2 + a)`` (``g`` when no ``mu`` exceeds ``thr``), which
-      must exceed ``thr``;
-    * and its residual ``||total V0 U - V0 U diag(mu)||_F`` is at most
-      ``order * eps * max(1, lam_bound)``, a full ``eigh``'s backward error.
+      has ``x^T L x >= g |v|^2`` and ``sqrt(x^T L x) >= sqrt(a) |u| -
+      sqrt(B) |v|``, so at least ``g / (1 + ((sqrt(g) + sqrt(B)) / sqrt(a))^2)``
+      (``g`` when no ``mu`` exceeds ``thr``), which must exceed ``thr``;
+    * and its residual ``||L V0 U - V0 U diag(mu)||_F`` is at most ``order *
+      eps * max(1, B)``, a full ``eigh``'s backward error.
 
-    Otherwise, and when no term offers ``V0``, :func:`null_space` decomposes
-    ``total`` in full.
+    Only ``L V0 = sum_i w_i A_i V0`` is formed for it.  Otherwise, and when
+    no term offers ``V0``, :func:`null_space` decomposes ``L`` in full.
     """
-    thr = eig_tol * max(1.0, lam_bound)
+    B = min(sum(w * float(lam[-1]) for w, _, lam, _ in parts), np.finfo(float).max)
+    thr = eig_tol * max(1.0, B)
     best = None  # (c, V0, g) of the smallest span offered
-    for w, lam, V in parts:
+    for w, _, lam, V in parts:
         c = int(np.searchsorted(lam, thr / w, side="right"))
-        if c < (best[0] if best else total.shape[0]) and lam[c] >= CUT_GAP * thr / w:
+        if c < (best[0] if best else lam.size) and lam[c] >= CUT_GAP * thr / w:
             best = c, V[:, :c], w * float(lam[c])
     if best is not None:
         c, V0, g = best
-        LV = total @ V0
+        LV = sum(w * (A @ V0) for w, A, _, _ in parts)
         M = V0.T @ LV
-        mu, U, _ = psd_eigh(0.5 * (M + M.T), eig_tol, lam_bound)
+        mu, U, _ = psd_eigh(0.5 * (M + M.T), eig_tol, B)
         k = int(np.count_nonzero(mu <= thr))
-        low = g if k == c else g * mu[k] / ((np.sqrt(g) + np.sqrt(lam_bound)) ** 2 + mu[k])
+        low = g if k == c else g / (1.0 + ((np.sqrt(g) + np.sqrt(B)) / np.sqrt(mu[k])) ** 2)
         X = U[:, :k]
-        res = np.linalg.norm(LV @ X - V0 @ (X * mu[:k]))
-        if low > thr and res <= total.shape[0] * np.finfo(float).eps * max(1.0, lam_bound):
+        # taken relative to max(1, B), so that its squares do not overflow
+        res = np.linalg.norm((LV @ X - V0 @ (X * mu[:k])) / max(1.0, B))
+        if low > thr and res <= len(V0) * np.finfo(float).eps:
             return NullSpaceBasis(vectors=V0 @ X, tol_used=thr)
-    return null_space(total, eig_tol, lam_bound)
+    return null_space(sum(w * A for w, A, _, _ in parts), eig_tol, B)

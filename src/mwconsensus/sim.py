@@ -85,12 +85,32 @@ def _physical_memory() -> float:
         return float("inf")
 
 
-def _check_memory(name: str, step: float, horizon: float, samples: float, width: int) -> None:
-    """Reject ``samples`` rows of ``width`` floats that outgrow physical memory.
+def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) -> float:
+    """Reject a run of ``method`` to ``horizon`` that could not complete; return the horizon.
 
-    The bound is the host's memory, not a container's or cgroup's limit, so a
-    run under it can still fail to allocate.
+    ``step`` is the exact solver's ``sample_dt`` or RK4's ``step_h``.  Beyond
+    :func:`_check_horizon` and a positive ``step``, a grid that would not fit
+    in the host's physical memory raises :class:`HorizonError` before
+    anything is allocated.  An exact sample counts ``4 n d + 4`` floats: its
+    state, the three temporaries of a run's evaluation, and the sample grid's
+    four arrays of times.  An RK4 step counts ``2 n d + 2``: its state and
+    time and their final copies.  The bound is the host's memory, not a
+    container's or cgroup's limit, so a run under it can still fail to
+    allocate.  RK4 also needs ``step_h`` to divide every segment it
+    integrates, the last one up to the horizon, within floating-point
+    tolerance.
     """
+    horizon = _check_horizon(s, horizon)
+    rk4 = method == "rk4"
+    name = "step_h" if rk4 else "sample_dt"
+    if not step > 0:
+        raise HorizonError(f"{name} must be positive, got {step}")
+    t = s.switch_times()
+    if rk4:
+        samples, width = horizon / step + 1.0, 2 * s.n * s.d + 2
+    else:
+        inside = np.count_nonzero((t > 0.0) & (t < horizon))
+        samples, width = _grid_count(horizon, step) + inside + 1, 4 * s.n * s.d + 4
     if not np.isfinite(samples):
         raise HorizonError(f"{name} = {step} is too small for horizon {horizon}: "
                            "the sample count overflows")
@@ -101,6 +121,25 @@ def _check_memory(name: str, step: float, horizon: float, samples: float, width:
             f"{name} = {step} gives {samples:.6g} samples over horizon {horizon}: "
             f"{size:.3g} bytes, more than the host's {memory:.3g} bytes of physical memory"
         )
+    if rk4:
+        K = _segments_reached(s, horizon)
+        span = np.minimum(t[1 : K + 1], horizon) - t[:K]
+        nst = np.round(span / step)
+        bad = np.flatnonzero((nst < 1) | (np.abs(nst * step - span) > 1e-9 * np.maximum(1.0, span)))
+        if bad.size:
+            k = int(bad[0])
+            raise HorizonError(f"step_h = {step} does not divide segment {k} span {float(span[k])}")
+    return horizon
+
+
+def _grid_count(horizon: float, sample_dt: float) -> float:
+    """Points of the regular grid ``{0, sample_dt, 2 sample_dt, ...}`` up to ``horizon``."""
+    return np.floor(horizon / sample_dt + 1e-9) + 1.0
+
+
+def _segments_reached(s: SwitchingSchedule, horizon: float) -> int:
+    """How many segments a run to ``horizon`` enters; the last may be cut short by it."""
+    return int(np.searchsorted(s.switch_times()[1:], horizon - _EDGE_TOL)) + 1
 
 
 def simulate_exact(
@@ -115,28 +154,19 @@ def simulate_exact(
     where the dose ``D(t)`` accumulated since the run started is interpolated
     in the prefix sum of ``scale * dwell``.
 
-    A grid that would not fit in the host's physical memory raises
-    :class:`HorizonError` before anything is allocated.  Each sample counts
-    ``4 n d + 4`` floats: its state, the three temporaries of a run's
-    evaluation, and the sample grid's four arrays of times.
+    :func:`check_run` rejects the run first, before anything is allocated.
     """
     x = _validated_x0(s, x0)
-    horizon = _check_horizon(s, horizon)
-    if not sample_dt > 0:
-        raise HorizonError(f"sample_dt must be positive, got {sample_dt}")
-
-    samples = np.floor(horizon / sample_dt + 1e-9) + 1.0
+    horizon = check_run(s, horizon, "exact", sample_dt)
     t_switch = s.switch_times()
     inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
-    _check_memory("sample_dt", sample_dt, horizon, samples + inside.size + 1, 4 * x.size + 4)
-    grid = np.arange(int(samples)) * sample_dt
+    grid = np.arange(int(_grid_count(horizon, sample_dt))) * sample_dt
     ts = np.unique(np.concatenate([grid, inside, [horizon]]))
     keep = np.ones(ts.size, dtype=bool)
     keep[1:] = np.diff(ts) > _DEDUP_TOL
     ts = ts[keep]
 
-    # segments [0, K) reach the horizon; the last one may be cut short by it
-    K = int(np.searchsorted(t_switch[1:], horizon - _EDGE_TOL)) + 1
+    K = _segments_reached(s, horizon)
     cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
     first, graphs, doses = s.runs(0, K)
     states = np.empty((ts.size, x.size))
@@ -163,28 +193,20 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
 
     Steps never straddle a switching instant: each segment is integrated with
     its own whole number of steps, so ``step_h`` must divide every dwell (and
-    the final partial dwell) within floating-point tolerance.  Every step
-    endpoint is recorded.  As in :func:`simulate_exact`, steps that would not
-    fit in physical memory raise :class:`HorizonError` up front; each counts
-    ``2 n d + 2`` floats, its state and time and their final copies.
+    the final partial dwell) within floating-point tolerance; :func:`check_run`
+    rejects the run first, as it does a grid past physical memory.  Every
+    step endpoint is recorded.
     """
     x = _validated_x0(s, x0)
-    horizon = _check_horizon(s, horizon)
-    if not step_h > 0:
-        raise HorizonError(f"step_h must be positive, got {step_h}")
-    _check_memory("step_h", step_h, horizon, horizon / step_h + 1.0, 2 * x.size + 2)
-
+    horizon = check_run(s, horizon, "rk4", step_h)
     t_switch = s.switch_times().tolist()
     chunks_t: list[np.ndarray] = [np.zeros(1)]
     chunks_x: list[np.ndarray] = [x[None, :].copy()]
-    for k, (g, scale) in enumerate(zip(s.graph.tolist(), s.scale.tolist())):
-        a, b = t_switch[k], t_switch[k + 1]
-        last = b >= horizon - _EDGE_TOL
-        end = min(b, horizon)
-        span = end - a
+    K = _segments_reached(s, horizon)
+    for k, (g, scale) in enumerate(zip(s.graph[:K].tolist(), s.scale[:K].tolist())):
+        a = t_switch[k]
+        span = min(t_switch[k + 1], horizon) - a
         nst = int(round(span / step_h))
-        if nst < 1 or abs(nst * step_h - span) > 1e-9 * max(1.0, span):
-            raise HorizonError(f"step_h = {step_h} does not divide segment {k} span {span}")
         L = scale * s.laplacian_of(s.ids[g])
         out = np.empty((nst, x.size))
         h = span / nst
@@ -197,8 +219,6 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
             out[i] = x
         chunks_t.append(a + h * np.arange(1, nst + 1))
         chunks_x.append(out)
-        if last:
-            break
     return Trajectory(
         times=np.concatenate(chunks_t),
         states=np.vstack(chunks_x),

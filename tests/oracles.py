@@ -33,8 +33,9 @@ package drops the rows and columns too small to move them beyond roundoff.
 
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.  ``window_null_space_eigh`` takes a
-window's null space from the full ``eigh`` of its integral Laplacian, where the
-package solves inside a catalog null space where that provably loses nothing.
+window's null space from the full ``eigh`` of its dosed sum of catalog
+Laplacians, where the package solves inside a catalog null space where that
+provably loses nothing.
 """
 
 from __future__ import annotations
@@ -476,8 +477,14 @@ def certify_per_window(
 
 
 def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
-    """Null space of the integral Laplacian from its full ``eigh``, at the package's threshold."""
-    lam, V, thr = psd_eigh(laplacian(net.graph), s.eig_tol, net.graph.lam_bound)
+    """Null space of ``L_w = sum_g (dose_g / T) L_g`` from its full ``eigh``.
+
+    The threshold is the package's, ``eig_tol * max(1, B)`` with ``B = sum_g
+    (dose_g / T) lam_max(L_g)`` clamped at the float maximum.
+    """
+    dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
+    B = min(sum(w * float(s.eig_of(g)[0][-1]) for w, g in dosed), np.finfo(float).max)
+    lam, V, thr = psd_eigh(sum(w * s.laplacian_of(g) for w, g in dosed), s.eig_tol, B)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
 
 

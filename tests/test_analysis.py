@@ -78,11 +78,11 @@ class TestNullIntersection:
             P_oracle = stacked_null_projector(laps)
             assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
-    def test_threshold_scales_with_the_largest_absolute_row_sum(self):
-        # the sum 3 L of this path Laplacian has largest eigenvalue 9 and row sum 12
+    def test_threshold_scales_with_the_summed_largest_eigenvalues(self):
+        # this path Laplacian has largest eigenvalue 3, so B = 3 + 6 for [L, 2 L]
         L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         basis = null_intersection([L, 2 * L], 1e-9)
-        assert basis.dim == 1 and basis.tol_used == 1e-9 * 12.0
+        assert basis.dim == 1 and basis.tol_used == pytest.approx(9e-9, rel=1e-14)
 
     def test_rejects_non_psd_summand(self):
         bad = np.diag([1.0, -1.0])
@@ -613,6 +613,48 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
         assert _window_null_space(s, net).dim == window_null_space_eigh(s, net).dim == 3
+
+    @pytest.mark.parametrize("brief_edge", [(2, 3), (1, 2)], ids=["apart", "adjacent"])
+    def test_edge_the_integral_graph_drops_stays_in_the_sum(self, brief_edge):
+        # "brief" doses its edge to an average of 5e-13 <= EIG_FLOOR, so the integral graph
+        # drops it; the null space is that of the exact dosed sum, edge included.  Apart
+        # from "wide"'s edge it maps null(L_wide) into itself and the restricted solve holds;
+        # adjacent, it leaves a residual far above roundoff and the full solve runs
+        one = np.array([[1.0]])
+        cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
+               "brief": MatrixWeightedGraph(4, 1, {brief_edge: one})}
+        s = SwitchingSchedule.explicit(
+            cat, [Segment("wide", 1.0), Segment("brief", 1.0, 1e-12)], alpha=1.0
+        )
+        net = integral_network(s, Window(0, 2))
+        assert net.graph.keys.tolist() == [[0, 1]]
+        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        assert got.dim == want.dim == 3 and got.tol_used == want.tol_used
+        assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
+
+    def test_bound_past_the_float_range_is_clamped(self):
+        # each graph's lam_max is 0.9 of the float maximum, at different nodes, and each is
+        # dosed at 0.95: B = 1.71 times the maximum, while each averaged block stays below half
+        big = np.array([[0.45 * np.finfo(float).max]])
+        cat = {"g": MatrixWeightedGraph(4, 1, {(0, 1): big}),
+               "h": MatrixWeightedGraph(4, 1, {(2, 3): big})}
+        s = SwitchingSchedule.explicit(
+            cat, [Segment("g", 1.0, 1.9), Segment("h", 1.0, 1.9)], alpha=1.0
+        )
+        net = integral_network(s, Window(0, 2))
+        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        assert got.tol_used == want.tol_used == 1e-9 * np.finfo(float).max
+        assert got.dim == want.dim == 2
+        assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
+
+    def test_window_whose_doses_underflow_is_all_null(self):
+        g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
+        s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1e-30, 1e-300)], alpha=1e-30)
+        net = integral_network(s, Window(0, 1))
+        assert net.doses.tolist() == [0.0]
+        assert _window_null_space(s, net).dim == 2
+        report = certify_cluster_consensus(s, [Window(0, 1)])
+        assert report.m == 2 and report.mu == (0.0,) and report.certified
 
     def test_brief_graph_whose_bound_cuts_its_spectrum_offers_no_span(self):
         # "brief" has the smaller count below its implied bound, thr T / dose = 1.0 (its

@@ -526,11 +526,37 @@ class TestCli:
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
         doc["solver"] = {"method": "rk4", "step_h": 0.3}
         path = str(write_json(tmp_path, doc))
-        assert main(["check", "--config", path]) == 0
+        assert main(["check", "--config", path]) == 1
         capsys.readouterr()
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err == "error: step_h = 0.3 does not divide segment 0 span 2.0\n"
+
+    @pytest.mark.parametrize(
+        "memory, solver, message",
+        [
+            (None, {"method": "rk4", "step_h": 0.3},
+             "step_h = 0.3 does not divide segment 0 span 2.0"),
+            # 12 floats a sample at n = 2, d = 1
+            (2.0**34, {}, "sample_dt = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
+                          "9.6e+11 bytes, more than the host's 1.72e+10 bytes of physical memory"),
+        ],
+        ids=["rk4-step", "1e10-samples"],
+    )
+    def test_check_rejects_the_run_simulate_rejects(self, tmp_path, capsys, monkeypatch,
+                                                    memory, solver, message):
+        if memory is not None:
+            monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+        doc = minimal_config_dict()
+        doc["schedule"]["segments"] = [{"graph": "g", "dwell": 2.0 if memory is None else 1e10}]
+        doc["solver"] = solver
+        path = str(write_json(tmp_path, doc))
+        errors = []
+        for argv in (["check"], ["simulate", "--out", str(tmp_path / "x.csv")]):
+            assert main([*argv, "--config", path]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {message}\n"] * 2
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize(
         "memory, solver, extra, message",
@@ -588,6 +614,15 @@ class TestCli:
         assert len(doc["windows"]) == 100
         edge_pairs = {(e["i"], e["j"]) for e in doc["windows"][0]["integral_edges"]}
         assert edge_pairs == {(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 7)}
+
+    def test_analyze_window_with_the_whole_space_null_contracts_vacuously(self, tmp_path, capsys):
+        doc = minimal_config_dict()
+        doc["graphs"][0]["edges"] = []
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--config", str(write_json(tmp_path, doc)), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["m"] == 2 and report["mu"] == [0.0] and report["q_estimate"] == 0.0
+        assert report["steady_state"] == doc["initial_state"]
 
     def test_analyze_sign_conflict_exits_nonzero(self, tmp_path, capsys):
         doc = minimal_config_dict()

@@ -1,0 +1,25 @@
+"""Tests for scripts/run_bundled_scenarios.py with benchmark workloads."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_bundled_scenarios.py"
+_spec = importlib.util.spec_from_file_location("run_bundled_scenarios", SCRIPT)
+run_bundled = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_bundled)
+
+
+def test_workload_seed_runs_each_workload_like_a_bundled_scenario(tmp_path, capsys):
+    argv = ["--outdir", str(tmp_path), "--names", "integral_static", "--workload-seeds", "1"]
+    assert run_bundled.main(argv) == 0
+    gen = run_bundled.load_gen()
+    names = ["integral_static", *(f"{w}_seed1" for w in gen.BUILDERS)]
+    outputs = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+    assert outputs == sorted(f"{name}_{kind}" for name in names
+                             for kind in ("report.json", "trajectory.csv"))
+    for workload, build in gen.BUILDERS.items():
+        expected = build(1)
+        assert (tmp_path / "workloads" / f"{workload}_seed1.json").read_text() == expected.text()
+        report = json.loads((tmp_path / f"{workload}_seed1_report.json").read_text())
+        assert report["kind"] == expected.expected_kind
