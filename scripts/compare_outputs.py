@@ -8,9 +8,11 @@ difference.  List positions are folded into ``[]``, so ``windows[].mu``
 stands for the ``mu`` of every window, and a CSV field is its column.
 
 The exit status is 1 on a structural difference: a file present in only one
-directory, a missing key, a different length, or a change that is not
-numeric (a string, a boolean, ``null``, a CSV header, or any other file
-whose bytes differ).  Otherwise it is 0, whatever the numeric differences.
+directory, a missing key, a different length, a change that is not numeric
+(a string, a boolean, ``null``, a CSV header, or any other file whose bytes
+differ), or a JSON or CSV file whose bytes differ while every value parses
+equal, such as ``1e-05`` spelled ``1.0000000000000001e-05``.  Otherwise it is
+0, whatever the numeric differences.
 
 Usage:
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
@@ -128,6 +130,8 @@ def compare_dirs(old_dir: Path, new_dir: Path) -> int:
         else:
             diff = Diff()
             diff.structural.append("bytes differ (neither JSON nor CSV)")
+        if not diff.fields and not diff.structural:
+            diff.structural.append("bytes differ, values equal")
         print(f"{name}: {len(diff.fields)} field(s) differ numerically")
         for field, (count, gap, rel) in sorted(diff.fields.items()):
             print(f"  {field}: {count} value(s), max abs {gap:.3e}, max rel {rel:.3e}")

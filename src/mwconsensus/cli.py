@@ -16,6 +16,7 @@ identical inputs.  Node ids are 1-based in every file and message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,24 +36,158 @@ from .sim import Trajectory, check_run, simulate_exact, simulate_rk4
 from .switching import validate_schedule
 
 
-_CSV_BLOCK_VALUES = 4096
+_CSV_BLOCK_VALUES = 8192
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write ``t, x_1_1, ..., x_n_d`` rows with 17 significant digits.
 
-    Rows are formatted a block of about ``_CSV_BLOCK_VALUES`` values at a time,
-    with one ``%`` per block, into the bytes ``np.savetxt`` writes with
-    ``fmt="%.17g"`` and ``delimiter=","``.
+    The bytes are those ``np.savetxt`` writes with ``fmt="%.17g"`` and
+    ``delimiter=","``.  Rows go to :func:`_format_17g` a block of about
+    ``_CSV_BLOCK_VALUES`` values at a time.
     """
     cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
-    row_fmt = ",".join(["%.17g"] * (len(cols) + 1)) + "\n"
-    step = max(1, _CSV_BLOCK_VALUES // (len(cols) + 1))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("t," + ",".join(cols) + "\n")
+    width = len(cols) + 1
+    step = max(1, _CSV_BLOCK_VALUES // width)
+    line_end = np.arange(step * width) % width == width - 1
+    with open(path, "wb") as f:
+        f.write(("t," + ",".join(cols) + "\n").encode("ascii"))
         for a in range(0, traj.num_samples, step):
-            block = np.column_stack((traj.times[a : a + step], traj.states[a : a + step]))
-            f.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+            block = np.column_stack((traj.times[a : a + step], traj.states[a : a + step])).ravel()
+            f.write(_format_17g(block, line_end[: block.size]))
+
+
+@functools.cache
+def _pow10(k: int) -> tuple[float, float]:
+    """``10**k`` as a double-double ``hi + lo``, each part correctly rounded."""
+    p = 10 ** abs(k)
+    if k >= 0:
+        hi = float(p)
+        return hi, float(p - int(hi))
+    hi = 1 / p  # int true division rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * p) / (den * p)
+
+
+def _split(x):
+    """Dekker's split of doubles into 26-bit halves: ``x == hi + lo`` exactly."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _words(rows) -> np.ndarray:
+    """Rows of 4k bytes as little-endian uint32 words."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u4")
+
+
+# _format_17g lays each value out in one 48-byte row, then drops bytes by mask:
+#   0 sign  1-5 "0.000"  6 digit 1  7 "."  8-23 digits 2-17  24 "e"  25 exponent sign
+#   26 exponent hundreds  27 "."  28-43 digits 2-17 again  44-45 exponent tens, units
+#   46 separator  47 never kept
+@functools.cache
+def _format_17g_tables():
+    q = np.arange(10000)
+    group = _words(np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + 48).ravel()
+    trailing = (q % 10 == 0).astype(np.int8) + (q % 100 == 0) + (q % 1000 == 0) + (q == 0)
+    head = _words([[45, 48, 46, 48]])[0, 0]
+    lead = _words([[48, 48, 48 + g, 46] for g in range(10)]).ravel()
+    exp_head = _words([[101, s, 48 + h, 46] for s in (43, 45) for h in range(10)]).ravel()
+    exp_tail = _words([[48 + e // 10, 48 + e % 10, s, 0] for e in range(100) for s in (44, 10)]).ravel()
+    # kept bytes per (sign, case, number of significant digits); the cases are
+    # fixed notation with exponent -4..16, exponent notation with 2 or 3
+    # exponent digits, and zero
+    pos = np.arange(48)
+    nd = np.arange(1, 18)[:, None]
+    first = (pos == 6) | ((pos >= 8) & (pos < 7 + nd))
+    cases = []
+    for e in range(-4, 17):
+        if e < 0:
+            cases.append(((pos >= 1) & (pos <= 1 - e)) | first)
+        elif e == 0:
+            cases.append(first | ((pos == 7) & (nd > 1)))
+        else:
+            cases.append((pos == 6) | ((pos >= 8) & (pos <= 7 + e)) | ((pos == 27) & (nd > e + 1))
+                         | ((pos >= 28 + e) & (pos < 27 + nd)))
+    expo = first | ((pos == 7) & (nd > 1)) | np.isin(pos, (24, 25, 44, 45))
+    cases += [expo, expo | (pos == 26), np.broadcast_to(pos == 1, (17, 48))]
+    keep = np.stack([np.stack(cases)] * 2) | (pos == 46)
+    keep[1, :, :, 0] = True
+    mask = _words(keep.reshape(-1, 48) * np.uint8(255)).view("V48").ravel()
+    return group, trailing, head, lead, exp_head, exp_tail, mask
+
+
+def _format_17g_slow(values: np.ndarray) -> list[bytes]:
+    """``'%.17g' % x`` for each value: the values :func:`_format_17g` cannot spell."""
+    return [b"%.17g" % v for v in values.tolist()]
+
+
+def _format_17g(values: np.ndarray, line_end: np.ndarray) -> bytes:
+    """``'%.17g' % x`` for each float, followed by ``"\\n"`` where ``line_end`` is set, else ``","``.
+
+    For ``1e-270 < |x| < 1e290``, ``E = floor(log10 |x|)`` and the 17 digits are
+    ``D = round(|x| 10**(16 - E))``, with the power held as a double-double and
+    the product split exactly by Dekker's method, so ``|x| 10**(16 - E)`` is
+    known within 2**-44.  A value whose fraction lies within 2**-30 of one half
+    (a tie, rounded to even by ``%``), whose ``E`` was off by one (the product
+    outside ``[10**16, 10**17)``), or that lies outside that range (zero aside,
+    subnormals and non-finite values) is spelled by :func:`_format_17g_slow`.
+    Blocks of a few thousand values keep the temporaries near a megabyte.
+    """
+    group, trailing, head, lead, exp_head, exp_tail, mask = _format_17g_tables()
+    n = values.size
+    a = np.abs(values)
+    fast = (a > 1e-270) & (a < 1e290)
+    a[~fast] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int64)
+    emin = int(E.min())
+    power = np.array([_pow10(16 - e) for e in range(emin, int(E.max()) + 1)])
+    j = E - emin
+    ph, pl = _split(power[:, 0])
+    ph, pl = ph.take(j), pl.take(j)
+    ah, al = _split(a)
+    p = a * power[:, 0].take(j)
+    c = (((ah * ph - p) + ah * pl + al * ph) + al * pl) + a * power[:, 1].take(j)
+    r = np.rint(c)  # p, near 1e16 > 2**53, is an integer: c holds the fraction
+    D = p.astype(np.int64) + r.astype(np.int64)
+    ok = fast & (np.abs(np.abs(c - r) - 0.5) >= 2.0**-30) & (D < 10**17)
+    ok &= (D > 10**16) | ((D == 10**16) & (c >= r))
+    D[~ok] = 10**16  # keeps the digit arithmetic in range; these rows are replaced
+    top = (D // 10**8).astype(np.int32)
+    low = (D - top * np.int64(10**8)).astype(np.int32)
+    g0 = top // 10**8
+    mid = top - g0 * 10**8
+    g1 = mid // 10000
+    g2 = mid - g1 * 10000
+    g3 = low // 10000
+    g4 = low - g3 * 10000
+    tz = trailing.take(g4)
+    idx = np.flatnonzero(g4 == 0)
+    for g in (g3, g2, g1):
+        gi = g.take(idx)
+        tz[idx] += trailing.take(gi)
+        idx = idx[gi == 0]
+    absE = np.abs(E)
+    hundreds = absE // 100
+    text = np.empty((n, 48), np.uint8)
+    words = text.view("<u4")
+    words[:, 0] = head
+    words[:, 1] = lead.take(g0)
+    for w, g in enumerate((g1, g2, g3, g4), start=2):
+        words[:, w] = group.take(g)
+    words[:, 6] = exp_head.take((E < 0) * 10 + hundreds)
+    text[:, 28:44].view("V16")[...] = text[:, 8:24].view("V16")
+    words[:, 11] = exp_tail.take((absE - hundreds * 100) * 2 + line_end)
+    case = np.where((E < -4) | (E > 16), 21 + (hundreds > 0), E + 4)
+    zero = values == 0
+    case[zero] = 23
+    words &= mask.take((np.signbit(values) * 24 + case) * 17 + 16 - tz).view("<u4").reshape(n, 12)
+    slow = np.flatnonzero(~ok & ~zero)
+    if slow.size:
+        for i, s in zip(slow.tolist(), _format_17g_slow(values[slow])):
+            text[i] = 0
+            text[i, : len(s) + 1] = np.frombuffer(s + (b"\n" if line_end[i] else b","), np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def _fmt_block(x: np.ndarray) -> str:

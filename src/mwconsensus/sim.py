@@ -195,7 +195,9 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     its own whole number of steps, so ``step_h`` must divide every dwell (and
     the final partial dwell) within floating-point tolerance; :func:`check_run`
     rejects the run first, as it does a grid past physical memory.  Every
-    step endpoint is recorded.
+    step endpoint is recorded.  A step past RK4's stability limit makes the
+    state overflow; the first segment whose states are not all finite raises
+    :class:`HorizonError`.
     """
     x = _validated_x0(s, x0)
     horizon = check_run(s, horizon, "rk4", step_h)
@@ -203,22 +205,28 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     chunks_t: list[np.ndarray] = [np.zeros(1)]
     chunks_x: list[np.ndarray] = [x[None, :].copy()]
     K = _segments_reached(s, horizon)
-    for k, (g, scale) in enumerate(zip(s.graph[:K].tolist(), s.scale[:K].tolist())):
-        a = t_switch[k]
-        span = min(t_switch[k + 1], horizon) - a
-        nst = int(round(span / step_h))
-        L = scale * s.laplacian_of(s.ids[g])
-        out = np.empty((nst, x.size))
-        h = span / nst
-        for i in range(nst):
-            k1 = -(L @ x)
-            k2 = -(L @ (x + 0.5 * h * k1))
-            k3 = -(L @ (x + 0.5 * h * k2))
-            k4 = -(L @ (x + h * k3))
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i] = x
-        chunks_t.append(a + h * np.arange(1, nst + 1))
-        chunks_x.append(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for k, (g, scale) in enumerate(zip(s.graph[:K].tolist(), s.scale[:K].tolist())):
+            a = t_switch[k]
+            span = min(t_switch[k + 1], horizon) - a
+            nst = int(round(span / step_h))
+            L = scale * s.laplacian_of(s.ids[g])
+            out = np.empty((nst, x.size))
+            h = span / nst
+            for i in range(nst):
+                k1 = -(L @ x)
+                k2 = -(L @ (x + 0.5 * h * k1))
+                k3 = -(L @ (x + 0.5 * h * k2))
+                k4 = -(L @ (x + h * k3))
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out[i] = x
+            if not np.isfinite(out).all():
+                raise HorizonError(
+                    f"step_h = {step_h} makes RK4 diverge: the state is not finite "
+                    f"in segment {k} (start t = {a:g}); use a smaller step_h"
+                )
+            chunks_t.append(a + h * np.arange(1, nst + 1))
+            chunks_x.append(out)
     return Trajectory(
         times=np.concatenate(chunks_t),
         states=np.vstack(chunks_x),

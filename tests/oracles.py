@@ -27,7 +27,7 @@ catalog eigenbases.  ``verify_necessary_condition`` takes each Laplacian's
 norm from its own ``eigvalsh`` call, where the package reuses the largest
 eigenvalue of each catalog graph's cached eigendecomposition.  ``write_trajectory_csv_rows``
 formats a trajectory row by row, and ``write_trajectory_csv_savetxt`` writes it with
-``np.savetxt``, where the package formats a block of rows with one ``%``.
+``np.savetxt``, where the package spells a block of values as ``%.17g`` in numpy.
 ``mu_m_plus_1_svd`` takes the singular values of the whole flow core, where the
 package drops the rows and columns too small to move them beyond roundoff.
 

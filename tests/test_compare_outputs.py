@@ -109,3 +109,16 @@ def test_other_files_must_match_byte_for_byte(tmp_path, capsys):
     rc, out = run(capsys, old, new)
     assert rc == 1
     assert "  structural: bytes differ (neither JSON nor CSV)" in out
+
+
+def test_text_only_change_fails(tmp_path, capsys):
+    # each value parses equal; only its spelling changed
+    old, new = make_dirs(tmp_path, csv="t,x_1_1,x_2_1\n0,1,2\n1,0.5,1.0000000000000001e-05\n")
+    (old / "a_trajectory.csv").write_text("t,x_1_1,x_2_1\n0,1,2\n1,0.5,1e-05\n")
+    (old / "a_report.json").write_text(json.dumps(REPORT, indent=2).replace("0.5", "5e-1"))
+    rc, out = run(capsys, old, new)
+    assert rc == 1
+    lines = out.splitlines()
+    assert "a_trajectory.csv: 0 field(s) differ numerically" in lines
+    assert "a_report.json: 0 field(s) differ numerically" in lines
+    assert lines.count("  structural: bytes differ, values equal") == 2

@@ -3,12 +3,22 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from mwconsensus import scenarios
-from mwconsensus.cli import _CSV_BLOCK_VALUES, cmd_analyze, main, write_trajectory_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwconsensus import cli, scenarios
+from mwconsensus.cli import (
+    _CSV_BLOCK_VALUES,
+    _format_17g,
+    cmd_analyze,
+    main,
+    write_trajectory_csv,
+)
 from mwconsensus.config import load_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
 from mwconsensus.sim import Trajectory, simulate_exact
@@ -56,6 +66,27 @@ def duplicate_first_edge(doc):
     """Append graph 0's first edge again, with its ends swapped."""
     e = doc["graphs"][0]["edges"][0]
     doc["graphs"][0]["edges"].append({**e, "i": e["j"], "j": e["i"]})
+
+
+def assert_formats_like_percent(values):
+    """``cli._format_17g`` spells each value as ``'%.17g' %`` does, with its separator."""
+    line_end = np.arange(values.size) % 3 == 2
+    expected = b"".join(b"%.17g" % v + (b"\n" if e else b",")
+                        for v, e in zip(values.tolist(), line_end.tolist()))
+    assert _format_17g(values, line_end) == expected
+
+
+def count_fallback(monkeypatch):
+    """A one-item list that counts the values ``cli._format_17g`` sends to ``%``."""
+    sent = [0]
+
+    def counted(values):
+        sent[0] += values.size
+        return slow(values)
+
+    slow = cli._format_17g_slow
+    monkeypatch.setattr(cli, "_format_17g_slow", counted)
+    return sent
 
 
 def write_json(tmp_path, doc, name="scenario.json"):
@@ -458,6 +489,42 @@ class TestTrajectoryCsv:
             assert new == (tmp_path / "old.csv").read_bytes(), samples
             assert new.count(b"\n") == samples + 1
 
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(deadline=None, max_examples=300)
+    def test_formatter_matches_percent_on_bit_patterns(self, bits):
+        assert_formats_like_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=64))
+    @settings(deadline=None, max_examples=300)
+    def test_formatter_matches_percent_on_floats(self, values):
+        assert_formats_like_percent(np.array(values, dtype=np.float64))
+
+    def test_formatter_matches_percent_on_edge_cases(self):
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        below = above = powers
+        near = [powers]
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near += [below, above]
+        special = [1e16, 1e17, 1e-4, 1e-5, 1e99, 1e100, 1e-100, 1000000000000000.25,
+                   5e-324, MAX, 0.0, -0.0, np.inf, -np.inf, np.nan]
+        values = np.concatenate([*near, special])
+        assert_formats_like_percent(np.concatenate([values, -values]))
+
+    def test_formatter_sends_ties_and_out_of_range_values_to_percent(self, monkeypatch):
+        sent = count_fallback(monkeypatch)
+        ties = [1000000000000000.25, 0.5, 5e-324, 1e-300, 1e300, np.nan, 0.0, -0.0, 1.0]
+        assert_formats_like_percent(np.array(ties))
+        assert sent == [5]
+
+    @pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+    def test_bundled_trajectories_need_no_fallback(self, tmp_path, capsys, monkeypatch, name):
+        sent = count_fallback(monkeypatch)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(scenarios.builtin_path(name)), "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+        assert sent == [0]
+
 
 class TestCli:
     def test_check_ok(self, capsys):
@@ -531,6 +598,22 @@ class TestCli:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err == "error: step_h = 0.3 does not divide segment 0 span 2.0\n"
+
+    def test_simulate_rk4_past_stability_limit_fails_in_one_line(self, tmp_path, capsys):
+        doc = json.loads(scenarios.builtin_path("time_scaled_growth").read_text())
+        doc["solver"] = {"method": "rk4", "step_h": 0.5, "horizon": 100.0}
+        path = str(write_json(tmp_path, doc))
+        # check cannot foresee the divergence: it depends on the dynamics
+        assert main(["check", "--config", path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: step_h = 0.5 makes RK4 diverge: the state is not finite "
+                       "in segment 36 (start t = 36); use a smaller step_h\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "memory, solver, message",
