@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,10 @@ from .analysis import (
     verify_necessary_condition,
 )
 from .config import ScenarioConfig, load_config
-from .errors import ConsensusToolError
+from .errors import ConsensusToolError, OutputError
 from .matalg import canonical_basis
 from .sim import Trajectory, check_run, simulate_exact, simulate_rk4
-from .switching import validate_schedule
+from .switching import IntegralNetwork, validate_schedule
 
 
 _CSV_BLOCK_VALUES = 8192
@@ -190,6 +191,101 @@ def _format_17g(values: np.ndarray, line_end: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
+def _report_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte for byte.
+
+    Dict keys must be strings.  A container's text is memoised by its id and
+    depth, so a list that many windows share is encoded once, where the
+    standard library's indenting encoder (pure Python) encodes every
+    occurrence.  A float that is not finite raises the standard library's
+    ``ValueError``, with the key path of its first occurrence appended.
+    """
+    try:
+        return _encode(doc, 0, {}) + "\n"
+    except ValueError:
+        found = _first_non_finite(doc, "")
+        if found is None:
+            raise
+        path, value = found
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r} "
+                         f"at {path}") from None
+
+
+def _encode(o, depth: int, memo: dict) -> str:
+    """The JSON text of ``o`` nested ``depth`` levels deep."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(o)
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple, dict)):
+        key = (id(o), depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _encode_container(o, depth, memo)
+        return text
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _encode_container(o, depth: int, memo: dict) -> str:
+    """The JSON text of a list, tuple or dict; see :func:`_encode`."""
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    indent = "\n" + "  " * (depth + 1)
+    sep = "," + indent
+    if isinstance(o, dict):
+        body = sep.join([_quote(k) + ": " + _encode(o[k], depth + 1, memo) for k in sorted(o)])
+        return "{" + indent + body + "\n" + "  " * depth + "}"
+    body = sep.join([_encode(v, depth + 1, memo) for v in o])
+    return "[" + indent + body + "\n" + "  " * depth + "]"
+
+
+def _first_non_finite(o, path: str) -> tuple[str, float] | None:
+    """The key path and value of the first float in ``o``, in encoding order, that is not finite."""
+    if isinstance(o, float):
+        return None if math.isfinite(o) else (path, o)
+    if isinstance(o, dict):
+        items = ((f"{path}.{k}" if path else k, o[k]) for k in sorted(o))
+    elif isinstance(o, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(o))
+    else:
+        return None
+    for p, v in items:
+        found = _first_non_finite(v, p)
+        if found is not None:
+            return found
+    return None
+
+
+def _integral_edges(net: IntegralNetwork) -> list[dict]:
+    """The 1-based edges of a window's integral network, with their classes."""
+    return [{"i": i + 1, "j": j + 1, "class": c.value}
+            for (i, j), c in zip(net.graph.keys.tolist(), net.graph.classes)]
+
+
+def _out_path(out: str | None, config: str, suffix: str) -> Path:
+    """``out``, else the config file's stem plus ``suffix`` in the working directory.
+
+    Raises OutputError naming the path when it cannot be a file in an existing
+    directory, so that a command fails before it integrates or certifies.
+    """
+    path = Path(out) if out else Path(Path(config).stem + suffix)
+    if path.is_dir():
+        raise OutputError(f"{path}: cannot write the file: it is a directory")
+    if not path.parent.is_dir():
+        raise OutputError(f"{path}: cannot write the file: {path.parent} is not a directory")
+    return path
+
+
 def _fmt_block(x: np.ndarray) -> str:
     return "[" + ", ".join(f"{v: .6f}" for v in x) + "]"
 
@@ -233,13 +329,13 @@ def cmd_check(cfg: ScenarioConfig, path: str) -> int:
 
 def cmd_simulate(cfg: ScenarioConfig, path: str, out: str | None,
                  horizon: float | None, sample_dt: float | None) -> int:
+    out_path = _out_path(out, path, "_trajectory.csv")
     T = horizon if horizon is not None else cfg.horizon
     if cfg.solver.method == "rk4":
         traj = simulate_rk4(cfg.schedule, cfg.initial_state, T, cfg.solver.step_h)
     else:
         dt = sample_dt if sample_dt is not None else cfg.solver.sample_dt
         traj = simulate_exact(cfg.schedule, cfg.initial_state, T, dt)
-    out_path = Path(out) if out else Path(Path(path).stem + "_trajectory.csv")
     write_trajectory_csv(traj, out_path)
     print(f"simulated {cfg.solver.method} to t = {traj.times[-1]:g} "
           f"({traj.num_samples} samples) -> {out_path}")
@@ -255,6 +351,7 @@ def cmd_simulate(cfg: ScenarioConfig, path: str, out: str | None,
 
 
 def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
+    out_path = _out_path(out, path, "_report.json")
     tol = cfg.tolerances
     windows = cfg.windows()
     report = certify_cluster_consensus(cfg.schedule, windows, ns_eq_tol=tol.ns_eq_tol)
@@ -265,6 +362,10 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         pred.steady_state, cfg.schedule, report.integral_networks
     )
     balance = report.balance
+    edges = {}  # windows of equal content share one network, and so one edge list
+    for net in report.integral_networks:
+        if id(net) not in edges:
+            edges[id(net)] = _integral_edges(net)
     doc = {
         "certified": report.certified,
         "window_nullspaces_equal": report.window_nullspaces_equal,
@@ -278,10 +379,7 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
                 "end": w.end,
                 "duration": net.duration,
                 "mu": mu,
-                "integral_edges": [
-                    {"i": i + 1, "j": j + 1, "class": c.value}
-                    for (i, j), c in zip(net.graph.keys.tolist(), net.graph.classes)
-                ],
+                "integral_edges": edges[id(net)],
             }
             for w, net, mu in zip(windows, report.integral_networks, report.mu)
         ],
@@ -301,8 +399,7 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         "pn_spanning_tree": report.pn_spanning_tree,
         "necessary_condition_ok": necessary_ok,
     }
-    out_path = Path(out) if out else Path(Path(path).stem + "_report.json")
-    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    out_path.write_text(_report_text(doc))
     print(f"analysis report -> {out_path}")
     print(f"windows: {len(windows)}, null spaces equal: {report.window_nullspaces_equal} "
           f"(max projector distance {report.max_projector_distance:.3e})")

@@ -122,6 +122,10 @@ class HorizonError(ConsensusToolError):
     """
 
 
+class OutputError(ConsensusToolError):
+    """An output path names a directory, or a file in a directory that does not exist."""
+
+
 class ConfigError(ConsensusToolError):
     """Base class for scenario-file problems."""
 

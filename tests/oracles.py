@@ -28,6 +28,9 @@ norm from its own ``eigvalsh`` call, where the package reuses the largest
 eigenvalue of each catalog graph's cached eigendecomposition.  ``write_trajectory_csv_rows``
 formats a trajectory row by row, and ``write_trajectory_csv_savetxt`` writes it with
 ``np.savetxt``, where the package spells a block of values as ``%.17g`` in numpy.
+``report_text_json_dumps`` encodes a report with the standard library's
+indenting (pure-Python) encoder, where the package encodes each distinct list
+or dict once, so an edge list shared by many windows costs one encoding.
 ``mu_m_plus_1_svd`` takes the singular values of the whole flow core, where the
 package drops the rows and columns too small to move them beyond roundoff.
 
@@ -40,6 +43,7 @@ provably loses nothing.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from pathlib import Path
 from typing import Mapping
@@ -419,6 +423,11 @@ def write_trajectory_csv_savetxt(traj: Trajectory, path) -> None:
     cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
     np.savetxt(path, np.column_stack((traj.times, traj.states)), fmt="%.17g", delimiter=",",
                header="t," + ",".join(cols), comments="")
+
+
+def report_text_json_dumps(doc) -> str:
+    """The report's text as ``json.dumps`` spells it, every occurrence encoded anew."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def mu_m_plus_1_svd(Phi: np.ndarray, m: int) -> float:

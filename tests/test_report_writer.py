@@ -1,0 +1,166 @@
+"""The analysis report's writer against the standard library's encoder, and ``--out`` checks."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwconsensus import cli, scenarios
+from mwconsensus.analysis import certify_cluster_consensus
+from mwconsensus.cli import _report_text, cmd_analyze, main
+
+from oracles import report_text_json_dumps
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308,
+                  0.1, 1e16, 1e22, -123456.789]
+SPECIAL_STRINGS = ['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "日本", "😀", "\ud800", "</script>"]
+
+
+def scalars(finite=True):
+    return (st.none() | st.booleans()
+            | st.integers(-(2**70), 2**70) | st.sampled_from([2**64, -(2**64) - 1, 10**40])
+            | st.floats(allow_nan=not finite, allow_infinity=not finite)
+            | st.sampled_from(SPECIAL_FLOATS)
+            | st.text(max_size=8) | st.sampled_from(SPECIAL_STRINGS))
+
+
+def trees(finite=True):
+    return st.recursive(
+        scalars(finite),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)
+                          | st.dictionaries(st.text(max_size=4) | st.sampled_from(SPECIAL_STRINGS),
+                                            children, max_size=4)),
+        max_leaves=24,
+    )
+
+
+def with_shared(shared, other):
+    """``shared`` at depths 1, 2 (twice) and 3, beside ``other``."""
+    return {"x": shared, "y": [shared, other, shared], "z": {"w": [shared]}, "o": other}
+
+
+class TestMatchesTheStandardLibrary:
+    @given(trees())
+    @settings(deadline=None, max_examples=300)
+    def test_trees(self, doc):
+        assert _report_text(doc) == report_text_json_dumps(doc)
+
+    @given(trees(), trees())
+    @settings(deadline=None, max_examples=200)
+    def test_shared_sub_objects(self, shared, other):
+        doc = with_shared(shared, other)
+        assert _report_text(doc) == report_text_json_dumps(doc)
+
+    @given(trees(finite=False), trees(finite=False))
+    @settings(deadline=None, max_examples=300)
+    def test_non_finite_floats_raise_the_same_error_with_their_path(self, shared, other):
+        doc = with_shared(shared, other)
+        try:
+            expected = report_text_json_dumps(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as new:
+                _report_text(doc)
+            assert str(new.value).startswith(f"{exc} at ")
+        else:
+            assert _report_text(doc) == expected
+
+    def test_empty_containers_and_top_level_scalars(self):
+        for doc in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}], None, True, 0, -0.0, "s"):
+            assert _report_text(doc) == report_text_json_dumps(doc)
+
+    @pytest.mark.parametrize("value, path", [
+        (float("nan"), "steady_state[1]"), (float("inf"), "steady_state[1]"),
+        (-float("inf"), "steady_state[1]"),
+    ])
+    def test_non_finite_value_names_its_key_path(self, value, path):
+        doc = {"windows": [{"mu": 0.5}], "steady_state": [1.0, value, value]}
+        with pytest.raises(ValueError) as exc:
+            _report_text(doc)
+        assert str(exc.value) == f"Out of range float values are not JSON compliant: {value!r} at {path}"
+        doc = {"windows": [{"mu": 0.5}, {"mu": value}], "steady_state": [1.0]}
+        with pytest.raises(ValueError, match=r"at windows\[1\]\.mu$"):
+            _report_text(doc)
+
+    def test_unknown_type_raises_type_error(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            _report_text({"a": [set()]})
+
+
+def capture_docs(monkeypatch):
+    """The docs ``cmd_analyze`` hands to the writer, in order."""
+    docs = []
+
+    def report_text(doc):
+        docs.append(doc)
+        return _report_text(doc)
+
+    monkeypatch.setattr(cli, "_report_text", report_text)
+    return docs
+
+
+@pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+def test_bundled_reports_are_the_standard_librarys_bytes(tmp_path, capsys, monkeypatch, name):
+    docs = capture_docs(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", str(scenarios.builtin_path(name)), "--out", str(out)]) == 0
+    assert out.read_text() == report_text_json_dumps(docs[0])
+
+
+def test_each_edge_list_is_built_and_encoded_once_per_distinct_network(tmp_path, capsys, monkeypatch):
+    cfg = scenarios.load_builtin("cluster_switching")
+    windows = cfg.windows()
+    report = certify_cluster_consensus(cfg.schedule, windows)
+    distinct = len({id(net) for net in report.integral_networks})
+    assert len(windows) == 100 and distinct < 10
+    built, encoded = [], []
+    integral_edges, encode_container = cli._integral_edges, cli._encode_container
+
+    def build(net):
+        built.append(net)
+        return integral_edges(net)
+
+    def encode(o, depth, memo):
+        if isinstance(o, list) and o and isinstance(o[0], dict) and "class" in o[0]:
+            encoded.append(o)
+        return encode_container(o, depth, memo)
+
+    monkeypatch.setattr(cli, "_integral_edges", build)
+    monkeypatch.setattr(cli, "_encode_container", encode)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", str(scenarios.builtin_path("cluster_switching")),
+                 "--out", str(out)]) == 0
+    assert len(built) == len(encoded) == distinct
+    assert len(json.loads(out.read_text())["windows"]) == 100
+
+
+def test_non_finite_report_names_its_field_and_writes_no_file(tmp_path, capsys):
+    cfg = scenarios.load_builtin("integral_static")
+    cfg.initial_state = np.where(np.arange(cfg.initial_state.size) == 4, np.nan, cfg.initial_state)
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError) as exc:
+        cmd_analyze(cfg, "nan.json", str(out))
+    assert str(exc.value) == "Out of range float values are not JSON compliant: nan at steady_state[0]"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, work", [("simulate", "simulate_exact"),
+                                          ("analyze", "certify_cluster_consensus")])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_fails_in_one_line_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, work, where):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, never)
+    out = tmp_path / "no" / "dir" / "x.out" if where == "missing-directory" else tmp_path
+    problem = (f"{out.parent} is not a directory" if where == "missing-directory"
+               else "it is a directory")
+    path = str(scenarios.builtin_path("integral_static"))
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: cannot write the file: {problem}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "no").exists()

@@ -21,5 +21,7 @@ def test_workload_seed_runs_each_workload_like_a_bundled_scenario(tmp_path, caps
     for workload, build in gen.BUILDERS.items():
         expected = build(1)
         assert (tmp_path / "workloads" / f"{workload}_seed1.json").read_text() == expected.text()
-        report = json.loads((tmp_path / f"{workload}_seed1_report.json").read_text())
+        text = (tmp_path / f"{workload}_seed1_report.json").read_text()
+        report = json.loads(text)
         assert report["kind"] == expected.expected_kind
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
