@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled scenario end to end: check, analyze, simulate.
 
-Writes one analysis report (JSON) and one trajectory (CSV) per scenario into
-the output directory, using the same code paths as the ``mwc`` command line.
+Writes one ``mwc check`` listing (``<name>_check.txt``), one analysis report
+(JSON) and one trajectory (CSV) per scenario into the output directory, using
+the same code paths as the ``mwc`` command line.  The listing leaves out the
+``scenario:`` line, which names the file's path, so that listings made from
+two checkouts compare byte for byte.
 With ``--workload-seeds``, each benchmark workload of ``perfbench/gen.py`` is
 also generated at each seed, written under ``OUTDIR/workloads/``, and run the
 same way, as ``<workload>_seed<k>``; so one ``scripts/compare_outputs.py``
@@ -16,7 +19,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -37,7 +42,13 @@ def load_gen():
 
 def run_one(name: str, cfg_path: Path, outdir: Path) -> int:
     print(f"=== {name} ===")
-    rc = mwc(["check", "--config", str(cfg_path)])
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        rc = mwc(["check", "--config", str(cfg_path)])
+    print(listing.getvalue(), end="")
+    lines = listing.getvalue().splitlines(keepends=True)
+    (outdir / f"{name}_check.txt").write_text(
+        "".join(line for line in lines if not line.startswith("scenario: ")))
     if rc == 0:
         rc = mwc(
             [

@@ -4,7 +4,10 @@ A scenario file fully describes one experiment: state dimension, agent count,
 graph catalog, switching schedule, initial condition, solver settings,
 tolerances, and the windowing rule used by certification.  Node ids are
 1-based in files and errors, 0-based in memory.  Every number read must be
-finite, and every tolerance positive.
+finite, every tolerance positive, and every key of ``tolerances`` and
+``solver`` one of their fields.  A graph's edges are read as two arrays and
+checked as a whole; only a list that fails those checks is scanned edge by
+edge, to name its first offending edge.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NoReturn
 
 import numpy as np
 
@@ -109,6 +114,18 @@ def _as_object(value, where: str, field: str | None = None) -> Mapping:
     return value
 
 
+def _only_fields(raw: Mapping, cls, where: str) -> Mapping:
+    """``raw``, after checking that each of its keys names a field of the dataclass ``cls``."""
+    names = [f.name for f in fields(cls)]
+    for key in raw:
+        if key not in names:
+            raise ConfigValidationError(
+                f"unknown key {key!r} in {where}; expected one of {', '.join(names)}",
+                field=f"{where}.{key}",
+            )
+    return raw
+
+
 def _as_positive(value, where: str) -> float:
     x = _as_num(value, where)
     if not x > 0:
@@ -127,15 +144,39 @@ def _as_array(value, where: str, field: str) -> np.ndarray:
     return a
 
 
-def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
-    entry = _as_object(entry, "graphs[]")
-    gid = _need(entry, "id", "graphs[]")
-    if not isinstance(gid, str) or not gid:
-        raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
-    edges = _need(entry, "edges", f"graph {gid!r}")
-    if not isinstance(edges, list):
-        raise ConfigValidationError(f"graph {gid!r}: edges must be a list", field="edges")
-    weights = {}
+_ENDS = itemgetter("i", "j")
+_WEIGHT = itemgetter("weight")
+
+
+def _edge_arrays(edges: list, n: int, d: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The 0-based ``(E, 2)`` keys and ``(E, d, d)`` weights of a valid edge list, else None.
+
+    Each array is converted in one call and checked as a whole: every edge an
+    object with integer (not bool) ends in ``1..n``, a finite ``(d, d)``
+    weight, and no node pair given twice.  Self loops are left to the graph.
+    """
+    try:
+        ends = list(map(_ENDS, edges))
+        if not set(map(type, chain.from_iterable(ends))) <= {int}:
+            return None
+        keys = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        W = np.array(list(map(_WEIGHT, edges)), dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if edges and W.shape != (len(edges), d, d) or not np.isfinite(W).all():
+        return None
+    if not ((keys >= 1) & (keys <= n)).all():
+        return None
+    pairs = np.sort(keys, axis=1)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    if (pairs[1:] == pairs[:-1]).all(axis=1).any():
+        return None
+    return keys - 1, W.reshape(-1, d, d)
+
+
+def _raise_edge_fault(gid: str, edges: list, n: int, d: int) -> NoReturn:
+    """Raise the error of the first edge, in file order, that ``_edge_arrays`` rejects."""
+    seen = set()
     for e in edges:
         e = _as_object(e, f"graph {gid!r}: edges[]", "edges")
         i = _as_int(_need(e, "i", f"graph {gid!r} edge"), "edge i")
@@ -151,12 +192,26 @@ def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeig
                 f"graph {gid!r}: edge ({i},{j}) weight has shape {W.shape}, expected ({d},{d})",
                 field="weight",
             )
-        key = (min(i, j) - 1, max(i, j) - 1)
-        if key in weights:
+        key = (min(i, j), max(i, j))
+        if key in seen:
             raise ConfigValidationError(f"graph {gid!r}: duplicate edge ({i},{j})", field="edges")
-        weights[key] = W
+        seen.add(key)
+    raise AssertionError(f"graph {gid!r}: the edge checks disagree on a valid edge list")
+
+
+def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
+    entry = _as_object(entry, "graphs[]")
+    gid = _need(entry, "id", "graphs[]")
+    if not isinstance(gid, str) or not gid:
+        raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
+    edges = _need(entry, "edges", f"graph {gid!r}")
+    if not isinstance(edges, list):
+        raise ConfigValidationError(f"graph {gid!r}: edges must be a list", field="edges")
+    arrays = _edge_arrays(edges, n, d)
+    if arrays is None:
+        _raise_edge_fault(gid, edges, n, d)
     try:
-        return gid, MatrixWeightedGraph(n, d, weights, label=gid, eig_tol=eig_tol)
+        return gid, MatrixWeightedGraph.from_edges(n, d, *arrays, label=gid, eig_tol=eig_tol)
     except ConsensusToolError as exc:
         raise ConfigValidationError(f"graph {gid!r}: {exc.describe(1)}", field="graphs") from exc
 
@@ -264,11 +319,19 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if n < 2:
         raise ConfigValidationError(f"num_agents must be >= 2, got {n}", field="num_agents")
 
-    traw = _as_object(raw.get("tolerances", {}), "tolerances")
+    traw = _only_fields(_as_object(raw.get("tolerances", {}), "tolerances"), Tolerances, "tolerances")
     tol = Tolerances(
         **{f.name: _as_positive(traw.get(f.name, f.default), f"tolerances.{f.name}")
            for f in fields(Tolerances)}
     )
+
+    # before any graph: a file that must hold all n*d entries bounds n by its own size
+    x0 = _as_array(_need(raw, "initial_state", "scenario"), "initial_state", "initial_state").ravel()
+    if x0.size != n * d:
+        raise ConfigValidationError(
+            f"initial_state has {x0.size} entries, expected n*d = {n * d}",
+            field="initial_state",
+        )
 
     graph_entries = _need(raw, "graphs", "scenario")
     if not isinstance(graph_entries, list) or not graph_entries:
@@ -282,14 +345,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     schedule = _parse_schedule(_need(raw, "schedule", "scenario"), graphs)
 
-    x0 = _as_array(_need(raw, "initial_state", "scenario"), "initial_state", "initial_state").ravel()
-    if x0.size != n * d:
-        raise ConfigValidationError(
-            f"initial_state has {x0.size} entries, expected n*d = {n * d}",
-            field="initial_state",
-        )
-
-    sraw = _as_object(raw.get("solver", {}), "solver")
+    sraw = _only_fields(_as_object(raw.get("solver", {}), "solver"), SolverConfig, "solver")
     default = SolverConfig()
     method = sraw.get("method", default.method)
     if method not in _SOLVER_METHODS:

@@ -52,11 +52,33 @@ class MatrixWeightedGraph:
         label: str = "",
         eig_tol: float = EIG_TOL,
     ):
+        keys = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
+        self._build(n, d, keys, list(weights.values()), label, eig_tol)
+
+    @classmethod
+    def from_edges(
+        cls,
+        n: int,
+        d: int,
+        keys: np.ndarray,
+        weights,
+        label: str = "",
+        eig_tol: float = EIG_TOL,
+    ) -> "MatrixWeightedGraph":
+        """A graph on the edges ``keys[k]`` (0-based, either end first) weighted ``weights[k]``.
+
+        ``keys`` is an ``(E, 2)`` integer array and ``weights`` an ``(E, d, d)``
+        array, or ``E`` matrices; both are validated as by the constructor.
+        """
+        g = cls.__new__(cls)
+        g._build(n, d, np.asarray(keys, dtype=np.intp).reshape(-1, 2), weights, label, eig_tol)
+        return g
+
+    def _build(self, n, d, given, weights, label, eig_tol) -> None:
         if n < 2:
             raise DimensionMismatchError(f"need at least 2 nodes, got n={n}")
         if d < 1:
             raise DimensionMismatchError(f"state dimension must be >= 1, got d={d}")
-        given = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
         if (k := _first_false(given[:, 0] != given[:, 1])) is not None:
             raise SelfLoopError("is a self loop", *given[k].tolist())
         if (k := _first_false(((given >= 0) & (given < n)).all(axis=1))) is not None:
@@ -67,13 +89,8 @@ class MatrixWeightedGraph:
         keys = unsorted[order]
         if (k := _first_false((keys[1:] != keys[:-1]).any(axis=1))) is not None:
             raise DimensionMismatchError("duplicate edge ({},{})".format(*keys[k].tolist()))
-        for (i, j), W in zip(unsorted.tolist(), weights.values()):
-            if np.shape(W) != (d, d):
-                raise DimensionMismatchError(
-                    f"edge ({i},{j}) weight has shape {np.shape(W)}, expected ({d},{d})"
-                )
         # a fresh array: the caller's weights are neither aliased nor frozen
-        W = np.asarray(list(weights.values()), dtype=float).reshape(-1, d, d)[order]
+        W = _stacked(weights, unsorted, d)[order]
         try:
             # the symmetric part: a node's Laplacian block would add up its edges' asymmetries
             W = check_symmetric(W)
@@ -128,6 +145,24 @@ class MatrixWeightedGraph:
 def _first_false(ok: np.ndarray) -> int | None:
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else None
+
+
+def _stacked(weights, keys: np.ndarray, d: int) -> np.ndarray:
+    """``weights`` as one ``(E, d, d)`` float array, naming the first edge of another shape."""
+    try:
+        W = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry that is not a float
+        W = None
+    if W is None or W.shape != (len(keys), d, d):
+        if len(weights) != len(keys):
+            raise DimensionMismatchError(f"{len(weights)} weights for {len(keys)} edges")
+        for (i, j), w in zip(keys.tolist(), weights):
+            if np.shape(w) != (d, d):
+                raise DimensionMismatchError(
+                    f"edge ({i},{j}) weight has shape {np.shape(w)}, expected ({d},{d})"
+                )
+        W = np.asarray(weights, dtype=float).reshape(-1, d, d)
+    return W
 
 
 def _node_blocks(n: int, keys: np.ndarray, signs: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -31,6 +31,10 @@ formats a trajectory row by row, and ``write_trajectory_csv_savetxt`` writes it 
 ``report_text_json_dumps`` encodes a report with the standard library's
 indenting (pure-Python) encoder, where the package encodes each distinct list
 or dict once, so an edge list shared by many windows costs one encoding.
+``parse_graph_per_edge`` reads a scenario file's graph entry one edge at a
+time, converting and checking each edge's ends and weight on its own and
+building the graph from a dict of them, where the package converts a graph's
+ends and weights in one call each and checks them as whole arrays.
 ``mu_m_plus_1_svd`` takes the singular values of the whole flow core, where the
 package drops the rows and columns too small to move them beyond roundoff.
 
@@ -58,7 +62,9 @@ from mwconsensus.analysis import (
     _window_null_space,
     mu_m_plus_1,
 )
+from mwconsensus.config import _as_array, _as_int, _as_object, _need
 from mwconsensus.errors import (
+    ConfigValidationError,
     DimensionMismatchError,
     ConsensusToolError,
     EmptyWindowError,
@@ -428,6 +434,41 @@ def write_trajectory_csv_savetxt(traj: Trajectory, path) -> None:
 def report_text_json_dumps(doc) -> str:
     """The report's text as ``json.dumps`` spells it, every occurrence encoded anew."""
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def parse_graph_per_edge(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
+    """A scenario file's graph entry as ``(id, graph)``, each edge parsed on its own."""
+    entry = _as_object(entry, "graphs[]")
+    gid = _need(entry, "id", "graphs[]")
+    if not isinstance(gid, str) or not gid:
+        raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
+    edges = _need(entry, "edges", f"graph {gid!r}")
+    if not isinstance(edges, list):
+        raise ConfigValidationError(f"graph {gid!r}: edges must be a list", field="edges")
+    weights = {}
+    for e in edges:
+        e = _as_object(e, f"graph {gid!r}: edges[]", "edges")
+        i = _as_int(_need(e, "i", f"graph {gid!r} edge"), "edge i")
+        j = _as_int(_need(e, "j", f"graph {gid!r} edge"), "edge j")
+        w = _need(e, "weight", f"graph {gid!r} edge ({i},{j})")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ConfigValidationError(
+                f"graph {gid!r}: edge ({i},{j}) outside node range 1..{n}", field="edges"
+            )
+        W = _as_array(w, f"graph {gid!r}: edge ({i},{j}) weight", "weight")
+        if W.shape != (d, d):
+            raise ConfigValidationError(
+                f"graph {gid!r}: edge ({i},{j}) weight has shape {W.shape}, expected ({d},{d})",
+                field="weight",
+            )
+        key = (min(i, j) - 1, max(i, j) - 1)
+        if key in weights:
+            raise ConfigValidationError(f"graph {gid!r}: duplicate edge ({i},{j})", field="edges")
+        weights[key] = W
+    try:
+        return gid, MatrixWeightedGraph(n, d, weights, label=gid, eig_tol=eig_tol)
+    except ConsensusToolError as exc:
+        raise ConfigValidationError(f"graph {gid!r}: {exc.describe(1)}", field="graphs") from exc
 
 
 def mu_m_plus_1_svd(Phi: np.ndarray, m: int) -> float:

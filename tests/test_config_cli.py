@@ -219,6 +219,36 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert exc.value.field == f"tolerances.{key}"
 
+    @pytest.mark.parametrize("section, key, fields_", [
+        ("tolerances", "eig_tl", "eig_tol, ns_eq_tol, cluster_tol, conv_tol"),
+        ("solver", "sample_DT", "method, sample_dt, step_h, horizon"),
+    ])
+    def test_unknown_tolerance_or_solver_key_is_named(self, tmp_path, capsys, section, key,
+                                                      fields_):
+        doc = minimal_config_dict()
+        doc[section] = {key: 0.5}
+        path = write_json(tmp_path, doc)
+        message = f"unknown key {key!r} in {section}; expected one of {fields_}"
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+        assert exc.value.field == f"{section}.{key}"
+        assert main(["check", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", [10**12, 2**62])
+    def test_initial_state_size_checked_before_any_graph_is_built(self, tmp_path, capsys, n):
+        doc = minimal_config_dict()
+        doc["num_agents"] = n
+        path = write_json(tmp_path, doc)
+        message = f"initial_state has 2 entries, expected n*d = {n}"
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+        assert exc.value.field == "initial_state"
+        assert main(["check", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @staticmethod
     def generated_config_dict():
         doc = minimal_config_dict()

@@ -141,6 +141,26 @@ class TestConstruction:
         g = MatrixWeightedGraph(3, 3, {(0, 1): exact, (1, 2): exact})
         assert g.weights.tobytes() == np.stack([exact, exact]).tobytes()
 
+    def test_from_edges_matches_the_mapping_constructor(self):
+        keys = np.array([[2, 1], [0, 2], [1, 0]])
+        W = np.stack([3 * np.eye(2), -np.diag([1.0, 2.0]), np.diag([1.0, 0.0])])
+        g = MatrixWeightedGraph.from_edges(3, 2, keys, W, label="g")
+        h = MatrixWeightedGraph(3, 2, dict(zip(map(tuple, keys.tolist()), W)), label="g")
+        for a, b in ((g.keys, h.keys), (g.weights, h.weights), (g.signs, h.signs)):
+            assert a.tobytes() == b.tobytes()
+        assert g.classes.tolist() == h.classes.tolist()
+        assert g.weights.base is not W and W.flags.writeable
+
+    @pytest.mark.parametrize("W, message", [
+        ([np.eye(2), np.eye(3)], "edge (1,2) weight has shape (3, 3), expected (2,2)"),
+        (np.stack([np.eye(3)] * 2), "edge (0,1) weight has shape (3, 3), expected (2,2)"),
+        (np.stack([np.eye(2)] * 3), "3 weights for 2 edges"),
+    ], ids=["ragged", "stacked", "count"])
+    def test_from_edges_names_the_first_weight_of_another_shape(self, W, message):
+        with pytest.raises(DimensionMismatchError) as exc:
+            MatrixWeightedGraph.from_edges(3, 2, np.array([[0, 1], [2, 1]]), W)
+        assert str(exc.value) == message
+
     def test_empty_graph_is_valid(self):
         g = MatrixWeightedGraph(3, 2, {})
         assert g.keys.shape == (0, 2) and g.weights.shape == (0, 2, 2)

@@ -17,7 +17,10 @@ def test_workload_seed_runs_each_workload_like_a_bundled_scenario(tmp_path, caps
     names = ["integral_static", *(f"{w}_seed1" for w in gen.BUILDERS)]
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
     assert outputs == sorted(f"{name}_{kind}" for name in names
-                             for kind in ("report.json", "trajectory.csv"))
+                             for kind in ("check.txt", "report.json", "trajectory.csv"))
+    listing = (tmp_path / "integral_static_check.txt").read_text()
+    assert listing.startswith("agents: 7, state dimension: 3\n") and listing.endswith("OK\n")
+    assert "scenario:" not in listing and str(tmp_path) not in listing
     for workload, build in gen.BUILDERS.items():
         expected = build(1)
         assert (tmp_path / "workloads" / f"{workload}_seed1.json").read_text() == expected.text()
