@@ -25,6 +25,7 @@ from .graph import Bipartition, has_positive_negative_spanning_tree
 from .matalg import (
     EIG_TOL,
     NullSpaceBasis,
+    _map_lapack,
     check_symmetric,
     null_space,
     null_space_of_sum,
@@ -248,6 +249,12 @@ def certify_cluster_consensus(
     bit have equal operators, so each distinct window is computed once, its
     windows share one :class:`IntegralNetwork` object, and the structural
     diagnostics range over distinct windows only.
+
+    The graphs the windows dose are decomposed together, by
+    :meth:`SwitchingSchedule.decompose`.  Then every null space is solved,
+    window by window, and then every ``mu``, the windows at the same time
+    through :func:`matalg._map_lapack`; an error is that of the first
+    window, in that order, to raise it.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -277,6 +284,8 @@ def certify_cluster_consensus(
         nets.append(integral_network(s, w) if j == k else nets[j])
     distinct = sorted(set(src))
     graphs = [nets[k].graph for k in distinct]
+    order = s.n * s.d
+    s.decompose([s.ids[g] for g in np.flatnonzero(sum(nets[k].doses for k in distinct)).tolist()])
     bases = []
     for k in distinct:
         try:
@@ -284,15 +293,23 @@ def certify_cluster_consensus(
         except NotPSDError as exc:
             w = ws[k]
             raise NotPSDError(f"window [{w.start}, {w.end}): {exc}") from None
-    projs = [projector(b) for b in bases]
+    P0 = projector(bases[0])
     max_dist = 0.0
-    for P in projs[1:]:
-        max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
+    for b in bases[1:]:
+        max_dist = max(max_dist, float(np.linalg.norm(projector(b) - P0, "fro")))
+    del P0  # not held while the pool builds flow cores
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
+    need = [(k, b.dim) for k, b in zip(distinct, bases) if b.dim < order]
+    if len(need) > 1:  # the pool's workers only read the caches: fill them in flow_core's order
+        for k, _ in need:
+            ids = [s.ids[g] for g in s.runs(ws[k].start, ws[k].end)[1].tolist()]
+            s.eig_of(ids[0])
+            for prev, gid in zip(ids, ids[1:]):
+                s.coupling_of(gid, prev)
+    mus = _map_lapack(lambda km: mu_m_plus_1(flow_core(s, ws[km[0]]), km[1]), need, order)
     # a window whose null space is the whole space contracts nothing, so vacuously
-    mu_of = {k: mu_m_plus_1(flow_core(s, ws[k]), b.dim) if b.dim < s.n * s.d else 0.0
-             for k, b in zip(distinct, bases)}
+    mu_of = dict.fromkeys(distinct, 0.0) | dict(zip((k for k, _ in need), mus))
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance(graphs)

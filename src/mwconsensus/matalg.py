@@ -18,10 +18,14 @@ Tolerance conventions
   :func:`null_space_of_sum` asks for before it tries that span.
 * ``PIVOT_TIE``: relative gap under which two row norms tie when
   :func:`canonical_basis` picks a pivot row; the lower index wins.
+* ``POOL_MIN_ORDER``: the matrix order from which :func:`_map_lapack` runs
+  independent LAPACK calls on a thread pool; below it a call is too short to
+  pay for starting the pool.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +39,9 @@ EIG_FLOOR = 1e-12
 ORTHO_TOL = 1e-10
 PIVOT_TIE = 1e-8
 CUT_GAP = 1e3  # a term's span bounds a null space of a sum only across a gap this wide
+POOL_MIN_ORDER = 256
+# the variables by which a BLAS is told how many threads each call may take
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class Definiteness(Enum):
@@ -270,3 +277,45 @@ def null_space_of_sum(parts, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
         if low > thr and res <= len(V0) * np.finfo(float).eps:
             return NullSpaceBasis(vectors=V0 @ X, tol_used=thr)
     return null_space(sum(w * A for w, A, _, _ in parts), eig_tol, B)
+
+
+def _lapack_workers() -> int:
+    """How many LAPACK calls can run at once on the CPUs of the process's affinity.
+
+    Each call takes as many CPUs as the BLAS gives it threads: the first of
+    ``_BLAS_THREAD_VARS`` set to a positive integer, or else, the BLAS's
+    default, every CPU, which leaves one call at a time.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def _map_lapack(fn, items, order: int) -> list:
+    """``list(map(fn, items))``, the calls run at the same time where that pays.
+
+    ``fn`` is LAPACK-bound work on matrices of ``order``; numpy releases the
+    interpreter lock inside LAPACK, so threads overlap it.  A pool of
+    :func:`_lapack_workers` threads, at most one per item, runs the calls
+    when there are at least two of each and ``order >= POOL_MIN_ORDER``;
+    otherwise they run one after another on this thread.  Results come back
+    in the order of ``items``, and the first call to raise, in that order,
+    raises here, after the pool has stopped.  The pool lives for this call
+    only, so no thread outlives it.  A worker starts with numpy's default
+    ``errstate``, not the caller's, and must only read shared state.
+    """
+    items = list(items)
+    workers = min(len(items), _lapack_workers()) if order >= POOL_MIN_ORDER else 1
+    if workers < 2:
+        return list(map(fn, items))
+    # imported here, so that a run without a pool does not pay its 9 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

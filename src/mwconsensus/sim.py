@@ -152,7 +152,8 @@ def simulate_exact(
     merged).  A run of one graph ``L = V diag(lam) V^T`` maps its start state
     ``x_r`` to ``V exp(-lam D(t)) V^T x_r`` for all of its samples at once,
     where the dose ``D(t)`` accumulated since the run started is interpolated
-    in the prefix sum of ``scale * dwell``.
+    in the prefix sum of ``scale * dwell``.  The graphs the runs reach are
+    decomposed together first, by :meth:`SwitchingSchedule.decompose`.
 
     :func:`check_run` rejects the run first, before anything is allocated.
     """
@@ -169,6 +170,7 @@ def simulate_exact(
     K = _segments_reached(s, horizon)
     cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
     first, graphs, doses = s.runs(0, K)
+    s.decompose([s.ids[g] for g in np.unique(graphs).tolist()])
     states = np.empty((ts.size, x.size))
     idx = 0
     runs = zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses)
@@ -177,14 +179,15 @@ def simulate_exact(
             # the last run takes every remaining sample, up to a horizon just past the end
             hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
             lam, V = s.eig_of(s.ids[g])
+            y = V.T @ x
             if hi > idx:
                 D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
                 decay = np.exp(-np.outer(lam, D))
-                states[idx:hi] = (V @ (decay * (V.T @ x)[:, None])).T
+                states[idx:hi] = (V @ (decay * y[:, None])).T
                 if ts[idx] == t_switch[k0]:
                     states[idx] = x  # exact at the run start
                 idx = hi
-            x = V @ (np.exp(-dose * lam) * (V.T @ x))
+            x = V @ (np.exp(-dose * lam) * y)
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .graph import Bipartition, MatrixWeightedGraph, _first_false, laplacian, signed_components
-from .matalg import Definiteness, classify_stack, psd_eigh
+from .matalg import Definiteness, _map_lapack, classify_stack, psd_eigh
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,31 @@ class SwitchingSchedule:
         """
         if graph_id not in self._eigs:
             try:
-                lam, V, _ = psd_eigh(self.laplacian_of(graph_id), self.eig_tol)
+                self._eigs[graph_id] = _held_eigh(self.laplacian_of(graph_id), self.eig_tol)
             except NotPSDError as exc:
                 raise NotPSDError(f"graph {graph_id!r}: Laplacian {exc}") from None
-            if lam.size:
-                lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
-            self._eigs[graph_id] = lam, V
         return self._eigs[graph_id]
+
+    def decompose(self, graph_ids) -> None:
+        """Fill the :meth:`eig_of` cache for several graphs at once.
+
+        The Laplacians are assembled here and their ``eigh`` calls run on
+        :func:`matalg._map_lapack`'s pool.  This only warms the cache: a
+        graph whose Laplacian is not PSD is left out, so that :meth:`eig_of`
+        raises for it, naming the graph, where the graph is first asked for.
+        """
+        todo = [g for g in dict.fromkeys(graph_ids) if g not in self._eigs]
+        laplacians = [self.laplacian_of(g) for g in todo]
+
+        def attempt(L):
+            try:
+                return _held_eigh(L, self.eig_tol)
+            except NotPSDError:
+                return None
+
+        for g, eig in zip(todo, _map_lapack(attempt, laplacians, self.n * self.d)):
+            if eig is not None:
+                self._eigs[g] = eig
 
     def coupling_of(self, a: str, b: str) -> np.ndarray:
         """Cached ``V_a^T V_b``: graph ``b``'s eigenbasis in graph ``a``'s coordinates."""
@@ -247,6 +265,14 @@ class SwitchingSchedule:
             C.setflags(write=False)  # shared by every window that crosses from b to a
             self._couplings[a, b] = C
         return self._couplings[a, b]
+
+
+def _held_eigh(L: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psd_eigh` of a Laplacian, its roundoff zeros held as exact zeros as in :meth:`eig_of`."""
+    lam, V, _ = psd_eigh(L, eig_tol)
+    if lam.size:
+        lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
+    return lam, V
 
 
 @dataclass(frozen=True)

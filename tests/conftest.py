@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from mwconsensus import scenarios
+from mwconsensus import matalg, scenarios
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,30 @@ def integral_cfg():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def force_pool(monkeypatch, workers: int = 2) -> list[str]:
+    """Send every ``matalg._map_lapack`` call of two or more items, whatever their order, to a pool.
+
+    Returns a list that collects the name of each thread other than the main
+    one that calls ``eigh`` or ``svd``.
+    """
+    monkeypatch.setattr(matalg, "POOL_MIN_ORDER", 1)
+    monkeypatch.setattr(matalg, "_lapack_workers", lambda: workers)
+    pooled: list[str] = []
+    for name in ("eigh", "svd"):
+        def spy(*args, _call=getattr(np.linalg, name), **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                pooled.append(threading.current_thread().name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return pooled
+
+
+@pytest.fixture()
+def pool_forced(monkeypatch):
+    return force_pool(monkeypatch)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

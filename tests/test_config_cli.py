@@ -95,6 +95,26 @@ def write_json(tmp_path, doc, name="scenario.json"):
     return p
 
 
+def assert_too_small_eig_tol_named(tmp_path, capsys, name):
+    """At eig_tol 1e-16 analyze names the window and the graph, simulate the graph."""
+    # the roundoff of a catalog Laplacian's zero eigenvalues counts as negative at 1e-16
+    doc = json.loads(scenarios.builtin_path(name).read_text())
+    doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
+    path = str(write_json(tmp_path, doc))
+    assert main(["check", "--config", path]) == 0
+    capsys.readouterr()
+    graph = "|".join(re.escape(g["id"]) for g in doc["graphs"])
+    culprit = (rf"graph '({graph})': Laplacian matrix is not PSD at "
+               r"eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n")
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    window = "[0, 3)" if name != "integral_static" else "[0, 1)"
+    assert re.fullmatch(rf"error: window {re.escape(window)}: {culprit}", err), err
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {culprit}", err), err
+
+
 class TestLoad:
     @pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
     def test_builtin_fixtures_load(self, name):
@@ -893,22 +913,13 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching", "integral_static"])
     def test_too_small_eig_tol_names_the_window_and_the_tolerance(self, tmp_path, capsys, name):
-        # the roundoff of a catalog Laplacian's zero eigenvalues counts as negative at 1e-16
-        doc = json.loads(scenarios.builtin_path(name).read_text())
-        doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
-        path = str(write_json(tmp_path, doc))
-        assert main(["check", "--config", path]) == 0
-        capsys.readouterr()
-        graph = "|".join(re.escape(g["id"]) for g in doc["graphs"])
-        culprit = (rf"graph '({graph})': Laplacian matrix is not PSD at "
-                   r"eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n")
-        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
-        err = capsys.readouterr().err
-        window = "[0, 3)" if name != "integral_static" else "[0, 1)"
-        assert re.fullmatch(rf"error: window {re.escape(window)}: {culprit}", err), err
-        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"error: {culprit}", err), err
+        assert_too_small_eig_tol_named(tmp_path, capsys, name)
+
+    @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching"])
+    def test_too_small_eig_tol_names_the_window_with_the_pool_forced(self, tmp_path, capsys,
+                                                                    pool_forced, name):
+        assert_too_small_eig_tol_named(tmp_path, capsys, name)
+        assert pool_forced
 
     def test_analyze_refuses_to_write_non_finite_report(self, tmp_path):
         cfg = load_config(write_json(tmp_path, minimal_config_dict()))
