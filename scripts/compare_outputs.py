@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Compare two output directories of ``scripts/run_bundled_scenarios.py``.
 
-Lists the files that are byte-identical.  For each JSON report or CSV
+First, when the two directories' ``environment.json`` records (the numpy
+build and BLAS thread settings the outputs were made with) differ or one is
+missing, says so: another BLAS thread count moves values at roundoff with no
+change to the code.  The record is not compared as an output.
+
+Then lists the files that are byte-identical.  For each JSON report or CSV
 trajectory that differs, prints every field whose numbers differ, with the
 number of differing values and their largest absolute and relative
 difference.  List positions are folded into ``[]``, so ``windows[].mu``
@@ -110,10 +115,41 @@ def compare_csv(old: Path, new: Path) -> Diff:
     return diff
 
 
+ENVIRONMENT = "environment.json"
+
+
+def compare_environments(old_dir: Path, new_dir: Path) -> None:
+    """Print how the two directories' environment records differ, if they do."""
+    records = [d / ENVIRONMENT for d in (old_dir, new_dir)]
+    missing = [str(r.parent) for r in records if not r.is_file()]
+    if missing:
+        print(f"environment: no {ENVIRONMENT} in {' and '.join(missing)}; "
+              "numeric differences may come from the numpy build or BLAS threads")
+        return
+    old, new = (_flat(json.loads(r.read_text())) for r in records)
+    changes = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    if changes:
+        print("environment differs, so values can differ at roundoff with no change to the code:")
+        for key in changes:
+            print(f"  {key}: {old.get(key)!r} -> {new.get(key)!r}")
+
+
+def _flat(record: dict, prefix: str = "") -> dict:
+    """``record`` with its nested objects' keys joined by dots."""
+    out = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
 def compare_dirs(old_dir: Path, new_dir: Path) -> int:
     """Print the comparison; return 1 on a structural difference, else 0."""
-    names_a = {p.name for p in old_dir.iterdir() if p.is_file()}
-    names_b = {p.name for p in new_dir.iterdir() if p.is_file()}
+    compare_environments(old_dir, new_dir)
+    names_a = {p.name for p in old_dir.iterdir() if p.is_file()} - {ENVIRONMENT}
+    names_b = {p.name for p in new_dir.iterdir() if p.is_file()} - {ENVIRONMENT}
     identical, structural = [], False
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {'new' if name in names_b else 'old'}")

@@ -11,6 +11,13 @@ also generated at each seed, written under ``OUTDIR/workloads/``, and run the
 same way, as ``<workload>_seed<k>``; so one ``scripts/compare_outputs.py``
 call covers the bundled files and the workloads.
 
+The outputs are bitwise reproducible for one numpy build and one BLAS thread
+setting; another thread count can move the last bits of the report's
+``basis``, ``mu`` and ``steady_state`` and of every CSV state column.  So the
+script also writes ``environment.json``: the numpy version, its BLAS
+library, the number of CPUs the process may use, and each BLAS thread
+variable (``null`` where unset, and the BLAS then picks its own count).
+
 Usage:
     python scripts/run_bundled_scenarios.py [--outdir runs] [--names a,b,...]
                                             [--workload-seeds 1,2,3]
@@ -22,13 +29,36 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from mwconsensus import scenarios
 from mwconsensus.cli import main as mwc
 
 GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+ENVIRONMENT = "environment.json"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def environment() -> dict:
+    """What the outputs' last bits depend on besides the code: the numpy build and BLAS threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: blas.get(key) for key in ("name", "version")}
+    except (TypeError, KeyError):  # a numpy older than 1.26 only prints its configuration
+        blas = None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpus": cpus,
+        "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
+    }
 
 
 def load_gen():
@@ -86,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
+    (args.outdir / ENVIRONMENT).write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
 
     runs = []
     for name in args.names.split(","):

@@ -21,7 +21,7 @@ from .errors import (
     NotPSDError,
     WindowsNotContiguousError,
 )
-from .graph import Bipartition, has_positive_negative_spanning_tree
+from .graph import Bipartition, _edge_structure, has_positive_negative_spanning_tree
 from .matalg import (
     EIG_TOL,
     NullSpaceBasis,
@@ -246,9 +246,11 @@ def certify_cluster_consensus(
     space is the whole space has no complement to contract and records ``mu = 0``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
-    bit have equal operators, so each distinct window is computed once, its
-    windows share one :class:`IntegralNetwork` object, and the structural
-    diagnostics range over distinct windows only.
+    bit have equal operators, so each distinct window is computed once and
+    its windows share one :class:`IntegralNetwork` object.  The structural
+    diagnostics read only an integral graph's edges and their classes, so
+    they range over distinct edge structures only: windows that dose the
+    same graphs for different times count once.
 
     The graphs the windows dose are decomposed together, by
     :meth:`SwitchingSchedule.decompose`.  Then every null space is solved,
@@ -283,7 +285,6 @@ def certify_cluster_consensus(
         src.append(j)
         nets.append(integral_network(s, w) if j == k else nets[j])
     distinct = sorted(set(src))
-    graphs = [nets[k].graph for k in distinct]
     order = s.n * s.d
     s.decompose([s.ids[g] for g in np.flatnonzero(sum(nets[k].doses for k in distinct)).tolist()])
     bases = []
@@ -312,6 +313,8 @@ def certify_cluster_consensus(
     mu_of = dict.fromkeys(distinct, 0.0) | dict(zip((k for k, _ in need), mus))
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
+    # the structural diagnostics read only the edges and their classes
+    graphs = list({_edge_structure(nets[k].graph): nets[k].graph for k in distinct}.values())
     balance = simultaneous_structural_balance(graphs)
     pn = all(has_positive_negative_spanning_tree(g) for g in graphs)
     return CertificationReport(

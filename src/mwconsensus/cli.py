@@ -9,8 +9,11 @@ Three subcommands share one interface::
 ``check`` validates the file and reports which modeling hypotheses hold.
 ``simulate`` integrates the protocol and writes the sampled trajectory as
 CSV.  ``analyze`` runs window-level certification and steady-state
-prediction, writing a JSON report.  All outputs are deterministic for
-identical inputs.  Node ids are 1-based in every file and message.
+prediction, writing a JSON report.  Outputs are bitwise reproducible for
+identical inputs under one numpy build and one BLAS thread setting; another
+BLAS thread count can change the last bits of the report's basis, mu and
+steady state and of the trajectory's states.  Node ids are 1-based in every
+file and message.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .analysis import (
 )
 from .config import ScenarioConfig, load_config
 from .errors import ConsensusToolError, OutputError
+from .graph import _edge_structure
 from .matalg import canonical_basis
 from .sim import Trajectory, check_run, simulate_exact, simulate_rk4
 from .switching import IntegralNetwork, validate_schedule
@@ -194,14 +198,18 @@ def _format_17g(values: np.ndarray, line_end: np.ndarray) -> bytes:
 def _report_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte for byte.
 
-    Dict keys must be strings.  A container's text is memoised by its id and
-    depth, so a list that many windows share is encoded once, where the
-    standard library's indenting encoder (pure Python) encodes every
-    occurrence.  A float that is not finite raises the standard library's
-    ``ValueError``, with the key path of its first occurrence appended.
+    Dict keys must be strings.  The text is gathered as a list of fragments
+    and joined once.  A container is memoised by its id and depth: its first
+    occurrence leaves its fragments in the list, a second joins them once,
+    and every later one reuses that string.  So a list that many windows
+    share is encoded once, where the standard library's indenting encoder
+    (pure Python) encodes every occurrence.  A float that is not finite
+    raises the standard library's ``ValueError``, with the key path of its
+    first occurrence appended.
     """
+    out: list[str] = []
     try:
-        return _encode(doc, 0, {}) + "\n"
+        _encode(doc, "", 0, {}, out)
     except ValueError:
         found = _first_non_finite(doc, "")
         if found is None:
@@ -209,44 +217,66 @@ def _report_text(doc) -> str:
         path, value = found
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r} "
                          f"at {path}") from None
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(o, depth: int, memo: dict) -> str:
-    """The JSON text of ``o`` nested ``depth`` levels deep."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
+def _encode(o, lead: str, depth: int, memo: dict, out: list[str]) -> None:
+    """Append ``lead``, then the JSON text of ``o`` nested ``depth`` levels deep, to ``out``.
+
+    A scalar's text joins ``lead`` in one fragment.
+    """
+    if isinstance(o, float):  # the report's most common value first
         if not math.isfinite(o):
             raise ValueError(o)
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple, dict)):
+        text = float.__repr__(o)
+    elif isinstance(o, str):
+        text = _quote(o)
+    elif o is None:
+        text = "null"
+    elif o is True:
+        text = "true"
+    elif o is False:
+        text = "false"
+    elif isinstance(o, int):
+        text = int.__repr__(o)
+    elif isinstance(o, (list, tuple, dict)):
+        out.append(lead)
         key = (id(o), depth)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _encode_container(o, depth, memo)
-        return text
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        seen = memo.get(key)
+        if seen is None:
+            start = len(out)
+            _encode_container(o, depth, memo, out)
+            memo[key] = (start, len(out))
+        else:
+            if isinstance(seen, tuple):  # the second occurrence joins the first's fragments
+                seen = memo[key] = "".join(out[seen[0] : seen[1]])
+            out.append(seen)
+        return
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    out.append(lead + text)
 
 
-def _encode_container(o, depth: int, memo: dict) -> str:
-    """The JSON text of a list, tuple or dict; see :func:`_encode`."""
+def _encode_container(o, depth: int, memo: dict, out: list[str]) -> None:
+    """Append the JSON text of a list, tuple or dict to ``out``; see :func:`_encode`."""
     if not o:
-        return "{}" if isinstance(o, dict) else "[]"
+        out.append("{}" if isinstance(o, dict) else "[]")
+        return
     indent = "\n" + "  " * (depth + 1)
     sep = "," + indent
     if isinstance(o, dict):
-        body = sep.join([_quote(k) + ": " + _encode(o[k], depth + 1, memo) for k in sorted(o)])
-        return "{" + indent + body + "\n" + "  " * depth + "}"
-    body = sep.join([_encode(v, depth + 1, memo) for v in o])
-    return "[" + indent + body + "\n" + "  " * depth + "]"
+        lead = "{" + indent
+        for k in sorted(o):
+            _encode(o[k], lead + _quote(k) + ": ", depth + 1, memo, out)
+            lead = sep
+        out.append("\n" + "  " * depth + "}")
+    else:
+        lead = "[" + indent
+        for v in o:
+            _encode(v, lead, depth + 1, memo, out)
+            lead = sep
+        out.append("\n" + "  " * depth + "]")
 
 
 def _first_non_finite(o, path: str) -> tuple[str, float] | None:
@@ -362,10 +392,14 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         pred.steady_state, cfg.schedule, report.integral_networks
     )
     balance = report.balance
-    edges = {}  # windows of equal content share one network, and so one edge list
+    # windows of equal content share one network, and networks of equal edge structure one list
+    edges, lists = {}, {}
     for net in report.integral_networks:
         if id(net) not in edges:
-            edges[id(net)] = _integral_edges(net)
+            structure = _edge_structure(net.graph)
+            if structure not in lists:
+                lists[structure] = _integral_edges(net)
+            edges[id(net)] = lists[structure]
     doc = {
         "certified": report.certified,
         "window_nullspaces_equal": report.window_nullspaces_equal,

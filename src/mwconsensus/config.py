@@ -5,9 +5,11 @@ graph catalog, switching schedule, initial condition, solver settings,
 tolerances, and the windowing rule used by certification.  Node ids are
 1-based in files and errors, 0-based in memory.  Every number read must be
 finite, every tolerance positive, and every key of ``tolerances`` and
-``solver`` one of their fields.  A graph's edges are read as two arrays and
-checked as a whole; only a list that fails those checks is scanned edge by
-edge, to name its first offending edge.
+``solver`` one of their fields.  A ``dimension``, ``repetitions`` or
+``intervals`` whose arrays would take more than the host's physical memory
+is rejected, and named, before those arrays are allocated.  A graph's edges
+are read as two arrays and checked as a whole; only a list that fails those
+checks is scanned edge by edge, to name its first offending edge.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Any, Mapping, NoReturn
 
 import numpy as np
 
+from . import sim
 from .analysis import CLUSTER_TOL, NS_EQ_TOL
 from .errors import (
     ConfigParseError,
@@ -32,11 +35,14 @@ from .errors import (
 from .graph import MatrixWeightedGraph
 from .matalg import EIG_TOL
 from .sim import _check_horizon
-from .switching import Segment, SwitchingSchedule, Window
+from .switching import _MAX_SEGMENTS, Segment, SwitchingSchedule, Window
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
 _SOLVER_METHODS = ("exact", "rk4")
 CONV_TOL = 1e-6
+# a schedule holds six floats or indices per segment: graph, dwell, scale, the
+# prefix sums of dwell and of dose, and the switch times
+_SEGMENT_BYTES = 6 * 8
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,31 @@ def _only_fields(raw: Mapping, cls, where: str) -> Mapping:
                 field=f"{where}.{key}",
             )
     return raw
+
+
+def _check_memory(size: int, field: str, value, what: str) -> None:
+    """Reject a ``field`` whose ``value`` makes ``what`` take ``size`` bytes, more than the host has.
+
+    The bound is the host's physical memory, as for a simulation's samples,
+    and the check runs before anything of that size is allocated.
+    """
+    memory = sim._physical_memory()
+    if size > memory:
+        raise ConfigValidationError(
+            f"{field} = {value}: {what} would take more than the host's {memory:.3g} bytes "
+            "of physical memory", field=field,
+        )
+
+
+def _check_segments(count: int, field: str, value) -> None:
+    """Reject a ``field`` whose ``value`` makes ``count`` segments, more than the host's memory holds.
+
+    A count that no array can hold is left to the schedule's constructor,
+    which names it.
+    """
+    if count <= _MAX_SEGMENTS:
+        _check_memory(_SEGMENT_BYTES * count, field, value,
+                      f"the schedule's arrays for {count} segments, {_SEGMENT_BYTES} bytes each,")
 
 
 def _as_positive(value, where: str) -> float:
@@ -245,6 +276,7 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
         if stype == "periodic":
             pattern = seg_list(_need(raw, "pattern", "schedule"), "schedule.pattern")
             reps = _as_int(_need(raw, "repetitions", "schedule"), "schedule.repetitions")
+            _check_segments(len(pattern) * reps, "schedule.repetitions", reps)
             return SwitchingSchedule.periodic(graphs, pattern, reps, alpha)
         if stype == "explicit":
             segs = seg_list(_need(raw, "segments", "schedule"), "schedule.segments")
@@ -258,11 +290,12 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
             raise ConfigValidationError(
                 f"{where}.graph must name a catalog graph, got {gid!r}", field=f"{where}.graph"
             )
-        if _as_int(_need(params, "intervals", where), f"{where}.intervals") < 1:
+        intervals = _as_int(_need(params, "intervals", where), f"{where}.intervals")
+        if intervals < 1:
             raise ConfigValidationError(
-                f"{where}.intervals must be >= 1, got {params['intervals']}",
-                field=f"{where}.intervals",
+                f"{where}.intervals must be >= 1, got {intervals}", field=f"{where}.intervals"
             )
+        _check_segments(intervals, f"{where}.intervals", intervals)
         return SwitchingSchedule.generated(graphs, name, params, alpha)
     except ConsensusToolError as exc:
         if isinstance(exc, ConfigValidationError):
@@ -332,6 +365,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
             f"initial_state has {x0.size} entries, expected n*d = {n * d}",
             field="initial_state",
         )
+    # n*d is bounded by the file, d*d is not: each graph sums an (n, d, d) stack of
+    # Laplacian node blocks and takes its absolute value
+    _check_memory(2 * 8 * n * d * d, "dimension", d,
+                  f"the Laplacian node blocks of {n} agents, {d} x {d} floats each, and their copy,")
 
     graph_entries = _need(raw, "graphs", "scenario")
     if not isinstance(graph_entries, list) or not graph_entries:

@@ -197,9 +197,23 @@ def has_positive_negative_spanning_tree(g: MatrixWeightedGraph) -> bool:
     Semidefinite-but-singular weights are excluded: only edges whose weight is
     positive or negative definite count.
     """
-    D = Definiteness
-    definite = (g.classes == D.POSITIVE_DEFINITE) | (g.classes == D.NEGATIVE_DEFINITE)
+    definite = _definite(g)
     return max(signed_components(g.n, g.keys[definite], g.signs[definite])[0]) == 0
+
+
+def _definite(g: MatrixWeightedGraph) -> np.ndarray:
+    """Which edges of ``g`` are positive or negative definite."""
+    return (g.classes == Definiteness.POSITIVE_DEFINITE) | (g.classes == Definiteness.NEGATIVE_DEFINITE)
+
+
+def _edge_structure(g: MatrixWeightedGraph) -> tuple[bytes, bytes, bytes]:
+    """A hashable key of ``g``'s edges and their classes, whatever the weights' sizes.
+
+    A class is a sign and whether it is definite, so graphs with equal keys
+    list the same edges with the same classes and share their structural
+    balance and definite-edge spanning tree.
+    """
+    return g.keys.tobytes(), g.signs.tobytes(), _definite(g).tobytes()
 
 
 @dataclass(frozen=True)

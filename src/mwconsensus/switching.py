@@ -63,9 +63,12 @@ class Window:
             raise EmptyWindowError(f"invalid window [{self.start}, {self.end})")
 
 
+# numpy refuses an array of more bytes than intp holds; a dwell takes 8
+_MAX_SEGMENTS = np.iinfo(np.intp).max // 8
+
+
 def _check_count(count: int, what: str) -> None:
-    # numpy refuses an array of more bytes than intp holds; a dwell takes 8
-    if count > np.iinfo(np.intp).max // 8:
+    if count > _MAX_SEGMENTS:
         raise ScheduleError(f"{count} segments from {what} are more than an array can hold")
 
 

@@ -122,3 +122,41 @@ def test_text_only_change_fails(tmp_path, capsys):
     assert "a_trajectory.csv: 0 field(s) differ numerically" in lines
     assert "a_report.json: 0 field(s) differ numerically" in lines
     assert lines.count("  structural: bytes differ, values equal") == 2
+
+
+ENV = {"numpy": "2.0.0", "blas": {"name": "openblas", "version": "0.3"}, "cpus": 2,
+       "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}}
+
+
+@pytest.mark.parametrize("change, shown", [
+    (None, None),
+    (lambda e: e["threads"].update(OPENBLAS_NUM_THREADS="2"), "threads.OPENBLAS_NUM_THREADS: '1' -> '2'"),
+    (lambda e: e.update(numpy="2.1.0"), "numpy: '2.0.0' -> '2.1.0'"),
+    (lambda e: e.update(cpus=4), "cpus: 2 -> 4"),
+], ids=["same", "threads", "numpy", "cpus"])
+def test_a_different_environment_is_said_first(tmp_path, capsys, change, shown):
+    old, new = make_dirs(tmp_path)
+    env = json.loads(json.dumps(ENV))
+    if change:
+        change(env)
+    (old / "environment.json").write_text(json.dumps(ENV))
+    (new / "environment.json").write_text(json.dumps(env))
+    rc, out = run(capsys, old, new)
+    assert rc == 0
+    lines = out.splitlines()
+    if shown is None:
+        assert not out.startswith("environment")
+    else:
+        assert lines[:2] == ["environment differs, so values can differ at roundoff with no "
+                             "change to the code:", f"  {shown}"]
+    # the record is not an output
+    assert lines[-1] == "byte-identical (3): a_report.json, a_trajectory.csv, stdout.txt"
+
+
+def test_a_missing_environment_record_is_said_first(tmp_path, capsys):
+    old, new = make_dirs(tmp_path)
+    (new / "environment.json").write_text(json.dumps(ENV))
+    rc, out = run(capsys, old, new)
+    assert rc == 0
+    assert out.startswith(f"environment: no environment.json in {old}; ")
+    assert out.splitlines()[-1] == "byte-identical (3): a_report.json, a_trajectory.csv, stdout.txt"

@@ -21,9 +21,10 @@ from mwconsensus.cli import (
 )
 from mwconsensus.config import load_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
+from mwconsensus.graph import MatrixWeightedGraph
 from mwconsensus.sim import Trajectory, simulate_exact
 from mwconsensus.matalg import Definiteness
-from mwconsensus.switching import Window, integral_network
+from mwconsensus.switching import SwitchingSchedule, Window, integral_network
 
 from oracles import is_connected, write_trajectory_csv_rows, write_trajectory_csv_savetxt
 from randgen import random_connected_pd_graph
@@ -342,6 +343,65 @@ class TestLoad:
                 else f"generator param 'intervals' = {count}") + " are more than an array can hold")
             assert main(["check", "--config", path]) == 1
             assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("name, where", [("cluster_switching", "repetitions"),
+                                             ("time_scaled_growth", "intervals")])
+    def test_segments_past_physical_memory_name_their_field_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, name, where):
+        doc = json.loads(scenarios.builtin_path(name).read_text())
+        doc.pop("solver", None)  # its horizon needs the file's own count
+        sched = doc["schedule"]
+        holder = sched if where == "repetitions" else sched["generator"]["params"]
+        per = len(sched["pattern"]) if where == "repetitions" else 1  # segments per unit
+        field = "schedule." + ("repetitions" if where == "repetitions" else "generator.params.intervals")
+        # six 8-byte arrays per segment: graph, dwell, scale, two prefix sums, the switch times
+        holder[where] = 10
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 48.0 * per * 10)
+        assert load_config(write_json(tmp_path, doc)).schedule.num_segments == per * 10
+
+        def never(*args, **kwargs):
+            raise AssertionError("the schedule was built")
+
+        monkeypatch.setattr(SwitchingSchedule, "periodic", never)
+        monkeypatch.setattr(SwitchingSchedule, "generated", never)
+        for count, memory in ((11, 48.0 * per * 10), (10**9, 2.0**33)):
+            monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+            holder[where] = count
+            path = str(write_json(tmp_path, doc))
+            with pytest.raises(ConfigValidationError) as exc:
+                load_config(path)
+            assert exc.value.field == field
+            assert str(exc.value) == (
+                f"{field} = {count}: the schedule's arrays for {per * count} segments, 48 bytes "
+                f"each, would take more than the host's {memory:.3g} bytes of physical memory")
+            assert main(["check", "--config", path]) == 1
+            assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_dimension_past_physical_memory_is_named_before_any_graph_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        doc = minimal_config_dict()
+        doc["graphs"][0]["edges"] = []
+        # 2 agents' node blocks of d x d floats and their copy: 32 d^2 bytes
+        memory = 32.0 * 100**2
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+        doc["dimension"], doc["initial_state"] = 100, [1.0] * 200
+        assert load_config(write_json(tmp_path, doc)).dimension == 100
+
+        def never(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(MatrixWeightedGraph, "from_edges", never)
+        doc["dimension"], doc["initial_state"] = 101, [1.0] * 202
+        path = str(write_json(tmp_path, doc))
+        message = ("dimension = 101: the Laplacian node blocks of 2 agents, 101 x 101 floats "
+                   "each, and their copy, would take more than the host's 3.2e+05 bytes of "
+                   "physical memory")
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert str(exc.value) == message
+        assert exc.value.field == "dimension"
+        assert main(["check", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "mutate, field, shown",

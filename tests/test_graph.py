@@ -15,6 +15,7 @@ from mwconsensus.errors import (
 from mwconsensus.graph import (
     Bipartition,
     MatrixWeightedGraph,
+    _edge_structure,
     has_positive_negative_spanning_tree,
     laplacian,
     signed_components,
@@ -259,6 +260,26 @@ class TestPNSpanningTree:
             3, 1, {(0, 1): np.array([[2.0]]), (1, 2): np.array([[-3.0]])}
         )
         assert has_positive_negative_spanning_tree(g) is True
+
+
+class TestEdgeStructure:
+    def test_equal_for_the_same_edges_and_classes_whatever_the_weights(self):
+        a = MatrixWeightedGraph(3, 2, {(0, 1): np.diag([1.0, 2.0]), (1, 2): -np.diag([1.0, 0.0])})
+        b = MatrixWeightedGraph(3, 2, {(1, 2): -np.diag([5.0, 0.0]), (0, 1): 3 * np.eye(2)})
+        assert _edge_structure(a) == _edge_structure(b)
+
+    @pytest.mark.parametrize("change", ["class", "sign", "key"])
+    def test_differs_when_an_edge_or_its_class_does(self, change):
+        weights = {(0, 1): np.diag([1.0, 2.0]), (1, 2): np.diag([1.0, 0.0])}
+        other = dict(weights)
+        if change == "class":  # definite to semidefinite, same sign
+            other[(0, 1)] = np.diag([1.0, 0.0])
+        elif change == "sign":  # positive to negative semidefinite
+            other[(1, 2)] = -weights[(1, 2)]
+        else:
+            other[(0, 2)] = other.pop((1, 2))
+        a, b = (MatrixWeightedGraph(3, 2, w) for w in (weights, other))
+        assert _edge_structure(a) != _edge_structure(b)
 
 
 def balance(g):

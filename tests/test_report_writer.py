@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwconsensus import cli, scenarios
+from mwconsensus import analysis, cli, scenarios
 from mwconsensus.analysis import certify_cluster_consensus
 from mwconsensus.cli import _report_text, cmd_analyze, main
+from mwconsensus.config import load_config
+from mwconsensus.graph import _edge_structure, has_positive_negative_spanning_tree
 
-from oracles import report_text_json_dumps
+from oracles import certify_per_window, report_text_json_dumps
+from randgen import rand_graph
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308,
                   0.1, 1e16, 1e22, -123456.789]
@@ -52,6 +55,13 @@ class TestMatchesTheStandardLibrary:
     @settings(deadline=None, max_examples=200)
     def test_shared_sub_objects(self, shared, other):
         doc = with_shared(shared, other)
+        assert _report_text(doc) == report_text_json_dumps(doc)
+
+    @given(trees(), trees())
+    @settings(deadline=None, max_examples=100)
+    def test_one_object_shared_a_hundred_times_at_one_depth(self, shared, other):
+        # the shape of a periodic schedule's windows, which all hold one edge list
+        doc = {"o": other, "windows": [{"edges": shared, "k": k} for k in range(100)]}
         assert _report_text(doc) == report_text_json_dumps(doc)
 
     @given(trees(finite=False), trees(finite=False))
@@ -109,12 +119,9 @@ def test_bundled_reports_are_the_standard_librarys_bytes(tmp_path, capsys, monke
     assert out.read_text() == report_text_json_dumps(docs[0])
 
 
-def test_each_edge_list_is_built_and_encoded_once_per_distinct_network(tmp_path, capsys, monkeypatch):
-    cfg = scenarios.load_builtin("cluster_switching")
-    windows = cfg.windows()
-    report = certify_cluster_consensus(cfg.schedule, windows)
-    distinct = len({id(net) for net in report.integral_networks})
-    assert len(windows) == 100 and distinct < 10
+def spy_edge_lists(monkeypatch):
+    """Two lists that collect each integral network ``cli`` builds an edge list for,
+    and each edge list it encodes."""
     built, encoded = [], []
     integral_edges, encode_container = cli._integral_edges, cli._encode_container
 
@@ -122,18 +129,83 @@ def test_each_edge_list_is_built_and_encoded_once_per_distinct_network(tmp_path,
         built.append(net)
         return integral_edges(net)
 
-    def encode(o, depth, memo):
+    def encode(o, depth, memo, out):
         if isinstance(o, list) and o and isinstance(o[0], dict) and "class" in o[0]:
             encoded.append(o)
-        return encode_container(o, depth, memo)
+        return encode_container(o, depth, memo, out)
 
     monkeypatch.setattr(cli, "_integral_edges", build)
     monkeypatch.setattr(cli, "_encode_container", encode)
+    return built, encoded
+
+
+def test_each_edge_list_is_built_and_encoded_once_per_distinct_network(tmp_path, capsys, monkeypatch):
+    cfg = scenarios.load_builtin("cluster_switching")
+    windows = cfg.windows()
+    report = certify_cluster_consensus(cfg.schedule, windows)
+    distinct = len({_edge_structure(net.graph) for net in report.integral_networks})
+    assert len(windows) == 100 and distinct < 10
+    built, encoded = spy_edge_lists(monkeypatch)
     out = tmp_path / "r.json"
     assert main(["analyze", "--config", str(scenarios.builtin_path("cluster_switching")),
                  "--out", str(out)]) == 0
     assert len(built) == len(encoded) == distinct
     assert len(json.loads(out.read_text())["windows"]) == 100
+
+
+def two_graph_doc() -> dict:
+    """n = 6, d = 2: two mixed-sign graphs alternating with unequal dwells, in windows of 2.
+
+    Every window doses both graphs, so the windows differ in their doses but
+    share one integral edge structure, as the windows of ``large_network`` do.
+    The edge signs follow one bipartition, so the windows are balanced.
+    """
+    rng = np.random.default_rng(11)
+    sigma = [1, 1, -1, 1, -1, -1]
+    signs = {(i, j): sigma[i] * sigma[j] for i in range(6) for j in range(i + 1, 6)}
+    graphs = []
+    for gid in ("G1", "G2"):
+        g = rand_graph(rng, 6, 2, signs)
+        graphs.append({"id": gid, "edges": [{"i": i + 1, "j": j + 1, "weight": W.tolist()}
+                                            for (i, j), W in zip(g.keys.tolist(), g.weights)]})
+    dwells = [1.0, 2.0, 1.5, 1.0, 3.0, 2.5, 1.25, 2.25]
+    return {
+        "dimension": 2,
+        "num_agents": 6,
+        "graphs": graphs,
+        "schedule": {"type": "explicit", "segments": [{"graph": f"G{k % 2 + 1}", "dwell": w}
+                                                      for k, w in enumerate(dwells)]},
+        "initial_state": rng.uniform(-1, 1, size=12).tolist(),
+        "windows": {"type": "uniform", "segments": 2},
+    }
+
+
+def test_windows_of_one_edge_structure_share_one_edge_list_and_diagnostics(tmp_path, capsys,
+                                                                           monkeypatch):
+    path = tmp_path / "two_graphs.json"
+    path.write_text(json.dumps(two_graph_doc()))
+    cfg = load_config(path)
+    windows = cfg.windows()
+    expected = certify_per_window(cfg.schedule, windows)
+    assert len(windows) == 4 and len({net.duration for net in expected.integral_networks}) == 4
+    spanning = []
+
+    def spanning_tree(g):
+        spanning.append(g)
+        return has_positive_negative_spanning_tree(g)
+
+    monkeypatch.setattr(analysis, "has_positive_negative_spanning_tree", spanning_tree)
+    built, encoded = spy_edge_lists(monkeypatch)
+    docs = capture_docs(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    assert len(built) == len(encoded) == len(spanning) == 1
+    assert out.read_text() == report_text_json_dumps(docs[0])
+    report = certify_cluster_consensus(cfg.schedule, windows)
+    assert len({id(net) for net in report.integral_networks}) == 4
+    assert report.balance is not None
+    assert (report.balance, report.pn_spanning_tree) == (expected.balance, expected.pn_spanning_tree)
+    assert docs[0]["pn_spanning_tree"] == expected.pn_spanning_tree
 
 
 def test_non_finite_report_names_its_field_and_writes_no_file(tmp_path, capsys):
