@@ -10,7 +10,10 @@ Then lists the files that are byte-identical.  For each JSON report or CSV
 trajectory that differs, prints every field whose numbers differ, with the
 number of differing values and their largest absolute and relative
 difference.  List positions are folded into ``[]``, so ``windows[].mu``
-stands for the ``mu`` of every window, and a CSV field is its column.
+stands for the ``mu`` of every window, and a CSV field is its column.  A
+last line gives the largest absolute difference over every field next to
+the largest ``|value|`` in either file, so that a move at roundoff reads
+off directly; a per-value relative difference inflates near zero.
 
 The exit status is 1 on a structural difference: a file present in only one
 directory, a missing key, a different length, a change that is not numeric
@@ -39,6 +42,7 @@ class Diff:
     def __init__(self) -> None:
         self.fields: dict[str, list[float]] = {}  # field -> [count, max abs, max rel]
         self.structural: list[str] = []
+        self.largest = 0.0  # the largest finite |value| of either file
 
     def number(self, field: str, a: float, b: float) -> None:
         if a == b or (math.isnan(a) and math.isnan(b)):
@@ -55,7 +59,9 @@ class Diff:
 
     def value(self, field: str, a: object, b: object) -> None:
         if _is_number(a) and _is_number(b):
-            self.number(field, float(a), float(b))
+            a, b = float(a), float(b)
+            self.largest = max(self.largest, *(abs(x) for x in (a, b) if math.isfinite(x)))
+            self.number(field, a, b)
         elif a != b or type(a) is not type(b):
             self.structural.append(f"{field}: {a!r} -> {b!r}")
 
@@ -171,6 +177,9 @@ def compare_dirs(old_dir: Path, new_dir: Path) -> int:
         print(f"{name}: {len(diff.fields)} field(s) differ numerically")
         for field, (count, gap, rel) in sorted(diff.fields.items()):
             print(f"  {field}: {count} value(s), max abs {gap:.3e}, max rel {rel:.3e}")
+        if diff.fields:
+            gap = max(stat[1] for stat in diff.fields.values())
+            print(f"  every field: max abs {gap:.3e}, largest |value| in the file {diff.largest:.3e}")
         for problem in diff.structural:
             print(f"  structural: {problem}")
         structural = structural or bool(diff.structural)

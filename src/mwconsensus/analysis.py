@@ -269,8 +269,10 @@ def certify_cluster_consensus(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
     # the length and the end segments key a window; windows that share a key are compared
-    # in full, and positive dwells and scales are equal exactly when their bits are
+    # in full by their bytes, taken once per window and only once its key repeats, and
+    # positive dwells and scales are equal exactly when their bits are
     firsts: dict[tuple, list[tuple[int, list[np.ndarray]]]] = {}
+    content: dict[int, tuple[bytes, ...]] = {}  # a first window's bytes, once compared
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
     for k, w in enumerate(ws):
@@ -278,8 +280,15 @@ def certify_cluster_consensus(
         parts = [a[span] for a in (s.graph, s.dwell, s.scale)]
         key = (len(parts[0]), *(p[0] for p in parts), *(p[-1] for p in parts))
         same = firsts.setdefault(key, [])
-        j = next((i for i, seen in same
-                  if all(p.tobytes() == q.tobytes() for p, q in zip(parts, seen))), k)
+        j = k
+        if same:
+            mine = tuple(p.tobytes() for p in parts)
+            for i, seen in same:
+                if i not in content:
+                    content[i] = tuple(p.tobytes() for p in seen)
+                if content[i] == mine:
+                    j = i
+                    break
         if j == k:
             same.append((k, parts))
         src.append(j)

@@ -33,7 +33,7 @@ from .analysis import (
     predict_steady_state,
     verify_necessary_condition,
 )
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, check_laplacian_memory, load_config
 from .errors import ConsensusToolError, OutputError
 from .graph import _edge_structure
 from .matalg import canonical_basis
@@ -469,6 +469,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        check_laplacian_memory(cfg)
         if args.command == "check":
             return cmd_check(cfg, args.config)
         if args.command == "simulate":

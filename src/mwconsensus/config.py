@@ -7,9 +7,11 @@ tolerances, and the windowing rule used by certification.  Node ids are
 finite, every tolerance positive, and every key of ``tolerances`` and
 ``solver`` one of their fields.  A ``dimension``, ``repetitions`` or
 ``intervals`` whose arrays would take more than the host's physical memory
-is rejected, and named, before those arrays are allocated.  A graph's edges
-are read as two arrays and checked as a whole; only a list that fails those
-checks is scanned edge by edge, to name its first offending edge.
+is rejected, and named, before those arrays are allocated;
+:func:`check_laplacian_memory` does the same for ``num_agents`` and the
+Laplacians that the commands build.  A graph's edges are read as two arrays
+and checked as a whole; only a list that fails those checks is scanned edge
+by edge, to name its first offending edge.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ CONV_TOL = 1e-6
 # a schedule holds six floats or indices per segment: graph, dwell, scale, the
 # prefix sums of dwell and of dose, and the switch times
 _SEGMENT_BYTES = 6 * 8
+# a Laplacian, and LAPACK's copy, workspace (two) and eigenvectors in its eigh
+_LAPLACIAN_COPIES = 5
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,23 @@ def _check_segments(count: int, field: str, value) -> None:
     if count <= _MAX_SEGMENTS:
         _check_memory(_SEGMENT_BYTES * count, field, value,
                       f"the schedule's arrays for {count} segments, {_SEGMENT_BYTES} bytes each,")
+
+
+def check_laplacian_memory(cfg: ScenarioConfig) -> None:
+    """Reject a scenario whose order-``n d`` Laplacian could not be decomposed in the host's memory.
+
+    ``analyze`` and ``simulate`` assemble a graph's Laplacian as one dense
+    ``(n d) x (n d)`` float matrix, which the file's size does not bound: a
+    path of 30,000 agents takes 1.5 MB to write and 7.2 GB as a Laplacian.
+    Its ``eigh`` then holds LAPACK's copy of it, a workspace of two more and
+    the eigenvectors, so five such matrices are counted.  :func:`load_config`
+    bounds only what loading allocates, so every command, ``check`` too,
+    calls this before any Laplacian is built.
+    """
+    n, d = cfg.num_agents, cfg.dimension
+    _check_memory(_LAPLACIAN_COPIES * 8 * (n * d) ** 2, "num_agents", n,
+                  f"{_LAPLACIAN_COPIES} dense {n * d} x {n * d} matrices, for the Laplacian "
+                  f"of {n} agents of dimension {d} and its eigendecomposition,")
 
 
 def _as_positive(value, where: str) -> float:

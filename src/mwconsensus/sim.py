@@ -2,10 +2,10 @@
 
 Two integration routes are provided on purpose:
 
-* :func:`simulate_exact` evaluates the piecewise flow spectrally, one maximal
-  run of a single graph at a time, reusing one eigendecomposition per catalog
-  graph.  The flows of a run's segments commute, so this is exact up to
-  roundoff.
+* :func:`simulate_exact` evaluates the piecewise flow spectrally, carrying
+  the state over maximal runs of a single graph and giving each catalog
+  graph's samples with one product by its cached eigenvectors.  The flows of
+  a run's segments commute, so this is exact up to roundoff.
 * :func:`simulate_rk4` integrates the same dynamics with a fixed-step
   classical Runge-Kutta scheme that never steps across a switching instant.
   It shares no code path with the spectral route beyond the Laplacian itself,
@@ -91,14 +91,16 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
     ``step`` is the exact solver's ``sample_dt`` or RK4's ``step_h``.  Beyond
     :func:`_check_horizon` and a positive ``step``, a grid that would not fit
     in the host's physical memory raises :class:`HorizonError` before
-    anything is allocated.  An exact sample counts ``4 n d + 4`` floats: its
-    state, the three temporaries of a run's evaluation, and the sample grid's
-    four arrays of times.  An RK4 step counts ``2 n d + 2``: its state and
-    time and their final copies.  The bound is the host's memory, not a
-    container's or cgroup's limit, so a run under it can still fail to
-    allocate.  RK4 also needs ``step_h`` to divide every segment it
-    integrates, the last one up to the horizon, within floating-point
-    tolerance.
+    anything is allocated.  An exact sample counts ``6 n d + 48`` floats: its
+    state, its column of its graph's block and of that block's product or
+    scaling, and, as every run starts at a sample, at most one run's decay,
+    ``V^T x`` and carried state; the 48 hold the times, doses and indices of
+    a sample and its run, and the array headers of the run's vectors.  An
+    RK4 step counts ``2 n d + 2``: its state and time and their final
+    copies.  The bound is the host's memory, not a container's or cgroup's
+    limit, so a run under it can still fail to allocate.  RK4 also needs
+    ``step_h`` to divide every segment it integrates, the last one up to the
+    horizon, within floating-point tolerance.
     """
     horizon = _check_horizon(s, horizon)
     rk4 = method == "rk4"
@@ -110,7 +112,7 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
         samples, width = horizon / step + 1.0, 2 * s.n * s.d + 2
     else:
         inside = np.count_nonzero((t > 0.0) & (t < horizon))
-        samples, width = _grid_count(horizon, step) + inside + 1, 4 * s.n * s.d + 4
+        samples, width = _grid_count(horizon, step) + inside + 1, 6 * s.n * s.d + 48
     if not np.isfinite(samples):
         raise HorizonError(f"{name} = {step} is too small for horizon {horizon}: "
                            "the sample count overflows")
@@ -142,6 +144,23 @@ def _segments_reached(s: SwitchingSchedule, horizon: float) -> int:
     return int(np.searchsorted(s.switch_times()[1:], horizon - _EDGE_TOL)) + 1
 
 
+def _doses_since_run_start(
+    s: SwitchingSchedule, K: int, first: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """Each sample's dose since its run started, interpolated in prefix sums of ``scale * dwell``.
+
+    The runs starting at segments ``first`` of the first ``K`` lay their
+    switch times end to end, each with its prefix sums counted from its own
+    start, so one :func:`np.interp` gives what it gives on each run's own
+    arrays: a sample at an instant two runs share takes the later run's 0,
+    and one past the end the final dose.
+    """
+    run = np.repeat(np.arange(first.size), np.diff(first, append=K) + 1)
+    knots = np.arange(run.size) - run
+    cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
+    return np.interp(ts, s.switch_times()[knots], cum[knots] - cum[first][run])
+
+
 def simulate_exact(
     s: SwitchingSchedule, x0, horizon: float, sample_dt: float
 ) -> Trajectory:
@@ -150,10 +169,16 @@ def simulate_exact(
     Samples the solution on the regular grid ``{0, sample_dt, 2 sample_dt, ...}``
     together with every switching instant and the horizon itself (duplicates
     merged).  A run of one graph ``L = V diag(lam) V^T`` maps its start state
-    ``x_r`` to ``V exp(-lam D(t)) V^T x_r`` for all of its samples at once,
-    where the dose ``D(t)`` accumulated since the run started is interpolated
-    in the prefix sum of ``scale * dwell``.  The graphs the runs reach are
-    decomposed together first, by :meth:`SwitchingSchedule.decompose`.
+    ``x_r`` to ``V exp(-lam D(t)) V^T x_r`` at each of its samples, where the
+    dose ``D(t)`` accumulated since the run started is interpolated in the
+    prefix sum of ``scale * dwell``.  The loop over runs only carries the
+    state, keeping each run's ``V^T x_r``.  Then each catalog graph forms
+    ``exp(-lam D)`` for all of its samples as one block, scales each run's
+    columns by its ``V^T x_r``, and gives them all with one product by ``V``.
+    A sample at a run's start is the carried state itself.  The graphs the
+    runs reach are decomposed together first, by
+    :meth:`SwitchingSchedule.decompose`; one that is not PSD is named by the
+    first run to reach it.
 
     :func:`check_run` rejects the run first, before anything is allocated.
     """
@@ -168,26 +193,47 @@ def simulate_exact(
     ts = ts[keep]
 
     K = _segments_reached(s, horizon)
-    cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
     first, graphs, doses = s.runs(0, K)
-    s.decompose([s.ids[g] for g in np.unique(graphs).tolist()])
-    states = np.empty((ts.size, x.size))
-    idx = 0
-    runs = zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses)
+    used = list(dict.fromkeys(graphs.tolist()))
+    s.decompose([s.ids[g] for g in used])
+    eigs = {g: s.eig_of(s.ids[g]) for g in used}  # in run order, so the first run names a failure
+
+    decay = np.empty((first.size, x.size))
     with np.errstate(over="ignore"):  # a dose times eigenvalue past the float range decays to 0
-        for k0, k1, g, dose in runs:
-            # the last run takes every remaining sample, up to a horizon just past the end
-            hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
-            lam, V = s.eig_of(s.ids[g])
-            y = V.T @ x
-            if hi > idx:
-                D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
-                decay = np.exp(-np.outer(lam, D))
-                states[idx:hi] = (V @ (decay * y[:, None])).T
-                if ts[idx] == t_switch[k0]:
-                    states[idx] = x  # exact at the run start
-                idx = hi
-            x = V @ (np.exp(-dose * lam) * y)
+        for g, (lam, _) in eigs.items():
+            on_g = graphs == g
+            decay[on_g] = np.outer(-doses[on_g], lam)
+        np.exp(decay, out=decay)
+    # the work that must run in order: carry the state from run to run
+    starts, ys = [], []
+    for g, e in zip(graphs.tolist(), decay):
+        V = eigs[g][1]
+        y = V.T @ x
+        starts.append(x)
+        ys.append(y)
+        x = V @ (e * y)
+    ys = np.array(ys)
+
+    # run r's samples are the count[r] from lo[r] on; the last run takes every
+    # remaining sample, up to a horizon just past the end
+    lo = np.searchsorted(ts, t_switch[first])
+    count = np.diff(lo, append=ts.size)
+    owner = np.repeat(graphs, count)
+    dose_at = _doses_since_run_start(s, K, first, ts)
+    states = np.empty((ts.size, x.size))
+    for g, (lam, V) in eigs.items():
+        on_g = np.flatnonzero(graphs == g)
+        r, one = on_g[0], on_g.size == 1
+        # one run's samples are a slice, neither gathered nor scattered
+        rows = slice(lo[r], lo[r] + count[r]) if one else np.flatnonzero(owner == g)
+        with np.errstate(over="ignore"):
+            block = np.outer(-lam, dose_at[rows])
+        np.exp(block, out=block)
+        block *= ys[r][:, None] if one else np.repeat(ys[on_g].T, count[on_g], axis=1)
+        states[rows] = block.T @ V.T
+    # a sample at a run's start is the carried state itself; every run starts before the horizon
+    at_start = np.flatnonzero(ts[lo] == t_switch[first])
+    states[lo[at_start]] = [starts[r] for r in at_start.tolist()]
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
 

@@ -295,7 +295,8 @@ def validate_schedule(s: SwitchingSchedule) -> ScheduleReport:
     convergence statements rely on.
     """
     notes: list[str] = []
-    unused = sorted(set(s.ids) - {s.ids[k] for k in np.unique(s.graph).tolist()})
+    never = np.bincount(s.graph, minlength=len(s.ids)) == 0
+    unused = sorted(s.ids[k] for k in np.flatnonzero(never).tolist())
     uniform_scale = bool((s.scale == 1.0).all())
     recurring = uniform_scale and not unused
     if unused:

@@ -21,6 +21,9 @@ balance and spanning trees.
 The ``*_per_segment`` window operators and integrator walk a schedule one
 segment at a time and, for the integral network, one edge at a time, where
 the package works from per-graph doses and merged runs of one graph.
+``simulate_exact_per_run`` evaluates each run's samples with their own
+exponentials and product, where the package forms one block per catalog
+graph and its loop over runs only carries the state.
 ``state_transition`` forms the window flow map ``Phi`` explicitly, one
 matrix product per run, where the package works with its flow core in the
 catalog eigenbases.  ``verify_necessary_condition`` takes each Laplacian's
@@ -96,7 +99,10 @@ from mwconsensus.sim import (
     _EDGE_TOL,
     Trajectory,
     _check_horizon,
+    _grid_count,
+    _segments_reached,
     _validated_x0,
+    check_run,
     simulate_exact,
 )
 from mwconsensus.switching import (
@@ -393,6 +399,48 @@ def simulate_exact_per_segment(
         x = V @ (np.exp(-seg.scale * lam * (end - a)) * (V.T @ x))
         if last:
             break
+    return Trajectory(times=ts, states=states, n=s.n, d=s.d)
+
+
+def simulate_exact_per_run(
+    s: SwitchingSchedule, x0, horizon: float, sample_dt: float
+) -> Trajectory:
+    """Exact integration one maximal run of one graph at a time.
+
+    Each run maps its start state to all of its samples with its own
+    exponential block and product, restarting from the propagated state.
+    """
+    x = _validated_x0(s, x0)
+    horizon = check_run(s, horizon, "exact", sample_dt)
+    t_switch = s.switch_times()
+    inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
+    grid = np.arange(int(_grid_count(horizon, sample_dt))) * sample_dt
+    ts = np.unique(np.concatenate([grid, inside, [horizon]]))
+    keep = np.ones(ts.size, dtype=bool)
+    keep[1:] = np.diff(ts) > _DEDUP_TOL
+    ts = ts[keep]
+
+    K = _segments_reached(s, horizon)
+    cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
+    first, graphs, doses = s.runs(0, K)
+    s.decompose([s.ids[g] for g in np.unique(graphs).tolist()])
+    states = np.empty((ts.size, x.size))
+    idx = 0
+    runs = zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses)
+    with np.errstate(over="ignore"):  # a dose times eigenvalue past the float range decays to 0
+        for k0, k1, g, dose in runs:
+            # the last run takes every remaining sample, up to a horizon just past the end
+            hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
+            lam, V = s.eig_of(s.ids[g])
+            y = V.T @ x
+            if hi > idx:
+                D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
+                decay = np.exp(-np.outer(lam, D))
+                states[idx:hi] = (V @ (decay * y[:, None])).T
+                if ts[idx] == t_switch[k0]:
+                    states[idx] = x  # exact at the run start
+                idx = hi
+            x = V @ (np.exp(-dose * lam) * y)
     return Trajectory(times=ts, states=states, n=s.n, d=s.d)
 
 

@@ -115,6 +115,29 @@ def rand_run_schedule(
     return s, x0, horizon, sample_dt
 
 
+def rand_short_runs(rng: np.random.Generator) -> tuple[SwitchingSchedule, np.ndarray]:
+    """Many short maximal runs over 2 to 4 graphs, each with 1 to 3 samples at ``sample_dt = 1``.
+
+    A run is one segment of dwell 0.5 to 2.5 or two of 0.5; consecutive runs
+    are on different graphs, and most scales are not 1.  Returns
+    ``(schedule, x0)``.
+    """
+    n = int(rng.integers(2, 6))
+    d = int(rng.integers(1, 4))
+    catalog = rand_catalog(rng, n, d, int(rng.integers(2, 5)))
+    ids = sorted(catalog)
+    segs, prev = [], None
+    for _ in range(int(rng.integers(10, 60))):
+        gid = ids[int(rng.choice([k for k in range(len(ids)) if ids[k] != prev]))]
+        dwells = [0.5, 0.5] if rng.uniform() < 0.3 else [float(rng.choice((0.5, 1.0, 1.5, 2.0, 2.5)))]
+        for dwell in dwells:
+            scale = 1.0 if rng.uniform() < 0.3 else float(rng.uniform(0.2, 3.0))
+            segs.append(Segment(gid, dwell, scale))
+        prev = gid
+    x0 = rng.normal(size=n * d) * 10.0 ** rng.uniform(-2, 2)
+    return SwitchingSchedule.explicit(catalog, segs, alpha=0.5), x0
+
+
 def rand_windows(rng: np.random.Generator, num_segments: int) -> list[Window]:
     """Contiguous windows of 1 to 6 segments tiling the whole schedule."""
     out, start = [], 0

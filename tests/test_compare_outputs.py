@@ -61,7 +61,23 @@ def test_numeric_changes_report_each_field(tmp_path, capsys):
     assert "  windows[].mu: 2 value(s), max abs 2.500e-01, max rel 1.000e+00" in lines
     assert "  mu[]: 1 value(s), max abs 1.110e-16, max rel 2.220e-16" in lines
     assert "  x_2_1: 1 value(s), max abs 2.500e-01, max rel 1.429e-01" in lines
+    # the largest |value| is x_2_1's 2 in the CSV and m's 2 in the report
+    for last in ("  windows[].mu: 2 value(s), max abs 2.500e-01, max rel 1.000e+00",
+                 "  x_2_1: 1 value(s), max abs 2.500e-01, max rel 1.429e-01"):
+        assert lines[lines.index(last) + 1] == (
+            "  every field: max abs 2.500e-01, largest |value| in the file 2.000e+00")
     assert "byte-identical (1): stdout.txt" in lines
+
+
+def test_scale_line_reads_a_move_at_roundoff(tmp_path, capsys):
+    csv = "t,x_1_1,x_2_1\n0,1,2\n1,0.5,1.5000000000000002\n"
+    rc, out = run(capsys, *make_dirs(tmp_path, csv=csv))
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[lines.index("a_trajectory.csv: 1 field(s) differ numerically") + 2] == (
+        "  every field: max abs 2.220e-16, largest |value| in the file 2.000e+00")
+    # an identical file gets no such line
+    assert sum(line.startswith("  every field:") for line in lines) == 1
 
 
 @pytest.mark.parametrize(

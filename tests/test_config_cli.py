@@ -403,6 +403,34 @@ class TestLoad:
         assert main(["check", "--config", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_laplacian_past_physical_memory_names_num_agents_before_any_is_built(
+            self, tmp_path, capsys, monkeypatch):
+        doc = minimal_config_dict()
+        doc["num_agents"], doc["dimension"], doc["initial_state"] = 3, 2, [1.0] * 6
+        doc["graphs"][0]["edges"] = [{"i": 1, "j": 2, "weight": [[1.0, 0.0], [0.0, 1.0]]}]
+        path = str(write_json(tmp_path, doc))
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 1440.0)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+        (tmp_path / "r.json").unlink()
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("a Laplacian was built")
+
+        monkeypatch.setattr("mwconsensus.graph.laplacian", never)
+        monkeypatch.setattr("mwconsensus.switching.laplacian", never)
+        # an order-6 Laplacian and its eigendecomposition take five times 288 bytes
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 1439.0)
+        message = ("num_agents = 3: 5 dense 6 x 6 matrices, for the Laplacian of 3 agents of "
+                   "dimension 2 and its eigendecomposition, would take more than the host's "
+                   "1.44e+03 bytes of physical memory")
+        assert load_config(path).num_agents == 3
+        for argv in (["check"], ["analyze", "--out", str(tmp_path / "r.json")],
+                     ["simulate", "--out", str(tmp_path / "t.csv")]):
+            assert main([*argv, "--config", path]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize(
         "mutate, field, shown",
         [
@@ -730,9 +758,9 @@ class TestCli:
         [
             (None, {"method": "rk4", "step_h": 0.3},
              "step_h = 0.3 does not divide segment 0 span 2.0"),
-            # 12 floats a sample at n = 2, d = 1
+            # 60 floats a sample at n = 2, d = 1
             (2.0**34, {}, "sample_dt = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
-                          "9.6e+11 bytes, more than the host's 1.72e+10 bytes of physical memory"),
+                          "4.8e+12 bytes, more than the host's 1.72e+10 bytes of physical memory"),
         ],
         ids=["rk4-step", "1e10-samples"],
     )
@@ -754,12 +782,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "memory, solver, extra, message",
         [
-            # 1e10 samples of the default sample_dt, 20 floats each
+            # 1e10 samples of the default sample_dt, 72 floats each
             (2.0**34, {}, [], "sample_dt = 1.0 gives 1e+10 samples over horizon 10000000000.0: "
-                              "1.6e+12 bytes, more than the host's 1.72e+10 bytes of physical memory"),
-            # the host's own memory against 1e19 samples, 1.6e21 bytes
+                              "5.76e+12 bytes, more than the host's 1.72e+10 bytes of physical memory"),
+            # the host's own memory against 1e19 samples, 5.76e21 bytes
             (None, {}, ["--sample-dt", "1e-9"], "sample_dt = 1e-09 gives 1e+19 samples over "
-                                                "horizon 10000000000.0: 1.6e+21 bytes, more than "
+                                                "horizon 10000000000.0: 5.76e+21 bytes, more than "
                                                 "the host's "),
             # 1e10 RK4 steps, 10 floats each
             (2.0**34, {"method": "rk4", "step_h": 1.0}, [],

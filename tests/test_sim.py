@@ -1,5 +1,7 @@
 """Tests for the exact and RK4 integrators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from mwconsensus.errors import (
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import null_space, projector
-from mwconsensus.sim import simulate_exact, simulate_rk4
+from mwconsensus.sim import _doses_since_run_start, check_run, simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule
 
 from hypothesis import given, settings
@@ -21,10 +23,11 @@ from oracles import (
     agent,
     matrix_exp_neg,
     run_time_scaled_scenario,
+    simulate_exact_per_run,
     simulate_exact_per_segment,
     state_at,
 )
-from randgen import rand_catalog, rand_run_schedule, random_connected_pd_graph
+from randgen import rand_catalog, rand_run_schedule, rand_short_runs, random_connected_pd_graph
 
 
 def two_node_schedule(dwell=2.0, w=1.0):
@@ -158,6 +161,56 @@ class TestRunsAgainstOracle:
         tol = 1e-10 * max(1.0, float(np.abs(x0).max()))
         assert np.abs(traj.states - ref.states).max() <= tol
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_matches_per_run_oracle_on_many_short_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        s, x0 = rand_short_runs(rng)
+        t = s.switch_times()
+        k = int(rng.integers(0, s.num_segments))
+        mid_run = float(t[k] + rng.uniform(0.1, 0.9) * (t[k + 1] - t[k]))
+        tol = 1e-14 * max(1.0, float(np.abs(x0).max()))
+        for horizon in (mid_run, s.total_duration + 5e-10):
+            traj = simulate_exact(s, x0, horizon, 1.0)
+            ref = simulate_exact_per_run(s, x0, horizon, 1.0)
+            assert np.array_equal(traj.times, ref.times)
+            assert np.abs(traj.states - ref.states).max() <= tol
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_doses_since_run_start_are_each_runs_own_interpolation(self, seed):
+        rng = np.random.default_rng(seed)
+        s, _ = rand_short_runs(rng)
+        K, t = s.num_segments, s.switch_times()
+        horizon = s.total_duration + 5e-10
+        # the switching instants themselves, random instants and one just past the end
+        ts = np.sort(np.concatenate([t[:K], rng.uniform(0.0, horizon, 50), [horizon]]))
+        first = s.runs(0, K)[0]
+        cum = np.concatenate(([0.0], np.cumsum(s.scale * s.dwell)))
+        run = np.searchsorted(t[first], ts, side="right") - 1
+        expected = np.empty_like(ts)
+        for r, (k0, k1) in enumerate(zip(first.tolist(), [*first[1:].tolist(), K])):
+            on_r = run == r
+            expected[on_r] = np.interp(ts[on_r], t[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
+        assert np.array_equal(_doses_since_run_start(s, K, first, ts), expected)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_one_run_is_bit_for_bit_the_per_run_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(3, 6)), int(rng.integers(1, 4))  # a path and one more edge
+        base = random_connected_pd_graph(n, d, seed=int(rng.integers(0, 1000)))
+        kind = str(rng.choice(("inverse_square_decay", "linear_ramp")))
+        intervals = int(rng.integers(1, 40))
+        s = SwitchingSchedule.generated({"base": base}, kind, {"graph": "base", "intervals": intervals})
+        x0 = rng.normal(size=n * d)
+        sample_dt = float(rng.uniform(0.07, 3.0))
+        for horizon in (float(rng.uniform(0.1, intervals)), intervals + 5e-10):
+            traj = simulate_exact(s, x0, horizon, sample_dt)
+            ref = simulate_exact_per_run(s, x0, horizon, sample_dt)
+            assert np.array_equal(traj.times, ref.times)
+            assert np.array_equal(traj.states, ref.states)
+
     def test_horizon_just_past_the_end_repeats_the_final_state(self):
         # within the 1e-9 horizon tolerance but not merged with the end instant
         s = SwitchingSchedule.explicit(two_node_schedule().catalog, [Segment("g", 1.0)] * 2, 1.0)
@@ -177,6 +230,42 @@ class TestRunsAgainstOracle:
         # inside the second and third segments, and at the end
         for t, dose in ((1.2, 2.05), (2.8, 3.425), (3.5, 4.125)):
             assert np.abs(state_at(traj, t) - matrix_exp_neg(L, dose) @ x0).max() < 1e-12
+
+
+def chain_schedule(graphs: int, per_run: int, n: int, segments: int = 600) -> SwitchingSchedule:
+    """Unit dwells on paths of ``n`` agents, ``graphs`` of them taking turns ``per_run`` segments each."""
+    catalog = {f"g{k}": MatrixWeightedGraph(n, 1, {(i, i + 1): np.array([[1.0 + k]]) for i in range(n - 1)})
+               for k in range(graphs)}
+    segs = [Segment(f"g{k // per_run % graphs}", 1.0, 1.0 + k % 3) for k in range(segments)]
+    return SwitchingSchedule.explicit(catalog, segs, alpha=1.0)
+
+
+class TestMemoryCount:
+    @pytest.mark.parametrize(
+        "graphs, per_run, n, sample_dt",
+        [
+            (4, 1, 2, 100.0),  # a run per sample, at the narrowest state
+            (1, 1, 2, 0.25),  # one run of many samples
+            (2, 3, 2, 0.5),
+            (2, 1, 30, 100.0),
+            (2, 50, 30, 0.25),
+        ],
+    )
+    def test_exact_run_holds_no_more_than_check_run_counts(self, monkeypatch, graphs, per_run,
+                                                           n, sample_dt):
+        s = chain_schedule(graphs, per_run, n)
+        x0, horizon = np.arange(float(n)), s.total_duration - 0.5
+        simulate_exact(s, x0, horizon, sample_dt)  # the eigendecompositions are cached
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            simulate_exact(s, x0, horizon, sample_dt)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: peak - 1.0)
+        with pytest.raises(HorizonError, match="more than the host's"):
+            check_run(s, horizon, "exact", sample_dt)
 
 
 class TestRandomSchedules:

@@ -165,6 +165,12 @@ class TestValidateSchedule:
         assert not report.finite_recurring_catalog
         assert any("never scheduled" in note for note in report.notes)
 
+    def test_unused_graphs_are_listed_by_id(self):
+        g = small_catalog()["a"]
+        catalog = {"c": g, "a": g, "d": g, "b": g}
+        s = SwitchingSchedule.explicit(catalog, [Segment("d", 1.0), Segment("a", 1.0)], alpha=1.0)
+        assert validate_schedule(s).notes[0] == "catalog graphs never scheduled: b, c"
+
 
 class TestIntegralNetwork:
     def test_benchmark_period_edge_set(self, cluster_cfg):
