@@ -36,7 +36,6 @@ from .matalg import (
     NullSpaceBasis,
     classify_stack,
     null_space,
-    projector,
 )
 from .sim import (
     Trajectory,
@@ -88,7 +87,6 @@ __all__ = [
     "null_intersection",
     "null_space",
     "predict_steady_state",
-    "projector",
     "scenarios",
     "simulate_exact",
     "simulate_rk4",

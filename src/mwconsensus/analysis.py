@@ -29,7 +29,7 @@ from .matalg import (
     check_symmetric,
     null_space,
     null_space_of_sum,
-    projector,
+    projector_distance,
     psd_eigh,
 )
 from .switching import (
@@ -152,13 +152,34 @@ def predict_steady_state(
     return ConsensusPrediction(steady_state=x_star, kind=kind, clusters=clusters)
 
 
-def mu_m_plus_1(Phi: np.ndarray, m: int) -> float:
+def _trim(K: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """A core's rows and columns in ascending norm, and how many of each its budget keeps."""
+    if m < 0:
+        raise IndexError(f"m must be >= 0, got {m}")
+    order = K.shape[0]
+    if m >= order:
+        raise IndexError(f"mu_{m + 1} undefined: order is {order}")
+    rows = np.einsum("ij,ij->i", K, K)
+    cols = np.einsum("ij,ij->j", K, K)
+    ro, co = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+    free = order - m - 1  # how many rows, or columns, may go
+    lb = np.linalg.svd(K[:, co[free:]], compute_uv=False)[-1]
+    half_beta = order * np.finfo(float).eps * np.sqrt(max(rows[ro[-1]], cols[co[-1]])) * lb
+    dr = min(np.count_nonzero(rows[ro].cumsum() <= half_beta), free)
+    dc = min(np.count_nonzero(cols[co].cumsum() <= half_beta), free)
+    return ro, co, order - dr, order - dc
+
+
+def mu_m_plus_1(Phi, m):
     """(m+1)-th largest eigenvalue of ``Phi^T Phi`` (squared singular value).
 
     ``m`` is the dimension of the subspace the flow map preserves; the
     returned value bounds the squared contraction factor on its orthogonal
     complement.  A flow core ``K`` with ``Phi = V K U^T``, ``V`` and ``U``
-    orthogonal, gives the same value.
+    orthogonal, gives the same value.  ``Phi`` may also be a stack, or any
+    iterable, of cores of one order with one ``m`` each; then a list of
+    values comes back, in that order.  A core that only the iterable held is
+    let go before the ``svd``.
 
     The SVD is of ``Phi`` without its smallest rows, then columns, whose
     squared norms sum to at most ``beta / 2``, keeping the ``m + 1`` largest
@@ -168,23 +189,20 @@ def mu_m_plus_1(Phi: np.ndarray, m: int) -> float:
     SVD's own forward error on ``mu``: ``N`` is the order, ``s1`` the largest
     row or column norm and ``lb`` the smallest singular value of the ``m + 1``
     columns of largest norm.  A diagonal ``Phi`` keeps its ``m + 1`` largest
-    entries, so its ``mu`` is exact.
+    entries, so its ``mu`` is exact.  The cores of a stack keep the most rows,
+    and the most columns, that any of them keeps: each its own largest,
+    which deletes less than its budget, so one ``svd`` call takes them all.
     """
-    if m < 0:
-        raise IndexError(f"m must be >= 0, got {m}")
-    order = Phi.shape[0]
-    if m >= order:
-        raise IndexError(f"mu_{m + 1} undefined: order is {order}")
-    rows = np.einsum("ij,ij->i", Phi, Phi)
-    cols = np.einsum("ij,ij->j", Phi, Phi)
-    ro, co = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
-    free = order - m - 1  # how many rows, or columns, may go
-    lb = np.linalg.svd(Phi[:, co[free:]], compute_uv=False)[-1]
-    half_beta = order * np.finfo(float).eps * np.sqrt(max(rows[ro[-1]], cols[co[-1]])) * lb
-    dr = min(np.count_nonzero(rows[ro].cumsum() <= half_beta), free)
-    dc = min(np.count_nonzero(cols[co].cumsum() <= half_beta), free)
-    sv = np.linalg.svd(Phi.take(np.sort(ro[dr:]), 0).take(np.sort(co[dc:]), 1), compute_uv=False)
-    return float(sv[m] ** 2)
+    single = isinstance(Phi, np.ndarray) and Phi.ndim == 2
+    cores, ms = ([Phi], [m]) if single else (list(Phi), list(m))
+    kept = [_trim(K, mk) for K, mk in zip(cores, ms, strict=True)]
+    R, C = max(k[2] for k in kept), max(k[3] for k in kept)
+    trimmed = np.empty((len(kept), R, C))
+    for out, (ro, co, _, _) in zip(trimmed, kept):
+        cores.pop(0).take(np.sort(ro[-R:]), 0).take(np.sort(co[-C:]), 1, out=out)
+    sv = np.linalg.svd(trimmed, compute_uv=False)
+    mus = [float(s[mk] ** 2) for s, mk in zip(sv, ms)]
+    return mus[0] if single else mus
 
 
 @dataclass(frozen=True)
@@ -254,9 +272,11 @@ def certify_cluster_consensus(
 
     The graphs the windows dose are decomposed together, by
     :meth:`SwitchingSchedule.decompose`.  Then every null space is solved,
-    window by window, and then every ``mu``, the windows at the same time
-    through :func:`matalg._map_lapack`; an error is that of the first
-    window, in that order, to raise it.
+    window by window, and then every ``mu``: the distinct windows that need
+    one go in pairs, consecutive in order, whose two cores
+    :func:`mu_m_plus_1` trims alike and takes in one stacked ``svd``, and the
+    pairs run at the same time through :func:`matalg._map_lapack`.  An error
+    is that of the first window, in that order, to raise it.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -275,10 +295,14 @@ def certify_cluster_consensus(
     content: dict[int, tuple[bytes, ...]] = {}  # a first window's bytes, once compared
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
-    for k, w in enumerate(ws):
+    arrays = (s.graph, s.dwell, s.scale)
+    # every window's first and last segment by one fancy index per array; a window past
+    # the schedule's end keys on the last segment until _check_window raises in its turn
+    ends = np.minimum([(w.start, w.end - 1) for w in ws], s.num_segments - 1)
+    for k, (w, (g, dw, sc)) in enumerate(zip(ws, zip(*(a[ends].tolist() for a in arrays)))):
         span = _check_window(s, w)
-        parts = [a[span] for a in (s.graph, s.dwell, s.scale)]
-        key = (len(parts[0]), *(p[0] for p in parts), *(p[-1] for p in parts))
+        parts = [a[span] for a in arrays]
+        key = (w.end - w.start, *g, *dw, *sc)
         same = firsts.setdefault(key, [])
         j = k
         if same:
@@ -303,23 +327,24 @@ def certify_cluster_consensus(
         except NotPSDError as exc:
             w = ws[k]
             raise NotPSDError(f"window [{w.start}, {w.end}): {exc}") from None
-    P0 = projector(bases[0])
-    max_dist = 0.0
-    for b in bases[1:]:
-        max_dist = max(max_dist, float(np.linalg.norm(projector(b) - P0, "fro")))
-    del P0  # not held while the pool builds flow cores
+    max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
     need = [(k, b.dim) for k, b in zip(distinct, bases) if b.dim < order]
-    if len(need) > 1:  # the pool's workers only read the caches: fill them in flow_core's order
+    # consecutive windows in pairs: one stacked svd of two cores releases the interpreter
+    # lock where one of a single core's few hundred values keeps it
+    pairs = [need[i:i + 2] for i in range(0, len(need), 2)]
+    if len(pairs) > 1:  # the pool's workers only read the caches: fill them in flow_core's order
         for k, _ in need:
             ids = [s.ids[g] for g in s.runs(ws[k].start, ws[k].end)[1].tolist()]
             s.eig_of(ids[0])
             for prev, gid in zip(ids, ids[1:]):
                 s.coupling_of(gid, prev)
-    mus = _map_lapack(lambda km: mu_m_plus_1(flow_core(s, ws[km[0]]), km[1]), need, order)
+    mus = _map_lapack(
+        lambda pair: mu_m_plus_1((flow_core(s, ws[k]) for k, _ in pair), [dim for _, dim in pair]),
+        pairs, order)
     # a window whose null space is the whole space contracts nothing, so vacuously
-    mu_of = dict.fromkeys(distinct, 0.0) | dict(zip((k for k, _ in need), mus))
+    mu_of = dict.fromkeys(distinct, 0.0) | dict(zip((k for k, _ in need), sum(mus, [])))
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     # the structural diagnostics read only the edges and their classes

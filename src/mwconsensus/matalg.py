@@ -1,7 +1,7 @@
 """Dense symmetric-matrix primitives underlying the whole package.
 
 Definiteness classification of a whole stack of weights at once, PSD
-eigendecompositions, null spaces and orthogonal projectors all reduce to
+eigendecompositions and null spaces all reduce to
 ``numpy.linalg.eigvalsh``/``eigh`` on validated finite symmetric input, so
 every tolerance decision lives here.
 
@@ -163,10 +163,22 @@ class NullSpaceBasis:
         return self.vectors.shape[1]
 
 
-def projector(basis: NullSpaceBasis) -> np.ndarray:
-    """Orthogonal projector ``sum_i eta_i eta_i^T`` onto the spanned subspace."""
-    V = basis.vectors
-    return V @ V.T
+def projector_distance(a: NullSpaceBasis, b: NullSpaceBasis) -> float:
+    """``||P_a - P_b||_F`` of the orthogonal projectors onto two spans, neither of them formed.
+
+    With orthonormal ``V_a`` and ``V_b``, ``||P_a - P_b||_F^2`` is
+    ``||V_b - V_a (V_a^T V_b)||_F^2 + ||V_a - V_b (V_b^T V_a)||_F^2``: each
+    term is the squared distance of one basis from the other span, formed
+    from its residual, so no difference of squares cancels as in ``m_a + m_b
+    - 2 ||V_a^T V_b||_F^2``.  The cost is ``O(N m^2)`` where two projectors
+    cost ``O(N^2 m)`` and hold ``2 N^2`` floats.  Equal bases are exactly 0
+    apart, as their projectors are, where the residuals would leave roundoff.
+    """
+    Va, Vb = a.vectors, b.vectors
+    if np.array_equal(Va, Vb):
+        return 0.0
+    G = Va.T @ Vb
+    return float(np.hypot(np.linalg.norm(Vb - Va @ G), np.linalg.norm(Va - Vb @ G.T)))
 
 
 def canonical_basis(V: np.ndarray) -> np.ndarray:
@@ -300,8 +312,11 @@ def _lapack_workers() -> int:
 def _map_lapack(fn, items, order: int) -> list:
     """``list(map(fn, items))``, the calls run at the same time where that pays.
 
-    ``fn`` is LAPACK-bound work on matrices of ``order``; numpy releases the
-    interpreter lock inside LAPACK, so threads overlap it.  A pool of
+    ``fn`` is LAPACK-bound work on matrices of ``order``, which threads
+    overlap where numpy releases the interpreter lock inside LAPACK: only in
+    a call that returns more than about 500 values in all, so in an ``eigh``
+    of order ``POOL_MIN_ORDER``, but not in a values-only ``svd`` or
+    ``eigvalsh`` of fewer values, as of one core of order 400.  A pool of
     :func:`_lapack_workers` threads, at most one per item, runs the calls
     when there are at least two of each and ``order >= POOL_MIN_ORDER``;
     otherwise they run one after another on this thread.  Results come back

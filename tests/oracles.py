@@ -39,7 +39,10 @@ time, converting and checking each edge's ends and weight on its own and
 building the graph from a dict of them, where the package converts a graph's
 ends and weights in one call each and checks them as whole arrays.
 ``mu_m_plus_1_svd`` takes the singular values of the whole flow core, where the
-package drops the rows and columns too small to move them beyond roundoff.
+package drops the rows and columns too small to move them beyond roundoff;
+``mu_budget`` is the bound ``beta`` on what that drop may lose.
+``projector`` forms a basis's orthogonal projector, where the package measures
+how far apart two spans are from the bases alone (``projector_distance``).
 
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.  ``window_null_space_eigh`` takes a
@@ -91,7 +94,7 @@ from mwconsensus.matalg import (
     NullSpaceBasis,
     check_symmetric,
     null_space,
-    projector,
+    projector_distance,
     psd_eigh,
 )
 from mwconsensus.sim import (
@@ -519,6 +522,12 @@ def parse_graph_per_edge(entry, n: int, d: int, eig_tol: float) -> tuple[str, Ma
         raise ConfigValidationError(f"graph {gid!r}: {exc.describe(1)}", field="graphs") from exc
 
 
+def projector(basis: NullSpaceBasis) -> np.ndarray:
+    """Orthogonal projector ``sum_i eta_i eta_i^T`` onto the spanned subspace."""
+    V = basis.vectors
+    return V @ V.T
+
+
 def mu_m_plus_1_svd(Phi: np.ndarray, m: int) -> float:
     """``sigma_{m+1}(Phi)^2`` from the singular values of the whole of ``Phi``."""
     if m < 0:
@@ -527,6 +536,18 @@ def mu_m_plus_1_svd(Phi: np.ndarray, m: int) -> float:
         raise IndexError(f"mu_{m + 1} undefined: order is {Phi.shape[0]}")
     sv = np.linalg.svd(Phi, compute_uv=False)
     return float(sv[m] ** 2)
+
+
+def mu_budget(Phi: np.ndarray, m: int) -> float:
+    """``beta = 2 N eps s1 lb``, how far a trimmed ``mu`` may lie below the full SVD's.
+
+    ``s1`` is the largest row or column norm of ``Phi`` and ``lb`` the
+    smallest singular value of its ``m + 1`` columns of largest norm.
+    """
+    N = Phi.shape[0]
+    rows, cols = (Phi**2).sum(axis=1), (Phi**2).sum(axis=0)
+    lb = np.linalg.svd(Phi[:, np.argsort(cols, kind="stable")[N - m - 1:]], compute_uv=False)[-1]
+    return 2 * N * np.finfo(float).eps * np.sqrt(max(rows.max(), cols.max())) * lb
 
 
 def certify_per_window(
@@ -549,10 +570,7 @@ def certify_per_window(
             )
     nets = tuple(integral_network(s, w) for w in ws)
     bases = [_window_null_space(s, net) for net in nets]
-    projs = [projector(b) for b in bases]
-    max_dist = 0.0
-    for P in projs[1:]:
-        max_dist = max(max_dist, float(np.linalg.norm(P - projs[0], "fro")))
+    max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
     mus = tuple(mu_m_plus_1(flow_core(s, w), b.dim) for w, b in zip(ws, bases))

@@ -19,13 +19,14 @@ from mwconsensus.analysis import (
     predict_steady_state,
 )
 from mwconsensus.graph import laplacian
-from mwconsensus.matalg import null_space, projector
+from mwconsensus.matalg import null_space
 from mwconsensus.sim import simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule, Window
 from oracles import (
     bipartite_steady_state,
     gauge_transform,
     matrix_exp_neg,
+    projector,
     quadratic_form,
     run_time_scaled_scenario,
     signature_matrix,

@@ -1,5 +1,6 @@
 """Tests for null-space prediction, classification, and certification."""
 
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,11 +27,12 @@ from mwconsensus.errors import (
     WindowsNotContiguousError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
-from mwconsensus.matalg import NullSpaceBasis, null_space, projector
+from mwconsensus.matalg import NullSpaceBasis, null_space
 from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
     Window,
+    flow_core,
     integral_network,
 )
 
@@ -39,7 +41,9 @@ from oracles import (
     NonOrthonormalPsiError,
     bipartite_steady_state,
     certify_per_window,
+    mu_budget,
     mu_m_plus_1_svd,
+    projector,
     state_transition,
     window_null_space_eigh,
 )
@@ -161,6 +165,19 @@ class TestGroupClusters:
         assert group_clusters(x, 3, 1) == ((0, 1), (2,))
 
 
+def _graded_core(rng, N):
+    """``K = E_R C ... C E_1`` with orthogonal ``C`` and graded ``E = exp(-dose lam)``, doses up to 1e3."""
+    def graded():
+        lam = rng.uniform(0.0, 1.0, N) ** 3 * 10.0 ** rng.uniform(-2, 1)
+        lam[rng.uniform(size=N) < 0.2] = 0.0
+        return np.exp(-10.0 ** rng.uniform(-1, 3) * lam)
+
+    K = np.diag(graded())
+    for _ in range(int(rng.integers(1, 4))):
+        K = graded()[:, None] * (np.linalg.qr(rng.standard_normal((N, N)))[0] @ K)
+    return K
+
+
 class TestMu:
     def test_identity_flow_map(self):
         phi = np.eye(4)
@@ -178,32 +195,63 @@ class TestMu:
             mu_m_plus_1(phi, 3)
         with pytest.raises(IndexError):
             mu_m_plus_1(phi, -1)
+        # each core of a stack has its own m, and needs one
+        with pytest.raises(IndexError, match="mu_4 undefined"):
+            mu_m_plus_1([phi, phi], [0, 3])
+        with pytest.raises(ValueError):
+            mu_m_plus_1([phi, phi], [0])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=60)
     def test_trimmed_core_within_its_budget_of_the_full_svd(self, seed):
-        # K = E_R C ... C E_1 with orthogonal C and graded E = exp(-dose lam), doses up to 1e3
         rng = np.random.default_rng(seed)
         N = int(rng.integers(2, 41))
-
-        def graded():
-            lam = rng.uniform(0.0, 1.0, N) ** 3 * 10.0 ** rng.uniform(-2, 1)
-            lam[rng.uniform(size=N) < 0.2] = 0.0
-            return np.exp(-10.0 ** rng.uniform(-1, 3) * lam)
-
-        K = np.diag(graded())
-        for _ in range(int(rng.integers(1, 4))):
-            K = graded()[:, None] * (np.linalg.qr(rng.standard_normal((N, N)))[0] @ K)
+        K = _graded_core(rng, N)
         u = np.finfo(float).eps
-        rows, cols = (K**2).sum(axis=1), (K**2).sum(axis=0)
-        s1 = np.sqrt(max(rows.max(), cols.max()))
         for m in range(N):
-            lb = np.linalg.svd(K[:, np.argsort(cols, kind="stable")[N - m - 1:]],
-                               compute_uv=False)[-1]
-            beta = 2 * N * u * s1 * lb
             mu, mu_svd = mu_m_plus_1(K, m), mu_m_plus_1_svd(K, m)
             assert mu <= mu_svd + 2 * N * u
-            assert mu_svd - mu <= beta + 2 * N * u
+            assert mu_svd - mu <= mu_budget(K, m) + 2 * N * u
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_stacked_cores_within_their_budgets_of_the_full_svd(self, seed):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(2, 41))
+        cores = [_graded_core(rng, N) for _ in range(int(rng.integers(1, 4)))]
+        ms = [int(rng.integers(0, N)) for _ in cores]
+        u = np.finfo(float).eps
+        got = mu_m_plus_1(np.stack(cores), ms)
+        assert got == mu_m_plus_1(cores, ms) and len(got) == len(cores)
+        for K, m, mu in zip(cores, ms, got):
+            mu_svd = mu_m_plus_1_svd(K, m)
+            assert mu <= mu_svd + 2 * N * u
+            assert mu_svd - mu <= mu_budget(K, m) + 2 * N * u
+
+    def test_cores_only_an_iterable_held_are_let_go_before_the_svd(self, monkeypatch):
+        refs = []
+
+        def cores():
+            for seed in (1, 2):
+                K = _graded_core(np.random.default_rng(seed), 20)
+                refs.append(weakref.ref(K))
+                yield K
+
+        alive = []
+
+        def spy(a, *args, _svd=np.linalg.svd, **kwargs):
+            if np.ndim(a) == 3:
+                alive.append([ref() is not None for ref in refs])
+            return _svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        mu_m_plus_1(cores(), [1, 2])
+        assert alive == [[False, False]]
+
+    def test_a_stack_of_one_is_the_single_core(self):
+        K = _graded_core(np.random.default_rng(11), 30)
+        for m in range(30):
+            assert mu_m_plus_1([K], [m]) == [mu_m_plus_1(K, m)]
 
     def test_diagonal_core_is_exact(self):
         # underflowing and exactly zero entries, whose squares tie at 0.0, and signs
@@ -280,11 +328,36 @@ def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
 
 
-def assert_same_report(got: CertificationReport, want: CertificationReport) -> None:
-    """Every field bit-equal, each integral network down to its edge classes."""
+def mu_budgets(s: SwitchingSchedule, windows) -> list[float]:
+    """How far two trims of each window's core may put its ``mu`` apart: 0 for the whole space.
+
+    Each trim lies within ``mu_budget`` below the full SVD's ``mu``, and each
+    SVD within ``2 N eps`` of it.
+    """
+    out = []
+    for w in windows:
+        K = flow_core(s, w)
+        N, dim = K.shape[0], _window_null_space(s, integral_network(s, w)).dim
+        out.append(0.0 if dim == N else mu_budget(K, dim) + 4 * N * np.finfo(float).eps)
+    return out
+
+
+def assert_same_report(got: CertificationReport, want: CertificationReport, budgets) -> None:
+    """Every field bit-equal, each integral network down to its edge classes, except ``mu``.
+
+    Each ``mu`` need only lie within its window's one of ``budgets`` of
+    ``want``'s, and ``q_estimate`` is the largest of ``got``'s: the package
+    trims a pair of windows' cores alike, and the per-window oracle trims
+    each core alone.
+    """
     for f in fields(CertificationReport):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "integral_networks":
+        if f.name == "mu":
+            assert len(a) == len(b) == len(budgets)
+            assert all(abs(x - y) <= beta for x, y, beta in zip(a, b, budgets)), (a, b, budgets)
+        elif f.name == "q_estimate":
+            assert a == max(got.mu) and abs(a - b) <= max(budgets)
+        elif f.name == "integral_networks":
             assert len(a) == len(b)
             for na, nb in zip(a, b):
                 assert _bits(na.duration) == _bits(nb.duration)
@@ -375,7 +448,7 @@ class TestMemoisedCertificationAgainstOracle:
         per_period = [Window(k, k + plen) for k in range(0, s.num_segments, plen)]
         for windows in (per_period, rand_windows(rng, s.num_segments)):
             report = certify_cluster_consensus(s, windows)
-            assert_same_report(report, certify_per_window(s, windows))
+            assert_same_report(report, certify_per_window(s, windows), mu_budgets(s, windows))
             assert_shares_only_equal_windows(s, windows, report)
 
     @given(st.integers(0, 2**32 - 1))
@@ -384,7 +457,7 @@ class TestMemoisedCertificationAgainstOracle:
         rng = np.random.default_rng(seed)
         s, windows = _block_schedule(rng)
         report = certify_cluster_consensus(s, windows)
-        assert_same_report(report, certify_per_window(s, windows))
+        assert_same_report(report, certify_per_window(s, windows), mu_budgets(s, windows))
         assert_shares_only_equal_windows(s, windows, report)
 
     def test_window_past_end_raises_though_prefix_repeats(self):
@@ -410,6 +483,77 @@ class TestMemoisedCertificationAgainstOracle:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "window [1, 3)" in messages[0]
+
+
+def svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of each array handed to ``np.linalg.svd`` from now on."""
+    shapes = []
+
+    def spy(a, *args, _svd=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def _trim_schedule():
+    """Four windows on a path of 6 agents, d = 1: unequal trims, unequal m and the whole space.
+
+    ``G`` dosed hard then ``P`` lightly decays the core's columns to
+    roundoff, and ``P`` then ``G`` its rows, so the first two windows trim
+    along different axes.  ``Z`` has no edge, so its window's null space is
+    the whole space.  ``P`` alone leaves four components, so ``m = 4``.
+    """
+    n = 6
+    catalog = {
+        "G": MatrixWeightedGraph(n, 1, {(i, i + 1): np.array([[1.0 + i]]) for i in range(n - 1)}),
+        "P": MatrixWeightedGraph(n, 1, {(0, 1): np.array([[1.0]]), (2, 3): np.array([[2.0]])}),
+        "Z": MatrixWeightedGraph(n, 1, {}),
+    }
+    segments = [Segment("G", 1.0, 50.0), Segment("P", 1.0, 0.1), Segment("P", 1.0, 0.1),
+                Segment("G", 1.0, 50.0), Segment("Z", 1.0), Segment("P", 1.0)]
+    windows = [Window(0, 2), Window(2, 4), Window(4, 5), Window(5, 6)]
+    return SwitchingSchedule.explicit(catalog, segments, alpha=1.0), windows
+
+
+class TestPairedMu:
+    def test_pair_trims_alike_within_budget_of_the_full_svd(self, monkeypatch):
+        s, windows = _trim_schedule()
+        shapes = svd_shapes(monkeypatch)
+        report = certify_cluster_consensus(s, windows)
+        # windows 0 and 1 make a pair; window 2 needs no mu; window 3 is a stack of one
+        stacks = [sh for sh in shapes if len(sh) == 3]
+        assert [sh[0] for sh in stacks] == [2, 1]
+        assert report.mu[2] == 0.0
+        dims = [_window_null_space(s, integral_network(s, w)).dim for w in windows]
+        assert dims == [1, 1, 6, 4]
+        u = np.finfo(float).eps
+        for k in (0, 1, 3):
+            K = flow_core(s, windows[k])
+            shapes.clear()
+            alone = mu_m_plus_1(K, dims[k])
+            if k < 2:  # the pair keeps more of each core than either keeps alone
+                assert shapes[-1][1:] != stacks[0][1:]
+                assert all(a <= b for a, b in zip(shapes[-1][1:], stacks[0][1:]))
+            else:
+                assert report.mu[k] == alone
+            mu_svd = mu_m_plus_1_svd(K, dims[k])
+            assert report.mu[k] <= mu_svd + 2 * 6 * u
+            assert mu_svd - report.mu[k] <= mu_budget(K, dims[k]) + 2 * 6 * u
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_one_core_svd_per_pair_and_one_bound_per_window(self, monkeypatch, count):
+        s, _ = _trim_schedule()
+        segments = [seg for k in range(count)
+                    for seg in (Segment("G", 1.0, 1.0 + k), Segment("P", 1.0))]
+        s = SwitchingSchedule.explicit(s.catalog, segments, alpha=1.0)
+        windows = [Window(k, k + 2) for k in range(0, 2 * count, 2)]
+        shapes = svd_shapes(monkeypatch)
+        report = certify_cluster_consensus(s, windows)
+        assert len(set(report.mu)) == count  # every window distinct, none the whole space
+        assert sum(len(sh) == 3 for sh in shapes) == (count + 1) // 2
+        assert sum(len(sh) == 2 for sh in shapes) == count
 
 
 class TestBipartiteSteadyState:

@@ -61,21 +61,24 @@ def test_numeric_changes_report_each_field(tmp_path, capsys):
     assert "  windows[].mu: 2 value(s), max abs 2.500e-01, max rel 1.000e+00" in lines
     assert "  mu[]: 1 value(s), max abs 1.110e-16, max rel 2.220e-16" in lines
     assert "  x_2_1: 1 value(s), max abs 2.500e-01, max rel 1.429e-01" in lines
-    # the largest |value| is x_2_1's 2 in the CSV and m's 2 in the report
-    for last in ("  windows[].mu: 2 value(s), max abs 2.500e-01, max rel 1.000e+00",
-                 "  x_2_1: 1 value(s), max abs 2.500e-01, max rel 1.429e-01"):
+    # the largest |value| of the fields that moved: x_2_1's 2 in the CSV, and in the
+    # report the 0.5 of mu, windows[].mu and q_estimate, not the unmoved m's 2
+    for last, scale in (("  windows[].mu: 2 value(s), max abs 2.500e-01, max rel 1.000e+00", 0.5),
+                        ("  x_2_1: 1 value(s), max abs 2.500e-01, max rel 1.429e-01", 2.0)):
         assert lines[lines.index(last) + 1] == (
-            "  every field: max abs 2.500e-01, largest |value| in the file 2.000e+00")
+            f"  every field: max abs 2.500e-01, largest |value| in those fields {scale:.3e}")
     assert "byte-identical (1): stdout.txt" in lines
 
 
 def test_scale_line_reads_a_move_at_roundoff(tmp_path, capsys):
-    csv = "t,x_1_1,x_2_1\n0,1,2\n1,0.5,1.5000000000000002\n"
-    rc, out = run(capsys, *make_dirs(tmp_path, csv=csv))
+    # the time column's 600 did not move, so it does not set the scale
+    old, new = make_dirs(tmp_path, csv="t,x_1_1,x_2_1\n0,1,2\n600,0.5,1.5000000000000002\n")
+    (old / "a_trajectory.csv").write_text("t,x_1_1,x_2_1\n0,1,2\n600,0.5,1.5\n")
+    rc, out = run(capsys, old, new)
     assert rc == 0
     lines = out.splitlines()
     assert lines[lines.index("a_trajectory.csv: 1 field(s) differ numerically") + 2] == (
-        "  every field: max abs 2.220e-16, largest |value| in the file 2.000e+00")
+        "  every field: max abs 2.220e-16, largest |value| in those fields 2.000e+00")
     # an identical file gets no such line
     assert sum(line.startswith("  every field:") for line in lines) == 1
 

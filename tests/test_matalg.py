@@ -16,11 +16,11 @@ from mwconsensus.matalg import (
     check_symmetric,
     classify_stack,
     null_space,
-    projector,
+    projector_distance,
     psd_eigh,
 )
 
-from oracles import classify_definiteness, matrix_abs, matrix_exp_neg, sign_of
+from oracles import classify_definiteness, matrix_abs, matrix_exp_neg, projector, sign_of
 from randgen import rand_graph
 
 D = Definiteness
@@ -368,6 +368,41 @@ class TestProjector:
         assert np.allclose(P, P.T, atol=1e-15)
         assert np.allclose(P @ B.vectors, B.vectors, atol=1e-12)
         assert np.trace(P) == pytest.approx(k, abs=1e-9)
+
+
+def _orthonormal(rng, N, k):
+    return np.linalg.qr(rng.normal(size=(N, N)))[0][:, :k]
+
+
+class TestProjectorDistance:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 12), st.integers(0, 12))
+    @settings(deadline=None, max_examples=80)
+    def test_matches_explicit_projectors(self, seed, N, ka, kb):
+        # random spans of equal or unequal dimension, the empty one included
+        rng = np.random.default_rng(seed)
+        A = NullSpaceBasis(vectors=_orthonormal(rng, N, min(ka, N)), tol_used=1e-9)
+        B = NullSpaceBasis(vectors=_orthonormal(rng, N, min(kb, N)), tol_used=1e-9)
+        want = np.linalg.norm(projector(A) - projector(B), "fro")
+        tol = 4 * N * (ka + kb + 1) * np.finfo(float).eps
+        assert abs(projector_distance(A, B) - want) <= tol
+        assert abs(projector_distance(B, A) - want) <= tol
+        assert projector_distance(A, A) == 0.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.floats(1e-15, 1e-2))
+    @settings(deadline=None, max_examples=60)
+    def test_nearly_equal_spans_keep_their_small_distance(self, seed, N, theta):
+        # one basis vector turned by theta out of the span: ||P_a - P_b||_F = sqrt(2) sin(theta)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, N))
+        Q = _orthonormal(rng, N, k + 1)
+        Vb = Q[:, :k].copy()
+        Vb[:, 0] = np.cos(theta) * Q[:, 0] + np.sin(theta) * Q[:, k]
+        A = NullSpaceBasis(vectors=Q[:, :k], tol_used=1e-9)
+        B = NullSpaceBasis(vectors=Vb, tol_used=1e-9)
+        exact = np.sqrt(2.0) * np.sin(theta)
+        eps = np.finfo(float).eps
+        assert abs(projector_distance(A, B) - exact) <= 4 * N * eps
+        assert abs(np.linalg.norm(projector(A) - projector(B), "fro") - exact) <= 4 * N * k * eps
 
 
 class TestExpNeg:

@@ -12,7 +12,7 @@ from mwconsensus.errors import (
     ScheduleExhaustedError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
-from mwconsensus.matalg import null_space, projector
+from mwconsensus.matalg import null_space
 from mwconsensus.sim import _doses_since_run_start, check_run, simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule
 
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from oracles import (
     agent,
     matrix_exp_neg,
+    projector,
     run_time_scaled_scenario,
     simulate_exact_per_run,
     simulate_exact_per_segment,

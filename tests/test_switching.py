@@ -13,7 +13,7 @@ from mwconsensus.errors import (
     SignInconsistentEdgeError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
-from mwconsensus.matalg import null_space, projector
+from mwconsensus.matalg import null_space
 from mwconsensus.switching import (
     Segment,
     SwitchingSchedule,
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     integral_network_per_segment,
+    projector,
     state_transition,
     state_transition_per_segment,
     weight_of,
