@@ -10,6 +10,7 @@ of each window's flow map, taken in the catalog eigenbases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -265,7 +266,9 @@ def certify_cluster_consensus(
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window is computed once and
-    its windows share one :class:`IntegralNetwork` object.  The structural
+    its windows share one :class:`IntegralNetwork` object.  One dict finds
+    them: a window whose length no other window has is keyed by its position,
+    any other by the bytes of its three slices.  The structural
     diagnostics read only an integral graph's edges and their classes, so
     they range over distinct edge structures only: windows that dose the
     same graphs for different times count once.
@@ -288,36 +291,20 @@ def certify_cluster_consensus(
             raise WindowsNotContiguousError(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
-    # the length and the end segments key a window; windows that share a key are compared
-    # in full by their bytes, taken once per window and only once its key repeats, and
-    # positive dwells and scales are equal exactly when their bits are
-    firsts: dict[tuple, list[tuple[int, list[np.ndarray]]]] = {}
-    content: dict[int, tuple[bytes, ...]] = {}  # a first window's bytes, once compared
+    # a window is keyed by its position when no other window has its length, else by its
+    # content: positive dwells and scales are equal exactly when their bits are
+    lengths = Counter(w.end - w.start for w in ws)
+    first: dict[object, int] = {}  # a key's first window
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
-    arrays = (s.graph, s.dwell, s.scale)
-    # every window's first and last segment by one fancy index per array; a window past
-    # the schedule's end keys on the last segment until _check_window raises in its turn
-    ends = np.minimum([(w.start, w.end - 1) for w in ws], s.num_segments - 1)
-    for k, (w, (g, dw, sc)) in enumerate(zip(ws, zip(*(a[ends].tolist() for a in arrays)))):
+    for k, w in enumerate(ws):
         span = _check_window(s, w)
-        parts = [a[span] for a in arrays]
-        key = (w.end - w.start, *g, *dw, *sc)
-        same = firsts.setdefault(key, [])
-        j = k
-        if same:
-            mine = tuple(p.tobytes() for p in parts)
-            for i, seen in same:
-                if i not in content:
-                    content[i] = tuple(p.tobytes() for p in seen)
-                if content[i] == mine:
-                    j = i
-                    break
-        if j == k:
-            same.append((k, parts))
+        key = k if lengths[w.end - w.start] == 1 else tuple(
+            a[span].tobytes() for a in (s.graph, s.dwell, s.scale))
+        j = first.setdefault(key, k)
         src.append(j)
         nets.append(integral_network(s, w) if j == k else nets[j])
-    distinct = sorted(set(src))
+    distinct = list(first.values())
     order = s.n * s.d
     s.decompose([s.ids[g] for g in np.flatnonzero(sum(nets[k].doses for k in distinct)).tolist()])
     bases = []
@@ -334,12 +321,10 @@ def certify_cluster_consensus(
     # consecutive windows in pairs: one stacked svd of two cores releases the interpreter
     # lock where one of a single core's few hundred values keeps it
     pairs = [need[i:i + 2] for i in range(0, len(need), 2)]
-    if len(pairs) > 1:  # the pool's workers only read the caches: fill them in flow_core's order
-        for k, _ in need:
-            ids = [s.ids[g] for g in s.runs(ws[k].start, ws[k].end)[1].tolist()]
-            s.eig_of(ids[0])
-            for prev, gid in zip(ids, ids[1:]):
-                s.coupling_of(gid, prev)
+    for k, _ in need:  # the pool's workers only read the caches: fill them in flow_core's order
+        ids = [s.ids[g] for g in s.runs(ws[k].start, ws[k].end)[1].tolist()]
+        for prev, gid in zip(ids, ids[1:]):
+            s.coupling_of(gid, prev)
     mus = _map_lapack(
         lambda pair: mu_m_plus_1((flow_core(s, ws[k]) for k, _ in pair), [dim for _, dim in pair]),
         pairs, order)

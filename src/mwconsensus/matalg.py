@@ -170,15 +170,22 @@ def projector_distance(a: NullSpaceBasis, b: NullSpaceBasis) -> float:
     ``||V_b - V_a (V_a^T V_b)||_F^2 + ||V_a - V_b (V_b^T V_a)||_F^2``: each
     term is the squared distance of one basis from the other span, formed
     from its residual, so no difference of squares cancels as in ``m_a + m_b
-    - 2 ||V_a^T V_b||_F^2``.  The cost is ``O(N m^2)`` where two projectors
-    cost ``O(N^2 m)`` and hold ``2 N^2`` floats.  Equal bases are exactly 0
-    apart, as their projectors are, where the residuals would leave roundoff.
+    - 2 ||V_a^T V_b||_F^2``.  Each residual is projected off the other span
+    once more, as in Gram-Schmidt reorthogonalisation: the roundoff of
+    ``V_a^T V_b``, summed over ``N`` rows, would otherwise stay in both
+    residuals at about ``sqrt(N) eps``.  The cost is ``O(N m^2)`` where two
+    projectors cost ``O(N^2 m)`` and hold ``2 N^2`` floats.  Equal bases are
+    exactly 0 apart, as their projectors are, where the residuals would
+    leave roundoff.
     """
     Va, Vb = a.vectors, b.vectors
     if np.array_equal(Va, Vb):
         return 0.0
     G = Va.T @ Vb
-    return float(np.hypot(np.linalg.norm(Vb - Va @ G), np.linalg.norm(Va - Vb @ G.T)))
+    rb, ra = Vb - Va @ G, Va - Vb @ G.T
+    rb -= Va @ (Va.T @ rb)
+    ra -= Vb @ (Vb.T @ ra)
+    return float(np.hypot(np.linalg.norm(rb), np.linalg.norm(ra)))
 
 
 def canonical_basis(V: np.ndarray) -> np.ndarray:

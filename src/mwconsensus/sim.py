@@ -89,8 +89,8 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
     """Reject a run of ``method`` to ``horizon`` that could not complete; return the horizon.
 
     ``step`` is the exact solver's ``sample_dt`` or RK4's ``step_h``.  Beyond
-    :func:`_check_horizon` and a positive ``step``, a grid that would not fit
-    in the host's physical memory raises :class:`HorizonError` before
+    :func:`_check_horizon` and a positive, finite ``step``, a grid that would
+    not fit in the host's physical memory raises :class:`HorizonError` before
     anything is allocated.  An exact sample counts ``6 n d + 48`` floats: its
     state, its column of its graph's block and of that block's product or
     scaling, and, as every run starts at a sample, at most one run's decay,
@@ -105,8 +105,8 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
     horizon = _check_horizon(s, horizon)
     rk4 = method == "rk4"
     name = "step_h" if rk4 else "sample_dt"
-    if not step > 0:
-        raise HorizonError(f"{name} must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise HorizonError(f"{name} must be positive and finite, got {step}")
     t = s.switch_times()
     if rk4:
         samples, width = horizon / step + 1.0, 2 * s.n * s.d + 2

@@ -484,6 +484,39 @@ class TestMemoisedCertificationAgainstOracle:
         assert messages[0] == messages[1]
         assert "window [1, 3)" in messages[0]
 
+    def test_one_ulp_of_a_middle_dwell_makes_a_window_distinct(self):
+        cat = {
+            "a": MatrixWeightedGraph(3, 2, {(0, 1): np.diag([1.0, 2.0]), (1, 2): np.eye(2)}),
+            "b": MatrixWeightedGraph(3, 2, {(0, 2): np.array([[2.0, 1.0], [1.0, 2.0]])}),
+        }
+        up = np.nextafter(1.0, 2.0)
+        segments = [Segment(g, dwell, scale)
+                    for mid in (1.0, up, 1.0)
+                    for g, dwell, scale in (("a", 1.0, 0.5), ("b", mid, 1.0), ("a", 1.5, 2.0))]
+        s = SwitchingSchedule.explicit(cat, segments, alpha=1.0)
+        windows = [Window(0, 3), Window(3, 6), Window(6, 9)]
+        report = certify_cluster_consensus(s, windows)
+        assert report.integral_networks[2] is report.integral_networks[0]
+        assert report.integral_networks[1] is not report.integral_networks[0]
+        assert_shares_only_equal_windows(s, windows, report)
+        assert_same_report(report, certify_per_window(s, windows), mu_budgets(s, windows))
+
+    def test_sign_conflict_raises_before_a_later_window_past_the_end(self):
+        cat = {
+            "pos": MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])}),
+            "neg": MatrixWeightedGraph(2, 1, {(0, 1): np.array([[-1.0]])}),
+        }
+        s = SwitchingSchedule.periodic(cat, [Segment("pos", 1.0), Segment("neg", 1.0)], 2, alpha=1.0)
+        # [2, 6) slices to [2, 4), whose content repeats [0, 2)
+        windows = [Window(0, 2), Window(2, 6)]
+        messages = []
+        for certify in (certify_cluster_consensus, certify_per_window):
+            with pytest.raises(SignInconsistentEdgeError) as info:
+                certify(s, windows)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "window [0, 2)" in messages[0]
+
 
 def svd_shapes(monkeypatch) -> list[tuple[int, ...]]:
     """The shape of each array handed to ``np.linalg.svd`` from now on."""

@@ -727,6 +727,15 @@ class TestCli:
         assert rc == 1
         assert "exceeds schedule duration" in capsys.readouterr().err
 
+    def test_simulate_infinite_sample_dt_fails_and_writes_nothing(self, tmp_path, capsys):
+        # 0 * inf is NaN, so the t = 0 sample was lost and 300 samples started at t = 2
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--config", str(scenarios.builtin_path("cluster_switching")),
+                   "--out", str(out), "--sample-dt", "inf"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: sample_dt must be positive and finite, got inf\n"
+        assert not out.exists()
+
     def test_simulate_rk4_step_not_dividing_a_segment_fails_in_one_line(self, tmp_path, capsys):
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
         doc["solver"] = {"method": "rk4", "step_h": 0.3}

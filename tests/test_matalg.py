@@ -404,6 +404,19 @@ class TestProjectorDistance:
         assert abs(projector_distance(A, B) - exact) <= 4 * N * eps
         assert abs(np.linalg.norm(projector(A) - projector(B), "fro") - exact) <= 4 * N * k * eps
 
+    def test_rotated_basis_of_one_span_reads_roundoff(self):
+        # V_b = V_a Q spans V_a's space: without re-projecting the residuals, the roundoff
+        # of V_a^T V_b over N = 600 rows left up to 15 eps
+        eps = np.finfo(float).eps
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            Va = np.linalg.qr(rng.normal(size=(600, 3)))[0]
+            Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            A = NullSpaceBasis(vectors=Va, tol_used=1e-9)
+            B = NullSpaceBasis(vectors=Va @ Q, tol_used=1e-9)
+            assert projector_distance(A, B) <= 4 * eps, seed
+            assert projector_distance(B, A) <= 4 * eps, seed
+
 
 class TestExpNeg:
     def test_matches_power_series(self, rng):

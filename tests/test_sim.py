@@ -70,6 +70,8 @@ class TestSimulateExact:
             simulate_exact(s, x0, 0.0, 1.0)
         with pytest.raises(HorizonError):
             simulate_exact(s, x0, 10.0, 0.0)
+        with pytest.raises(HorizonError, match="^sample_dt must be positive and finite, got inf$"):
+            simulate_exact(s, x0, 10.0, np.inf)
         with pytest.raises(ScheduleExhaustedError):
             simulate_exact(s, x0, 1e9, 1.0)
         with pytest.raises(DimensionMismatchError):
@@ -118,6 +120,11 @@ class TestSimulateRK4:
         s = two_node_schedule(dwell=1.0)
         with pytest.raises(HorizonError, match=r"^step_h = 0\.3 does not divide segment 0 span 1\.0$"):
             simulate_rk4(s, np.ones(2), 1.0, 0.3)
+
+    def test_infinite_step_rejected(self):
+        s = two_node_schedule(dwell=1.0)
+        with pytest.raises(HorizonError, match="^step_h must be positive and finite, got inf$"):
+            simulate_rk4(s, np.ones(2), 1.0, np.inf)
 
     def test_records_every_step(self):
         s = two_node_schedule(dwell=1.0)
