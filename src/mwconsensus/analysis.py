@@ -322,9 +322,10 @@ def certify_cluster_consensus(
     # lock where one of a single core's few hundred values keeps it
     pairs = [need[i:i + 2] for i in range(0, len(need), 2)]
     for k, _ in need:  # the pool's workers only read the caches: fill them in flow_core's order
-        ids = [s.ids[g] for g in s.runs(ws[k].start, ws[k].end)[1].tolist()]
-        for prev, gid in zip(ids, ids[1:]):
-            s.coupling_of(gid, prev)
+        g = s.graph[ws[k].start:ws[k].end]
+        turn = np.flatnonzero(g[1:] != g[:-1])  # the last segment of each run but the last
+        for prev, nxt in zip(g[turn].tolist(), g[turn + 1].tolist()):
+            s.coupling_of(s.ids[nxt], s.ids[prev])
     mus = _map_lapack(
         lambda pair: mu_m_plus_1((flow_core(s, ws[k]) for k, _ in pair), [dim for _, dim in pair]),
         pairs, order)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -196,20 +196,13 @@ def _format_17g(values: np.ndarray, line_end: np.ndarray) -> bytes:
 
 
 def _report_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
 
-    Dict keys must be strings.  The text is gathered as a list of fragments
-    and joined once.  A container is memoised by its id and depth: its first
-    occurrence leaves its fragments in the list, a second joins them once,
-    and every later one reuses that string.  So a list that many windows
-    share is encoded once, where the standard library's indenting encoder
-    (pure Python) encodes every occurrence.  A float that is not finite
-    raises the standard library's ``ValueError``, with the key path of its
-    first occurrence appended.
+    A float that is not finite raises the standard library's ``ValueError``,
+    with the key path of its first occurrence appended.
     """
-    out: list[str] = []
     try:
-        _encode(doc, "", 0, {}, out)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         found = _first_non_finite(doc, "")
         if found is None:
@@ -217,66 +210,6 @@ def _report_text(doc) -> str:
         path, value = found
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r} "
                          f"at {path}") from None
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(o, lead: str, depth: int, memo: dict, out: list[str]) -> None:
-    """Append ``lead``, then the JSON text of ``o`` nested ``depth`` levels deep, to ``out``.
-
-    A scalar's text joins ``lead`` in one fragment.
-    """
-    if isinstance(o, float):  # the report's most common value first
-        if not math.isfinite(o):
-            raise ValueError(o)
-        text = float.__repr__(o)
-    elif isinstance(o, str):
-        text = _quote(o)
-    elif o is None:
-        text = "null"
-    elif o is True:
-        text = "true"
-    elif o is False:
-        text = "false"
-    elif isinstance(o, int):
-        text = int.__repr__(o)
-    elif isinstance(o, (list, tuple, dict)):
-        out.append(lead)
-        key = (id(o), depth)
-        seen = memo.get(key)
-        if seen is None:
-            start = len(out)
-            _encode_container(o, depth, memo, out)
-            memo[key] = (start, len(out))
-        else:
-            if isinstance(seen, tuple):  # the second occurrence joins the first's fragments
-                seen = memo[key] = "".join(out[seen[0] : seen[1]])
-            out.append(seen)
-        return
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    out.append(lead + text)
-
-
-def _encode_container(o, depth: int, memo: dict, out: list[str]) -> None:
-    """Append the JSON text of a list, tuple or dict to ``out``; see :func:`_encode`."""
-    if not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-        return
-    indent = "\n" + "  " * (depth + 1)
-    sep = "," + indent
-    if isinstance(o, dict):
-        lead = "{" + indent
-        for k in sorted(o):
-            _encode(o[k], lead + _quote(k) + ": ", depth + 1, memo, out)
-            lead = sep
-        out.append("\n" + "  " * depth + "}")
-    else:
-        lead = "[" + indent
-        for v in o:
-            _encode(v, lead, depth + 1, memo, out)
-            lead = sep
-        out.append("\n" + "  " * depth + "]")
 
 
 def _first_non_finite(o, path: str) -> tuple[str, float] | None:
@@ -392,14 +325,16 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         pred.steady_state, cfg.schedule, report.integral_networks
     )
     balance = report.balance
-    # windows of equal content share one network, and networks of equal edge structure one list
-    edges, lists = {}, {}
+    # windows of equal content share one network, and networks of equal edge structure one
+    # list: each window names its list by its index in edge_lists, in order of first use
+    edge_lists, index, first = [], {}, {}
     for net in report.integral_networks:
-        if id(net) not in edges:
+        if id(net) not in index:
             structure = _edge_structure(net.graph)
-            if structure not in lists:
-                lists[structure] = _integral_edges(net)
-            edges[id(net)] = lists[structure]
+            if structure not in first:
+                first[structure] = len(edge_lists)
+                edge_lists.append(_integral_edges(net))
+            index[id(net)] = first[structure]
     doc = {
         "certified": report.certified,
         "window_nullspaces_equal": report.window_nullspaces_equal,
@@ -407,13 +342,14 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         "m": report.m,
         "mu": list(report.mu),
         "q_estimate": report.q_estimate,
+        "edge_lists": edge_lists,
         "windows": [
             {
                 "start": w.start,
                 "end": w.end,
                 "duration": net.duration,
                 "mu": mu,
-                "integral_edges": edges[id(net)],
+                "edge_list": index[id(net)],
             }
             for w, net, mu in zip(windows, report.integral_networks, report.mu)
         ],

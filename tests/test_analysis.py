@@ -588,6 +588,20 @@ class TestPairedMu:
         assert sum(len(sh) == 3 for sh in shapes) == (count + 1) // 2
         assert sum(len(sh) == 2 for sh in shapes) == count
 
+    def test_one_scan_of_runs_per_window_that_needs_a_mu(self, monkeypatch):
+        s, windows = _trim_schedule()
+        scans = []
+        runs = SwitchingSchedule.runs
+
+        def spy(self, start, end):
+            scans.append((start, end))
+            return runs(self, start, end)
+
+        monkeypatch.setattr(SwitchingSchedule, "runs", spy)
+        report = certify_cluster_consensus(s, windows)
+        assert report.mu[2] == 0.0  # window 2's null space is the whole space: no flow core
+        assert sorted(scans) == [(0, 2), (2, 4), (5, 6)]
+
 
 class TestBipartiteSteadyState:
     def test_variant_closed_form_matches_projection(self, bipartite_cfg):

@@ -842,7 +842,8 @@ class TestCli:
         assert doc["necessary_condition_ok"] is True
         assert len(doc["basis"]) == 3 and len(doc["basis"][0]) == 21
         assert len(doc["windows"]) == 100
-        edge_pairs = {(e["i"], e["j"]) for e in doc["windows"][0]["integral_edges"]}
+        edges = doc["edge_lists"][doc["windows"][0]["edge_list"]]
+        edge_pairs = {(e["i"], e["j"]) for e in edges}
         assert edge_pairs == {(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 7)}
 
     def test_analyze_window_with_the_whole_space_null_contracts_vacuously(self, tmp_path, capsys):
