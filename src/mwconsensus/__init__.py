@@ -22,7 +22,6 @@ from .analysis import (
 from .config import (
     ScenarioConfig,
     SolverConfig,
-    Tolerances,
     load_config,
 )
 from .graph import (
@@ -34,6 +33,7 @@ from .graph import (
 from .matalg import (
     Definiteness,
     NullSpaceBasis,
+    Tolerances,
     classify_stack,
     null_space,
 )

@@ -26,6 +26,7 @@ from .graph import Bipartition, _edge_structure, has_positive_negative_spanning_
 from .matalg import (
     EIG_TOL,
     NullSpaceBasis,
+    Tolerances,
     _map_lapack,
     check_symmetric,
     null_space,
@@ -43,8 +44,6 @@ from .switching import (
     simultaneous_structural_balance,
 )
 
-NS_EQ_TOL = 1e-8
-CLUSTER_TOL = 1e-6
 Q_MARGIN = 1e-6
 NECESSARY_TOL = 1e-6
 
@@ -89,15 +88,17 @@ def null_intersection(
     return null_space_of_sum(parts, eig_tol)
 
 
-def group_clusters(x: np.ndarray, n: int, d: int, cluster_tol: float = CLUSTER_TOL) -> tuple[tuple[int, ...], ...]:
+def group_clusters(
+    x: np.ndarray, n: int, d: int, *, tol: Tolerances = Tolerances()
+) -> tuple[tuple[int, ...], ...]:
     """Greedy grouping of agents whose d-blocks agree within tolerance.
 
     Agents are scanned in index order and attached to the first existing
     cluster whose representative block is within
-    ``cluster_tol * max(1, max|x|)`` in the max norm.
+    ``tol.cluster_tol * max(1, max|x|)`` in the max norm.
     """
     blocks = np.asarray(x, dtype=float).reshape(n, d)
-    thr = cluster_tol * max(1.0, float(np.abs(blocks).max(initial=0.0)))
+    thr = tol.cluster_tol * max(1.0, float(np.abs(blocks).max(initial=0.0)))
     reps: list[np.ndarray] = []
     members: list[list[int]] = []
     for i in range(n):
@@ -116,14 +117,16 @@ def predict_steady_state(
     x0: np.ndarray,
     n: int,
     d: int,
-    cluster_tol: float = CLUSTER_TOL,
+    *,
+    tol: Tolerances = Tolerances(),
 ) -> ConsensusPrediction:
     """Project x0 onto the common null space and classify the agreement pattern.
 
     An empty basis predicts decay to the origin.  Otherwise agents are
     clustered by their predicted blocks: one cluster is full consensus, two
     clusters with opposite block values is bipartite consensus, anything else
-    is cluster consensus.
+    is cluster consensus.  Blocks agree, or mirror each other, within
+    ``tol.cluster_tol``, as :func:`group_clusters` takes it.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != n * d:
@@ -138,18 +141,13 @@ def predict_steady_state(
             kind=ConsensusKind.ASYMPTOTIC_STABILITY,
             clusters=(tuple(range(n)),),
         )
-    clusters = group_clusters(x_star, n, d, cluster_tol)
-    if len(clusters) == 1:
-        kind = ConsensusKind.CONSENSUS
-    elif len(clusters) == 2:
+    clusters = group_clusters(x_star, n, d, tol=tol)
+    kind = ConsensusKind.CONSENSUS if len(clusters) == 1 else ConsensusKind.CLUSTER_CONSENSUS
+    if len(clusters) == 2:
         blocks = x_star.reshape(n, d)
-        a = blocks[clusters[0][0]]
-        b = blocks[clusters[1][0]]
-        thr = cluster_tol * max(1.0, float(np.abs(blocks).max(initial=0.0)))
-        mirrored = bool(np.abs(a + b).max(initial=0.0) <= thr)
-        kind = ConsensusKind.BIPARTITE_CONSENSUS if mirrored else ConsensusKind.CLUSTER_CONSENSUS
-    else:
-        kind = ConsensusKind.CLUSTER_CONSENSUS
+        thr = tol.cluster_tol * max(1.0, float(np.abs(blocks).max(initial=0.0)))
+        if np.abs(blocks[clusters[0][0]] + blocks[clusters[1][0]]).max(initial=0.0) <= thr:
+            kind = ConsensusKind.BIPARTITE_CONSENSUS
     return ConsensusPrediction(steady_state=x_star, kind=kind, clusters=clusters)
 
 
@@ -211,7 +209,7 @@ class CertificationReport:
     """Everything :func:`certify_cluster_consensus` established about a schedule.
 
     ``certified`` means: window null spaces, taken with the schedule's
-    ``eig_tol``, all agree (projector distance at most ``ns_eq_tol``) and
+    ``eig_tol``, all agree (projector distance at most ``tol.ns_eq_tol``) and
     every window's flow map contracts the complement with
     ``mu <= q_estimate <= 1 - Q_MARGIN``.  ``basis`` is the first window's
     null space.  ``balance`` and ``pn_spanning_tree`` describe the window
@@ -252,7 +250,7 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceB
 
 
 def certify_cluster_consensus(
-    s: SwitchingSchedule, windows: Sequence[Window], *, ns_eq_tol: float = NS_EQ_TOL
+    s: SwitchingSchedule, windows: Sequence[Window], *, tol: Tolerances = Tolerances()
 ) -> CertificationReport:
     """Certify geometric convergence to the common null space over the given windows.
 
@@ -260,7 +258,7 @@ def certify_cluster_consensus(
     the integral-network null space (with ``s.eig_tol``, the tolerance that
     classified the window averages, solved inside a catalog null space) and
     the singular values of its :func:`flow_core` are computed; certification
-    requires all null spaces equal (as projectors) and
+    requires all null spaces equal (as projectors, within ``tol.ns_eq_tol``) and
     ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.  A window whose null
     space is the whole space has no complement to contract and records ``mu = 0``.
 
@@ -315,7 +313,7 @@ def certify_cluster_consensus(
             w = ws[k]
             raise NotPSDError(f"window [{w.start}, {w.end}): {exc}") from None
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
-    equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
+    equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
     need = [(k, b.dim) for k, b in zip(distinct, bases) if b.dim < order]
     # consecutive windows in pairs: one stacked svd of two cores releases the interpreter

@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -290,37 +291,31 @@ def cmd_check(cfg: ScenarioConfig, path: str) -> int:
     return 0
 
 
-def cmd_simulate(cfg: ScenarioConfig, path: str, out: str | None,
-                 horizon: float | None, sample_dt: float | None) -> int:
+def cmd_simulate(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     out_path = _out_path(out, path, "_trajectory.csv")
-    T = horizon if horizon is not None else cfg.horizon
-    if cfg.solver.method == "rk4":
-        traj = simulate_rk4(cfg.schedule, cfg.initial_state, T, cfg.solver.step_h)
+    solver = cfg.solver
+    if solver.method == "rk4":
+        traj = simulate_rk4(cfg.schedule, cfg.initial_state, cfg.horizon, solver.step_h)
     else:
-        dt = sample_dt if sample_dt is not None else cfg.solver.sample_dt
-        traj = simulate_exact(cfg.schedule, cfg.initial_state, T, dt)
+        traj = simulate_exact(cfg.schedule, cfg.initial_state, cfg.horizon, solver.sample_dt)
     write_trajectory_csv(traj, out_path)
-    print(f"simulated {cfg.solver.method} to t = {traj.times[-1]:g} "
+    print(f"simulated {solver.method} to t = {traj.times[-1]:g} "
           f"({traj.num_samples} samples) -> {out_path}")
     final = traj.final_state.reshape(cfg.num_agents, cfg.dimension)
     for i in range(cfg.num_agents):
         print(f"  agent {i + 1}: {_fmt_block(final[i])}")
-    clusters = _clusters_1based(
-        group_clusters(traj.final_state, cfg.num_agents, cfg.dimension,
-                       cfg.tolerances.cluster_tol)
-    )
-    print(f"final clusters: {clusters}")
+    clusters = group_clusters(traj.final_state, cfg.num_agents, cfg.dimension,
+                              tol=cfg.tolerances)
+    print(f"final clusters: {_clusters_1based(clusters)}")
     return 0
 
 
 def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     out_path = _out_path(out, path, "_report.json")
-    tol = cfg.tolerances
     windows = cfg.windows()
-    report = certify_cluster_consensus(cfg.schedule, windows, ns_eq_tol=tol.ns_eq_tol)
-    pred = predict_steady_state(
-        report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension, tol.cluster_tol
-    )
+    report = certify_cluster_consensus(cfg.schedule, windows, tol=cfg.tolerances)
+    pred = predict_steady_state(report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension,
+                                tol=cfg.tolerances)
     necessary_ok = verify_necessary_condition(
         pred.steady_state, cfg.schedule, report.integral_networks
     )
@@ -409,7 +404,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args.config)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.config, args.out, args.horizon, args.sample_dt)
+            overrides = {"horizon": args.horizon, "sample_dt": args.sample_dt}
+            cfg.solver = replace(cfg.solver, **{k: v for k, v in overrides.items() if v is not None})
+            return cmd_simulate(cfg, args.config, args.out)
         return cmd_analyze(cfg, args.config, args.out)
     except ConsensusToolError as exc:
         print(f"error: {exc.describe(1)}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 A scenario file fully describes one experiment: state dimension, agent count,
 graph catalog, switching schedule, initial condition, solver settings,
-tolerances, and the windowing rule used by certification.  Node ids are
+tolerances, and the window length used by certification.  Node ids are
 1-based in files and errors, 0-based in memory.  Every number read must be
 finite, every tolerance positive, and every key of ``tolerances`` and
 ``solver`` one of their fields.  A ``dimension``, ``repetitions`` or
@@ -23,25 +23,23 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping, NoReturn
+from typing import Mapping, NoReturn
 
 import numpy as np
 
 from . import sim
-from .analysis import CLUSTER_TOL, NS_EQ_TOL
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
     ConsensusToolError,
 )
 from .graph import MatrixWeightedGraph
-from .matalg import EIG_TOL
+from .matalg import Tolerances
 from .sim import _check_horizon
-from .switching import _MAX_SEGMENTS, Segment, SwitchingSchedule, Window
+from .switching import _GENERATORS, _MAX_SEGMENTS, Segment, SwitchingSchedule, Window
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
 _SOLVER_METHODS = ("exact", "rk4")
-CONV_TOL = 1e-6
 # a schedule holds six floats or indices per segment: graph, dwell, scale, the
 # prefix sums of dwell and of dose, and the switch times
 _SEGMENT_BYTES = 6 * 8
@@ -57,14 +55,6 @@ class SolverConfig:
     horizon: float | None = None
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    eig_tol: float = EIG_TOL
-    ns_eq_tol: float = NS_EQ_TOL
-    cluster_tol: float = CLUSTER_TOL
-    conv_tol: float = CONV_TOL
-
-
 @dataclass(eq=False)
 class ScenarioConfig:
     """In-memory form of a scenario file."""
@@ -74,30 +64,25 @@ class ScenarioConfig:
     graphs: dict[str, MatrixWeightedGraph]
     schedule: SwitchingSchedule
     initial_state: np.ndarray = field(repr=False)
+    window_length: int  # segments per certification window
     solver: SolverConfig = SolverConfig()
     tolerances: Tolerances = Tolerances()
-    windows_spec: Any = "whole"
 
     @property
     def horizon(self) -> float:
         return self.solver.horizon if self.solver.horizon is not None else self.schedule.total_duration
 
     def windows(self) -> list[Window]:
-        """Resolve the windowing rule against the schedule."""
-        spec = self.windows_spec
-        N = self.schedule.num_segments
-        if spec == "whole":
-            return [Window(0, N)]
-        if spec == "period":
-            plen = len(self.schedule.pattern)
-            return [Window(k * plen, (k + 1) * plen) for k in range(N // plen)]
-        size = int(spec["segments"])
+        """The schedule cut into windows of ``window_length`` segments; the last may be shorter."""
+        N, size = self.schedule.num_segments, self.window_length
         return [Window(a, min(a + size, N)) for a in range(0, N, size)]
 
 
-def _need(raw: Mapping, key: str, where: str):
+def _need(raw: Mapping, key: str, where: str, dotted: bool = False):
+    """``raw[key]``; a missing key's field is ``where.key`` if ``dotted``, else ``key`` alone."""
     if key not in raw:
-        raise ConfigValidationError(f"missing required key {key!r} in {where}", field=key)
+        raise ConfigValidationError(f"missing required key {key!r} in {where}",
+                                    field=f"{where}.{key}" if dotted else key)
     return raw[key]
 
 
@@ -124,8 +109,12 @@ def _as_object(value, where: str, field: str | None = None) -> Mapping:
     return value
 
 
-def _only_fields(raw: Mapping, cls, where: str) -> Mapping:
-    """``raw``, after checking that each of its keys names a field of the dataclass ``cls``."""
+def _parse_record(raw, cls, where: str, **parse):
+    """The dataclass ``cls`` from the object ``raw``, each of whose keys must name a field.
+
+    Values are checked in field order, by their ``parse`` entry or else :func:`_as_positive`.
+    """
+    raw = _as_object(raw, where)
     names = [f.name for f in fields(cls)]
     for key in raw:
         if key not in names:
@@ -133,7 +122,8 @@ def _only_fields(raw: Mapping, cls, where: str) -> Mapping:
                 f"unknown key {key!r} in {where}; expected one of {', '.join(names)}",
                 field=f"{where}.{key}",
             )
-    return raw
+    return cls(**{name: parse.get(name, _as_positive)(raw[name], f"{where}.{name}")
+                  for name in names if name in raw})
 
 
 def _check_memory(size: int, field: str, value, what: str) -> None:
@@ -183,6 +173,14 @@ def _as_positive(value, where: str) -> float:
     if not x > 0:
         raise ConfigValidationError(f"{where} must be > 0, got {x!r}", field=where)
     return x
+
+
+def _as_method(value, where: str) -> str:
+    if value not in _SOLVER_METHODS:
+        raise ConfigValidationError(
+            f"{where} must be one of {_SOLVER_METHODS}, got {value!r}", field=where
+        )
+    return value
 
 
 def _as_array(value, where: str, field: str) -> np.ndarray:
@@ -253,7 +251,7 @@ def _raise_edge_fault(gid: str, edges: list, n: int, d: int) -> NoReturn:
 
 def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
     entry = _as_object(entry, "graphs[]")
-    gid = _need(entry, "id", "graphs[]")
+    gid = _need(entry, "id", "graphs[]", dotted=True)
     if not isinstance(gid, str) or not gid:
         raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
     edges = _need(entry, "edges", f"graph {gid!r}")
@@ -270,7 +268,7 @@ def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeig
 
 def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSchedule:
     raw = _as_object(raw, "schedule")
-    stype = _need(raw, "type", "schedule")
+    stype = _need(raw, "type", "schedule", dotted=True)
     if stype not in _SCHEDULE_TYPES:
         raise ConfigValidationError(
             f"schedule type must be one of {_SCHEDULE_TYPES}, got {stype!r}", field="schedule.type"
@@ -283,40 +281,43 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
         out = []
         for e in entries:
             e = _as_object(e, f"{where}[]", where)
-            gid = _need(e, "graph", where)
+            gid = _need(e, "graph", where, dotted=True)
             if not isinstance(gid, str) or gid not in graphs:
                 raise ConfigValidationError(
-                    f"{where} references unknown graph {gid!r}", field=where
+                    f"{where} references unknown graph {gid!r}", field=f"{where}.graph"
                 )
-            dwell = _as_num(_need(e, "dwell", where), f"{where}.dwell")
+            dwell = _as_num(_need(e, "dwell", where, dotted=True), f"{where}.dwell")
             scale = _as_num(e.get("scale", 1.0), f"{where}.scale")
             out.append(Segment(gid, dwell, scale))
         return out
 
     try:
         if stype == "periodic":
-            pattern = seg_list(_need(raw, "pattern", "schedule"), "schedule.pattern")
-            reps = _as_int(_need(raw, "repetitions", "schedule"), "schedule.repetitions")
+            pattern = seg_list(_need(raw, "pattern", "schedule", dotted=True), "schedule.pattern")
+            reps = _as_int(_need(raw, "repetitions", "schedule", dotted=True), "schedule.repetitions")
             _check_segments(len(pattern) * reps, "schedule.repetitions", reps)
             return SwitchingSchedule.periodic(graphs, pattern, reps, alpha)
         if stype == "explicit":
-            segs = seg_list(_need(raw, "segments", "schedule"), "schedule.segments")
+            segs = seg_list(_need(raw, "segments", "schedule", dotted=True), "schedule.segments")
             return SwitchingSchedule.explicit(graphs, segs, alpha)
-        gen = _as_object(_need(raw, "generator", "schedule"), "schedule.generator")
-        name = _need(gen, "name", "schedule.generator")
+        gen = _as_object(_need(raw, "generator", "schedule", dotted=True), "schedule.generator")
+        name = _need(gen, "name", "schedule.generator", dotted=True)
         where = "schedule.generator.params"
-        params = _as_object(_need(gen, "params", "schedule.generator"), where)
-        gid = _need(params, "graph", where)
+        params = _as_object(_need(gen, "params", "schedule.generator", dotted=True), where)
+        gid = _need(params, "graph", where, dotted=True)
         if not isinstance(gid, str) or gid not in graphs:
             raise ConfigValidationError(
                 f"{where}.graph must name a catalog graph, got {gid!r}", field=f"{where}.graph"
             )
-        intervals = _as_int(_need(params, "intervals", where), f"{where}.intervals")
+        intervals = _as_int(_need(params, "intervals", where, dotted=True), f"{where}.intervals")
         if intervals < 1:
             raise ConfigValidationError(
                 f"{where}.intervals must be >= 1, got {intervals}", field=f"{where}.intervals"
             )
         _check_segments(intervals, f"{where}.intervals", intervals)
+        if not isinstance(name, str) or name not in _GENERATORS:
+            raise ConfigValidationError(f"schedule: unknown schedule generator {name!r}",
+                                        field="schedule.generator.name")
         return SwitchingSchedule.generated(graphs, name, params, alpha)
     except ConsensusToolError as exc:
         if isinstance(exc, ConfigValidationError):
@@ -324,23 +325,22 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
         raise ConfigValidationError(f"schedule: {exc}", field="schedule") from exc
 
 
-def _parse_windows(spec, schedule: SwitchingSchedule):
-    if spec == "whole" or spec == "period":
-        if spec == "period" and schedule.mode != "periodic":
+def _window_length(spec, schedule: SwitchingSchedule) -> int:
+    """The segments per window of a ``windows`` spec: all of them, a period, or ``segments``."""
+    if spec == "whole":
+        return schedule.num_segments
+    if spec == "period":
+        if schedule.mode != "periodic":
             raise ConfigValidationError(
                 'windows "period" requires a periodic schedule', field="windows"
             )
-        return spec
-    if isinstance(spec, Mapping):
-        if spec.get("type") != "uniform":
-            raise ConfigValidationError(
-                f"unknown windows spec {spec!r}", field="windows"
-            )
-        size = _as_int(_need(spec, "segments", "windows"), "windows.segments")
-        if size < 1:
-            raise ConfigValidationError("windows.segments must be >= 1", field="windows")
-        return {"type": "uniform", "segments": size}
-    raise ConfigValidationError(f"unknown windows spec {spec!r}", field="windows")
+        return len(schedule.pattern)
+    if not isinstance(spec, Mapping) or spec.get("type") != "uniform":
+        raise ConfigValidationError(f"unknown windows spec {spec!r}", field="windows")
+    size = _as_int(_need(spec, "segments", "windows", dotted=True), "windows.segments")
+    if size < 1:
+        raise ConfigValidationError("windows.segments must be >= 1", field="windows")
+    return size
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -373,11 +373,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if n < 2:
         raise ConfigValidationError(f"num_agents must be >= 2, got {n}", field="num_agents")
 
-    traw = _only_fields(_as_object(raw.get("tolerances", {}), "tolerances"), Tolerances, "tolerances")
-    tol = Tolerances(
-        **{f.name: _as_positive(traw.get(f.name, f.default), f"tolerances.{f.name}")
-           for f in fields(Tolerances)}
-    )
+    tol = _parse_record(raw.get("tolerances", {}), Tolerances, "tolerances")
 
     # before any graph: a file that must hold all n*d entries bounds n by its own size
     x0 = _as_array(_need(raw, "initial_state", "scenario"), "initial_state", "initial_state").ravel()
@@ -403,22 +399,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     schedule = _parse_schedule(_need(raw, "schedule", "scenario"), graphs)
 
-    sraw = _only_fields(_as_object(raw.get("solver", {}), "solver"), SolverConfig, "solver")
-    default = SolverConfig()
-    method = sraw.get("method", default.method)
-    if method not in _SOLVER_METHODS:
-        raise ConfigValidationError(
-            f"solver.method must be one of {_SOLVER_METHODS}, got {method!r}",
-            field="solver.method",
-        )
-    solver = SolverConfig(
-        method=method,
-        sample_dt=_as_positive(sraw.get("sample_dt", default.sample_dt), "solver.sample_dt"),
-        step_h=_as_positive(sraw.get("step_h", default.step_h), "solver.step_h"),
-        horizon=(
-            _as_positive(sraw["horizon"], "solver.horizon") if "horizon" in sraw else None
-        ),
-    )
+    solver = _parse_record(raw.get("solver", {}), SolverConfig, "solver", method=_as_method)
     if solver.horizon is not None:
         try:
             _check_horizon(schedule, solver.horizon)
@@ -426,15 +407,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
             raise ConfigValidationError(f"solver.horizon: {exc}", field="solver.horizon") from exc
 
     default_windows = "period" if schedule.mode == "periodic" else "whole"
-    windows_spec = _parse_windows(raw.get("windows", default_windows), schedule)
-
     return ScenarioConfig(
         dimension=d,
         num_agents=n,
         graphs=graphs,
         schedule=schedule,
         initial_state=x0,
+        window_length=_window_length(raw.get("windows", default_windows), schedule),
         solver=solver,
         tolerances=tol,
-        windows_spec=windows_spec,
     )

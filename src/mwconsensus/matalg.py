@@ -44,6 +44,20 @@ POOL_MIN_ORDER = 256
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """A scenario's thresholds; each reader takes only its own field.
+
+    ``eig_tol`` classifies weights and bounds null spaces, ``ns_eq_tol`` compares
+    window null spaces, ``cluster_tol`` groups agents; ``conv_tol`` has no reader yet.
+    """
+
+    eig_tol: float = EIG_TOL
+    ns_eq_tol: float = 1e-8
+    cluster_tol: float = 1e-6
+    conv_tol: float = 1e-6
+
+
 class Definiteness(Enum):
     """Definiteness class of a symmetric matrix."""
 

@@ -65,6 +65,9 @@ class Window:
 
 # numpy refuses an array of more bytes than intp holds; a dwell takes 8
 _MAX_SEGMENTS = np.iinfo(np.intp).max // 8
+# a generated schedule's scale on each 1-based interval k, by generator name
+_GENERATORS = {"inverse_square_decay": lambda k: 1 / (k * k),
+               "linear_ramp": lambda k: k.astype(float)}
 
 
 def _check_count(count: int, what: str) -> None:
@@ -190,13 +193,9 @@ class SwitchingSchedule:
                 f"generator param 'intervals' must be an integer >= 1, got {K!r}"
             )
         _check_count(K, f"generator param 'intervals' = {K}")
-        k = np.arange(1, K + 1)
-        if name == "inverse_square_decay":
-            scales = 1 / (k * k)
-        elif name == "linear_ramp":
-            scales = k.astype(float)
-        else:
+        if not isinstance(name, str) or name not in _GENERATORS:
             raise ScheduleError(f"unknown schedule generator {name!r}")
+        scales = _GENERATORS[name](np.arange(1, K + 1))
         graph = np.full(K, list(catalog).index(gid))
         return cls(catalog, graph, np.ones(K), scales, alpha, mode="generated")
 

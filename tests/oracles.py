@@ -46,6 +46,10 @@ computes each distinct window content once.  ``window_null_space_eigh`` takes a
 window's null space from the full ``eigh`` of its dosed sum of catalog
 Laplacians, where the package solves inside a catalog null space where that
 provably loses nothing.
+
+``windows_by_spec`` cuts a schedule into windows by a file's ``windows`` spec,
+``"whole"``, ``"period"`` or ``{"type": "uniform", "segments": k}``, one
+rule each, where the loader resolves the spec to one window length.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ import numpy as np
 
 from mwconsensus.analysis import (
     NECESSARY_TOL,
-    NS_EQ_TOL,
     Q_MARGIN,
     CertificationReport,
     _window_null_space,
@@ -88,6 +91,7 @@ from mwconsensus.matalg import (
     ORTHO_TOL,
     Definiteness,
     NullSpaceBasis,
+    Tolerances,
     check_symmetric,
     null_space,
     projector_distance,
@@ -298,6 +302,18 @@ def segments(s: SwitchingSchedule) -> list[Segment]:
     ]
 
 
+def windows_by_spec(spec, s: SwitchingSchedule) -> list[Window]:
+    """The windows of a valid ``windows`` spec: the whole schedule, each period, or uniform."""
+    N = s.num_segments
+    if spec == "whole":
+        return [Window(0, N)]
+    if spec == "period":
+        plen = len(s.pattern)
+        return [Window(k * plen, (k + 1) * plen) for k in range(N // plen)]
+    size = int(spec["segments"])
+    return [Window(a, min(a + size, N)) for a in range(0, N, size)]
+
+
 def _window_segments(s: SwitchingSchedule, w: Window) -> list[Segment]:
     if w.end > s.num_segments:
         raise EmptyWindowError(
@@ -481,7 +497,7 @@ def write_trajectory_csv_savetxt(traj: Trajectory, path) -> None:
 def parse_graph_per_edge(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
     """A scenario file's graph entry as ``(id, graph)``, each edge parsed on its own."""
     entry = _as_object(entry, "graphs[]")
-    gid = _need(entry, "id", "graphs[]")
+    gid = _need(entry, "id", "graphs[]", dotted=True)
     if not isinstance(gid, str) or not gid:
         raise ConfigValidationError(f"graph id must be a nonempty string, got {gid!r}", field="graphs[].id")
     edges = _need(entry, "edges", f"graph {gid!r}")
@@ -542,7 +558,7 @@ def mu_budget(Phi: np.ndarray, m: int) -> float:
 
 
 def certify_per_window(
-    s: SwitchingSchedule, windows, *, ns_eq_tol: float = NS_EQ_TOL
+    s: SwitchingSchedule, windows, *, tol: Tolerances = Tolerances()
 ) -> CertificationReport:
     """Integral network, null space and flow core of every window, computed afresh.
 
@@ -562,7 +578,7 @@ def certify_per_window(
     nets = tuple(integral_network(s, w) for w in ws)
     bases = [_window_null_space(s, net) for net in nets]
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
-    equal = max_dist <= ns_eq_tol and len({b.dim for b in bases}) == 1
+    equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
     mus = tuple(mu_m_plus_1(flow_core(s, w), b.dim) for w, b in zip(ws, bases))
     q = max(mus)

@@ -90,7 +90,7 @@ def catalog_laplacians(cfg):
 def theorem_limit(cfg):
     basis = null_intersection(catalog_laplacians(cfg), cfg.tolerances.eig_tol)
     return predict_steady_state(
-        basis, cfg.initial_state, cfg.num_agents, cfg.dimension, cfg.tolerances.cluster_tol
+        basis, cfg.initial_state, cfg.num_agents, cfg.dimension, tol=cfg.tolerances
     )
 
 
@@ -131,7 +131,7 @@ def test_c03_window_nullspace_equals_intersection(cluster_cfg, bipartite_cfg):
 def test_c04_flow_maps_contract_complement(cluster_cfg, bipartite_cfg):
     for cfg in (cluster_cfg, bipartite_cfg):
         report = certify_cluster_consensus(
-            cfg.schedule, cfg.windows(), ns_eq_tol=cfg.tolerances.ns_eq_tol
+            cfg.schedule, cfg.windows(), tol=cfg.tolerances
         )
         assert report.certified
         assert report.q_estimate < 1.0 - 1e-9
@@ -154,7 +154,7 @@ def test_c05_bipartite_variant_certified_and_exact(bipartite_cfg):
     report = certify_cluster_consensus(
         bipartite_cfg.schedule,
         bipartite_cfg.windows(),
-        ns_eq_tol=bipartite_cfg.tolerances.ns_eq_tol,
+        tol=bipartite_cfg.tolerances,
     )
     assert report.certified
     assert isinstance(report.balance, Bipartition)
@@ -210,7 +210,7 @@ def test_c07_ramped_gain_reaches_projection():
 
 def test_c08_multi_period_flow_map_idempotent(cluster_cfg):
     report = certify_cluster_consensus(
-        cluster_cfg.schedule, cluster_cfg.windows(), ns_eq_tol=cluster_cfg.tolerances.ns_eq_tol
+        cluster_cfg.schedule, cluster_cfg.windows(), tol=cluster_cfg.tolerances
     )
     q = report.q_estimate
     N = math.ceil(math.log(1e-8) / math.log(q))

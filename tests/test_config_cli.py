@@ -4,6 +4,8 @@ import json
 import re
 import sys
 import warnings
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -26,8 +28,14 @@ from mwconsensus.sim import Trajectory, simulate_exact
 from mwconsensus.matalg import Definiteness
 from mwconsensus.switching import SwitchingSchedule, Window, integral_network
 
-from oracles import is_connected, write_trajectory_csv_rows, write_trajectory_csv_savetxt
+from oracles import (
+    is_connected,
+    windows_by_spec,
+    write_trajectory_csv_rows,
+    write_trajectory_csv_savetxt,
+)
 from randgen import random_connected_pd_graph
+from test_run_bundled_scenarios import run_bundled
 
 MAX = sys.float_info.max
 TOO_LARGE = ("Laplacian block too large: a row's absolute sum exceeds half the float range, "
@@ -127,7 +135,7 @@ class TestLoad:
         assert cfg.solver.method == "exact"
         assert cfg.solver.sample_dt == 1.0
         assert cfg.tolerances.eig_tol == 1e-9
-        assert cfg.windows_spec == "whole"
+        assert cfg.window_length == 1  # "whole": the schedule's one segment
         assert cfg.horizon == 2.0  # falls back to schedule duration
 
     def test_node_ids_one_based_in_files(self, tmp_path):
@@ -441,7 +449,7 @@ class TestLoad:
              "schedule.pattern"),
             (lambda d: d.update(solver=5), "solver", "solver"),
             (lambda d: d.update(tolerances=[]), "tolerances", "tolerances"),
-            (lambda d: d["schedule"]["pattern"][0].update(graph=[1]), "schedule.pattern",
+            (lambda d: d["schedule"]["pattern"][0].update(graph=[1]), "schedule.pattern.graph",
              "schedule.pattern"),
             (lambda d: d.update(schedule={"type": "explicit",
                                           "segments": [{"graph": "G1", "dwell": "1"}]}),
@@ -483,6 +491,45 @@ class TestLoad:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and shown in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, path, wrong, field", [
+        ("cluster_switching", ("dimension",), "3", "dimension"),
+        ("cluster_switching", ("graphs", 0, "id"), 5, "graphs[].id"),
+        ("cluster_switching", ("graphs", 0, "edges", 0, "weight"), "w", "weight"),
+        ("cluster_switching", ("schedule", "type"), 5, "schedule.type"),
+        ("cluster_switching", ("schedule", "pattern"), 5, "schedule.pattern"),
+        ("cluster_switching", ("schedule", "repetitions"), "100", "schedule.repetitions"),
+        ("cluster_switching", ("schedule", "pattern", 0, "graph"), 5, "schedule.pattern.graph"),
+        ("cluster_switching", ("schedule", "pattern", 0, "dwell"), "2", "schedule.pattern.dwell"),
+        ("cluster_switching", ("windows", "segments"), "3", "windows.segments"),
+        ("integral_static", ("schedule", "segments"), 5, "schedule.segments"),
+        ("integral_static", ("schedule", "segments", 0, "graph"), 5, "schedule.segments.graph"),
+        ("integral_static", ("schedule", "segments", 0, "dwell"), "1", "schedule.segments.dwell"),
+        ("time_scaled_growth", ("schedule", "generator"), 5, "schedule.generator"),
+        ("time_scaled_growth", ("schedule", "generator", "name"), 5, "schedule.generator.name"),
+        ("time_scaled_growth", ("schedule", "generator", "params"), 5,
+         "schedule.generator.params"),
+        ("time_scaled_growth", ("schedule", "generator", "params", "graph"), 5,
+         "schedule.generator.params.graph"),
+        ("time_scaled_growth", ("schedule", "generator", "params", "intervals"), "100",
+         "schedule.generator.params.intervals"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_missing_key_names_the_field_a_wrong_value_names(self, tmp_path, name, path, wrong,
+                                                             field):
+        """A required key names its dotted path under ``schedule``, ``windows`` and ``graphs[]``,
+        and its bare name at the top level and in an edge, whether missing or wrong."""
+        def field_of(change) -> str:
+            doc = json.loads(scenarios.builtin_path(name).read_text())
+            if path[0] == "windows":  # the bundled files name their windows by a string
+                doc["windows"] = {"type": "uniform", "segments": 3}
+            *parents, key = path
+            change(reduce(getitem, parents, doc), key)
+            with pytest.raises(ConfigValidationError) as exc:
+                load_config(write_json(tmp_path, doc))
+            return exc.value.field
+
+        dropped = field_of(lambda node, key: node.pop(key))
+        assert dropped == field_of(lambda node, key: node.__setitem__(key, wrong)) == field
 
     def test_asymmetric_weight_names_its_edge(self, tmp_path, capsys):
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
@@ -581,6 +628,32 @@ class TestWindowsSpec:
     def test_whole_window(self, tmp_path):
         cfg = load_config(write_json(tmp_path, minimal_config_dict()))
         assert cfg.windows() == [Window(0, 1)]
+
+    @staticmethod
+    def assert_windows_by_spec(path):
+        """The loader's one window length cuts the schedule as the file's spec does."""
+        doc = json.loads(path.read_text())
+        cfg = load_config(path)
+        spec = doc.get("windows", "period" if cfg.schedule.mode == "periodic" else "whole")
+        assert cfg.windows() == windows_by_spec(spec, cfg.schedule)
+
+    @pytest.mark.parametrize("name", scenarios.BUILTIN_NAMES)
+    def test_bundled_windows_match_their_spec(self, name):
+        self.assert_windows_by_spec(scenarios.builtin_path(name))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_workload_windows_match_their_spec(self, tmp_path, seed):
+        for workload, build in run_bundled.load_gen().BUILDERS.items():
+            path = tmp_path / f"{workload}.json"
+            build(seed).write(path)
+            self.assert_windows_by_spec(path)
+
+    def test_uniform_windows_of_every_length_match_their_spec(self, tmp_path):
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        N = doc["schedule"]["repetitions"] * len(doc["schedule"]["pattern"])
+        for k in range(1, N + 2):
+            doc["windows"] = {"type": "uniform", "segments": k}
+            self.assert_windows_by_spec(write_json(tmp_path, doc))
 
 
 class TestTrajectoryCsv:
@@ -845,6 +918,45 @@ class TestCli:
         edges = doc["edge_lists"][doc["windows"][0]["edge_list"]]
         edge_pairs = {(e["i"], e["j"]) for e in edges}
         assert edge_pairs == {(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (4, 5), (4, 6), (5, 7)}
+
+    def test_file_cluster_tol_reaches_analyze_and_simulate(self, tmp_path, capsys):
+        """At cluster_tol 10 every agent of cluster_switching falls in one cluster."""
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        for cluster_tol, clusters in ((1e-6, [[1, 2, 3], [4, 6], [5, 7]]),
+                                      (10.0, [[1, 2, 3, 4, 5, 6, 7]])):
+            doc["tolerances"]["cluster_tol"] = cluster_tol
+            path = str(write_json(tmp_path, doc))
+            out = tmp_path / "r.json"
+            assert main(["analyze", "--config", path, "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["clusters"] == clusters
+            capsys.readouterr()
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
+            assert capsys.readouterr().out.endswith(f"final clusters: {clusters}\n")
+
+    def test_file_ns_eq_tol_reaches_certification(self, tmp_path, capsys):
+        """Two windows whose null spaces lie 1e-3 rad apart are equal only at a loose ns_eq_tol."""
+        doc = minimal_config_dict()
+        doc["dimension"] = 2
+        doc["initial_state"] = [1.0, 0.0, 0.0, 1.0]
+        theta = 1e-3
+        v = [np.cos(theta), np.sin(theta)]
+        doc["graphs"] = [
+            {"id": "a", "edges": [{"i": 1, "j": 2, "weight": [[1.0, 0.0], [0.0, 0.0]]}]},
+            {"id": "b", "edges": [{"i": 1, "j": 2, "weight": np.outer(v, v).tolist()}]},
+        ]
+        doc["schedule"]["segments"] = [{"graph": "a", "dwell": 1.0}, {"graph": "b", "dwell": 1.0}]
+        doc["windows"] = {"type": "uniform", "segments": 1}
+        out = tmp_path / "r.json"
+        reports = []
+        for ns_eq_tol in (1e-8, 0.1):
+            doc["tolerances"] = {"ns_eq_tol": ns_eq_tol}
+            assert main(["analyze", "--config", str(write_json(tmp_path, doc)),
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        distance = reports[0]["max_projector_distance"]
+        assert distance == reports[1]["max_projector_distance"]
+        assert 1e-8 < distance < 0.1
+        assert [r["window_nullspaces_equal"] for r in reports] == [False, True]
 
     def test_analyze_window_with_the_whole_space_null_contracts_vacuously(self, tmp_path, capsys):
         doc = minimal_config_dict()
