@@ -49,8 +49,8 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write ``t, x_1_1, ..., x_n_d`` rows with 17 significant digits.
 
     The bytes are those ``np.savetxt`` writes with ``fmt="%.17g"`` and
-    ``delimiter=","``.  Rows go to :func:`_format_17g` a block of about
-    ``_CSV_BLOCK_VALUES`` values at a time.
+    ``delimiter=","``.  Rows go to :func:`_format_17g`, which spells each value
+    from a 32-byte row, a block of about ``_CSV_BLOCK_VALUES`` values at a time.
     """
     cols = [f"x_{i + 1}_{k + 1}" for i in range(traj.n) for k in range(traj.d)]
     width = len(cols) + 1
@@ -82,28 +82,24 @@ def _split(x):
     return hi, x - hi
 
 
-def _words(rows) -> np.ndarray:
-    """Rows of 4k bytes as little-endian uint32 words."""
-    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u4")
-
-
-# _format_17g lays each value out in one 48-byte row, then drops bytes by mask:
+# _format_17g lays each value out in one 32-byte row, then drops bytes by mask:
 #   0 sign  1-5 "0.000"  6 digit 1  7 "."  8-23 digits 2-17  24 "e"  25 exponent sign
-#   26 exponent hundreds  27 "."  28-43 digits 2-17 again  44-45 exponent tens, units
-#   46 separator  47 never kept
+#   26-28 exponent digits  29 separator  30-31 never kept; in fixed notation with
+#   1 <= E <= 15 and a fraction, bytes 8+E..23 move one byte right and 8+E holds "."
 @functools.cache
 def _format_17g_tables():
     q = np.arange(10000)
-    group = _words(np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + 48).ravel()
+    group = ((q[:, None] // [1000, 100, 10, 1] % 10 + 48) << [0, 8, 16, 24]).sum(1, np.uint64)
     trailing = (q % 10 == 0).astype(np.int8) + (q % 100 == 0) + (q % 1000 == 0) + (q == 0)
-    head = _words([[45, 48, 46, 48]])[0, 0]
-    lead = _words([[48, 48, 48 + g, 46] for g in range(10)]).ravel()
-    exp_head = _words([[101, s, 48 + h, 46] for s in (43, 45) for h in range(10)]).ravel()
-    exp_tail = _words([[48 + e // 10, 48 + e % 10, s, 0] for e in range(100) for s in (44, 10)]).ravel()
-    # kept bytes per (sign, case, number of significant digits); the cases are
-    # fixed notation with exponent -4..16, exponent notation with 2 or 3
-    # exponent digits, and zero
-    pos = np.arange(48)
+    lead = np.frombuffer(b"".join(b"-0.000%d." % g for g in range(10)), "<u8")
+    E = np.arange(-999, 1000)
+    # by E + 999 and line end: "e", the sign, the last three digits of |E|'s group, the separator
+    sign = np.where(E < 0, 45, 43).astype(np.uint64) << 8
+    exp = ((101 | sign | group[abs(E)] >> 8 << 16)[:, None] | np.uint64([44, 10]) << 40).ravel()
+    case = np.where((E < -4) | (E > 16), 21 + (np.abs(E) >= 100), E + 4)
+    # kept bytes per (sign, case, number of significant digits); the cases are fixed
+    # notation with exponent -4..16, exponent notation with 2 or 3 exponent digits, and zero
+    pos = np.arange(32)
     nd = np.arange(1, 18)[:, None]
     first = (pos == 6) | ((pos >= 8) & (pos < 7 + nd))
     cases = []
@@ -112,15 +108,14 @@ def _format_17g_tables():
             cases.append(((pos >= 1) & (pos <= 1 - e)) | first)
         elif e == 0:
             cases.append(first | ((pos == 7) & (nd > 1)))
-        else:
-            cases.append((pos == 6) | ((pos >= 8) & (pos <= 7 + e)) | ((pos == 27) & (nd > e + 1))
-                         | ((pos >= 28 + e) & (pos < 27 + nd)))
-    expo = first | ((pos == 7) & (nd > 1)) | np.isin(pos, (24, 25, 44, 45))
-    cases += [expo, expo | (pos == 26), np.broadcast_to(pos == 1, (17, 48))]
-    keep = np.stack([np.stack(cases)] * 2) | (pos == 46)
+        else:  # the point and the fraction, moved one byte right, only where there is a fraction
+            cases.append((pos == 6) | ((pos >= 8) & (pos <= 7 + np.where(nd > e + 1, nd, e))))
+    expo = first | ((pos == 7) & (nd > 1)) | np.isin(pos, (24, 25, 27, 28))
+    cases += [expo, expo | (pos == 26), np.broadcast_to(pos == 1, (17, 32))]
+    keep = np.stack([np.stack(cases)] * 2) | (pos == 29)
     keep[1, :, :, 0] = True
-    mask = _words(keep.reshape(-1, 48) * np.uint8(255)).view("V48").ravel()
-    return group, trailing, head, lead, exp_head, exp_tail, mask
+    mask = (keep.reshape(-1, 32) * np.uint8(255)).view("V32").ravel()
+    return group, trailing, lead, exp, case, mask
 
 
 def _format_17g_slow(values: np.ndarray) -> list[bytes]:
@@ -138,10 +133,11 @@ def _format_17g(values: np.ndarray, line_end: np.ndarray) -> bytes:
     (a tie, rounded to even by ``%``), whose ``E`` was off by one (the product
     outside ``[10**16, 10**17)``), or that lies outside that range (zero aside,
     subnormals and non-finite values) is spelled by :func:`_format_17g_slow`.
-    Blocks of a few thousand values keep the temporaries near a megabyte.
+    Each value fills a 32-byte row with every byte any spelling needs, and a
+    mask per sign, notation and digit count keeps those of its own.  Blocks
+    of a few thousand values keep the temporaries near a megabyte.
     """
-    group, trailing, head, lead, exp_head, exp_tail, mask = _format_17g_tables()
-    n = values.size
+    group, trailing, lead, exp, case_of, mask = _format_17g_tables()
     a = np.abs(values)
     fast = (a > 1e-270) & (a < 1e290)
     a[~fast] = 1.0
@@ -173,21 +169,22 @@ def _format_17g(values: np.ndarray, line_end: np.ndarray) -> bytes:
         gi = g.take(idx)
         tz[idx] += trailing.take(gi)
         idx = idx[gi == 0]
-    absE = np.abs(E)
-    hundreds = absE // 100
-    text = np.empty((n, 48), np.uint8)
-    words = text.view("<u4")
-    words[:, 0] = head
-    words[:, 1] = lead.take(g0)
-    for w, g in enumerate((g1, g2, g3, g4), start=2):
-        words[:, w] = group.take(g)
-    words[:, 6] = exp_head.take((E < 0) * 10 + hundreds)
-    text[:, 28:44].view("V16")[...] = text[:, 8:24].view("V16")
-    words[:, 11] = exp_tail.take((absE - hundreds * 100) * 2 + line_end)
-    case = np.where((E < -4) | (E > 16), 21 + (hundreds > 0), E + 4)
+    words = np.empty((values.size, 4), np.uint64)
+    words[:, 0] = lead.take(g0)
+    words[:, 1] = group.take(g1) | group.take(g2) << 32
+    words[:, 2] = group.take(g3) | group.take(g4) << 32
+    words[:, 3] = exp.take((E + 999) * 2 + line_end)
+    text = words.view(np.uint8)
+    shifted = np.flatnonzero((E >= 1) & (tz < 16 - E))  # 17 - tz digits, more than E + 1
+    e = E.take(shifted)
+    for k in np.unique(e).tolist():
+        rows = shifted[e == k]
+        text[rows, 9 + k : 25] = text[rows, 8 + k : 24]
+        text[rows, 8 + k] = 46
+    case = case_of.take(E + 999)
     zero = values == 0
     case[zero] = 23
-    words &= mask.take((np.signbit(values) * 24 + case) * 17 + 16 - tz).view("<u4").reshape(n, 12)
+    words &= mask.take((np.signbit(values) * 24 + case) * 17 + 16 - tz).view("<u8").reshape(-1, 4)
     slow = np.flatnonzero(~ok & ~zero)
     if slow.size:
         for i, s in zip(slow.tolist(), _format_17g_slow(values[slow])):
@@ -239,12 +236,14 @@ def _integral_edges(net: IntegralNetwork) -> list[dict]:
 def _out_path(out: str | None, config: str, suffix: str) -> Path:
     """``out``, else the config file's stem plus ``suffix`` in the working directory.
 
-    Raises OutputError naming the path when it cannot be a file in an existing
-    directory, so that a command fails before it integrates or certifies.
+    Raises OutputError naming the path when it is the scenario file or cannot be a
+    file in an existing directory, so that a command fails before any work.
     """
     path = Path(out) if out else Path(Path(config).stem + suffix)
     if path.is_dir():
         raise OutputError(f"{path}: cannot write the file: it is a directory")
+    if path.exists() and Path(config).exists() and path.samefile(config):
+        raise OutputError(f"{path}: cannot write the file: it is the scenario file")
     if not path.parent.is_dir():
         raise OutputError(f"{path}: cannot write the file: {path.parent} is not a directory")
     return path

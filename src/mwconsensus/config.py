@@ -295,6 +295,9 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
         if stype == "periodic":
             pattern = seg_list(_need(raw, "pattern", "schedule", dotted=True), "schedule.pattern")
             reps = _as_int(_need(raw, "repetitions", "schedule", dotted=True), "schedule.repetitions")
+            if reps < 1:
+                raise ConfigValidationError(f"schedule: repetitions must be >= 1, got {reps}",
+                                            field="schedule.repetitions")
             _check_segments(len(pattern) * reps, "schedule.repetitions", reps)
             return SwitchingSchedule.periodic(graphs, pattern, reps, alpha)
         if stype == "explicit":
@@ -339,7 +342,7 @@ def _window_length(spec, schedule: SwitchingSchedule) -> int:
         raise ConfigValidationError(f"unknown windows spec {spec!r}", field="windows")
     size = _as_int(_need(spec, "segments", "windows", dotted=True), "windows.segments")
     if size < 1:
-        raise ConfigValidationError("windows.segments must be >= 1", field="windows")
+        raise ConfigValidationError("windows.segments must be >= 1", field="windows.segments")
     return size
 
 

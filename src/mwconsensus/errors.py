@@ -123,7 +123,7 @@ class HorizonError(ConsensusToolError):
 
 
 class OutputError(ConsensusToolError):
-    """An output path names a directory, or a file in a directory that does not exist."""
+    """An output path names a directory or the scenario file, or lies in no existing directory."""
 
 
 class ConfigError(ConsensusToolError):

@@ -85,6 +85,36 @@ def assert_formats_like_percent(values):
     assert _format_17g(values, line_end) == expected
 
 
+def with_digits(e, nd):
+    """A float that ``'%.17g' %`` spells with ``nd`` significant digits and exponent ``e``, or None.
+
+    The nearest double to ``m 10**(e - nd + 1)`` is tried for the first few
+    ``nd``-digit ``m`` that end in a nonzero digit; for some ``(e, 1)``, such
+    as ``(99, 1)``, no double exists.
+    """
+    for j in range(1000):
+        m = 10 ** (nd - 1) + 1 + 7 * j if nd > 1 else 1 + j
+        if m >= 10**nd:
+            return None
+        if nd > 1 and m % 10 == 0:
+            continue
+        x = float(f"{m}e{e - nd + 1}")
+        digits, _, exp = ("%.16e" % x).partition("e")
+        if int(exp) == e and len(digits.replace(".", "").rstrip("0")) == nd:
+            return x
+    return None
+
+
+# fixed notation -4..16, exponent notation with 2 and 3 exponent digits, the fast range's edges
+GRID_EXPONENTS = [-300, -100, -99, -5, *range(-4, 17), 17, 99, 100, 289]
+
+
+def format_grid():
+    """``(value, e, nd)`` for every exponent of ``GRID_EXPONENTS`` and digit count 1..17 that exists."""
+    return [(x, e, nd) for e in GRID_EXPONENTS for nd in range(1, 18)
+            if (x := with_digits(e, nd)) is not None]
+
+
 def count_fallback(monkeypatch):
     """A one-item list that counts the values ``cli._format_17g`` sends to ``%``."""
     sent = [0]
@@ -464,9 +494,10 @@ class TestLoad:
             (lambda d: d.update(schedule={"type": "explicit", "segments": []}),
              "schedule.segments", "schedule.segments must be a nonempty list"),
             (lambda d: d["schedule"].update(alpha=2.0), "schedule", "< alpha = 2.0"),
-            (lambda d: d["schedule"].update(repetitions=0), "schedule", "repetitions must be >= 1"),
+            (lambda d: d["schedule"].update(repetitions=0), "schedule.repetitions",
+             "repetitions must be >= 1"),
             (lambda d: d.update(windows={"type": "sliding"}), "windows", "unknown windows spec"),
-            (lambda d: d.update(windows={"type": "uniform", "segments": 0}), "windows",
+            (lambda d: d.update(windows={"type": "uniform", "segments": 0}), "windows.segments",
              "windows.segments must be >= 1"),
             (lambda d: d.update(windows="all"), "windows", "unknown windows spec 'all'"),
             (lambda d: d.update(num_agents=1), "num_agents", "num_agents must be >= 2"),
@@ -721,6 +752,24 @@ class TestTrajectoryCsv:
                    5e-324, MAX, 0.0, -0.0, np.inf, -np.inf, np.nan]
         values = np.concatenate([*near, special])
         assert_formats_like_percent(np.concatenate([values, -values]))
+
+    def test_formatter_matches_percent_on_every_notation_and_digit_count(self):
+        grid = format_grid()
+        # every (notation, digit count) row of the mask table, as E -4..16, 2- or 3-digit exponent
+        rows = {(e if -4 <= e <= 16 else 17 + (abs(e) >= 100), nd) for _, e, nd in grid
+                if abs(e) < 300}
+        assert rows == {(e, nd) for e in range(-4, 19) for nd in range(1, 18)}
+        values = np.array([x for x, _, _ in grid] + [0.0])
+        assert_formats_like_percent(np.concatenate([values, -values]))
+
+    @pytest.mark.parametrize("shifted", [True, False], ids=["only-shifted", "none-shifted"])
+    def test_formatter_matches_percent_with_and_without_a_moved_point(self, shifted):
+        """A fixed-notation value has its point moved when a fraction follows 2 to 16 digits."""
+        grid = format_grid()
+        chosen = [x for x, e, nd in grid if (1 <= e <= 15 and nd > e + 1) == shifted]
+        if shifted:
+            assert {e for _, e, nd in grid if 1 <= e <= 15 and nd > e + 1} == set(range(1, 16))
+        assert_formats_like_percent(np.array(chosen + [-x for x in chosen]))
 
     def test_formatter_sends_ties_and_out_of_range_values_to_percent(self, monkeypatch):
         sent = count_fallback(monkeypatch)

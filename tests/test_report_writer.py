@@ -240,3 +240,21 @@ def test_unwritable_out_fails_in_one_line_before_any_work(tmp_path, capsys, monk
     assert captured.err == f"error: {out}: cannot write the file: {problem}\n"
     assert captured.out == ""
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("spelling", ["same-path", "through-a-link"])
+def test_out_that_is_the_scenario_file_fails_in_one_line_and_leaves_it(tmp_path, capsys,
+                                                                       command, spelling):
+    config = tmp_path / "s.json"
+    config.write_bytes(scenarios.builtin_path("integral_static").read_bytes())
+    out = config
+    if spelling == "through-a-link":
+        (tmp_path / "link").symlink_to(tmp_path)
+        out = tmp_path / "link" / "s.json"
+    before = config.read_bytes()
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: cannot write the file: it is the scenario file\n"
+    assert captured.out == ""
+    assert config.read_bytes() == before
