@@ -271,13 +271,14 @@ def certify_cluster_consensus(
     they range over distinct edge structures only: windows that dose the
     same graphs for different times count once.
 
-    The graphs the windows dose are decomposed together, by
+    The graphs the windows run are decomposed together, by
     :meth:`SwitchingSchedule.decompose`.  Then every null space is solved,
     window by window, and then every ``mu``: the distinct windows that need
     one go in pairs, consecutive in order, whose two cores
     :func:`mu_m_plus_1` trims alike and takes in one stacked ``svd``, and the
-    pairs run at the same time through :func:`matalg._map_lapack`.  An error
-    is that of the first window, in that order, to raise it.
+    pairs run at the same time through :func:`matalg._map_lapack`, each with
+    its own dict of :func:`flow_core` couplings.  An error is that of the
+    first window, in that order, to raise it.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -304,7 +305,8 @@ def certify_cluster_consensus(
         nets.append(integral_network(s, w) if j == k else nets[j])
     distinct = list(first.values())
     order = s.n * s.d
-    s.decompose([s.ids[g] for g in np.flatnonzero(sum(nets[k].doses for k in distinct)).tolist()])
+    # every graph the windows run, a dose that underflowed to 0 too: the pool's workers only read
+    s.decompose([s.ids[g] for g in np.flatnonzero(np.bincount(s.graph[:ws[-1].end])).tolist()])
     bases = []
     for k in distinct:
         try:
@@ -319,14 +321,12 @@ def certify_cluster_consensus(
     # consecutive windows in pairs: one stacked svd of two cores releases the interpreter
     # lock where one of a single core's few hundred values keeps it
     pairs = [need[i:i + 2] for i in range(0, len(need), 2)]
-    for k, _ in need:  # the pool's workers only read the caches: fill them in flow_core's order
-        g = s.graph[ws[k].start:ws[k].end]
-        turn = np.flatnonzero(g[1:] != g[:-1])  # the last segment of each run but the last
-        for prev, nxt in zip(g[turn].tolist(), g[turn + 1].tolist()):
-            s.coupling_of(s.ids[nxt], s.ids[prev])
-    mus = _map_lapack(
-        lambda pair: mu_m_plus_1((flow_core(s, ws[k]) for k, _ in pair), [dim for _, dim in pair]),
-        pairs, order)
+
+    def pair_mu(pair):  # the two windows form each coupling they both cross once
+        couplings = {}
+        cores = (flow_core(s, ws[k], couplings=couplings) for k, _ in pair)
+        return mu_m_plus_1(cores, [dim for _, dim in pair])
+    mus = _map_lapack(pair_mu, pairs, order)
     # a window whose null space is the whole space contracts nothing, so vacuously
     mu_of = dict.fromkeys(distinct, 0.0) | dict(zip((k for k, _ in need), sum(mus, [])))
     q = max(mu_of.values())

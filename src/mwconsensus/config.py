@@ -10,8 +10,8 @@ finite, every tolerance positive, and every key of ``tolerances`` and
 is rejected, and named, before those arrays are allocated;
 :func:`check_laplacian_memory` does the same for ``num_agents`` and the
 Laplacians that the commands build.  A graph's edges are read as two arrays
-and checked as a whole; only a list that fails those checks is scanned edge
-by edge, to name its first offending edge.
+and checked by the graph as a whole; only a list that the graph rejects is
+scanned edge by edge, to name its first malformed edge in file order.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, NoReturn
+from typing import Mapping
 
 import numpy as np
 
-from . import sim
+from . import matalg, sim
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -36,15 +36,23 @@ from .errors import (
 from .graph import MatrixWeightedGraph
 from .matalg import Tolerances
 from .sim import _check_horizon
-from .switching import _GENERATORS, _MAX_SEGMENTS, Segment, SwitchingSchedule, Window
+from .switching import _MAX_SEGMENTS, Segment, SwitchingSchedule, Window
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
 _SOLVER_METHODS = ("exact", "rk4")
+# the field of each input that a schedule constructor rejects, by schedule type; a
+# generated schedule's dwells are all 1, so a dwell below alpha is alpha's
+_SCHEDULE_FIELDS = {
+    "periodic": {"dwell": "schedule.pattern.dwell", "scale": "schedule.pattern.scale",
+                 "totals": "schedule.pattern", "count": "schedule.repetitions"},
+    "explicit": {"dwell": "schedule.segments.dwell", "scale": "schedule.segments.scale",
+                 "totals": "schedule.segments"},
+    "generated": {"dwell": "schedule.alpha", "count": "schedule.generator.params.intervals",
+                  "name": "schedule.generator.name"},
+}
 # a schedule holds six floats or indices per segment: graph, dwell, scale, the
 # prefix sums of dwell and of dose, and the switch times
 _SEGMENT_BYTES = 6 * 8
-# a Laplacian, and LAPACK's copy, workspace (two) and eigenvectors in its eigh
-_LAPLACIAN_COPIES = 5
 
 
 @dataclass(frozen=True)
@@ -152,20 +160,25 @@ def _check_segments(count: int, field: str, value) -> None:
 
 
 def check_laplacian_memory(cfg: ScenarioConfig) -> None:
-    """Reject a scenario whose order-``n d`` Laplacian could not be decomposed in the host's memory.
+    """Reject a scenario whose order-``n d`` Laplacians could not be decomposed in the host's memory.
 
-    ``analyze`` and ``simulate`` assemble a graph's Laplacian as one dense
-    ``(n d) x (n d)`` float matrix, which the file's size does not bound: a
+    A dense ``(n d) x (n d)`` Laplacian is not bounded by the file's size: a
     path of 30,000 agents takes 1.5 MB to write and 7.2 GB as a Laplacian.
-    Its ``eigh`` then holds LAPACK's copy of it, a workspace of two more and
-    the eigenvectors, so five such matrices are counted.  :func:`load_config`
-    bounds only what loading allocates, so every command, ``check`` too,
-    calls this before any Laplacian is built.
+    The schedule keeps one, and its eigenvectors, for each graph it uses, and
+    each ``eigh`` running (:func:`matalg._map_lapack` runs some at once) holds
+    LAPACK's copy and a workspace of two more.  :func:`load_config` bounds
+    only what loading allocates, so every command, ``check`` too, calls this
+    before any Laplacian is built.
     """
     n, d = cfg.num_agents, cfg.dimension
-    _check_memory(_LAPLACIAN_COPIES * 8 * (n * d) ** 2, "num_agents", n,
-                  f"{_LAPLACIAN_COPIES} dense {n * d} x {n * d} matrices, for the Laplacian "
-                  f"of {n} agents of dimension {d} and its eigendecomposition,")
+    order = n * d
+    graphs = np.count_nonzero(np.bincount(cfg.schedule.graph))
+    at_once = min(graphs, matalg._lapack_workers()) if order >= matalg.POOL_MIN_ORDER else 1
+    count = 2 * graphs + 3 * at_once
+    _check_memory(count * 8 * order ** 2, "num_agents", n,
+                  f"{count} dense {order} x {order} matrices, for the Laplacians and "
+                  f"eigenvectors of the {graphs} scheduled graph(s) of {n} agents of dimension "
+                  f"{d} and {at_once} eigendecomposition(s) at a time,")
 
 
 def _as_positive(value, where: str) -> float:
@@ -198,34 +211,20 @@ _ENDS = itemgetter("i", "j")
 _WEIGHT = itemgetter("weight")
 
 
-def _edge_arrays(edges: list, n: int, d: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The 0-based ``(E, 2)`` keys and ``(E, d, d)`` weights of a valid edge list, else None.
+def _edge_arrays(edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based ``(E, 2)`` keys and the weights of an edge list, each converted in one call.
 
-    Each array is converted in one call and checked as a whole: every edge an
-    object with integer (not bool) ends in ``1..n``, a finite ``(d, d)``
-    weight, and no node pair given twice.  Self loops are left to the graph.
+    An end that is not an integer raises TypeError; the graph checks the rest.
     """
-    try:
-        ends = list(map(_ENDS, edges))
-        if not set(map(type, chain.from_iterable(ends))) <= {int}:
-            return None
-        keys = np.array(ends, dtype=np.intp).reshape(-1, 2)
-        W = np.array(list(map(_WEIGHT, edges)), dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    if edges and W.shape != (len(edges), d, d) or not np.isfinite(W).all():
-        return None
-    if not ((keys >= 1) & (keys <= n)).all():
-        return None
-    pairs = np.sort(keys, axis=1)
-    pairs = pairs[np.lexsort(pairs.T[::-1])]
-    if (pairs[1:] == pairs[:-1]).all(axis=1).any():
-        return None
-    return keys - 1, W.reshape(-1, d, d)
+    ends = list(map(_ENDS, edges))
+    if not set(map(type, chain.from_iterable(ends))) <= {int}:
+        raise TypeError("edge ends must be integers")
+    keys = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    return keys - 1, np.array(list(map(_WEIGHT, edges)), dtype=float)
 
 
-def _raise_edge_fault(gid: str, edges: list, n: int, d: int) -> NoReturn:
-    """Raise the error of the first edge, in file order, that ``_edge_arrays`` rejects."""
+def _raise_edge_fault(gid: str, edges: list, n: int, d: int) -> None:
+    """Raise the error of the first edge, in file order, that is malformed on its own, if any."""
     seen = set()
     for e in edges:
         e = _as_object(e, f"graph {gid!r}: edges[]", "edges")
@@ -246,7 +245,6 @@ def _raise_edge_fault(gid: str, edges: list, n: int, d: int) -> NoReturn:
         if key in seen:
             raise ConfigValidationError(f"graph {gid!r}: duplicate edge ({i},{j})", field="edges")
         seen.add(key)
-    raise AssertionError(f"graph {gid!r}: the edge checks disagree on a valid edge list")
 
 
 def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeightedGraph]:
@@ -257,12 +255,14 @@ def _parse_graph(entry, n: int, d: int, eig_tol: float) -> tuple[str, MatrixWeig
     edges = _need(entry, "edges", f"graph {gid!r}")
     if not isinstance(edges, list):
         raise ConfigValidationError(f"graph {gid!r}: edges must be a list", field="edges")
-    arrays = _edge_arrays(edges, n, d)
-    if arrays is None:
-        _raise_edge_fault(gid, edges, n, d)
     try:
-        return gid, MatrixWeightedGraph.from_edges(n, d, *arrays, label=gid, eig_tol=eig_tol)
-    except ConsensusToolError as exc:
+        return gid, MatrixWeightedGraph.from_edges(n, d, *_edge_arrays(edges), label=gid,
+                                                   eig_tol=eig_tol)
+    except (ConsensusToolError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # an edge malformed on its own is named first, in file order, whatever the graph found
+        _raise_edge_fault(gid, edges, n, d)
+        if not isinstance(exc, ConsensusToolError):
+            raise
         raise ConfigValidationError(f"graph {gid!r}: {exc.describe(1)}", field="graphs") from exc
 
 
@@ -295,9 +295,6 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
         if stype == "periodic":
             pattern = seg_list(_need(raw, "pattern", "schedule", dotted=True), "schedule.pattern")
             reps = _as_int(_need(raw, "repetitions", "schedule", dotted=True), "schedule.repetitions")
-            if reps < 1:
-                raise ConfigValidationError(f"schedule: repetitions must be >= 1, got {reps}",
-                                            field="schedule.repetitions")
             _check_segments(len(pattern) * reps, "schedule.repetitions", reps)
             return SwitchingSchedule.periodic(graphs, pattern, reps, alpha)
         if stype == "explicit":
@@ -318,14 +315,12 @@ def _parse_schedule(raw, graphs: dict[str, MatrixWeightedGraph]) -> SwitchingSch
                 f"{where}.intervals must be >= 1, got {intervals}", field=f"{where}.intervals"
             )
         _check_segments(intervals, f"{where}.intervals", intervals)
-        if not isinstance(name, str) or name not in _GENERATORS:
-            raise ConfigValidationError(f"schedule: unknown schedule generator {name!r}",
-                                        field="schedule.generator.name")
         return SwitchingSchedule.generated(graphs, name, params, alpha)
     except ConsensusToolError as exc:
         if isinstance(exc, ConfigValidationError):
             raise
-        raise ConfigValidationError(f"schedule: {exc}", field="schedule") from exc
+        field = {"alpha": "schedule.alpha", **_SCHEDULE_FIELDS[stype]}.get(exc.input, "schedule")
+        raise ConfigValidationError(f"schedule: {exc}", field=field) from exc
 
 
 def _window_length(spec, schedule: SwitchingSchedule) -> int:

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 
 class ConsensusToolError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``input`` names the rejected input, if one is."""
+
+    def __init__(self, *args, input: str | None = None):
+        super().__init__(*args)
+        self.input = input
 
     def describe(self, base: int = 0) -> str:
         """The message with any node ids counted from ``base`` (0 or 1)."""
@@ -85,8 +89,8 @@ class DimensionMismatchError(ConsensusToolError):
 class DwellTooShortError(ConsensusToolError):
     """A schedule segment dwells for less than the declared minimum alpha."""
 
-    def __init__(self, message: str, segment: int | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, segment: int | None = None, input: str = "dwell"):
+        super().__init__(message, input=input)
         self.segment = segment
 
 

@@ -84,7 +84,8 @@ def check_symmetric(matrix) -> np.ndarray:
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise NonSymmetricError(f"must be square, got shape {M.shape}")
     S = M.reshape(-1, *M.shape[-2:])
-    skew = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: named below
+        skew = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     # a NaN or infinite entry makes skew NaN or inf, so finite input pays nothing extra
     bad = np.flatnonzero(~(skew <= SYM_TOL))
     if bad.size:

@@ -72,7 +72,7 @@ _GENERATORS = {"inverse_square_decay": lambda k: 1 / (k * k),
 
 def _check_count(count: int, what: str) -> None:
     if count > _MAX_SEGMENTS:
-        raise ScheduleError(f"{count} segments from {what} are more than an array can hold")
+        raise ScheduleError(f"{count} segments from {what} are more than an array can hold", input="count")
 
 
 def _segment_arrays(catalog: Mapping[str, object], segments: Sequence[Segment]) -> tuple[list, list, list]:
@@ -109,7 +109,7 @@ class SwitchingSchedule:
         if len(formats) != 1:
             raise DimensionMismatchError(f"catalog graphs disagree on (n, d, eig_tol): {sorted(formats)}")
         if not alpha > 0:
-            raise DwellTooShortError(f"alpha must be positive, got {alpha}")
+            raise DwellTooShortError(f"alpha must be positive, got {alpha}", input="alpha")
         self.graph, self.dwell, self.scale = g, w, c = (
             np.array(graph, dtype=np.intp), np.array(dwell, dtype=float), np.array(scale, dtype=float)
         )
@@ -125,7 +125,7 @@ class SwitchingSchedule:
         if (k := _first_false(w > 0)) is not None:
             raise DwellTooShortError(f"segment {k} dwell must be positive, got {w[k]}", segment=k)
         if (k := _first_false(c > 0)) is not None:
-            raise ScheduleError(f"segment {k} scale must be positive, got {c[k]}")
+            raise ScheduleError(f"segment {k} scale must be positive, got {c[k]}", input="scale")
         if (k := _first_false(w + 1e-12 >= self.alpha)) is not None:
             raise DwellTooShortError(f"segment {k} dwells {w[k]} < alpha = {self.alpha}", segment=k)
         with np.errstate(over="ignore"):  # reported below, with the segment named
@@ -133,7 +133,8 @@ class SwitchingSchedule:
         # the terms are positive, so finite totals bound every partial dose of every window
         if (k := _first_false(np.isfinite(ends) & np.isfinite(doses))) is not None:
             raise ScheduleError(
-                f"segment {k} takes the total dwell or dose (scale * dwell) past the float range"
+                f"segment {k} takes the total dwell or dose (scale * dwell) past the float range",
+                input="totals",
             )
         self._switch_times = np.concatenate(([0.0], ends))
         for a in (g, w, c, self._switch_times):
@@ -143,7 +144,6 @@ class SwitchingSchedule:
         (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._laplacians: dict[str, np.ndarray] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._couplings: dict[tuple[str, str], np.ndarray] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -165,7 +165,7 @@ class SwitchingSchedule:
         alpha: float,
     ) -> "SwitchingSchedule":
         if repetitions < 1:
-            raise EmptyScheduleError(f"repetitions must be >= 1, got {repetitions}")
+            raise EmptyScheduleError(f"repetitions must be >= 1, got {repetitions}", input="count")
         _check_count(len(pattern) * repetitions, f"{repetitions} repetitions of the pattern")
         arrays = [np.tile(a, repetitions) for a in _segment_arrays(catalog, pattern)]
         return cls(catalog, *arrays, alpha, mode="periodic", pattern=pattern)
@@ -194,7 +194,7 @@ class SwitchingSchedule:
             )
         _check_count(K, f"generator param 'intervals' = {K}")
         if not isinstance(name, str) or name not in _GENERATORS:
-            raise ScheduleError(f"unknown schedule generator {name!r}")
+            raise ScheduleError(f"unknown schedule generator {name!r}", input="name")
         scales = _GENERATORS[name](np.arange(1, K + 1))
         graph = np.full(K, list(catalog).index(gid))
         return cls(catalog, graph, np.ones(K), scales, alpha, mode="generated")
@@ -259,14 +259,6 @@ class SwitchingSchedule:
         for g, eig in zip(todo, _map_lapack(attempt, laplacians, self.n * self.d)):
             if eig is not None:
                 self._eigs[g] = eig
-
-    def coupling_of(self, a: str, b: str) -> np.ndarray:
-        """Cached ``V_a^T V_b``: graph ``b``'s eigenbasis in graph ``a``'s coordinates."""
-        if (a, b) not in self._couplings:
-            C = self.eig_of(a)[1].T @ self.eig_of(b)[1]
-            C.setflags(write=False)  # shared by every window that crosses from b to a
-            self._couplings[a, b] = C
-        return self._couplings[a, b]
 
 
 def _held_eigh(L: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -401,21 +393,25 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     return IntegralNetwork(duration=duration, graph=g_avg, doses=dose)
 
 
-def flow_core(s: SwitchingSchedule, w: Window) -> np.ndarray:
+def flow_core(s: SwitchingSchedule, w: Window, *, couplings: dict | None = None) -> np.ndarray:
     """Window flow map in the catalog eigenbases: ``K = E_R C_{R,R-1} ... C_{2,1} E_1``.
 
     Over the window's maximal runs ``r`` of one graph, ``E_r = diag(exp(-dose_r
-    lam_r))`` and ``C_{a,b} = V_a^T V_b`` (cached on the schedule), so the flow
-    map is ``Phi = V_R K V_1^T``.  The ``V`` are orthogonal, so ``K`` and
-    ``Phi`` share their singular values: a window of one run costs no matrix
-    product and one of two runs only two diagonal scalings.
+    lam_r))`` and ``C_{a,b} = V_a^T V_b``, kept in ``couplings`` under ``(a, b)``,
+    so windows given one dict form a coupling they share once.  The flow map
+    is ``Phi = V_R K V_1^T``.  The ``V`` are orthogonal, so ``K`` and ``Phi``
+    share their singular values: a window of one run costs no matrix product
+    and one of two runs only two diagonal scalings.
     """
     _check_window(s, w)
     _, graphs, doses = s.runs(w.start, w.end)
     ids, doses = [s.ids[k] for k in graphs.tolist()], doses.tolist()
     K = np.exp(-doses[0] * s.eig_of(ids[0])[0])  # the diagonal of E_1
+    couplings = {} if couplings is None else couplings
     for prev, gid, dose in zip(ids, ids[1:], doses[1:]):
-        C = s.coupling_of(gid, prev)
+        if (gid, prev) not in couplings:
+            couplings[gid, prev] = s.eig_of(gid)[1].T @ s.eig_of(prev)[1]
+        C = couplings[gid, prev]
         K = C * K if K.ndim == 1 else C @ K
         K *= np.exp(-dose * s.eig_of(gid)[0])[:, None]
     return np.diag(K) if K.ndim == 1 else K

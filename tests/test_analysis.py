@@ -602,6 +602,26 @@ class TestPairedMu:
         assert report.mu[2] == 0.0  # window 2's null space is the whole space: no flow core
         assert sorted(scans) == [(0, 2), (2, 4), (5, 6)]
 
+    def test_certification_leaves_no_coupling_on_the_schedule(self, monkeypatch):
+        cfg = scenarios.load_builtin("cluster_switching")
+        s = cfg.schedule
+        held = dict(vars(s))
+        pair_dicts = []
+
+        def spy(s, w, *, couplings=None):
+            pair_dicts.append(couplings)
+            return flow_core(s, w, couplings=couplings)
+
+        monkeypatch.setattr("mwconsensus.analysis.flow_core", spy)
+        certify_cluster_consensus(s, cfg.windows())
+        # the same attributes, holding the same objects: only the caches decompose fills grew
+        assert vars(s).keys() == held.keys()
+        assert all(vars(s)[k] is v for k, v in held.items())
+        assert sorted(s._eigs) == sorted(s._laplacians) == ["G1", "G2", "G3"]
+        assert not hasattr(SwitchingSchedule, "coupling_of")
+        # the one distinct period window is a stack of one, with a dict of its own
+        assert len(pair_dicts) == 1 and len(pair_dicts[0]) == 2
+
 
 class TestBipartiteSteadyState:
     def test_variant_closed_form_matches_projection(self, bipartite_cfg):

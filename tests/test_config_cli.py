@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwconsensus import cli, scenarios
+from mwconsensus import cli, matalg, scenarios
 from mwconsensus.cli import (
     _CSV_BLOCK_VALUES,
     _format_17g,
@@ -21,7 +21,7 @@ from mwconsensus.cli import (
     main,
     write_trajectory_csv,
 )
-from mwconsensus.config import load_config
+from mwconsensus.config import check_laplacian_memory, load_config
 from mwconsensus.errors import ConfigParseError, ConfigValidationError
 from mwconsensus.graph import MatrixWeightedGraph
 from mwconsensus.sim import Trajectory, simulate_exact
@@ -366,7 +366,7 @@ class TestLoad:
         assert capsys.readouterr().err == "error: schedule: unknown schedule generator 'cubic'\n"
 
     @pytest.mark.parametrize("count", [2**62, 10**20])
-    def test_segment_count_past_array_range_names_the_schedule(self, tmp_path, capsys, count):
+    def test_segment_count_past_array_range_names_its_key(self, tmp_path, capsys, count):
         for name, where in (("cluster_switching", "repetitions"), ("time_scaled_growth", "intervals")):
             doc = json.loads(scenarios.builtin_path(name).read_text())
             sched = doc["schedule"]
@@ -374,13 +374,42 @@ class TestLoad:
             path = str(write_json(tmp_path, doc))
             with pytest.raises(ConfigValidationError) as exc:
                 load_config(path)
-            assert exc.value.field == "schedule"
+            assert exc.value.field == "schedule." + (
+                "repetitions" if where == "repetitions" else "generator.params.intervals")
             assert str(exc.value).startswith("schedule: ")
             assert str(exc.value).endswith("segments from " + (
                 f"{count} repetitions of the pattern" if where == "repetitions"
                 else f"generator param 'intervals' = {count}") + " are more than an array can hold")
             assert main(["check", "--config", path]) == 1
             assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("name, change, field, message", [
+        ("cluster_switching", lambda s: s.update(alpha=0), "schedule.alpha",
+         "alpha must be positive, got 0.0"),
+        ("cluster_switching", lambda s: s["pattern"][1].update(dwell=-1), "schedule.pattern.dwell",
+         "segment 1 dwell must be positive, got -1.0"),
+        ("cluster_switching", lambda s: s["pattern"][0].update(scale=0), "schedule.pattern.scale",
+         "segment 0 scale must be positive, got 0.0"),
+        ("integral_static", lambda s: s["segments"][0].update(dwell=0.5),
+         "schedule.segments.dwell", "segment 0 dwells 0.5 < alpha = 1.0"),
+        ("integral_static", lambda s: s["segments"][0].update(scale=-2), "schedule.segments.scale",
+         "segment 0 scale must be positive, got -2.0"),
+        ("time_scaled_growth", lambda s: s.update(alpha=-1), "schedule.alpha",
+         "alpha must be positive, got -1.0"),
+        ("time_scaled_growth", lambda s: s.update(alpha=2), "schedule.alpha",
+         "segment 0 dwells 1.0 < alpha = 2.0"),
+    ], ids=["alpha-zero", "pattern-dwell-negative", "pattern-scale-zero", "segments-dwell-short",
+            "segments-scale-negative", "generated-alpha-negative", "generated-alpha-above-dwell"])
+    def test_value_the_schedule_rejects_names_its_key(self, tmp_path, capsys, name, change, field,
+                                                      message):
+        doc = json.loads(scenarios.builtin_path(name).read_text())
+        change(doc["schedule"])
+        path = str(write_json(tmp_path, doc))
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+        assert (exc.value.field, str(exc.value)) == (field, f"schedule: {message}")
+        assert main(["check", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: schedule: {message}\n"
 
     @pytest.mark.parametrize("name, where", [("cluster_switching", "repetitions"),
                                              ("time_scaled_growth", "intervals")])
@@ -441,6 +470,33 @@ class TestLoad:
         assert main(["check", "--config", path]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_laplacian_memory_counts_each_scheduled_graph_and_each_eigh_at_once(
+            self, tmp_path, capsys, monkeypatch, pooled):
+        # cluster_switching schedules 3 graphs of order 7 * 3 = 21: each holds its Laplacian and
+        # eigenvectors, and each eigh at a time LAPACK's copy and workspace of two more
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        doc["schedule"]["repetitions"] = 1  # so that loading fits in the memory below
+        doc.pop("solver")
+        path = str(write_json(tmp_path, doc))
+        if pooled:
+            monkeypatch.setattr(matalg, "POOL_MIN_ORDER", 1)
+            monkeypatch.setattr(matalg, "_lapack_workers", lambda: 2)
+        count = 2 * 3 + 3 * (2 if pooled else 1)
+        size = count * 8 * 21 ** 2
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: float(size))
+        check_laplacian_memory(load_config(path))
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: size - 1.0)
+        message = (f"num_agents = 7: {count} dense 21 x 21 matrices, for the Laplacians and "
+                   f"eigenvectors of the 3 scheduled graph(s) of 7 agents of dimension 3 and "
+                   f"{2 if pooled else 1} eigendecomposition(s) at a time, would take more than "
+                   f"the host's {size - 1.0:.3g} bytes of physical memory")
+        with pytest.raises(ConfigValidationError) as exc:
+            check_laplacian_memory(load_config(path))
+        assert (exc.value.field, str(exc.value)) == ("num_agents", message)
+        assert main(["check", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_laplacian_past_physical_memory_names_num_agents_before_any_is_built(
             self, tmp_path, capsys, monkeypatch):
         doc = minimal_config_dict()
@@ -459,8 +515,9 @@ class TestLoad:
         monkeypatch.setattr("mwconsensus.switching.laplacian", never)
         # an order-6 Laplacian and its eigendecomposition take five times 288 bytes
         monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 1439.0)
-        message = ("num_agents = 3: 5 dense 6 x 6 matrices, for the Laplacian of 3 agents of "
-                   "dimension 2 and its eigendecomposition, would take more than the host's "
+        message = ("num_agents = 3: 5 dense 6 x 6 matrices, for the Laplacians and eigenvectors "
+                   "of the 1 scheduled graph(s) of 3 agents of dimension 2 and 1 "
+                   "eigendecomposition(s) at a time, would take more than the host's "
                    "1.44e+03 bytes of physical memory")
         assert load_config(path).num_agents == 3
         for argv in (["check"], ["analyze", "--out", str(tmp_path / "r.json")],
@@ -493,7 +550,7 @@ class TestLoad:
             (duplicate_first_edge, "edges", "duplicate edge (2,1)"),
             (lambda d: d.update(schedule={"type": "explicit", "segments": []}),
              "schedule.segments", "schedule.segments must be a nonempty list"),
-            (lambda d: d["schedule"].update(alpha=2.0), "schedule", "< alpha = 2.0"),
+            (lambda d: d["schedule"].update(alpha=2.0), "schedule.pattern.dwell", "< alpha = 2.0"),
             (lambda d: d["schedule"].update(repetitions=0), "schedule.repetitions",
              "repetitions must be >= 1"),
             (lambda d: d.update(windows={"type": "sliding"}), "windows", "unknown windows spec"),
@@ -1148,7 +1205,7 @@ class TestCli:
                    "past the float range")
         with pytest.raises(ConfigValidationError) as exc:
             load_config(path)
-        assert str(exc.value) == message and exc.value.field == "schedule"
+        assert str(exc.value) == message and exc.value.field == "schedule.segments"
         for command, extra in (("check", []), ("analyze", ["--out", str(tmp_path / "r.json")]),
                                ("simulate", ["--out", str(tmp_path / "t.csv"), "--sample-dt", "5e9"])):
             assert main([command, "--config", path, *extra]) == 1

@@ -130,3 +130,16 @@ def test_valid_graphs_need_no_per_edge_scan(monkeypatch, n, d, eig_tol, entry):
 
     monkeypatch.setattr(config, "_raise_edge_fault", scan)
     config._parse_graph(entry, n, d, eig_tol)
+
+
+def test_graph_error_mapped_after_a_scan_that_finds_no_malformed_edge():
+    edges = [{"i": 2, "j": 2, "weight": [[1.0]]}, {"i": 1, "j": 3, "weight": [[1.0]]}]
+    assert config._raise_edge_fault("L", edges, 3, 1) is None
+    with pytest.raises(ConfigValidationError) as exc:
+        config._parse_graph({"id": "L", "edges": edges}, 3, 1, 1e-9)
+    assert (str(exc.value), exc.value.field) == ("graph 'L': edge (2,2) is a self loop", "graphs")
+    # an edge malformed on its own is named first, though it comes after the self loop
+    edges.append({"i": 3, "j": 1, "weight": [[2.0]]})
+    with pytest.raises(ConfigValidationError) as exc:
+        config._parse_graph({"id": "L", "edges": edges}, 3, 1, 1e-9)
+    assert (str(exc.value), exc.value.field) == ("graph 'L': duplicate edge (3,1)", "edges")

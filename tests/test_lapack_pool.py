@@ -29,15 +29,15 @@ from randgen import random_connected_pd_graph
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def synthetic_doc() -> dict:
-    """n = 100, d = 3: two connected PD graphs alternating over 9 segments, in windows of 3."""
+def synthetic_doc(segments: int = 9) -> dict:
+    """n = 100, d = 3: two connected PD graphs alternating over ``segments``, in windows of 3."""
     graphs = []
     for k in range(2):
         g = random_connected_pd_graph(100, 3, seed=40 + k, extra_edges=60)
         edges = [{"i": i + 1, "j": j + 1, "weight": W.tolist()}
                  for (i, j), W in zip(g.keys.tolist(), g.weights)]
         graphs.append({"id": f"G{k + 1}", "edges": edges})
-    dwells = np.random.default_rng(7).uniform(0.05, 0.1, size=9)
+    dwells = np.random.default_rng(7).uniform(0.05, 0.1, size=segments)
     return {
         "dimension": 3,
         "num_agents": 100,
@@ -159,13 +159,23 @@ class TestPooledOutputsAgainstOneAtATime:
         # a catalog of one graph and one window leaves nothing to run at the same time
         assert bool(pooled) == (name in ("cluster_switching", "bipartite_switching"))
 
+    @pytest.mark.parametrize("segments", [9, 12])
     def test_synthetic_two_graph_catalog_byte_identical(self, tmp_path, capsys, monkeypatch,
-                                                        synthetic_path):
+                                                        segments):
+        # 3 or 4 windows of order 300 make 2 pairs, each forming the couplings both cross
+        path = tmp_path_doc(tmp_path, synthetic_doc(segments))
+        cfg = load_config(path)
+        assert cfg.schedule.n * cfg.schedule.d >= matalg.POOL_MIN_ORDER
+        crossed = [{(a, b) for w in cfg.windows()[k:k + 2]
+                    for a, b in zip(cfg.schedule.graph[w.start:w.end - 1],
+                                    cfg.schedule.graph[w.start + 1:w.end])}
+                   for k in (0, 2)]
+        assert crossed[0] & crossed[1]
         monkeypatch.setattr(matalg, "_lapack_workers", lambda: 1)
-        alone = run_outputs(synthetic_path, tmp_path / "alone", capsys)
+        alone = run_outputs(path, tmp_path / "alone", capsys)
         pooled = force_pool(monkeypatch)
         before = threading.active_count()
-        assert run_outputs(synthetic_path, tmp_path / "pooled", capsys) == alone
+        assert run_outputs(path, tmp_path / "pooled", capsys) == alone
         assert pooled and threading.active_count() == before
 
     def test_more_workers_than_cores_with_short_switch_interval(self, monkeypatch, synthetic_path):

@@ -203,6 +203,20 @@ class TestClassify:
         with pytest.raises(NonSymmetricError, match="NaN or infinite"):
             classify_stack(M[None])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entry_raises_the_named_error_without_a_warning(self, bad):
+        # inf - inf in the skew is NaN; numpy would warn of it before the error is raised
+        M = np.eye(2)
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(NonSymmetricError, match="^matrix has a NaN or infinite entry$"):
+            check_symmetric(M)
+        with pytest.raises(NonSymmetricError, match="NaN or infinite") as exc:
+            classify_stack(np.stack([np.eye(2), M]))
+        assert exc.value.index == 1
+        with pytest.raises(NonSymmetricError, match="^edge \\(0,1\\) weight has a NaN or infinite"):
+            MatrixWeightedGraph(2, 2, {(0, 1): M})
+
     @given(sym_matrices())
     @settings(deadline=None)
     def test_classification_is_exhaustive(self, M):

@@ -347,15 +347,19 @@ class TestFlowCore:
             Phi = V_last @ flow_core(s, w) @ V_first.T
             assert np.abs(Phi - state_transition(s, w)).max() < 1e-12
 
-    def test_couplings_are_cached_per_ordered_pair(self):
-        s = scenarios.load_builtin("cluster_switching").schedule  # no coupling held yet
-        flow_core(s, Window(0, 6))
-        pairs = {(s.ids[p], s.ids[q]) for p, q in zip(s.graph[1:6], s.graph[:5]) if p != q}
-        assert set(s._couplings) == pairs
-        held = dict(s._couplings)
-        flow_core(s, Window(6, 12))
-        assert s._couplings.keys() == held.keys()
-        assert all(s._couplings[k] is v for k, v in held.items())
+    def test_windows_sharing_one_coupling_dict_get_the_cores_of_separate_calls(self, cluster_cfg):
+        s = cluster_cfg.schedule
+        windows = [Window(0, 6), Window(6, 12), Window(2, 9), Window(4, 5)]
+        alone = [flow_core(s, w) for w in windows]
+        shared = {}
+        for w, K in zip(windows, alone):
+            assert flow_core(s, w, couplings=shared).tobytes() == K.tobytes()
+        crossed = {(s.ids[b], s.ids[a]) for w in windows
+                   for a, b in zip(s.graph[w.start:w.end - 1], s.graph[w.start + 1:w.end]) if a != b}
+        assert set(shared) == crossed
+        held = dict(shared)
+        flow_core(s, Window(12, 18), couplings=shared)  # crosses only what it shares
+        assert shared.keys() == held.keys() and all(shared[k] is v for k, v in held.items())
 
 
 class TestDosesAndRunsAgainstOracle:
