@@ -10,7 +10,6 @@ of each window's flow map, taken in the catalog eigenbases.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -38,7 +37,7 @@ from .switching import (
     IntegralNetwork,
     SwitchingSchedule,
     Window,
-    _check_window,
+    _window_sources,
     flow_core,
     integral_network,
     simultaneous_structural_balance,
@@ -84,7 +83,7 @@ def null_intersection(
         raise DimensionMismatchError("need at least one Laplacian")
     if len({np.shape(L) for L in laplacians}) > 1:
         raise DimensionMismatchError("Laplacians differ in order")
-    parts = [(1.0, L, *psd_eigh(L, eig_tol)[:2]) for L in map(check_symmetric, laplacians)]
+    parts = [(1.0, *psd_eigh(L, eig_tol)[:2]) for L in map(check_symmetric, laplacians)]
     return null_space_of_sum(parts, eig_tol)
 
 
@@ -236,10 +235,9 @@ class CertificationReport:
 def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
     """Null space of a window's integral Laplacian ``L_w = sum_g dose_g L_g / T``.
 
-    :func:`null_space_of_sum` solves it from the cached catalog Laplacians
-    and their eigendecompositions.
+    :func:`null_space_of_sum` solves it from the cached catalog spectra.
     """
-    parts = [(dose / net.duration, s.laplacian_of(g), *s.eig_of(g))
+    parts = [(dose / net.duration, *s.eig_of(g))
              for g, dose in zip(s.ids, net.doses.tolist()) if dose]
     if not parts:  # every scale * dwell underflowed, so L_w = 0
         return null_space(np.zeros((s.n * s.d,) * 2), s.eig_tol)
@@ -263,10 +261,9 @@ def certify_cluster_consensus(
     space is the whole space has no complement to contract and records ``mu = 0``.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
-    bit have equal operators, so each distinct window is computed once and
-    its windows share one :class:`IntegralNetwork` object.  One dict finds
-    them: a window whose length no other window has is keyed by its position,
-    any other by the bytes of its three slices.  The structural
+    bit have equal operators, so each distinct window, as
+    :func:`switching._window_sources` finds them, is computed once and its
+    windows share one :class:`IntegralNetwork` object.  The structural
     diagnostics read only an integral graph's edges and their classes, so
     they range over distinct edge structures only: windows that dose the
     same graphs for different times count once.
@@ -290,20 +287,12 @@ def certify_cluster_consensus(
             raise WindowsNotContiguousError(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
-    # a window is keyed by its position when no other window has its length, else by its
-    # content: positive dwells and scales are equal exactly when their bits are
-    lengths = Counter(w.end - w.start for w in ws)
-    first: dict[object, int] = {}  # a key's first window
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
-    for k, w in enumerate(ws):
-        span = _check_window(s, w)
-        key = k if lengths[w.end - w.start] == 1 else tuple(
-            a[span].tobytes() for a in (s.graph, s.dwell, s.scale))
-        j = first.setdefault(key, k)
+    for k, (w, j) in enumerate(zip(ws, _window_sources(s, ws))):  # window by window
         src.append(j)
         nets.append(integral_network(s, w) if j == k else nets[j])
-    distinct = list(first.values())
+    distinct = list(dict.fromkeys(src))
     order = s.n * s.d
     # every graph the windows run, a dose that underflowed to 0 too: the pool's workers only read
     s.decompose([s.ids[g] for g in np.flatnonzero(np.bincount(s.graph[:ws[-1].end])).tolist()])
@@ -358,8 +347,8 @@ def verify_necessary_condition(
     This is the paper's necessary condition: a limit lies in the null space
     of every switching Laplacian.  Uses the scale-aware criterion
     ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||``, so the answer does
-    not depend on the overall magnitude of either factor; ``||L||`` is the
-    largest eigenvalue of the schedule's cached eigendecomposition.
+    not depend on the overall magnitude of either factor; ``||L||`` and ``||L
+    x*|| = ||lam * (V^T x*)||`` come from the schedule's cached spectrum.
     """
     v = np.asarray(x_star, dtype=float).ravel()
     if v.size != s.n * s.d:
@@ -369,7 +358,7 @@ def verify_necessary_condition(
     for doses in {id(net): net.doses for net in nets}.values():  # windows share networks
         used |= doses > 0
     for k in np.flatnonzero(used).tolist():
-        top = float(s.eig_of(s.ids[k])[0][-1])
-        if float(np.linalg.norm(s.laplacian_of(s.ids[k]) @ v)) > NECESSARY_TOL * (1.0 + top) * nv:
+        lam, V = s.eig_of(s.ids[k])
+        if float(np.linalg.norm(lam * (V.T @ v))) > NECESSARY_TOL * (1.0 + float(lam[-1])) * nv:
             return False
     return True

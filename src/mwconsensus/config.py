@@ -6,8 +6,8 @@ tolerances, and the window length used by certification.  Node ids are
 1-based in files and errors, 0-based in memory.  Every number read must be
 finite, every tolerance positive, and every key of ``tolerances`` and
 ``solver`` one of their fields.  A ``dimension``, ``repetitions`` or
-``intervals`` whose arrays would take more than the host's physical memory
-is rejected, and named, before those arrays are allocated;
+``intervals`` whose arrays would take more than the host's physical memory,
+or its cgroup's limit, is rejected, and named, before those arrays are allocated;
 :func:`check_laplacian_memory` does the same for ``num_agents`` and the
 Laplacians that the commands build.  A graph's edges are read as two arrays
 and checked by the graph as a whole; only a list that the graph rejects is
@@ -36,7 +36,14 @@ from .errors import (
 from .graph import MatrixWeightedGraph
 from .matalg import Tolerances
 from .sim import _check_horizon
-from .switching import _MAX_SEGMENTS, Segment, SwitchingSchedule, Window
+from .switching import (
+    _MAX_SEGMENTS,
+    Segment,
+    SwitchingSchedule,
+    Window,
+    _crossings,
+    _window_sources,
+)
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
 _SOLVER_METHODS = ("exact", "rk4")
@@ -137,15 +144,13 @@ def _parse_record(raw, cls, where: str, **parse):
 def _check_memory(size: int, field: str, value, what: str) -> None:
     """Reject a ``field`` whose ``value`` makes ``what`` take ``size`` bytes, more than the host has.
 
-    The bound is the host's physical memory, as for a simulation's samples,
+    The bound is :func:`sim._memory_limit`, as for a simulation's samples,
     and the check runs before anything of that size is allocated.
     """
-    memory = sim._physical_memory()
+    memory, limit = sim._memory_limit()
     if size > memory:
-        raise ConfigValidationError(
-            f"{field} = {value}: {what} would take more than the host's {memory:.3g} bytes "
-            "of physical memory", field=field,
-        )
+        raise ConfigValidationError(f"{field} = {value}: {what} would take more than {limit}",
+                                    field=field)
 
 
 def _check_segments(count: int, field: str, value) -> None:
@@ -159,26 +164,43 @@ def _check_segments(count: int, field: str, value) -> None:
                       f"the schedule's arrays for {count} segments, {_SEGMENT_BYTES} bytes each,")
 
 
-def check_laplacian_memory(cfg: ScenarioConfig) -> None:
-    """Reject a scenario whose order-``n d`` Laplacians could not be decomposed in the host's memory.
+def check_laplacian_memory(cfg: ScenarioConfig, analyze: bool = False) -> None:
+    """Reject a scenario whose order-``n d`` matrices could not be held in the host's memory.
 
     A dense ``(n d) x (n d)`` Laplacian is not bounded by the file's size: a
     path of 30,000 agents takes 1.5 MB to write and 7.2 GB as a Laplacian.
-    The schedule keeps one, and its eigenvectors, for each graph it uses, and
-    each ``eigh`` running (:func:`matalg._map_lapack` runs some at once) holds
-    LAPACK's copy and a workspace of two more.  :func:`load_config` bounds
-    only what loading allocates, so every command, ``check`` too, calls this
-    before any Laplacian is built.
+    The schedule keeps the eigenvectors of each graph it uses.  Each ``eigh``
+    running (:func:`matalg._map_lapack` runs some at once) holds its
+    Laplacian, LAPACK's copy and a workspace of two more.  With ``analyze``,
+    the ``mu`` pair tasks run once every ``eigh`` has returned, and each
+    holds a coupling per distinct unordered transition its two windows
+    cross, its two flow cores and their trimmed stack of two.  The count
+    takes the larger phase, and of the pair tasks those that hold the most,
+    as many as run at once.  The pairs are formed as certification forms
+    them, of consecutive distinct windows, as if each needed a ``mu``.
+    :func:`load_config` bounds only what loading allocates, so every
+    command, ``check`` too, calls this before any Laplacian is built.
     """
     n, d = cfg.num_agents, cfg.dimension
     order = n * d
-    graphs = np.count_nonzero(np.bincount(cfg.schedule.graph))
-    at_once = min(graphs, matalg._lapack_workers()) if order >= matalg.POOL_MIN_ORDER else 1
-    count = 2 * graphs + 3 * at_once
+    s = cfg.schedule
+    graphs = np.count_nonzero(np.bincount(s.graph))
+    at_once = matalg._pool_size(graphs, order)
+    phase = 3 * at_once, f"{at_once} eigendecomposition(s) at a time"
+    if analyze:
+        ws = cfg.windows()
+        distinct = list(dict.fromkeys(_window_sources(s, ws)))
+        pairs = [[_crossings(s, ws[k]) for k in distinct[i:i + 2]]
+                 for i in range(0, len(distinct), 2)]
+        couplings = sorted((len(set().union(*pair)) for pair in pairs), reverse=True)
+        tasks = matalg._pool_size(len(pairs), order)
+        held = sum(couplings[:tasks])
+        phase = max(phase, (4 * tasks + held, f"{tasks} pair(s) of window flow maps at a time "
+                                              f"with {held} coupling(s)"))
+    count = graphs + phase[0]
     _check_memory(count * 8 * order ** 2, "num_agents", n,
-                  f"{count} dense {order} x {order} matrices, for the Laplacians and "
-                  f"eigenvectors of the {graphs} scheduled graph(s) of {n} agents of dimension "
-                  f"{d} and {at_once} eigendecomposition(s) at a time,")
+                  f"{count} dense {order} x {order} matrices, for the eigenvectors of the "
+                  f"{graphs} scheduled graph(s) of {n} agents of dimension {d} and {phase[1]},")
 
 
 def _as_positive(value, where: str) -> float:

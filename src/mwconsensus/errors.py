@@ -122,7 +122,7 @@ class HorizonError(ConsensusToolError):
     """Simulation horizon or step is not strictly positive, or does not fit the run.
 
     An RK4 ``step_h`` must divide every segment it integrates, and the samples
-    of an exact run must fit in the host's physical memory.
+    of an exact run must fit in the host's physical memory, or its cgroup's limit.
     """
 
 

@@ -268,10 +268,10 @@ def null_space(
 
 
 def null_space_of_sum(parts, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
-    """Null space of ``L = sum_i w_i A_i``, a sum of PSD terms, from its terms.
+    """Null space of ``L = sum_i w_i A_i``, a sum of PSD terms, from their spectra.
 
-    ``parts`` holds each positive weight ``w_i`` with its term ``A_i`` and
-    the term's ascending eigendecomposition ``(lam_i, V_i)``.  Zero means at
+    ``parts`` holds each positive weight ``w_i`` with the ascending
+    eigendecomposition ``(lam_i, V_i)`` of its term ``A_i``.  Zero means at
     most ``thr = eig_tol * max(1, B)``, with ``B = sum_i w_i lam_i[-1] >=
     lam_max(L)``, clamped at the float maximum.  ``x^T L x <= thr`` gives
     ``x^T A_i x <= thr / w_i``.  The term with the fewest, ``c``, eigenvalues
@@ -288,19 +288,20 @@ def null_space_of_sum(parts, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
     * and its residual ``||L V0 U - V0 U diag(mu)||_F`` is at most ``order *
       eps * max(1, B)``, a full ``eigh``'s backward error.
 
-    Only ``L V0 = sum_i w_i A_i V0`` is formed for it.  Otherwise, and when
-    no term offers ``V0``, :func:`null_space` decomposes ``L`` in full.
+    Only ``L V0 = sum_i w_i V_i (lam_i * (V_i^T V0))`` is formed for it.
+    Otherwise :func:`null_space` decomposes ``L`` in full, rebuilt exactly
+    symmetric as ``sum_i w_i X_i X_i^T`` with ``X_i = V_i sqrt(lam_i)``.
     """
-    B = min(sum(w * float(lam[-1]) for w, _, lam, _ in parts), np.finfo(float).max)
+    B = min(sum(w * float(lam[-1]) for w, lam, _ in parts), np.finfo(float).max)
     thr = eig_tol * max(1.0, B)
     best = None  # (c, V0, g) of the smallest span offered
-    for w, _, lam, V in parts:
+    for w, lam, V in parts:
         c = int(np.searchsorted(lam, thr / w, side="right"))
         if c < (best[0] if best else lam.size) and lam[c] >= CUT_GAP * thr / w:
             best = c, V[:, :c], w * float(lam[c])
     if best is not None:
         c, V0, g = best
-        LV = sum(w * (A @ V0) for w, A, _, _ in parts)
+        LV = sum(w * (V @ (lam[:, None] * (V.T @ V0))) for w, lam, V in parts)
         M = V0.T @ LV
         mu, U, _ = psd_eigh(0.5 * (M + M.T), eig_tol, B)
         k = int(np.count_nonzero(mu <= thr))
@@ -310,7 +311,8 @@ def null_space_of_sum(parts, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
         res = np.linalg.norm((LV @ X - V0 @ (X * mu[:k])) / max(1.0, B))
         if low > thr and res <= len(V0) * np.finfo(float).eps:
             return NullSpaceBasis(vectors=V0 @ X, tol_used=thr)
-    return null_space(sum(w * A for w, A, _, _ in parts), eig_tol, B)
+    grams = ((w, V * np.sqrt(lam)) for w, lam, V in parts)
+    return null_space(sum(w * (X @ X.T) for w, X in grams), eig_tol, B)
 
 
 def _lapack_workers() -> int:
@@ -331,8 +333,13 @@ def _lapack_workers() -> int:
     return 1
 
 
-def _map_lapack(fn, items, order: int) -> list:
-    """``list(map(fn, items))``, the calls run at the same time where that pays.
+def _pool_size(count: int, order: int) -> int:
+    """How many of ``count`` LAPACK calls on matrices of ``order`` :func:`_map_lapack` runs at once."""
+    return min(count, _lapack_workers()) if order >= POOL_MIN_ORDER else 1
+
+
+def _map_lapack(fn, items, order: int, prepare=None) -> list:
+    """``[fn(prepare(x)) for x in items]``, the calls run at the same time where that pays.
 
     ``fn`` is LAPACK-bound work on matrices of ``order``, which threads
     overlap where numpy releases the interpreter lock inside LAPACK: only in
@@ -341,18 +348,30 @@ def _map_lapack(fn, items, order: int) -> list:
     ``eigvalsh`` of fewer values, as of one core of order 400.  A pool of
     :func:`_lapack_workers` threads, at most one per item, runs the calls
     when there are at least two of each and ``order >= POOL_MIN_ORDER``;
-    otherwise they run one after another on this thread.  Results come back
-    in the order of ``items``, and the first call to raise, in that order,
-    raises here, after the pool has stopped.  The pool lives for this call
-    only, so no thread outlives it.  A worker starts with numpy's default
-    ``errstate``, not the caller's, and must only read shared state.
+    otherwise they run one after another on this thread.  ``prepare`` runs
+    here as a worker comes free for its item, so at most one prepared
+    argument per worker is held, and none in a worker's malloc arena.
+    Results come back in the order of ``items``, and the first call to
+    raise, in that order, raises here, once every call has returned.  The
+    pool lives for this call only, so no thread outlives it.  A worker starts
+    with numpy's default ``errstate``, not the caller's, and must only read
+    shared state.
     """
-    items = list(items)
-    workers = min(len(items), _lapack_workers()) if order >= POOL_MIN_ORDER else 1
+    items, prepare = list(items), prepare or (lambda x: x)
+    workers = _pool_size(len(items), order)
     if workers < 2:
-        return list(map(fn, items))
+        return [fn(prepare(x)) for x in items]
     # imported here, so that a run without a pool does not pay its 9 ms
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
+    def call(box):  # the argument goes with the call's frame, before its result is set
+        return fn(box.pop())
+
+    calls, running = [], set()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        for x in items:
+            if len(running) == workers:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            calls.append(pool.submit(call, [prepare(x)]))
+            running.add(calls[-1])
+    return [c.result() for c in calls]

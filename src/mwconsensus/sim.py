@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -24,10 +26,13 @@ from .errors import (
     HorizonError,
     ScheduleExhaustedError,
 )
+from .graph import laplacian
 from .switching import SwitchingSchedule
 
 _DEDUP_TOL = 1e-12
 _EDGE_TOL = 1e-9
+# where a cgroup's memory limit is read: v2, then v1
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 @dataclass(frozen=True)
@@ -85,20 +90,49 @@ def _physical_memory() -> float:
         return float("inf")
 
 
+@cache
+def _cgroup_memory() -> float:
+    """The memory limit of this process's cgroup in bytes: inf for ``max``, or where none is read.
+
+    The first of ``_CGROUP_LIMITS`` that reads as a number or ``max`` counts.
+    It is read once, as each command checks its memory several times.
+    """
+    for path in _CGROUP_LIMITS:
+        try:
+            text = Path(path).read_text().strip()
+            return float("inf") if text == "max" else float(int(text))
+        except (OSError, ValueError):
+            continue
+    return float("inf")
+
+
+def _memory_limit() -> tuple[float, str]:
+    """The bytes a command may allocate, and their name in a message.
+
+    That is the host's physical memory, or the cgroup's limit where it is
+    the smaller; a limit above physical memory, as cgroup v1 writes for
+    none, leaves the host's.
+    """
+    host, cgroup = _physical_memory(), _cgroup_memory()
+    if cgroup < host:
+        return cgroup, f"the cgroup's memory limit of {cgroup:.3g} bytes"
+    return host, f"the host's {host:.3g} bytes of physical memory"
+
+
 def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) -> float:
     """Reject a run of ``method`` to ``horizon`` that could not complete; return the horizon.
 
     ``step`` is the exact solver's ``sample_dt`` or RK4's ``step_h``.  Beyond
     :func:`_check_horizon` and a positive, finite ``step``, a grid that would
-    not fit in the host's physical memory raises :class:`HorizonError` before
+    not fit in :func:`_memory_limit` raises :class:`HorizonError` before
     anything is allocated.  An exact sample counts ``6 n d + 48`` floats: its
     state, its column of its graph's block and of that block's product or
     scaling, and, as every run starts at a sample, at most one run's decay,
     ``V^T x`` and carried state; the 48 hold the times, doses and indices of
     a sample and its run, and the array headers of the run's vectors.  An
     RK4 step counts ``2 n d + 2``: its state and time and their final
-    copies.  The bound is the host's memory, not a container's or cgroup's
-    limit, so a run under it can still fail to allocate.  RK4 also needs
+    copies.  The bound is :func:`_memory_limit`, the host's physical memory
+    or its cgroup's limit, whichever is smaller.  RK4 also needs
     ``step_h`` to divide every segment it integrates, the last one up to the
     horizon, within floating-point tolerance.
     """
@@ -117,11 +151,11 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
         raise HorizonError(f"{name} = {step} is too small for horizon {horizon}: "
                            "the sample count overflows")
     size = samples * width * 8.0
-    memory = _physical_memory()
+    memory, limit = _memory_limit()
     if size > memory:
         raise HorizonError(
             f"{name} = {step} gives {samples:.6g} samples over horizon {horizon}: "
-            f"{size:.3g} bytes, more than the host's {memory:.3g} bytes of physical memory"
+            f"{size:.3g} bytes, more than {limit}"
         )
     if rk4:
         K = _segments_reached(s, horizon)
@@ -243,10 +277,10 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     Steps never straddle a switching instant: each segment is integrated with
     its own whole number of steps, so ``step_h`` must divide every dwell (and
     the final partial dwell) within floating-point tolerance; :func:`check_run`
-    rejects the run first, as it does a grid past physical memory.  Every
+    rejects the run first, as it does a grid past the memory limit.  Every
     step endpoint is recorded.  A step past RK4's stability limit makes the
     state overflow; the first segment whose states are not all finite raises
-    :class:`HorizonError`.
+    :class:`HorizonError`.  Its Laplacians are built for the call alone.
     """
     x = _validated_x0(s, x0)
     horizon = check_run(s, horizon, "rk4", step_h)
@@ -254,12 +288,13 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     chunks_t: list[np.ndarray] = [np.zeros(1)]
     chunks_x: list[np.ndarray] = [x[None, :].copy()]
     K = _segments_reached(s, horizon)
+    laplacians = {g: laplacian(s.catalog[s.ids[g]]) for g in np.unique(s.graph[:K]).tolist()}
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for k, (g, scale) in enumerate(zip(s.graph[:K].tolist(), s.scale[:K].tolist())):
             a = t_switch[k]
             span = min(t_switch[k + 1], horizon) - a
             nst = int(round(span / step_h))
-            L = scale * s.laplacian_of(s.ids[g])
+            L = scale * laplacians[g]
             out = np.empty((nst, x.size))
             h = span / nst
             for i in range(nst):

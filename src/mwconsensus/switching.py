@@ -23,8 +23,9 @@ Window-level operators:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -142,7 +143,6 @@ class SwitchingSchedule:
         self.mode = mode
         self.pattern = tuple(pattern) if pattern is not None else None
         (self.n, self.d, self.eig_tol) = next(iter(formats))
-        self._laplacians: dict[str, np.ndarray] = {}
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- constructors -------------------------------------------------------
@@ -220,21 +220,16 @@ class SwitchingSchedule:
         dose = np.add.reduceat(self.scale[start:end] * self.dwell[start:end], first)
         return start + first, g[first], dose
 
-    def laplacian_of(self, graph_id: str) -> np.ndarray:
-        if graph_id not in self._laplacians:
-            self._laplacians[graph_id] = laplacian(self.catalog[graph_id])
-        return self._laplacians[graph_id]
-
     def eig_of(self, graph_id: str) -> tuple[np.ndarray, np.ndarray]:
         """Cached PSD eigendecomposition of the unscaled catalog Laplacian, at ``eig_tol``.
 
         Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of
         zero are held as exact zeros, so no dose, however large, decays a
-        null-space component.
+        null-space component.  It is all the schedule keeps of a graph.
         """
         if graph_id not in self._eigs:
             try:
-                self._eigs[graph_id] = _held_eigh(self.laplacian_of(graph_id), self.eig_tol)
+                self._eigs[graph_id] = _held_eigh(laplacian(self.catalog[graph_id]), self.eig_tol)
             except NotPSDError as exc:
                 raise NotPSDError(f"graph {graph_id!r}: Laplacian {exc}") from None
         return self._eigs[graph_id]
@@ -242,13 +237,13 @@ class SwitchingSchedule:
     def decompose(self, graph_ids) -> None:
         """Fill the :meth:`eig_of` cache for several graphs at once.
 
-        The Laplacians are assembled here and their ``eigh`` calls run on
-        :func:`matalg._map_lapack`'s pool.  This only warms the cache: a
-        graph whose Laplacian is not PSD is left out, so that :meth:`eig_of`
-        raises for it, naming the graph, where the graph is first asked for.
+        The ``eigh`` calls run on :func:`matalg._map_lapack`'s pool, each
+        Laplacian built as a worker comes free for it and let go after its
+        call.  This only warms the cache: a graph whose Laplacian is not PSD
+        is left out, so that :meth:`eig_of` raises for it, naming the graph,
+        where the graph is first asked for.
         """
         todo = [g for g in dict.fromkeys(graph_ids) if g not in self._eigs]
-        laplacians = [self.laplacian_of(g) for g in todo]
 
         def attempt(L):
             try:
@@ -256,9 +251,8 @@ class SwitchingSchedule:
             except NotPSDError:
                 return None
 
-        for g, eig in zip(todo, _map_lapack(attempt, laplacians, self.n * self.d)):
-            if eig is not None:
-                self._eigs[g] = eig
+        eigs = _map_lapack(attempt, todo, self.n * self.d, lambda g: laplacian(self.catalog[g]))
+        self._eigs.update((g, eig) for g, eig in zip(todo, eigs) if eig is not None)
 
 
 def _held_eigh(L: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -311,6 +305,32 @@ def _check_window(s: SwitchingSchedule, w: Window) -> slice:
             f"window [{w.start}, {w.end}) exceeds schedule length {s.num_segments}"
         )
     return slice(w.start, w.end)
+
+
+def _window_sources(s: SwitchingSchedule, windows: Sequence[Window]) -> Iterator[int]:
+    """For each window in turn, the position of the first window with its content.
+
+    Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
+    bit have equal operators.  One dict finds them: a window whose length no
+    other window has is keyed by its position, any other by the bytes of its
+    three slices; positive dwells and scales are equal exactly when their
+    bits are.  A window past the schedule's end raises when its turn comes.
+    """
+    lengths = Counter(w.end - w.start for w in windows)
+    first: dict[object, int] = {}  # a key's first window
+    for k, w in enumerate(windows):
+        span = _check_window(s, w)
+        key = k if lengths[w.end - w.start] == 1 else (
+            s.graph[span].tobytes(), s.dwell[span].tobytes(), s.scale[span].tobytes())
+        yield first.setdefault(key, k)
+
+
+def _crossings(s: SwitchingSchedule, w: Window) -> set[tuple[int, int]]:
+    """The unordered pairs of catalog positions whose coupling :func:`flow_core` forms for ``w``."""
+    g = s.graph[_check_window(s, w)]
+    at = np.flatnonzero(g[1:] != g[:-1])
+    a, b = g[at], g[at + 1]
+    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 def _edge_union(graphs: Sequence[MatrixWeightedGraph]):
@@ -397,9 +417,10 @@ def flow_core(s: SwitchingSchedule, w: Window, *, couplings: dict | None = None)
     """Window flow map in the catalog eigenbases: ``K = E_R C_{R,R-1} ... C_{2,1} E_1``.
 
     Over the window's maximal runs ``r`` of one graph, ``E_r = diag(exp(-dose_r
-    lam_r))`` and ``C_{a,b} = V_a^T V_b``, kept in ``couplings`` under ``(a, b)``,
-    so windows given one dict form a coupling they share once.  The flow map
-    is ``Phi = V_R K V_1^T``.  The ``V`` are orthogonal, so ``K`` and ``Phi``
+    lam_r))`` and ``C_{a,b} = V_a^T V_b``, kept in ``couplings`` under ``(a, b)``
+    unless ``C_{b,a}``, its transpose, is there: so windows given one dict
+    form a coupling they share once, whichever way they cross it.  The flow
+    map is ``Phi = V_R K V_1^T``.  The ``V`` are orthogonal, so ``K`` and ``Phi``
     share their singular values: a window of one run costs no matrix product
     and one of two runs only two diagonal scalings.
     """
@@ -409,9 +430,12 @@ def flow_core(s: SwitchingSchedule, w: Window, *, couplings: dict | None = None)
     K = np.exp(-doses[0] * s.eig_of(ids[0])[0])  # the diagonal of E_1
     couplings = {} if couplings is None else couplings
     for prev, gid, dose in zip(ids, ids[1:], doses[1:]):
-        if (gid, prev) not in couplings:
-            couplings[gid, prev] = s.eig_of(gid)[1].T @ s.eig_of(prev)[1]
-        C = couplings[gid, prev]
+        if (gid, prev) in couplings:
+            C = couplings[gid, prev]
+        elif (prev, gid) in couplings:
+            C = couplings[prev, gid].T
+        else:
+            C = couplings[gid, prev] = s.eig_of(gid)[1].T @ s.eig_of(prev)[1]
         K = C * K if K.ndim == 1 else C @ K
         K *= np.exp(-dose * s.eig_of(gid)[0])[:, None]
     return np.diag(K) if K.ndim == 1 else K

@@ -21,6 +21,12 @@ def integral_cfg():
     return scenarios.load_builtin("integral_static")
 
 
+@pytest.fixture(autouse=True)
+def no_cgroup_limit(monkeypatch):
+    """Bound memory by the host's physical memory alone, so memory messages read alike on any host."""
+    monkeypatch.setattr("mwconsensus.sim._cgroup_memory", lambda: float("inf"))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)

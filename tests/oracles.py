@@ -607,7 +607,7 @@ def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSp
     """
     dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
     B = min(sum(w * float(s.eig_of(g)[0][-1]) for w, g in dosed), np.finfo(float).max)
-    lam, V, thr = psd_eigh(sum(w * s.laplacian_of(g) for w, g in dosed), s.eig_tol, B)
+    lam, V, thr = psd_eigh(sum(w * laplacian(s.catalog[g]) for w, g in dosed), s.eig_tol, B)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
 
 

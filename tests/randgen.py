@@ -184,3 +184,40 @@ def stacked_null_projector(mats: list[np.ndarray], tol: float = 1e-8) -> np.ndar
         return np.zeros((k, k))
     V = vt[-null_dim:].T
     return V @ V.T
+
+
+def many_graph_doc(seed: int, window: int, n: int = 100, d: int = 3, graphs: int = 30,
+                   segments: int = 400) -> dict:
+    """Scenario document of a many-graph catalog, the shape whose memory grows with the catalog.
+
+    ``graphs`` connected graphs of ``2 n - 1`` positive-definite edges each (a
+    random spanning path and ``n`` random edges more), ``segments`` unit-dwell
+    segments whose graph changes at every segment, and uniform windows of
+    ``window`` segments.  The same seed gives the same document.
+    """
+    rng = np.random.default_rng(seed)
+    catalog = []
+    for g in range(graphs):
+        order = rng.permutation(n).tolist()
+        keys = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+        while len(keys) < 2 * n - 1:
+            a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
+            keys.add((a, b))
+        edges = []
+        for i, j in sorted(keys):
+            R = rng.normal(size=(d, d))
+            edges.append({"i": i + 1, "j": j + 1, "weight": (R @ R.T + 0.3 * np.eye(d)).tolist()})
+        catalog.append({"id": f"G{g + 1}", "edges": edges})
+    sequence = [int(rng.integers(graphs))]
+    for _ in range(segments - 1):  # any graph but the one before
+        sequence.append((sequence[-1] + 1 + int(rng.integers(graphs - 1))) % graphs)
+    return {
+        "dimension": d,
+        "num_agents": n,
+        "graphs": catalog,
+        "schedule": {"type": "explicit", "alpha": 1.0,
+                     "segments": [{"graph": f"G{g + 1}", "dwell": 1.0} for g in sequence]},
+        "initial_state": rng.uniform(0.0, 1.0, size=n * d).tolist(),
+        "windows": {"type": "uniform", "segments": window},
+        "solver": {"method": "exact", "sample_dt": 1.0},
+    }

@@ -34,7 +34,7 @@ from oracles import (
     write_trajectory_csv_rows,
     write_trajectory_csv_savetxt,
 )
-from randgen import random_connected_pd_graph
+from randgen import many_graph_doc, random_connected_pd_graph
 from test_run_bundled_scenarios import run_bundled
 
 MAX = sys.float_info.max
@@ -473,8 +473,8 @@ class TestLoad:
     @pytest.mark.parametrize("pooled", [False, True])
     def test_laplacian_memory_counts_each_scheduled_graph_and_each_eigh_at_once(
             self, tmp_path, capsys, monkeypatch, pooled):
-        # cluster_switching schedules 3 graphs of order 7 * 3 = 21: each holds its Laplacian and
-        # eigenvectors, and each eigh at a time LAPACK's copy and workspace of two more
+        # cluster_switching schedules 3 graphs of order 7 * 3 = 21: each holds its eigenvectors,
+        # and each eigh at a time its Laplacian, LAPACK's copy and a workspace of two more
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
         doc["schedule"]["repetitions"] = 1  # so that loading fits in the memory below
         doc.pop("solver")
@@ -482,15 +482,15 @@ class TestLoad:
         if pooled:
             monkeypatch.setattr(matalg, "POOL_MIN_ORDER", 1)
             monkeypatch.setattr(matalg, "_lapack_workers", lambda: 2)
-        count = 2 * 3 + 3 * (2 if pooled else 1)
+        count = 3 + 3 * (2 if pooled else 1)
         size = count * 8 * 21 ** 2
         monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: float(size))
         check_laplacian_memory(load_config(path))
         monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: size - 1.0)
-        message = (f"num_agents = 7: {count} dense 21 x 21 matrices, for the Laplacians and "
-                   f"eigenvectors of the 3 scheduled graph(s) of 7 agents of dimension 3 and "
-                   f"{2 if pooled else 1} eigendecomposition(s) at a time, would take more than "
-                   f"the host's {size - 1.0:.3g} bytes of physical memory")
+        message = (f"num_agents = 7: {count} dense 21 x 21 matrices, for the eigenvectors of the "
+                   f"3 scheduled graph(s) of 7 agents of dimension 3 and {2 if pooled else 1} "
+                   f"eigendecomposition(s) at a time, would take more than the host's "
+                   f"{size - 1.0:.3g} bytes of physical memory")
         with pytest.raises(ConfigValidationError) as exc:
             check_laplacian_memory(load_config(path))
         assert (exc.value.field, str(exc.value)) == ("num_agents", message)
@@ -511,20 +511,67 @@ class TestLoad:
         def never(*args, **kwargs):
             raise AssertionError("a Laplacian was built")
 
-        monkeypatch.setattr("mwconsensus.graph.laplacian", never)
-        monkeypatch.setattr("mwconsensus.switching.laplacian", never)
-        # an order-6 Laplacian and its eigendecomposition take five times 288 bytes
-        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 1439.0)
-        message = ("num_agents = 3: 5 dense 6 x 6 matrices, for the Laplacians and eigenvectors "
-                   "of the 1 scheduled graph(s) of 3 agents of dimension 2 and 1 "
-                   "eigendecomposition(s) at a time, would take more than the host's "
-                   "1.44e+03 bytes of physical memory")
+        for module in ("graph", "switching", "sim"):
+            monkeypatch.setattr(f"mwconsensus.{module}.laplacian", never)
         assert load_config(path).num_agents == 3
-        for argv in (["check"], ["analyze", "--out", str(tmp_path / "r.json")],
-                     ["simulate", "--out", str(tmp_path / "t.csv")]):
+        # an order-6 graph's eigenvectors and one eigendecomposition take four times 288
+        # bytes; analyze's one pair task takes its two cores and their trimmed stack instead
+        for argv, count, what in (
+                (["check"], 4, "1 eigendecomposition(s) at a time"),
+                (["analyze", "--out", str(tmp_path / "r.json")], 5,
+                 "1 pair(s) of window flow maps at a time with 0 coupling(s)"),
+                (["simulate", "--out", str(tmp_path / "t.csv")], 4,
+                 "1 eigendecomposition(s) at a time")):
+            memory = 288.0 * count - 1.0
+            monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+            message = (f"num_agents = 3: {count} dense 6 x 6 matrices, for the eigenvectors of "
+                       f"the 1 scheduled graph(s) of 3 agents of dimension 2 and {what}, would "
+                       f"take more than the host's {memory:.3g} bytes of physical memory")
             assert main([*argv, "--config", path]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.csv").exists()
+
+    def test_analyze_memory_counts_the_couplings_of_the_largest_pair_task(
+            self, tmp_path, capsys, monkeypatch):
+        # three graphs of order 2 (32 bytes a matrix) in windows [a b c a] [a b a b] [c c]: the
+        # first pair crosses {a, b}, {b, c} and {a, c}, {a, b} of the second window again and
+        # both ways, so it holds 3 couplings, 2 cores and their trimmed stack of 2
+        doc = minimal_config_dict()
+        doc["graphs"] = [{"id": gid, "edges": [{"i": 1, "j": 2, "weight": [[w]]}]}
+                         for gid, w in (("a", 1.0), ("b", 2.0), ("c", 3.0))]
+        doc["schedule"]["segments"] = [{"graph": g, "dwell": 1.0} for g in "abcaababcc"]
+        doc["windows"] = {"type": "uniform", "segments": 4}
+        path = str(write_json(tmp_path, doc))
+        count = 3 + 4 + 3
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 32.0 * count)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        # without its couplings the pair task would fit: 3 + 4 matrices, against 3 + 3 for
+        # one eigendecomposition at a time, which is all the other commands count
+        memory = 32.0 * count - 1.0
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+        check_laplacian_memory(load_config(path))
+        message = (f"num_agents = 2: {count} dense 2 x 2 matrices, for the eigenvectors of the "
+                   "3 scheduled graph(s) of 2 agents of dimension 1 and 1 pair(s) of window flow "
+                   f"maps at a time with 3 coupling(s), would take more than the host's "
+                   f"{memory:.3g} bytes of physical memory")
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_many_graph_catalog_checks_and_counts_its_pair_tasks(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the 30-graph, order-300 catalog of randgen.many_graph_doc; at 2 workers its two
+        # largest pairs of 25-segment windows cross 93 couplings, in all 131 matrices
+        path = str(write_json(tmp_path, many_graph_doc(1, 25)))
+        assert main(["check", "--config", path]) == 0
+        assert capsys.readouterr().out.endswith("OK\n")
+        monkeypatch.setattr(matalg, "_lapack_workers", lambda: 2)
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 1e6)
+        with pytest.raises(ConfigValidationError, match=(
+                "^num_agents = 100: 131 dense 300 x 300 matrices, for the eigenvectors of the 30 "
+                "scheduled graph[(]s[)] of 100 agents of dimension 3 and 2 pair[(]s[)] of window "
+                "flow maps at a time with 93 coupling[(]s[)], ")):
+            check_laplacian_memory(load_config(path), analyze=True)
 
     @pytest.mark.parametrize(
         "mutate, field, shown",

@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,31 @@ class TestMapLapack:
             range(6), matalg.POOL_MIN_ORDER)
         assert got == [(x * x, False) for x in range(6)]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_arguments_are_prepared_here_as_a_worker_comes_free(self, monkeypatch, workers):
+        monkeypatch.setattr(matalg, "_lapack_workers", lambda: workers)
+        live, most = set(), []
+
+        class Arg:
+            pass
+
+        def prepare(x):
+            assert threading.current_thread() is threading.main_thread()
+            arg = Arg()
+            live.add(x)
+            weakref.finalize(arg, live.discard, x)
+            most.append(len(live))
+            arg.x = x
+            return arg
+
+        def square(arg):
+            time.sleep(0.002 * (arg.x % 3))  # calls of unequal length finish out of order
+            return arg.x * arg.x
+
+        got = matalg._map_lapack(square, range(12), matalg.POOL_MIN_ORDER, prepare)
+        assert got == [x * x for x in range(12)]
+        assert max(most) == workers and not live
 
     def test_first_error_in_item_order_is_raised(self, monkeypatch):
         monkeypatch.setattr(matalg, "_lapack_workers", lambda: 3)

@@ -13,6 +13,7 @@ from mwconsensus.errors import (
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import null_space
+from mwconsensus import sim
 from mwconsensus.sim import _doses_since_run_start, check_run, simulate_exact, simulate_rk4
 from mwconsensus.switching import Segment, SwitchingSchedule
 
@@ -29,6 +30,8 @@ from oracles import (
     state_at,
 )
 from randgen import rand_catalog, rand_run_schedule, rand_short_runs, random_connected_pd_graph
+
+CGROUP_READER = sim._cgroup_memory  # the package's own, taken before any test stubs it
 
 
 def two_node_schedule(dwell=2.0, w=1.0):
@@ -274,6 +277,52 @@ class TestMemoryCount:
         monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: peak - 1.0)
         with pytest.raises(HorizonError, match="more than the host's"):
             check_run(s, horizon, "exact", sample_dt)
+
+
+def read_cgroup_limit() -> float:
+    """``sim._cgroup_memory`` read afresh: the package reads it once, and the tests stub it."""
+    return CGROUP_READER.__wrapped__()
+
+
+class TestCgroupLimit:
+    @pytest.mark.parametrize("v2, v1, limit", [
+        ("1073741824\n", "2048\n", 2.0**30),  # v2 is read first
+        ("max\n", "2048\n", float("inf")),
+        (None, "536870912\n", 2.0**29),
+        ("junk\n", "4096\n", 4096.0),  # a v2 file that does not parse gives way to v1
+        (None, None, float("inf")),
+    ], ids=["v2-number", "v2-max", "v1-number", "v2-unreadable", "no-file"])
+    def test_the_first_readable_limit_counts(self, tmp_path, monkeypatch, v2, v1, limit):
+        paths = []
+        for name, text in (("memory.max", v2), ("memory.limit_in_bytes", v1)):
+            paths.append(tmp_path / name)
+            if text is not None:
+                paths[-1].write_text(text)
+        monkeypatch.setattr(sim, "_CGROUP_LIMITS", tuple(map(str, paths)))
+        assert read_cgroup_limit() == limit
+
+    def test_unreadable_file_means_no_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "_CGROUP_LIMITS", (str(tmp_path),))  # a directory
+        assert read_cgroup_limit() == float("inf")
+
+    @pytest.mark.parametrize("cgroup, named", [
+        (1e3, "the cgroup's memory limit of 1e+03 bytes"),
+        (1e9, "the host's 1e+05 bytes of physical memory"),  # above physical memory: none
+        (float("inf"), "the host's 1e+05 bytes of physical memory"),
+    ])
+    def test_the_smaller_bound_is_named(self, monkeypatch, cgroup, named):
+        monkeypatch.setattr(sim, "_physical_memory", lambda: 1e5)
+        monkeypatch.setattr(sim, "_cgroup_memory", lambda: cgroup)
+        assert sim._memory_limit() == (min(cgroup, 1e5), named)
+        # 1001 samples of 2 n d + 2 = 6 floats: 4.8e4 bytes
+        s = two_node_schedule(dwell=1.0)
+        if cgroup < 1e5:
+            with pytest.raises(HorizonError) as exc:
+                check_run(s, 1.0, "rk4", 1e-3)
+            assert str(exc.value) == ("step_h = 0.001 gives 1001 samples over horizon 1.0: "
+                                      f"4.8e+04 bytes, more than {named}")
+        else:
+            assert check_run(s, 1.0, "rk4", 1e-3) == 1.0
 
 
 class TestRandomSchedules:

@@ -13,6 +13,7 @@ from mwconsensus.errors import (
     SignInconsistentEdgeError,
 )
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
+from mwconsensus.analysis import mu_m_plus_1
 from mwconsensus.matalg import null_space
 from mwconsensus.switching import (
     Segment,
@@ -29,12 +30,20 @@ from hypothesis import strategies as st
 
 from oracles import (
     integral_network_per_segment,
+    mu_budget,
+    mu_m_plus_1_svd,
     projector,
     state_transition,
     state_transition_per_segment,
     weight_of,
 )
-from randgen import rand_catalog, rand_run_schedule, rand_windows, stacked_null_projector
+from randgen import (
+    rand_catalog,
+    rand_run_schedule,
+    rand_windows,
+    random_connected_pd_graph,
+    stacked_null_projector,
+)
 
 
 def small_catalog():
@@ -193,9 +202,9 @@ class TestIntegralNetwork:
         s = cluster_cfg.schedule
         net = integral_network(s, Window(0, 3))
         expected = (
-            2.0 * s.laplacian_of("G1")
-            + 3.0 * s.laplacian_of("G2")
-            + 1.0 * s.laplacian_of("G3")
+            2.0 * laplacian(s.catalog["G1"])
+            + 3.0 * laplacian(s.catalog["G2"])
+            + 1.0 * laplacian(s.catalog["G3"])
         ) / 6.0
         assert np.abs(laplacian(net.graph) - expected).max() < 1e-12
 
@@ -204,7 +213,7 @@ class TestIntegralNetwork:
         net = integral_network(s, Window(0, 3))
         P = projector(null_space(laplacian(net.graph)))
         P_oracle = stacked_null_projector(
-            [s.laplacian_of(g) for g in ("G1", "G2", "G3")]
+            [laplacian(s.catalog[g]) for g in ("G1", "G2", "G3")]
         )
         assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
@@ -360,6 +369,23 @@ class TestFlowCore:
         held = dict(shared)
         flow_core(s, Window(12, 18), couplings=shared)  # crosses only what it shares
         assert shared.keys() == held.keys() and all(shared[k] is v for k, v in held.items())
+
+    def test_a_transition_crossed_both_ways_forms_one_coupling(self):
+        # in [A, B, A, B] the coupling of B after A is formed once, and read transposed for A
+        # after B; the core's mu is the dense flow map's within mu's error bound beta
+        cat = {g: random_connected_pd_graph(6, 2, seed=k, extra_edges=3) for k, g in enumerate("AB")}
+        segs = [Segment(g, dwell) for g, dwell in zip("ABAB", (0.3, 0.5, 0.2, 0.4))]
+        s = SwitchingSchedule.explicit(cat, segs, alpha=0.1)
+        couplings = {}
+        K = flow_core(s, Window(0, 4), couplings=couplings)
+        assert list(couplings) == [("B", "A")]
+        Phi = state_transition(s, Window(0, 4))
+        m = 2  # connected with definite weights: the consensus space of dimension d
+        mu, exact = mu_m_plus_1(K, m), mu_m_plus_1_svd(Phi, m)
+        assert 1e-3 < exact < 1.0
+        roundoff = 2 * s.n * s.d * np.finfo(float).eps
+        assert mu <= exact + roundoff
+        assert exact - mu <= mu_budget(Phi, m) + roundoff
 
 
 class TestDosesAndRunsAgainstOracle:
