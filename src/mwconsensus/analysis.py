@@ -29,7 +29,6 @@ from .matalg import (
     _map_lapack,
     check_symmetric,
     null_space,
-    null_space_of_sum,
     projector_distance,
     psd_eigh,
 )
@@ -37,7 +36,7 @@ from .switching import (
     IntegralNetwork,
     SwitchingSchedule,
     Window,
-    _window_sources,
+    _shared_sources,
     flow_core,
     integral_network,
     simultaneous_structural_balance,
@@ -75,7 +74,7 @@ def null_intersection(
     """Orthonormal basis of the intersection of the Laplacians' null spaces.
 
     For PSD matrices the intersection of null spaces equals the null space of
-    the sum, which :func:`null_space_of_sum` solves from the summands.  Each
+    the sum, whose :func:`null_space` is bounded by the summed largest eigenvalues.  Each
     summand is checked to be symmetric by :func:`check_symmetric` and PSD by
     :func:`psd_eigh` first (the identity fails for sign-indefinite input).
     """
@@ -83,8 +82,9 @@ def null_intersection(
         raise DimensionMismatchError("need at least one Laplacian")
     if len({np.shape(L) for L in laplacians}) > 1:
         raise DimensionMismatchError("Laplacians differ in order")
-    parts = [(1.0, *psd_eigh(L, eig_tol)[:2]) for L in map(check_symmetric, laplacians)]
-    return null_space_of_sum(parts, eig_tol)
+    mats = [check_symmetric(L) for L in laplacians]
+    B = sum(float(psd_eigh(L, eig_tol)[0].max(initial=0.0)) for L in mats)
+    return null_space(sum(mats), eig_tol, min(B, np.finfo(float).max))
 
 
 def group_clusters(
@@ -233,18 +233,41 @@ class CertificationReport:
 
 
 def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
-    """Null space of a window's integral Laplacian ``L_w = sum_g dose_g L_g / T``.
+    """Null space of a window's integral Laplacian ``L_w``, that of ``net.graph``.
 
-    :func:`null_space_of_sum` solves it from the cached catalog spectra.
+    ``x^T L_w x`` sums ``(x_i - s_e x_j)^T |A_e| (x_i - s_e x_j)``, so a definite
+    edge forces ``x_i = s_e x_j``: a skeleton component with an odd negative
+    cycle to 0, any other ``C`` to ``x_i = sigma_i y_C / sqrt(|C|)``, ``x = S y``.
+    The null space is ``S null(S^T L_w S)``, the quotient of order ``c d``
+    assembled from the edges, its upper triangle mirrored.  Zero means at most
+    ``s.eig_tol * max(1, B)``, ``B = sum_g (dose_g / T) lam_max(L_g)`` clamped
+    at the float maximum.
     """
-    parts = [(dose / net.duration, *s.eig_of(g))
-             for g, dose in zip(s.ids, net.doses.tolist()) if dose]
-    if not parts:  # every scale * dwell underflowed, so L_w = 0
-        return null_space(np.zeros((s.n * s.d,) * 2), s.eig_tol)
-    try:
-        return null_space_of_sum(parts, s.eig_tol)
-    except NotPSDError as exc:
-        raise NotPSDError(f"integral Laplacian {exc}") from None
+    g = net.graph
+    B = min(sum(dose / net.duration * float(s.eig_of(gid)[0][-1])
+                for gid, dose in zip(s.ids, net.doses.tolist()) if dose), np.finfo(float).max)
+    root, sigma, odd = g._skeleton
+    root = np.array(root)
+    kept = root == np.arange(g.n)  # the roots of the components kept
+    kept[list(odd)] = False
+    c, held = int(kept.sum()), kept[root]
+    comp = np.where(held, np.cumsum(kept)[root] - 1, -1)  # each node's kept component
+    coef = np.where(held, np.array(sigma) / np.sqrt(np.bincount(root)[root]), 0.0)
+    # x_i - s_e x_j = a y_p + b y_q; in one component a takes a + b, 0 if the edge agrees
+    i, j = g.keys.T
+    a, b, p, q = coef[i], -g.signs * coef[j], comp[i], comp[j]
+    a, b = np.where(p == q, a + b, a), np.where(p == q, 0.0, b)
+    factor = np.concatenate((a * a, b * b, a * b))
+    on = np.flatnonzero(factor)
+    e = on % len(a)
+    row, col = np.concatenate((p, q, np.minimum(p, q))), np.concatenate((p, q, np.maximum(p, q)))
+    Q = np.zeros((c, c, g.d, g.d))
+    np.add.at(Q, (row[on], col[on]), (factor[on] * g.signs[e])[:, None, None] * g.weights[e])
+    M = Q.swapaxes(1, 2).reshape(c * g.d, c * g.d)
+    basis = null_space(np.triu(M) + np.triu(M, 1).T, s.eig_tol, B)
+    U, X = basis.vectors.reshape(c, g.d, basis.dim), np.zeros((g.n, g.d, basis.dim))
+    X[held] = coef[held, None, None] * U[comp[held]]
+    return NullSpaceBasis(vectors=X.reshape(g.n * g.d, basis.dim), tol_used=basis.tol_used)
 
 
 def certify_cluster_consensus(
@@ -253,12 +276,16 @@ def certify_cluster_consensus(
     """Certify geometric convergence to the common null space over the given windows.
 
     The windows must tile the schedule prefix contiguously.  For each window
-    the integral-network null space (with ``s.eig_tol``, the tolerance that
-    classified the window averages, solved inside a catalog null space) and
-    the singular values of its :func:`flow_core` are computed; certification
-    requires all null spaces equal (as projectors, within ``tol.ns_eq_tol``) and
-    ``max_l mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.  A window whose null
-    space is the whole space has no complement to contract and records ``mu = 0``.
+    the integral-network null space and the singular values of its
+    :func:`flow_core` are computed; certification requires all null spaces
+    equal (as projectors, within ``tol.ns_eq_tol``) and ``max_l
+    mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.  A window whose null space is
+    the whole space has no complement to contract and records ``mu = 0``.
+    A definite integral edge, however weakly dosed, forces its two agents to
+    agree or to mirror each other (:func:`_window_null_space`): so
+    ``pn_spanning_tree`` with ``balance`` gives ``m = d`` (0 if the definite
+    edges are unbalanced), and a weak bridge is not certified, where an
+    eigenvalue threshold alone counted it as null.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window, as
@@ -289,7 +316,7 @@ def certify_cluster_consensus(
             )
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
-    for k, (w, j) in enumerate(zip(ws, _window_sources(s, ws))):  # window by window
+    for k, (w, j) in enumerate(zip(ws, _shared_sources(s, ws))):  # window by window
         src.append(j)
         nets.append(integral_network(s, w) if j == k else nets[j])
     distinct = list(dict.fromkeys(src))

@@ -42,7 +42,7 @@ from .switching import (
     SwitchingSchedule,
     Window,
     _crossings,
-    _window_sources,
+    _shared_sources,
 )
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
@@ -82,15 +82,19 @@ class ScenarioConfig:
     window_length: int  # segments per certification window
     solver: SolverConfig = SolverConfig()
     tolerances: Tolerances = Tolerances()
+    _windows: tuple = field(default=(None, 0, ()), init=False, repr=False)
 
     @property
     def horizon(self) -> float:
         return self.solver.horizon if self.solver.horizon is not None else self.schedule.total_duration
 
     def windows(self) -> list[Window]:
-        """The schedule cut into windows of ``window_length`` segments; the last may be shorter."""
-        N, size = self.schedule.num_segments, self.window_length
-        return [Window(a, min(a + size, N)) for a in range(0, N, size)]
+        """The schedule in ``window_length``-segment windows, the last maybe shorter; made once."""
+        s, size = self.schedule, self.window_length
+        if self._windows[:2] != (s, size):
+            N = s.num_segments
+            self._windows = s, size, tuple(Window(a, min(a + size, N)) for a in range(0, N, size))
+        return list(self._windows[2])
 
 
 def _need(raw: Mapping, key: str, where: str, dotted: bool = False):
@@ -189,7 +193,7 @@ def check_laplacian_memory(cfg: ScenarioConfig, analyze: bool = False) -> None:
     phase = 3 * at_once, f"{at_once} eigendecomposition(s) at a time"
     if analyze:
         ws = cfg.windows()
-        distinct = list(dict.fromkeys(_window_sources(s, ws)))
+        distinct = list(dict.fromkeys(_shared_sources(s, tuple(ws))))
         pairs = [[_crossings(s, ws[k]) for k in distinct[i:i + 2]]
                  for i in range(0, len(distinct), 2)]
         couplings = sorted((len(set().union(*pair)) for pair in pairs), reverse=True)

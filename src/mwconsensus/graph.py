@@ -11,6 +11,7 @@ structural-balance analysis; the weight magnitudes drive the block Laplacian
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -137,6 +138,12 @@ class MatrixWeightedGraph:
         for a in (self.keys, self.weights, self.classes, self.signs):
             a.setflags(write=False)
 
+    @functools.cached_property
+    def _skeleton(self) -> tuple[list[int], list[int], set[int]]:
+        """:func:`signed_components` of the definite edges, each tying its two ends; found once."""
+        definite = _definite(self)
+        return signed_components(self.n, self.keys[definite], self.signs[definite])
+
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"MatrixWeightedGraph(n={self.n}, d={self.d}, edges={len(self.keys)}{tag})"
@@ -197,8 +204,7 @@ def has_positive_negative_spanning_tree(g: MatrixWeightedGraph) -> bool:
     Semidefinite-but-singular weights are excluded: only edges whose weight is
     positive or negative definite count.
     """
-    definite = _definite(g)
-    return max(signed_components(g.n, g.keys[definite], g.signs[definite])[0]) == 0
+    return max(g._skeleton[0]) == 0
 
 
 def _definite(g: MatrixWeightedGraph) -> np.ndarray:
@@ -237,21 +243,19 @@ class Bipartition:
 
 def signed_components(
     n: int, keys: np.ndarray, signs: np.ndarray
-) -> tuple[list[int], Bipartition | None]:
-    """Each node's component root and a signed 2-coloring, from edge ``keys`` and ``signs``.
+) -> tuple[list[int], list[int], set[int]]:
+    """Each node's component root and sign, and the roots of the unbalanced components.
 
     A breadth-first search from each component's smallest node, its root,
-    colors the root +1, the ends of a +1 edge alike and those of a -1 edge
-    unlike.  The coloring is None when some cycle has an odd number of -1
-    edges, and otherwise unique, whatever order neighbors are visited in.
+    signs the root +1, the ends of a +1 edge alike and those of a -1 edge
+    unlike.  A component with a cycle of an odd number of -1 edges is
+    unbalanced; a balanced one's signs are unique, whatever the visiting order.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (i, j), s in zip(keys.tolist(), signs.tolist()):
         adj[i].append((j, s))
         adj[j].append((i, s))
-    root = [-1] * n
-    sigma = [0] * n
-    balanced = True
+    root, sigma, odd = [-1] * n, [0] * n, set()
     for r in range(n):
         if root[r] >= 0:
             continue
@@ -265,5 +269,5 @@ def signed_components(
                     root[v], sigma[v] = r, want
                     queue.append(v)
                 elif sigma[v] != want:
-                    balanced = False
-    return root, Bipartition(sigma=tuple(sigma)) if balanced else None
+                    odd.add(r)
+    return root, sigma, odd

@@ -14,8 +14,6 @@ Tolerance conventions
   threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
   space keeps eigenvectors with ``lam <= thr``, where
   ``thr = EIG_TOL * max(1, lam_max)``, or a bound on ``lam_max`` in its place.
-* ``CUT_GAP``: the spectral gap after a term's near-null span that
-  :func:`null_space_of_sum` asks for before it tries that span.
 * ``PIVOT_TIE``: relative gap under which two row norms tie when
   :func:`canonical_basis` picks a pivot row; the lower index wins.
 * ``POOL_MIN_ORDER``: the matrix order from which :func:`_map_lapack` runs
@@ -38,7 +36,6 @@ EIG_TOL = 1e-9
 EIG_FLOOR = 1e-12
 ORTHO_TOL = 1e-10
 PIVOT_TIE = 1e-8
-CUT_GAP = 1e3  # a term's span bounds a null space of a sum only across a gap this wide
 POOL_MIN_ORDER = 256
 # the variables by which a BLAS is told how many threads each call may take
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -78,12 +75,12 @@ def check_symmetric(matrix) -> np.ndarray:
     added so that no entry overflows.  Raises NonSymmetricError for
     non-square input, for a NaN or infinite entry, and when any entry differs
     from its transpose partner by more than ``SYM_TOL``; in a stack the first
-    offending matrix raises, with its position as the error's ``index``.
+    offending matrix raises, with its position as the error's ``index``.  Order 0 passes.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise NonSymmetricError(f"must be square, got shape {M.shape}")
-    S = M.reshape(-1, *M.shape[-2:])
+    S = M if M.ndim == 3 else M[None]
     with np.errstate(invalid="ignore"):  # inf - inf: named below
         skew = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     # a NaN or infinite entry makes skew NaN or inf, so finite input pays nothing extra
@@ -265,54 +262,6 @@ def null_space(
     """
     lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol, lam_bound)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
-
-
-def null_space_of_sum(parts, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
-    """Null space of ``L = sum_i w_i A_i``, a sum of PSD terms, from their spectra.
-
-    ``parts`` holds each positive weight ``w_i`` with the ascending
-    eigendecomposition ``(lam_i, V_i)`` of its term ``A_i``.  Zero means at
-    most ``thr = eig_tol * max(1, B)``, with ``B = sum_i w_i lam_i[-1] >=
-    lam_max(L)``, clamped at the float maximum.  ``x^T L x <= thr`` gives
-    ``x^T A_i x <= thr / w_i``.  The term with the fewest, ``c``, eigenvalues
-    up to that cut and the next, ``lam_i[c]``, at least ``CUT_GAP`` times it
-    offers the candidate ``V0 U``: ``V0`` its first ``c`` eigenvectors and
-    ``U`` those of ``V0^T L V0`` whose eigenvalues ``mu`` are at most
-    ``thr``.  The candidate is kept when
-
-    * no null vector is missed: with ``g = w_i lam_i[c]`` and ``a`` the next
-      ``mu``, a unit ``x = u + v`` orthogonal to it (``u`` in ``span(V0)``)
-      has ``x^T L x >= g |v|^2`` and ``sqrt(x^T L x) >= sqrt(a) |u| -
-      sqrt(B) |v|``, so at least ``g / (1 + ((sqrt(g) + sqrt(B)) / sqrt(a))^2)``
-      (``g`` when no ``mu`` exceeds ``thr``), which must exceed ``thr``;
-    * and its residual ``||L V0 U - V0 U diag(mu)||_F`` is at most ``order *
-      eps * max(1, B)``, a full ``eigh``'s backward error.
-
-    Only ``L V0 = sum_i w_i V_i (lam_i * (V_i^T V0))`` is formed for it.
-    Otherwise :func:`null_space` decomposes ``L`` in full, rebuilt exactly
-    symmetric as ``sum_i w_i X_i X_i^T`` with ``X_i = V_i sqrt(lam_i)``.
-    """
-    B = min(sum(w * float(lam[-1]) for w, lam, _ in parts), np.finfo(float).max)
-    thr = eig_tol * max(1.0, B)
-    best = None  # (c, V0, g) of the smallest span offered
-    for w, lam, V in parts:
-        c = int(np.searchsorted(lam, thr / w, side="right"))
-        if c < (best[0] if best else lam.size) and lam[c] >= CUT_GAP * thr / w:
-            best = c, V[:, :c], w * float(lam[c])
-    if best is not None:
-        c, V0, g = best
-        LV = sum(w * (V @ (lam[:, None] * (V.T @ V0))) for w, lam, V in parts)
-        M = V0.T @ LV
-        mu, U, _ = psd_eigh(0.5 * (M + M.T), eig_tol, B)
-        k = int(np.count_nonzero(mu <= thr))
-        low = g if k == c else g / (1.0 + ((np.sqrt(g) + np.sqrt(B)) / np.sqrt(mu[k])) ** 2)
-        X = U[:, :k]
-        # taken relative to max(1, B), so that its squares do not overflow
-        res = np.linalg.norm((LV @ X - V0 @ (X * mu[:k])) / max(1.0, B))
-        if low > thr and res <= len(V0) * np.finfo(float).eps:
-            return NullSpaceBasis(vectors=V0 @ X, tol_used=thr)
-    grams = ((w, V * np.sqrt(lam)) for w, lam, V in parts)
-    return null_space(sum(w * (X @ X.T) for w, X in grams), eig_tol, B)
 
 
 def _lapack_workers() -> int:

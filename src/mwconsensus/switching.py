@@ -144,6 +144,7 @@ class SwitchingSchedule:
         self.pattern = tuple(pattern) if pattern is not None else None
         (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._keyed: tuple[tuple[Window, ...], list[int]] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -325,6 +326,18 @@ def _window_sources(s: SwitchingSchedule, windows: Sequence[Window]) -> Iterator
         yield first.setdefault(key, k)
 
 
+def _shared_sources(s: SwitchingSchedule, windows: tuple[Window, ...]) -> Iterator[int]:
+    """:func:`_window_sources`, kept on ``s`` for the last windows keyed to the end, to reuse."""
+    if s._keyed is not None and s._keyed[0] == windows:
+        yield from s._keyed[1]
+        return
+    src = []
+    for j in _window_sources(s, windows):
+        src.append(j)
+        yield j
+    s._keyed = windows, src
+
+
 def _crossings(s: SwitchingSchedule, w: Window) -> set[tuple[int, int]]:
     """The unordered pairs of catalog positions whose coupling :func:`flow_core` forms for ``w``."""
     g = s.graph[_check_window(s, w)]
@@ -458,4 +471,5 @@ def simultaneous_structural_balance(
     keys, signs, first, _, clash = _edge_union(graphs)
     if clash.size:
         return None
-    return signed_components(graphs[0].n, keys[first], signs[first])[1]
+    _, sigma, odd = signed_components(graphs[0].n, keys[first], signs[first])
+    return None if odd else Bipartition(sigma=tuple(sigma))

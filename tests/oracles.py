@@ -44,8 +44,12 @@ how far apart two spans are from the bases alone (``projector_distance``).
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.  ``window_null_space_eigh`` takes a
 window's null space from the full ``eigh`` of its dosed sum of catalog
-Laplacians, where the package solves inside a catalog null space where that
-provably loses nothing.
+Laplacians, the eigenvalue threshold alone deciding it.
+``window_null_space_skeleton`` takes it under the definite-edge constraints
+``x_i = s_e x_j``, whose span ``definite_edge_span`` finds by SVD, from the
+``eigh`` of the dense Laplacian compressed to that span, where the package
+assembles the compressed matrix from the edge list in the skeleton's own
+coordinates.
 
 ``windows_by_spec`` cuts a schedule into windows by a file's ``windows`` spec,
 ``"whole"``, ``"period"`` or ``{"type": "uniform", "segments": k}``, one
@@ -562,8 +566,8 @@ def certify_per_window(
 ) -> CertificationReport:
     """Integral network, null space and flow core of every window, computed afresh.
 
-    Each window's null space comes from the package's restricted solve, so
-    only the sharing of distinct window content differs from the package.
+    Each window's null space comes from the package's ``_window_null_space``,
+    so only the sharing of distinct window content differs from the package.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -599,6 +603,12 @@ def certify_per_window(
     )
 
 
+def _window_bound(s: SwitchingSchedule, net: IntegralNetwork) -> float:
+    """``B = sum_g (dose_g / T) lam_max(L_g)`` over a window's graphs, clamped at the float max."""
+    dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
+    return min(sum(w * float(s.eig_of(g)[0][-1]) for w, g in dosed), np.finfo(float).max)
+
+
 def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
     """Null space of ``L_w = sum_g (dose_g / T) L_g`` from its full ``eigh``.
 
@@ -606,9 +616,42 @@ def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSp
     (dose_g / T) lam_max(L_g)`` clamped at the float maximum.
     """
     dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
-    B = min(sum(w * float(s.eig_of(g)[0][-1]) for w, g in dosed), np.finfo(float).max)
-    lam, V, thr = psd_eigh(sum(w * laplacian(s.catalog[g]) for w, g in dosed), s.eig_tol, B)
+    lam, V, thr = psd_eigh(sum(w * laplacian(s.catalog[g]) for w, g in dosed), s.eig_tol,
+                           _window_bound(s, net))
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
+
+
+def definite_edge_span(g: MatrixWeightedGraph) -> np.ndarray:
+    """Orthonormal basis, by SVD, of the vectors with ``x_i = s_e x_j`` across each definite edge.
+
+    One block row ``x_i - s_e x_j`` per definite edge; the basis is the
+    right singular vectors past the rank of that constraint matrix.
+    """
+    n, d = g.n, g.d
+    rows = []
+    for (i, j), c, sign in zip(g.keys.tolist(), g.classes, g.signs.tolist()):
+        if c in (Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE):
+            row = np.zeros((d, n * d))
+            row[:, i * d:(i + 1) * d] = np.eye(d)
+            row[:, j * d:(j + 1) * d] = -sign * np.eye(d)
+            rows.append(row)
+    C = np.vstack(rows) if rows else np.zeros((0, n * d))
+    _, sv, Vt = np.linalg.svd(C)
+    return Vt[int(np.count_nonzero(sv > 1e-8)):].T
+
+
+def window_null_space_skeleton(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
+    """Null space of the integral graph's Laplacian ``L_w`` within :func:`definite_edge_span`.
+
+    With that span ``N``, the basis is ``N`` times the eigenvectors of
+    ``N^T L_w N`` whose eigenvalues are at most the package's threshold, as
+    :func:`window_null_space_eigh` sets it.  Every matrix is dense, of order
+    ``n d`` or of the span's dimension.
+    """
+    N = definite_edge_span(net.graph)
+    K = N.T @ laplacian(net.graph) @ N
+    lam, U, thr = psd_eigh(0.5 * (K + K.T), s.eig_tol, _window_bound(s, net))
+    return NullSpaceBasis(vectors=N @ U[:, lam <= thr], tol_used=thr)
 
 
 def verify_necessary_condition(x_star: np.ndarray, laplacians) -> bool:

@@ -221,3 +221,37 @@ def many_graph_doc(seed: int, window: int, n: int = 100, d: int = 3, graphs: int
         "windows": {"type": "uniform", "segments": window},
         "solver": {"method": "exact", "sample_dt": 1.0},
     }
+
+
+def bridge_doc(s: float, n: int = 40, d: int = 3, seed: int = 0) -> dict:
+    """Scenario document of a weak bridge: two definite components joined by one PD edge.
+
+    ``G1`` is two halves of ``n / 2`` agents, each connected by a random
+    spanning path and ``n / 2`` random edges more, all positive definite;
+    ``G2`` is the one edge, weighted by the identity, between the halves'
+    first agents.  The schedule is one window, ``G1`` for a dwell of 1 and
+    then ``G2`` for 1 at scale ``s``.  The same arguments give the same document.
+    """
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    edges = []
+    for base in (0, half):
+        order = (base + rng.permutation(half)).tolist()
+        keys = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+        while len(keys) < 2 * half - 1:
+            a, b = sorted((base + rng.choice(half, size=2, replace=False)).tolist())
+            keys.add((a, b))
+        for i, j in sorted(keys):
+            R = rng.normal(size=(d, d))
+            edges.append({"i": i + 1, "j": j + 1, "weight": (R @ R.T + 0.3 * np.eye(d)).tolist()})
+    bridge = [{"i": 1, "j": half + 1, "weight": np.eye(d).tolist()}]
+    return {
+        "dimension": d,
+        "num_agents": n,
+        "graphs": [{"id": "G1", "edges": edges}, {"id": "G2", "edges": bridge}],
+        "schedule": {"type": "explicit", "alpha": 1.0,
+                     "segments": [{"graph": "G1", "dwell": 1.0},
+                                  {"graph": "G2", "dwell": 1.0, "scale": s}]},
+        "initial_state": rng.uniform(-1.0, 1.0, size=n * d).tolist(),
+        "windows": "whole",
+    }

@@ -30,7 +30,7 @@ from mwconsensus.errors import (
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
-from mwconsensus.graph import MatrixWeightedGraph, laplacian
+from mwconsensus.graph import MatrixWeightedGraph, has_positive_negative_spanning_tree, laplacian
 from mwconsensus.matalg import NullSpaceBasis, null_space
 from mwconsensus.switching import (
     Segment,
@@ -45,11 +45,13 @@ from oracles import (
     NonOrthonormalPsiError,
     bipartite_steady_state,
     certify_per_window,
+    definite_edge_span,
     mu_budget,
     mu_m_plus_1_svd,
     projector,
     state_transition,
     window_null_space_eigh,
+    window_null_space_skeleton,
 )
 from oracles import verify_necessary_condition as verify_necessary_condition_oracle
 from randgen import (
@@ -57,6 +59,7 @@ from randgen import (
     rand_certified_schedule,
     rand_graph,
     rand_pair_signs,
+    rand_sign_definite,
     rand_windows,
     stacked_null_projector,
 )
@@ -760,13 +763,18 @@ def _projector_bound(L, basis):
     return 10 * (roundoff + (residual + roundoff * lam[-1]) / (lam[basis.dim] - basis.tol_used))
 
 
-def assert_windows_match_eigh_oracle(s, rng):
+def assert_windows_match_skeleton_oracle(s, rng):
     for w in rand_windows(rng, s.num_segments):
         net = integral_network(s, w)
-        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        got, want = _window_null_space(s, net), window_null_space_skeleton(s, net)
         assert got.dim == want.dim and got.tol_used == want.tol_used
+        # the Davis-Kahan bound of the problem compressed to the definite-edge span N, plus
+        # the roundoff of N itself, an SVD of order n d
+        N = definite_edge_span(net.graph)
+        K = N.T @ laplacian(net.graph) @ N
+        inside = NullSpaceBasis(vectors=N.T @ got.vectors, tol_used=got.tol_used)
         dist = np.linalg.norm(projector(got) - projector(want), 2)
-        assert dist <= _projector_bound(laplacian(net.graph), got)
+        assert dist <= _projector_bound(0.5 * (K + K.T), inside) + 10 * len(N) * np.finfo(float).eps
 
 
 def workload_config(name: str, seed: int, tmp_path, **shape) -> ScenarioConfig:
@@ -808,9 +816,13 @@ class TestWindowNullSpaceAgainstEigh:
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=80)
     def test_restricted_solve_matches_full_eigh_oracle(self, seed):
+        # a scale of 1e-6 to 1e-11 doses a graph briefly: its edges' averages stay definite
+        # against their own scale, yet their directions fall below the window's threshold,
+        # so the eigh of the dosed sum counted them as null beside pn_spanning_tree; the
+        # skeleton oracle holds a definite edge's two agents together, as the report reads it
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-        # sparse graphs are often disconnected; a scale of 1e-6 to 1e-11 doses a graph briefly
+        # sparse graphs are often disconnected
         signs = rand_pair_signs(rng, n)
         catalog = {
             f"g{k}": rand_graph(rng, n, d, pair_signs=signs, edge_prob=float(rng.uniform(0.1, 0.8)))
@@ -823,15 +835,17 @@ class TestWindowNullSpaceAgainstEigh:
             scale = 10.0 ** -rng.uniform(6, 11) if low else float(rng.uniform(0.2, 3.0))
             segs.append(Segment(ids[int(rng.integers(len(ids)))],
                                 float(rng.choice((0.5, 1.0, 1.5))), scale))
-        assert_windows_match_eigh_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5), rng)
+        assert_windows_match_skeleton_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5),
+                                             rng)
 
     @given(st.integers(0, 2**32 - 1))
     @example(seed=517872646)  # a sum rebuilt as (V * lam) @ V.T was 1.8e-12 asymmetric here
     @settings(deadline=None, max_examples=80)
     def test_near_aligned_rank_one_edges_of_very_different_weight(self, seed):
-        # a null vector of the window can lie at an angle of up to sqrt(cut / lam[c]) from
-        # a catalog null space; such windows fall back to the full solve, on the sum rebuilt
-        # from the catalog spectra
+        # near-aligned rank-one edges sum to an average that classifies as definite against
+        # its own scale while its smallest eigenvalue is below the window's threshold, set by
+        # heavier edges: the eigh of the dosed sum counted that direction as null, so m
+        # exceeded d beside pn_spanning_tree.  Edges that stay semidefinite leave c = n
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         catalog = {}
@@ -844,7 +858,8 @@ class TestWindowNullSpaceAgainstEigh:
             catalog[f"g{k}"] = MatrixWeightedGraph(n, 2, edges)
         segs = [Segment(f"g{int(rng.integers(len(catalog)))}", float(rng.choice((0.5, 1.0))),
                         float(rng.uniform(0.2, 3.0))) for _ in range(int(rng.integers(1, 8)))]
-        assert_windows_match_eigh_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5), rng)
+        assert_windows_match_skeleton_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5),
+                                             rng)
 
     @pytest.mark.parametrize("order", [("g", "h"), ("h", "g")])
     def test_a_near_null_vector_outside_the_first_span_is_kept(self, order):
@@ -862,20 +877,24 @@ class TestWindowNullSpaceAgainstEigh:
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12  # eps 1e3 / gap 1
 
     def test_low_dose_graph_alone_in_a_window(self):
-        # a window of one briefly dosed path graph: every eigenvalue of its average is
-        # below the threshold, though the catalog graph's are far above it
+        # a window of one briefly dosed path graph: every eigenvalue of its average is below
+        # the threshold, so the eigenvalues alone gave m = 3, yet both averaged edges, at
+        # 1e-10 > EIG_FLOOR, classify as positive definite and span the agents: with
+        # pn_spanning_tree the agents agree, m = d = 1
         one = np.array([[1.0]])
         g = MatrixWeightedGraph(3, 1, {(0, 1): one, (1, 2): one})
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
-        assert _window_null_space(s, net).dim == window_null_space_eigh(s, net).dim == 3
+        assert has_positive_negative_spanning_tree(net.graph)
+        assert _window_null_space(s, net).dim == window_null_space_skeleton(s, net).dim == 1
+        assert window_null_space_eigh(s, net).dim == 3
 
     @pytest.mark.parametrize("brief_edge", [(2, 3), (1, 2)], ids=["apart", "adjacent"])
     def test_edge_the_integral_graph_drops_stays_in_the_sum(self, brief_edge):
         # "brief" doses its edge to an average of 5e-13 <= EIG_FLOOR, so the integral graph
-        # drops it; the null space is that of the exact dosed sum, edge included.  Apart
-        # from "wide"'s edge it maps null(L_wide) into itself and the restricted solve holds;
-        # adjacent, it leaves a residual far above roundoff and the full solve runs
+        # drops it and the window null space, taken from that graph, leaves it out; the eigh
+        # of the exact dosed sum, edge included, agrees within 1e-12, apart from "wide"'s
+        # edge or adjacent to it, as the edge is far below the threshold
         one = np.array([[1.0]])
         cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
                "brief": MatrixWeightedGraph(4, 1, {brief_edge: one})}
@@ -913,9 +932,10 @@ class TestWindowNullSpaceAgainstEigh:
         assert report.m == 2 and report.mu == (0.0,) and report.certified
 
     def test_brief_graph_whose_bound_cuts_its_spectrum_offers_no_span(self):
-        # "brief" has the smaller count below its implied bound, thr T / dose = 1.0 (its
-        # eigenvalues are 0, 0.59, 2, 3.41), but the window's second null vector
-        # (eigenvalue 7e-10 < thr = 1e-9) lies in the null space of "wide"
+        # "brief" doses the path 0-1-2-3 at 2e-9 beside "wide"'s edge (0, 1): the window's
+        # second eigenvalue, 7e-10, is below thr = 1e-9, so the eigenvalues alone gave m = 2,
+        # yet the averaged edges (1, 2) and (2, 3), at 1e-9, classify as positive definite
+        # and with (0, 1) span the agents: pn_spanning_tree holds, and m = d = 1
         one = np.array([[1.0]])
         cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
                "brief": MatrixWeightedGraph(4, 1, {(0, 1): one, (1, 2): one, (2, 3): one})}
@@ -923,7 +943,58 @@ class TestWindowNullSpaceAgainstEigh:
             cat, [Segment("wide", 1.0), Segment("brief", 1.0, 2e-9)], alpha=1.0
         )
         net = integral_network(s, Window(0, 2))
-        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
-        assert got.dim == want.dim == 2
-        dist = np.linalg.norm(projector(got) - projector(want), 2)
-        assert dist <= _projector_bound(laplacian(net.graph), got)
+        assert has_positive_negative_spanning_tree(net.graph)
+        got, want = _window_null_space(s, net), window_null_space_skeleton(s, net)
+        assert got.dim == want.dim == 1 and window_null_space_eigh(s, net).dim == 2
+        assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
+
+    def test_every_component_with_an_odd_negative_cycle_gives_m_zero(self):
+        # a negative-definite triangle forces x_0 = -x_1 = x_2 = -x_0, so 0; the triangle on
+        # nodes 3 to 5 is a second component, forced to 0 alike, and the quotient has order 0
+        nd = -np.diag([1.0, 2.0])
+        g = MatrixWeightedGraph(6, 2, {(0, 1): nd, (1, 2): nd, (0, 2): nd,
+                                       (3, 4): nd, (4, 5): nd, (3, 5): nd})
+        s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0)], alpha=1.0)
+        net = integral_network(s, Window(0, 1))
+        got = _window_null_space(s, net)
+        assert got.vectors.shape == (12, 0)
+        assert window_null_space_skeleton(s, net).dim == window_null_space_eigh(s, net).dim == 0
+        report = certify_cluster_consensus(s, [Window(0, 1)])
+        assert report.m == 0 and report.balance is None and not report.pn_spanning_tree
+        pred = predict_steady_state(report.basis, np.ones(12), 6, 2)
+        assert pred.kind is ConsensusKind.ASYMPTOTIC_STABILITY
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_pn_spanning_tree_gives_m_equal_d(self, seed):
+        # signs from one node signature balance every graph, so a definite-edge spanning tree
+        # leaves the agents one mirrored block: m = d, however weakly a tree edge is dosed
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        sigma = rng.choice((-1, 1), size=n)
+        catalog = {}
+        for k in range(int(rng.integers(1, 4))):
+            order = rng.permutation(n).tolist()
+            pairs = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])
+                     if rng.uniform() < 0.8}
+            pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.2}
+            weights = {(i, j): rand_sign_definite(rng, d, int(sigma[i] * sigma[j]),
+                                                  singular=rng.uniform() < 0.3)
+                       for i, j in sorted(pairs)}
+            catalog[f"g{k}"] = MatrixWeightedGraph(
+                n, d, weights or {(0, 1): sigma[0] * sigma[1] * np.eye(d)})
+        ids = sorted(catalog)
+        segs = [Segment(ids[int(rng.integers(len(ids)))], float(rng.choice((0.5, 1.0))),
+                        10.0 ** -rng.uniform(6, 11) if rng.uniform() < 0.3
+                        else float(rng.uniform(0.2, 3.0)))
+                for _ in range(int(rng.integers(1, 8)))]
+        s = SwitchingSchedule.explicit(catalog, segs, alpha=0.5)
+        windows = rand_windows(rng, s.num_segments)
+        for w in windows:
+            net = integral_network(s, w)
+            if has_positive_negative_spanning_tree(net.graph):
+                assert _window_null_space(s, net).dim == d
+        report = certify_cluster_consensus(s, windows)
+        assert report.balance is not None
+        if report.pn_spanning_tree:
+            assert report.m == d

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwconsensus import cli, matalg, scenarios
+from mwconsensus import cli, matalg, scenarios, switching
 from mwconsensus.cli import (
     _CSV_BLOCK_VALUES,
     _format_17g,
@@ -34,7 +34,7 @@ from oracles import (
     write_trajectory_csv_rows,
     write_trajectory_csv_savetxt,
 )
-from randgen import many_graph_doc, random_connected_pd_graph
+from randgen import bridge_doc, many_graph_doc, random_connected_pd_graph
 from test_run_bundled_scenarios import run_bundled
 
 MAX = sys.float_info.max
@@ -1289,3 +1289,39 @@ class TestCli:
         cfg.initial_state = np.array([np.nan, 3.0])
         with pytest.raises(ValueError, match="JSON compliant"):
             cmd_analyze(cfg, "nan.json", str(tmp_path / "r.json"))
+
+    @pytest.mark.parametrize("s, m, certified, tree", [
+        (1.0, 3, True, True),
+        (1e-6, 3, False, True),
+        # the bridge stays a positive-definite edge of the integral graph, so the two halves
+        # are one mirrored block and the weak bridge contracts next to nothing: m = 3 and not
+        # certified, where the eigenvalue threshold alone gave m = 6 and certified
+        (1e-9, 3, False, True),
+        (1e-11, 3, False, True),
+        # the bridge's average classifies as zero and is dropped: two components, m = 6
+        (1e-13, 6, True, False),
+    ])
+    def test_weak_bridge_report_agrees_with_its_spanning_tree(self, tmp_path, capsys, s, m,
+                                                              certified, tree):
+        path = str(write_json(tmp_path, bridge_doc(s)))
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--config", path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        got = report["m"], report["certified"], report["pn_spanning_tree"]
+        assert got == (m, certified, tree)
+
+    def test_analyze_keys_its_windows_once(self, tmp_path, capsys, monkeypatch):
+        # the memory guard and certification read one list of windows and of their sources
+        calls = []
+
+        def counted(s, windows):
+            calls.append(len(windows))
+            return sources(s, windows)
+
+        sources = switching._window_sources
+        monkeypatch.setattr(switching, "_window_sources", counted)
+        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
+        doc["windows"] = {"type": "uniform", "segments": 2}
+        path = str(write_json(tmp_path, doc))
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+        assert calls == [len(load_config(path).windows())] and calls[0] > 1

@@ -300,15 +300,15 @@ class TestBalance:
         assert b.positive_set == (0, 1) and b.negative_set == (2,)
 
     def test_coloring_deterministic_per_component(self):
-        root, b = signed_components(4, np.array([[0, 1], [2, 3]]), np.array([-1, -1]))
+        root, sigma, odd = signed_components(4, np.array([[0, 1], [2, 3]]), np.array([-1, -1]))
         assert root == [0, 0, 2, 2]
-        assert b.sigma == (1, -1, 1, -1)
+        assert sigma == [1, -1, 1, -1] and odd == set()
 
     def test_unbalanced_cycle_still_gives_every_root(self):
-        # an odd cycle 0-1-2 of -1 edges, and node 3 on its own
+        # an odd cycle 0-1-2 of -1 edges, and node 3 on its own, balanced
         keys = np.array([[0, 1], [1, 2], [0, 2]])
-        root, b = signed_components(4, keys, np.array([-1, -1, -1]))
-        assert root == [0, 0, 0, 3] and b is None
+        root, _, odd = signed_components(4, keys, np.array([-1, -1, -1]))
+        assert root == [0, 0, 0, 3] and odd == {0}
 
     def test_matches_two_color_oracle_on_random_signed_graphs(self, rng):
         seen = set()
@@ -321,16 +321,16 @@ class TestBalance:
                 signs = sigma[keys[:, 0]] * sigma[keys[:, 1]]
             else:
                 signs = rng.choice((-1, 1), size=len(keys))
-            root, b = signed_components(n, keys, signs)
+            root, sigma, odd = signed_components(n, keys, signs)
             want = two_color_signs(n, dict(zip(map(tuple, keys.tolist()), signs.tolist())))
-            assert b == want
+            assert (None if odd else Bipartition(sigma=tuple(sigma))) == want
             # each node's root is the smallest node it reaches
             reach = np.eye(n, dtype=bool)
             reach[keys[:, 0], keys[:, 1]] = reach[keys[:, 1], keys[:, 0]] = True
             for _ in range(n):
                 reach = (reach.astype(int) @ reach.astype(int)) > 0
             assert root == reach.argmax(axis=1).tolist()
-            seen.add(b is None)
+            seen.add(bool(odd))
         assert seen == {True, False}
 
     def test_signature_matrix_is_involutory(self):

@@ -314,6 +314,13 @@ class TestNullSpace:
         with pytest.raises(NotPSDError):
             NullSpaceBasis(vectors=np.array([[1.0], [1.0]]), tol_used=1e-9)
 
+    def test_order_zero_matrix_has_an_empty_basis(self):
+        # the window quotient has order 0 when every skeleton component is forced to 0
+        assert check_symmetric(np.zeros((0, 0))).shape == (0, 0)
+        assert check_symmetric(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+        B = null_space(np.zeros((0, 0)))
+        assert B.vectors.shape == (0, 0) and B.dim == 0 and B.tol_used == EIG_TOL
+
 
 class TestCanonicalBasis:
     @given(st.integers(0, 2**32 - 1))
