@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import _check_matrices
 from .errors import (
     DimensionMismatchError,
     NotPSDError,
@@ -27,6 +28,7 @@ from .matalg import (
     NullSpaceBasis,
     Tolerances,
     _map_lapack,
+    _pool_size,
     check_symmetric,
     null_space,
     projector_distance,
@@ -36,7 +38,8 @@ from .switching import (
     IntegralNetwork,
     SwitchingSchedule,
     Window,
-    _shared_sources,
+    _crossings,
+    _window_sources,
     flow_core,
     integral_network,
     simultaneous_structural_balance,
@@ -239,7 +242,8 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceB
     edge forces ``x_i = s_e x_j``: a skeleton component with an odd negative
     cycle to 0, any other ``C`` to ``x_i = sigma_i y_C / sqrt(|C|)``, ``x = S y``.
     The null space is ``S null(S^T L_w S)``, the quotient of order ``c d``
-    assembled from the edges, its upper triangle mirrored.  Zero means at most
+    assembled from the edges, each cross term into both of its blocks in edge
+    order, so that it is exactly symmetric.  Zero means at most
     ``s.eig_tol * max(1, B)``, ``B = sum_g (dose_g / T) lam_max(L_g)`` clamped
     at the float maximum.
     """
@@ -257,14 +261,14 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceB
     i, j = g.keys.T
     a, b, p, q = coef[i], -g.signs * coef[j], comp[i], comp[j]
     a, b = np.where(p == q, a + b, a), np.where(p == q, 0.0, b)
-    factor = np.concatenate((a * a, b * b, a * b))
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    factor = np.concatenate((a * a, b * b, a * b, a * b))
     on = np.flatnonzero(factor)
     e = on % len(a)
-    row, col = np.concatenate((p, q, np.minimum(p, q))), np.concatenate((p, q, np.maximum(p, q)))
+    row, col = np.concatenate((p, q, lo, hi)), np.concatenate((p, q, hi, lo))
     Q = np.zeros((c, c, g.d, g.d))
     np.add.at(Q, (row[on], col[on]), (factor[on] * g.signs[e])[:, None, None] * g.weights[e])
-    M = Q.swapaxes(1, 2).reshape(c * g.d, c * g.d)
-    basis = null_space(np.triu(M) + np.triu(M, 1).T, s.eig_tol, B)
+    basis = null_space(Q.swapaxes(1, 2).reshape(c * g.d, c * g.d), s.eig_tol, B)
     U, X = basis.vectors.reshape(c, g.d, basis.dim), np.zeros((g.n, g.d, basis.dim))
     X[held] = coef[held, None, None] * U[comp[held]]
     return NullSpaceBasis(vectors=X.reshape(g.n * g.d, basis.dim), tol_used=basis.tol_used)
@@ -295,14 +299,18 @@ def certify_cluster_consensus(
     they range over distinct edge structures only: windows that dose the
     same graphs for different times count once.
 
-    The graphs the windows run are decomposed together, by
-    :meth:`SwitchingSchedule.decompose`.  Then every null space is solved,
-    window by window, and then every ``mu``: the distinct windows that need
-    one go in pairs, consecutive in order, whose two cores
-    :func:`mu_m_plus_1` trims alike and takes in one stacked ``svd``, and the
-    pairs run at the same time through :func:`matalg._map_lapack`, each with
-    its own dict of :func:`flow_core` couplings.  An error is that of the
-    first window, in that order, to raise it.
+    The distinct windows go in pairs, consecutive in order, before any graph
+    is decomposed; each pair is one ``mu`` task, holding its two cores, their
+    trimmed stack and the :func:`flow_core` couplings its windows cross.  So
+    the memory of the tasks that cross the most, as many as run at once, is
+    checked before the first ``eigh``, with the message of
+    :func:`config.check_laplacian_memory`.  The graphs the windows run are
+    then decomposed together, by :meth:`SwitchingSchedule.decompose`, every
+    null space is solved, window by window, and then every ``mu``:
+    :func:`mu_m_plus_1` trims a pair's cores alike, a whole-space window
+    left out, and takes them in one stacked ``svd``, the pairs at the same
+    time through :func:`matalg._map_lapack`.  An error is that of the first
+    window, in that order, to raise it.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -316,13 +324,23 @@ def certify_cluster_consensus(
             )
     src: list[int] = []  # index of the first window with window k's content
     nets: list[IntegralNetwork] = []
-    for k, (w, j) in enumerate(zip(ws, _shared_sources(s, ws))):  # window by window
+    for k, (w, j) in enumerate(zip(ws, _window_sources(s, ws))):  # window by window
         src.append(j)
         nets.append(integral_network(s, w) if j == k else nets[j])
     distinct = list(dict.fromkeys(src))
     order = s.n * s.d
+    # consecutive distinct windows in pairs: one stacked svd of two cores releases the
+    # interpreter lock where one of a single core's few hundred values keeps it
+    pairs = [distinct[i:i + 2] for i in range(0, len(distinct), 2)]
     # every graph the windows run, a dose that underflowed to 0 too: the pool's workers only read
-    s.decompose([s.ids[g] for g in np.flatnonzero(np.bincount(s.graph[:ws[-1].end])).tolist()])
+    used = np.flatnonzero(np.bincount(s.graph[:ws[-1].end])).tolist()
+    tasks = _pool_size(len(pairs), order)
+    crossed = sorted((len(set().union(*(_crossings(s, ws[k]) for k in pair))) for pair in pairs),
+                     reverse=True)
+    held = sum(crossed[:tasks])
+    _check_matrices(s, len(used), 4 * tasks + held,
+                    f"{tasks} pair(s) of window flow maps at a time with {held} coupling(s)")
+    s.decompose([s.ids[g] for g in used])
     bases = []
     for k in distinct:
         try:
@@ -333,18 +351,17 @@ def certify_cluster_consensus(
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
-    need = [(k, b.dim) for k, b in zip(distinct, bases) if b.dim < order]
-    # consecutive windows in pairs: one stacked svd of two cores releases the interpreter
-    # lock where one of a single core's few hundred values keeps it
-    pairs = [need[i:i + 2] for i in range(0, len(need), 2)]
+    dim = dict(zip(distinct, (b.dim for b in bases)))
 
     def pair_mu(pair):  # the two windows form each coupling they both cross once
+        # a window whose null space is the whole space contracts nothing, so vacuously
+        need = [k for k in pair if dim[k] < order]
         couplings = {}
-        cores = (flow_core(s, ws[k], couplings=couplings) for k, _ in pair)
-        return mu_m_plus_1(cores, [dim for _, dim in pair])
-    mus = _map_lapack(pair_mu, pairs, order)
-    # a window whose null space is the whole space contracts nothing, so vacuously
-    mu_of = dict.fromkeys(distinct, 0.0) | dict(zip((k for k, _ in need), sum(mus, [])))
+        cores = (flow_core(s, ws[k], couplings=couplings) for k in need)
+        return dict(zip(need, mu_m_plus_1(cores, [dim[k] for k in need]) if need else []))
+    mu_of = dict.fromkeys(distinct, 0.0)
+    for got in _map_lapack(pair_mu, pairs, order):
+        mu_of.update(got)
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     # the structural diagnostics read only the edges and their classes

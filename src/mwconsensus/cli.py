@@ -399,7 +399,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        check_laplacian_memory(cfg, analyze=args.command == "analyze")
+        check_laplacian_memory(cfg)
         if args.command == "check":
             return cmd_check(cfg, args.config)
         if args.command == "simulate":

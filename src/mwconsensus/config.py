@@ -9,9 +9,11 @@ finite, every tolerance positive, and every key of ``tolerances`` and
 ``intervals`` whose arrays would take more than the host's physical memory,
 or its cgroup's limit, is rejected, and named, before those arrays are allocated;
 :func:`check_laplacian_memory` does the same for ``num_agents`` and the
-Laplacians that the commands build.  A graph's edges are read as two arrays
-and checked by the graph as a whole; only a list that the graph rejects is
-scanned edge by edge, to name its first malformed edge in file order.
+Laplacians that the commands decompose, and certification, with the same
+message, for the ``mu`` pairs it plans.  A graph's edges are read as two
+arrays and checked by the graph as a whole; only a list that the graph
+rejects is scanned edge by edge, to name its first malformed edge in file
+order.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .switching import (
     Segment,
     SwitchingSchedule,
     Window,
-    _crossings,
-    _shared_sources,
 )
 
 _SCHEDULE_TYPES = ("periodic", "explicit", "generated")
@@ -82,19 +82,15 @@ class ScenarioConfig:
     window_length: int  # segments per certification window
     solver: SolverConfig = SolverConfig()
     tolerances: Tolerances = Tolerances()
-    _windows: tuple = field(default=(None, 0, ()), init=False, repr=False)
 
     @property
     def horizon(self) -> float:
         return self.solver.horizon if self.solver.horizon is not None else self.schedule.total_duration
 
     def windows(self) -> list[Window]:
-        """The schedule in ``window_length``-segment windows, the last maybe shorter; made once."""
-        s, size = self.schedule, self.window_length
-        if self._windows[:2] != (s, size):
-            N = s.num_segments
-            self._windows = s, size, tuple(Window(a, min(a + size, N)) for a in range(0, N, size))
-        return list(self._windows[2])
+        """The schedule cut into windows of ``window_length`` segments; the last may be shorter."""
+        N, size = self.schedule.num_segments, self.window_length
+        return [Window(a, min(a + size, N)) for a in range(0, N, size)]
 
 
 def _need(raw: Mapping, key: str, where: str, dotted: bool = False):
@@ -168,43 +164,36 @@ def _check_segments(count: int, field: str, value) -> None:
                       f"the schedule's arrays for {count} segments, {_SEGMENT_BYTES} bytes each,")
 
 
-def check_laplacian_memory(cfg: ScenarioConfig, analyze: bool = False) -> None:
-    """Reject a scenario whose order-``n d`` matrices could not be held in the host's memory.
+def _check_matrices(s: SwitchingSchedule, graphs: int, held: int, what: str) -> None:
+    """Reject ``num_agents`` where ``graphs`` eigenvector matrices and ``held`` more would not fit.
+
+    Each matrix is a dense ``(n d) x (n d)`` one of ``s``; ``what`` says what
+    the ``held`` ones are for.
+    """
+    n, d = s.n, s.d
+    order, count = n * d, graphs + held
+    _check_memory(count * 8 * order ** 2, "num_agents", n,
+                  f"{count} dense {order} x {order} matrices, for the eigenvectors of the "
+                  f"{graphs} scheduled graph(s) of {n} agents of dimension {d} and {what},")
+
+
+def check_laplacian_memory(cfg: ScenarioConfig) -> None:
+    """Reject a scenario whose catalog eigendecompositions could not be held in the host's memory.
 
     A dense ``(n d) x (n d)`` Laplacian is not bounded by the file's size: a
     path of 30,000 agents takes 1.5 MB to write and 7.2 GB as a Laplacian.
     The schedule keeps the eigenvectors of each graph it uses.  Each ``eigh``
     running (:func:`matalg._map_lapack` runs some at once) holds its
-    Laplacian, LAPACK's copy and a workspace of two more.  With ``analyze``,
-    the ``mu`` pair tasks run once every ``eigh`` has returned, and each
-    holds a coupling per distinct unordered transition its two windows
-    cross, its two flow cores and their trimmed stack of two.  The count
-    takes the larger phase, and of the pair tasks those that hold the most,
-    as many as run at once.  The pairs are formed as certification forms
-    them, of consecutive distinct windows, as if each needed a ``mu``.
-    :func:`load_config` bounds only what loading allocates, so every
-    command, ``check`` too, calls this before any Laplacian is built.
+    Laplacian, LAPACK's copy and a workspace of two more.  :func:`load_config`
+    bounds only what loading allocates, so every command, ``check`` too,
+    calls this before any Laplacian is built.  Certification checks the
+    ``mu`` pair tasks it plans itself, with the same message, before its
+    first ``eigh``.
     """
-    n, d = cfg.num_agents, cfg.dimension
-    order = n * d
     s = cfg.schedule
     graphs = np.count_nonzero(np.bincount(s.graph))
-    at_once = matalg._pool_size(graphs, order)
-    phase = 3 * at_once, f"{at_once} eigendecomposition(s) at a time"
-    if analyze:
-        ws = cfg.windows()
-        distinct = list(dict.fromkeys(_shared_sources(s, tuple(ws))))
-        pairs = [[_crossings(s, ws[k]) for k in distinct[i:i + 2]]
-                 for i in range(0, len(distinct), 2)]
-        couplings = sorted((len(set().union(*pair)) for pair in pairs), reverse=True)
-        tasks = matalg._pool_size(len(pairs), order)
-        held = sum(couplings[:tasks])
-        phase = max(phase, (4 * tasks + held, f"{tasks} pair(s) of window flow maps at a time "
-                                              f"with {held} coupling(s)"))
-    count = graphs + phase[0]
-    _check_memory(count * 8 * order ** 2, "num_agents", n,
-                  f"{count} dense {order} x {order} matrices, for the eigenvectors of the "
-                  f"{graphs} scheduled graph(s) of {n} agents of dimension {d} and {phase[1]},")
+    at_once = matalg._pool_size(graphs, s.n * s.d)
+    _check_matrices(s, graphs, 3 * at_once, f"{at_once} eigendecomposition(s) at a time")
 
 
 def _as_positive(value, where: str) -> float:

@@ -144,7 +144,6 @@ class SwitchingSchedule:
         self.pattern = tuple(pattern) if pattern is not None else None
         (self.n, self.d, self.eig_tol) = next(iter(formats))
         self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._keyed: tuple[tuple[Window, ...], list[int]] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -324,18 +323,6 @@ def _window_sources(s: SwitchingSchedule, windows: Sequence[Window]) -> Iterator
         key = k if lengths[w.end - w.start] == 1 else (
             s.graph[span].tobytes(), s.dwell[span].tobytes(), s.scale[span].tobytes())
         yield first.setdefault(key, k)
-
-
-def _shared_sources(s: SwitchingSchedule, windows: tuple[Window, ...]) -> Iterator[int]:
-    """:func:`_window_sources`, kept on ``s`` for the last windows keyed to the end, to reuse."""
-    if s._keyed is not None and s._keyed[0] == windows:
-        yield from s._keyed[1]
-        return
-    src = []
-    for j in _window_sources(s, windows):
-        src.append(j)
-        yield j
-    s._keyed = windows, src
 
 
 def _crossings(s: SwitchingSchedule, w: Window) -> set[tuple[int, int]]:

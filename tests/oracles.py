@@ -568,6 +568,7 @@ def certify_per_window(
 
     Each window's null space comes from the package's ``_window_null_space``,
     so only the sharing of distinct window content differs from the package.
+    A window whose null space is the whole space records ``mu = 0``.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -584,7 +585,9 @@ def certify_per_window(
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
-    mus = tuple(mu_m_plus_1(flow_core(s, w), b.dim) for w, b in zip(ws, bases))
+    # a window whose null space is the whole space contracts nothing
+    mus = tuple(0.0 if b.dim == s.n * s.d else mu_m_plus_1(flow_core(s, w), b.dim)
+                for w, b in zip(ws, bases))
     q = max(mus)
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance([net.graph for net in nets])

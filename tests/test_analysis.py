@@ -597,6 +597,32 @@ class TestPairedMu:
         assert sum(len(sh) == 3 for sh in shapes) == (count + 1) // 2
         assert sum(len(sh) == 2 for sh in shapes) == count
 
+    def test_whole_space_window_is_left_out_inside_its_pair(self, monkeypatch):
+        s, _ = _trim_schedule()
+        # the pairs are ([Z], [G P]), ([P G], [Z Z]) and ([Z Z Z]): each window of Z alone has
+        # the whole space as its null space, and each window's length is its own
+        segments = [Segment(g, 1.0, 50.0 if g == "G" else 1.0) for g in "ZGPPGZZZZZ"]
+        s = SwitchingSchedule.explicit(s.catalog, segments, alpha=1.0)
+        windows = [Window(0, 1), Window(1, 3), Window(3, 5), Window(5, 7), Window(7, 10)]
+        cores = []
+
+        def spy(s, w, *, couplings):
+            cores.append(w)
+            return flow_core(s, w, couplings=couplings)
+
+        monkeypatch.setattr("mwconsensus.analysis.flow_core", spy)
+        shapes = svd_shapes(monkeypatch)
+        report = certify_cluster_consensus(s, windows)
+        assert cores == windows[1:3]
+        assert [sh[0] for sh in shapes if len(sh) == 3] == [1, 1]
+        assert [report.mu[k] for k in (0, 3, 4)] == [0.0, 0.0, 0.0]
+        want = certify_per_window(s, windows)
+        for k in (1, 2):
+            dim = _window_null_space(s, integral_network(s, windows[k])).dim
+            assert dim < 6
+            budget = mu_budget(flow_core(s, windows[k]), dim)
+            assert abs(report.mu[k] - want.mu[k]) <= budget
+
     def test_one_scan_of_runs_per_window_that_needs_a_mu(self, monkeypatch):
         s, windows = _trim_schedule()
         scans = []

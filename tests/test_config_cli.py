@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwconsensus import cli, matalg, scenarios, switching
+from mwconsensus import analysis, cli, matalg, scenarios
+from mwconsensus.analysis import certify_cluster_consensus
 from mwconsensus.cli import (
     _CSV_BLOCK_VALUES,
     _format_17g,
@@ -558,20 +559,57 @@ class TestLoad:
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_no_pair_task_forms_more_couplings_than_the_memory_check_counts(
+            self, tmp_path, capsys, monkeypatch):
+        # windows [E E] [a b] [c d] [E] of order-2 graphs, E edgeless: the pairs are
+        # ([E E], [a b]) and ([c d], [E]), one coupling each; pairing only the windows that
+        # need a mu would put [a b] with [c d], whose task forms two
+        doc = minimal_config_dict()
+        doc["graphs"] = [{"id": "E", "edges": []}] + [
+            {"id": gid, "edges": [{"i": 1, "j": 2, "weight": [[w]]}]}
+            for gid, w in (("a", 1.0), ("b", 2.0), ("c", 3.0), ("d", 4.0))]
+        doc["schedule"]["segments"] = [{"graph": g, "dwell": 1.0} for g in "EEabcdE"]
+        doc["windows"] = {"type": "uniform", "segments": 2}
+        path = str(write_json(tmp_path, doc))
+        dicts = []
+
+        def spy(s, w, *, couplings):
+            dicts.append(couplings)
+            return flow_core(s, w, couplings=couplings)
+
+        flow_core = analysis.flow_core
+        monkeypatch.setattr(analysis, "flow_core", spy)
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert len(dicts) == 2 and max(map(len, dicts)) == 1
+        # the 5 graphs' eigenvectors, and one pair task's 2 cores, their stack of 2 and coupling
+        count = 5 + 4 + 1
+        memory = 32.0 * count - 1.0
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: memory)
+        message = (f"num_agents = 2: {count} dense 2 x 2 matrices, for the eigenvectors of the "
+                   "5 scheduled graph(s) of 2 agents of dimension 1 and 1 pair(s) of window flow "
+                   f"maps at a time with 1 coupling(s), would take more than the host's "
+                   f"{memory:.3g} bytes of physical memory")
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_many_graph_catalog_checks_and_counts_its_pair_tasks(self, tmp_path, capsys,
                                                                  monkeypatch):
         # the 30-graph, order-300 catalog of randgen.many_graph_doc; at 2 workers its two
-        # largest pairs of 25-segment windows cross 93 couplings, in all 131 matrices
+        # largest pairs of 25-segment windows cross 93 couplings, in all 131 matrices, where
+        # the eigendecompositions take 30 + 3 * 2 = 36
         path = str(write_json(tmp_path, many_graph_doc(1, 25)))
         assert main(["check", "--config", path]) == 0
         assert capsys.readouterr().out.endswith("OK\n")
         monkeypatch.setattr(matalg, "_lapack_workers", lambda: 2)
-        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 1e6)
+        monkeypatch.setattr("mwconsensus.sim._physical_memory", lambda: 131 * 8 * 300.0**2 - 1)
+        cfg = load_config(path)
+        check_laplacian_memory(cfg)
         with pytest.raises(ConfigValidationError, match=(
                 "^num_agents = 100: 131 dense 300 x 300 matrices, for the eigenvectors of the 30 "
                 "scheduled graph[(]s[)] of 100 agents of dimension 3 and 2 pair[(]s[)] of window "
                 "flow maps at a time with 93 coupling[(]s[)], ")):
-            check_laplacian_memory(load_config(path), analyze=True)
+            certify_cluster_consensus(cfg.schedule, cfg.windows(), tol=cfg.tolerances)
 
     @pytest.mark.parametrize(
         "mutate, field, shown",
@@ -1311,15 +1349,15 @@ class TestCli:
         assert got == (m, certified, tree)
 
     def test_analyze_keys_its_windows_once(self, tmp_path, capsys, monkeypatch):
-        # the memory guard and certification read one list of windows and of their sources
+        # certification keys the windows and plans its pairs from that one keying
         calls = []
 
         def counted(s, windows):
             calls.append(len(windows))
             return sources(s, windows)
 
-        sources = switching._window_sources
-        monkeypatch.setattr(switching, "_window_sources", counted)
+        sources = analysis._window_sources
+        monkeypatch.setattr(analysis, "_window_sources", counted)
         doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
         doc["windows"] = {"type": "uniform", "segments": 2}
         path = str(write_json(tmp_path, doc))

@@ -205,6 +205,21 @@ class TestPooledOutputsAgainstOneAtATime:
         assert run_outputs(path, tmp_path / "pooled", capsys) == alone
         assert pooled and threading.active_count() == before
 
+    def test_whole_space_window_inside_a_pair_byte_identical(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # an edgeless graph's window first: the pairs are it with the first window of G1 and
+        # G2, and the next two windows, so one pair takes one core and the other two
+        doc = synthetic_doc(9)
+        doc["graphs"].append({"id": "E", "edges": []})
+        doc["schedule"]["segments"][:0] = [{"graph": "E", "dwell": 0.05}] * 3
+        path = tmp_path_doc(tmp_path, doc)
+        monkeypatch.setattr(matalg, "_lapack_workers", lambda: 1)
+        alone = run_outputs(path, tmp_path / "alone", capsys)
+        assert json.loads(alone["report.json"])["mu"][0] == 0.0
+        pooled = force_pool(monkeypatch)
+        assert run_outputs(path, tmp_path / "pooled", capsys) == alone
+        assert pooled
+
     def test_more_workers_than_cores_with_short_switch_interval(self, monkeypatch, synthetic_path):
         cfg = load_config(synthetic_path)
         monkeypatch.setattr(matalg, "_lapack_workers", lambda: 1)
