@@ -10,9 +10,18 @@ run's standard output, the benchmark's JSON result, is read.
 When every run reports ``correct: true``, prints for each workload and
 end-to-end metric of ``BENCHMARK.json`` both sides' medians and quartiles
 (``statistics.quantiles(values, n=4)``), the change from the base median,
-the number of pairs the change won (ties count for neither), and whether a
+the number of pairs the change won (ties count for neither), whether a
 gain holds: the change wins at least nine tenths of the pairs, and its median
-is better than the base's by more than the base's interquartile range.
+is better than the base's by more than the base's interquartile range, and
+the no-regression verdict against the metric's relative ``bound``:
+
+* ``worse``: the change's median is worse than the base's by more than the
+  bound, the relative change taken as ``perfbench/suite.py`` takes it;
+* ``unresolved``: otherwise, the base's interquartile range over its median
+  is at least the bound, so the runs spread too widely to tell, unless
+  every change run beats every base run;
+* ``ok``: neither.
+
 Otherwise it names the incorrect runs and prints no summary.
 
 Usage, from the root of the repository:
@@ -52,7 +61,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
-    """One row per metric of ``(base, change)`` result pairs: medians, quartiles, wins, verdict."""
+    """One row per metric of ``(base, change)`` result pairs: medians, quartiles, wins, verdicts."""
     rows = []
     for m in metrics:
         base = [b["metrics"][m["name"]]["value"] for b, _ in pairs]
@@ -68,8 +77,22 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
             "rel": c_med / b_med - 1.0,
             "wins": wins, "pairs": len(pairs),
             "gain": wins >= 0.9 * len(pairs) and sign * (b_med - c_med) > b_q3 - b_q1,
+            "verdict": verdict(base, change, m["better"], m["bound"]),
         })
     return rows
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok``: the change's runs against the base's, within ``bound``."""
+    b_q1, b_med, b_q3 = _quartiles(base)
+    rel = statistics.median(change) / b_med - 1.0 if b_med else 0.0
+    if (rel if better == "lower" else -rel) > bound:
+        return "worse"
+    spread = (b_q3 - b_q1) / b_med if b_med else 0.0
+    sign = 1.0 if better == "lower" else -1.0
+    if spread >= bound and not all(sign * (b - c) > 0 for b in base for c in change):
+        return "unresolved"
+    return "ok"
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -91,10 +114,10 @@ def format_rows(workload: str, rows: list[dict]) -> str:
 
     lines = [f"{workload}: {rows[0]['pairs']} pairs",
              f"  {'metric':<22} {'base median [q1, q3]':<33} {'change median [q1, q3]':<33} "
-             f"{'change':>8} {'wins':>6}  gain"]
+             f"{'change':>8} {'wins':>6}  gain   verdict"]
     lines += [f"  {r['name'] + ' (' + r['unit'] + ')':<22} {spread(r['base']):<33} "
               f"{spread(r['change']):<33} {r['rel']:>+8.2%} {r['wins']:>3}/{r['pairs']:<2}  "
-              f"{'holds' if r['gain'] else 'no'}" for r in rows]
+              f"{'holds' if r['gain'] else 'no':<5}  {r['verdict']}" for r in rows]
     return "\n".join(lines)
 
 

@@ -51,6 +51,7 @@ from .switching import (
     flow_core,
     integral_network,
     simultaneous_structural_balance,
+    spectra,
     validate_schedule,
 )
 from . import errors, scenarios
@@ -91,6 +92,7 @@ __all__ = [
     "simulate_exact",
     "simulate_rk4",
     "simultaneous_structural_balance",
+    "spectra",
     "validate_schedule",
     "verify_necessary_condition",
 ]

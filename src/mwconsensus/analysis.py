@@ -43,6 +43,7 @@ from .switching import (
     flow_core,
     integral_network,
     simultaneous_structural_balance,
+    spectra,
 )
 
 Q_MARGIN = 1e-6
@@ -220,7 +221,8 @@ class CertificationReport:
 
     ``integral_networks`` and ``mu`` hold one entry per window.
     Windows with the same segment content share one :class:`IntegralNetwork`
-    object.
+    object.  ``spectra`` holds the :func:`switching.spectra` of every graph
+    the windows run, by catalog position, for as long as the report is kept.
     """
 
     integral_networks: tuple[IntegralNetwork, ...] = field(repr=False)
@@ -233,9 +235,10 @@ class CertificationReport:
     basis: NullSpaceBasis = field(repr=False)
     balance: Bipartition | None
     pn_spanning_tree: bool
+    spectra: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
 
 
-def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
+def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs) -> NullSpaceBasis:
     """Null space of a window's integral Laplacian ``L_w``, that of ``net.graph``.
 
     ``x^T L_w x`` sums ``(x_i - s_e x_j)^T |A_e| (x_i - s_e x_j)``, so a definite
@@ -245,11 +248,11 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceB
     assembled from the edges, each cross term into both of its blocks in edge
     order, so that it is exactly symmetric.  Zero means at most
     ``s.eig_tol * max(1, B)``, ``B = sum_g (dose_g / T) lam_max(L_g)`` clamped
-    at the float maximum.
+    at the float maximum, each ``lam_max`` read from the spectra ``eigs``.
     """
     g = net.graph
-    B = min(sum(dose / net.duration * float(s.eig_of(gid)[0][-1])
-                for gid, dose in zip(s.ids, net.doses.tolist()) if dose), np.finfo(float).max)
+    B = min(sum(dose / net.duration * float(eigs[k][0][-1])
+                for k, dose in enumerate(net.doses.tolist()) if dose), np.finfo(float).max)
     root, sigma, odd = g._skeleton
     root = np.array(root)
     kept = root == np.arange(g.n)  # the roots of the components kept
@@ -305,7 +308,7 @@ def certify_cluster_consensus(
     the memory of the tasks that cross the most, as many as run at once, is
     checked before the first ``eigh``, with the message of
     :func:`config.check_laplacian_memory`.  The graphs the windows run are
-    then decomposed together, by :meth:`SwitchingSchedule.decompose`, every
+    then decomposed in order of first run by :func:`switching.spectra`, every
     null space is solved, window by window, and then every ``mu``:
     :func:`mu_m_plus_1` trims a pair's cores alike, a whole-space window
     left out, and takes them in one stacked ``svd``, the pairs at the same
@@ -332,19 +335,19 @@ def certify_cluster_consensus(
     # consecutive distinct windows in pairs: one stacked svd of two cores releases the
     # interpreter lock where one of a single core's few hundred values keeps it
     pairs = [distinct[i:i + 2] for i in range(0, len(distinct), 2)]
-    # every graph the windows run, a dose that underflowed to 0 too: the pool's workers only read
-    used = np.flatnonzero(np.bincount(s.graph[:ws[-1].end])).tolist()
+    # every graph the windows run, a dose that underflowed to 0 too, in order of first run
+    used = list(dict.fromkeys(s.runs(0, ws[-1].end)[1].tolist()))
     tasks = _pool_size(len(pairs), order)
     crossed = sorted((len(set().union(*(_crossings(s, ws[k]) for k in pair))) for pair in pairs),
                      reverse=True)
     held = sum(crossed[:tasks])
     _check_matrices(s, len(used), 4 * tasks + held,
                     f"{tasks} pair(s) of window flow maps at a time with {held} coupling(s)")
-    s.decompose([s.ids[g] for g in used])
+    eigs = spectra(s, used)
     bases = []
     for k in distinct:
         try:
-            bases.append(_window_null_space(s, nets[k]))
+            bases.append(_window_null_space(s, nets[k], eigs))
         except NotPSDError as exc:
             w = ws[k]
             raise NotPSDError(f"window [{w.start}, {w.end}): {exc}") from None
@@ -357,7 +360,7 @@ def certify_cluster_consensus(
         # a window whose null space is the whole space contracts nothing, so vacuously
         need = [k for k in pair if dim[k] < order]
         couplings = {}
-        cores = (flow_core(s, ws[k], couplings=couplings) for k in need)
+        cores = (flow_core(s, ws[k], eigs, couplings=couplings) for k in need)
         return dict(zip(need, mu_m_plus_1(cores, [dim[k] for k in need]) if need else []))
     mu_of = dict.fromkeys(distinct, 0.0)
     for got in _map_lapack(pair_mu, pairs, order):
@@ -379,30 +382,28 @@ def certify_cluster_consensus(
         basis=bases[0],
         balance=balance,
         pn_spanning_tree=pn,
+        spectra=eigs,
     )
 
 
-def verify_necessary_condition(
-    x_star: np.ndarray, s: SwitchingSchedule, nets: Sequence[IntegralNetwork]
-) -> bool:
+def verify_necessary_condition(x_star: np.ndarray, report: CertificationReport) -> bool:
     """Check that x* is annihilated by the catalog Laplacian of every graph the windows dose.
 
-    ``nets`` are the windows' integral networks, as certification returns them.
-    This is the paper's necessary condition: a limit lies in the null space
-    of every switching Laplacian.  Uses the scale-aware criterion
-    ``||L x*|| <= NECESSARY_TOL * (1 + ||L||) * ||x*||``, so the answer does
-    not depend on the overall magnitude of either factor; ``||L||`` and ``||L
-    x*|| = ||lam * (V^T x*)||`` come from the schedule's cached spectrum.
+    ``report`` is certification's: its integral networks name the dosed
+    graphs and its spectra give their Laplacians.  This is the paper's
+    necessary condition: a limit lies in the null space of every switching
+    Laplacian.  Uses the scale-aware criterion ``||L x*|| <= NECESSARY_TOL *
+    (1 + ||L||) * ||x*||``, so the answer does not depend on the overall
+    magnitude of either factor; ``||L||`` and ``||L x*|| = ||lam * (V^T
+    x*)||`` come from the graph's spectrum.
     """
     v = np.asarray(x_star, dtype=float).ravel()
-    if v.size != s.n * s.d:
-        raise DimensionMismatchError(f"state length {v.size} != order {s.n * s.d}")
+    if v.size != (order := report.basis.vectors.shape[0]):
+        raise DimensionMismatchError(f"state length {v.size} != order {order}")
     nv = float(np.linalg.norm(v))
-    used = np.zeros(len(s.ids), dtype=bool)
-    for doses in {id(net): net.doses for net in nets}.values():  # windows share networks
-        used |= doses > 0
-    for k in np.flatnonzero(used).tolist():
-        lam, V = s.eig_of(s.ids[k])
+    nets = {id(net): net for net in report.integral_networks}.values()  # windows share networks
+    for k in np.flatnonzero(np.any([net.doses > 0 for net in nets], axis=0)).tolist():
+        lam, V = report.spectra[k]
         if float(np.linalg.norm(lam * (V.T @ v))) > NECESSARY_TOL * (1.0 + float(lam[-1])) * nv:
             return False
     return True

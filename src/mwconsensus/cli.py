@@ -35,7 +35,7 @@ from .analysis import (
     verify_necessary_condition,
 )
 from .config import ScenarioConfig, check_laplacian_memory, load_config
-from .errors import ConsensusToolError, OutputError
+from .errors import ConsensusToolError, HorizonError, OutputError
 from .graph import _edge_structure
 from .matalg import canonical_basis
 from .sim import Trajectory, check_run, simulate_exact, simulate_rk4
@@ -315,9 +315,7 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
     report = certify_cluster_consensus(cfg.schedule, windows, tol=cfg.tolerances)
     pred = predict_steady_state(report.basis, cfg.initial_state, cfg.num_agents, cfg.dimension,
                                 tol=cfg.tolerances)
-    necessary_ok = verify_necessary_condition(
-        pred.steady_state, cfg.schedule, report.integral_networks
-    )
+    necessary_ok = verify_necessary_condition(pred.steady_state, report)
     balance = report.balance
     # windows of equal content share one network, and networks of equal edge structure one
     # list: each window names its list by its index in edge_lists, in order of first use
@@ -403,6 +401,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args.config)
         if args.command == "simulate":
+            if args.sample_dt is not None and cfg.solver.method == "rk4":
+                raise HorizonError("--sample-dt sets the exact solver's sampling, "
+                                   "but solver.method is 'rk4', which samples every step_h")
             overrides = {"horizon": args.horizon, "sample_dt": args.sample_dt}
             cfg.solver = replace(cfg.solver, **{k: v for k, v in overrides.items() if v is not None})
             return cmd_simulate(cfg, args.config, args.out)

@@ -182,9 +182,10 @@ def check_laplacian_memory(cfg: ScenarioConfig) -> None:
 
     A dense ``(n d) x (n d)`` Laplacian is not bounded by the file's size: a
     path of 30,000 agents takes 1.5 MB to write and 7.2 GB as a Laplacian.
-    The schedule keeps the eigenvectors of each graph it uses.  Each ``eigh``
-    running (:func:`matalg._map_lapack` runs some at once) holds its
-    Laplacian, LAPACK's copy and a workspace of two more.  :func:`load_config`
+    ``analyze`` and ``simulate`` hold the eigenvectors of each graph the
+    schedule uses; ``check`` decomposes none.  Each ``eigh`` running
+    (:func:`matalg._map_lapack` runs some at once) holds its Laplacian,
+    LAPACK's copy and a workspace of two more.  :func:`load_config`
     bounds only what loading allocates, so every command, ``check`` too,
     calls this before any Laplacian is built.  Certification checks the
     ``mu`` pair tasks it plans itself, with the same message, before its

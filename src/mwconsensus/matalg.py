@@ -12,8 +12,8 @@ Tolerance conventions
 * ``EIG_TOL``: relative eigenvalue threshold.  Classification treats
   ``|lam| <= max(EIG_TOL * max|lam|, EIG_FLOOR)`` as zero; ties at the
   threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
-  space keeps eigenvectors with ``lam <= thr``, where
-  ``thr = EIG_TOL * max(1, lam_max)``, or a bound on ``lam_max`` in its place.
+  space keeps eigenvectors with ``lam <= thr``, where ``thr = max(EIG_TOL,
+  order * eps) * max(1, lam_max)``, or a bound on ``lam_max`` in its place.
 * ``PIVOT_TIE``: relative gap under which two row norms tie when
   :func:`canonical_basis` picks a pivot row; the lower index wins.
 * ``POOL_MIN_ORDER``: the matrix order from which :func:`_map_lapack` runs
@@ -230,15 +230,17 @@ def psd_eigh(
     Unchecked precondition: ``matrix`` is finite and exactly symmetric, as
     :func:`check_symmetric` returns it and ``laplacian()`` builds it.
     Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
-    roundoff, ``lam >= 0`` exactly, and the zero threshold ``thr = eig_tol *
-    max(1, lam_bound)``, where ``lam_bound`` defaults to ``lam_max``: a
-    compression of a larger matrix passes that matrix's bound.  Raises
+    roundoff, ``lam >= 0`` exactly, and the zero threshold ``thr =
+    max(eig_tol, order * eps) * max(1, lam_bound)``, where ``lam_bound``
+    defaults to ``lam_max``: a compression of a larger matrix passes that
+    matrix's bound.  The floor ``order * eps`` is ``eigh``'s own roundoff, so
+    a tolerance below it does not count roundoff as negative.  Raises
     NotPSDError when an eigenvalue is below ``-thr``.
     """
     lam, V = np.linalg.eigh(matrix)
     if lam_bound is None:
         lam_bound = float(lam[-1]) if lam.size else 0.0
-    thr = eig_tol * max(1.0, lam_bound)
+    thr = max(eig_tol, lam.size * np.finfo(float).eps) * max(1.0, lam_bound)
     if lam.size and float(lam[0]) < -thr:
         raise NotPSDError(
             f"matrix is not PSD at eig_tol = {eig_tol:g}: "
@@ -253,8 +255,8 @@ def null_space(
     """Numerical null space of a symmetric PSD matrix.
 
     Keeps the eigenvectors of the :func:`check_symmetric` result whose
-    eigenvalues fall at or below ``eig_tol * max(1, lam_bound)``, with
-    ``lam_bound`` as in :func:`psd_eigh`; the floor of 1 makes the threshold
+    eigenvalues fall at or below :func:`psd_eigh`'s threshold ``max(eig_tol,
+    order * eps) * max(1, lam_bound)``; the floor of 1 makes the threshold
     meaningful for near-zero matrices.  Clipping leaves that test unchanged.
     Raises NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below
     minus that threshold.  Certification passes the schedule's ``eig_tol``,

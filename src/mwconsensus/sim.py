@@ -4,7 +4,7 @@ Two integration routes are provided on purpose:
 
 * :func:`simulate_exact` evaluates the piecewise flow spectrally, carrying
   the state over maximal runs of a single graph and giving each catalog
-  graph's samples with one product by its cached eigenvectors.  The flows of
+  graph's samples with one product by its eigenvectors.  The flows of
   a run's segments commute, so this is exact up to roundoff.
 * :func:`simulate_rk4` integrates the same dynamics with a fixed-step
   classical Runge-Kutta scheme that never steps across a switching instant.
@@ -27,7 +27,7 @@ from .errors import (
     ScheduleExhaustedError,
 )
 from .graph import laplacian
-from .switching import SwitchingSchedule
+from .switching import SwitchingSchedule, spectra
 
 _DEDUP_TOL = 1e-12
 _EDGE_TOL = 1e-9
@@ -210,9 +210,9 @@ def simulate_exact(
     ``exp(-lam D)`` for all of its samples as one block, scales each run's
     columns by its ``V^T x_r``, and gives them all with one product by ``V``.
     A sample at a run's start is the carried state itself.  The graphs the
-    runs reach are decomposed together first, by
-    :meth:`SwitchingSchedule.decompose`; one that is not PSD is named by the
-    first run to reach it.
+    runs reach are decomposed together first, by :func:`switching.spectra`
+    in order of first run, and held for this call only; one that is not PSD
+    is named by the first run to reach it.
 
     :func:`check_run` rejects the run first, before anything is allocated.
     """
@@ -228,9 +228,7 @@ def simulate_exact(
 
     K = _segments_reached(s, horizon)
     first, graphs, doses = s.runs(0, K)
-    used = list(dict.fromkeys(graphs.tolist()))
-    s.decompose([s.ids[g] for g in used])
-    eigs = {g: s.eig_of(s.ids[g]) for g in used}  # in run order, so the first run names a failure
+    eigs = spectra(s, graphs.tolist())  # in run order, so the first run names a failure
 
     decay = np.empty((first.size, x.size))
     with np.errstate(over="ignore"):  # a dose times eigenvalue past the float range decays to 0

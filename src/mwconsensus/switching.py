@@ -12,6 +12,7 @@ Window-level operators:
   over a span of segments, where ``dose_g`` sums ``scale * dwell`` over the
   span's segments on graph ``g``, with sign-consistency enforcement and
   dropping of edges whose average vanishes numerically.
+* :func:`spectra` - catalog eigendecompositions, computed once per command.
 * :func:`flow_core` - the window flow map ``Phi``, the product of
   ``exp(-dose_r L_r)`` over maximal runs ``r`` of one graph (their flows
   commute), latest leftmost, written in the catalog eigenbases: with
@@ -143,7 +144,6 @@ class SwitchingSchedule:
         self.mode = mode
         self.pattern = tuple(pattern) if pattern is not None else None
         (self.n, self.d, self.eig_tol) = next(iter(formats))
-        self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -220,47 +220,35 @@ class SwitchingSchedule:
         dose = np.add.reduceat(self.scale[start:end] * self.dwell[start:end], first)
         return start + first, g[first], dose
 
-    def eig_of(self, graph_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Cached PSD eigendecomposition of the unscaled catalog Laplacian, at ``eig_tol``.
 
-        Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of
-        zero are held as exact zeros, so no dose, however large, decays a
-        null-space component.  It is all the schedule keeps of a graph.
-        """
-        if graph_id not in self._eigs:
-            try:
-                self._eigs[graph_id] = _held_eigh(laplacian(self.catalog[graph_id]), self.eig_tol)
-            except NotPSDError as exc:
-                raise NotPSDError(f"graph {graph_id!r}: Laplacian {exc}") from None
-        return self._eigs[graph_id]
+def spectra(s: SwitchingSchedule, graphs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """PSD eigendecompositions ``(lam, V)`` of catalog Laplacians, keyed by catalog position.
 
-    def decompose(self, graph_ids) -> None:
-        """Fill the :meth:`eig_of` cache for several graphs at once.
+    Each graph of ``graphs``, positions in the catalog, is decomposed once,
+    unscaled, at the schedule's ``eig_tol``, the keys in the order given.
+    Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of
+    zero are held as exact zeros, so no dose, however large, decays a
+    null-space component.  The ``eigh`` calls run on
+    :func:`matalg._map_lapack`'s pool, each Laplacian built as a worker comes
+    free for it and let go after its call.  The first graph, in the order
+    given, whose Laplacian is not PSD raises NotPSDError naming it.  The
+    caller holds the result for as long as it needs it; the schedule keeps
+    nothing.
+    """
+    todo = list(dict.fromkeys(graphs))
 
-        The ``eigh`` calls run on :func:`matalg._map_lapack`'s pool, each
-        Laplacian built as a worker comes free for it and let go after its
-        call.  This only warms the cache: a graph whose Laplacian is not PSD
-        is left out, so that :meth:`eig_of` raises for it, naming the graph,
-        where the graph is first asked for.
-        """
-        todo = [g for g in dict.fromkeys(graph_ids) if g not in self._eigs]
+    def decompose(item):
+        k, L = item
+        try:
+            lam, V, _ = psd_eigh(L, s.eig_tol)
+        except NotPSDError as exc:
+            raise NotPSDError(f"graph {s.ids[k]!r}: Laplacian {exc}") from None
+        if lam.size:
+            lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
+        return lam, V
 
-        def attempt(L):
-            try:
-                return _held_eigh(L, self.eig_tol)
-            except NotPSDError:
-                return None
-
-        eigs = _map_lapack(attempt, todo, self.n * self.d, lambda g: laplacian(self.catalog[g]))
-        self._eigs.update((g, eig) for g, eig in zip(todo, eigs) if eig is not None)
-
-
-def _held_eigh(L: np.ndarray, eig_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`psd_eigh` of a Laplacian, its roundoff zeros held as exact zeros as in :meth:`eig_of`."""
-    lam, V, _ = psd_eigh(L, eig_tol)
-    if lam.size:
-        lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
-    return lam, V
+    eigs = _map_lapack(decompose, todo, s.n * s.d, lambda k: (k, laplacian(s.catalog[s.ids[k]])))
+    return dict(zip(todo, eigs))
 
 
 @dataclass(frozen=True)
@@ -413,31 +401,34 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     return IntegralNetwork(duration=duration, graph=g_avg, doses=dose)
 
 
-def flow_core(s: SwitchingSchedule, w: Window, *, couplings: dict | None = None) -> np.ndarray:
+def flow_core(s: SwitchingSchedule, w: Window, eigs: Mapping[int, tuple], *,
+              couplings: dict | None = None) -> np.ndarray:
     """Window flow map in the catalog eigenbases: ``K = E_R C_{R,R-1} ... C_{2,1} E_1``.
 
     Over the window's maximal runs ``r`` of one graph, ``E_r = diag(exp(-dose_r
-    lam_r))`` and ``C_{a,b} = V_a^T V_b``, kept in ``couplings`` under ``(a, b)``
-    unless ``C_{b,a}``, its transpose, is there: so windows given one dict
-    form a coupling they share once, whichever way they cross it.  The flow
-    map is ``Phi = V_R K V_1^T``.  The ``V`` are orthogonal, so ``K`` and ``Phi``
-    share their singular values: a window of one run costs no matrix product
-    and one of two runs only two diagonal scalings.
+    lam_r))`` and ``C_{a,b} = V_a^T V_b``, with ``(lam, V)`` each graph's entry
+    in ``eigs``, as :func:`spectra` returns them.  ``C_{a,b}`` is kept in
+    ``couplings`` under the catalog positions ``(a, b)`` unless ``C_{b,a}``,
+    its transpose, is there: so windows given one dict form a coupling they
+    share once, whichever way they cross it.  The flow map is ``Phi = V_R K
+    V_1^T``.  The ``V`` are orthogonal, so ``K`` and ``Phi`` share their
+    singular values: a window of one run costs no matrix product and one of
+    two runs only two diagonal scalings.
     """
     _check_window(s, w)
     _, graphs, doses = s.runs(w.start, w.end)
-    ids, doses = [s.ids[k] for k in graphs.tolist()], doses.tolist()
-    K = np.exp(-doses[0] * s.eig_of(ids[0])[0])  # the diagonal of E_1
+    graphs, doses = graphs.tolist(), doses.tolist()
+    K = np.exp(-doses[0] * eigs[graphs[0]][0])  # the diagonal of E_1
     couplings = {} if couplings is None else couplings
-    for prev, gid, dose in zip(ids, ids[1:], doses[1:]):
-        if (gid, prev) in couplings:
-            C = couplings[gid, prev]
-        elif (prev, gid) in couplings:
-            C = couplings[prev, gid].T
+    for prev, g, dose in zip(graphs, graphs[1:], doses[1:]):
+        if (g, prev) in couplings:
+            C = couplings[g, prev]
+        elif (prev, g) in couplings:
+            C = couplings[prev, g].T
         else:
-            C = couplings[gid, prev] = s.eig_of(gid)[1].T @ s.eig_of(prev)[1]
+            C = couplings[g, prev] = eigs[g][1].T @ eigs[prev][1]
         K = C * K if K.ndim == 1 else C @ K
-        K *= np.exp(-dose * s.eig_of(gid)[0])[:, None]
+        K *= np.exp(-dose * eigs[g][0])[:, None]
     return np.diag(K) if K.ndim == 1 else K
 
 

@@ -28,7 +28,9 @@ graph and its loop over runs only carries the state.
 matrix product per run, where the package works with its flow core in the
 catalog eigenbases.  ``verify_necessary_condition`` takes each Laplacian's
 norm from its own ``eigvalsh`` call, where the package reuses the largest
-eigenvalue of each catalog graph's cached eigendecomposition.  ``write_trajectory_csv_rows``
+eigenvalue of each catalog graph's eigendecomposition.  ``catalog_spectra``
+decomposes every catalog graph, for the tests that call the package's window
+operators on their own.  ``write_trajectory_csv_rows``
 formats a trajectory row by row, and ``write_trajectory_csv_savetxt`` writes it with
 ``np.savetxt``, where the package spells a block of values as ``%.17g`` in numpy.
 ``parse_graph_per_edge`` reads a scenario file's graph entry one edge at a
@@ -121,6 +123,7 @@ from mwconsensus.switching import (
     flow_core,
     integral_network,
     simultaneous_structural_balance,
+    spectra,
 )
 
 
@@ -360,11 +363,17 @@ def integral_network_per_segment(s: SwitchingSchedule, w: Window) -> IntegralNet
     return IntegralNetwork(duration=duration, graph=g_avg, doses=doses)
 
 
+def catalog_spectra(s: SwitchingSchedule) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """:func:`switching.spectra` of every catalog graph, by catalog position."""
+    return spectra(s, range(len(s.ids)))
+
+
 def state_transition_per_segment(s: SwitchingSchedule, w: Window) -> np.ndarray:
     """Product of one factor ``exp(-scale L dwell)`` per segment, newest first."""
     Phi = np.eye(s.n * s.d)
+    eigs = catalog_spectra(s)
     for seg in _window_segments(s, w):
-        lam, V = s.eig_of(seg.graph_id)
+        lam, V = eigs[s.ids.index(seg.graph_id)]
         factor = (V * np.exp(-seg.scale * seg.dwell * lam)) @ V.T
         Phi = factor @ Phi
     return Phi
@@ -375,8 +384,9 @@ def state_transition(s: SwitchingSchedule, w: Window) -> np.ndarray:
     _check_window(s, w)
     Phi = None
     _, graphs, doses = s.runs(w.start, w.end)
+    eigs = spectra(s, graphs.tolist())
     for k, dose in zip(graphs.tolist(), doses.tolist()):
-        lam, V = s.eig_of(s.ids[k])
+        lam, V = eigs[k]
         factor = (V * np.exp(-dose * lam)) @ V.T
         Phi = factor if Phi is None else factor @ Phi
     return Phi
@@ -402,12 +412,13 @@ def simulate_exact_per_segment(
 
     states = np.empty((ts.size, x.size))
     idx = 0
+    eigs = spectra(s, s.graph[:_segments_reached(s, horizon)].tolist())
     for k, seg in enumerate(segments(s)):
         a, b = float(t_switch[k]), float(t_switch[k + 1])
         last = b >= horizon - _EDGE_TOL
         end = min(b, horizon)
         hi = int(np.searchsorted(ts, end, side="right" if last else "left"))
-        lam, V = s.eig_of(seg.graph_id)
+        lam, V = eigs[s.ids.index(seg.graph_id)]
         if hi > idx:
             taus = ts[idx:hi] - a
             decay = np.exp(-np.outer(seg.scale * lam, taus))
@@ -442,7 +453,7 @@ def simulate_exact_per_run(
     K = _segments_reached(s, horizon)
     cum = np.concatenate(([0.0], np.cumsum(s.scale[:K] * s.dwell[:K])))
     first, graphs, doses = s.runs(0, K)
-    s.decompose([s.ids[g] for g in np.unique(graphs).tolist()])
+    eigs = spectra(s, graphs.tolist())
     states = np.empty((ts.size, x.size))
     idx = 0
     runs = zip(first.tolist(), [*first[1:].tolist(), K], graphs.tolist(), doses)
@@ -450,7 +461,7 @@ def simulate_exact_per_run(
         for k0, k1, g, dose in runs:
             # the last run takes every remaining sample, up to a horizon just past the end
             hi = ts.size if k1 == K else int(np.searchsorted(ts, t_switch[k1]))
-            lam, V = s.eig_of(s.ids[g])
+            lam, V = eigs[g]
             y = V.T @ x
             if hi > idx:
                 D = np.interp(ts[idx:hi], t_switch[k0 : k1 + 1], cum[k0 : k1 + 1] - cum[k0])
@@ -581,12 +592,13 @@ def certify_per_window(
                 f"gap between windows: [{prev.start},{prev.end}) then [{nxt.start},{nxt.end})"
             )
     nets = tuple(integral_network(s, w) for w in ws)
-    bases = [_window_null_space(s, net) for net in nets]
+    eigs = spectra(s, s.graph[:ws[-1].end].tolist())
+    bases = [_window_null_space(s, net, eigs) for net in nets]
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
     # a window whose null space is the whole space contracts nothing
-    mus = tuple(0.0 if b.dim == s.n * s.d else mu_m_plus_1(flow_core(s, w), b.dim)
+    mus = tuple(0.0 if b.dim == s.n * s.d else mu_m_plus_1(flow_core(s, w, eigs), b.dim)
                 for w, b in zip(ws, bases))
     q = max(mus)
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
@@ -603,13 +615,15 @@ def certify_per_window(
         basis=bases[0],
         balance=balance,
         pn_spanning_tree=pn,
+        spectra=eigs,
     )
 
 
 def _window_bound(s: SwitchingSchedule, net: IntegralNetwork) -> float:
     """``B = sum_g (dose_g / T) lam_max(L_g)`` over a window's graphs, clamped at the float max."""
-    dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
-    return min(sum(w * float(s.eig_of(g)[0][-1]) for w, g in dosed), np.finfo(float).max)
+    dosed = [(dose / net.duration, k) for k, dose in enumerate(net.doses.tolist()) if dose]
+    eigs = spectra(s, [k for _, k in dosed])
+    return min(sum(w * float(eigs[k][0][-1]) for w, k in dosed), np.finfo(float).max)
 
 
 def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:

@@ -255,3 +255,30 @@ def bridge_doc(s: float, n: int = 40, d: int = 3, seed: int = 0) -> dict:
         "initial_state": rng.uniform(-1.0, 1.0, size=n * d).tolist(),
         "windows": "whole",
     }
+
+
+def not_psd_star_doc(segments: str) -> dict:
+    """Scenario document with a star whose Laplacian is not PSD, though each of its edges is.
+
+    n = 5, d = 3.  ``P`` is a path weighted by the identity; ``S`` and ``T``
+    are both the star from agent 1, its leaf weights alternating ``diag(1, 0,
+    -0.9e-9)`` and ``diag(0, 1, -0.9e-9)``.  At the default ``eig_tol`` of
+    1e-9 every edge classifies as PSD, so the file loads and passes ``check``,
+    but the star's Laplacian has ``lam_min = -4.5e-9``, below ``-3e-9``, the
+    threshold at its ``lam_max = 3``.  ``segments`` names the graph of each
+    unit segment in turn; the catalog order is P, S, T.
+    """
+    leaves = [np.diag([1.0, 0.0, -0.9e-9]), np.diag([0.0, 1.0, -0.9e-9])]
+    star = [{"i": 1, "j": j, "weight": leaves[j % 2].tolist()} for j in range(2, 6)]
+    path = [{"i": i, "j": i + 1, "weight": np.eye(3).tolist()} for i in range(1, 5)]
+    return {
+        "dimension": 3,
+        "num_agents": 5,
+        "graphs": [{"id": "P", "edges": path}, {"id": "S", "edges": star},
+                   {"id": "T", "edges": star}],
+        "schedule": {"type": "explicit", "alpha": 1.0,
+                     "segments": [{"graph": g, "dwell": 1.0} for g in segments]},
+        "initial_state": np.linspace(-1.0, 1.0, 15).tolist(),
+        "windows": "whole",
+        "solver": {"method": "exact", "sample_dt": 1.0},
+    }

@@ -44,6 +44,7 @@ from mwconsensus import scenarios
 from oracles import (
     NonOrthonormalPsiError,
     bipartite_steady_state,
+    catalog_spectra,
     certify_per_window,
     definite_edge_span,
     mu_budget,
@@ -345,8 +346,8 @@ def mu_budgets(s: SwitchingSchedule, windows) -> list[float]:
     """
     out = []
     for w in windows:
-        K = flow_core(s, w)
-        N, dim = K.shape[0], _window_null_space(s, integral_network(s, w)).dim
+        K = flow_core(s, w, catalog_spectra(s))
+        N, dim = K.shape[0], _window_null_space(s, integral_network(s, w), catalog_spectra(s)).dim
         out.append(0.0 if dim == N else mu_budget(K, dim) + 4 * N * np.finfo(float).eps)
     return out
 
@@ -379,6 +380,9 @@ def assert_same_report(got: CertificationReport, want: CertificationReport, budg
             assert a.vectors.shape == b.vectors.shape and _bits(a.vectors) == _bits(b.vectors)
         elif f.name in ("windows", "balance"):
             assert a == b
+        elif f.name == "spectra":  # in order of first run
+            assert list(a) == list(b)
+            assert all(_bits(x) == _bits(y) for k in a for x, y in zip(a[k], b[k]))
         else:
             assert type(a) is type(b) and _bits(a) == _bits(b), f.name
 
@@ -568,11 +572,11 @@ class TestPairedMu:
         stacks = [sh for sh in shapes if len(sh) == 3]
         assert [sh[0] for sh in stacks] == [2, 1]
         assert report.mu[2] == 0.0
-        dims = [_window_null_space(s, integral_network(s, w)).dim for w in windows]
+        dims = [_window_null_space(s, integral_network(s, w), catalog_spectra(s)).dim for w in windows]
         assert dims == [1, 1, 6, 4]
         u = np.finfo(float).eps
         for k in (0, 1, 3):
-            K = flow_core(s, windows[k])
+            K = flow_core(s, windows[k], catalog_spectra(s))
             shapes.clear()
             alone = mu_m_plus_1(K, dims[k])
             if k < 2:  # the pair keeps more of each core than either keeps alone
@@ -606,9 +610,9 @@ class TestPairedMu:
         windows = [Window(0, 1), Window(1, 3), Window(3, 5), Window(5, 7), Window(7, 10)]
         cores = []
 
-        def spy(s, w, *, couplings):
+        def spy(s, w, eigs, *, couplings):
             cores.append(w)
-            return flow_core(s, w, couplings=couplings)
+            return flow_core(s, w, eigs, couplings=couplings)
 
         monkeypatch.setattr("mwconsensus.analysis.flow_core", spy)
         shapes = svd_shapes(monkeypatch)
@@ -618,9 +622,9 @@ class TestPairedMu:
         assert [report.mu[k] for k in (0, 3, 4)] == [0.0, 0.0, 0.0]
         want = certify_per_window(s, windows)
         for k in (1, 2):
-            dim = _window_null_space(s, integral_network(s, windows[k])).dim
+            dim = _window_null_space(s, integral_network(s, windows[k]), catalog_spectra(s)).dim
             assert dim < 6
-            budget = mu_budget(flow_core(s, windows[k]), dim)
+            budget = mu_budget(flow_core(s, windows[k], catalog_spectra(s)), dim)
             assert abs(report.mu[k] - want.mu[k]) <= budget
 
     def test_one_scan_of_runs_per_window_that_needs_a_mu(self, monkeypatch):
@@ -635,7 +639,8 @@ class TestPairedMu:
         monkeypatch.setattr(SwitchingSchedule, "runs", spy)
         report = certify_cluster_consensus(s, windows)
         assert report.mu[2] == 0.0  # window 2's null space is the whole space: no flow core
-        assert sorted(scans) == [(0, 2), (2, 4), (5, 6)]
+        # and one scan of the whole prefix, for the graphs to decompose
+        assert sorted(scans) == [(0, 2), (0, 6), (2, 4), (5, 6)]
 
     def test_certification_leaves_no_coupling_on_the_schedule(self, monkeypatch):
         cfg = scenarios.load_builtin("cluster_switching")
@@ -643,17 +648,16 @@ class TestPairedMu:
         held = dict(vars(s))
         pair_dicts = []
 
-        def spy(s, w, *, couplings=None):
+        def spy(s, w, eigs, *, couplings=None):
             pair_dicts.append(couplings)
-            return flow_core(s, w, couplings=couplings)
+            return flow_core(s, w, eigs, couplings=couplings)
 
         monkeypatch.setattr("mwconsensus.analysis.flow_core", spy)
-        certify_cluster_consensus(s, cfg.windows())
-        # the same attributes, holding the same objects: only the cache decompose fills grew
+        report = certify_cluster_consensus(s, cfg.windows())
+        # the same attributes, holding the same objects; the spectra are the report's
         assert vars(s).keys() == held.keys()
         assert all(vars(s)[k] is v for k, v in held.items())
-        caches = [k for k, v in vars(s).items() if isinstance(v, dict) and v is not s.catalog]
-        assert caches == ["_eigs"] and sorted(s._eigs) == ["G1", "G2", "G3"]
+        assert list(report.spectra) == [0, 1, 2]
         assert not hasattr(SwitchingSchedule, "coupling_of")
         assert not hasattr(SwitchingSchedule, "laplacian_of")
         # the one distinct period window is a stack of one, with a dict of its own
@@ -706,20 +710,18 @@ class TestBipartiteSteadyState:
 
 class TestNecessaryCondition:
     def test_benchmark_limit_annihilated(self, cluster_cfg):
-        s = cluster_cfg.schedule
-        nets = certify_cluster_consensus(s, cluster_cfg.windows()).integral_networks
+        report = certify_cluster_consensus(cluster_cfg.schedule, cluster_cfg.windows())
         basis = null_intersection([laplacian(g) for g in cluster_cfg.graphs.values()])
         x_star = projector(basis) @ cluster_cfg.initial_state
-        assert verify_necessary_condition(x_star, s, nets)
+        assert verify_necessary_condition(x_star, report)
         # scale invariance of the criterion
-        assert verify_necessary_condition(1e6 * x_star, s, nets)
+        assert verify_necessary_condition(1e6 * x_star, report)
 
     def test_generic_vector_fails(self, cluster_cfg, rng):
-        s = cluster_cfg.schedule
-        nets = [integral_network(s, w) for w in cluster_cfg.windows()]
-        assert not verify_necessary_condition(rng.normal(size=21), s, nets)
+        report = certify_cluster_consensus(cluster_cfg.schedule, cluster_cfg.windows())
+        assert not verify_necessary_condition(rng.normal(size=21), report)
         with pytest.raises(DimensionMismatchError):
-            verify_necessary_condition(np.ones(20), s, nets)
+            verify_necessary_condition(np.ones(20), report)
 
     def test_only_the_windowed_graphs_count(self):
         # x agrees across the edge of "a" and not across the edge of "b"
@@ -728,25 +730,28 @@ class TestNecessaryCondition:
                "b": MatrixWeightedGraph(3, 1, {(1, 2): one})}
         s = SwitchingSchedule.explicit(cat, [Segment("a", 1.0), Segment("b", 1.0)], alpha=1.0)
         x = np.array([1.0, 1.0, 5.0])
-        first, second = integral_network(s, Window(0, 1)), integral_network(s, Window(1, 2))
-        assert verify_necessary_condition(x, s, [first, first])
-        assert not verify_necessary_condition(x, s, [first, second])
+        first = certify_cluster_consensus(s, [Window(0, 1)])
+        assert list(first.spectra) == [0]
+        assert verify_necessary_condition(x, first)
+        assert not verify_necessary_condition(x, certify_cluster_consensus(s, [Window(0, 1),
+                                                                           Window(1, 2)]))
 
 
 def assert_verdicts_match_oracle(s, windows, report, x0, rng):
-    """The verdict on the cached catalog spectra is the eigvalsh one, on both sides of the bound."""
-    ids = [s.ids[k] for k in np.unique(s.graph[: windows[-1].end]).tolist()]
-    laps = [laplacian(s.catalog[gid]) for gid in ids]
+    """The verdict on the report's catalog spectra is the eigvalsh one, on both sides of the bound."""
+    used = np.unique(s.graph[: windows[-1].end]).tolist()
+    assert sorted(report.spectra) == used
+    laps = [laplacian(s.catalog[s.ids[k]]) for k in used]
     norms = []
     for L in laps:
         lam = np.linalg.eigvalsh(L)
         norms.append(max(abs(lam[0]), abs(lam[-1])))
-    assert np.allclose([s.eig_of(gid)[0][-1] for gid in ids], norms, rtol=1e-12, atol=1e-12)
+    assert np.allclose([report.spectra[k][0][-1] for k in used], norms, rtol=1e-12, atol=1e-12)
     x_star = predict_steady_state(report.basis, x0, s.n, s.d).steady_state
     r = rng.normal(size=x_star.size)
     verdicts = set()
     for x in (x_star, r, *(x_star + 10.0**k * r for k in np.arange(-12.0, 0.25, 0.25))):
-        got = verify_necessary_condition(x, s, report.integral_networks)
+        got = verify_necessary_condition(x, report)
         assert got == verify_necessary_condition_oracle(x, laps)
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -792,7 +797,7 @@ def _projector_bound(L, basis):
 def assert_windows_match_skeleton_oracle(s, rng):
     for w in rand_windows(rng, s.num_segments):
         net = integral_network(s, w)
-        got, want = _window_null_space(s, net), window_null_space_skeleton(s, net)
+        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_skeleton(s, net)
         assert got.dim == want.dim and got.tol_used == want.tol_used
         # the Davis-Kahan bound of the problem compressed to the definite-edge span N, plus
         # the roundoff of N itself, an SVD of order n d
@@ -831,7 +836,7 @@ class TestSpectralRouteAgainstDenseLaplacians:
         s, windows = cfg.schedule, cfg.windows()
         report = certify_cluster_consensus(s, windows, tol=cfg.tolerances)
         for net in {id(net): net for net in report.integral_networks}.values():
-            got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+            got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
             assert got.dim == want.dim and got.tol_used == want.tol_used
             dist = np.linalg.norm(projector(got) - projector(want), 2)
             assert dist <= _projector_bound(laplacian(net.graph), got)
@@ -898,7 +903,7 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({k: graphs[k] for k in order},
                                        [Segment("g", 1.0), Segment("h", 1.0)], alpha=1.0)
         net = integral_network(s, Window(0, 2))
-        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
         assert got.dim == want.dim == 3
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12  # eps 1e3 / gap 1
 
@@ -912,7 +917,7 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
         assert has_positive_negative_spanning_tree(net.graph)
-        assert _window_null_space(s, net).dim == window_null_space_skeleton(s, net).dim == 1
+        assert _window_null_space(s, net, catalog_spectra(s)).dim == window_null_space_skeleton(s, net).dim == 1
         assert window_null_space_eigh(s, net).dim == 3
 
     @pytest.mark.parametrize("brief_edge", [(2, 3), (1, 2)], ids=["apart", "adjacent"])
@@ -929,7 +934,7 @@ class TestWindowNullSpaceAgainstEigh:
         )
         net = integral_network(s, Window(0, 2))
         assert net.graph.keys.tolist() == [[0, 1]]
-        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
         assert got.dim == want.dim == 3 and got.tol_used == want.tol_used
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
 
@@ -943,7 +948,7 @@ class TestWindowNullSpaceAgainstEigh:
             cat, [Segment("g", 1.0, 1.9), Segment("h", 1.0, 1.9)], alpha=1.0
         )
         net = integral_network(s, Window(0, 2))
-        got, want = _window_null_space(s, net), window_null_space_eigh(s, net)
+        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
         assert got.tol_used == want.tol_used == 1e-9 * np.finfo(float).max
         assert got.dim == want.dim == 2
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
@@ -953,7 +958,7 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1e-30, 1e-300)], alpha=1e-30)
         net = integral_network(s, Window(0, 1))
         assert net.doses.tolist() == [0.0]
-        assert _window_null_space(s, net).dim == 2
+        assert _window_null_space(s, net, catalog_spectra(s)).dim == 2
         report = certify_cluster_consensus(s, [Window(0, 1)])
         assert report.m == 2 and report.mu == (0.0,) and report.certified
 
@@ -970,7 +975,7 @@ class TestWindowNullSpaceAgainstEigh:
         )
         net = integral_network(s, Window(0, 2))
         assert has_positive_negative_spanning_tree(net.graph)
-        got, want = _window_null_space(s, net), window_null_space_skeleton(s, net)
+        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_skeleton(s, net)
         assert got.dim == want.dim == 1 and window_null_space_eigh(s, net).dim == 2
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
 
@@ -982,7 +987,7 @@ class TestWindowNullSpaceAgainstEigh:
                                        (3, 4): nd, (4, 5): nd, (3, 5): nd})
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
-        got = _window_null_space(s, net)
+        got = _window_null_space(s, net, catalog_spectra(s))
         assert got.vectors.shape == (12, 0)
         assert window_null_space_skeleton(s, net).dim == window_null_space_eigh(s, net).dim == 0
         report = certify_cluster_consensus(s, [Window(0, 1)])
@@ -1019,7 +1024,7 @@ class TestWindowNullSpaceAgainstEigh:
         for w in windows:
             net = integral_network(s, w)
             if has_positive_negative_spanning_tree(net.graph):
-                assert _window_null_space(s, net).dim == d
+                assert _window_null_space(s, net, catalog_spectra(s)).dim == d
         report = certify_cluster_consensus(s, windows)
         assert report.balance is not None
         if report.pn_spanning_tree:

@@ -11,9 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "simulate_s", "unit": "s", "better": "lower"},
-           {"name": "success_frac", "unit": "ratio", "better": "higher"}]
 END_TO_END = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+METRICS = [m for m in END_TO_END if m["name"] in ("simulate_s", "success_frac")]
 
 
 def line(simulate_s, success_frac=1.0, correct=True):
@@ -65,6 +64,34 @@ def test_ties_count_for_neither_side_and_higher_is_better_where_the_metric_says(
     assert (r["wins"], r["gain"]) == (10, True)
 
 
+def test_verdict_is_ok_within_the_bound_and_worse_past_it():
+    bound = next(m["bound"] for m in METRICS if m["name"] == "simulate_s")
+    assert row(pairs_of(BASE, BASE))["verdict"] == "ok"
+    assert row(pairs_of(BASE, [b * (1 + bound - 0.01) for b in BASE]))["verdict"] == "ok"
+    assert row(pairs_of(BASE, [b * (1 + bound + 0.01) for b in BASE]))["verdict"] == "worse"
+    # a gain is never worse
+    assert row(pairs_of(BASE, [b * 0.5 for b in BASE]))["verdict"] == "ok"
+
+
+def test_verdict_on_a_higher_is_better_metric():
+    pairs = [(json.loads(line(b, 1.0)), json.loads(line(b, 0.98))) for b in BASE]
+    assert row(pairs, "success_frac")["verdict"] == "worse"  # 2% worse, past the bound of 1%
+    pairs = [(json.loads(line(b, 1.0)), json.loads(line(b, 0.995))) for b in BASE]
+    assert row(pairs, "success_frac")["verdict"] == "ok"
+
+
+def test_verdict_is_unresolved_where_the_base_spreads_as_wide_as_the_bound():
+    wide = [0.020, 0.030, 0.021, 0.029, 0.022, 0.028, 0.023, 0.027, 0.024, 0.026]
+    r = row(pairs_of(wide, wide))
+    assert (r["base"]["q3"] - r["base"]["q1"]) / r["base"]["median"] >= 0.24
+    assert r["verdict"] == "unresolved"
+    # unless every change run beats every base run
+    assert row(pairs_of(wide, [0.0195] * 10))["verdict"] == "ok"
+    assert row(pairs_of(wide, [0.0195] * 9 + [0.0201]))["verdict"] == "unresolved"
+    # a median worse by more than the bound is worse, however wide the spread
+    assert row(pairs_of(wide, [b * 1.3 for b in wide]))["verdict"] == "worse"
+
+
 def test_reads_only_the_last_line_of_a_run(monkeypatch):
     out = "workload long_schedule  seed 1\n  simulate_s median 0.03 s\nenv {}\n" + line(0.027) + "\n"
     monkeypatch.setattr(bench_pairs.subprocess, "run",
@@ -96,6 +123,7 @@ def test_alternates_the_first_side_and_prints_a_summary(monkeypatch, capsys):
     assert re.search(r"^long_schedule seed 2 \(change first\): .*simulate_s 0.029 -> 0.022", out, re.M)
     assert "long_schedule: 2 pairs" in out
     assert "simulate_s (s)" in out and "2/2" in out
+    assert re.search(r"^  simulate_s \(s\) .* 2/2 +holds +ok$", out, re.M)
 
 
 def test_refuses_to_summarize_an_incorrect_run(monkeypatch, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwconsensus import analysis, cli, matalg, scenarios
+from mwconsensus import analysis, cli, matalg, scenarios, switching
 from mwconsensus.analysis import certify_cluster_consensus
 from mwconsensus.cli import (
     _CSV_BLOCK_VALUES,
@@ -35,7 +35,7 @@ from oracles import (
     write_trajectory_csv_rows,
     write_trajectory_csv_savetxt,
 )
-from randgen import bridge_doc, many_graph_doc, random_connected_pd_graph
+from randgen import bridge_doc, many_graph_doc, not_psd_star_doc, random_connected_pd_graph
 from test_run_bundled_scenarios import run_bundled
 
 MAX = sys.float_info.max
@@ -135,24 +135,30 @@ def write_json(tmp_path, doc, name="scenario.json"):
     return p
 
 
-def assert_too_small_eig_tol_named(tmp_path, capsys, name):
-    """At eig_tol 1e-16 analyze names the window and the graph, simulate the graph."""
-    # the roundoff of a catalog Laplacian's zero eigenvalues counts as negative at 1e-16
-    doc = json.loads(scenarios.builtin_path(name).read_text())
-    doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
-    path = str(write_json(tmp_path, doc))
+NOT_PSD = (r"Laplacian matrix is not PSD at eig_tol = 1e-09: "
+           r"min eigenvalue -4\.500e-09 < -3\.000e-09\n")
+
+
+def assert_not_psd_named_alike(tmp_path, capsys, monkeypatch, segments, named):
+    """``analyze`` and ``simulate`` print one line naming the star ``named``, built once each.
+
+    The star of ``randgen.not_psd_star_doc`` passes ``check``; the first of its
+    two copies to run is the one named, its Laplacian built once per command.
+    """
+    path = str(write_json(tmp_path, not_psd_star_doc(segments)))
     assert main(["check", "--config", path]) == 0
     capsys.readouterr()
-    graph = "|".join(re.escape(g["id"]) for g in doc["graphs"])
-    culprit = (rf"graph '({graph})': Laplacian matrix is not PSD at "
-               r"eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n")
-    assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
-    err = capsys.readouterr().err
-    window = "[0, 3)" if name != "integral_static" else "[0, 1)"
-    assert re.fullmatch(rf"error: window {re.escape(window)}: {culprit}", err), err
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: {culprit}", err), err
+    built = []
+    monkeypatch.setattr(switching, "laplacian",
+                        lambda g, _laplacian=switching.laplacian: built.append(g.label)
+                        or _laplacian(g))
+    for command, out in (("analyze", "r.json"), ("simulate", "t.csv")):
+        built.clear()
+        assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: graph '{named}': {NOT_PSD}", err), (command, err)
+        assert built.count(named) == 1 and len(set(built)) == len(built), (command, built)
+        assert not (tmp_path / out).exists()
 
 
 class TestLoad:
@@ -573,9 +579,9 @@ class TestLoad:
         path = str(write_json(tmp_path, doc))
         dicts = []
 
-        def spy(s, w, *, couplings):
+        def spy(s, w, eigs, *, couplings):
             dicts.append(couplings)
-            return flow_core(s, w, couplings=couplings)
+            return flow_core(s, w, eigs, couplings=couplings)
 
         flow_core = analysis.flow_core
         monkeypatch.setattr(analysis, "flow_core", spy)
@@ -1312,15 +1318,45 @@ class TestCli:
         # acceptance criterion c09's tolerance
         assert np.abs(rows[-1, 1:] - exact.final_state).max() < 1e-6
 
-    @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching", "integral_static"])
-    def test_too_small_eig_tol_names_the_window_and_the_tolerance(self, tmp_path, capsys, name):
-        assert_too_small_eig_tol_named(tmp_path, capsys, name)
+    @pytest.mark.parametrize("segments, named", [("S", "S"), ("PTS", "T"), ("SPT", "S")])
+    def test_not_psd_laplacian_named_alike_by_analyze_and_simulate(self, tmp_path, capsys,
+                                                                  monkeypatch, segments, named):
+        assert_not_psd_named_alike(tmp_path, capsys, monkeypatch, segments, named)
 
-    @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching"])
-    def test_too_small_eig_tol_names_the_window_with_the_pool_forced(self, tmp_path, capsys,
-                                                                    pool_forced, name):
-        assert_too_small_eig_tol_named(tmp_path, capsys, name)
+    @pytest.mark.parametrize("segments, named", [("PTS", "T"), ("SPT", "S")])
+    def test_not_psd_laplacian_named_alike_with_the_pool_forced(self, tmp_path, capsys,
+                                                               monkeypatch, pool_forced,
+                                                               segments, named):
+        assert_not_psd_named_alike(tmp_path, capsys, monkeypatch, segments, named)
         assert pool_forced
+
+    @pytest.mark.parametrize("name", ["cluster_switching", "bipartite_switching", "integral_static"])
+    def test_eig_tol_below_eigh_roundoff_gives_the_default_verdicts(self, tmp_path, capsys, name):
+        # at 1e-16 a catalog Laplacian's roundoff zeros, about -1.8e-15, counted as negative
+        doc = json.loads(scenarios.builtin_path(name).read_text())
+        reports = []
+        for eig_tol in (1e-9, 1e-16):
+            doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": eig_tol}
+            path = str(write_json(tmp_path, doc, f"{eig_tol}.json"))
+            for command, extra in (("check", []),
+                                   ("analyze", ["--out", str(tmp_path / "r.json")]),
+                                   ("simulate", ["--out", str(tmp_path / "t.csv")])):
+                assert main([command, "--config", path, *extra]) == 0, capsys.readouterr().err
+            reports.append(json.loads((tmp_path / "r.json").read_text()))
+        keys = ("m", "certified", "kind", "q_estimate", "clusters")
+        assert [reports[1][k] for k in keys] == [reports[0][k] for k in keys]
+
+    @pytest.mark.parametrize("value", ["-3", "nan", "0.5"])
+    def test_simulate_rk4_rejects_sample_dt(self, tmp_path, capsys, value):
+        doc = json.loads(scenarios.builtin_path("integral_static").read_text())
+        doc["solver"]["method"] = "rk4"
+        path = str(write_json(tmp_path, doc))
+        out = tmp_path / "rk4.csv"
+        assert main(["simulate", "--config", path, "--out", str(out), "--sample-dt", value]) == 1
+        assert capsys.readouterr().err == (
+            "error: --sample-dt sets the exact solver's sampling, but solver.method is 'rk4', "
+            "which samples every step_h\n")
+        assert not out.exists()
 
     def test_analyze_refuses_to_write_non_finite_report(self, tmp_path):
         cfg = load_config(write_json(tmp_path, minimal_config_dict()))

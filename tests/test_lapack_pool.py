@@ -19,14 +19,19 @@ import numpy as np
 import pytest
 
 from mwconsensus import matalg, scenarios
-from mwconsensus.analysis import certify_cluster_consensus
+from mwconsensus.analysis import (
+    certify_cluster_consensus,
+    predict_steady_state,
+    verify_necessary_condition,
+)
 from mwconsensus.cli import main
 from mwconsensus.config import load_config
 from mwconsensus.errors import NotPSDError
-from mwconsensus.switching import SwitchingSchedule
+from mwconsensus.sim import simulate_exact
+from mwconsensus.switching import SwitchingSchedule, Window, spectra
 
 from conftest import force_pool
-from randgen import random_connected_pd_graph
+from randgen import not_psd_star_doc, random_connected_pd_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,28 +156,43 @@ class TestMapLapack:
         assert matalg._lapack_workers() == workers
 
 
-class TestDecompose:
-    def test_fills_the_cache_as_eig_of_would(self, cluster_cfg, pool_forced):
+class TestSpectra:
+    def test_pooled_bitwise_equal_to_one_at_a_time(self, cluster_cfg, monkeypatch):
         s = cluster_cfg.schedule
-        fresh = SwitchingSchedule(s.catalog, s.graph, s.dwell, s.scale, s.alpha)
-        fresh.decompose(["G2", "G1", "G2"])
-        assert pool_forced and sorted(fresh._eigs) == ["G1", "G2"]
-        ref = SwitchingSchedule(s.catalog, s.graph, s.dwell, s.scale, s.alpha)
-        for gid in ("G1", "G2"):
-            for a, b in zip(fresh.eig_of(gid), ref.eig_of(gid)):
+        monkeypatch.setattr(matalg, "_lapack_workers", lambda: 1)
+        alone = spectra(s, [1, 0, 1])
+        pooled = force_pool(monkeypatch)
+        got = spectra(s, [1, 0, 1])
+        assert pooled and list(got) == list(alone) == [1, 0]
+        for k in alone:
+            for a, b in zip(got[k], alone[k]):
                 assert a.tobytes() == b.tobytes()
-        held = fresh._eigs["G1"]
-        fresh.decompose(["G1"])
-        assert fresh._eigs["G1"] is held
 
-    def test_leaves_out_a_graph_that_is_not_psd(self, tmp_path, pool_forced):
-        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
-        doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
-        s = load_config(tmp_path_doc(tmp_path, doc)).schedule
-        s.decompose(s.ids)
-        assert pool_forced and s._eigs == {}
-        with pytest.raises(NotPSDError, match=r"^graph 'G2': Laplacian matrix is not PSD"):
-            s.eig_of("G2")
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_names_the_first_graph_given_that_is_not_psd(self, tmp_path, monkeypatch, forced):
+        pooled = force_pool(monkeypatch) if forced else []
+        s = load_config(tmp_path_doc(tmp_path, not_psd_star_doc("PST"))).schedule
+        for graphs, named in (([0, 2, 1], "T"), ([1, 2], "S")):
+            with pytest.raises(NotPSDError, match=rf"^graph '{named}': Laplacian matrix is not PSD"):
+                spectra(s, graphs)
+        assert bool(pooled) == forced
+        assert list(spectra(s, [0])) == [0]
+
+
+class TestScheduleStaysAValue:
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_commands_leave_the_schedule_as_constructed(self, cluster_cfg, monkeypatch, forced):
+        pooled = force_pool(monkeypatch) if forced else []
+        s = cluster_cfg.schedule
+        s = SwitchingSchedule.periodic(s.catalog, s.pattern, 10, s.alpha)
+        held = dict(vars(s))
+        report = certify_cluster_consensus(s, [Window(k, k + 3) for k in range(0, 30, 3)])
+        pred = predict_steady_state(report.basis, cluster_cfg.initial_state, s.n, s.d)
+        assert verify_necessary_condition(pred.steady_state, report)
+        simulate_exact(s, cluster_cfg.initial_state, s.total_duration, 0.5)
+        assert bool(pooled) == forced
+        assert vars(s).keys() == held.keys()
+        assert all(vars(s)[k] is v for k, v in held.items())
 
 
 class TestPooledOutputsAgainstOneAtATime:
@@ -242,21 +262,14 @@ class TestPooledOutputsAgainstOneAtATime:
 class TestPooledErrors:
     @pytest.mark.parametrize("forced", [False, True])
     def test_first_run_not_the_first_catalog_graph(self, tmp_path, capsys, monkeypatch, forced):
-        # every graph of this catalog fails at eig_tol 1e-16, so the first one asked for is named
+        # S and T both fail; T runs first, though S comes first in the catalog
         pooled = force_pool(monkeypatch) if forced else []
-        doc = json.loads(scenarios.builtin_path("cluster_switching").read_text())
-        doc["tolerances"] = {**doc.get("tolerances", {}), "eig_tol": 1e-16}
-        pattern = doc["schedule"]["pattern"]
-        doc["schedule"]["pattern"] = pattern[1:] + pattern[:1]  # runs G2, G3, G1
-        path = str(tmp_path_doc(tmp_path, doc))
-        culprit = r"Laplacian matrix is not PSD at eig_tol = 1e-16: min eigenvalue -\S+ < -\S+\n"
-        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"error: graph 'G2': {culprit}", err), err
-        # a window's null space asks for its graphs in catalog order
-        assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 1
-        err = capsys.readouterr().err
-        assert re.fullmatch(rf"error: window \[0, 3\): graph 'G1': {culprit}", err), err
+        path = str(tmp_path_doc(tmp_path, not_psd_star_doc("PTS")))
+        culprit = r"Laplacian matrix is not PSD at eig_tol = 1e-09: min eigenvalue -\S+ < -\S+\n"
+        for command, out in (("simulate", "t.csv"), ("analyze", "r.json")):
+            assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(rf"error: graph 'T': {culprit}", err), (command, err)
         assert bool(pooled) == forced
 
 

@@ -490,3 +490,14 @@ class TestPsdEigh:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             psd_eigh(np.diag([1.0, -0.5]))
+
+    def test_threshold_floors_at_eigh_roundoff(self):
+        # at eig_tol 1e-16 the threshold is order * eps, so -2 eps is roundoff, not negative
+        eps = np.finfo(float).eps
+        M = np.diag([-2 * eps, 1.0, 4.0])
+        lam, _, thr = psd_eigh(M, 1e-16)
+        assert thr == 3 * eps * 4.0 and lam[0] == 0.0
+        assert null_space(M, 1e-16).dim == 1 and null_space(M, 1e-16).tol_used == thr
+        assert psd_eigh(M, 1e-9)[2] == 1e-9 * 4.0  # a tolerance above the floor is unchanged
+        with pytest.raises(NotPSDError, match="min eigenvalue -4.441e-14 < -2.665e-15"):
+            psd_eigh(np.diag([-200 * eps, 1.0, 4.0]), 1e-16)

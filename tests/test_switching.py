@@ -22,6 +22,7 @@ from mwconsensus.switching import (
     flow_core,
     integral_network,
     simultaneous_structural_balance,
+    spectra,
     validate_schedule,
 )
 
@@ -29,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    catalog_spectra,
     integral_network_per_segment,
     mu_budget,
     mu_m_plus_1_svd,
@@ -342,7 +344,7 @@ class TestFlowCore:
     @settings(deadline=None, max_examples=200)
     def test_singular_values_match_explicit_flow_map(self, seed):
         s, w = _flow_core_window(np.random.default_rng(seed))
-        K, Phi = flow_core(s, w), state_transition(s, w)
+        K, Phi = flow_core(s, w, catalog_spectra(s)), state_transition(s, w)
         R = s.runs(w.start, w.end)[1].size
         N = s.n * s.d
         gap = np.abs(np.linalg.svd(K, compute_uv=False) - np.linalg.svd(Phi, compute_uv=False))
@@ -350,24 +352,27 @@ class TestFlowCore:
 
     def test_recovers_flow_map_in_the_end_eigenbases(self, cluster_cfg):
         s = cluster_cfg.schedule
+        eigs = catalog_spectra(s)
         for w in (Window(0, 1), Window(0, 2), Window(0, 6)):
             _, graphs, _ = s.runs(w.start, w.end)
-            V_first, V_last = (s.eig_of(s.ids[k])[1] for k in (graphs[0], graphs[-1]))
-            Phi = V_last @ flow_core(s, w) @ V_first.T
+            V_first, V_last = (eigs[k][1] for k in (graphs[0], graphs[-1]))
+            Phi = V_last @ flow_core(s, w, eigs) @ V_first.T
             assert np.abs(Phi - state_transition(s, w)).max() < 1e-12
 
     def test_windows_sharing_one_coupling_dict_get_the_cores_of_separate_calls(self, cluster_cfg):
         s = cluster_cfg.schedule
         windows = [Window(0, 6), Window(6, 12), Window(2, 9), Window(4, 5)]
-        alone = [flow_core(s, w) for w in windows]
+        eigs = catalog_spectra(s)
+        alone = [flow_core(s, w, eigs) for w in windows]
         shared = {}
         for w, K in zip(windows, alone):
-            assert flow_core(s, w, couplings=shared).tobytes() == K.tobytes()
-        crossed = {(s.ids[b], s.ids[a]) for w in windows
-                   for a, b in zip(s.graph[w.start:w.end - 1], s.graph[w.start + 1:w.end]) if a != b}
+            assert flow_core(s, w, eigs, couplings=shared).tobytes() == K.tobytes()
+        crossed = {(b, a) for w in windows
+                   for a, b in zip(s.graph[w.start:w.end - 1].tolist(),
+                                   s.graph[w.start + 1:w.end].tolist()) if a != b}
         assert set(shared) == crossed
         held = dict(shared)
-        flow_core(s, Window(12, 18), couplings=shared)  # crosses only what it shares
+        flow_core(s, Window(12, 18), eigs, couplings=shared)  # crosses only what it shares
         assert shared.keys() == held.keys() and all(shared[k] is v for k, v in held.items())
 
     def test_a_transition_crossed_both_ways_forms_one_coupling(self):
@@ -377,8 +382,8 @@ class TestFlowCore:
         segs = [Segment(g, dwell) for g, dwell in zip("ABAB", (0.3, 0.5, 0.2, 0.4))]
         s = SwitchingSchedule.explicit(cat, segs, alpha=0.1)
         couplings = {}
-        K = flow_core(s, Window(0, 4), couplings=couplings)
-        assert list(couplings) == [("B", "A")]
+        K = flow_core(s, Window(0, 4), spectra(s, [0, 1]), couplings=couplings)
+        assert list(couplings) == [(1, 0)]  # catalog positions: B after A
         Phi = state_transition(s, Window(0, 4))
         m = 2  # connected with definite weights: the consensus space of dimension d
         mu, exact = mu_m_plus_1(K, m), mu_m_plus_1_svd(Phi, m)
