@@ -23,10 +23,11 @@ directory, a missing key, a different length, a change that is not numeric
 (a string, a boolean, ``null``, a CSV header, or any other file whose bytes
 differ), or a JSON or CSV file whose bytes differ while every value parses
 equal, such as ``1e-05`` spelled ``1.0000000000000001e-05``.  Otherwise it is
-0, whatever the numeric differences.
+0, whatever the numeric differences, unless ``--identical`` is given: then it
+is 1 unless every compared file is byte-identical.
 
 Usage:
-    python scripts/compare_outputs.py OLD_DIR NEW_DIR
+    python scripts/compare_outputs.py [--identical] OLD_DIR NEW_DIR
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def _flat(record: dict, prefix: str = "") -> dict:
     return out
 
 
-def compare_dirs(old_dir: Path, new_dir: Path) -> int:
-    """Print the comparison; return 1 on a structural difference, else 0."""
+def compare_dirs(old_dir: Path, new_dir: Path, identical_only: bool = False) -> int:
+    """Print the comparison; return 1 on a structural difference, or with ``identical_only``
+    on any difference, else 0."""
     compare_environments(old_dir, new_dir)
     names_a = {p.name for p in old_dir.iterdir() if p.is_file()} - {ENVIRONMENT}
     names_b = {p.name for p in new_dir.iterdir() if p.is_file()} - {ENVIRONMENT}
@@ -189,18 +191,21 @@ def compare_dirs(old_dir: Path, new_dir: Path) -> int:
             print(f"  structural: {problem}")
         structural = structural or bool(diff.structural)
     print(f"byte-identical ({len(identical)}): {', '.join(identical) or '-'}")
-    return 1 if structural else 0
+    all_identical = len(identical) == len(names_a | names_b)
+    return 1 if structural or (identical_only and not all_identical) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_dir", type=Path)
     parser.add_argument("new_dir", type=Path)
+    parser.add_argument("--identical", action="store_true",
+                        help="exit 1 unless every compared file is byte-identical")
     args = parser.parse_args(argv)
     for d in (args.old_dir, args.new_dir):
         if not d.is_dir():
             parser.error(f"{d} is not a directory")
-    return compare_dirs(args.old_dir, args.new_dir)
+    return compare_dirs(args.old_dir, args.new_dir, args.identical)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .errors import (
     NotPSDError,
     WindowsNotContiguousError,
 )
-from .graph import Bipartition, _edge_structure, has_positive_negative_spanning_tree
+from .graph import Bipartition, MatrixWeightedGraph, _edge_structure, has_positive_negative_spanning_tree
 from .matalg import (
     EIG_TOL,
     NullSpaceBasis,
@@ -219,10 +219,12 @@ class CertificationReport:
     integral graphs and are informational (they upgrade the interpretation to
     bipartite consensus when present, but do not gate certification).
 
-    ``integral_networks`` and ``mu`` hold one entry per window.
+    ``integral_networks``, ``mu`` and ``edge_list`` hold one entry per window.
     Windows with the same segment content share one :class:`IntegralNetwork`
-    object.  ``spectra`` holds the :func:`switching.spectra` of every graph
-    the windows run, by catalog position, for as long as the report is kept.
+    object.  ``edge_structures`` holds one integral graph per distinct edge
+    structure, in order of first use, and ``edge_list`` each window's position
+    in it.  ``spectra`` holds the :func:`switching.spectra` of every graph the
+    windows run, by catalog position, for as long as the report is kept.
     """
 
     integral_networks: tuple[IntegralNetwork, ...] = field(repr=False)
@@ -235,15 +237,19 @@ class CertificationReport:
     basis: NullSpaceBasis = field(repr=False)
     balance: Bipartition | None
     pn_spanning_tree: bool
+    edge_structures: tuple[MatrixWeightedGraph, ...] = field(repr=False)
+    edge_list: tuple[int, ...]
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
 
 
-def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs) -> NullSpaceBasis:
+def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs,
+                       skeleton) -> NullSpaceBasis:
     """Null space of a window's integral Laplacian ``L_w``, that of ``net.graph``.
 
     ``x^T L_w x`` sums ``(x_i - s_e x_j)^T |A_e| (x_i - s_e x_j)``, so a definite
-    edge forces ``x_i = s_e x_j``: a skeleton component with an odd negative
-    cycle to 0, any other ``C`` to ``x_i = sigma_i y_C / sqrt(|C|)``, ``x = S y``.
+    edge forces ``x_i = s_e x_j``: a component of the definite-edge ``skeleton``,
+    the ``_skeleton`` of any graph with ``net.graph``'s edge structure, with an odd
+    negative cycle to 0, any other ``C`` to ``x_i = sigma_i y_C / sqrt(|C|)``, ``x = S y``.
     The null space is ``S null(S^T L_w S)``, the quotient of order ``c d``
     assembled from the edges, each cross term into both of its blocks in edge
     order, so that it is exactly symmetric.  Zero means at most
@@ -253,7 +259,7 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs) -> Null
     g = net.graph
     B = min(sum(dose / net.duration * float(eigs[k][0][-1])
                 for k, dose in enumerate(net.doses.tolist()) if dose), np.finfo(float).max)
-    root, sigma, odd = g._skeleton
+    root, sigma, odd = skeleton
     root = np.array(root)
     kept = root == np.arange(g.n)  # the roots of the components kept
     kept[list(odd)] = False
@@ -297,10 +303,10 @@ def certify_cluster_consensus(
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window, as
     :func:`switching._window_sources` finds them, is computed once and its
-    windows share one :class:`IntegralNetwork` object.  The structural
-    diagnostics read only an integral graph's edges and their classes, so
-    they range over distinct edge structures only: windows that dose the
-    same graphs for different times count once.
+    windows share one :class:`IntegralNetwork` object.  The definite-edge
+    skeleton and the structural diagnostics read only an integral graph's
+    edges and their classes, so they are found once per distinct edge
+    structure, and the report returns that grouping.
 
     The distinct windows go in pairs, consecutive in order, before any graph
     is decomposed; each pair is one ``mu`` task, holding its two cores, their
@@ -344,13 +350,17 @@ def certify_cluster_consensus(
     _check_matrices(s, len(used), 4 * tasks + held,
                     f"{tasks} pair(s) of window flow maps at a time with {held} coupling(s)")
     eigs = spectra(s, used)
-    bases = []
+    # one integral graph per edge structure, in order of first use, and each distinct
+    # window's position among them (slot): the windows of one structure share its skeleton
+    slot, where, structures, bases = {}, {}, [], []
     for k in distinct:
+        slot[k] = where.setdefault(_edge_structure(nets[k].graph), len(structures))
+        if slot[k] == len(structures):
+            structures.append(nets[k].graph)
         try:
-            bases.append(_window_null_space(s, nets[k], eigs))
+            bases.append(_window_null_space(s, nets[k], eigs, structures[slot[k]]._skeleton))
         except NotPSDError as exc:
-            w = ws[k]
-            raise NotPSDError(f"window [{w.start}, {w.end}): {exc}") from None
+            raise NotPSDError(f"window [{ws[k].start}, {ws[k].end}): {exc}") from None
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
@@ -367,10 +377,8 @@ def certify_cluster_consensus(
         mu_of.update(got)
     q = max(mu_of.values())
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
-    # the structural diagnostics read only the edges and their classes
-    graphs = list({_edge_structure(nets[k].graph): nets[k].graph for k in distinct}.values())
-    balance = simultaneous_structural_balance(graphs)
-    pn = all(has_positive_negative_spanning_tree(g) for g in graphs)
+    balance = simultaneous_structural_balance(structures)
+    pn = all(has_positive_negative_spanning_tree(g) for g in structures)
     return CertificationReport(
         integral_networks=tuple(nets),
         window_nullspaces_equal=equal,
@@ -382,6 +390,8 @@ def certify_cluster_consensus(
         basis=bases[0],
         balance=balance,
         pn_spanning_tree=pn,
+        edge_structures=tuple(structures),
+        edge_list=tuple(slot[j] for j in src),
         spectra=eigs,
     )
 
@@ -401,8 +411,8 @@ def verify_necessary_condition(x_star: np.ndarray, report: CertificationReport) 
     if v.size != (order := report.basis.vectors.shape[0]):
         raise DimensionMismatchError(f"state length {v.size} != order {order}")
     nv = float(np.linalg.norm(v))
-    nets = {id(net): net for net in report.integral_networks}.values()  # windows share networks
-    for k in np.flatnonzero(np.any([net.doses > 0 for net in nets], axis=0)).tolist():
+    dosed = np.any([net.doses > 0 for net in report.integral_networks], axis=0)
+    for k in np.flatnonzero(dosed).tolist():
         lam, V = report.spectra[k]
         if float(np.linalg.norm(lam * (V.T @ v))) > NECESSARY_TOL * (1.0 + float(lam[-1])) * nv:
             return False

@@ -36,10 +36,9 @@ from .analysis import (
 )
 from .config import ScenarioConfig, check_laplacian_memory, load_config
 from .errors import ConsensusToolError, HorizonError, OutputError
-from .graph import _edge_structure
 from .matalg import canonical_basis
 from .sim import Trajectory, check_run, simulate_exact, simulate_rk4
-from .switching import IntegralNetwork, validate_schedule
+from .switching import validate_schedule
 
 
 _CSV_BLOCK_VALUES = 8192
@@ -227,10 +226,10 @@ def _first_non_finite(o, path: str) -> tuple[str, float] | None:
     return None
 
 
-def _integral_edges(net: IntegralNetwork) -> list[dict]:
-    """The 1-based edges of a window's integral network, with their classes."""
+def _integral_edges(g) -> list[dict]:
+    """The 1-based edges of a window's integral graph, with their classes."""
     return [{"i": i + 1, "j": j + 1, "class": c.value}
-            for (i, j), c in zip(net.graph.keys.tolist(), net.graph.classes)]
+            for (i, j), c in zip(g.keys.tolist(), g.classes)]
 
 
 def _out_path(out: str | None, config: str, suffix: str) -> Path:
@@ -317,16 +316,6 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
                                 tol=cfg.tolerances)
     necessary_ok = verify_necessary_condition(pred.steady_state, report)
     balance = report.balance
-    # windows of equal content share one network, and networks of equal edge structure one
-    # list: each window names its list by its index in edge_lists, in order of first use
-    edge_lists, index, first = [], {}, {}
-    for net in report.integral_networks:
-        if id(net) not in index:
-            structure = _edge_structure(net.graph)
-            if structure not in first:
-                first[structure] = len(edge_lists)
-                edge_lists.append(_integral_edges(net))
-            index[id(net)] = first[structure]
     doc = {
         "certified": report.certified,
         "window_nullspaces_equal": report.window_nullspaces_equal,
@@ -334,16 +323,10 @@ def cmd_analyze(cfg: ScenarioConfig, path: str, out: str | None) -> int:
         "m": report.m,
         "mu": list(report.mu),
         "q_estimate": report.q_estimate,
-        "edge_lists": edge_lists,
+        "edge_lists": [_integral_edges(g) for g in report.edge_structures],
         "windows": [
-            {
-                "start": w.start,
-                "end": w.end,
-                "duration": net.duration,
-                "mu": mu,
-                "edge_list": index[id(net)],
-            }
-            for w, net, mu in zip(windows, report.integral_networks, report.mu)
+            {"start": w.start, "end": w.end, "duration": net.duration, "mu": mu, "edge_list": e}
+            for w, net, mu, e in zip(windows, report.integral_networks, report.mu, report.edge_list)
         ],
         "basis": canonical_basis(report.basis.vectors).T.tolist(),
         "steady_state": pred.steady_state.tolist(),

@@ -235,17 +235,16 @@ def psd_eigh(
     defaults to ``lam_max``: a compression of a larger matrix passes that
     matrix's bound.  The floor ``order * eps`` is ``eigh``'s own roundoff, so
     a tolerance below it does not count roundoff as negative.  Raises
-    NotPSDError when an eigenvalue is below ``-thr``.
+    NotPSDError, naming whichever set ``thr``, when an eigenvalue is below ``-thr``.
     """
     lam, V = np.linalg.eigh(matrix)
     if lam_bound is None:
         lam_bound = float(lam[-1]) if lam.size else 0.0
-    thr = max(eig_tol, lam.size * np.finfo(float).eps) * max(1.0, lam_bound)
+    floor = lam.size * np.finfo(float).eps
+    thr = max(eig_tol, floor) * max(1.0, lam_bound)
     if lam.size and float(lam[0]) < -thr:
-        raise NotPSDError(
-            f"matrix is not PSD at eig_tol = {eig_tol:g}: "
-            f"min eigenvalue {float(lam[0]):.3e} < {-thr:.3e}"
-        )
+        at = f"eig_tol = {eig_tol:g}" if eig_tol >= floor else f"order * eps = {floor:.3e}"
+        raise NotPSDError(f"matrix is not PSD at {at}: min eigenvalue {lam[0]:.3e} < {-thr:.3e}")
     return np.clip(lam, 0.0, None), V, thr
 
 

@@ -8,8 +8,8 @@ Two integration routes are provided on purpose:
   a run's segments commute, so this is exact up to roundoff.
 * :func:`simulate_rk4` integrates the same dynamics with a fixed-step
   classical Runge-Kutta scheme that never steps across a switching instant.
-  It shares no code path with the spectral route beyond the Laplacian itself,
-  which makes the two mutually checking oracles.
+  It shares no code path with the spectral route beyond the Laplacian itself
+  and its PSD test, which makes the two mutually checking oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     ScheduleExhaustedError,
 )
 from .graph import laplacian
-from .switching import SwitchingSchedule, spectra
+from .switching import SwitchingSchedule, _catalog_eigh, spectra
 
 _DEDUP_TOL = 1e-12
 _EDGE_TOL = 1e-9
@@ -278,7 +278,8 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     rejects the run first, as it does a grid past the memory limit.  Every
     step endpoint is recorded.  A step past RK4's stability limit makes the
     state overflow; the first segment whose states are not all finite raises
-    :class:`HorizonError`.  Its Laplacians are built for the call alone.
+    :class:`HorizonError`.  Its Laplacians are built for the call alone and
+    put to :func:`switching.spectra`'s PSD test in order of first run.
     """
     x = _validated_x0(s, x0)
     horizon = check_run(s, horizon, "rk4", step_h)
@@ -286,7 +287,9 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
     chunks_t: list[np.ndarray] = [np.zeros(1)]
     chunks_x: list[np.ndarray] = [x[None, :].copy()]
     K = _segments_reached(s, horizon)
-    laplacians = {g: laplacian(s.catalog[s.ids[g]]) for g in np.unique(s.graph[:K]).tolist()}
+    laplacians = {g: laplacian(s.catalog[s.ids[g]]) for g in dict.fromkeys(s.graph[:K].tolist())}
+    for g, L in laplacians.items():  # the first run to reach one that is not PSD names it
+        _catalog_eigh(s, g, L)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for k, (g, scale) in enumerate(zip(s.graph[:K].tolist(), s.scale[:K].tolist())):
             a = t_switch[k]

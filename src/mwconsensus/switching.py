@@ -225,30 +225,33 @@ def spectra(s: SwitchingSchedule, graphs) -> dict[int, tuple[np.ndarray, np.ndar
     """PSD eigendecompositions ``(lam, V)`` of catalog Laplacians, keyed by catalog position.
 
     Each graph of ``graphs``, positions in the catalog, is decomposed once,
-    unscaled, at the schedule's ``eig_tol``, the keys in the order given.
-    Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of
-    zero are held as exact zeros, so no dose, however large, decays a
-    null-space component.  The ``eigh`` calls run on
-    :func:`matalg._map_lapack`'s pool, each Laplacian built as a worker comes
-    free for it and let go after its call.  The first graph, in the order
-    given, whose Laplacian is not PSD raises NotPSDError naming it.  The
+    unscaled, by :func:`_catalog_eigh`, the keys in the order given.  The
+    ``eigh`` calls run on :func:`matalg._map_lapack`'s pool, each Laplacian
+    built as a worker comes free for it and let go after its call.  The
+    first graph, in the order given, whose Laplacian is not PSD raises.  The
     caller holds the result for as long as it needs it; the schedule keeps
     nothing.
     """
     todo = list(dict.fromkeys(graphs))
-
-    def decompose(item):
-        k, L = item
-        try:
-            lam, V, _ = psd_eigh(L, s.eig_tol)
-        except NotPSDError as exc:
-            raise NotPSDError(f"graph {s.ids[k]!r}: Laplacian {exc}") from None
-        if lam.size:
-            lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
-        return lam, V
-
-    eigs = _map_lapack(decompose, todo, s.n * s.d, lambda k: (k, laplacian(s.catalog[s.ids[k]])))
+    eigs = _map_lapack(lambda item: _catalog_eigh(s, *item), todo, s.n * s.d,
+                       lambda k: (k, laplacian(s.catalog[s.ids[k]])))
     return dict(zip(todo, eigs))
+
+
+def _catalog_eigh(s: SwitchingSchedule, k: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, V)`` of graph ``k``'s Laplacian ``L`` by :func:`psd_eigh` at ``s.eig_tol``.
+
+    Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of zero
+    are held as exact zeros, so no dose, however large, decays a null-space
+    component.  A Laplacian that is not PSD raises NotPSDError naming the graph.
+    """
+    try:
+        lam, V, _ = psd_eigh(L, s.eig_tol)
+    except NotPSDError as exc:
+        raise NotPSDError(f"graph {s.ids[k]!r}: Laplacian {exc}") from None
+    if lam.size:
+        lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
+    return lam, V
 
 
 @dataclass(frozen=True)

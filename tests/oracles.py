@@ -88,6 +88,7 @@ from mwconsensus.graph import (
     Bipartition,
     EdgeKey,
     MatrixWeightedGraph,
+    _edge_structure,
     has_positive_negative_spanning_tree,
     laplacian,
 )
@@ -578,8 +579,10 @@ def certify_per_window(
     """Integral network, null space and flow core of every window, computed afresh.
 
     Each window's null space comes from the package's ``_window_null_space``,
-    so only the sharing of distinct window content differs from the package.
-    A window whose null space is the whole space records ``mu = 0``.
+    with the window's own skeleton, so only the sharing of distinct window
+    content and edge structure differs from the package.  A window whose null
+    space is the whole space records ``mu = 0``.  ``edge_structures`` holds the
+    first window's graph of each ``_edge_structure``, in order of first use.
     """
     if not windows:
         raise WindowsNotContiguousError("no windows given")
@@ -593,7 +596,7 @@ def certify_per_window(
             )
     nets = tuple(integral_network(s, w) for w in ws)
     eigs = spectra(s, s.graph[:ws[-1].end].tolist())
-    bases = [_window_null_space(s, net, eigs) for net in nets]
+    bases = [_window_null_space(s, net, eigs, net.graph._skeleton) for net in nets]
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
@@ -604,6 +607,9 @@ def certify_per_window(
     certified = bool(equal and q <= 1.0 - Q_MARGIN)
     balance = simultaneous_structural_balance([net.graph for net in nets])
     pn = all(has_positive_negative_spanning_tree(net.graph) for net in nets)
+    first: dict[tuple, MatrixWeightedGraph] = {}
+    for net in nets:
+        first.setdefault(_edge_structure(net.graph), net.graph)
     return CertificationReport(
         integral_networks=nets,
         window_nullspaces_equal=equal,
@@ -615,6 +621,8 @@ def certify_per_window(
         basis=bases[0],
         balance=balance,
         pn_spanning_tree=pn,
+        edge_structures=tuple(first.values()),
+        edge_list=tuple(list(first).index(_edge_structure(net.graph)) for net in nets),
         spectra=eigs,
     )
 

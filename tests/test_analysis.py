@@ -30,7 +30,12 @@ from mwconsensus.errors import (
     SignInconsistentEdgeError,
     WindowsNotContiguousError,
 )
-from mwconsensus.graph import MatrixWeightedGraph, has_positive_negative_spanning_tree, laplacian
+from mwconsensus.graph import (
+    MatrixWeightedGraph,
+    _edge_structure,
+    has_positive_negative_spanning_tree,
+    laplacian,
+)
 from mwconsensus.matalg import NullSpaceBasis, null_space
 from mwconsensus.switching import (
     Segment,
@@ -40,7 +45,7 @@ from mwconsensus.switching import (
     integral_network,
 )
 
-from mwconsensus import scenarios
+from mwconsensus import graph, scenarios, switching
 from oracles import (
     NonOrthonormalPsiError,
     bipartite_steady_state,
@@ -57,6 +62,7 @@ from oracles import (
 from oracles import verify_necessary_condition as verify_necessary_condition_oracle
 from randgen import (
     rand_catalog,
+    random_connected_pd_graph,
     rand_certified_schedule,
     rand_graph,
     rand_pair_signs,
@@ -66,6 +72,11 @@ from randgen import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def window_null_space(s: SwitchingSchedule, net) -> NullSpaceBasis:
+    """The package's null space of a window's ``net``, with the catalog spectra and its own skeleton."""
+    return _window_null_space(s, net, catalog_spectra(s), net.graph._skeleton)
 
 
 def line_graph(weights_1d):
@@ -347,7 +358,7 @@ def mu_budgets(s: SwitchingSchedule, windows) -> list[float]:
     out = []
     for w in windows:
         K = flow_core(s, w, catalog_spectra(s))
-        N, dim = K.shape[0], _window_null_space(s, integral_network(s, w), catalog_spectra(s)).dim
+        N, dim = K.shape[0], window_null_space(s, integral_network(s, w)).dim
         out.append(0.0 if dim == N else mu_budget(K, dim) + 4 * N * np.finfo(float).eps)
     return out
 
@@ -378,8 +389,13 @@ def assert_same_report(got: CertificationReport, want: CertificationReport, budg
         elif f.name == "basis":
             assert a.tol_used == b.tol_used
             assert a.vectors.shape == b.vectors.shape and _bits(a.vectors) == _bits(b.vectors)
-        elif f.name in ("windows", "balance"):
+        elif f.name in ("balance", "edge_list"):
             assert a == b
+        elif f.name == "edge_structures":
+            assert len(a) == len(b)
+            for ga, gb in zip(a, b):
+                assert _bits(ga.keys) == _bits(gb.keys) and list(ga.classes) == list(gb.classes)
+                assert _bits(ga.weights) == _bits(gb.weights)
         elif f.name == "spectra":  # in order of first run
             assert list(a) == list(b)
             assert all(_bits(x) == _bits(y) for k in a for x, y in zip(a[k], b[k]))
@@ -572,7 +588,7 @@ class TestPairedMu:
         stacks = [sh for sh in shapes if len(sh) == 3]
         assert [sh[0] for sh in stacks] == [2, 1]
         assert report.mu[2] == 0.0
-        dims = [_window_null_space(s, integral_network(s, w), catalog_spectra(s)).dim for w in windows]
+        dims = [window_null_space(s, integral_network(s, w)).dim for w in windows]
         assert dims == [1, 1, 6, 4]
         u = np.finfo(float).eps
         for k in (0, 1, 3):
@@ -622,7 +638,7 @@ class TestPairedMu:
         assert [report.mu[k] for k in (0, 3, 4)] == [0.0, 0.0, 0.0]
         want = certify_per_window(s, windows)
         for k in (1, 2):
-            dim = _window_null_space(s, integral_network(s, windows[k]), catalog_spectra(s)).dim
+            dim = window_null_space(s, integral_network(s, windows[k])).dim
             assert dim < 6
             budget = mu_budget(flow_core(s, windows[k], catalog_spectra(s)), dim)
             assert abs(report.mu[k] - want.mu[k]) <= budget
@@ -797,7 +813,7 @@ def _projector_bound(L, basis):
 def assert_windows_match_skeleton_oracle(s, rng):
     for w in rand_windows(rng, s.num_segments):
         net = integral_network(s, w)
-        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_skeleton(s, net)
+        got, want = window_null_space(s, net), window_null_space_skeleton(s, net)
         assert got.dim == want.dim and got.tol_used == want.tol_used
         # the Davis-Kahan bound of the problem compressed to the definite-edge span N, plus
         # the roundoff of N itself, an SVD of order n d
@@ -821,6 +837,79 @@ def workload_config(name: str, seed: int, tmp_path, **shape) -> ScenarioConfig:
     return load_config(path)
 
 
+def signed_components_calls(monkeypatch) -> list[int]:
+    """A one-item list that counts the calls to ``graph.signed_components``, from any module."""
+    calls = [0]
+
+    def counted(*args, _signed=graph.signed_components):
+        calls[0] += 1
+        return _signed(*args)
+
+    for module in (graph, switching):
+        monkeypatch.setattr(module, "signed_components", counted)
+    return calls
+
+
+def alternating_schedule() -> tuple[SwitchingSchedule, list[Window]]:
+    """Two random connected PD graphs alternating with unequal dwells, in 4 windows of 2 segments.
+
+    Every window doses both graphs, for a different time each, so the windows
+    are distinct and their integral graphs share one edge structure: the union
+    of the two graphs' edges, all PD.
+    """
+    catalog = {f"G{k}": random_connected_pd_graph(7, 2, seed=k, extra_edges=3) for k in (1, 2)}
+    dwells = [1.0, 2.0, 1.5, 1.0, 3.0, 2.5, 1.25, 2.25]
+    segments = [Segment(f"G{k % 2 + 1}", w) for k, w in enumerate(dwells)]
+    return (SwitchingSchedule.explicit(catalog, segments, alpha=1.0),
+            [Window(k, k + 2) for k in range(0, len(dwells), 2)])
+
+
+def assert_grouped_by_edge_structure(report: CertificationReport) -> None:
+    """Windows share an ``edge_list`` position exactly when their integral graphs'
+    ``_edge_structure`` is equal, and ``edge_structures`` holds the first window's graph
+    of each structure, in order of first use."""
+    nets = report.integral_networks
+    structures = [_edge_structure(net.graph) for net in nets]
+    first_use = list(dict.fromkeys(structures))
+    assert report.edge_list == tuple(first_use.index(key) for key in structures)
+    assert len(report.edge_structures) == len(first_use)
+    for g, key in zip(report.edge_structures, first_use):
+        assert g is nets[structures.index(key)].graph
+
+
+class TestEdgeStructureGrouping:
+    @pytest.mark.parametrize("windows_of", [None, 2, 4])
+    def test_cluster_switching_windows_grouped_by_edge_structure(self, cluster_cfg, monkeypatch,
+                                                                 windows_of):
+        s = cluster_cfg.schedule
+        windows = cluster_cfg.windows() if windows_of is None else [
+            Window(k, k + windows_of) for k in range(0, s.num_segments, windows_of)]
+        calls = signed_components_calls(monkeypatch)
+        report = certify_cluster_consensus(s, windows, tol=cluster_cfg.tolerances)
+        assert_grouped_by_edge_structure(report)
+        # one skeleton per edge structure, and the union the balance test colours
+        assert calls[0] == len(report.edge_structures) + 1
+
+    def test_windows_dosing_one_structure_for_different_times_share_one_skeleton(self,
+                                                                                 monkeypatch):
+        s, windows = alternating_schedule()
+        calls = signed_components_calls(monkeypatch)
+        report = certify_cluster_consensus(s, windows)
+        assert_grouped_by_edge_structure(report)
+        assert len({net.duration for net in report.integral_networks}) == 4
+        assert report.edge_list == (0, 0, 0, 0) and calls[0] == 2
+        assert report.pn_spanning_tree and report.balance is not None
+
+    @pytest.mark.parametrize("name", ["periodic_windows", "long_schedule", "large_network"])
+    def test_workloads_make_two_traversals(self, name, tmp_path, monkeypatch):
+        # large_network at half its agents keeps its 4 distinct windows of one structure
+        cfg = workload_config(name, 1, tmp_path, **({"n": 100} if name == "large_network" else {}))
+        calls = signed_components_calls(monkeypatch)
+        report = certify_cluster_consensus(cfg.schedule, cfg.windows(), tol=cfg.tolerances)
+        assert_grouped_by_edge_structure(report)
+        assert len(report.edge_structures) == 1 and calls[0] == 2
+
+
 class TestSpectralRouteAgainstDenseLaplacians:
     @pytest.mark.parametrize("source, name", [
         *(("bundled", name) for name in scenarios.BUILTIN_NAMES),
@@ -836,7 +925,7 @@ class TestSpectralRouteAgainstDenseLaplacians:
         s, windows = cfg.schedule, cfg.windows()
         report = certify_cluster_consensus(s, windows, tol=cfg.tolerances)
         for net in {id(net): net for net in report.integral_networks}.values():
-            got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
+            got, want = window_null_space(s, net), window_null_space_eigh(s, net)
             assert got.dim == want.dim and got.tol_used == want.tol_used
             dist = np.linalg.norm(projector(got) - projector(want), 2)
             assert dist <= _projector_bound(laplacian(net.graph), got)
@@ -903,7 +992,7 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({k: graphs[k] for k in order},
                                        [Segment("g", 1.0), Segment("h", 1.0)], alpha=1.0)
         net = integral_network(s, Window(0, 2))
-        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
+        got, want = window_null_space(s, net), window_null_space_eigh(s, net)
         assert got.dim == want.dim == 3
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12  # eps 1e3 / gap 1
 
@@ -917,7 +1006,7 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
         assert has_positive_negative_spanning_tree(net.graph)
-        assert _window_null_space(s, net, catalog_spectra(s)).dim == window_null_space_skeleton(s, net).dim == 1
+        assert window_null_space(s, net).dim == window_null_space_skeleton(s, net).dim == 1
         assert window_null_space_eigh(s, net).dim == 3
 
     @pytest.mark.parametrize("brief_edge", [(2, 3), (1, 2)], ids=["apart", "adjacent"])
@@ -934,7 +1023,7 @@ class TestWindowNullSpaceAgainstEigh:
         )
         net = integral_network(s, Window(0, 2))
         assert net.graph.keys.tolist() == [[0, 1]]
-        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
+        got, want = window_null_space(s, net), window_null_space_eigh(s, net)
         assert got.dim == want.dim == 3 and got.tol_used == want.tol_used
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
 
@@ -948,7 +1037,7 @@ class TestWindowNullSpaceAgainstEigh:
             cat, [Segment("g", 1.0, 1.9), Segment("h", 1.0, 1.9)], alpha=1.0
         )
         net = integral_network(s, Window(0, 2))
-        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_eigh(s, net)
+        got, want = window_null_space(s, net), window_null_space_eigh(s, net)
         assert got.tol_used == want.tol_used == 1e-9 * np.finfo(float).max
         assert got.dim == want.dim == 2
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
@@ -958,7 +1047,7 @@ class TestWindowNullSpaceAgainstEigh:
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1e-30, 1e-300)], alpha=1e-30)
         net = integral_network(s, Window(0, 1))
         assert net.doses.tolist() == [0.0]
-        assert _window_null_space(s, net, catalog_spectra(s)).dim == 2
+        assert window_null_space(s, net).dim == 2
         report = certify_cluster_consensus(s, [Window(0, 1)])
         assert report.m == 2 and report.mu == (0.0,) and report.certified
 
@@ -975,7 +1064,7 @@ class TestWindowNullSpaceAgainstEigh:
         )
         net = integral_network(s, Window(0, 2))
         assert has_positive_negative_spanning_tree(net.graph)
-        got, want = _window_null_space(s, net, catalog_spectra(s)), window_null_space_skeleton(s, net)
+        got, want = window_null_space(s, net), window_null_space_skeleton(s, net)
         assert got.dim == want.dim == 1 and window_null_space_eigh(s, net).dim == 2
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
 
@@ -987,7 +1076,7 @@ class TestWindowNullSpaceAgainstEigh:
                                        (3, 4): nd, (4, 5): nd, (3, 5): nd})
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
-        got = _window_null_space(s, net, catalog_spectra(s))
+        got = window_null_space(s, net)
         assert got.vectors.shape == (12, 0)
         assert window_null_space_skeleton(s, net).dim == window_null_space_eigh(s, net).dim == 0
         report = certify_cluster_consensus(s, [Window(0, 1)])
@@ -1024,7 +1113,7 @@ class TestWindowNullSpaceAgainstEigh:
         for w in windows:
             net = integral_network(s, w)
             if has_positive_negative_spanning_tree(net.graph):
-                assert _window_null_space(s, net, catalog_spectra(s)).dim == d
+                assert window_null_space(s, net).dim == d
         report = certify_cluster_consensus(s, windows)
         assert report.balance is not None
         if report.pn_spanning_tree:

@@ -36,8 +36,8 @@ def make_dirs(tmp_path, report=REPORT, csv=CSV, extra=None):
     return old, new
 
 
-def run(capsys, old, new):
-    rc = compare_outputs.main([str(old), str(new)])
+def run(capsys, old, new, *flags):
+    rc = compare_outputs.main([*flags, str(old), str(new)])
     return rc, capsys.readouterr().out
 
 
@@ -81,6 +81,20 @@ def test_scale_line_reads_a_move_at_roundoff(tmp_path, capsys):
         "  every field: max abs 2.220e-16, largest |value| in those fields 2.000e+00")
     # an identical file gets no such line
     assert sum(line.startswith("  every field:") for line in lines) == 1
+
+
+@pytest.mark.parametrize("flags, rc", [((), 0), (("--identical",), 1)])
+def test_identical_flag_fails_a_move_at_roundoff(tmp_path, capsys, flags, rc):
+    old, new = make_dirs(tmp_path, csv="t,x_1_1,x_2_1\n0,1,2\n1,0.5,1.5000000000000002\n")
+    got, out = run(capsys, old, new, *flags)
+    assert got == rc
+    assert "  x_2_1: 1 value(s), max abs 2.220e-16, max rel 1.480e-16" in out.splitlines()
+
+
+def test_identical_flag_passes_identical_directories(tmp_path, capsys):
+    rc, out = run(capsys, *make_dirs(tmp_path), "--identical")
+    assert rc == 0
+    assert out.splitlines()[-1] == "byte-identical (3): a_report.json, a_trajectory.csv, stdout.txt"
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwconsensus import analysis, cli, matalg, scenarios, switching
+from mwconsensus import analysis, cli, matalg, scenarios, sim, switching
 from mwconsensus.analysis import certify_cluster_consensus
 from mwconsensus.cli import (
     _CSV_BLOCK_VALUES,
@@ -140,21 +140,27 @@ NOT_PSD = (r"Laplacian matrix is not PSD at eig_tol = 1e-09: "
 
 
 def assert_not_psd_named_alike(tmp_path, capsys, monkeypatch, segments, named):
-    """``analyze`` and ``simulate`` print one line naming the star ``named``, built once each.
+    """``analyze`` and ``simulate`` with either solver print one line naming the star
+    ``named``, built once each.
 
     The star of ``randgen.not_psd_star_doc`` passes ``check``; the first of its
     two copies to run is the one named, its Laplacian built once per command.
     """
-    path = str(write_json(tmp_path, not_psd_star_doc(segments)))
-    assert main(["check", "--config", path]) == 0
+    doc = not_psd_star_doc(segments)
+    path = str(write_json(tmp_path, doc))
+    rk4 = str(write_json(tmp_path, {**doc, "solver": {"method": "rk4", "step_h": 0.01}}, "rk4.json"))
+    for config in (path, rk4):
+        assert main(["check", "--config", config]) == 0
     capsys.readouterr()
     built = []
-    monkeypatch.setattr(switching, "laplacian",
-                        lambda g, _laplacian=switching.laplacian: built.append(g.label)
-                        or _laplacian(g))
-    for command, out in (("analyze", "r.json"), ("simulate", "t.csv")):
+    for module in (switching, sim):
+        monkeypatch.setattr(module, "laplacian",
+                            lambda g, _laplacian=module.laplacian: built.append(g.label)
+                            or _laplacian(g))
+    for command, config, out in (("analyze", path, "r.json"), ("simulate", path, "t.csv"),
+                                 ("simulate", rk4, "rk4.csv")):
         built.clear()
-        assert main([command, "--config", path, "--out", str(tmp_path / out)]) == 1
+        assert main([command, "--config", config, "--out", str(tmp_path / out)]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(rf"error: graph '{named}': {NOT_PSD}", err), (command, err)
         assert built.count(named) == 1 and len(set(built)) == len(built), (command, built)

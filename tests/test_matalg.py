@@ -499,5 +499,10 @@ class TestPsdEigh:
         assert thr == 3 * eps * 4.0 and lam[0] == 0.0
         assert null_space(M, 1e-16).dim == 1 and null_space(M, 1e-16).tol_used == thr
         assert psd_eigh(M, 1e-9)[2] == 1e-9 * 4.0  # a tolerance above the floor is unchanged
-        with pytest.raises(NotPSDError, match="min eigenvalue -4.441e-14 < -2.665e-15"):
+        # the message names what set the threshold: the floor here, eig_tol above it
+        with pytest.raises(NotPSDError, match=r"^matrix is not PSD at order \* eps = 6\.661e-16: "
+                                              r"min eigenvalue -4\.441e-14 < -2\.665e-15$"):
             psd_eigh(np.diag([-200 * eps, 1.0, 4.0]), 1e-16)
+        with pytest.raises(NotPSDError, match=r"^matrix is not PSD at eig_tol = 1e-09: "
+                                              r"min eigenvalue -1\.000e-06 < -4\.000e-09$"):
+            psd_eigh(np.diag([-1e-6, 1.0, 4.0]), 1e-9)

@@ -196,7 +196,7 @@ def test_each_window_indexes_its_own_edge_list(tmp_path, capsys, case):
     nets = certify_cluster_consensus(cfg.schedule, cfg.windows()).integral_networks
     assert len(doc["windows"]) == len(nets)
     for w, net in zip(doc["windows"], nets):
-        assert doc["edge_lists"][w["edge_list"]] == cli._integral_edges(net)
+        assert doc["edge_lists"][w["edge_list"]] == cli._integral_edges(net.graph)
 
 
 def test_one_edge_list_per_distinct_edge_structure_in_order_of_first_use(tmp_path, capsys):
@@ -209,7 +209,7 @@ def test_one_edge_list_per_distinct_edge_structure_in_order_of_first_use(tmp_pat
     first_use = list(dict.fromkeys(structures))
     assert len(nets) == 150 and len(first_use) == len(doc["edge_lists"]) == 3
     assert [w["edge_list"] for w in doc["windows"]] == [first_use.index(s) for s in structures]
-    assert doc["edge_lists"] == [cli._integral_edges(nets[structures.index(s)]) for s in first_use]
+    assert doc["edge_lists"] == [cli._integral_edges(nets[structures.index(s)].graph) for s in first_use]
 
 
 def test_non_finite_report_names_its_field_and_writes_no_file(tmp_path, capsys):
