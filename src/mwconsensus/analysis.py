@@ -91,17 +91,22 @@ def null_intersection(
     return null_space(sum(mats), eig_tol, min(B, np.finfo(float).max))
 
 
+def _cluster_thr(blocks: np.ndarray, tol: Tolerances) -> float:
+    """Within what max-norm distance two blocks agree: ``tol.cluster_tol * max|x|``."""
+    return tol.cluster_tol * float(np.abs(blocks).max(initial=0.0))
+
+
 def group_clusters(
     x: np.ndarray, n: int, d: int, *, tol: Tolerances = Tolerances()
 ) -> tuple[tuple[int, ...], ...]:
     """Greedy grouping of agents whose d-blocks agree within tolerance.
 
     Agents are scanned in index order and attached to the first existing
-    cluster whose representative block is within
-    ``tol.cluster_tol * max(1, max|x|)`` in the max norm.
+    cluster whose representative block is within :func:`_cluster_thr` in the
+    max norm, so ``x`` and its positive multiples group alike.
     """
     blocks = np.asarray(x, dtype=float).reshape(n, d)
-    thr = tol.cluster_tol * max(1.0, float(np.abs(blocks).max(initial=0.0)))
+    thr = _cluster_thr(blocks, tol)
     reps: list[np.ndarray] = []
     members: list[list[int]] = []
     for i in range(n):
@@ -129,7 +134,7 @@ def predict_steady_state(
     clustered by their predicted blocks: one cluster is full consensus, two
     clusters with opposite block values is bipartite consensus, anything else
     is cluster consensus.  Blocks agree, or mirror each other, within
-    ``tol.cluster_tol``, as :func:`group_clusters` takes it.
+    ``tol.cluster_tol * max|x*|``, as :func:`group_clusters` takes it.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != n * d:
@@ -148,8 +153,7 @@ def predict_steady_state(
     kind = ConsensusKind.CONSENSUS if len(clusters) == 1 else ConsensusKind.CLUSTER_CONSENSUS
     if len(clusters) == 2:
         blocks = x_star.reshape(n, d)
-        thr = tol.cluster_tol * max(1.0, float(np.abs(blocks).max(initial=0.0)))
-        if np.abs(blocks[clusters[0][0]] + blocks[clusters[1][0]]).max(initial=0.0) <= thr:
+        if np.abs(blocks[clusters[0][0]] + blocks[clusters[1][0]]).max() <= _cluster_thr(blocks, tol):
             kind = ConsensusKind.BIPARTITE_CONSENSUS
     return ConsensusPrediction(steady_state=x_star, kind=kind, clusters=clusters)
 
@@ -253,7 +257,7 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs,
     The null space is ``S null(S^T L_w S)``, the quotient of order ``c d``
     assembled from the edges, each cross term into both of its blocks in edge
     order, so that it is exactly symmetric.  Zero means at most
-    ``s.eig_tol * max(1, B)``, ``B = sum_g (dose_g / T) lam_max(L_g)`` clamped
+    ``s.eig_tol * B``, ``B = sum_g (dose_g / T) lam_max(L_g)`` clamped
     at the float maximum, each ``lam_max`` read from the spectra ``eigs``.
     """
     g = net.graph
@@ -403,9 +407,9 @@ def verify_necessary_condition(x_star: np.ndarray, report: CertificationReport) 
     graphs and its spectra give their Laplacians.  This is the paper's
     necessary condition: a limit lies in the null space of every switching
     Laplacian.  Uses the scale-aware criterion ``||L x*|| <= NECESSARY_TOL *
-    (1 + ||L||) * ||x*||``, so the answer does not depend on the overall
-    magnitude of either factor; ``||L||`` and ``||L x*|| = ||lam * (V^T
-    x*)||`` come from the graph's spectrum.
+    ||L|| * ||x*||``, so the answer does not depend on the overall magnitude
+    of either factor; ``||L||`` and ``||L x*|| = ||lam * (V^T x*)||`` come
+    from the graph's spectrum.
     """
     v = np.asarray(x_star, dtype=float).ravel()
     if v.size != (order := report.basis.vectors.shape[0]):
@@ -414,6 +418,6 @@ def verify_necessary_condition(x_star: np.ndarray, report: CertificationReport) 
     dosed = np.any([net.doses > 0 for net in report.integral_networks], axis=0)
     for k in np.flatnonzero(dosed).tolist():
         lam, V = report.spectra[k]
-        if float(np.linalg.norm(lam * (V.T @ v))) > NECESSARY_TOL * (1.0 + float(lam[-1])) * nv:
+        if float(np.linalg.norm(lam * (V.T @ v))) > NECESSARY_TOL * float(lam[-1]) * nv:
             return False
     return True

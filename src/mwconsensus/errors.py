@@ -64,7 +64,7 @@ class IndefiniteWeightError(EdgeError):
 
 
 class ZeroWeightError(EdgeError):
-    """An edge carries a numerically zero weight matrix."""
+    """An edge carries a zero weight matrix."""
 
 
 class SelfLoopError(EdgeError):

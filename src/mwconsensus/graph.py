@@ -36,7 +36,7 @@ class MatrixWeightedGraph:
 
     Construction validates every weight: the right shape, finite and
     symmetric within tolerance, and classified as PD/PSD/ND/NSD by one stacked
-    call (indefinite and numerically-zero weights are rejected, as are self
+    call (indefinite and zero weights are rejected, as are self
     loops).  A weight whose eigenvalues, or a node whose Laplacian block,
     exceed the float range is rejected too, as is a block with an absolute
     row sum above half of it, so every Laplacian entry and eigenvalue is
@@ -114,7 +114,7 @@ class MatrixWeightedGraph:
         if (k := _first_false(pos | neg)) is not None:
             if classes[k] is D.INDEFINITE:
                 raise IndefiniteWeightError("weight is indefinite", *keys[k].tolist())
-            raise ZeroWeightError("weight is numerically zero", *keys[k].tolist())
+            raise ZeroWeightError("weight is zero", *keys[k].tolist())
         signs = pos.astype(np.intp) - neg
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the node named
             blocks = _node_blocks(n, keys, signs, weights)

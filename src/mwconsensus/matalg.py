@@ -3,17 +3,23 @@
 Definiteness classification of a whole stack of weights at once, PSD
 eigendecompositions and null spaces all reduce to
 ``numpy.linalg.eigvalsh``/``eigh`` on validated finite symmetric input, so
-every tolerance decision lives here.
+every eigenvalue threshold lives here.
 
 Tolerance conventions
 ---------------------
-* ``SYM_TOL``: max allowed entrywise asymmetry ``|M[p,q] - M[q,p]|``; a
+Every tolerance is dimensionless and scales with what it tests, with no
+absolute floor: no verdict depends on the units, and only an exact 0 is zero.
+
+* ``SYM_TOL``: max allowed asymmetry ``|M[p,q] - M[q,p]|`` over ``max|M|``; a
   matrix within it is replaced by its symmetric part.
-* ``EIG_TOL``: relative eigenvalue threshold.  Classification treats
-  ``|lam| <= max(EIG_TOL * max|lam|, EIG_FLOOR)`` as zero; ties at the
-  threshold count as zero.  PSD routines reject ``lam < -thr`` and the null
-  space keeps eigenvectors with ``lam <= thr``, where ``thr = max(EIG_TOL,
-  order * eps) * max(1, lam_max)``, or a bound on ``lam_max`` in its place.
+* ``EIG_TOL``: classification treats ``|lam| <= EIG_TOL * max|lam|`` as
+  zero, ties too.  PSD routines reject ``lam < -thr`` and the null space
+  keeps ``lam <= thr``, with ``thr = max(EIG_TOL, order * eps) * lam_max``,
+  or a bound on ``lam_max``; eigenvalues within ``eigh``'s roundoff, ``order
+  * eps * lam_max``, are held at 0.
+* ``analysis.Q_MARGIN`` and ``NECESSARY_TOL`` stay constants, not
+  :class:`Tolerances` fields: both are dimensionless, and no scenario needs
+  another value, so a field would only add a knob.
 * ``PIVOT_TIE``: relative gap under which two row norms tie when
   :func:`canonical_basis` picks a pivot row; the lower index wins.
 * ``POOL_MIN_ORDER``: the matrix order from which :func:`_map_lapack` runs
@@ -33,7 +39,6 @@ from .errors import NonSymmetricError, NotPSDError, WeightOverflowError
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-9
-EIG_FLOOR = 1e-12
 ORTHO_TOL = 1e-10
 PIVOT_TIE = 1e-8
 POOL_MIN_ORDER = 256
@@ -70,11 +75,11 @@ def check_symmetric(matrix) -> np.ndarray:
     """Validate a finite square symmetric float matrix, or a ``(k, d, d)`` stack of them.
 
     Returns the input as a float array, or its symmetric part
-    ``(M + M^T) / 2`` where transposed entries differ within ``SYM_TOL``:
-    equal entries are kept as they are, signed zeros too, and the halves are
-    added so that no entry overflows.  Raises NonSymmetricError for
-    non-square input, for a NaN or infinite entry, and when any entry differs
-    from its transpose partner by more than ``SYM_TOL``; in a stack the first
+    ``(M + M^T) / 2`` where transposed entries differ within ``SYM_TOL *
+    max|M|``: equal entries are kept as they are, signed zeros too, and the
+    halves are added so that no entry overflows.  Raises NonSymmetricError
+    for non-square input, for a NaN or infinite entry, and when any entry
+    differs from its transpose partner by more than that; in a stack the first
     offending matrix raises, with its position as the error's ``index``.  Order 0 passes.
     """
     M = np.asarray(matrix, dtype=float)
@@ -83,16 +88,17 @@ def check_symmetric(matrix) -> np.ndarray:
     S = M if M.ndim == 3 else M[None]
     with np.errstate(invalid="ignore"):  # inf - inf: named below
         skew = np.abs(S - S.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    # a NaN or infinite entry makes skew NaN or inf, so finite input pays nothing extra
-    bad = np.flatnonzero(~(skew <= SYM_TOL))
+    size = np.abs(S).max(axis=(1, 2), initial=0.0)
+    # a NaN or infinite entry makes size NaN or inf, so finite input pays nothing extra
+    bad = np.flatnonzero(~((skew <= SYM_TOL * size) & np.isfinite(size)))
     if bad.size:
         k = int(bad[0])
         index = k if M.ndim == 3 else None
-        if not np.isfinite(S[k]).all():
+        if not np.isfinite(size[k]):
             raise NonSymmetricError("has a NaN or infinite entry", index=index)
         raise NonSymmetricError(
-            f"is not symmetric: max |M - M^T| = {skew[k]:.3e} > {SYM_TOL:.1e}", index=index
-        )
+            f"is not symmetric: max |M - M^T| = {skew[k]:.3e} > {SYM_TOL:.1e} * max|M| = "
+            f"{SYM_TOL * size[k]:.3e}", index=index)
     if not skew.any():
         return M
     T = S.swapaxes(1, 2)
@@ -120,10 +126,10 @@ def classify_stack(stack, eig_tol: float = EIG_TOL) -> np.ndarray:
 
     Returns a length-``k`` object array of :class:`Definiteness`.  The whole
     stack is checked by :func:`check_symmetric` and its symmetric part
-    decomposed by one ``eigvalsh`` call.  Eigenvalues within
-    ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are treated as zero; ties
-    at the threshold count as zero, biasing borderline matrices toward the
-    semidefinite classes rather than the definite ones.  A finite matrix with
+    decomposed by one ``eigvalsh`` call.  Eigenvalues within ``eig_tol *
+    max|lam|`` of zero are treated as zero; ties at the threshold count as
+    zero, biasing borderline matrices toward the semidefinite classes rather
+    than the definite ones.  Only a zero matrix is ``ZERO``.  A finite matrix with
     an eigenvalue beyond the float range raises WeightOverflowError, with its
     position as the error's ``index``.
     """
@@ -141,7 +147,7 @@ def _classify_checked(M: np.ndarray, eig_tol: float) -> np.ndarray:
         raise WeightOverflowError(
             "weight overflows: its eigenvalues exceed the float range", index=int(bad[0])
         )
-    thr = np.maximum(eig_tol * np.abs(lam).max(axis=1, initial=0.0), EIG_FLOOR)[:, None]
+    thr = eig_tol * np.abs(lam).max(axis=1, initial=0.0)[:, None]
     pos = (lam > thr).sum(axis=1)
     neg = (lam < -thr).sum(axis=1)
     return _CLASS_OF_CODE[(pos > 0) + 2 * (neg > 0) + 4 * (pos + neg == M.shape[-1])]
@@ -225,27 +231,28 @@ def canonical_basis(V: np.ndarray) -> np.ndarray:
 def psd_eigh(
     matrix, eig_tol: float = EIG_TOL, lam_bound: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigendecomposition of a symmetric PSD matrix with negatives clipped to 0.
+    """Eigendecomposition of a symmetric PSD matrix with its roundoff eigenvalues held at 0.
 
     Unchecked precondition: ``matrix`` is finite and exactly symmetric, as
     :func:`check_symmetric` returns it and ``laplacian()`` builds it.
     Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
-    roundoff, ``lam >= 0`` exactly, and the zero threshold ``thr =
-    max(eig_tol, order * eps) * max(1, lam_bound)``, where ``lam_bound``
-    defaults to ``lam_max``: a compression of a larger matrix passes that
-    matrix's bound.  The floor ``order * eps`` is ``eigh``'s own roundoff, so
-    a tolerance below it does not count roundoff as negative.  Raises
-    NotPSDError, naming whichever set ``thr``, when an eigenvalue is below ``-thr``.
+    roundoff and the zero threshold ``thr = max(eig_tol, order * eps) *
+    lam_bound``, where ``lam_bound`` defaults to ``lam_max``: a compression
+    of a larger matrix passes that matrix's bound.  The floor ``order * eps``
+    is ``eigh``'s own roundoff: a tolerance below it does not count roundoff
+    as negative, and an eigenvalue within it, ``order * eps * lam_max``, is an
+    exact 0, so no dose, however large, decays a null-space component.
+    Raises NotPSDError, naming whichever set ``thr``, when an eigenvalue is below ``-thr``.
     """
     lam, V = np.linalg.eigh(matrix)
-    if lam_bound is None:
-        lam_bound = float(lam[-1]) if lam.size else 0.0
+    lam_max = float(lam[-1]) if lam.size else 0.0
     floor = lam.size * np.finfo(float).eps
-    thr = max(eig_tol, floor) * max(1.0, lam_bound)
+    thr = max(eig_tol, floor) * (lam_max if lam_bound is None else lam_bound)
     if lam.size and float(lam[0]) < -thr:
         at = f"eig_tol = {eig_tol:g}" if eig_tol >= floor else f"order * eps = {floor:.3e}"
         raise NotPSDError(f"matrix is not PSD at {at}: min eigenvalue {lam[0]:.3e} < {-thr:.3e}")
-    return np.clip(lam, 0.0, None), V, thr
+    lam[lam <= floor * lam_max] = 0.0
+    return lam, V, thr
 
 
 def null_space(
@@ -255,11 +262,10 @@ def null_space(
 
     Keeps the eigenvectors of the :func:`check_symmetric` result whose
     eigenvalues fall at or below :func:`psd_eigh`'s threshold ``max(eig_tol,
-    order * eps) * max(1, lam_bound)``; the floor of 1 makes the threshold
-    meaningful for near-zero matrices.  Clipping leaves that test unchanged.
-    Raises NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below
-    minus that threshold.  Certification passes the schedule's ``eig_tol``,
-    the one that classified its catalog edges and window averages.
+    order * eps) * lam_bound``, so a zero matrix is all null space.  Raises
+    NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below minus
+    that threshold.  Certification passes the schedule's ``eig_tol``, the one
+    that classified its catalog edges and window averages.
     """
     lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol, lam_bound)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)

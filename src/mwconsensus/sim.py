@@ -29,8 +29,8 @@ from .errors import (
 from .graph import laplacian
 from .switching import SwitchingSchedule, _catalog_eigh, spectra
 
-_DEDUP_TOL = 1e-12
-_EDGE_TOL = 1e-9
+_DEDUP_TOL = 1e-12  # samples closer than this times the horizon merge
+_EDGE_TOL = 1e-9  # a horizon within this fraction of itself from an instant is at it
 # where a cgroup's memory limit is read: v2, then v1
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
@@ -74,7 +74,7 @@ def _validated_x0(s: SwitchingSchedule, x0) -> np.ndarray:
 def _check_horizon(s: SwitchingSchedule, horizon: float) -> float:
     if not horizon > 0:
         raise HorizonError(f"horizon must be positive, got {horizon}")
-    if horizon > s.total_duration + _EDGE_TOL:
+    if horizon * (1.0 - _EDGE_TOL) > s.total_duration:
         raise ScheduleExhaustedError(
             f"horizon {horizon} exceeds schedule duration {s.total_duration}; "
             "extend the schedule (more repetitions or segments)"
@@ -134,7 +134,7 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
     copies.  The bound is :func:`_memory_limit`, the host's physical memory
     or its cgroup's limit, whichever is smaller.  RK4 also needs
     ``step_h`` to divide every segment it integrates, the last one up to the
-    horizon, within floating-point tolerance.
+    horizon, within ``_EDGE_TOL`` of the segment's span.
     """
     horizon = _check_horizon(s, horizon)
     rk4 = method == "rk4"
@@ -161,7 +161,7 @@ def check_run(s: SwitchingSchedule, horizon: float, method: str, step: float) ->
         K = _segments_reached(s, horizon)
         span = np.minimum(t[1 : K + 1], horizon) - t[:K]
         nst = np.round(span / step)
-        bad = np.flatnonzero((nst < 1) | (np.abs(nst * step - span) > 1e-9 * np.maximum(1.0, span)))
+        bad = np.flatnonzero((nst < 1) | (np.abs(nst * step - span) > _EDGE_TOL * span))
         if bad.size:
             k = int(bad[0])
             raise HorizonError(f"step_h = {step} does not divide segment {k} span {float(span[k])}")
@@ -175,7 +175,7 @@ def _grid_count(horizon: float, sample_dt: float) -> float:
 
 def _segments_reached(s: SwitchingSchedule, horizon: float) -> int:
     """How many segments a run to ``horizon`` enters; the last may be cut short by it."""
-    return int(np.searchsorted(s.switch_times()[1:], horizon - _EDGE_TOL)) + 1
+    return int(np.searchsorted(s.switch_times()[1:], horizon * (1.0 - _EDGE_TOL))) + 1
 
 
 def _doses_since_run_start(
@@ -222,9 +222,7 @@ def simulate_exact(
     inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
     grid = np.arange(int(_grid_count(horizon, sample_dt))) * sample_dt
     ts = np.unique(np.concatenate([grid, inside, [horizon]]))
-    keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = np.diff(ts) > _DEDUP_TOL
-    ts = ts[keep]
+    ts = ts[np.concatenate(([True], np.diff(ts) > _DEDUP_TOL * horizon))]
 
     K = _segments_reached(s, horizon)
     first, graphs, doses = s.runs(0, K)
@@ -274,7 +272,7 @@ def simulate_rk4(s: SwitchingSchedule, x0, horizon: float, step_h: float) -> Tra
 
     Steps never straddle a switching instant: each segment is integrated with
     its own whole number of steps, so ``step_h`` must divide every dwell (and
-    the final partial dwell) within floating-point tolerance; :func:`check_run`
+    the final partial dwell) within ``_EDGE_TOL`` of it; :func:`check_run`
     rejects the run first, as it does a grid past the memory limit.  Every
     step endpoint is recorded.  A step past RK4's stability limit makes the
     state overflow; the first segment whose states are not all finite raises

@@ -90,7 +90,7 @@ class SwitchingSchedule:
     Catalog graphs must agree on ``(n, d)`` and on the ``eig_tol`` that
     classified their edges; ``ids`` lists them in catalog order.  The segments
     are three read-only arrays: ``graph`` (a position in ``ids``), ``dwell``
-    (at least ``alpha``) and ``scale`` (positive).  Periodic schedules also
+    (at least ``alpha`` less 1e-12 of it) and ``scale`` (positive).  Periodic schedules also
     keep their generating pattern.  The total dwell and the total dose
     ``sum(scale * dwell)`` are finite.
     """
@@ -128,7 +128,7 @@ class SwitchingSchedule:
             raise DwellTooShortError(f"segment {k} dwell must be positive, got {w[k]}", segment=k)
         if (k := _first_false(c > 0)) is not None:
             raise ScheduleError(f"segment {k} scale must be positive, got {c[k]}", input="scale")
-        if (k := _first_false(w + 1e-12 >= self.alpha)) is not None:
+        if (k := _first_false(w >= self.alpha * (1.0 - 1e-12))) is not None:
             raise DwellTooShortError(f"segment {k} dwells {w[k]} < alpha = {self.alpha}", segment=k)
         with np.errstate(over="ignore"):  # reported below, with the segment named
             ends, doses = np.cumsum(w), np.cumsum(c * w)
@@ -239,19 +239,11 @@ def spectra(s: SwitchingSchedule, graphs) -> dict[int, tuple[np.ndarray, np.ndar
 
 
 def _catalog_eigh(s: SwitchingSchedule, k: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(lam, V)`` of graph ``k``'s Laplacian ``L`` by :func:`psd_eigh` at ``s.eig_tol``.
-
-    Eigenvalues within ``eigh``'s roundoff, ``order * eps * lam_max``, of zero
-    are held as exact zeros, so no dose, however large, decays a null-space
-    component.  A Laplacian that is not PSD raises NotPSDError naming the graph.
-    """
+    """``(lam, V)`` of graph ``k``'s Laplacian ``L`` by :func:`psd_eigh`; not PSD names the graph."""
     try:
-        lam, V, _ = psd_eigh(L, s.eig_tol)
+        return psd_eigh(L, s.eig_tol)[:2]
     except NotPSDError as exc:
         raise NotPSDError(f"graph {s.ids[k]!r}: Laplacian {exc}") from None
-    if lam.size:
-        lam[lam <= lam.size * np.finfo(float).eps * lam[-1]] = 0.0
-    return lam, V
 
 
 @dataclass(frozen=True)
@@ -360,7 +352,7 @@ def integral_network(s: SwitchingSchedule, w: Window) -> IntegralNetwork:
     Each edge accumulates ``dose_g * A_ij`` over the window's graphs ``g`` in
     order of first appearance, divided by the window duration.  An edge that
     appears with both signs inside the window is rejected (its average could
-    cancel); an edge whose average classifies as numerically zero is dropped.
+    cancel); an edge whose average is zero, its dosed sum underflowed, is dropped.
     Averages are classified with the catalog's ``eig_tol``.  An average, or an
     averaged Laplacian block, beyond the float range raises
     WeightOverflowError naming the window.

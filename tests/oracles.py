@@ -67,7 +67,6 @@ from typing import Mapping
 import numpy as np
 
 from mwconsensus.analysis import (
-    NECESSARY_TOL,
     Q_MARGIN,
     CertificationReport,
     _window_null_space,
@@ -93,7 +92,6 @@ from mwconsensus.graph import (
     laplacian,
 )
 from mwconsensus.matalg import (
-    EIG_FLOOR,
     EIG_TOL,
     ORTHO_TOL,
     Definiteness,
@@ -105,8 +103,6 @@ from mwconsensus.matalg import (
     psd_eigh,
 )
 from mwconsensus.sim import (
-    _DEDUP_TOL,
-    _EDGE_TOL,
     Trajectory,
     _check_horizon,
     _grid_count,
@@ -127,18 +123,23 @@ from mwconsensus.switching import (
     spectra,
 )
 
+# the oracles' own tolerances, each relative to the scale of what it tests
+DEDUP_TOL = 1e-12  # the spacing of two samples, relative to the horizon
+EDGE_TOL = 1e-9  # a horizon's distance from a switching instant, relative to the horizon
+NECESSARY_TOL = 1e-6  # ||L x||, relative to ||L|| ||x||
+
 
 def classify_definiteness(matrix, eig_tol: float = EIG_TOL) -> Definiteness:
     """Classify one symmetric matrix by the signs of its eigenvalues.
 
-    Eigenvalues within ``max(eig_tol * max|lam|, EIG_FLOOR)`` of zero are
-    treated as zero; ties at the threshold count as zero.
+    Eigenvalues within ``eig_tol * max|lam|`` of zero are treated as zero;
+    ties at the threshold count as zero, and only a zero matrix is ``ZERO``.
     """
     M = check_symmetric(matrix)
     if M.ndim != 2:
         raise ValueError(f"expected one matrix, got shape {M.shape}")
     lam = np.linalg.eigvalsh(M)
-    thr = max(eig_tol * float(np.abs(lam).max(initial=0.0)), EIG_FLOOR)
+    thr = eig_tol * float(np.abs(lam).max(initial=0.0))
     neg = lam < -thr
     pos = lam > thr
     if not neg.any() and not pos.any():
@@ -408,7 +409,7 @@ def simulate_exact_per_segment(
     inside = t_switch[(t_switch > 0.0) & (t_switch < horizon)]
     ts = np.unique(np.concatenate([grid, inside, [horizon]]))
     keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = np.diff(ts) > _DEDUP_TOL
+    keep[1:] = np.diff(ts) > DEDUP_TOL * horizon
     ts = ts[keep]
 
     states = np.empty((ts.size, x.size))
@@ -416,7 +417,7 @@ def simulate_exact_per_segment(
     eigs = spectra(s, s.graph[:_segments_reached(s, horizon)].tolist())
     for k, seg in enumerate(segments(s)):
         a, b = float(t_switch[k]), float(t_switch[k + 1])
-        last = b >= horizon - _EDGE_TOL
+        last = b >= horizon * (1.0 - EDGE_TOL)
         end = min(b, horizon)
         hi = int(np.searchsorted(ts, end, side="right" if last else "left"))
         lam, V = eigs[s.ids.index(seg.graph_id)]
@@ -448,7 +449,7 @@ def simulate_exact_per_run(
     grid = np.arange(int(_grid_count(horizon, sample_dt))) * sample_dt
     ts = np.unique(np.concatenate([grid, inside, [horizon]]))
     keep = np.ones(ts.size, dtype=bool)
-    keep[1:] = np.diff(ts) > _DEDUP_TOL
+    keep[1:] = np.diff(ts) > DEDUP_TOL * horizon
     ts = ts[keep]
 
     K = _segments_reached(s, horizon)
@@ -637,7 +638,7 @@ def _window_bound(s: SwitchingSchedule, net: IntegralNetwork) -> float:
 def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
     """Null space of ``L_w = sum_g (dose_g / T) L_g`` from its full ``eigh``.
 
-    The threshold is the package's, ``eig_tol * max(1, B)`` with ``B = sum_g
+    The threshold is the package's, ``eig_tol * B`` with ``B = sum_g
     (dose_g / T) lam_max(L_g)`` clamped at the float maximum.
     """
     dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
@@ -680,14 +681,14 @@ def window_null_space_skeleton(s: SwitchingSchedule, net: IntegralNetwork) -> Nu
 
 
 def verify_necessary_condition(x_star: np.ndarray, laplacians) -> bool:
-    """``||L x*|| <= NECESSARY_TOL (1 + ||L||) ||x*||`` for every L; ``||L||`` by ``eigvalsh``."""
+    """``||L x*|| <= NECESSARY_TOL ||L|| ||x*||`` for every L; ``||L||`` by ``eigvalsh``."""
     v = np.asarray(x_star, dtype=float).ravel()
     nv = float(np.linalg.norm(v))
     for L in laplacians:
         if v.size != L.shape[0]:
             raise DimensionMismatchError(f"state length {v.size} != order {L.shape[0]}")
         lam = np.linalg.eigvalsh(L)
-        bound = NECESSARY_TOL * (1.0 + float(max(abs(lam[0]), abs(lam[-1])))) * nv
+        bound = NECESSARY_TOL * float(max(abs(lam[0]), abs(lam[-1]))) * nv
         if float(np.linalg.norm(L @ v)) > bound:
             return False
     return True

@@ -174,10 +174,13 @@ def rand_certified_schedule(
 
 
 def stacked_null_projector(mats: list[np.ndarray], tol: float = 1e-8) -> np.ndarray:
-    """Independent oracle for the intersection of null spaces: SVD of the stack."""
+    """Independent oracle for the intersection of null spaces: SVD of the stack.
+
+    Singular values at most ``tol`` times the largest count as zero.
+    """
     S = np.vstack(mats)
     _, sv, vt = np.linalg.svd(S)
-    thr = tol * max(1.0, float(sv.max(initial=0.0)))
+    thr = tol * float(sv.max(initial=0.0))
     null_dim = int((sv <= thr).sum()) + (S.shape[1] - sv.size)
     if null_dim == 0:
         k = S.shape[1]

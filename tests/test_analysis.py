@@ -997,29 +997,28 @@ class TestWindowNullSpaceAgainstEigh:
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12  # eps 1e3 / gap 1
 
     def test_low_dose_graph_alone_in_a_window(self):
-        # a window of one briefly dosed path graph: every eigenvalue of its average is below
-        # the threshold, so the eigenvalues alone gave m = 3, yet both averaged edges, at
-        # 1e-10 > EIG_FLOOR, classify as positive definite and span the agents: with
-        # pn_spanning_tree the agents agree, m = d = 1
+        # a window of one briefly dosed path graph: the threshold scales with the dose,
+        # B = 3e-10, so the eigenvalues alone agree with the averaged edges, which classify
+        # as positive definite and span the agents: with pn_spanning_tree, m = d = 1
         one = np.array([[1.0]])
         g = MatrixWeightedGraph(3, 1, {(0, 1): one, (1, 2): one})
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
         assert has_positive_negative_spanning_tree(net.graph)
         assert window_null_space(s, net).dim == window_null_space_skeleton(s, net).dim == 1
-        assert window_null_space_eigh(s, net).dim == 3
+        assert window_null_space_eigh(s, net).dim == 1
 
     @pytest.mark.parametrize("brief_edge", [(2, 3), (1, 2)], ids=["apart", "adjacent"])
     def test_edge_the_integral_graph_drops_stays_in_the_sum(self, brief_edge):
-        # "brief" doses its edge to an average of 5e-13 <= EIG_FLOOR, so the integral graph
-        # drops it and the window null space, taken from that graph, leaves it out; the eigh
-        # of the exact dosed sum, edge included, agrees within 1e-12, apart from "wide"'s
-        # edge or adjacent to it, as the edge is far below the threshold
+        # "brief" doses its edge of 1e-30 at 1e-300, an average that underflows to 0, so the
+        # integral graph drops it and the window null space, taken from that graph, leaves
+        # it out; the eigh of the dosed sum, "brief" included, agrees within 1e-12, apart
+        # from "wide"'s edge or adjacent to it, as the edge is far below the threshold
         one = np.array([[1.0]])
         cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
-               "brief": MatrixWeightedGraph(4, 1, {brief_edge: one})}
+               "brief": MatrixWeightedGraph(4, 1, {brief_edge: 1e-30 * one})}
         s = SwitchingSchedule.explicit(
-            cat, [Segment("wide", 1.0), Segment("brief", 1.0, 1e-12)], alpha=1.0
+            cat, [Segment("wide", 1.0), Segment("brief", 1.0, 1e-300)], alpha=1.0
         )
         net = integral_network(s, Window(0, 2))
         assert net.graph.keys.tolist() == [[0, 1]]

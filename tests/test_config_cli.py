@@ -731,8 +731,8 @@ class TestLoad:
         assert err.count("(1,3)") == 1 and "Traceback" not in err
 
     def test_asymmetry_within_tolerance_runs_every_command(self, tmp_path, capsys):
-        # node 1's Laplacian block adds three asymmetries of 0.9e-12 each, past SYM_TOL
-        W = [[2.0, 1.0 + 0.9e-12], [1.0, 2.0]]
+        # each weight is 1.9e-12 asymmetric, within SYM_TOL times its largest entry, 2.0
+        W = [[2.0, 1.0 + 1.9e-12], [1.0, 2.0]]
         doc = {
             "dimension": 2,
             "num_agents": 4,
@@ -747,8 +747,8 @@ class TestLoad:
         assert main(["analyze", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 0
         assert "error" not in capsys.readouterr().err
-        # past SYM_TOL a single weight is still rejected, its edge named
-        doc["graphs"][0]["edges"][1]["weight"] = [[2.0, 1.0 + 2e-12], [1.0, 2.0]]
+        # past it a single weight is still rejected, its edge named
+        doc["graphs"][0]["edges"][1]["weight"] = [[2.0, 1.0 + 5e-12], [1.0, 2.0]]
         with pytest.raises(ConfigValidationError, match=r"edge \(1,3\) weight is not symmetric"):
             load_config(write_json(tmp_path, doc))
 
@@ -1378,8 +1378,9 @@ class TestCli:
         # certified, where the eigenvalue threshold alone gave m = 6 and certified
         (1e-9, 3, False, True),
         (1e-11, 3, False, True),
-        # the bridge's average classifies as zero and is dropped: two components, m = 6
-        (1e-13, 6, True, False),
+        # the threshold is relative to each weight, so no bridge classifies as zero however
+        # weak: s = 1e-13 reads as s = 1e-9 does
+        (1e-13, 3, False, True),
     ])
     def test_weak_bridge_report_agrees_with_its_spanning_tree(self, tmp_path, capsys, s, m,
                                                               certified, tree):

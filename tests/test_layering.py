@@ -1,4 +1,9 @@
-"""The package's modules form layers: each imports only from the modules below it."""
+"""The package's modules form layers: each imports only from the modules below it.
+
+And each threshold is a tolerance times the scale of what it tests, with no
+absolute floor beside it: no ``max``, ``min``, ``np.maximum`` or
+``np.minimum`` call takes a float literal or a ``*_FLOOR`` name as an argument.
+"""
 
 import ast
 from pathlib import Path
@@ -16,6 +21,33 @@ def relative_imports(path: Path) -> set[str]:
         if isinstance(node, ast.ImportFrom) and node.level:
             found |= {node.module} if node.module else {alias.name for alias in node.names}
     return found
+
+
+def floor_calls(path: Path) -> list[int]:
+    """The lines of ``path`` with a ``max``/``min`` call given a float literal or a ``*_FLOOR`` name."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        builtin = isinstance(f, ast.Name) and f.id in ("max", "min")
+        numpy = (isinstance(f, ast.Attribute) and f.attr in ("maximum", "minimum")
+                 and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"))
+        if not (builtin or numpy):
+            continue
+        for arg in node.args:  # a keyword is max's default for no items, not a floor
+            if isinstance(arg, ast.UnaryOp):
+                arg = arg.operand
+            name = arg.id if isinstance(arg, ast.Name) else getattr(arg, "attr", "")
+            if (isinstance(arg, ast.Constant) and isinstance(arg.value, float)
+                    or name.endswith("_FLOOR")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_threshold_has_an_absolute_floor():
+    floored = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py")) for line in floor_calls(p)]
+    assert not floored, floored
 
 
 def test_every_module_has_a_layer():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mwconsensus.errors import IndefiniteWeightError, NonSymmetricError, NotPSDError
 from mwconsensus.graph import MatrixWeightedGraph, laplacian
 from mwconsensus.matalg import (
-    EIG_FLOOR,
     EIG_TOL,
     Definiteness,
     NullSpaceBasis,
@@ -61,7 +60,7 @@ def signed_psd(draw):
     return sign, (Q * lam) @ Q.T
 
 
-KINDS = ("pd", "psd", "nd", "nsd", "zero", "indefinite", "tie", "below_floor")
+KINDS = ("pd", "psd", "nd", "nsd", "zero", "indefinite", "tie", "tiny")
 
 
 def spectrum(kind, rng, d, eig_tol):
@@ -76,8 +75,8 @@ def spectrum(kind, rng, d, eig_tol):
     if kind == "tie":
         lam[0] = 1.0
         lam[1:] = eig_tol * rng.choice((-1.0, 1.0), size=d - 1)
-    if kind == "below_floor":
-        lam = rng.uniform(-1.0, 1.0, size=d) * EIG_FLOOR * rng.choice((0.5, 10.0))
+    if kind == "tiny":  # classified by the signs alone, however small the scale
+        lam = rng.uniform(-1.0, 1.0, size=d) * 1e-12 * rng.choice((0.5, 10.0))
     if kind in ("nd", "nsd"):
         lam = -lam
     return lam
@@ -85,7 +84,7 @@ def spectrum(kind, rng, d, eig_tol):
 
 @st.composite
 def mixed_stacks(draw):
-    """A (k, d, d) stack mixing every class, ties at the threshold and sub-floor spectra."""
+    """A (k, d, d) stack mixing every class, ties at the threshold and spectra near 1e-12."""
     d = draw(st.integers(1, 5))
     eig_tol = draw(st.sampled_from((EIG_TOL, 1e-6, 1e-3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -147,8 +146,12 @@ class TestClassify:
     def test_known_classes(self, M, expected):
         assert classify_one(M) is expected
 
-    def test_near_zero_matrix_is_zero_class(self):
-        assert classify_one(np.diag([1e-13, -1e-13])) is D.ZERO
+    def test_a_tiny_matrix_keeps_the_class_of_its_multiples(self):
+        # the threshold is relative, so only an exactly zero matrix is zero
+        assert classify_one(np.diag([1e-13, -1e-13])) is D.INDEFINITE
+        assert classify_one(np.diag([1e-13, 1e-13])) is D.POSITIVE_DEFINITE
+        assert classify_one(np.diag([-1e-300, 0.0])) is D.NEGATIVE_SEMIDEFINITE
+        assert classify_one(np.zeros((2, 2))) is D.ZERO
 
     def test_tie_at_threshold_counts_as_zero(self):
         # threshold is exactly 1e-9 * max|lam| = 1e-9; the tied eigenvalue
@@ -276,12 +279,16 @@ class TestNullSpace:
                 res = np.linalg.norm(M @ B.vectors, axis=0).max()
                 assert res <= B.tol_used * max(1.0, np.abs(M).max())
 
-    def test_threshold_scales_with_lam_max_but_floors_at_one(self):
+    def test_threshold_scales_with_lam_max(self):
         B_small = null_space(np.diag([0.0, 0.5]))
-        assert B_small.tol_used == pytest.approx(1e-9)
+        assert B_small.tol_used == pytest.approx(5e-10)
         B_big = null_space(np.diag([0.0, 2e3]))
         assert B_big.tol_used == pytest.approx(2e-6)
         assert B_big.dim == 1
+        B_tiny = null_space(np.diag([1e-30, 1e-20]))
+        assert B_tiny.tol_used == pytest.approx(1e-29) and B_tiny.dim == 1
+        B_zero = null_space(np.zeros((2, 2)))
+        assert B_zero.tol_used == 0.0 and B_zero.dim == 2
 
     def test_eigenvalue_at_threshold_included(self):
         B = null_space(np.diag([1e-9, 1.0]))
@@ -319,7 +326,7 @@ class TestNullSpace:
         assert check_symmetric(np.zeros((0, 0))).shape == (0, 0)
         assert check_symmetric(np.zeros((3, 0, 0))).shape == (3, 0, 0)
         B = null_space(np.zeros((0, 0)))
-        assert B.vectors.shape == (0, 0) and B.dim == 0 and B.tol_used == EIG_TOL
+        assert B.vectors.shape == (0, 0) and B.dim == 0 and B.tol_used == 0.0
 
 
 class TestCanonicalBasis:
@@ -490,6 +497,12 @@ class TestPsdEigh:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             psd_eigh(np.diag([1.0, -0.5]))
+
+    def test_roundoff_eigenvalues_are_held_at_zero(self):
+        # at or below order * eps * lam_max, of either sign, in units of lam_max alone
+        eps = np.finfo(float).eps
+        assert psd_eigh(np.diag([-eps, 3 * eps, 1.0]))[0].tolist() == [0.0, 0.0, 1.0]
+        assert psd_eigh(np.diag([1e-40, 1e-30, 1e-20]))[0].tolist() == [0.0, 1e-30, 1e-20]
 
     def test_threshold_floors_at_eigh_roundoff(self):
         # at eig_tol 1e-16 the threshold is order * eps, so -2 eps is roundoff, not negative

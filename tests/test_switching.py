@@ -78,6 +78,16 @@ class TestScheduleConstruction:
             )
         assert exc.value.segment == 1
 
+    @pytest.mark.parametrize("alpha", [1e-12, 1.0, 1e12])
+    def test_alpha_is_met_up_to_relative_roundoff_in_any_time_unit(self, alpha):
+        # a dwell may fall short of alpha by 1e-12 of alpha, not by an absolute 1e-12
+        cat = small_catalog()
+        SwitchingSchedule.explicit(cat, [Segment("a", alpha * (1.0 - 0.5e-12))], alpha=alpha)
+        with pytest.raises(DwellTooShortError) as exc:
+            SwitchingSchedule.explicit(cat, [Segment("a", alpha), Segment("b", 0.5 * alpha)],
+                                       alpha=alpha)
+        assert exc.value.segment == 1
+
     def test_empty_schedule_and_catalog_rejected(self):
         with pytest.raises(EmptyScheduleError):
             SwitchingSchedule.explicit(small_catalog(), [], alpha=1.0)
@@ -259,14 +269,17 @@ class TestIntegralNetwork:
             assert avg.eig_tol == eig_tol
             assert avg.keys.tolist() == [[0, 1]] and avg.classes[0].value == cls
 
-    def test_tiny_scale_average_dropped(self):
-        g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
-        s = SwitchingSchedule.explicit(
-            {"g": g}, [Segment("g", 1.0, scale=1e-15)] * 2, alpha=1.0
-        )
-        for build in (integral_network, integral_network_per_segment):
-            for w in (Window(0, 1), Window(0, 2)):
-                assert build(s, w).graph.keys.shape == (0, 2)
+    def test_tiny_scale_average_kept_and_underflowed_average_dropped(self):
+        # the classification is relative to each average, so a scale of 1e-15 keeps the
+        # edge; only an average that underflows to exactly 0 is zero, and dropped
+        g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1e-30]])})
+        for scale, edges in ((1e-15, 1), (1e-300, 0)):
+            s = SwitchingSchedule.explicit(
+                {"g": g}, [Segment("g", 1.0, scale=scale)] * 2, alpha=1.0
+            )
+            for build in (integral_network, integral_network_per_segment):
+                for w in (Window(0, 1), Window(0, 2)):
+                    assert build(s, w).graph.keys.shape == (edges, 2)
 
     def test_window_bounds_checked(self):
         s = SwitchingSchedule.explicit(small_catalog(), [Segment("a", 1.0)], alpha=1.0)
