@@ -17,11 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import _check_matrices
-from .errors import (
-    DimensionMismatchError,
-    NotPSDError,
-    WindowsNotContiguousError,
-)
+from .errors import DimensionMismatchError, WindowsNotContiguousError
 from .graph import Bipartition, MatrixWeightedGraph, _edge_structure, has_positive_negative_spanning_tree
 from .matalg import (
     EIG_TOL,
@@ -246,23 +242,20 @@ class CertificationReport:
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
 
 
-def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs,
-                       skeleton) -> NullSpaceBasis:
+def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, skeleton) -> NullSpaceBasis:
     """Null space of a window's integral Laplacian ``L_w``, that of ``net.graph``.
 
-    ``x^T L_w x`` sums ``(x_i - s_e x_j)^T |A_e| (x_i - s_e x_j)``, so a definite
-    edge forces ``x_i = s_e x_j``: a component of the definite-edge ``skeleton``,
-    the ``_skeleton`` of any graph with ``net.graph``'s edge structure, with an odd
-    negative cycle to 0, any other ``C`` to ``x_i = sigma_i y_C / sqrt(|C|)``, ``x = S y``.
-    The null space is ``S null(S^T L_w S)``, the quotient of order ``c d``
-    assembled from the edges, each cross term into both of its blocks in edge
-    order, so that it is exactly symmetric.  Zero means at most
-    ``s.eig_tol * B``, ``B = sum_g (dose_g / T) lam_max(L_g)`` clamped
-    at the float maximum, each ``lam_max`` read from the spectra ``eigs``.
+    ``x^T L_w x`` sums ``(x_i - s_e x_j)^T |A_e| (x_i - s_e x_j)``, so ``x`` is null
+    exactly when every ``x_i - s_e x_j`` is orthogonal to ``range(A_e)``, whatever the
+    doses.  A definite edge forces ``x_i = s_e x_j``: a component of the definite-edge
+    ``skeleton``, the ``_skeleton`` of any graph with ``net.graph``'s edge structure, with
+    an odd negative cycle to 0, any other ``C`` to ``x_i = sigma_i y_C / sqrt(|C|)``, ``x
+    = S y``.  The null space is ``S null(Q)``, the PSD quotient ``Q`` of order ``c d``
+    assembled from the range projectors of the edges it holds, each ranked by
+    ``matalg``'s edge-rank rule, and each cross term into both of its blocks in edge
+    order, so that it is exactly symmetric; zero is :func:`psd_eigh`'s on ``Q`` itself.
     """
     g = net.graph
-    B = min(sum(dose / net.duration * float(eigs[k][0][-1])
-                for k, dose in enumerate(net.doses.tolist()) if dose), np.finfo(float).max)
     root, sigma, odd = skeleton
     root = np.array(root)
     kept = root == np.arange(g.n)  # the roots of the components kept
@@ -280,11 +273,17 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, eigs,
     e = on % len(a)
     row, col = np.concatenate((p, q, lo, hi)), np.concatenate((p, q, hi, lo))
     Q = np.zeros((c, c, g.d, g.d))
-    np.add.at(Q, (row[on], col[on]), (factor[on] * g.signs[e])[:, None, None] * g.weights[e])
-    basis = null_space(Q.swapaxes(1, 2).reshape(c * g.d, c * g.d), s.eig_tol, B)
-    U, X = basis.vectors.reshape(c, g.d, basis.dim), np.zeros((g.n, g.d, basis.dim))
+    if on.size:  # each edge Q holds, by its range projector
+        live, at = np.unique(e, return_inverse=True)
+        lam, V = np.linalg.eigh(g.signs[live, None, None] * g.weights[live])
+        V *= (lam > max(s.eig_tol, g.d * np.finfo(float).eps) * lam[:, -1:])[:, None, :]
+        P = np.einsum("eik,ejk->eij", V, V)  # entry (i, j) summed as (j, i) is
+        np.add.at(Q, (row[on], col[on]), factor[on, None, None] * P[at])
+    lam, V, thr = psd_eigh(Q.swapaxes(1, 2).reshape(c * g.d, c * g.d), s.eig_tol)
+    dim = int(np.count_nonzero(lam <= thr))
+    U, X = V[:, lam <= thr].reshape(c, g.d, dim), np.zeros((g.n, g.d, dim))
     X[held] = coef[held, None, None] * U[comp[held]]
-    return NullSpaceBasis(vectors=X.reshape(g.n * g.d, basis.dim), tol_used=basis.tol_used)
+    return NullSpaceBasis(vectors=X.reshape(g.n * g.d, dim), tol_used=thr)
 
 
 def certify_cluster_consensus(
@@ -298,11 +297,10 @@ def certify_cluster_consensus(
     equal (as projectors, within ``tol.ns_eq_tol``) and ``max_l
     mu_{m+1}(Phi_l^T Phi_l) <= 1 - Q_MARGIN``.  A window whose null space is
     the whole space has no complement to contract and records ``mu = 0``.
-    A definite integral edge, however weakly dosed, forces its two agents to
-    agree or to mirror each other (:func:`_window_null_space`): so
-    ``pn_spanning_tree`` with ``balance`` gives ``m = d`` (0 if the definite
-    edges are unbalanced), and a weak bridge is not certified, where an
-    eigenvalue threshold alone counted it as null.
+    An integral edge, however weakly dosed, ties its two agents in its range
+    (:func:`_window_null_space`): so ``pn_spanning_tree`` with ``balance`` gives
+    ``m = d`` (0 if the definite edges are unbalanced), and a weak bridge is
+    not certified, where an eigenvalue threshold alone counted it as null.
 
     Windows whose ``graph``, ``dwell`` and ``scale`` slices are equal bit for
     bit have equal operators, so each distinct window, as
@@ -361,10 +359,7 @@ def certify_cluster_consensus(
         slot[k] = where.setdefault(_edge_structure(nets[k].graph), len(structures))
         if slot[k] == len(structures):
             structures.append(nets[k].graph)
-        try:
-            bases.append(_window_null_space(s, nets[k], eigs, structures[slot[k]]._skeleton))
-        except NotPSDError as exc:
-            raise NotPSDError(f"window [{ws[k].start}, {ws[k].end}): {exc}") from None
+        bases.append(_window_null_space(s, nets[k], structures[slot[k]]._skeleton))
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim

@@ -12,11 +12,16 @@ absolute floor: no verdict depends on the units, and only an exact 0 is zero.
 
 * ``SYM_TOL``: max allowed asymmetry ``|M[p,q] - M[q,p]|`` over ``max|M|``; a
   matrix within it is replaced by its symmetric part.
-* ``EIG_TOL``: classification treats ``|lam| <= EIG_TOL * max|lam|`` as
-  zero, ties too.  PSD routines reject ``lam < -thr`` and the null space
-  keeps ``lam <= thr``, with ``thr = max(EIG_TOL, order * eps) * lam_max``,
-  or a bound on ``lam_max``; eigenvalues within ``eigh``'s roundoff, ``order
-  * eps * lam_max``, are held at 0.
+* ``EIG_TOL``: an eigenvalue is zero at or below ``thr = max(EIG_TOL, order
+  * eps) * lam_max``, ``order * eps`` being ``eigh``'s own roundoff; ties
+  too, and classification takes ``max|lam|`` for ``lam_max``.  PSD routines
+  reject ``lam < -thr``; the null space keeps ``lam <= thr``, with
+  ``lam_max`` or a bound on it; ``lam <= order * eps * lam_max`` is held at 0.
+* Edge rank: how many eigenvalues of an edge's ``d x d`` ``|A_e|`` exceed
+  that ``thr``.  A window null space reads only the edges' ranges, so
+  no dose ratio moves it, except inside one integral edge summed from
+  several graphs: its dosed average is ranked, so a ratio past ``1 /
+  EIG_TOL`` there still sets its rank.
 * ``analysis.Q_MARGIN`` and ``NECESSARY_TOL`` stay constants, not
   :class:`Tolerances` fields: both are dimensionless, and no scenario needs
   another value, so a field would only add a knob.
@@ -126,12 +131,12 @@ def classify_stack(stack, eig_tol: float = EIG_TOL) -> np.ndarray:
 
     Returns a length-``k`` object array of :class:`Definiteness`.  The whole
     stack is checked by :func:`check_symmetric` and its symmetric part
-    decomposed by one ``eigvalsh`` call.  Eigenvalues within ``eig_tol *
-    max|lam|`` of zero are treated as zero; ties at the threshold count as
-    zero, biasing borderline matrices toward the semidefinite classes rather
-    than the definite ones.  Only a zero matrix is ``ZERO``.  A finite matrix with
-    an eigenvalue beyond the float range raises WeightOverflowError, with its
-    position as the error's ``index``.
+    decomposed by one ``eigvalsh`` call.  Eigenvalues within ``max(eig_tol, d
+    * eps) * max|lam|`` of zero, ties too, are zero, biasing borderline
+    matrices toward the semidefinite classes rather than the definite ones.
+    Only a zero matrix is ``ZERO``.  A finite matrix with an eigenvalue beyond
+    the float range raises WeightOverflowError, with its position as the
+    error's ``index``.
     """
     M = check_symmetric(stack)
     if M.ndim != 3:
@@ -147,7 +152,8 @@ def _classify_checked(M: np.ndarray, eig_tol: float) -> np.ndarray:
         raise WeightOverflowError(
             "weight overflows: its eigenvalues exceed the float range", index=int(bad[0])
         )
-    thr = eig_tol * np.abs(lam).max(axis=1, initial=0.0)[:, None]
+    floor = M.shape[-1] * np.finfo(float).eps
+    thr = max(eig_tol, floor) * np.abs(lam).max(axis=1, initial=0.0)[:, None]
     pos = (lam > thr).sum(axis=1)
     neg = (lam < -thr).sum(axis=1)
     return _CLASS_OF_CODE[(pos > 0) + 2 * (neg > 0) + 4 * (pos + neg == M.shape[-1])]
@@ -237,8 +243,8 @@ def psd_eigh(
     :func:`check_symmetric` returns it and ``laplacian()`` builds it.
     Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
     roundoff and the zero threshold ``thr = max(eig_tol, order * eps) *
-    lam_bound``, where ``lam_bound`` defaults to ``lam_max``: a compression
-    of a larger matrix passes that matrix's bound.  The floor ``order * eps``
+    lam_bound``, where ``lam_bound`` defaults to ``lam_max``: a sum of
+    matrices may pass the sum of theirs.  The floor ``order * eps``
     is ``eigh``'s own roundoff: a tolerance below it does not count roundoff
     as negative, and an eigenvalue within it, ``order * eps * lam_max``, is an
     exact 0, so no dose, however large, decays a null-space component.
@@ -264,8 +270,7 @@ def null_space(
     eigenvalues fall at or below :func:`psd_eigh`'s threshold ``max(eig_tol,
     order * eps) * lam_bound``, so a zero matrix is all null space.  Raises
     NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below minus
-    that threshold.  Certification passes the schedule's ``eig_tol``, the one
-    that classified its catalog edges and window averages.
+    that threshold.
     """
     lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol, lam_bound)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)

@@ -45,11 +45,13 @@ how far apart two spans are from the bases alone (``projector_distance``).
 
 ``certify_per_window`` certifies every window from scratch, where the package
 computes each distinct window content once.  ``window_null_space_eigh`` takes a
-window's null space from the full ``eigh`` of its dosed sum of catalog
-Laplacians, the eigenvalue threshold alone deciding it.
-``window_null_space_skeleton`` takes it under the definite-edge constraints
-``x_i = s_e x_j``, whose span ``definite_edge_span`` finds by SVD, from the
-``eigh`` of the dense Laplacian compressed to that span, where the package
+window's null space from the full ``eigh`` of the sum of the catalog
+Laplacians it doses, each at unit dose, the eigenvalue threshold alone
+deciding it.  ``window_null_space_projector`` takes it under the
+definite-edge constraints ``x_i = s_e x_j``, whose span
+``definite_edge_span`` finds by SVD, from the ``eigh`` of the dense
+Laplacian with each weight replaced by its range projector
+(``range_projector_laplacian``), compressed to that span, where the package
 assembles the compressed matrix from the edge list in the skeleton's own
 coordinates.
 
@@ -132,14 +134,15 @@ NECESSARY_TOL = 1e-6  # ||L x||, relative to ||L|| ||x||
 def classify_definiteness(matrix, eig_tol: float = EIG_TOL) -> Definiteness:
     """Classify one symmetric matrix by the signs of its eigenvalues.
 
-    Eigenvalues within ``eig_tol * max|lam|`` of zero are treated as zero;
+    Eigenvalues within ``max(eig_tol, d eps) * max|lam|`` of zero, ``d eps``
+    the roundoff of ``eigvalsh`` on a ``d x d`` matrix, are treated as zero;
     ties at the threshold count as zero, and only a zero matrix is ``ZERO``.
     """
     M = check_symmetric(matrix)
     if M.ndim != 2:
         raise ValueError(f"expected one matrix, got shape {M.shape}")
     lam = np.linalg.eigvalsh(M)
-    thr = eig_tol * float(np.abs(lam).max(initial=0.0))
+    thr = max(eig_tol, len(M) * np.finfo(float).eps) * float(np.abs(lam).max(initial=0.0))
     neg = lam < -thr
     pos = lam > thr
     if not neg.any() and not pos.any():
@@ -597,7 +600,7 @@ def certify_per_window(
             )
     nets = tuple(integral_network(s, w) for w in ws)
     eigs = spectra(s, s.graph[:ws[-1].end].tolist())
-    bases = [_window_null_space(s, net, eigs, net.graph._skeleton) for net in nets]
+    bases = [_window_null_space(s, net, net.graph._skeleton) for net in nets]
     max_dist = max((projector_distance(bases[0], b) for b in bases[1:]), default=0.0)
     equal = max_dist <= tol.ns_eq_tol and len({b.dim for b in bases}) == 1
     m = bases[0].dim
@@ -628,23 +631,14 @@ def certify_per_window(
     )
 
 
-def _window_bound(s: SwitchingSchedule, net: IntegralNetwork) -> float:
-    """``B = sum_g (dose_g / T) lam_max(L_g)`` over a window's graphs, clamped at the float max."""
-    dosed = [(dose / net.duration, k) for k, dose in enumerate(net.doses.tolist()) if dose]
-    eigs = spectra(s, [k for _, k in dosed])
-    return min(sum(w * float(eigs[k][0][-1]) for w, k in dosed), np.finfo(float).max)
-
-
 def window_null_space_eigh(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
-    """Null space of ``L_w = sum_g (dose_g / T) L_g`` from its full ``eigh``.
+    """Null space of ``sum_g L_g`` over the graphs a window doses, each at unit dose.
 
-    The threshold is the package's, ``eig_tol * B`` with ``B = sum_g
-    (dose_g / T) lam_max(L_g)`` clamped at the float maximum.
+    For PSD Laplacians it is the intersection of theirs, which no positive
+    dose changes; taken by :func:`null_space` from one full ``eigh``.
     """
-    dosed = [(dose / net.duration, g) for g, dose in zip(s.ids, net.doses.tolist()) if dose]
-    lam, V, thr = psd_eigh(sum(w * laplacian(s.catalog[g]) for w, g in dosed), s.eig_tol,
-                           _window_bound(s, net))
-    return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
+    dosed = [g for g, dose in zip(s.ids, net.doses.tolist()) if dose]
+    return null_space(sum(laplacian(s.catalog[g]) for g in dosed), s.eig_tol)
 
 
 def definite_edge_span(g: MatrixWeightedGraph) -> np.ndarray:
@@ -666,17 +660,43 @@ def definite_edge_span(g: MatrixWeightedGraph) -> np.ndarray:
     return Vt[int(np.count_nonzero(sv > 1e-8)):].T
 
 
-def window_null_space_skeleton(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
-    """Null space of the integral graph's Laplacian ``L_w`` within :func:`definite_edge_span`.
+def range_projector_laplacian(g: MatrixWeightedGraph) -> np.ndarray:
+    """Dense Laplacian of ``g`` with each ``|A_e|`` replaced by its range projector ``P_e``.
 
-    With that span ``N``, the basis is ``N`` times the eigenvectors of
-    ``N^T L_w N`` whose eigenvalues are at most the package's threshold, as
-    :func:`window_null_space_eigh` sets it.  Every matrix is dense, of order
-    ``n d`` or of the span's dimension.
+    ``P_e`` spans the eigenvectors of ``|A_e|`` above ``max(eig_tol, d eps)
+    lam_max``, from one ``eigh`` per edge, and enters the Laplacian with the
+    edge's sign, assembled edge by edge.
+    """
+    n, d = g.n, g.d
+    L = np.zeros((n * d, n * d))
+    for (i, j), W, sign in zip(g.keys.tolist(), g.weights, g.signs.tolist()):
+        lam, V = np.linalg.eigh(sign * W)
+        R = V[:, lam > max(g.eig_tol, d * np.finfo(float).eps) * lam[-1]]
+        P = R @ R.T
+        bi, bj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+        L[bi, bi] += P
+        L[bj, bj] += P
+        L[bi, bj] -= sign * P
+        L[bj, bi] -= sign * P
+    return L
+
+
+def window_null_space_projector(s: SwitchingSchedule, net: IntegralNetwork) -> NullSpaceBasis:
+    """Null space of :func:`range_projector_laplacian` within :func:`definite_edge_span`.
+
+    With that span ``N``, the basis is ``N`` times the eigenvectors of the
+    compressed ``K = N^T L_P N`` whose eigenvalues are at most ``max(eig_tol,
+    order eps) lam_max(K)``, or at most ``10 n d eps ||L_P||``, the roundoff
+    of the compression, which leaves a ``K`` of exactly 0 at that size.  Every
+    matrix is dense, of order ``n d`` or of the span's dimension.
     """
     N = definite_edge_span(net.graph)
-    K = N.T @ laplacian(net.graph) @ N
-    lam, U, thr = psd_eigh(0.5 * (K + K.T), s.eig_tol, _window_bound(s, net))
+    L = range_projector_laplacian(net.graph)
+    K = N.T @ L @ N
+    lam, U = np.linalg.eigh(0.5 * (K + K.T))
+    roundoff = 10 * len(N) * np.finfo(float).eps * np.abs(L).sum(axis=0).max(initial=0.0)
+    thr = max(max(s.eig_tol, len(K) * np.finfo(float).eps) * lam.max(initial=0.0), roundoff)
+    assert lam.min(initial=0.0) >= -thr
     return NullSpaceBasis(vectors=N @ U[:, lam <= thr], tol_used=thr)
 
 

@@ -226,14 +226,15 @@ def many_graph_doc(seed: int, window: int, n: int = 100, d: int = 3, graphs: int
     }
 
 
-def bridge_doc(s: float, n: int = 40, d: int = 3, seed: int = 0) -> dict:
-    """Scenario document of a weak bridge: two definite components joined by one PD edge.
+def bridge_doc(s: float, n: int = 40, d: int = 3, seed: int = 0, bridge=None) -> dict:
+    """Scenario document of a weak bridge: two definite components joined by one edge.
 
     ``G1`` is two halves of ``n / 2`` agents, each connected by a random
     spanning path and ``n / 2`` random edges more, all positive definite;
-    ``G2`` is the one edge, weighted by the identity, between the halves'
-    first agents.  The schedule is one window, ``G1`` for a dwell of 1 and
-    then ``G2`` for 1 at scale ``s``.  The same arguments give the same document.
+    ``G2`` is the one edge, weighted by ``bridge`` (the identity if None),
+    between the halves' first agents.  The schedule is one window, ``G1`` for
+    a dwell of 1 and then ``G2`` for 1 at scale ``s``.  The same arguments
+    give the same document.
     """
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -247,11 +248,12 @@ def bridge_doc(s: float, n: int = 40, d: int = 3, seed: int = 0) -> dict:
         for i, j in sorted(keys):
             R = rng.normal(size=(d, d))
             edges.append({"i": i + 1, "j": j + 1, "weight": (R @ R.T + 0.3 * np.eye(d)).tolist()})
-    bridge = [{"i": 1, "j": half + 1, "weight": np.eye(d).tolist()}]
+    bridge = np.eye(d) if bridge is None else np.asarray(bridge, dtype=float)
+    link = {"i": 1, "j": half + 1, "weight": bridge.tolist()}
     return {
         "dimension": d,
         "num_agents": n,
-        "graphs": [{"id": "G1", "edges": edges}, {"id": "G2", "edges": bridge}],
+        "graphs": [{"id": "G1", "edges": edges}, {"id": "G2", "edges": [link]}],
         "schedule": {"type": "explicit", "alpha": 1.0,
                      "segments": [{"graph": "G1", "dwell": 1.0},
                                   {"graph": "G2", "dwell": 1.0, "scale": s}]},

@@ -55,9 +55,10 @@ from oracles import (
     mu_budget,
     mu_m_plus_1_svd,
     projector,
+    range_projector_laplacian,
     state_transition,
     window_null_space_eigh,
-    window_null_space_skeleton,
+    window_null_space_projector,
 )
 from oracles import verify_necessary_condition as verify_necessary_condition_oracle
 from randgen import (
@@ -75,8 +76,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def window_null_space(s: SwitchingSchedule, net) -> NullSpaceBasis:
-    """The package's null space of a window's ``net``, with the catalog spectra and its own skeleton."""
-    return _window_null_space(s, net, catalog_spectra(s), net.graph._skeleton)
+    """The package's null space of a window's ``net``, with its own skeleton."""
+    return _window_null_space(s, net, net.graph._skeleton)
 
 
 def line_graph(weights_1d):
@@ -810,18 +811,22 @@ def _projector_bound(L, basis):
     return 10 * (roundoff + (residual + roundoff * lam[-1]) / (lam[basis.dim] - basis.tol_used))
 
 
-def assert_windows_match_skeleton_oracle(s, rng):
+def assert_matches_projector_oracle(s, net) -> None:
+    """The package's null space of ``net`` has the projector oracle's ``m``, and lies
+    within the Davis-Kahan bound of the oracle's problem, compressed to the definite-edge
+    span ``N``, plus the roundoff of ``N`` itself, an SVD of order ``n d``."""
+    got, want = window_null_space(s, net), window_null_space_projector(s, net)
+    assert got.dim == want.dim
+    N = definite_edge_span(net.graph)
+    K = N.T @ range_projector_laplacian(net.graph) @ N
+    inside = NullSpaceBasis(vectors=N.T @ got.vectors, tol_used=got.tol_used)
+    dist = np.linalg.norm(projector(got) - projector(want), 2)
+    assert dist <= _projector_bound(0.5 * (K + K.T), inside) + 10 * len(N) * np.finfo(float).eps
+
+
+def assert_windows_match_projector_oracle(s, rng):
     for w in rand_windows(rng, s.num_segments):
-        net = integral_network(s, w)
-        got, want = window_null_space(s, net), window_null_space_skeleton(s, net)
-        assert got.dim == want.dim and got.tol_used == want.tol_used
-        # the Davis-Kahan bound of the problem compressed to the definite-edge span N, plus
-        # the roundoff of N itself, an SVD of order n d
-        N = definite_edge_span(net.graph)
-        K = N.T @ laplacian(net.graph) @ N
-        inside = NullSpaceBasis(vectors=N.T @ got.vectors, tol_used=got.tol_used)
-        dist = np.linalg.norm(projector(got) - projector(want), 2)
-        assert dist <= _projector_bound(0.5 * (K + K.T), inside) + 10 * len(N) * np.finfo(float).eps
+        assert_matches_projector_oracle(s, integral_network(s, w))
 
 
 def workload_config(name: str, seed: int, tmp_path, **shape) -> ScenarioConfig:
@@ -916,19 +921,16 @@ class TestSpectralRouteAgainstDenseLaplacians:
         *(("workload", name) for name in ("periodic_windows", "long_schedule", "large_network")),
     ])
     def test_window_null_spaces_and_necessary_verdicts(self, source, name, tmp_path, rng):
-        # the window null spaces from the catalog spectra against a full eigh of the dense
-        # dosed sum, and the verdicts on ||lam * (V^T x)|| against ||L x|| of dense Laplacians;
-        # large_network at half its agents, as its oracle takes 50 eigvalsh calls a graph
+        # the window null spaces against the dense range-projector oracle, and the verdicts
+        # on ||lam * (V^T x)|| against ||L x|| of dense Laplacians; large_network at half
+        # its agents, as its necessary-condition oracle takes 50 eigvalsh calls a graph
         shape = {"n": 100} if name == "large_network" else {}
         cfg = scenarios.load_builtin(name) if source == "bundled" else workload_config(
             name, 1, tmp_path, **shape)
         s, windows = cfg.schedule, cfg.windows()
         report = certify_cluster_consensus(s, windows, tol=cfg.tolerances)
         for net in {id(net): net for net in report.integral_networks}.values():
-            got, want = window_null_space(s, net), window_null_space_eigh(s, net)
-            assert got.dim == want.dim and got.tol_used == want.tol_used
-            dist = np.linalg.norm(projector(got) - projector(want), 2)
-            assert dist <= _projector_bound(laplacian(net.graph), got)
+            assert_matches_projector_oracle(s, net)
         assert_verdicts_match_oracle(s, windows, report, cfg.initial_state, rng)
 
 
@@ -936,10 +938,10 @@ class TestWindowNullSpaceAgainstEigh:
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=80)
     def test_restricted_solve_matches_full_eigh_oracle(self, seed):
-        # a scale of 1e-6 to 1e-11 doses a graph briefly: its edges' averages stay definite
-        # against their own scale, yet their directions fall below the window's threshold,
-        # so the eigh of the dosed sum counted them as null beside pn_spanning_tree; the
-        # skeleton oracle holds a definite edge's two agents together, as the report reads it
+        # a scale of 1e-6 to 1e-11 doses a graph briefly: its edges' averages keep their
+        # ranks against their own scale, while their eigenvalues fall below a threshold on
+        # the dosed sum, which so counted them as null; the projector oracle holds each
+        # edge's range, as the report reads it
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
         # sparse graphs are often disconnected
@@ -955,17 +957,17 @@ class TestWindowNullSpaceAgainstEigh:
             scale = 10.0 ** -rng.uniform(6, 11) if low else float(rng.uniform(0.2, 3.0))
             segs.append(Segment(ids[int(rng.integers(len(ids)))],
                                 float(rng.choice((0.5, 1.0, 1.5))), scale))
-        assert_windows_match_skeleton_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5),
-                                             rng)
+        assert_windows_match_projector_oracle(
+            SwitchingSchedule.explicit(catalog, segs, alpha=0.5), rng)
 
     @given(st.integers(0, 2**32 - 1))
     @example(seed=517872646)  # a sum rebuilt as (V * lam) @ V.T was 1.8e-12 asymmetric here
     @settings(deadline=None, max_examples=80)
     def test_near_aligned_rank_one_edges_of_very_different_weight(self, seed):
         # near-aligned rank-one edges sum to an average that classifies as definite against
-        # its own scale while its smallest eigenvalue is below the window's threshold, set by
-        # heavier edges: the eigh of the dosed sum counted that direction as null, so m
-        # exceeded d beside pn_spanning_tree.  Edges that stay semidefinite leave c = n
+        # its own scale while its smallest eigenvalue is below a threshold set by heavier
+        # edges: the eigh of the dosed sum counted that direction as null, so m exceeded d
+        # beside pn_spanning_tree.  Edges that stay semidefinite leave c = n
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         catalog = {}
@@ -978,13 +980,14 @@ class TestWindowNullSpaceAgainstEigh:
             catalog[f"g{k}"] = MatrixWeightedGraph(n, 2, edges)
         segs = [Segment(f"g{int(rng.integers(len(catalog)))}", float(rng.choice((0.5, 1.0))),
                         float(rng.uniform(0.2, 3.0))) for _ in range(int(rng.integers(1, 8)))]
-        assert_windows_match_skeleton_oracle(SwitchingSchedule.explicit(catalog, segs, alpha=0.5),
-                                             rng)
+        assert_windows_match_projector_oracle(
+            SwitchingSchedule.explicit(catalog, segs, alpha=0.5), rng)
 
     @pytest.mark.parametrize("order", [("g", "h"), ("h", "g")])
     def test_a_near_null_vector_outside_the_first_span_is_kept(self, order):
-        # the antisymmetric e1 vector spans null(L_g) but has quotient 1e-5 > thr = 1e-6 on
-        # L_w; the window's third null vector, along (cos 1e-4, sin 1e-4), has 1e-8
+        # the antisymmetric e1 vector spans null(L_g) but has quotient 1e-5 on L_w; the edge's
+        # average, diag(0, 1) + 1000 v v^T, has eigenvalues 1e-8 and 1e3, so rank 1 at
+        # eig_tol, and its kernel, near (cos 1e-4, sin 1e-4), gives the third null vector
         th = 1e-4
         v = np.array([-np.sin(th), np.cos(th)])
         graphs = {"g": MatrixWeightedGraph(2, 2, {(0, 1): np.diag([0.0, 1.0])}),
@@ -997,23 +1000,23 @@ class TestWindowNullSpaceAgainstEigh:
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12  # eps 1e3 / gap 1
 
     def test_low_dose_graph_alone_in_a_window(self):
-        # a window of one briefly dosed path graph: the threshold scales with the dose,
-        # B = 3e-10, so the eigenvalues alone agree with the averaged edges, which classify
-        # as positive definite and span the agents: with pn_spanning_tree, m = d = 1
+        # a window of one briefly dosed path graph: the averaged edges classify as positive
+        # definite against their own scale and span the agents, so with pn_spanning_tree,
+        # m = d = 1, as the graph at unit dose gives it
         one = np.array([[1.0]])
         g = MatrixWeightedGraph(3, 1, {(0, 1): one, (1, 2): one})
         s = SwitchingSchedule.explicit({"g": g}, [Segment("g", 1.0, 1e-10)], alpha=1.0)
         net = integral_network(s, Window(0, 1))
         assert has_positive_negative_spanning_tree(net.graph)
-        assert window_null_space(s, net).dim == window_null_space_skeleton(s, net).dim == 1
+        assert window_null_space(s, net).dim == window_null_space_projector(s, net).dim == 1
         assert window_null_space_eigh(s, net).dim == 1
 
     @pytest.mark.parametrize("brief_edge", [(2, 3), (1, 2)], ids=["apart", "adjacent"])
     def test_edge_the_integral_graph_drops_stays_in_the_sum(self, brief_edge):
         # "brief" doses its edge of 1e-30 at 1e-300, an average that underflows to 0, so the
         # integral graph drops it and the window null space, taken from that graph, leaves
-        # it out; the eigh of the dosed sum, "brief" included, agrees within 1e-12, apart
-        # from "wide"'s edge or adjacent to it, as the edge is far below the threshold
+        # it out; the eigh of the sum at unit doses, "brief" included, agrees within 1e-12,
+        # apart from "wide"'s edge or adjacent to it, as the edge is far below its threshold
         one = np.array([[1.0]])
         cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
                "brief": MatrixWeightedGraph(4, 1, {brief_edge: 1e-30 * one})}
@@ -1023,12 +1026,13 @@ class TestWindowNullSpaceAgainstEigh:
         net = integral_network(s, Window(0, 2))
         assert net.graph.keys.tolist() == [[0, 1]]
         got, want = window_null_space(s, net), window_null_space_eigh(s, net)
-        assert got.dim == want.dim == 3 and got.tol_used == want.tol_used
+        assert got.dim == want.dim == 3
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
 
-    def test_bound_past_the_float_range_is_clamped(self):
+    def test_weights_near_the_float_maximum_give_their_null_space(self):
         # each graph's lam_max is 0.9 of the float maximum, at different nodes, and each is
-        # dosed at 0.95: B = 1.71 times the maximum, while each averaged block stays below half
+        # dosed at 0.95, so the dosed sum's summed lam_max would be 1.71 times the maximum,
+        # while each averaged block stays below half: the edges' ranges decide m alone
         big = np.array([[0.45 * np.finfo(float).max]])
         cat = {"g": MatrixWeightedGraph(4, 1, {(0, 1): big}),
                "h": MatrixWeightedGraph(4, 1, {(2, 3): big})}
@@ -1036,10 +1040,7 @@ class TestWindowNullSpaceAgainstEigh:
             cat, [Segment("g", 1.0, 1.9), Segment("h", 1.0, 1.9)], alpha=1.0
         )
         net = integral_network(s, Window(0, 2))
-        got, want = window_null_space(s, net), window_null_space_eigh(s, net)
-        assert got.tol_used == want.tol_used == 1e-9 * np.finfo(float).max
-        assert got.dim == want.dim == 2
-        assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
+        assert window_null_space(s, net).dim == 2
 
     def test_window_whose_doses_underflow_is_all_null(self):
         g = MatrixWeightedGraph(2, 1, {(0, 1): np.array([[1.0]])})
@@ -1051,10 +1052,11 @@ class TestWindowNullSpaceAgainstEigh:
         assert report.m == 2 and report.mu == (0.0,) and report.certified
 
     def test_brief_graph_whose_bound_cuts_its_spectrum_offers_no_span(self):
-        # "brief" doses the path 0-1-2-3 at 2e-9 beside "wide"'s edge (0, 1): the window's
-        # second eigenvalue, 7e-10, is below thr = 1e-9, so the eigenvalues alone gave m = 2,
-        # yet the averaged edges (1, 2) and (2, 3), at 1e-9, classify as positive definite
-        # and with (0, 1) span the agents: pn_spanning_tree holds, and m = d = 1
+        # "brief" doses the path 0-1-2-3 at 2e-9 beside "wide"'s edge (0, 1): the dosed
+        # sum's second eigenvalue, 7e-10, is below 1e-9 of its summed lam_max, so its
+        # eigenvalues alone gave m = 2, yet the averaged edges (1, 2) and (2, 3), at 1e-9,
+        # classify as positive definite and with (0, 1) span the agents: pn_spanning_tree
+        # holds, and m = d = 1, as the sum at unit doses gives it
         one = np.array([[1.0]])
         cat = {"wide": MatrixWeightedGraph(4, 1, {(0, 1): one}),
                "brief": MatrixWeightedGraph(4, 1, {(0, 1): one, (1, 2): one, (2, 3): one})}
@@ -1063,8 +1065,8 @@ class TestWindowNullSpaceAgainstEigh:
         )
         net = integral_network(s, Window(0, 2))
         assert has_positive_negative_spanning_tree(net.graph)
-        got, want = window_null_space(s, net), window_null_space_skeleton(s, net)
-        assert got.dim == want.dim == 1 and window_null_space_eigh(s, net).dim == 2
+        got, want = window_null_space(s, net), window_null_space_projector(s, net)
+        assert got.dim == want.dim == window_null_space_eigh(s, net).dim == 1
         assert np.linalg.norm(projector(got) - projector(want), 2) <= 1e-12
 
     def test_every_component_with_an_odd_negative_cycle_gives_m_zero(self):
@@ -1077,7 +1079,7 @@ class TestWindowNullSpaceAgainstEigh:
         net = integral_network(s, Window(0, 1))
         got = window_null_space(s, net)
         assert got.vectors.shape == (12, 0)
-        assert window_null_space_skeleton(s, net).dim == window_null_space_eigh(s, net).dim == 0
+        assert window_null_space_projector(s, net).dim == window_null_space_eigh(s, net).dim == 0
         report = certify_cluster_consensus(s, [Window(0, 1)])
         assert report.m == 0 and report.balance is None and not report.pn_spanning_tree
         pred = predict_steady_state(report.basis, np.ones(12), 6, 2)

@@ -1198,6 +1198,18 @@ class TestCli:
         assert main(["check", "--config", str(write_json(tmp_path, doc))]) == 0
         assert f"graph g: 1 edge(s) valid: (1,2) {cls}\n" in capsys.readouterr().out
 
+    def test_rotated_singular_weight_loads_at_a_tiny_eig_tol(self, tmp_path, capsys):
+        # the zero eigenvalue of this rotated diag(2, 1, 0) comes back as -2e-16, which
+        # eig_tol = 1e-20 alone read as negative, so the file failed as indefinite
+        R, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        doc = minimal_config_dict()
+        doc["dimension"] = 3
+        doc["initial_state"] = [0.0] * 6
+        doc["graphs"][0]["edges"][0]["weight"] = (R @ np.diag([2.0, 1.0, 0.0]) @ R.T).tolist()
+        doc["tolerances"] = {"eig_tol": 1e-20}
+        assert main(["check", "--config", str(write_json(tmp_path, doc))]) == 0
+        assert "graph g: 1 edge(s) valid: (1,2) positive_semidefinite\n" in capsys.readouterr().out
+
     def test_edge_errors_name_the_one_based_edge_once(self, tmp_path, capsys):
         indefinite = minimal_config_dict()
         indefinite["dimension"] = 2
@@ -1390,6 +1402,18 @@ class TestCli:
         report = json.loads(out.read_text())
         got = report["m"], report["certified"], report["pn_spanning_tree"]
         assert got == (m, certified, tree)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-8, 1e-9, 1e-11])
+    def test_rank_two_bridge_reads_its_range_at_every_dose(self, tmp_path, capsys, s):
+        # a bridge weighted diag(1, 1, 0) ties the halves in its range, so x is null exactly
+        # when both halves agree in its first two coordinates: m = 4 at every dose, and only
+        # the strong bridge contracts; the threshold on the dosed sum gave m = 6 and certified
+        # for s <= 1e-8, its range counted as null
+        doc = bridge_doc(s, bridge=np.diag([1.0, 1.0, 0.0]))
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--config", str(write_json(tmp_path, doc)), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["m"], report["certified"], report["pn_spanning_tree"]) == (4, s == 1.0, False)
 
     def test_analyze_keys_its_windows_once(self, tmp_path, capsys, monkeypatch):
         # certification keys the windows and plans its pairs from that one keying

@@ -3,6 +3,7 @@
 And each threshold is a tolerance times the scale of what it tests, with no
 absolute floor beside it: no ``max``, ``min``, ``np.maximum`` or
 ``np.minimum`` call takes a float literal or a ``*_FLOOR`` name as an argument.
+And a window null space reads neither the catalog spectra nor the doses.
 """
 
 import ast
@@ -63,3 +64,15 @@ def test_modules_import_only_from_lower_layers():
         if LAYERS.index(other) >= rank
     ]
     assert not upward, upward
+
+
+def test_window_null_spaces_read_no_spectra_and_no_doses():
+    # a window null space is structural: the edges a window doses and their ranges decide
+    # it, so it takes no catalog spectra and reads no dose or duration
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_window_null_space")
+    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+    assert not {p for p in params if "eig" in p or "spectr" in p}, params
+    read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    assert not read & {"doses", "duration", "spectra"}, read

@@ -30,11 +30,11 @@ def rand_sym(rng, d, scale=1.0):
     return A + A.T
 
 
-def classify_one(M):
+def classify_one(M, eig_tol=EIG_TOL):
     """The class of ``M`` classified as a one-matrix stack; the oracle must agree."""
-    got = classify_stack(np.asarray(M, dtype=float)[None])
+    got = classify_stack(np.asarray(M, dtype=float)[None], eig_tol)
     assert got.shape == (1,)
-    assert got[0] is classify_definiteness(M)
+    assert got[0] is classify_definiteness(M, eig_tol)
     return got[0]
 
 
@@ -161,6 +161,18 @@ class TestClassify:
 
     def test_just_above_threshold_is_definite(self):
         assert classify_one(np.diag([1.0, 1e-8])) is D.POSITIVE_DEFINITE
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_roundoff_below_d_eps_is_zero_whatever_eig_tol(self, seed):
+        # eigvalsh leaves the zero of a rotated diag(2, 1, 0) up to 2.2e-16 either side of
+        # 0, which eig_tol = 1e-20 alone counted as positive or negative: the floor d eps
+        # holds it at zero, and above eig_tol the classes stay as they were
+        R, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        W = R @ np.diag([2.0, 1.0, 0.0]) @ R.T
+        W = 0.5 * (W + W.T)
+        assert classify_one(W, 1e-20) is D.POSITIVE_SEMIDEFINITE
+        assert classify_one(-W, 1e-20) is D.NEGATIVE_SEMIDEFINITE
+        assert classify_one(W + 1e-12 * np.eye(3), 1e-20) is D.POSITIVE_DEFINITE
 
     def test_rejects_asymmetry_beyond_tolerance(self):
         M = np.array([[1.0, 1e-10], [0.0, 1.0]])

@@ -9,6 +9,8 @@ it must leave alone:
 * ``x0`` times ``c`` sends the limit to ``c`` times it, with the same pattern;
 * weights times ``c`` with the schedule unchanged leave every null space, so
   ``m``, the structural diagnostics and the limit (only ``mu`` moves);
+* one graph's doses times ``c``, its segment scales, leave every window's null
+  space, which only the edges a window doses and their ranges decide;
 * a global rotation of coordinates, ``A -> R A R^T`` and ``x0 -> (I (x) R) x0``,
   written to the file as computed, so not exactly symmetric, and scaled by
   1e4, leaves every verdict;
@@ -25,12 +27,18 @@ import numpy as np
 import pytest
 
 from mwconsensus import scenarios
-from mwconsensus.analysis import certify_cluster_consensus, predict_steady_state
+from mwconsensus.analysis import (
+    _window_null_space,
+    certify_cluster_consensus,
+    predict_steady_state,
+)
 from mwconsensus.config import load_config
+from mwconsensus.matalg import projector_distance
 from mwconsensus.sim import simulate_exact
 
 NAMES = ("cluster_switching", "bipartite_switching", "integral_static")
 FACTORS = [10.0**k for k in range(-12, 13, 3)]
+DOSES = [1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12]
 
 
 def bundled(name: str) -> dict:
@@ -74,6 +82,25 @@ def in_time_unit(doc: dict, c: float) -> dict:
     for key in ("horizon", "sample_dt", "step_h"):
         doc["solver"][key] /= c
     return doc
+
+
+def dosed(doc: dict, gid: str, c: float) -> dict:
+    """``doc`` with the scale of every segment of graph ``gid`` times ``c``."""
+    sched = doc["schedule"]
+    for seg in sched.get("pattern", sched.get("segments")):
+        if seg["graph"] == gid:
+            seg["scale"] = c * seg.get("scale", 1.0)
+    return doc
+
+
+def window_null_spaces(cfg, report) -> dict:
+    """The null space of each window whose content no earlier window has, by window index."""
+    first = {}
+    for k, net in enumerate(report.integral_networks):
+        first.setdefault(id(net), k)
+    nets = report.integral_networks
+    return {k: _window_null_space(cfg.schedule, nets[k], nets[k].graph._skeleton)
+            for k in first.values()}
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +188,33 @@ def test_relabelled_agents_relabel_the_clusters(tmp_path, base, name, seed):
     x_star = np.empty((n, d))
     x_star[p] = pred0.steady_state.reshape(n, d)
     assert close(pred.steady_state, x_star.ravel(), 1e-12)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_dose_ratios_keep_every_window_null_space(tmp_path, base, name):
+    cfg0, report0, _, _ = base[name]
+    want = window_null_spaces(cfg0, report0)
+    for gid in [g["id"] for g in bundled(name)["graphs"]]:
+        for c in DOSES:
+            cfg, report, _ = run(tmp_path, dosed(bundled(name), gid, c))
+            got = window_null_spaces(cfg, report)
+            assert got.keys() == want.keys(), (gid, c)
+            for k, basis in got.items():
+                assert basis.dim == want[k].dim, (gid, c, k)
+                assert projector_distance(basis, want[k]) <= 1e-12, (gid, c, k)
+
+
+def test_a_lightly_dosed_graph_keeps_m_and_is_not_certified(tmp_path):
+    # G3 at 1e-10 contracts next to nothing, so the window is not certified; a threshold on
+    # the dosed sum counted G3's edges as null, and read m = 9, certified
+    _, report, _ = run(tmp_path, dosed(bundled("cluster_switching"), "G3", 1e-10))
+    assert (report.m, report.certified) == (5, False)
+
+
+def test_a_heavily_dosed_graph_certifies_the_limit_the_solver_reaches(tmp_path):
+    # G1 at 1e12 left the others' edges below a threshold on the dosed sum, which read
+    # m = 9 and certified a limit 0.8 from the exact state at the horizon
+    cfg, report, pred = run(tmp_path, dosed(bundled("cluster_switching"), "G1", 1e12))
+    assert (report.m, report.certified) == (5, True)
+    traj = simulate_exact(cfg.schedule, cfg.initial_state, cfg.horizon, cfg.solver.sample_dt)
+    assert float(np.abs(traj.final_state - pred.steady_state).max()) <= 1e-10
