@@ -25,6 +25,7 @@ from .matalg import (
     Tolerances,
     _map_lapack,
     _pool_size,
+    _zero_threshold,
     check_symmetric,
     null_space,
     projector_distance,
@@ -73,18 +74,18 @@ def null_intersection(
 ) -> NullSpaceBasis:
     """Orthonormal basis of the intersection of the Laplacians' null spaces.
 
-    For PSD matrices the intersection of null spaces equals the null space of
-    the sum, whose :func:`null_space` is bounded by the summed largest eigenvalues.  Each
-    summand is checked to be symmetric by :func:`check_symmetric` and PSD by
-    :func:`psd_eigh` first (the identity fails for sign-indefinite input).
+    For PSD matrices it is the :func:`null_space` of their sum, each divided by its own
+    ``lam_max``: no summand's scale hides another's directions, and ``tol_used`` is
+    dimensionless.  Each summand is checked symmetric by :func:`check_symmetric` and PSD by
+    :func:`psd_eigh` first (the identity fails for sign-indefinite input); a zero one adds nothing.
     """
     if not laplacians:
         raise DimensionMismatchError("need at least one Laplacian")
     if len({np.shape(L) for L in laplacians}) > 1:
         raise DimensionMismatchError("Laplacians differ in order")
     mats = [check_symmetric(L) for L in laplacians]
-    B = sum(float(psd_eigh(L, eig_tol)[0].max(initial=0.0)) for L in mats)
-    return null_space(sum(mats), eig_tol, min(B, np.finfo(float).max))
+    lam_max = [float(psd_eigh(L, eig_tol)[0].max(initial=0.0)) for L in mats]
+    return null_space(sum((L / c for L, c in zip(mats, lam_max) if c), 0.0 * mats[0]), eig_tol)
 
 
 def _cluster_thr(blocks: np.ndarray, tol: Tolerances) -> float:
@@ -276,7 +277,7 @@ def _window_null_space(s: SwitchingSchedule, net: IntegralNetwork, skeleton) -> 
     if on.size:  # each edge Q holds, by its range projector
         live, at = np.unique(e, return_inverse=True)
         lam, V = np.linalg.eigh(g.signs[live, None, None] * g.weights[live])
-        V *= (lam > max(s.eig_tol, g.d * np.finfo(float).eps) * lam[:, -1:])[:, None, :]
+        V *= (lam > _zero_threshold(lam, s.eig_tol))[:, None, :]
         P = np.einsum("eik,ejk->eij", V, V)  # entry (i, j) summed as (j, i) is
         np.add.at(Q, (row[on], col[on]), factor[on, None, None] * P[at])
     lam, V, thr = psd_eigh(Q.swapaxes(1, 2).reshape(c * g.d, c * g.d), s.eig_tol)

@@ -4,8 +4,8 @@ A scenario file fully describes one experiment: state dimension, agent count,
 graph catalog, switching schedule, initial condition, solver settings,
 tolerances, and the window length used by certification.  Node ids are
 1-based in files and errors, 0-based in memory.  Every number read must be
-finite, every tolerance positive, and every key of ``tolerances`` and
-``solver`` one of their fields.  A ``dimension``, ``repetitions`` or
+finite, every tolerance positive and ``eig_tol`` below 1, and every key of
+``tolerances`` and ``solver`` one of their fields.  A ``dimension``, ``repetitions`` or
 ``intervals`` whose arrays would take more than the host's physical memory,
 or its cgroup's limit, is rejected, and named, before those arrays are allocated;
 :func:`check_laplacian_memory` does the same for ``num_agents`` and the
@@ -388,6 +388,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigValidationError(f"num_agents must be >= 2, got {n}", field="num_agents")
 
     tol = _parse_record(raw.get("tolerances", {}), Tolerances, "tolerances")
+    if not tol.eig_tol < 1:  # a zero threshold at or above lam_max reads every weight as zero
+        raise ConfigValidationError(f"tolerances.eig_tol must be < 1, got {tol.eig_tol!r}",
+                                    field="tolerances.eig_tol")
 
     # before any graph: a file that must hold all n*d entries bounds n by its own size
     x0 = _as_array(_need(raw, "initial_state", "scenario"), "initial_state", "initial_state").ravel()

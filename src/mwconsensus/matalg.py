@@ -13,10 +13,10 @@ absolute floor: no verdict depends on the units, and only an exact 0 is zero.
 * ``SYM_TOL``: max allowed asymmetry ``|M[p,q] - M[q,p]|`` over ``max|M|``; a
   matrix within it is replaced by its symmetric part.
 * ``EIG_TOL``: an eigenvalue is zero at or below ``thr = max(EIG_TOL, order
-  * eps) * lam_max``, ``order * eps`` being ``eigh``'s own roundoff; ties
-  too, and classification takes ``max|lam|`` for ``lam_max``.  PSD routines
-  reject ``lam < -thr``; the null space keeps ``lam <= thr``, with
-  ``lam_max`` or a bound on it; ``lam <= order * eps * lam_max`` is held at 0.
+  * eps) * max|lam|``, ``order * eps`` being ``eigh``'s own roundoff; ties
+  too.  :func:`_zero_threshold` alone forms it; ``max|lam|`` is ``lam_max``
+  for a PSD spectrum.  PSD routines reject ``lam < -thr``; the null space
+  keeps ``lam <= thr``; ``lam <= order * eps * lam_max`` is held at 0.
 * Edge rank: how many eigenvalues of an edge's ``d x d`` ``|A_e|`` exceed
   that ``thr``.  A window null space reads only the edges' ranges, so
   no dose ratio moves it, except inside one integral edge summed from
@@ -144,6 +144,12 @@ def classify_stack(stack, eig_tol: float = EIG_TOL) -> np.ndarray:
     return _classify_checked(M, eig_tol)
 
 
+def _zero_threshold(lam: np.ndarray, eig_tol: float) -> np.ndarray:
+    """``max(eig_tol, order * eps) * max|lam|`` over ``lam``'s last axis, of ``order``, as a column."""
+    floor = lam.shape[-1] * np.finfo(float).eps
+    return max(eig_tol, floor) * np.abs(lam).max(axis=-1, keepdims=True, initial=0.0)
+
+
 def _classify_checked(M: np.ndarray, eig_tol: float) -> np.ndarray:
     """:func:`classify_stack` of a ``(k, d, d)`` stack that :func:`check_symmetric` returned."""
     lam = np.linalg.eigvalsh(M)
@@ -152,8 +158,7 @@ def _classify_checked(M: np.ndarray, eig_tol: float) -> np.ndarray:
         raise WeightOverflowError(
             "weight overflows: its eigenvalues exceed the float range", index=int(bad[0])
         )
-    floor = M.shape[-1] * np.finfo(float).eps
-    thr = max(eig_tol, floor) * np.abs(lam).max(axis=1, initial=0.0)[:, None]
+    thr = _zero_threshold(lam, eig_tol)
     pos = (lam > thr).sum(axis=1)
     neg = (lam < -thr).sum(axis=1)
     return _CLASS_OF_CODE[(pos > 0) + 2 * (neg > 0) + 4 * (pos + neg == M.shape[-1])]
@@ -234,45 +239,39 @@ def canonical_basis(V: np.ndarray) -> np.ndarray:
     return Q * np.where(np.diag(upper) < 0, -1.0, 1.0)
 
 
-def psd_eigh(
-    matrix, eig_tol: float = EIG_TOL, lam_bound: float | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
+def psd_eigh(matrix, eig_tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition of a symmetric PSD matrix with its roundoff eigenvalues held at 0.
 
     Unchecked precondition: ``matrix`` is finite and exactly symmetric, as
     :func:`check_symmetric` returns it and ``laplacian()`` builds it.
     Returns ``(lam, V, thr)`` with ``matrix == V diag(lam) V.T`` up to
     roundoff and the zero threshold ``thr = max(eig_tol, order * eps) *
-    lam_bound``, where ``lam_bound`` defaults to ``lam_max``: a sum of
-    matrices may pass the sum of theirs.  The floor ``order * eps``
-    is ``eigh``'s own roundoff: a tolerance below it does not count roundoff
-    as negative, and an eigenvalue within it, ``order * eps * lam_max``, is an
+    lam_max`` of :func:`_zero_threshold`.  The floor ``order * eps`` is
+    ``eigh``'s own roundoff: a tolerance below it does not count roundoff as
+    negative, and an eigenvalue within it, ``order * eps * lam_max``, is an
     exact 0, so no dose, however large, decays a null-space component.
     Raises NotPSDError, naming whichever set ``thr``, when an eigenvalue is below ``-thr``.
     """
     lam, V = np.linalg.eigh(matrix)
-    lam_max = float(lam[-1]) if lam.size else 0.0
     floor = lam.size * np.finfo(float).eps
-    thr = max(eig_tol, floor) * (lam_max if lam_bound is None else lam_bound)
+    thr = float(_zero_threshold(lam, eig_tol)[0])
     if lam.size and float(lam[0]) < -thr:
         at = f"eig_tol = {eig_tol:g}" if eig_tol >= floor else f"order * eps = {floor:.3e}"
         raise NotPSDError(f"matrix is not PSD at {at}: min eigenvalue {lam[0]:.3e} < {-thr:.3e}")
-    lam[lam <= floor * lam_max] = 0.0
+    lam[lam <= floor * lam[-1:]] = 0.0  # lam[-1:]: lam_max, empty at order 0
     return lam, V, thr
 
 
-def null_space(
-    matrix, eig_tol: float = EIG_TOL, lam_bound: float | None = None
-) -> NullSpaceBasis:
+def null_space(matrix, eig_tol: float = EIG_TOL) -> NullSpaceBasis:
     """Numerical null space of a symmetric PSD matrix.
 
     Keeps the eigenvectors of the :func:`check_symmetric` result whose
     eigenvalues fall at or below :func:`psd_eigh`'s threshold ``max(eig_tol,
-    order * eps) * lam_bound``, so a zero matrix is all null space.  Raises
+    order * eps) * lam_max``, so a zero matrix is all null space.  Raises
     NotPSDError, through :func:`psd_eigh`, when an eigenvalue is below minus
     that threshold.
     """
-    lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol, lam_bound)
+    lam, V, thr = psd_eigh(check_symmetric(matrix), eig_tol)
     return NullSpaceBasis(vectors=V[:, lam <= thr], tol_used=thr)
 
 

@@ -104,11 +104,12 @@ class TestNullIntersection:
             P_oracle = stacked_null_projector(laps)
             assert np.linalg.norm(P - P_oracle, "fro") <= 1e-8
 
-    def test_threshold_scales_with_the_summed_largest_eigenvalues(self):
-        # this path Laplacian has largest eigenvalue 3, so B = 3 + 6 for [L, 2 L]
+    def test_threshold_is_that_of_the_sum_over_each_largest_eigenvalue(self):
+        # this path Laplacian has largest eigenvalue 3, so [L, 2 L] sums to L/3 + 2L/6 = 2L/3,
+        # whose largest eigenvalue is 2
         L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         basis = null_intersection([L, 2 * L], 1e-9)
-        assert basis.dim == 1 and basis.tol_used == pytest.approx(9e-9, rel=1e-14)
+        assert basis.dim == 1 and basis.tol_used == pytest.approx(2e-9, rel=1e-14)
 
     def test_rejects_non_psd_summand(self):
         bad = np.diag([1.0, -1.0])

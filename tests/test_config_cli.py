@@ -291,6 +291,15 @@ class TestLoad:
             load_config(write_json(tmp_path, doc))
         assert exc.value.field == f"tolerances.{key}"
 
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    def test_eig_tol_must_be_below_one(self, tmp_path, value):
+        # a zero threshold at or above the largest eigenvalue would read every weight as zero
+        doc = minimal_config_dict()
+        doc["tolerances"] = {"eig_tol": value}
+        with pytest.raises(ConfigValidationError, match="must be < 1") as exc:
+            load_config(write_json(tmp_path, doc))
+        assert exc.value.field == "tolerances.eig_tol"
+
     @pytest.mark.parametrize("section, key, fields_", [
         ("tolerances", "eig_tl", "eig_tol, ns_eq_tol, cluster_tol, conv_tol"),
         ("solver", "sample_DT", "method, sample_dt, step_h, horizon"),

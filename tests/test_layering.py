@@ -3,6 +3,8 @@
 And each threshold is a tolerance times the scale of what it tests, with no
 absolute floor beside it: no ``max``, ``min``, ``np.maximum`` or
 ``np.minimum`` call takes a float literal or a ``*_FLOOR`` name as an argument.
+One routine, ``matalg._zero_threshold``, forms the zero threshold from
+``eig_tol``, and no caller passes a bound to scale it by.
 And a window null space reads neither the catalog spectra nor the doses.
 """
 
@@ -49,6 +51,34 @@ def floor_calls(path: Path) -> list[int]:
 def test_no_threshold_has_an_absolute_floor():
     floored = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py")) for line in floor_calls(p)]
     assert not floored, floored
+
+
+def eig_tol_clamps(path: Path) -> list[int]:
+    """The lines of ``path`` with a ``max``/``min`` call given ``eig_tol`` or ``x.eig_tol``.
+
+    The body of ``matalg._zero_threshold``, the one routine that forms the zero threshold,
+    is left out.
+    """
+    tree = ast.parse(path.read_text())
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_zero_threshold"
+            and path.stem == "matalg" for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in skip
+            and isinstance(node.func, ast.Name) and node.func.id in ("max", "min")
+            and any(getattr(arg, "id", getattr(arg, "attr", "")) == "eig_tol"
+                    for arg in node.args)]
+
+
+def test_one_routine_forms_the_zero_threshold():
+    clamps = [f"{p.name}:{line}" for p in sorted(PACKAGE.glob("*.py"))
+              for line in eig_tol_clamps(p)]
+    assert not clamps, clamps
+    bounded = [f"{p.name}:{node.name}" for p in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "lam_bound" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
+    assert not bounded, bounded
 
 
 def test_every_module_has_a_layer():

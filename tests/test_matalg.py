@@ -306,10 +306,6 @@ class TestNullSpace:
         B = null_space(np.diag([1e-9, 1.0]))
         assert B.dim == 1
 
-    def test_bound_on_the_largest_eigenvalue_scales_the_threshold(self):
-        B = null_space(np.diag([1e-7, 1.0]), 1e-9, lam_bound=100.0)
-        assert B.dim == 1 and B.tol_used == 1e-9 * 100.0
-
     def test_public_callers_still_check_symmetry(self):
         # psd_eigh trusts its input; null_space and null_intersection check their callers'
         from mwconsensus.analysis import null_intersection

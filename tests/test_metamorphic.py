@@ -11,6 +11,9 @@ it must leave alone:
   ``m``, the structural diagnostics and the limit (only ``mu`` moves);
 * one graph's doses times ``c``, its segment scales, leave every window's null
   space, which only the edges a window doses and their ranges decide;
+* one catalog Laplacian times ``c`` leaves the intersection of the catalog's
+  null spaces, which :func:`null_intersection` reads from each Laplacian over
+  its own largest eigenvalue;
 * a global rotation of coordinates, ``A -> R A R^T`` and ``x0 -> (I (x) R) x0``,
   written to the file as computed, so not exactly symmetric, and scaled by
   1e4, leaves every verdict;
@@ -30,9 +33,11 @@ from mwconsensus import scenarios
 from mwconsensus.analysis import (
     _window_null_space,
     certify_cluster_consensus,
+    null_intersection,
     predict_steady_state,
 )
 from mwconsensus.config import load_config
+from mwconsensus.graph import laplacian
 from mwconsensus.matalg import projector_distance
 from mwconsensus.sim import simulate_exact
 
@@ -202,6 +207,28 @@ def test_dose_ratios_keep_every_window_null_space(tmp_path, base, name):
             for k, basis in got.items():
                 assert basis.dim == want[k].dim, (gid, c, k)
                 assert projector_distance(basis, want[k]) <= 1e-12, (gid, c, k)
+
+
+@pytest.mark.parametrize("name, dim", zip(NAMES, (5, 3, 5)))
+def test_one_laplacian_scale_keeps_the_null_intersection(base, name, dim):
+    laps = [laplacian(g) for g in base[name][0].graphs.values()]
+    want = null_intersection(laps)
+    assert want.dim == dim
+    for i in range(len(laps)):
+        for c in DOSES:
+            got = null_intersection(laps[:i] + [c * laps[i]] + laps[i + 1:])
+            assert got.dim == dim, (i, c)
+            assert projector_distance(got, want) <= 1e-12, (i, c)
+
+
+@pytest.mark.parametrize("c", DOSES)
+def test_one_edge_scale_keeps_a_path_connected(c):
+    # a threshold on the plain sum reads the lighter edge as null, dim 2, once the two
+    # edges' scales are 1e10 apart
+    ends = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    first, second = np.zeros((3, 3)), np.zeros((3, 3))
+    first[:2, :2], second[1:, 1:] = ends, c * ends
+    assert null_intersection([first, second]).dim == 1
 
 
 def test_a_lightly_dosed_graph_keeps_m_and_is_not_certified(tmp_path):
